@@ -204,7 +204,7 @@ impl StreamDispatch {
 /// `kind`/`encode_*`/`decode_result` half, which must agree with the
 /// worker-side [`shard::WireJob`] registered for the same `kind`.
 ///
-/// Implementations live next to their workloads (`crate::fault`,
+/// Implementations live next to their workloads (`crate::models`,
 /// `steac-pattern`, `steac-membist`); [`Exec::dispatch`] is the only
 /// consumer.
 pub trait ExecWork: Sync {

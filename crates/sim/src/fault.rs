@@ -1,16 +1,14 @@
-//! Single-stuck-at fault simulation, PPSFP style: one packed pass
-//! simulates the good machine on lane 0 and up to 63 faulty machines on
-//! lanes 1–63, each fault injected as a per-lane force
-//! ([`Simulator::force_lane`]).
+//! Single-stuck-at fault model — the founding [`FaultModel`] — and the
+//! PPSFP pass geometry every gate-level model shares: one packed pass
+//! simulates the good machine on lane 0 and up to `64 * N - 1` faulty
+//! machines on the other lanes, each stuck-at fault injected once per
+//! pass as a per-lane force ([`Simulator::force_lane`]).
 //!
-//! Passes are independent work units over the shared compiled program,
-//! so [`grade_vectors`] describes them as an [`ExecWork`] and hands
-//! them to [`Exec::dispatch`] — serial, thread-sharded or fanned across
-//! `steac-worker` processes, the per-pass verdicts merge in fault-list
-//! order and the reports are bit-identical on every backend.
-//! [`fault_coverage`] drives an arbitrary test closure, which cannot
-//! cross a process boundary, so it always runs on the backend's
-//! in-process pool ([`Exec::local_threads`]).
+//! Vector grading and fault dictionaries run on the generic engine in
+//! [`crate::models`]; [`grade_vectors`] and [`grade_vectors_wide`] are
+//! re-exported here from it. [`fault_coverage`] drives an arbitrary test
+//! closure, which cannot cross a process boundary, so it always runs on
+//! the backend's in-process pool ([`Exec::local_threads`]).
 //!
 //! Used to check that generated DFT structures are themselves testable and
 //! to grade scan/functional pattern sets in the examples and benches. The
@@ -18,19 +16,19 @@
 //! this module covers the logic side.
 
 use crate::engine::Simulator;
-use crate::exec::{Exec, ExecWork};
+use crate::exec::Exec;
 use crate::logic::Logic;
-use crate::packed::{
-    mask_and, mask_bit, mask_none, mask_or, mask_range, LaneMask, PackedLogic, DEFAULT_LANE_GROUPS,
-    LANES,
-};
+use crate::models::{detection_lanes, FaultModel, Report};
+use crate::packed::LANES;
 use crate::program::SimProgram;
-use crate::shard::{self, PoolError};
-use crate::wire;
+use crate::shard;
+use crate::wire::{WireError, WireReader, WireWriter};
 use crate::SimError;
 use std::fmt;
 use std::sync::Arc;
 use steac_netlist::{Module, NetId};
+
+pub use crate::models::{grade_vectors, grade_vectors_wide};
 
 /// Faults simulated per classic 64-lane pass (lane 0 is the good
 /// machine). Wide passes carry [`faults_per_pass`]`(groups)` faults.
@@ -109,90 +107,61 @@ pub fn enumerate_faults(m: &Module) -> Vec<Fault> {
     v
 }
 
-/// Result of grading a pattern set against a fault list.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CoverageReport {
-    /// Number of faults simulated.
-    pub total: usize,
-    /// Number of detected faults.
-    pub detected: usize,
-    /// Faults that escaped, for diagnosis.
-    pub undetected: Vec<Fault>,
-    /// Times process dispatch fell back to the in-thread pool while
-    /// producing this report (0 unless the `Exec` runs a process
-    /// backend under [`crate::exec::Fallback::InThread`] and that
-    /// dispatch failed). The verdicts are unaffected — the fallback
-    /// recomputes the identical report — but the degradation is
-    /// recorded instead of silent.
-    pub process_fallbacks: usize,
-}
+/// Result of grading a pattern set against a stuck-at fault list.
+pub type CoverageReport = Report<Fault>;
 
-impl CoverageReport {
-    /// Fault coverage in percent (100 for an empty fault list).
-    #[must_use]
-    pub fn coverage_percent(&self) -> f64 {
-        if self.total == 0 {
-            100.0
-        } else {
-            100.0 * self.detected as f64 / self.total as f64
+impl FaultModel for Fault {
+    const WIRE_KIND: u16 = 1;
+    const NOUN: &'static str = "faults";
+
+    fn encode(&self, w: &mut WireWriter) {
+        w.put_u32(self.net.0);
+        w.put_u8(match self.stuck {
+            StuckAt::Zero => 0,
+            StuckAt::One => 1,
+        });
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let net = NetId(r.get_u32("fault net")?);
+        let stuck = match r.get_u8("fault polarity")? {
+            0 => StuckAt::Zero,
+            1 => StuckAt::One,
+            _ => {
+                return Err(WireError::Corrupt {
+                    context: "fault polarity",
+                })
+            }
+        };
+        Ok(Fault { net, stuck })
+    }
+
+    fn in_range(&self, net_count: usize) -> bool {
+        self.net.index() < net_count
+    }
+
+    fn enumerate(m: &Module) -> Result<Vec<Self>, SimError> {
+        Ok(enumerate_faults(m))
+    }
+
+    /// A stuck-at fault holds for the whole pass: its force goes in once.
+    fn begin_pass<const N: usize>(sim: &mut Simulator<N>, chunk: &[Self]) {
+        for (i, f) in chunk.iter().enumerate() {
+            sim.force_lane(f.net, i + 1, f.stuck.value());
         }
     }
-}
 
-impl fmt::Display for CoverageReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}/{} faults detected ({:.2}%)",
-            self.detected,
-            self.total,
-            self.coverage_percent()
-        )?;
-        if self.process_fallbacks > 0 {
-            write!(
-                f,
-                " [process dispatch fell back in-thread x{}]",
-                self.process_fallbacks
-            )?;
+    fn apply<const N: usize>(
+        sim: &mut Simulator<N>,
+        pins: &[NetId],
+        vectors: &[Vec<Logic>],
+        pattern: usize,
+        _chunk: &[Self],
+    ) -> Result<(), SimError> {
+        for (&pin, &v) in pins.iter().zip(&vectors[pattern]) {
+            sim.set(pin, v);
         }
-        Ok(())
-    }
-}
-
-/// Accumulates, into a lane mask, the lanes whose observed value provably
-/// differs from the good machine on lane 0 (both values known, values
-/// differ — the masked-compare rule an ATE applies).
-pub(crate) fn detection_lanes<const N: usize>(obs: PackedLogic<N>) -> LaneMask<N> {
-    let ones = obs.is_one();
-    let zeros = obs.is_zero();
-    if mask_bit(&ones, 0) {
-        zeros
-    } else if mask_bit(&zeros, 0) {
-        ones
-    } else {
-        mask_none()
-    }
-}
-
-/// Folds per-fault detection flags (in fault-list order, from
-/// [`shard::grade_in_passes`] or [`shard::flags_from_masks`]) into a
-/// [`CoverageReport`]; `undetected` keeps exactly the order a
-/// single-threaded pass-by-pass loop would produce.
-fn report_from_flags(faults: &[Fault], flags: &[bool], process_fallbacks: usize) -> CoverageReport {
-    let mut detected = 0usize;
-    let mut undetected = Vec::new();
-    for (&f, &hit) in faults.iter().zip(flags) {
-        if hit {
-            detected += 1;
-        } else {
-            undetected.push(f);
-        }
-    }
-    CoverageReport {
-        total: faults.len(),
-        detected,
-        undetected,
-        process_fallbacks,
+        sim.settle()
     }
 }
 
@@ -253,328 +222,7 @@ where
             Ok::<u64, SimError>(mask)
         },
     )?;
-    Ok(report_from_flags(faults, &flags, 0))
-}
-
-pub(crate) fn validate_vectors(pins: &[NetId], vectors: &[Vec<Logic>]) -> Result<(), SimError> {
-    for v in vectors {
-        if v.len() != pins.len() {
-            return Err(SimError::VectorLength {
-                expected: pins.len(),
-                got: v.len(),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// One grading pass over a fault chunk — the exact code every backend
-/// executes (inline, on a pool thread, or inside a `steac-worker`
-/// process), so dispatch flavour can never change a verdict. Generic
-/// over lane-group width: lane 0 is the good machine, lanes
-/// `1..=chunk.len()` each carry one fault.
-fn grade_chunk<const N: usize>(
-    program: &Arc<SimProgram>,
-    pins: &[NetId],
-    vectors: &[Vec<Logic>],
-    chunk: &[Fault],
-) -> Result<LaneMask<N>, SimError> {
-    let mut sim: Simulator<N> = Simulator::from_program(Arc::clone(program));
-    for (i, f) in chunk.iter().enumerate() {
-        sim.force_lane(f.net, i + 1, f.stuck.value());
-    }
-    // Lane mask with one bit per in-flight fault (≤ N×64 − 1 of them).
-    let want = mask_range::<N>(1, chunk.len());
-    let mut mask = mask_none::<N>();
-    for vector in vectors {
-        for (&pin, &v) in pins.iter().zip(vector) {
-            sim.set(pin, v);
-        }
-        sim.settle()?;
-        for &net in &sim.program().output_nets {
-            mask = mask_or(mask, detection_lanes(sim.get_packed(net)));
-        }
-        if mask_and(mask, want) == want {
-            break; // every fault in this pass dropped
-        }
-    }
-    Ok(mask)
-}
-
-/// The [`ExecWork`] description of vector grading: one unit per
-/// [`faults_per_pass`]`(N)` fault chunk, a job block carrying the
-/// compiled program + lane-group width + pin list + vector set, and
-/// `N`-word detection masks as unit results.
-struct GradeWork<'a, const N: usize> {
-    program: Arc<SimProgram>,
-    pins: &'a [NetId],
-    vectors: &'a [Vec<Logic>],
-    chunks: Vec<&'a [Fault]>,
-}
-
-impl<const N: usize> ExecWork for GradeWork<'_, N> {
-    type Output = LaneMask<N>;
-    type Error = SimError;
-
-    fn kind(&self) -> u16 {
-        WIRE_KIND
-    }
-
-    fn unit_count(&self) -> usize {
-        self.chunks.len()
-    }
-
-    fn encode_job(&self) -> Vec<u8> {
-        encode_grade_job(&self.program, N as u8, self.pins, self.vectors)
-    }
-
-    fn encode_unit(&self, unit: usize) -> Vec<u8> {
-        wire::encode_faults(self.chunks[unit])
-    }
-
-    fn run_unit_local(&self, unit: usize) -> Result<LaneMask<N>, SimError> {
-        grade_chunk::<N>(&self.program, self.pins, self.vectors, self.chunks[unit])
-    }
-
-    fn decode_result(&self, _unit: usize, bytes: &[u8]) -> Result<LaneMask<N>, String> {
-        decode_lane_mask::<N>(bytes)
-    }
-
-    fn pool_error(&self, error: PoolError) -> SimError {
-        error.into()
-    }
-}
-
-/// Serializes an `N`-word detection mask (unit-result payload).
-pub(crate) fn encode_lane_mask<const N: usize>(mask: &LaneMask<N>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(N * 8);
-    for w in mask {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
-    out
-}
-
-/// Deserializes an `N`-word detection mask (unit-result payload).
-pub(crate) fn decode_lane_mask<const N: usize>(bytes: &[u8]) -> Result<LaneMask<N>, String> {
-    if bytes.len() != N * 8 {
-        return Err(format!(
-            "result has {} bytes, expected {}",
-            bytes.len(),
-            N * 8
-        ));
-    }
-    let mut mask = [0u64; N];
-    for (w, c) in mask.iter_mut().zip(bytes.chunks_exact(8)) {
-        *w = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
-    }
-    Ok(mask)
-}
-
-/// Packed grading of a static vector set applied to `pins` (set inputs,
-/// settle, compare output ports — the classic combinational grading
-/// loop), with **per-pass fault dropping**: once every fault of a pass
-/// is detected, that worker skips the remaining vectors and pulls the
-/// next pass.
-///
-/// The single entry point for every backend: `exec` decides whether
-/// passes run inline, across threads or across `steac-worker`
-/// processes ([`Exec::dispatch`]). Merging is by pass index in every
-/// flavour, so the reports are byte-identical — the exec-matrix
-/// integration test pins this.
-///
-/// # Errors
-///
-/// Propagates engine errors; process-backend failures surface as
-/// [`SimError::Worker`] on the lowest-indexed failing pass (under
-/// [`crate::exec::Fallback::Fail`]) or are recomputed in-thread and
-/// recorded in [`CoverageReport::process_fallbacks`].
-pub fn grade_vectors(
-    exec: &Exec,
-    m: &Module,
-    faults: &[Fault],
-    pins: &[NetId],
-    vectors: &[Vec<Logic>],
-) -> Result<CoverageReport, SimError> {
-    grade_vectors_wide(exec, m, faults, pins, vectors, DEFAULT_LANE_GROUPS)
-}
-
-/// [`grade_vectors`] with an explicit lane-group width: each pass
-/// carries the good machine plus [`faults_per_pass`]`(groups)` faults.
-/// The verdicts (and the whole [`CoverageReport`]) are bit-identical at
-/// every width — only the pass count, and therefore the throughput,
-/// changes.
-///
-/// # Errors
-///
-/// [`SimError::UnsupportedWidth`] unless `groups` is one of
-/// [`SUPPORTED_LANE_GROUPS`]; otherwise as [`grade_vectors`].
-pub fn grade_vectors_wide(
-    exec: &Exec,
-    m: &Module,
-    faults: &[Fault],
-    pins: &[NetId],
-    vectors: &[Vec<Logic>],
-    groups: usize,
-) -> Result<CoverageReport, SimError> {
-    match groups {
-        1 => grade_vectors_n::<1>(exec, m, faults, pins, vectors),
-        2 => grade_vectors_n::<2>(exec, m, faults, pins, vectors),
-        4 => grade_vectors_n::<4>(exec, m, faults, pins, vectors),
-        8 => grade_vectors_n::<8>(exec, m, faults, pins, vectors),
-        _ => Err(SimError::UnsupportedWidth { groups }),
-    }
-}
-
-fn grade_vectors_n<const N: usize>(
-    exec: &Exec,
-    m: &Module,
-    faults: &[Fault],
-    pins: &[NetId],
-    vectors: &[Vec<Logic>],
-) -> Result<CoverageReport, SimError> {
-    validate_vectors(pins, vectors)?;
-    let per_pass = faults_per_pass(N);
-    let program = Arc::new(SimProgram::compile(m)?);
-    let work = GradeWork::<N> {
-        program,
-        pins,
-        vectors,
-        chunks: faults.chunks(per_pass).collect(),
-    };
-    let dispatched = exec.dispatch(&work)?;
-    let flags = shard::flags_from_lane_masks(faults.len(), per_pass, 1, &dispatched.units);
-    Ok(report_from_flags(
-        faults,
-        &flags,
-        dispatched.fallback_count(),
-    ))
-}
-
-// ---------- worker-side wire job ----------
-
-/// Work-unit kind the worker-side job registry routes to
-/// [`open_wire_job`]: vector grading of a fault chunk.
-pub const WIRE_KIND: u16 = 1;
-
-fn encode_grade_job(
-    program: &SimProgram,
-    groups: u8,
-    pins: &[NetId],
-    vectors: &[Vec<Logic>],
-) -> Vec<u8> {
-    let mut w = wire::WireWriter::new();
-    w.put_block(&wire::encode_program(program));
-    w.put_u8(groups);
-    w.put_usize(pins.len());
-    for pin in pins {
-        w.put_u32(pin.0);
-    }
-    w.put_usize(vectors.len());
-    for v in vectors {
-        w.put_usize(v.len());
-        for &value in v {
-            w.put_logic(value);
-        }
-    }
-    w.finish()
-}
-
-/// An opened vector-grading job inside a worker process, monomorphized
-/// at the lane-group width the job header requested.
-struct GradeJob<const N: usize> {
-    program: Arc<SimProgram>,
-    pins: Vec<NetId>,
-    vectors: Vec<Vec<Logic>>,
-}
-
-impl<const N: usize> shard::WireJob for GradeJob<N> {
-    fn run_unit(&mut self, unit: &[u8]) -> Result<Vec<u8>, String> {
-        let chunk = wire::decode_faults(unit).map_err(|e| format!("fault unit: {e}"))?;
-        let per_pass = faults_per_pass(N);
-        if chunk.len() > per_pass {
-            return Err(format!(
-                "fault unit has {} faults, a pass holds at most {per_pass}",
-                chunk.len()
-            ));
-        }
-        for f in &chunk {
-            if f.net.index() >= self.program.net_count {
-                return Err(format!("fault net {} out of range", f.net));
-            }
-        }
-        let mask = grade_chunk::<N>(&self.program, &self.pins, &self.vectors, &chunk)
-            .map_err(|e| e.to_string())?;
-        Ok(encode_lane_mask(&mask))
-    }
-}
-
-/// Decodes a [`WIRE_KIND`] job block (compiled program + lane-group
-/// width + pin list + vector set) into the executable job the worker
-/// loop drives — the `steac-worker` side of [`grade_vectors`]' process
-/// backend.
-///
-/// # Errors
-///
-/// A diagnostic on corrupt job bytes.
-pub fn open_wire_job(job: &[u8]) -> Result<Box<dyn shard::WireJob>, String> {
-    let mut r = wire::WireReader::new(job);
-    let program = wire::decode_program(
-        r.get_block("grade job program")
-            .map_err(|e| e.to_string())?,
-    )
-    .map_err(|e| format!("grade job program: {e}"))?;
-    let fail = |e: wire::WireError| format!("grade job: {e}");
-    let groups = r.get_u8("grade job lane groups").map_err(fail)?;
-    let pin_count = r.get_count("grade job pins", 4).map_err(fail)?;
-    let mut pins = Vec::with_capacity(pin_count);
-    for _ in 0..pin_count {
-        let net = r.get_u32("grade job pin").map_err(fail)?;
-        if net as usize >= program.net_count {
-            return Err(format!("grade job pin net {net} out of range"));
-        }
-        pins.push(NetId(net));
-    }
-    let vector_count = r.get_count("grade job vectors", 8).map_err(fail)?;
-    let mut vectors = Vec::with_capacity(vector_count);
-    for _ in 0..vector_count {
-        let len = r.get_count("grade job vector", 1).map_err(fail)?;
-        if len != pins.len() {
-            return Err(format!(
-                "grade job vector has {len} values, pin list has {}",
-                pins.len()
-            ));
-        }
-        let mut v = Vec::with_capacity(len);
-        for _ in 0..len {
-            v.push(r.get_logic("grade job vector value").map_err(fail)?);
-        }
-        vectors.push(v);
-    }
-    r.finish().map_err(fail)?;
-    let program = Arc::new(program);
-    Ok(match groups as usize {
-        1 => Box::new(GradeJob::<1> {
-            program,
-            pins,
-            vectors,
-        }),
-        2 => Box::new(GradeJob::<2> {
-            program,
-            pins,
-            vectors,
-        }),
-        4 => Box::new(GradeJob::<4> {
-            program,
-            pins,
-            vectors,
-        }),
-        8 => Box::new(GradeJob::<8> {
-            program,
-            pins,
-            vectors,
-        }),
-        _ => return Err(format!("grade job lane-group width {groups} unsupported")),
-    })
+    Ok(Report::from_flags(faults, &flags, 0))
 }
 
 /// Serial reference implementation: one full simulation per fault, as the

@@ -114,23 +114,25 @@
 //!
 //! # The fault-model registry
 //!
-//! PPSFP grading is not a single workload but a *family*: every fault
-//! model in [`models`] describes itself as an [`exec::ExecWork`] and so
-//! inherits stages 1–5 above wholesale — the optimizer, the wide lane
+//! PPSFP grading is not a single workload but a *family*: a gate-level
+//! fault model is one [`models::FaultModel`] impl — wire kind, per-fault
+//! codec, fault list, pattern count and per-pass lane injection — and
+//! one engine in [`models`] grades ([`grade_vectors`]) and builds fault
+//! dictionaries ([`fault_dictionary`]) for any of them, so every model
+//! inherits stages 1–5 above wholesale: the optimizer, the wide lane
 //! groups, all five backends, and the byte-identical-reports contract.
-//! Stuck-at grading ([`fault::fault_coverage`] /
-//! [`fault::grade_vectors`], work-unit kind 1) is simply the founding
-//! member; [`models::transition`] (kind 4) grades slow-to-rise/fall
-//! faults with launch–capture vector pairs, [`models::bridging`]
-//! (kind 5) grades AND/OR shorts between topologically adjacent nets,
-//! and inter-cell memory coupling rides `steac-membist`'s March walks
-//! (kind 3). The gate-level models can emit a **fault dictionary**
-//! (per-fault detecting-pattern/output signatures,
-//! [`models::dictionary`]), and [`models::dictionary::diagnose`]
-//! (kind 6) consumes a dictionary plus an observed failure signature to
-//! rank candidate fault sites — localization dispatched through the
-//! same `Exec` seam as grading. Flows that grade "with the configured
-//! model" select it via `STEAC_MODEL`
+//! Stuck-at ([`fault`], work-unit kind 1) is the founding member;
+//! [`models::transition`] (kind 4) injects slow-to-rise/fall faults into
+//! launch–capture vector pairs, [`models::bridging`] (kind 5) AND/OR
+//! shorts between topologically adjacent nets, and inter-cell memory
+//! coupling rides `steac-membist`'s March walks (kind 3). Kinds 1, 4 and
+//! 5 each grade or build a dictionary (per-fault detecting-pattern/output
+//! signatures, [`models::dictionary`]), and
+//! [`models::dictionary::diagnose`] (kind 6) consumes a dictionary plus
+//! an observed failure signature to rank candidate fault sites —
+//! localization dispatched through the same `Exec` seam as grading. The
+//! closure-driven [`fault::fault_coverage`] stays stuck-at only. Flows
+//! that grade "with the configured model" select it via `STEAC_MODEL`
 //! ([`models::ModelKind::from_env`]).
 //!
 //! # Example
@@ -178,19 +180,21 @@ pub use exec::{
     STREAM_BATCH_UNITS,
 };
 pub use fault::{
-    enumerate_faults, fault_coverage, faults_per_pass, grade_vectors, grade_vectors_wide,
-    CoverageReport, Fault, StuckAt, FAULTS_PER_PASS, SUPPORTED_LANE_GROUPS,
+    enumerate_faults, fault_coverage, faults_per_pass, CoverageReport, Fault, StuckAt,
+    FAULTS_PER_PASS, SUPPORTED_LANE_GROUPS,
 };
 pub use logic::Logic;
 pub use models::bridging::{
-    enumerate_bridges, grade_bridges, grade_bridges_wide, BridgeKind, BridgingFault, BridgingReport,
+    enumerate_bridges, grade_bridges, BridgeKind, BridgingFault, BridgingReport,
 };
 pub use models::dictionary::{diagnose, Diagnosis, DictEntry, FaultDictionary};
 pub use models::transition::{
-    enumerate_transition_faults, grade_transitions, grade_transitions_wide, SlowEdge,
-    TransitionFault, TransitionReport,
+    enumerate_transition_faults, grade_transitions, SlowEdge, TransitionFault, TransitionReport,
 };
-pub use models::ModelKind;
+pub use models::{
+    fault_dictionary, fault_dictionary_wide, grade_vectors, grade_vectors_wide, FaultModel,
+    ModelKind, Report,
+};
 pub use opt::{OptConfig, OptStats};
 pub use packed::{PackedLogic, DEFAULT_LANE_GROUPS, LANES};
 pub use program::{ProgramStats, SimProgram};

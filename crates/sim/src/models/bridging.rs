@@ -19,24 +19,14 @@
 //! unforced — the good machine — and detection uses the same
 //! masked-compare rule as every other model.
 
-use crate::exec::{Exec, ExecWork};
-use crate::fault::{
-    decode_lane_mask, detection_lanes, encode_lane_mask, faults_per_pass, validate_vectors,
-};
+use crate::exec::Exec;
 use crate::logic::Logic;
-use crate::models::dictionary::{
-    decode_dict_entries, encode_dict_entries, signature_words, DictEntry, FaultDictionary,
-};
-use crate::packed::{
-    mask_and, mask_bit, mask_none, mask_or, mask_range, LaneMask, DEFAULT_LANE_GROUPS,
-};
+use crate::models::{grade_vectors, validate_vectors, FaultModel, Report};
 use crate::program::SimProgram;
-use crate::shard::{self, PoolError};
-use crate::wire;
+use crate::wire::{WireError, WireReader, WireWriter};
 use crate::{SimError, Simulator};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
 use steac_netlist::{Module, NetId};
 
 /// How the shorted pair resolves.
@@ -141,301 +131,78 @@ pub fn enumerate_bridges(m: &Module) -> Result<Vec<BridgingFault>, SimError> {
 }
 
 /// Result of grading a vector set against a bridging fault list.
-/// Mirrors [`crate::fault::CoverageReport`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BridgingReport {
-    /// Number of faults simulated.
-    pub total: usize,
-    /// Number of detected faults.
-    pub detected: usize,
-    /// Faults that escaped, for diagnosis.
-    pub undetected: Vec<BridgingFault>,
-    /// In-thread recomputations after process-dispatch failures (see
-    /// [`crate::fault::CoverageReport::process_fallbacks`]).
-    pub process_fallbacks: usize,
-}
+pub type BridgingReport = Report<BridgingFault>;
 
-impl BridgingReport {
-    /// Fault coverage in percent (100 for an empty fault list).
-    #[must_use]
-    pub fn coverage_percent(&self) -> f64 {
-        if self.total == 0 {
-            100.0
-        } else {
-            100.0 * self.detected as f64 / self.total as f64
-        }
-    }
-}
+impl FaultModel for BridgingFault {
+    const WIRE_KIND: u16 = 5;
+    const NOUN: &'static str = "bridging faults";
 
-impl fmt::Display for BridgingReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}/{} bridging faults detected ({:.2}%)",
-            self.detected,
-            self.total,
-            self.coverage_percent()
-        )
-    }
-}
-
-/// Drives one vector for one fault chunk: unforced settle for the
-/// fault-free bridge values, then per-lane wired forces on both nets of
-/// each pair and a second settle. Afterwards the simulator holds the
-/// faulty state (read outputs, then call again for the next vector).
-fn run_vector<const N: usize>(
-    sim: &mut Simulator<N>,
-    pins: &[NetId],
-    vector: &[Logic],
-    chunk: &[BridgingFault],
-) -> Result<(), SimError> {
-    sim.clear_forces();
-    for (&pin, &v) in pins.iter().zip(vector) {
-        sim.set(pin, v);
-    }
-    sim.settle()?;
-    let wired: Vec<Logic> = chunk
-        .iter()
-        .map(|f| f.kind.wired(sim.get_lane(f.a, 0), sim.get_lane(f.b, 0)))
-        .collect();
-    for (i, (f, &w)) in chunk.iter().zip(&wired).enumerate() {
-        sim.force_lane(f.a, i + 1, w);
-        sim.force_lane(f.b, i + 1, w);
-    }
-    sim.settle()
-}
-
-/// One grading pass over a bridging fault chunk — the exact code every
-/// backend executes. Lane 0 is the good machine, lanes
-/// `1..=chunk.len()` each carry one bridge.
-fn grade_chunk<const N: usize>(
-    program: &Arc<SimProgram>,
-    pins: &[NetId],
-    vectors: &[Vec<Logic>],
-    chunk: &[BridgingFault],
-) -> Result<LaneMask<N>, SimError> {
-    let mut sim: Simulator<N> = Simulator::from_program(Arc::clone(program));
-    let want = mask_range::<N>(1, chunk.len());
-    let mut mask = mask_none::<N>();
-    for vector in vectors {
-        run_vector(&mut sim, pins, vector, chunk)?;
-        for &net in &sim.program().output_nets {
-            mask = mask_or(mask, detection_lanes(sim.get_packed(net)));
-        }
-        if mask_and(mask, want) == want {
-            break; // every fault in this pass dropped
-        }
-    }
-    Ok(mask)
-}
-
-/// One dictionary pass over a bridging fault chunk: the grading loop
-/// without early exit, recording per-(vector, output) detection bits
-/// and the first detecting vector per fault.
-fn dict_chunk<const N: usize>(
-    program: &Arc<SimProgram>,
-    pins: &[NetId],
-    vectors: &[Vec<Logic>],
-    chunk: &[BridgingFault],
-) -> Result<Vec<DictEntry>, SimError> {
-    let outs = program.output_nets.len();
-    let words = signature_words(vectors.len(), outs);
-    let mut entries = vec![
-        DictEntry {
-            first_pattern: None,
-            signature: vec![0u64; words],
-        };
-        chunk.len()
-    ];
-    let mut sim: Simulator<N> = Simulator::from_program(Arc::clone(program));
-    for (p, vector) in vectors.iter().enumerate() {
-        run_vector(&mut sim, pins, vector, chunk)?;
-        for (o, &net) in sim.program().output_nets.iter().enumerate() {
-            let det = detection_lanes(sim.get_packed(net));
-            let bit = p * outs + o;
-            for (i, e) in entries.iter_mut().enumerate() {
-                if mask_bit(&det, i + 1) {
-                    e.signature[bit / 64] |= 1 << (bit % 64);
-                    if e.first_pattern.is_none() {
-                        e.first_pattern = Some(p as u32);
-                    }
-                }
-            }
-        }
-    }
-    Ok(entries)
-}
-
-// ---------- Exec work descriptions ----------
-
-/// Work-unit kind the worker-side job registry routes to
-/// [`open_wire_job`]: bridging grading (or dictionary building) of a
-/// fault chunk.
-pub const WIRE_KIND: u16 = 5;
-
-const MODE_GRADE: u8 = 0;
-const MODE_DICT: u8 = 1;
-
-fn encode_job(
-    program: &SimProgram,
-    groups: u8,
-    mode: u8,
-    pins: &[NetId],
-    vectors: &[Vec<Logic>],
-) -> Vec<u8> {
-    let mut w = wire::WireWriter::new();
-    w.put_block(&wire::encode_program(program));
-    w.put_u8(groups);
-    w.put_u8(mode);
-    w.put_usize(pins.len());
-    for pin in pins {
-        w.put_u32(pin.0);
-    }
-    w.put_usize(vectors.len());
-    for v in vectors {
-        w.put_usize(v.len());
-        for &value in v {
-            w.put_logic(value);
-        }
-    }
-    w.finish()
-}
-
-/// Serializes a bridging fault chunk (work-unit payload): count, then
-/// both nets + kind per fault.
-pub(crate) fn encode_bridging_faults(faults: &[BridgingFault]) -> Vec<u8> {
-    let mut w = wire::WireWriter::new();
-    w.put_usize(faults.len());
-    for f in faults {
-        w.put_u32(f.a.0);
-        w.put_u32(f.b.0);
-        w.put_u8(match f.kind {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put_u32(self.a.0);
+        w.put_u32(self.b.0);
+        w.put_u8(match self.kind {
             BridgeKind::And => 0,
             BridgeKind::Or => 1,
         });
     }
-    w.finish()
-}
 
-/// Deserializes a bridging fault chunk.
-///
-/// # Errors
-///
-/// [`wire::WireError`] on truncated or corrupt bytes.
-pub(crate) fn decode_bridging_faults(bytes: &[u8]) -> Result<Vec<BridgingFault>, wire::WireError> {
-    let mut r = wire::WireReader::new(bytes);
-    let count = r.get_count("bridging fault count", 9)?;
-    let mut faults = Vec::with_capacity(count);
-    for _ in 0..count {
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let a = NetId(r.get_u32("bridging fault net a")?);
         let b = NetId(r.get_u32("bridging fault net b")?);
         let kind = match r.get_u8("bridging fault kind")? {
             0 => BridgeKind::And,
             1 => BridgeKind::Or,
             _ => {
-                return Err(wire::WireError::Corrupt {
+                return Err(WireError::Corrupt {
                     context: "bridging fault kind",
                 })
             }
         };
-        faults.push(BridgingFault { a, b, kind });
-    }
-    r.finish()?;
-    Ok(faults)
-}
-
-/// The [`ExecWork`] description of bridging grading.
-struct GradeWork<'a, const N: usize> {
-    program: Arc<SimProgram>,
-    pins: &'a [NetId],
-    vectors: &'a [Vec<Logic>],
-    chunks: Vec<&'a [BridgingFault]>,
-}
-
-impl<const N: usize> ExecWork for GradeWork<'_, N> {
-    type Output = LaneMask<N>;
-    type Error = SimError;
-
-    fn kind(&self) -> u16 {
-        WIRE_KIND
+        Ok(BridgingFault { a, b, kind })
     }
 
-    fn unit_count(&self) -> usize {
-        self.chunks.len()
+    fn in_range(&self, net_count: usize) -> bool {
+        self.a.index() < net_count && self.b.index() < net_count
     }
 
-    fn encode_job(&self) -> Vec<u8> {
-        encode_job(&self.program, N as u8, MODE_GRADE, self.pins, self.vectors)
+    fn enumerate(m: &Module) -> Result<Vec<Self>, SimError> {
+        enumerate_bridges(m)
     }
 
-    fn encode_unit(&self, unit: usize) -> Vec<u8> {
-        encode_bridging_faults(self.chunks[unit])
-    }
-
-    fn run_unit_local(&self, unit: usize) -> Result<LaneMask<N>, SimError> {
-        grade_chunk::<N>(&self.program, self.pins, self.vectors, self.chunks[unit])
-    }
-
-    fn decode_result(&self, _unit: usize, bytes: &[u8]) -> Result<LaneMask<N>, String> {
-        decode_lane_mask::<N>(bytes)
-    }
-
-    fn pool_error(&self, error: PoolError) -> SimError {
-        error.into()
+    /// Drives one vector for one fault chunk: unforced settle for the
+    /// fault-free bridge values, then per-lane wired forces on both nets
+    /// of each pair and a second settle. Afterwards the simulator holds
+    /// the faulty state.
+    fn apply<const N: usize>(
+        sim: &mut Simulator<N>,
+        pins: &[NetId],
+        vectors: &[Vec<Logic>],
+        pattern: usize,
+        chunk: &[Self],
+    ) -> Result<(), SimError> {
+        sim.clear_forces();
+        for (&pin, &v) in pins.iter().zip(&vectors[pattern]) {
+            sim.set(pin, v);
+        }
+        sim.settle()?;
+        let wired: Vec<Logic> = chunk
+            .iter()
+            .map(|f| f.kind.wired(sim.get_lane(f.a, 0), sim.get_lane(f.b, 0)))
+            .collect();
+        for (i, (f, &w)) in chunk.iter().zip(&wired).enumerate() {
+            sim.force_lane(f.a, i + 1, w);
+            sim.force_lane(f.b, i + 1, w);
+        }
+        sim.settle()
     }
 }
 
-/// The [`ExecWork`] description of bridging dictionary building.
-struct DictWork<'a, const N: usize> {
-    program: Arc<SimProgram>,
-    pins: &'a [NetId],
-    vectors: &'a [Vec<Logic>],
-    chunks: Vec<&'a [BridgingFault]>,
-}
-
-impl<const N: usize> ExecWork for DictWork<'_, N> {
-    type Output = Vec<DictEntry>;
-    type Error = SimError;
-
-    fn kind(&self) -> u16 {
-        WIRE_KIND
-    }
-
-    fn unit_count(&self) -> usize {
-        self.chunks.len()
-    }
-
-    fn encode_job(&self) -> Vec<u8> {
-        encode_job(&self.program, N as u8, MODE_DICT, self.pins, self.vectors)
-    }
-
-    fn encode_unit(&self, unit: usize) -> Vec<u8> {
-        encode_bridging_faults(self.chunks[unit])
-    }
-
-    fn run_unit_local(&self, unit: usize) -> Result<Vec<DictEntry>, SimError> {
-        dict_chunk::<N>(&self.program, self.pins, self.vectors, self.chunks[unit])
-    }
-
-    fn decode_result(&self, _unit: usize, bytes: &[u8]) -> Result<Vec<DictEntry>, String> {
-        decode_dict_entries(bytes)
-    }
-
-    fn pool_error(&self, error: PoolError) -> SimError {
-        error.into()
-    }
-}
-
-// ---------- entry points ----------
-
-/// Packed bridging grading of a static vector set (unforced settle,
-/// per-lane wired forces, forced settle, compare outputs), with
-/// per-pass fault dropping — through the same `Exec` seam as every
-/// model and byte-identical on every backend.
+/// Packed bridging grading of a static vector set — [`grade_vectors`]
+/// under the bridging model.
 ///
 /// # Errors
 ///
-/// As [`crate::fault::grade_vectors`].
+/// As [`grade_vectors`].
 pub fn grade_bridges(
     exec: &Exec,
     m: &Module,
@@ -443,133 +210,7 @@ pub fn grade_bridges(
     pins: &[NetId],
     vectors: &[Vec<Logic>],
 ) -> Result<BridgingReport, SimError> {
-    grade_bridges_wide(exec, m, faults, pins, vectors, DEFAULT_LANE_GROUPS)
-}
-
-/// [`grade_bridges`] with an explicit lane-group width; the report is
-/// bit-identical at every width in
-/// [`SUPPORTED_LANE_GROUPS`](crate::fault::SUPPORTED_LANE_GROUPS).
-///
-/// # Errors
-///
-/// [`SimError::UnsupportedWidth`] for other widths; otherwise as
-/// [`grade_bridges`].
-pub fn grade_bridges_wide(
-    exec: &Exec,
-    m: &Module,
-    faults: &[BridgingFault],
-    pins: &[NetId],
-    vectors: &[Vec<Logic>],
-    groups: usize,
-) -> Result<BridgingReport, SimError> {
-    match groups {
-        1 => grade_bridges_n::<1>(exec, m, faults, pins, vectors),
-        2 => grade_bridges_n::<2>(exec, m, faults, pins, vectors),
-        4 => grade_bridges_n::<4>(exec, m, faults, pins, vectors),
-        8 => grade_bridges_n::<8>(exec, m, faults, pins, vectors),
-        _ => Err(SimError::UnsupportedWidth { groups }),
-    }
-}
-
-fn grade_bridges_n<const N: usize>(
-    exec: &Exec,
-    m: &Module,
-    faults: &[BridgingFault],
-    pins: &[NetId],
-    vectors: &[Vec<Logic>],
-) -> Result<BridgingReport, SimError> {
-    validate_vectors(pins, vectors)?;
-    let per_pass = faults_per_pass(N);
-    let program = Arc::new(SimProgram::compile(m)?);
-    let work = GradeWork::<N> {
-        program,
-        pins,
-        vectors,
-        chunks: faults.chunks(per_pass).collect(),
-    };
-    let dispatched = exec.dispatch(&work)?;
-    let flags = shard::flags_from_lane_masks(faults.len(), per_pass, 1, &dispatched.units);
-    let mut detected = 0usize;
-    let mut undetected = Vec::new();
-    for (&f, &hit) in faults.iter().zip(&flags) {
-        if hit {
-            detected += 1;
-        } else {
-            undetected.push(f);
-        }
-    }
-    Ok(BridgingReport {
-        total: faults.len(),
-        detected,
-        undetected,
-        process_fallbacks: dispatched.fallback_count(),
-    })
-}
-
-/// Builds the bridging fault dictionary for `faults` over `vectors`:
-/// per fault, the first detecting vector and the packed
-/// per-(vector, output) detection signature.
-///
-/// # Errors
-///
-/// As [`grade_bridges`].
-pub fn bridging_dictionary(
-    exec: &Exec,
-    m: &Module,
-    faults: &[BridgingFault],
-    pins: &[NetId],
-    vectors: &[Vec<Logic>],
-) -> Result<FaultDictionary, SimError> {
-    bridging_dictionary_wide(exec, m, faults, pins, vectors, DEFAULT_LANE_GROUPS)
-}
-
-/// [`bridging_dictionary`] with an explicit lane-group width.
-///
-/// # Errors
-///
-/// [`SimError::UnsupportedWidth`] for widths outside
-/// [`SUPPORTED_LANE_GROUPS`](crate::fault::SUPPORTED_LANE_GROUPS);
-/// otherwise as [`bridging_dictionary`].
-pub fn bridging_dictionary_wide(
-    exec: &Exec,
-    m: &Module,
-    faults: &[BridgingFault],
-    pins: &[NetId],
-    vectors: &[Vec<Logic>],
-    groups: usize,
-) -> Result<FaultDictionary, SimError> {
-    match groups {
-        1 => bridging_dictionary_n::<1>(exec, m, faults, pins, vectors),
-        2 => bridging_dictionary_n::<2>(exec, m, faults, pins, vectors),
-        4 => bridging_dictionary_n::<4>(exec, m, faults, pins, vectors),
-        8 => bridging_dictionary_n::<8>(exec, m, faults, pins, vectors),
-        _ => Err(SimError::UnsupportedWidth { groups }),
-    }
-}
-
-fn bridging_dictionary_n<const N: usize>(
-    exec: &Exec,
-    m: &Module,
-    faults: &[BridgingFault],
-    pins: &[NetId],
-    vectors: &[Vec<Logic>],
-) -> Result<FaultDictionary, SimError> {
-    validate_vectors(pins, vectors)?;
-    let per_pass = faults_per_pass(N);
-    let program = Arc::new(SimProgram::compile(m)?);
-    let outputs = program.output_nets.len();
-    let work = DictWork::<N> {
-        program,
-        pins,
-        vectors,
-        chunks: faults.chunks(per_pass).collect(),
-    };
-    let dispatched = exec.dispatch(&work)?;
-    Ok(FaultDictionary {
-        patterns: vectors.len() as u32,
-        outputs: outputs as u32,
-        entries: dispatched.units.into_iter().flatten().collect(),
-    })
+    grade_vectors(exec, m, faults, pins, vectors)
 }
 
 /// Serial reference implementation: one scalar simulation per fault,
@@ -648,121 +289,11 @@ pub fn grade_bridges_serial(
             undetected.push(fault);
         }
     }
-    Ok(BridgingReport {
+    Ok(Report {
         total: faults.len(),
         detected,
         undetected,
         process_fallbacks: 0,
-    })
-}
-
-// ---------- worker-side wire job ----------
-
-/// An opened bridging job inside a worker process, monomorphized at
-/// the lane-group width the job header requested.
-struct BridgingJob<const N: usize> {
-    program: Arc<SimProgram>,
-    pins: Vec<NetId>,
-    vectors: Vec<Vec<Logic>>,
-    dict: bool,
-}
-
-impl<const N: usize> shard::WireJob for BridgingJob<N> {
-    fn run_unit(&mut self, unit: &[u8]) -> Result<Vec<u8>, String> {
-        let chunk =
-            decode_bridging_faults(unit).map_err(|e| format!("bridging fault unit: {e}"))?;
-        let per_pass = faults_per_pass(N);
-        if chunk.len() > per_pass {
-            return Err(format!(
-                "bridging fault unit has {} faults, a pass holds at most {per_pass}",
-                chunk.len()
-            ));
-        }
-        for f in &chunk {
-            if f.a.index() >= self.program.net_count || f.b.index() >= self.program.net_count {
-                return Err(format!("bridging fault {f} out of range"));
-            }
-        }
-        if self.dict {
-            let entries = dict_chunk::<N>(&self.program, &self.pins, &self.vectors, &chunk)
-                .map_err(|e| e.to_string())?;
-            Ok(encode_dict_entries(&entries))
-        } else {
-            let mask = grade_chunk::<N>(&self.program, &self.pins, &self.vectors, &chunk)
-                .map_err(|e| e.to_string())?;
-            Ok(encode_lane_mask(&mask))
-        }
-    }
-}
-
-/// Decodes a [`WIRE_KIND`] job block into the executable job the worker
-/// loop drives — the `steac-worker` side of [`grade_bridges`] /
-/// [`bridging_dictionary`].
-///
-/// # Errors
-///
-/// A diagnostic on corrupt job bytes.
-pub fn open_wire_job(job: &[u8]) -> Result<Box<dyn shard::WireJob>, String> {
-    let mut r = wire::WireReader::new(job);
-    let program = wire::decode_program(
-        r.get_block("bridging job program")
-            .map_err(|e| e.to_string())?,
-    )
-    .map_err(|e| format!("bridging job program: {e}"))?;
-    let fail = |e: wire::WireError| format!("bridging job: {e}");
-    let groups = r.get_u8("bridging job lane groups").map_err(fail)?;
-    let dict = match r.get_u8("bridging job mode").map_err(fail)? {
-        MODE_GRADE => false,
-        MODE_DICT => true,
-        mode => return Err(format!("bridging job mode {mode} unknown")),
-    };
-    let pin_count = r.get_count("bridging job pins", 4).map_err(fail)?;
-    let mut pins = Vec::with_capacity(pin_count);
-    for _ in 0..pin_count {
-        let net = r.get_u32("bridging job pin").map_err(fail)?;
-        if net as usize >= program.net_count {
-            return Err(format!("bridging job pin net {net} out of range"));
-        }
-        pins.push(NetId(net));
-    }
-    let vector_count = r.get_count("bridging job vectors", 8).map_err(fail)?;
-    let mut vectors = Vec::with_capacity(vector_count);
-    for _ in 0..vector_count {
-        let len = r.get_count("bridging job vector", 1).map_err(fail)?;
-        if len != pins.len() {
-            return Err(format!(
-                "bridging job vector has {len} values, pin list has {}",
-                pins.len()
-            ));
-        }
-        let mut v = Vec::with_capacity(len);
-        for _ in 0..len {
-            v.push(r.get_logic("bridging job vector value").map_err(fail)?);
-        }
-        vectors.push(v);
-    }
-    r.finish().map_err(fail)?;
-    let program = Arc::new(program);
-    macro_rules! open {
-        ($n:literal) => {
-            Box::new(BridgingJob::<$n> {
-                program,
-                pins,
-                vectors,
-                dict,
-            }) as Box<dyn shard::WireJob>
-        };
-    }
-    Ok(match groups as usize {
-        1 => open!(1),
-        2 => open!(2),
-        4 => open!(4),
-        8 => open!(8),
-        _ => {
-            return Err(format!(
-                "bridging job lane-group width {groups} unsupported"
-            ))
-        }
     })
 }
 
@@ -824,30 +355,5 @@ mod tests {
         let packed = grade_bridges(&Exec::serial(), &m, &bridges, &pins(&m), &vectors).unwrap();
         let serial = grade_bridges_serial(&m, &bridges, &pins(&m), &vectors).unwrap();
         assert_eq!(packed, serial);
-    }
-
-    /// Dictionary entries agree with the grading verdicts.
-    #[test]
-    fn dictionary_agrees_with_grading() {
-        use Logic::{One, Zero};
-        let m = and2();
-        let bridges = enumerate_bridges(&m).unwrap();
-        let p = pins(&m);
-        let vectors = vec![vec![Zero, One], vec![One, Zero], vec![One, One]];
-        let rep = grade_bridges(&Exec::serial(), &m, &bridges, &p, &vectors).unwrap();
-        let dict = bridging_dictionary(&Exec::serial(), &m, &bridges, &p, &vectors).unwrap();
-        assert_eq!(dict.entries.len(), bridges.len());
-        for (f, e) in bridges.iter().zip(&dict.entries) {
-            let detected = !rep.undetected.contains(f);
-            assert_eq!(e.first_pattern.is_some(), detected, "{f}");
-        }
-    }
-
-    #[test]
-    fn bridging_fault_codec_round_trips() {
-        let faults = enumerate_bridges(&and2()).unwrap();
-        let bytes = encode_bridging_faults(&faults);
-        assert_eq!(decode_bridging_faults(&bytes).unwrap(), faults);
-        assert!(decode_bridging_faults(&bytes[..bytes.len() - 1]).is_err());
     }
 }

@@ -160,16 +160,23 @@ pub(crate) fn encode_dict_entries(entries: &[DictEntry]) -> Vec<u8> {
     w.finish()
 }
 
-/// Deserializes a dictionary-mode unit result (diagnostic-string errors
-/// because this runs inside [`crate::exec::ExecWork::decode_result`]).
-pub(crate) fn decode_dict_entries(bytes: &[u8]) -> Result<Vec<DictEntry>, String> {
+/// Deserializes a dictionary-mode unit result whose signatures are all
+/// `words` words wide (diagnostic-string errors because this runs
+/// inside [`crate::exec::ExecWork::decode_result`] and a worker's
+/// `run_unit`).
+pub(crate) fn decode_dict_entries(bytes: &[u8], words: usize) -> Result<Vec<DictEntry>, String> {
     let mut r = wire::WireReader::new(bytes);
     let fail = |e: wire::WireError| format!("dictionary unit result: {e}");
     let count = r.get_count("dictionary entry count", 12).map_err(fail)?;
     let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
         let first = r.get_u32("dictionary entry first").map_err(fail)?;
-        let words = r.get_count("dictionary entry words", 8).map_err(fail)?;
+        let len = r.get_count("dictionary entry words", 8).map_err(fail)?;
+        if len != words {
+            return Err(format!(
+                "dictionary entry has {len} signature words, expected {words}"
+            ));
+        }
         let mut signature = Vec::with_capacity(words);
         for _ in 0..words {
             signature.push(r.get_u64("dictionary entry word").map_err(fail)?);
@@ -264,10 +271,18 @@ impl ExecWork for DiagnoseWork<'_> {
             .collect())
     }
 
-    fn decode_result(&self, _unit: usize, bytes: &[u8]) -> Result<Vec<u32>, String> {
+    /// Distances are flattened into entry order, so a reply with a
+    /// wrong count would rank the wrong candidates: it is rejected.
+    fn decode_result(&self, unit: usize, bytes: &[u8]) -> Result<Vec<u32>, String> {
         let mut r = wire::WireReader::new(bytes);
         let fail = |e: wire::WireError| format!("diagnose unit result: {e}");
         let count = r.get_count("diagnose distance count", 4).map_err(fail)?;
+        if count != self.chunks[unit].len() {
+            return Err(format!(
+                "diagnose unit result has {count} distances, the unit has {} candidates",
+                self.chunks[unit].len()
+            ));
+        }
         let mut out = Vec::with_capacity(count);
         for _ in 0..count {
             out.push(r.get_u32("diagnose distance").map_err(fail)?);
@@ -319,23 +334,15 @@ pub fn diagnose(
 
 /// An opened diagnose job inside a worker process.
 struct DiagnoseJob {
-    words: usize,
     observed: Vec<u64>,
 }
 
 impl shard::WireJob for DiagnoseJob {
     fn run_unit(&mut self, unit: &[u8]) -> Result<Vec<u8>, String> {
-        let entries = decode_dict_entries(unit)?;
+        let entries = decode_dict_entries(unit, self.observed.len())?;
         let mut w = wire::WireWriter::new();
         w.put_usize(entries.len());
         for e in &entries {
-            if e.signature.len() != self.words {
-                return Err(format!(
-                    "diagnose candidate has {} signature words, observed has {}",
-                    e.signature.len(),
-                    self.words
-                ));
-            }
             w.put_u32(distance(&e.signature, &self.observed));
         }
         Ok(w.finish())
@@ -358,7 +365,7 @@ pub fn open_wire_job(job: &[u8]) -> Result<Box<dyn shard::WireJob>, String> {
         observed.push(r.get_u64("diagnose job observed word").map_err(fail)?);
     }
     r.finish().map_err(fail)?;
-    Ok(Box::new(DiagnoseJob { words, observed }))
+    Ok(Box::new(DiagnoseJob { observed }))
 }
 
 #[cfg(test)]
@@ -402,7 +409,38 @@ mod tests {
     fn entry_unit_codec_round_trips() {
         let d = dict();
         let bytes = encode_dict_entries(&d.entries);
-        assert_eq!(decode_dict_entries(&bytes).unwrap(), d.entries);
+        assert_eq!(decode_dict_entries(&bytes, 3).unwrap(), d.entries);
+        assert!(decode_dict_entries(&bytes, 2).is_err());
+    }
+
+    /// A diagnose reply is checked against the unit it answers: a short,
+    /// long or ragged reply is an error, never a shifted ranking.
+    #[test]
+    fn diagnose_replies_must_match_their_unit() {
+        let d = dict();
+        let observed = [0b101, 0, 1];
+        let work = DiagnoseWork {
+            words: 3,
+            observed: &observed,
+            chunks: vec![&d.entries[..]],
+        };
+        let reply = |distances: &[u32]| {
+            let mut w = wire::WireWriter::new();
+            w.put_usize(distances.len());
+            for &x in distances {
+                w.put_u32(x);
+            }
+            w.finish()
+        };
+        assert_eq!(
+            work.decode_result(0, &reply(&[3, 0, 2])).unwrap(),
+            work.run_unit_local(0).unwrap()
+        );
+        assert!(work.decode_result(0, &reply(&[3, 0])).is_err());
+        assert!(work.decode_result(0, &reply(&[3, 0, 2, 1])).is_err());
+        let mut ragged = reply(&[3, 0, 2]);
+        ragged.pop();
+        assert!(work.decode_result(0, &ragged).is_err());
     }
 
     #[test]

@@ -1,12 +1,18 @@
-//! The fault-model subsystem: every model is a registered [`ExecWork`].
+//! The fault-model subsystem: one [`FaultModel`] trait, one engine.
 //!
 //! Stuck-at grading ([`crate::fault`]) was the repo's founding workload;
-//! this module generalises it into a *registry of fault models*, each of
-//! which inherits the whole platform for free by speaking the same
-//! `ExecWork` contract: all five backends (serial / threads / processes
-//! / remote-spawn / remote-tcp), the optimizer pipeline, wide lane
-//! groups, per-pass fault dropping, and the byte-identical-reports
-//! differential-test pattern.
+//! this module generalises it into a *registry of fault models*. A model
+//! is one [`FaultModel`] impl: its wire kind, its per-fault codec, its
+//! fault list, how many patterns a vector set yields, and how a pass
+//! injects its faults into the lanes. Everything else is written once
+//! here, generic over the model — the [`Report`], the grading and
+//! dictionary pass loops, one [`ExecWork`] per mode, the job codec
+//! ([`encode_job`]), the worker-side [`open_wire_job`] and the lane-width
+//! switch — so every model inherits the whole platform: all five
+//! backends (serial / threads / processes / remote-spawn / remote-tcp),
+//! the optimizer pipeline, wide lane groups, per-pass fault dropping,
+//! fault dictionaries and the byte-identical-reports contract. A new
+//! model is one impl plus one `worker_registry()` line.
 //!
 //! | model | module | work-unit kind | fault site |
 //! |---|---|---|---|
@@ -19,13 +25,27 @@
 //! `steac-membist` [`MemFault`]s and ride that crate's March walk
 //! workload, kind 3.)
 //!
-//! Each gate-level model can emit an optional **fault dictionary**
-//! ([`dictionary::FaultDictionary`]): per fault, the first detecting
+//! Kinds 1, 4 and 5 each grade ([`grade_vectors`]) or build a **fault
+//! dictionary** ([`fault_dictionary`]): per fault, the first detecting
 //! pattern and a packed per-(pattern, output) detection signature. The
 //! [`dictionary::diagnose`] workload consumes a dictionary plus an
 //! observed failure signature and ranks candidate fault sites by
 //! signature distance — localization as an `Exec`-dispatched workload
 //! rather than a post-processing script.
+//!
+//! # Wire layout (kinds 1, 4 and 5)
+//!
+//! ```text
+//! job:     program block, lane groups u8, mode u8 (0 = grade,
+//!          1 = dictionary), pin count u64 + one u32 net per pin,
+//!          vector count u64 + per vector: length u64 + one logic byte
+//!          per pin
+//! unit:    fault count u64, then each fault in its model's codec
+//! result:  grade — the pass's detection mask, lane-groups u64 words
+//!          (lane 0 is the good machine, lane i + 1 carries fault i);
+//!          dictionary — one entry per fault of the unit (see
+//!          [`dictionary`])
+//! ```
 //!
 //! # Model selection
 //!
@@ -34,14 +54,708 @@
 //! (default) / `transition` / `bridging`, parsed by
 //! [`ModelKind::from_env`].
 //!
-//! [`ExecWork`]: crate::exec::ExecWork
 //! [`MemFault`]: https://docs.rs/steac-membist
 
 pub mod bridging;
 pub mod dictionary;
 pub mod transition;
 
+use crate::engine::Simulator;
+use crate::exec::{Exec, ExecWork};
+use crate::fault::faults_per_pass;
+use crate::logic::Logic;
+use crate::packed::{
+    mask_and, mask_bit, mask_none, mask_or, mask_range, LaneMask, PackedLogic, DEFAULT_LANE_GROUPS,
+};
+use crate::program::SimProgram;
+use crate::shard::{self, PoolError, WireJob};
+use crate::wire::{self, WireError, WireReader, WireWriter};
+use crate::SimError;
+use dictionary::{
+    decode_dict_entries, encode_dict_entries, signature_words, DictEntry, FaultDictionary,
+};
 use std::fmt;
+use std::sync::Arc;
+use steac_netlist::{Module, NetId};
+
+/// A gate-level fault model: only what differs between models. The
+/// engine in this module grades, builds dictionaries and opens worker
+/// jobs for any implementation.
+pub trait FaultModel: Copy + Eq + fmt::Debug + fmt::Display + Send + Sync + 'static {
+    /// Work-unit kind the worker-side registry routes to
+    /// [`open_wire_job`] for this model.
+    const WIRE_KIND: u16;
+    /// What a [`Report`] counts, e.g. `"transition faults"`.
+    const NOUN: &'static str;
+
+    /// Appends one fault to a work-unit payload; every fault takes at
+    /// least five bytes (a `u32` net and a `u8` tag).
+    fn encode(&self, w: &mut WireWriter);
+
+    /// Reads one fault written by [`FaultModel::encode`].
+    ///
+    /// # Errors
+    ///
+    /// [`WireError`] on truncated or corrupt bytes.
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError>;
+
+    /// Whether every net the fault names lies below `net_count`.
+    fn in_range(&self, net_count: usize) -> bool;
+
+    /// The module's full fault list.
+    ///
+    /// # Errors
+    ///
+    /// Compile errors, for models that enumerate from the compiled
+    /// program.
+    fn enumerate(m: &Module) -> Result<Vec<Self>, SimError>;
+
+    /// Patterns an `n`-vector set yields: one per vector unless the
+    /// model pairs vectors up.
+    #[must_use]
+    fn patterns(n: usize) -> usize {
+        n
+    }
+
+    /// Injects a pass's faults once, before its first pattern; lane
+    /// `i + 1` carries `chunk[i]`. Models that inject per pattern keep
+    /// the empty default.
+    fn begin_pass<const N: usize>(_sim: &mut Simulator<N>, _chunk: &[Self]) {}
+
+    /// Drives pattern `pattern` of `vectors` onto `pins` with `chunk`'s
+    /// per-pattern lane injection and settles: afterwards the outputs
+    /// hold the pattern's observation.
+    ///
+    /// # Errors
+    ///
+    /// Engine errors.
+    fn apply<const N: usize>(
+        sim: &mut Simulator<N>,
+        pins: &[NetId],
+        vectors: &[Vec<Logic>],
+        pattern: usize,
+        chunk: &[Self],
+    ) -> Result<(), SimError>;
+}
+
+/// Fewest bytes one encoded fault takes: the bound that keeps a corrupt
+/// fault count from forcing a large allocation.
+const MIN_FAULT_BYTES: usize = 5;
+
+/// Result of grading a pattern set against a fault list of model `F`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Report<F> {
+    /// Number of faults simulated.
+    pub total: usize,
+    /// Number of detected faults.
+    pub detected: usize,
+    /// Faults that escaped, for diagnosis.
+    pub undetected: Vec<F>,
+    /// Times process dispatch fell back to the in-thread pool while
+    /// producing this report (0 unless the `Exec` runs a process
+    /// backend under [`crate::exec::Fallback::InThread`] and that
+    /// dispatch failed). The verdicts are unaffected — the fallback
+    /// recomputes the identical report — but the degradation is
+    /// recorded instead of silent.
+    pub process_fallbacks: usize,
+}
+
+impl<F: Copy> Report<F> {
+    /// Fault coverage in percent (100 for an empty fault list).
+    #[must_use]
+    pub fn coverage_percent(&self) -> f64 {
+        if self.total == 0 {
+            100.0
+        } else {
+            100.0 * self.detected as f64 / self.total as f64
+        }
+    }
+
+    /// Folds per-fault detection flags (in fault-list order) into a
+    /// report; `undetected` keeps exactly the order a single-threaded
+    /// pass-by-pass loop would produce.
+    pub(crate) fn from_flags(faults: &[F], flags: &[bool], process_fallbacks: usize) -> Self {
+        let mut detected = 0usize;
+        let mut undetected = Vec::new();
+        for (&f, &hit) in faults.iter().zip(flags) {
+            if hit {
+                detected += 1;
+            } else {
+                undetected.push(f);
+            }
+        }
+        Report {
+            total: faults.len(),
+            detected,
+            undetected,
+            process_fallbacks,
+        }
+    }
+}
+
+impl<F: FaultModel> fmt::Display for Report<F> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}/{} {} detected ({:.2}%)",
+            self.detected,
+            self.total,
+            F::NOUN,
+            self.coverage_percent()
+        )?;
+        if self.process_fallbacks > 0 {
+            write!(
+                f,
+                " [process dispatch fell back in-thread x{}]",
+                self.process_fallbacks
+            )?;
+        }
+        Ok(())
+    }
+}
+
+/// Accumulates, into a lane mask, the lanes whose observed value provably
+/// differs from the good machine on lane 0 (both values known, values
+/// differ — the masked-compare rule an ATE applies).
+pub(crate) fn detection_lanes<const N: usize>(obs: PackedLogic<N>) -> LaneMask<N> {
+    let ones = obs.is_one();
+    let zeros = obs.is_zero();
+    if mask_bit(&ones, 0) {
+        zeros
+    } else if mask_bit(&zeros, 0) {
+        ones
+    } else {
+        mask_none()
+    }
+}
+
+pub(crate) fn validate_vectors(pins: &[NetId], vectors: &[Vec<Logic>]) -> Result<(), SimError> {
+    for v in vectors {
+        if v.len() != pins.len() {
+            return Err(SimError::VectorLength {
+                expected: pins.len(),
+                got: v.len(),
+            });
+        }
+    }
+    Ok(())
+}
+
+// ---------- the pass loops ----------
+
+/// One pass of a fault chunk over the whole stimulus, monomorphized at
+/// one lane width: lane 0 is the good machine, lanes `1..=chunk.len()`
+/// each carry one fault. The exact code every backend executes (inline,
+/// on a pool thread, or inside a `steac-worker` process), so dispatch
+/// flavour can never change a result.
+type PassFn<F, T> = fn(&Arc<SimProgram>, &[NetId], &[Vec<Logic>], &[F]) -> Result<T, SimError>;
+
+/// The grading pass: the `N`-word mask of lanes that provably differ
+/// from lane 0 on some output, with per-pass fault dropping.
+fn grade_pass<F: FaultModel, const N: usize>(
+    program: &Arc<SimProgram>,
+    pins: &[NetId],
+    vectors: &[Vec<Logic>],
+    chunk: &[F],
+) -> Result<Vec<u64>, SimError> {
+    let mut sim: Simulator<N> = Simulator::from_program(Arc::clone(program));
+    F::begin_pass(&mut sim, chunk);
+    // Lane mask with one bit per in-flight fault (≤ N×64 − 1 of them).
+    let want = mask_range::<N>(1, chunk.len());
+    let mut mask = mask_none::<N>();
+    for pattern in 0..F::patterns(vectors.len()) {
+        F::apply(&mut sim, pins, vectors, pattern, chunk)?;
+        for &net in &sim.program().output_nets {
+            mask = mask_or(mask, detection_lanes(sim.get_packed(net)));
+        }
+        if mask_and(mask, want) == want {
+            break; // every fault in this pass dropped
+        }
+    }
+    Ok(mask.to_vec())
+}
+
+/// The dictionary pass: the grading loop without early exit, recording
+/// per-(pattern, output) detection bits and the first detecting pattern
+/// per fault.
+fn dict_pass<F: FaultModel, const N: usize>(
+    program: &Arc<SimProgram>,
+    pins: &[NetId],
+    vectors: &[Vec<Logic>],
+    chunk: &[F],
+) -> Result<Vec<DictEntry>, SimError> {
+    let outs = program.output_nets.len();
+    let words = signature_words(F::patterns(vectors.len()), outs);
+    let mut entries = vec![
+        DictEntry {
+            first_pattern: None,
+            signature: vec![0u64; words],
+        };
+        chunk.len()
+    ];
+    let mut sim: Simulator<N> = Simulator::from_program(Arc::clone(program));
+    F::begin_pass(&mut sim, chunk);
+    for p in 0..F::patterns(vectors.len()) {
+        F::apply(&mut sim, pins, vectors, p, chunk)?;
+        for (o, &net) in sim.program().output_nets.iter().enumerate() {
+            let det = detection_lanes(sim.get_packed(net));
+            let bit = p * outs + o;
+            for (i, e) in entries.iter_mut().enumerate() {
+                if mask_bit(&det, i + 1) {
+                    e.signature[bit / 64] |= 1 << (bit % 64);
+                    if e.first_pattern.is_none() {
+                        e.first_pattern = Some(p as u32);
+                    }
+                }
+            }
+        }
+    }
+    Ok(entries)
+}
+
+/// Both pass loops at one lane width.
+struct Kernels<F> {
+    grade: PassFn<F, Vec<u64>>,
+    dict: PassFn<F, Vec<DictEntry>>,
+}
+
+/// The lane-width switch, shared by both sides of the wire: the pass
+/// loops monomorphized for `groups` lane groups.
+fn kernels<F: FaultModel>(groups: usize) -> Result<Kernels<F>, SimError> {
+    Ok(match groups {
+        1 => Kernels {
+            grade: grade_pass::<F, 1>,
+            dict: dict_pass::<F, 1>,
+        },
+        2 => Kernels {
+            grade: grade_pass::<F, 2>,
+            dict: dict_pass::<F, 2>,
+        },
+        4 => Kernels {
+            grade: grade_pass::<F, 4>,
+            dict: dict_pass::<F, 4>,
+        },
+        8 => Kernels {
+            grade: grade_pass::<F, 8>,
+            dict: dict_pass::<F, 8>,
+        },
+        _ => return Err(SimError::UnsupportedWidth { groups }),
+    })
+}
+
+// ---------- wire codecs ----------
+
+/// What a fault job computes per pass: the job block's mode byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
+    /// Coverage grading: each unit result is the pass's detection mask.
+    Grade = 0,
+    /// Dictionary building: each unit result is one entry per fault.
+    Dictionary = 1,
+}
+
+/// Serializes a fault job block (see the module docs for the layout) —
+/// the job every model's kind shares.
+#[must_use]
+pub fn encode_job(
+    program: &SimProgram,
+    groups: u8,
+    mode: Mode,
+    pins: &[NetId],
+    vectors: &[Vec<Logic>],
+) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.put_block(&wire::encode_program(program));
+    w.put_u8(groups);
+    w.put_u8(mode as u8);
+    w.put_usize(pins.len());
+    for pin in pins {
+        w.put_u32(pin.0);
+    }
+    w.put_usize(vectors.len());
+    for v in vectors {
+        w.put_usize(v.len());
+        for &value in v {
+            w.put_logic(value);
+        }
+    }
+    w.finish()
+}
+
+/// Serializes a fault chunk (a work-unit payload): the count, then each
+/// fault in its model's codec.
+#[must_use]
+pub fn encode_chunk<F: FaultModel>(faults: &[F]) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.put_usize(faults.len());
+    for f in faults {
+        f.encode(&mut w);
+    }
+    w.finish()
+}
+
+/// Deserializes a fault chunk.
+///
+/// # Errors
+///
+/// [`WireError`] on truncated or corrupt bytes.
+pub(crate) fn decode_chunk<F: FaultModel>(bytes: &[u8]) -> Result<Vec<F>, WireError> {
+    let mut r = WireReader::new(bytes);
+    let count = r.get_count("fault count", MIN_FAULT_BYTES)?;
+    let mut faults = Vec::with_capacity(count);
+    for _ in 0..count {
+        faults.push(F::decode(&mut r)?);
+    }
+    r.finish()?;
+    Ok(faults)
+}
+
+fn encode_mask(mask: &[u64]) -> Vec<u8> {
+    mask.iter().flat_map(|w| w.to_le_bytes()).collect()
+}
+
+fn decode_mask(bytes: &[u8], groups: usize) -> Result<Vec<u64>, String> {
+    if bytes.len() != groups * 8 {
+        return Err(format!(
+            "result has {} bytes, expected {}",
+            bytes.len(),
+            groups * 8
+        ));
+    }
+    Ok(bytes
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+        .collect())
+}
+
+// ---------- Exec work descriptions ----------
+
+/// A fault list cut into passes over one compiled program and
+/// stimulus: the state both [`ExecWork`]s share.
+struct Passes<'a, F> {
+    groups: usize,
+    kernels: Kernels<F>,
+    program: Arc<SimProgram>,
+    pins: &'a [NetId],
+    vectors: &'a [Vec<Logic>],
+    chunks: Vec<&'a [F]>,
+}
+
+impl<'a, F: FaultModel> Passes<'a, F> {
+    fn new(
+        m: &Module,
+        faults: &'a [F],
+        pins: &'a [NetId],
+        vectors: &'a [Vec<Logic>],
+        groups: usize,
+    ) -> Result<Self, SimError> {
+        let kernels = kernels(groups)?;
+        validate_vectors(pins, vectors)?;
+        Ok(Passes {
+            groups,
+            kernels,
+            program: Arc::new(SimProgram::compile(m)?),
+            pins,
+            vectors,
+            chunks: faults.chunks(faults_per_pass(groups)).collect(),
+        })
+    }
+
+    fn encode_job(&self, mode: Mode) -> Vec<u8> {
+        encode_job(
+            &self.program,
+            self.groups as u8,
+            mode,
+            self.pins,
+            self.vectors,
+        )
+    }
+}
+
+/// Grading: one unit per pass, the pass's detection mask as its result.
+struct GradeWork<'a, F>(Passes<'a, F>);
+
+impl<F: FaultModel> ExecWork for GradeWork<'_, F> {
+    type Output = Vec<u64>;
+    type Error = SimError;
+
+    fn kind(&self) -> u16 {
+        F::WIRE_KIND
+    }
+
+    fn unit_count(&self) -> usize {
+        self.0.chunks.len()
+    }
+
+    fn encode_job(&self) -> Vec<u8> {
+        self.0.encode_job(Mode::Grade)
+    }
+
+    fn encode_unit(&self, unit: usize) -> Vec<u8> {
+        encode_chunk(self.0.chunks[unit])
+    }
+
+    fn run_unit_local(&self, unit: usize) -> Result<Vec<u64>, SimError> {
+        let p = &self.0;
+        (p.kernels.grade)(&p.program, p.pins, p.vectors, p.chunks[unit])
+    }
+
+    fn decode_result(&self, _unit: usize, bytes: &[u8]) -> Result<Vec<u64>, String> {
+        decode_mask(bytes, self.0.groups)
+    }
+
+    fn pool_error(&self, error: PoolError) -> SimError {
+        error.into()
+    }
+}
+
+/// Dictionary building: the same units as [`GradeWork`], one
+/// [`DictEntry`] per fault as each unit's result.
+struct DictWork<'a, F>(Passes<'a, F>);
+
+impl<F: FaultModel> ExecWork for DictWork<'_, F> {
+    type Output = Vec<DictEntry>;
+    type Error = SimError;
+
+    fn kind(&self) -> u16 {
+        F::WIRE_KIND
+    }
+
+    fn unit_count(&self) -> usize {
+        self.0.chunks.len()
+    }
+
+    fn encode_job(&self) -> Vec<u8> {
+        self.0.encode_job(Mode::Dictionary)
+    }
+
+    fn encode_unit(&self, unit: usize) -> Vec<u8> {
+        encode_chunk(self.0.chunks[unit])
+    }
+
+    fn run_unit_local(&self, unit: usize) -> Result<Vec<DictEntry>, SimError> {
+        let p = &self.0;
+        (p.kernels.dict)(&p.program, p.pins, p.vectors, p.chunks[unit])
+    }
+
+    /// Entries are flattened into fault-list order, so a reply with a
+    /// wrong entry count would shift every later entry onto the wrong
+    /// fault: it is rejected, as is any signature of the wrong width.
+    fn decode_result(&self, unit: usize, bytes: &[u8]) -> Result<Vec<DictEntry>, String> {
+        let p = &self.0;
+        let words = signature_words(F::patterns(p.vectors.len()), p.program.output_nets.len());
+        let entries = decode_dict_entries(bytes, words)?;
+        if entries.len() != p.chunks[unit].len() {
+            return Err(format!(
+                "dictionary unit result has {} entries, the unit has {} faults",
+                entries.len(),
+                p.chunks[unit].len()
+            ));
+        }
+        Ok(entries)
+    }
+
+    fn pool_error(&self, error: PoolError) -> SimError {
+        error.into()
+    }
+}
+
+// ---------- entry points ----------
+
+/// Packed grading of a static vector set applied to `pins` under fault
+/// model `F` — each model's drive-and-settle per pattern
+/// ([`FaultModel::apply`]), compare output ports — with **per-pass
+/// fault dropping**: once every fault of a pass is detected, that
+/// worker skips the remaining patterns and pulls the next pass.
+///
+/// The single entry point for every model and every backend: `exec`
+/// decides whether passes run inline, across threads or across
+/// `steac-worker` processes ([`Exec::dispatch`]). Merging is by pass
+/// index in every flavour, so the reports are byte-identical — the
+/// exec-matrix integration test pins this.
+///
+/// # Errors
+///
+/// Propagates engine errors; process-backend failures surface as
+/// [`SimError::Worker`] on the lowest-indexed failing pass (under
+/// [`crate::exec::Fallback::Fail`]) or are recomputed in-thread and
+/// recorded in [`Report::process_fallbacks`].
+pub fn grade_vectors<F: FaultModel>(
+    exec: &Exec,
+    m: &Module,
+    faults: &[F],
+    pins: &[NetId],
+    vectors: &[Vec<Logic>],
+) -> Result<Report<F>, SimError> {
+    grade_vectors_wide(exec, m, faults, pins, vectors, DEFAULT_LANE_GROUPS)
+}
+
+/// [`grade_vectors`] with an explicit lane-group width: each pass
+/// carries the good machine plus [`faults_per_pass`]`(groups)` faults.
+/// The verdicts (and the whole [`Report`]) are bit-identical at every
+/// width — only the pass count, and therefore the throughput, changes.
+///
+/// # Errors
+///
+/// [`SimError::UnsupportedWidth`] unless `groups` is one of
+/// [`SUPPORTED_LANE_GROUPS`](crate::fault::SUPPORTED_LANE_GROUPS);
+/// otherwise as [`grade_vectors`].
+pub fn grade_vectors_wide<F: FaultModel>(
+    exec: &Exec,
+    m: &Module,
+    faults: &[F],
+    pins: &[NetId],
+    vectors: &[Vec<Logic>],
+    groups: usize,
+) -> Result<Report<F>, SimError> {
+    let work = GradeWork(Passes::new(m, faults, pins, vectors, groups)?);
+    let dispatched = exec.dispatch(&work)?;
+    let flags =
+        shard::flags_from_lane_masks(faults.len(), faults_per_pass(groups), 1, &dispatched.units);
+    Ok(Report::from_flags(
+        faults,
+        &flags,
+        dispatched.fallback_count(),
+    ))
+}
+
+/// Builds the fault dictionary of `faults` over the patterns of
+/// `vectors`: per fault, the first detecting pattern and the packed
+/// per-(pattern, output) detection signature
+/// [`diagnose`](dictionary::diagnose) consumes. Dispatched through the
+/// same `Exec` seam as grading and byte-identical on every backend and
+/// width.
+///
+/// # Errors
+///
+/// As [`grade_vectors`].
+pub fn fault_dictionary<F: FaultModel>(
+    exec: &Exec,
+    m: &Module,
+    faults: &[F],
+    pins: &[NetId],
+    vectors: &[Vec<Logic>],
+) -> Result<FaultDictionary, SimError> {
+    fault_dictionary_wide(exec, m, faults, pins, vectors, DEFAULT_LANE_GROUPS)
+}
+
+/// [`fault_dictionary`] with an explicit lane-group width.
+///
+/// # Errors
+///
+/// As [`grade_vectors_wide`].
+pub fn fault_dictionary_wide<F: FaultModel>(
+    exec: &Exec,
+    m: &Module,
+    faults: &[F],
+    pins: &[NetId],
+    vectors: &[Vec<Logic>],
+    groups: usize,
+) -> Result<FaultDictionary, SimError> {
+    let work = DictWork(Passes::new(m, faults, pins, vectors, groups)?);
+    let dispatched = exec.dispatch(&work)?;
+    Ok(FaultDictionary {
+        patterns: F::patterns(vectors.len()) as u32,
+        outputs: work.0.program.output_nets.len() as u32,
+        entries: dispatched.units.into_iter().flatten().collect(),
+    })
+}
+
+// ---------- worker-side wire job ----------
+
+/// An opened fault job inside a worker process.
+struct FaultJob<F> {
+    program: Arc<SimProgram>,
+    pins: Vec<NetId>,
+    vectors: Vec<Vec<Logic>>,
+    groups: usize,
+    mode: Mode,
+    kernels: Kernels<F>,
+}
+
+impl<F: FaultModel> WireJob for FaultJob<F> {
+    fn run_unit(&mut self, unit: &[u8]) -> Result<Vec<u8>, String> {
+        let chunk = decode_chunk::<F>(unit).map_err(|e| format!("fault unit: {e}"))?;
+        let per_pass = faults_per_pass(self.groups);
+        if chunk.len() > per_pass {
+            return Err(format!(
+                "fault unit has {} faults, a pass holds at most {per_pass}",
+                chunk.len()
+            ));
+        }
+        if let Some(f) = chunk.iter().find(|f| !f.in_range(self.program.net_count)) {
+            return Err(format!("fault {f} out of range"));
+        }
+        let (program, pins, vectors) = (&self.program, &self.pins[..], &self.vectors[..]);
+        match self.mode {
+            Mode::Grade => {
+                (self.kernels.grade)(program, pins, vectors, &chunk).map(|m| encode_mask(&m))
+            }
+            Mode::Dictionary => {
+                (self.kernels.dict)(program, pins, vectors, &chunk).map(|e| encode_dict_entries(&e))
+            }
+        }
+        .map_err(|e| e.to_string())
+    }
+}
+
+/// Decodes a fault job block of model `F` (see [`encode_job`]) into the
+/// executable job the worker loop drives — the `steac-worker` side of
+/// [`grade_vectors`] and [`fault_dictionary`], registered under
+/// [`FaultModel::WIRE_KIND`].
+///
+/// # Errors
+///
+/// A diagnostic on corrupt job bytes.
+pub fn open_wire_job<F: FaultModel>(job: &[u8]) -> Result<Box<dyn WireJob>, String> {
+    let mut r = WireReader::new(job);
+    let program = wire::decode_program(
+        r.get_block("fault job program")
+            .map_err(|e| e.to_string())?,
+    )
+    .map_err(|e| format!("fault job program: {e}"))?;
+    let fail = |e: WireError| format!("fault job: {e}");
+    let groups = usize::from(r.get_u8("fault job lane groups").map_err(fail)?);
+    let mode = match r.get_u8("fault job mode").map_err(fail)? {
+        0 => Mode::Grade,
+        1 => Mode::Dictionary,
+        mode => return Err(format!("fault job mode {mode} unknown")),
+    };
+    let pin_count = r.get_count("fault job pins", 4).map_err(fail)?;
+    let mut pins = Vec::with_capacity(pin_count);
+    for _ in 0..pin_count {
+        let net = r.get_u32("fault job pin").map_err(fail)?;
+        if net as usize >= program.net_count {
+            return Err(format!("fault job pin net {net} out of range"));
+        }
+        pins.push(NetId(net));
+    }
+    let vector_count = r.get_count("fault job vectors", 8).map_err(fail)?;
+    let mut vectors = Vec::with_capacity(vector_count);
+    for _ in 0..vector_count {
+        let len = r.get_count("fault job vector", 1).map_err(fail)?;
+        if len != pins.len() {
+            return Err(format!(
+                "fault job vector has {len} values, pin list has {}",
+                pins.len()
+            ));
+        }
+        let mut v = Vec::with_capacity(len);
+        for _ in 0..len {
+            v.push(r.get_logic("fault job vector value").map_err(fail)?);
+        }
+        vectors.push(v);
+    }
+    r.finish().map_err(fail)?;
+    Ok(Box::new(FaultJob {
+        program: Arc::new(program),
+        pins,
+        vectors,
+        groups,
+        mode,
+        kernels: kernels::<F>(groups).map_err(|e| format!("fault job: {e}"))?,
+    }))
+}
 
 /// Gate-level fault models a vector-grading flow can select between.
 ///
@@ -50,12 +764,12 @@ use std::fmt;
 /// by algorithm, not by this enum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ModelKind {
-    /// Single stuck-at faults ([`crate::fault::grade_vectors`]).
+    /// Single stuck-at faults ([`crate::fault::Fault`]).
     #[default]
     StuckAt,
-    /// Transition/delay faults ([`transition::grade_transitions`]).
+    /// Transition/delay faults ([`transition::TransitionFault`]).
     Transition,
-    /// AND/OR bridging faults ([`bridging::grade_bridges`]).
+    /// AND/OR bridging faults ([`bridging::BridgingFault`]).
     Bridging,
 }
 
@@ -109,7 +823,11 @@ impl fmt::Display for ModelKind {
 
 #[cfg(test)]
 mod tests {
+    use super::bridging::{enumerate_bridges, BridgingFault};
+    use super::transition::{enumerate_transition_faults, TransitionFault};
     use super::*;
+    use crate::fault::{enumerate_faults, Fault};
+    use steac_netlist::{GateKind, NetlistBuilder};
 
     #[test]
     fn model_names_round_trip_through_parse() {
@@ -118,5 +836,135 @@ mod tests {
         }
         assert_eq!(ModelKind::parse("delay"), Some(ModelKind::Transition));
         assert_eq!(ModelKind::parse("qqq"), None);
+    }
+
+    fn and2() -> Module {
+        let mut b = NetlistBuilder::new("m");
+        let a = b.input("a");
+        let c = b.input("b");
+        let y = b.gate(GateKind::And2, &[a, c]);
+        b.output("y", y);
+        b.finish().unwrap()
+    }
+
+    /// A report prints its model's noun and, for every model, the
+    /// fallback note — which is absent (the text unchanged) at 0.
+    fn check_display<F: FaultModel>(clean: &str) {
+        let mut rep = Report::<F> {
+            total: 4,
+            detected: 3,
+            undetected: Vec::new(),
+            process_fallbacks: 0,
+        };
+        assert_eq!(rep.to_string(), clean);
+        rep.process_fallbacks = 2;
+        assert_eq!(
+            rep.to_string(),
+            format!("{clean} [process dispatch fell back in-thread x2]")
+        );
+    }
+
+    #[test]
+    fn every_report_shows_its_fallbacks() {
+        check_display::<Fault>("3/4 faults detected (75.00%)");
+        check_display::<TransitionFault>("3/4 transition faults detected (75.00%)");
+        check_display::<BridgingFault>("3/4 bridging faults detected (75.00%)");
+    }
+
+    /// Unit payloads survive the wire codec; a prefix or an impossible
+    /// tag byte is a typed error.
+    fn check_codec<F: FaultModel>(faults: &[F]) {
+        let bytes = encode_chunk(faults);
+        assert_eq!(decode_chunk::<F>(&bytes).unwrap(), faults);
+        assert!(decode_chunk::<F>(&bytes[..bytes.len() - 1]).is_err());
+        let mut bad = bytes.clone();
+        *bad.last_mut().unwrap() = 9;
+        assert!(matches!(
+            decode_chunk::<F>(&bad),
+            Err(WireError::Corrupt { .. })
+        ));
+    }
+
+    #[test]
+    fn fault_chunk_codec_round_trips_for_every_model() {
+        let m = and2();
+        check_codec::<Fault>(&enumerate_faults(&m));
+        check_codec::<TransitionFault>(&enumerate_transition_faults(&m));
+        check_codec::<BridgingFault>(&enumerate_bridges(&m).unwrap());
+    }
+
+    /// Every model's dictionary agrees with its grading verdicts.
+    fn check_dictionary<F: FaultModel>(m: &Module, vectors: &[Vec<Logic>]) {
+        let faults = F::enumerate(m).unwrap();
+        let pins = [m.port("a").unwrap().net, m.port("b").unwrap().net];
+        let rep = grade_vectors(&Exec::serial(), m, &faults, &pins, vectors).unwrap();
+        let dict = fault_dictionary(&Exec::serial(), m, &faults, &pins, vectors).unwrap();
+        assert_eq!(dict.entries.len(), faults.len());
+        assert_eq!(dict.patterns as usize, F::patterns(vectors.len()));
+        for (f, e) in faults.iter().zip(&dict.entries) {
+            let detected = !rep.undetected.contains(f);
+            assert_eq!(e.first_pattern.is_some(), detected, "{f}");
+            assert_eq!(e.signature.iter().any(|&w| w != 0), detected, "{f}");
+        }
+    }
+
+    #[test]
+    fn every_dictionary_agrees_with_grading() {
+        use Logic::{One, Zero};
+        let m = and2();
+        let vectors = vec![vec![Zero, One], vec![One, Zero], vec![One, One]];
+        check_dictionary::<Fault>(&m, &vectors);
+        check_dictionary::<TransitionFault>(&m, &vectors);
+        check_dictionary::<BridgingFault>(&m, &vectors);
+    }
+
+    /// A dictionary reply is checked against the unit it answers: a
+    /// short, long or ragged reply is an error, never a shifted
+    /// dictionary.
+    #[test]
+    fn dictionary_replies_must_match_their_unit() {
+        use Logic::{One, Zero};
+        let m = and2();
+        let faults = enumerate_faults(&m);
+        let pins = [m.port("a").unwrap().net, m.port("b").unwrap().net];
+        let vectors = vec![vec![Zero, One], vec![One, One]];
+        let work = DictWork(Passes::new(&m, &faults, &pins, &vectors, 1).unwrap());
+        let entries = work.run_unit_local(0).unwrap();
+        assert_eq!(entries.len(), faults.len());
+        let good = encode_dict_entries(&entries);
+        assert_eq!(work.decode_result(0, &good).unwrap(), entries);
+        let short = encode_dict_entries(&entries[1..]);
+        assert!(work.decode_result(0, &short).is_err());
+        let mut long = entries.clone();
+        long.push(entries[0].clone());
+        assert!(work.decode_result(0, &encode_dict_entries(&long)).is_err());
+        let mut ragged = entries.clone();
+        ragged[2].signature.push(0);
+        assert!(work
+            .decode_result(0, &encode_dict_entries(&ragged))
+            .is_err());
+    }
+
+    /// A worker rejects a unit that overfills a pass or names a net the
+    /// program lacks, instead of panicking on the lane or net index.
+    #[test]
+    fn worker_rejects_oversized_and_out_of_range_units() {
+        let m = and2();
+        let program = SimProgram::compile(&m).unwrap();
+        let pins = [m.port("a").unwrap().net, m.port("b").unwrap().net];
+        let vectors = [vec![Logic::One, Logic::One]];
+        let job = encode_job(&program, 1, Mode::Grade, &pins, &vectors);
+        let mut opened = open_wire_job::<Fault>(&job).unwrap();
+        let f = Fault {
+            net: pins[0],
+            stuck: crate::fault::StuckAt::Zero,
+        };
+        assert!(opened.run_unit(&encode_chunk(&[f; 63])).is_ok());
+        assert!(opened.run_unit(&encode_chunk(&[f; 64])).is_err());
+        let far = Fault {
+            net: NetId(999),
+            ..f
+        };
+        assert!(opened.run_unit(&encode_chunk(&[far])).is_err());
     }
 }

@@ -28,23 +28,13 @@
 //! an output lane counts only where lane 0 and the faulty lane are both
 //! known and differ.
 
-use crate::exec::{Exec, ExecWork};
-use crate::fault::{
-    decode_lane_mask, detection_lanes, encode_lane_mask, faults_per_pass, validate_vectors,
-};
+use crate::exec::Exec;
 use crate::logic::Logic;
-use crate::models::dictionary::{
-    decode_dict_entries, encode_dict_entries, signature_words, DictEntry, FaultDictionary,
-};
-use crate::packed::{
-    mask_and, mask_bit, mask_none, mask_or, mask_range, LaneMask, DEFAULT_LANE_GROUPS,
-};
-use crate::program::SimProgram;
-use crate::shard::{self, PoolError};
-use crate::wire;
+use crate::models::dictionary::signature_words;
+use crate::models::{grade_vectors, validate_vectors, FaultModel, Report};
+use crate::wire::{WireError, WireReader, WireWriter};
 use crate::{SimError, Simulator};
 use std::fmt;
-use std::sync::Arc;
 use steac_netlist::{Module, NetId};
 
 /// Which edge of the faulty net is slow.
@@ -112,43 +102,8 @@ pub fn enumerate_transition_faults(m: &Module) -> Vec<TransitionFault> {
 }
 
 /// Result of grading launch–capture pairs against a transition fault
-/// list. Mirrors [`crate::fault::CoverageReport`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TransitionReport {
-    /// Number of faults simulated.
-    pub total: usize,
-    /// Number of detected faults.
-    pub detected: usize,
-    /// Faults that escaped, for diagnosis.
-    pub undetected: Vec<TransitionFault>,
-    /// In-thread recomputations after process-dispatch failures (see
-    /// [`crate::fault::CoverageReport::process_fallbacks`]).
-    pub process_fallbacks: usize,
-}
-
-impl TransitionReport {
-    /// Fault coverage in percent (100 for an empty fault list).
-    #[must_use]
-    pub fn coverage_percent(&self) -> f64 {
-        if self.total == 0 {
-            100.0
-        } else {
-            100.0 * self.detected as f64 / self.total as f64
-        }
-    }
-}
-
-impl fmt::Display for TransitionReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}/{} transition faults detected ({:.2}%)",
-            self.detected,
-            self.total,
-            self.coverage_percent()
-        )
-    }
-}
+/// list.
+pub type TransitionReport = Report<TransitionFault>;
 
 /// The good-machine launch values that trigger each chunk fault for one
 /// pair, read after the launch settle. `None` = not triggered (the
@@ -166,277 +121,83 @@ fn triggered_forces<const N: usize>(
         .collect()
 }
 
-/// Drives one launch–capture pair for one fault chunk: reset, launch
-/// settle, per-lane stale forces for triggered faults, capture settle.
-/// Afterwards the simulator holds the capture state (read outputs, then
-/// call again for the next pair).
-fn run_pair<const N: usize>(
-    sim: &mut Simulator<N>,
-    pins: &[NetId],
-    launch: &[Logic],
-    capture: &[Logic],
-    chunk: &[TransitionFault],
-) -> Result<(), SimError> {
-    sim.clear_forces();
-    sim.reset_to_x();
-    for (&pin, &v) in pins.iter().zip(launch) {
-        sim.set(pin, v);
-    }
-    sim.settle()?;
-    let forces = triggered_forces(sim, chunk);
-    for (&pin, &v) in pins.iter().zip(capture) {
-        sim.set(pin, v);
-    }
-    for (i, (f, force)) in chunk.iter().zip(&forces).enumerate() {
-        if let Some(stale) = force {
-            sim.force_lane(f.net, i + 1, *stale);
-        }
-    }
-    sim.settle()
-}
+impl FaultModel for TransitionFault {
+    const WIRE_KIND: u16 = 4;
+    const NOUN: &'static str = "transition faults";
 
-/// One grading pass over a transition fault chunk — the exact code
-/// every backend executes, so dispatch flavour can never change a
-/// verdict. Lane 0 is the good machine, lanes `1..=chunk.len()` each
-/// carry one fault.
-fn grade_chunk<const N: usize>(
-    program: &Arc<SimProgram>,
-    pins: &[NetId],
-    vectors: &[Vec<Logic>],
-    chunk: &[TransitionFault],
-) -> Result<LaneMask<N>, SimError> {
-    let mut sim: Simulator<N> = Simulator::from_program(Arc::clone(program));
-    let want = mask_range::<N>(1, chunk.len());
-    let mut mask = mask_none::<N>();
-    for pair in vectors.windows(2) {
-        run_pair(&mut sim, pins, &pair[0], &pair[1], chunk)?;
-        for &net in &sim.program().output_nets {
-            mask = mask_or(mask, detection_lanes(sim.get_packed(net)));
-        }
-        if mask_and(mask, want) == want {
-            break; // every fault in this pass dropped
-        }
-    }
-    Ok(mask)
-}
-
-/// One dictionary pass over a transition fault chunk: the grading loop
-/// without early exit, recording per-(pair, output) detection bits and
-/// the first detecting pair per fault.
-fn dict_chunk<const N: usize>(
-    program: &Arc<SimProgram>,
-    pins: &[NetId],
-    vectors: &[Vec<Logic>],
-    chunk: &[TransitionFault],
-) -> Result<Vec<DictEntry>, SimError> {
-    let outs = program.output_nets.len();
-    let pairs = vectors.len().saturating_sub(1);
-    let words = signature_words(pairs, outs);
-    let mut entries = vec![
-        DictEntry {
-            first_pattern: None,
-            signature: vec![0u64; words],
-        };
-        chunk.len()
-    ];
-    let mut sim: Simulator<N> = Simulator::from_program(Arc::clone(program));
-    for (p, pair) in vectors.windows(2).enumerate() {
-        run_pair(&mut sim, pins, &pair[0], &pair[1], chunk)?;
-        for (o, &net) in sim.program().output_nets.iter().enumerate() {
-            let det = detection_lanes(sim.get_packed(net));
-            let bit = p * outs + o;
-            for (i, e) in entries.iter_mut().enumerate() {
-                if mask_bit(&det, i + 1) {
-                    e.signature[bit / 64] |= 1 << (bit % 64);
-                    if e.first_pattern.is_none() {
-                        e.first_pattern = Some(p as u32);
-                    }
-                }
-            }
-        }
-    }
-    Ok(entries)
-}
-
-// ---------- Exec work descriptions ----------
-
-/// Work-unit kind the worker-side job registry routes to
-/// [`open_wire_job`]: transition grading (or dictionary building) of a
-/// fault chunk.
-pub const WIRE_KIND: u16 = 4;
-
-/// Job mode byte: grade (lane-mask results).
-const MODE_GRADE: u8 = 0;
-/// Job mode byte: build dictionary entries.
-const MODE_DICT: u8 = 1;
-
-fn encode_job(
-    program: &SimProgram,
-    groups: u8,
-    mode: u8,
-    pins: &[NetId],
-    vectors: &[Vec<Logic>],
-) -> Vec<u8> {
-    let mut w = wire::WireWriter::new();
-    w.put_block(&wire::encode_program(program));
-    w.put_u8(groups);
-    w.put_u8(mode);
-    w.put_usize(pins.len());
-    for pin in pins {
-        w.put_u32(pin.0);
-    }
-    w.put_usize(vectors.len());
-    for v in vectors {
-        w.put_usize(v.len());
-        for &value in v {
-            w.put_logic(value);
-        }
-    }
-    w.finish()
-}
-
-/// Serializes a transition fault chunk (work-unit payload): count, then
-/// net + edge per fault.
-pub(crate) fn encode_transition_faults(faults: &[TransitionFault]) -> Vec<u8> {
-    let mut w = wire::WireWriter::new();
-    w.put_usize(faults.len());
-    for f in faults {
-        w.put_u32(f.net.0);
-        w.put_u8(match f.slow {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put_u32(self.net.0);
+        w.put_u8(match self.slow {
             SlowEdge::Rise => 0,
             SlowEdge::Fall => 1,
         });
     }
-    w.finish()
-}
 
-/// Deserializes a transition fault chunk.
-///
-/// # Errors
-///
-/// [`wire::WireError`] on truncated or corrupt bytes.
-pub(crate) fn decode_transition_faults(
-    bytes: &[u8],
-) -> Result<Vec<TransitionFault>, wire::WireError> {
-    let mut r = wire::WireReader::new(bytes);
-    let count = r.get_count("transition fault count", 5)?;
-    let mut faults = Vec::with_capacity(count);
-    for _ in 0..count {
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let net = NetId(r.get_u32("transition fault net")?);
         let slow = match r.get_u8("transition fault edge")? {
             0 => SlowEdge::Rise,
             1 => SlowEdge::Fall,
             _ => {
-                return Err(wire::WireError::Corrupt {
+                return Err(WireError::Corrupt {
                     context: "transition fault edge",
                 })
             }
         };
-        faults.push(TransitionFault { net, slow });
-    }
-    r.finish()?;
-    Ok(faults)
-}
-
-/// The [`ExecWork`] description of transition grading: one unit per
-/// [`faults_per_pass`]`(N)` fault chunk, `N`-word detection masks as
-/// unit results.
-struct GradeWork<'a, const N: usize> {
-    program: Arc<SimProgram>,
-    pins: &'a [NetId],
-    vectors: &'a [Vec<Logic>],
-    chunks: Vec<&'a [TransitionFault]>,
-}
-
-impl<const N: usize> ExecWork for GradeWork<'_, N> {
-    type Output = LaneMask<N>;
-    type Error = SimError;
-
-    fn kind(&self) -> u16 {
-        WIRE_KIND
+        Ok(TransitionFault { net, slow })
     }
 
-    fn unit_count(&self) -> usize {
-        self.chunks.len()
+    fn in_range(&self, net_count: usize) -> bool {
+        self.net.index() < net_count
     }
 
-    fn encode_job(&self) -> Vec<u8> {
-        encode_job(&self.program, N as u8, MODE_GRADE, self.pins, self.vectors)
+    fn enumerate(m: &Module) -> Result<Vec<Self>, SimError> {
+        Ok(enumerate_transition_faults(m))
     }
 
-    fn encode_unit(&self, unit: usize) -> Vec<u8> {
-        encode_transition_faults(self.chunks[unit])
+    /// Consecutive vectors pair up: `n` vectors launch `n - 1`
+    /// transitions.
+    fn patterns(n: usize) -> usize {
+        n.saturating_sub(1)
     }
 
-    fn run_unit_local(&self, unit: usize) -> Result<LaneMask<N>, SimError> {
-        grade_chunk::<N>(&self.program, self.pins, self.vectors, self.chunks[unit])
-    }
-
-    fn decode_result(&self, _unit: usize, bytes: &[u8]) -> Result<LaneMask<N>, String> {
-        decode_lane_mask::<N>(bytes)
-    }
-
-    fn pool_error(&self, error: PoolError) -> SimError {
-        error.into()
+    /// Drives launch–capture pair `pattern` for one fault chunk: reset,
+    /// launch settle, per-lane stale forces for triggered faults,
+    /// capture settle. Afterwards the simulator holds the capture state.
+    fn apply<const N: usize>(
+        sim: &mut Simulator<N>,
+        pins: &[NetId],
+        vectors: &[Vec<Logic>],
+        pattern: usize,
+        chunk: &[Self],
+    ) -> Result<(), SimError> {
+        let (launch, capture) = (&vectors[pattern], &vectors[pattern + 1]);
+        sim.clear_forces();
+        sim.reset_to_x();
+        for (&pin, &v) in pins.iter().zip(launch) {
+            sim.set(pin, v);
+        }
+        sim.settle()?;
+        let forces = triggered_forces(sim, chunk);
+        for (&pin, &v) in pins.iter().zip(capture) {
+            sim.set(pin, v);
+        }
+        for (i, (f, force)) in chunk.iter().zip(&forces).enumerate() {
+            if let Some(stale) = force {
+                sim.force_lane(f.net, i + 1, *stale);
+            }
+        }
+        sim.settle()
     }
 }
-
-/// The [`ExecWork`] description of dictionary building: the same units
-/// as [`GradeWork`], per-fault [`DictEntry`] lists as unit results.
-struct DictWork<'a, const N: usize> {
-    program: Arc<SimProgram>,
-    pins: &'a [NetId],
-    vectors: &'a [Vec<Logic>],
-    chunks: Vec<&'a [TransitionFault]>,
-}
-
-impl<const N: usize> ExecWork for DictWork<'_, N> {
-    type Output = Vec<DictEntry>;
-    type Error = SimError;
-
-    fn kind(&self) -> u16 {
-        WIRE_KIND
-    }
-
-    fn unit_count(&self) -> usize {
-        self.chunks.len()
-    }
-
-    fn encode_job(&self) -> Vec<u8> {
-        encode_job(&self.program, N as u8, MODE_DICT, self.pins, self.vectors)
-    }
-
-    fn encode_unit(&self, unit: usize) -> Vec<u8> {
-        encode_transition_faults(self.chunks[unit])
-    }
-
-    fn run_unit_local(&self, unit: usize) -> Result<Vec<DictEntry>, SimError> {
-        dict_chunk::<N>(&self.program, self.pins, self.vectors, self.chunks[unit])
-    }
-
-    fn decode_result(&self, _unit: usize, bytes: &[u8]) -> Result<Vec<DictEntry>, String> {
-        decode_dict_entries(bytes)
-    }
-
-    fn pool_error(&self, error: PoolError) -> SimError {
-        error.into()
-    }
-}
-
-// ---------- entry points ----------
 
 /// Packed transition grading of launch–capture pairs drawn from
-/// consecutive `vectors` (set launch, settle, set capture + stale
-/// forces, settle, compare outputs), with per-pass fault dropping —
-/// the transition analogue of [`crate::fault::grade_vectors`], through
-/// the same `Exec` seam and byte-identical on every backend.
+/// consecutive `vectors` — [`grade_vectors`] under the transition
+/// model.
 ///
 /// # Errors
 ///
-/// Propagates engine errors; process-backend failures surface as
-/// [`SimError::Worker`] on the lowest-indexed failing pass (under
-/// [`crate::exec::Fallback::Fail`]) or are recomputed in-thread and
-/// recorded in [`TransitionReport::process_fallbacks`].
+/// As [`grade_vectors`].
 pub fn grade_transitions(
     exec: &Exec,
     m: &Module,
@@ -444,137 +205,7 @@ pub fn grade_transitions(
     pins: &[NetId],
     vectors: &[Vec<Logic>],
 ) -> Result<TransitionReport, SimError> {
-    grade_transitions_wide(exec, m, faults, pins, vectors, DEFAULT_LANE_GROUPS)
-}
-
-/// [`grade_transitions`] with an explicit lane-group width; the report
-/// is bit-identical at every width in
-/// [`SUPPORTED_LANE_GROUPS`](crate::fault::SUPPORTED_LANE_GROUPS).
-///
-/// # Errors
-///
-/// [`SimError::UnsupportedWidth`] for other widths; otherwise as
-/// [`grade_transitions`].
-pub fn grade_transitions_wide(
-    exec: &Exec,
-    m: &Module,
-    faults: &[TransitionFault],
-    pins: &[NetId],
-    vectors: &[Vec<Logic>],
-    groups: usize,
-) -> Result<TransitionReport, SimError> {
-    match groups {
-        1 => grade_transitions_n::<1>(exec, m, faults, pins, vectors),
-        2 => grade_transitions_n::<2>(exec, m, faults, pins, vectors),
-        4 => grade_transitions_n::<4>(exec, m, faults, pins, vectors),
-        8 => grade_transitions_n::<8>(exec, m, faults, pins, vectors),
-        _ => Err(SimError::UnsupportedWidth { groups }),
-    }
-}
-
-fn grade_transitions_n<const N: usize>(
-    exec: &Exec,
-    m: &Module,
-    faults: &[TransitionFault],
-    pins: &[NetId],
-    vectors: &[Vec<Logic>],
-) -> Result<TransitionReport, SimError> {
-    validate_vectors(pins, vectors)?;
-    let per_pass = faults_per_pass(N);
-    let program = Arc::new(SimProgram::compile(m)?);
-    let work = GradeWork::<N> {
-        program,
-        pins,
-        vectors,
-        chunks: faults.chunks(per_pass).collect(),
-    };
-    let dispatched = exec.dispatch(&work)?;
-    let flags = shard::flags_from_lane_masks(faults.len(), per_pass, 1, &dispatched.units);
-    let mut detected = 0usize;
-    let mut undetected = Vec::new();
-    for (&f, &hit) in faults.iter().zip(&flags) {
-        if hit {
-            detected += 1;
-        } else {
-            undetected.push(f);
-        }
-    }
-    Ok(TransitionReport {
-        total: faults.len(),
-        detected,
-        undetected,
-        process_fallbacks: dispatched.fallback_count(),
-    })
-}
-
-/// Builds the transition fault dictionary for `faults` over the
-/// launch–capture pairs of `vectors`: per fault, the first detecting
-/// pair and the packed per-(pair, output) detection signature
-/// [`diagnose`](crate::models::dictionary::diagnose) consumes.
-/// Dispatched through the same `Exec` seam as grading and
-/// byte-identical on every backend and width.
-///
-/// # Errors
-///
-/// As [`grade_transitions`].
-pub fn transition_dictionary(
-    exec: &Exec,
-    m: &Module,
-    faults: &[TransitionFault],
-    pins: &[NetId],
-    vectors: &[Vec<Logic>],
-) -> Result<FaultDictionary, SimError> {
-    transition_dictionary_wide(exec, m, faults, pins, vectors, DEFAULT_LANE_GROUPS)
-}
-
-/// [`transition_dictionary`] with an explicit lane-group width.
-///
-/// # Errors
-///
-/// [`SimError::UnsupportedWidth`] for widths outside
-/// [`SUPPORTED_LANE_GROUPS`](crate::fault::SUPPORTED_LANE_GROUPS);
-/// otherwise as [`transition_dictionary`].
-pub fn transition_dictionary_wide(
-    exec: &Exec,
-    m: &Module,
-    faults: &[TransitionFault],
-    pins: &[NetId],
-    vectors: &[Vec<Logic>],
-    groups: usize,
-) -> Result<FaultDictionary, SimError> {
-    match groups {
-        1 => transition_dictionary_n::<1>(exec, m, faults, pins, vectors),
-        2 => transition_dictionary_n::<2>(exec, m, faults, pins, vectors),
-        4 => transition_dictionary_n::<4>(exec, m, faults, pins, vectors),
-        8 => transition_dictionary_n::<8>(exec, m, faults, pins, vectors),
-        _ => Err(SimError::UnsupportedWidth { groups }),
-    }
-}
-
-fn transition_dictionary_n<const N: usize>(
-    exec: &Exec,
-    m: &Module,
-    faults: &[TransitionFault],
-    pins: &[NetId],
-    vectors: &[Vec<Logic>],
-) -> Result<FaultDictionary, SimError> {
-    validate_vectors(pins, vectors)?;
-    let per_pass = faults_per_pass(N);
-    let program = Arc::new(SimProgram::compile(m)?);
-    let patterns = vectors.len().saturating_sub(1);
-    let outputs = program.output_nets.len();
-    let work = DictWork::<N> {
-        program,
-        pins,
-        vectors,
-        chunks: faults.chunks(per_pass).collect(),
-    };
-    let dispatched = exec.dispatch(&work)?;
-    Ok(FaultDictionary {
-        patterns: patterns as u32,
-        outputs: outputs as u32,
-        entries: dispatched.units.into_iter().flatten().collect(),
-    })
+    grade_vectors(exec, m, faults, pins, vectors)
 }
 
 /// Serial reference implementation: one scalar simulation per fault,
@@ -609,7 +240,7 @@ pub fn grade_transitions_serial(
             undetected.push(fault);
         }
     }
-    Ok(TransitionReport {
+    Ok(Report {
         total: faults.len(),
         detected,
         undetected,
@@ -690,120 +321,10 @@ pub fn observed_transition_signature(
     Ok(sig)
 }
 
-// ---------- worker-side wire job ----------
-
-/// An opened transition job inside a worker process, monomorphized at
-/// the lane-group width the job header requested.
-struct TransitionJob<const N: usize> {
-    program: Arc<SimProgram>,
-    pins: Vec<NetId>,
-    vectors: Vec<Vec<Logic>>,
-    dict: bool,
-}
-
-impl<const N: usize> shard::WireJob for TransitionJob<N> {
-    fn run_unit(&mut self, unit: &[u8]) -> Result<Vec<u8>, String> {
-        let chunk =
-            decode_transition_faults(unit).map_err(|e| format!("transition fault unit: {e}"))?;
-        let per_pass = faults_per_pass(N);
-        if chunk.len() > per_pass {
-            return Err(format!(
-                "transition fault unit has {} faults, a pass holds at most {per_pass}",
-                chunk.len()
-            ));
-        }
-        for f in &chunk {
-            if f.net.index() >= self.program.net_count {
-                return Err(format!("transition fault net {} out of range", f.net));
-            }
-        }
-        if self.dict {
-            let entries = dict_chunk::<N>(&self.program, &self.pins, &self.vectors, &chunk)
-                .map_err(|e| e.to_string())?;
-            Ok(encode_dict_entries(&entries))
-        } else {
-            let mask = grade_chunk::<N>(&self.program, &self.pins, &self.vectors, &chunk)
-                .map_err(|e| e.to_string())?;
-            Ok(encode_lane_mask(&mask))
-        }
-    }
-}
-
-/// Decodes a [`WIRE_KIND`] job block (compiled program + lane-group
-/// width + mode + pin list + vector set) into the executable job the
-/// worker loop drives — the `steac-worker` side of
-/// [`grade_transitions`] / [`transition_dictionary`].
-///
-/// # Errors
-///
-/// A diagnostic on corrupt job bytes.
-pub fn open_wire_job(job: &[u8]) -> Result<Box<dyn shard::WireJob>, String> {
-    let mut r = wire::WireReader::new(job);
-    let program = wire::decode_program(
-        r.get_block("transition job program")
-            .map_err(|e| e.to_string())?,
-    )
-    .map_err(|e| format!("transition job program: {e}"))?;
-    let fail = |e: wire::WireError| format!("transition job: {e}");
-    let groups = r.get_u8("transition job lane groups").map_err(fail)?;
-    let dict = match r.get_u8("transition job mode").map_err(fail)? {
-        MODE_GRADE => false,
-        MODE_DICT => true,
-        mode => return Err(format!("transition job mode {mode} unknown")),
-    };
-    let pin_count = r.get_count("transition job pins", 4).map_err(fail)?;
-    let mut pins = Vec::with_capacity(pin_count);
-    for _ in 0..pin_count {
-        let net = r.get_u32("transition job pin").map_err(fail)?;
-        if net as usize >= program.net_count {
-            return Err(format!("transition job pin net {net} out of range"));
-        }
-        pins.push(NetId(net));
-    }
-    let vector_count = r.get_count("transition job vectors", 8).map_err(fail)?;
-    let mut vectors = Vec::with_capacity(vector_count);
-    for _ in 0..vector_count {
-        let len = r.get_count("transition job vector", 1).map_err(fail)?;
-        if len != pins.len() {
-            return Err(format!(
-                "transition job vector has {len} values, pin list has {}",
-                pins.len()
-            ));
-        }
-        let mut v = Vec::with_capacity(len);
-        for _ in 0..len {
-            v.push(r.get_logic("transition job vector value").map_err(fail)?);
-        }
-        vectors.push(v);
-    }
-    r.finish().map_err(fail)?;
-    let program = Arc::new(program);
-    macro_rules! open {
-        ($n:literal) => {
-            Box::new(TransitionJob::<$n> {
-                program,
-                pins,
-                vectors,
-                dict,
-            }) as Box<dyn shard::WireJob>
-        };
-    }
-    Ok(match groups as usize {
-        1 => open!(1),
-        2 => open!(2),
-        4 => open!(4),
-        8 => open!(8),
-        _ => {
-            return Err(format!(
-                "transition job lane-group width {groups} unsupported"
-            ))
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::fault_dictionary;
     use steac_netlist::{GateKind, NetlistBuilder};
 
     fn and2() -> Module {
@@ -904,7 +425,7 @@ mod tests {
             vec![One, One],
         ];
         let rep = grade_transitions(&Exec::serial(), &m, &faults, &p, &vectors).unwrap();
-        let dict = transition_dictionary(&Exec::serial(), &m, &faults, &p, &vectors).unwrap();
+        let dict = fault_dictionary(&Exec::serial(), &m, &faults, &p, &vectors).unwrap();
         assert_eq!(dict.entries.len(), faults.len());
         for (f, e) in faults.iter().zip(&dict.entries) {
             let detected = !rep.undetected.contains(f);
@@ -913,14 +434,5 @@ mod tests {
             let observed = observed_transition_signature(&m, *f, &p, &vectors).unwrap();
             assert_eq!(e.signature, observed, "{f}");
         }
-    }
-
-    /// Unit payloads survive the wire codec.
-    #[test]
-    fn transition_fault_codec_round_trips() {
-        let faults = enumerate_transition_faults(&and2());
-        let bytes = encode_transition_faults(&faults);
-        assert_eq!(decode_transition_faults(&bytes).unwrap(), faults);
-        assert!(decode_transition_faults(&bytes[..bytes.len() - 1]).is_err());
     }
 }

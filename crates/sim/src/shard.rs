@@ -263,22 +263,24 @@ pub fn flags_from_masks(
     flags
 }
 
-/// [`flags_from_masks`] over `N`-word lane masks (the wide executors'
+/// [`flags_from_masks`] over multi-word lane masks (the wide executors'
 /// `N`×64-lane passes): lane `l` of a pass lives in bit `l % 64` of word
-/// `l / 64`. `N = 1` degenerates to the classic single-word flattening.
+/// `l / 64`. One-word masks degenerate to the classic flattening.
 #[must_use]
-pub fn flags_from_lane_masks<const N: usize>(
+pub fn flags_from_lane_masks<M: AsRef<[u64]>>(
     item_count: usize,
     per_pass: usize,
     first_lane: usize,
-    masks: &[[u64; N]],
+    masks: &[M],
 ) -> Vec<bool> {
-    debug_assert!(
-        per_pass + first_lane <= 64 * N,
-        "pass does not fit {N} words"
-    );
     let mut flags = Vec::with_capacity(item_count);
     'outer: for mask in masks {
+        let mask = mask.as_ref();
+        debug_assert!(
+            per_pass + first_lane <= 64 * mask.len(),
+            "pass does not fit {} words",
+            mask.len()
+        );
         for lane in 0..per_pass {
             if flags.len() == item_count {
                 break 'outer;
@@ -582,7 +584,7 @@ impl fmt::Display for WorkerStatus {
 
 /// One opened job inside a worker process: decoded shared state plus the
 /// per-unit execution step. Implementations live next to their workloads
-/// (`crate::fault`, `steac-pattern`, `steac-membist`); the `steac-worker`
+/// (`crate::models`, `steac-pattern`, `steac-membist`); the `steac-worker`
 /// binary routes a request's `kind` to the right `open_wire_job`
 /// constructor.
 pub trait WireJob {

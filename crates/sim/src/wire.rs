@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! magic   b"SPRG"                        (4 bytes)
-//! version u16                            (currently 3)
+//! version u16                            (currently 4)
 //! name    str
 //! net_count, slot_count                  (u64 each)
 //! comb    u64 count, then per instr:     op u8, ins 4 x u32, out u32
@@ -34,10 +34,12 @@
 //! job/unit layouts, the `SDCT` dictionary block and the diagnose
 //! job — see [`crate::models`]); the program layout itself is
 //! unchanged, but the whole family moves in lock step per the rule
-//! below.
+//! below. Version 4 gave the stuck-at job (kind 1) the mode byte the
+//! transition and bridging jobs carry, so all three kinds share one
+//! job layout and stuck-at builds dictionaries too.
 //!
-//! Work-unit payloads (fault chunks here, pattern chunks in
-//! `steac-pattern`, March chunks in `steac-membist`) carry no magic of
+//! Work-unit payloads (fault chunks in [`crate::models`], pattern chunks
+//! in `steac-pattern`, March chunks in `steac-membist`) carry no magic of
 //! their own: they ride inside the versioned worker-protocol envelope
 //! (see [`crate::shard`]), which pins the version for every byte of a
 //! request.
@@ -62,7 +64,6 @@
 //! tables — so an executor can run a decoded program without re-checking
 //! bounds on the hot path.
 
-use crate::fault::{Fault, StuckAt};
 use crate::logic::Logic;
 use crate::opt::OptStats;
 use crate::program::{
@@ -92,7 +93,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Current wire-format version (see the module docs for the bump rule).
-pub const WIRE_VERSION: u16 = 3;
+pub const WIRE_VERSION: u16 = 4;
 
 /// Typed decode failure. Encoding cannot fail.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -779,49 +780,6 @@ pub fn decode_program(bytes: &[u8]) -> Result<SimProgram, WireError> {
     Ok(p)
 }
 
-// ---------- fault work units ----------
-
-/// Serializes one fault-grading work unit (a chunk of the fault list).
-#[must_use]
-pub fn encode_faults(faults: &[Fault]) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.put_usize(faults.len());
-    for f in faults {
-        w.put_u32(f.net.0);
-        w.put_u8(match f.stuck {
-            StuckAt::Zero => 0,
-            StuckAt::One => 1,
-        });
-    }
-    w.finish()
-}
-
-/// Deserializes a fault-grading work unit.
-///
-/// # Errors
-///
-/// A typed [`WireError`] on truncated or corrupted bytes.
-pub fn decode_faults(bytes: &[u8]) -> Result<Vec<Fault>, WireError> {
-    let mut r = WireReader::new(bytes);
-    let count = r.get_count("fault count", 5)?;
-    let mut faults = Vec::with_capacity(count);
-    for _ in 0..count {
-        let net = NetId(r.get_u32("fault net")?);
-        let stuck = match r.get_u8("fault polarity")? {
-            0 => StuckAt::Zero,
-            1 => StuckAt::One,
-            _ => {
-                return Err(WireError::Corrupt {
-                    context: "fault polarity",
-                })
-            }
-        };
-        faults.push(Fault { net, stuck });
-    }
-    r.finish()?;
-    Ok(faults)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1000,28 +958,5 @@ mod tests {
                 context: "net-slot entry"
             })
         );
-    }
-
-    #[test]
-    fn fault_unit_round_trip() {
-        let faults = vec![
-            Fault {
-                net: NetId(0),
-                stuck: StuckAt::Zero,
-            },
-            Fault {
-                net: NetId(41),
-                stuck: StuckAt::One,
-            },
-        ];
-        let bytes = encode_faults(&faults);
-        assert_eq!(decode_faults(&bytes).unwrap(), faults);
-        assert!(decode_faults(&bytes[..bytes.len() - 1]).is_err());
-        let mut bad = bytes.clone();
-        *bad.last_mut().unwrap() = 9; // impossible polarity
-        assert!(matches!(
-            decode_faults(&bad),
-            Err(WireError::Corrupt { .. })
-        ));
     }
 }

@@ -18,11 +18,8 @@ use steac_sched::{
     SessionSchedule, TestKind,
 };
 use steac_sim::exec::Exec;
-use steac_sim::fault::{enumerate_faults, grade_vectors};
-use steac_sim::models::bridging::{enumerate_bridges, grade_bridges};
-use steac_sim::models::transition::{enumerate_transition_faults, grade_transitions};
-use steac_sim::models::ModelKind;
-use steac_sim::Logic;
+use steac_sim::models::{grade_vectors, FaultModel, ModelKind};
+use steac_sim::{BridgingFault, Fault, Logic, TransitionFault};
 use steac_tam::{share_controls, ShareReport};
 use steac_wrapper::chain::{balance_fixed, balance_soft};
 
@@ -53,10 +50,9 @@ impl Default for RunOptions {
     }
 }
 
-/// Model-agnostic grading summary of one SOC's glue netlist — the
-/// common denominator of [`steac_sim::fault::CoverageReport`],
-/// [`steac_sim::models::transition::TransitionReport`] and
-/// [`steac_sim::models::bridging::BridgingReport`].
+/// Model-agnostic grading summary of one SOC's glue netlist: the
+/// counts of a [`steac_sim::Report`], whichever
+/// [`steac_sim::FaultModel`] produced it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GradeSummary {
     /// Fault model graded.
@@ -206,40 +202,28 @@ pub fn grade_glue(
     model: ModelKind,
 ) -> GradeSummary {
     match model {
-        ModelKind::StuckAt => {
-            let faults = enumerate_faults(module);
-            let r = grade_vectors(exec, module, &faults, pins, vectors)
-                .expect("stuck-at grading the glue netlist must not fail");
-            GradeSummary {
-                model,
-                total: r.total,
-                detected: r.detected,
-                process_fallbacks: r.process_fallbacks,
-            }
-        }
-        ModelKind::Transition => {
-            let faults = enumerate_transition_faults(module);
-            let r = grade_transitions(exec, module, &faults, pins, vectors)
-                .expect("transition grading the glue netlist must not fail");
-            GradeSummary {
-                model,
-                total: r.total,
-                detected: r.detected,
-                process_fallbacks: r.process_fallbacks,
-            }
-        }
-        ModelKind::Bridging => {
-            let faults = enumerate_bridges(module)
-                .expect("the glue netlist compiles for bridge enumeration");
-            let r = grade_bridges(exec, module, &faults, pins, vectors)
-                .expect("bridging grading the glue netlist must not fail");
-            GradeSummary {
-                model,
-                total: r.total,
-                detected: r.detected,
-                process_fallbacks: r.process_fallbacks,
-            }
-        }
+        ModelKind::StuckAt => grade_model::<Fault>(exec, module, pins, vectors, model),
+        ModelKind::Transition => grade_model::<TransitionFault>(exec, module, pins, vectors, model),
+        ModelKind::Bridging => grade_model::<BridgingFault>(exec, module, pins, vectors, model),
+    }
+}
+
+fn grade_model<F: FaultModel>(
+    exec: &Exec,
+    module: &Module,
+    pins: &[NetId],
+    vectors: &[Vec<Logic>],
+    model: ModelKind,
+) -> GradeSummary {
+    let faults = F::enumerate(module)
+        .unwrap_or_else(|e| panic!("the glue netlist compiles for {model} enumeration: {e}"));
+    let r = grade_vectors(exec, module, &faults, pins, vectors)
+        .unwrap_or_else(|e| panic!("{model} grading the glue netlist must not fail: {e}"));
+    GradeSummary {
+        model,
+        total: r.total,
+        detected: r.detected,
+        process_fallbacks: r.process_fallbacks,
     }
 }
 
@@ -372,7 +356,7 @@ mod tests {
         let m1 = glue_netlist(&soc);
         let m2 = glue_netlist(&soc);
         assert_eq!(m1.cells.len(), m2.cells.len());
-        assert!(enumerate_faults(&m1).len() > 10);
+        assert!(steac_sim::enumerate_faults(&m1).len() > 10);
     }
 
     #[test]

@@ -43,15 +43,16 @@
 //! # Fault models and dictionaries
 //!
 //! The gate-level fault models (`steac_sim::models`) each register
-//! their own kind — 4 (transition/delay), 5 (bridging), 6 (dictionary
-//! diagnosis) — next to the founding stuck-at kind 1, so a fleet
-//! worker needs no flag to serve a mixed-model campaign: the dispatcher
-//! picks the model, this binary just routes kinds. Flows that read the
-//! model from the environment (`steac_zoo`, the scaling bench) select
-//! it with `STEAC_MODEL=stuck-at|transition|bridging` — set on the
-//! *dispatching* side, never on the worker. Kinds 4 and 5 carry a mode
-//! byte choosing between coverage grading (lane-mask results, as the
-//! stuck-at kind) and fault-dictionary building, whose unit results are per-fault
+//! their own kind — 1 (stuck-at), 4 (transition/delay), 5 (bridging) —
+//! plus kind 6 (dictionary diagnosis), so a fleet worker needs no flag
+//! to serve a mixed-model campaign: the dispatcher picks the model, this
+//! binary just routes kinds. Flows that read the model from the
+//! environment (`steac_zoo`, the scaling bench) select it with
+//! `STEAC_MODEL=stuck-at|transition|bridging` — set on the
+//! *dispatching* side, never on the worker. Kinds 1, 4 and 5 share one
+//! job layout (`steac_sim::models::open_wire_job`, opened per model)
+//! whose mode byte chooses between coverage grading (lane-mask results)
+//! and fault-dictionary building, whose unit results are per-fault
 //! `(first detecting pattern, pattern x output signature bitmap)`
 //! entries; a full dictionary serializes as an `SDCT` block (magic,
 //! wire version, pattern/output counts, entries) — the persistent

@@ -29,7 +29,9 @@ pub use steac_tam;
 pub use steac_wrapper;
 pub use steac_zoo;
 
+use steac_sim::models::{open_wire_job, FaultModel};
 use steac_sim::shard::JobRegistry;
+use steac_sim::{BridgingFault, Fault, TransitionFault};
 
 /// The platform's worker-side job registry: every distributable
 /// workload, keyed by its wire `kind`. This is the one table the
@@ -41,19 +43,22 @@ use steac_sim::shard::JobRegistry;
 ///
 /// | kind | workload | crate |
 /// |------|----------|-------|
-/// | 1 | PPSFP vector grading of a stuck-at fault chunk | `steac_sim::fault` |
+/// | 1 | stuck-at grading / dictionary chunk | `steac_sim::fault` |
 /// | 2 | 64-pattern ATE playback chunk | `steac_pattern::cycle` |
 /// | 3 | packed March walk over a memory-fault chunk | `steac_membist::wire` |
 /// | 4 | transition-fault grading / dictionary chunk | `steac_sim::models::transition` |
 /// | 5 | bridging-fault grading / dictionary chunk | `steac_sim::models::bridging` |
 /// | 6 | fault-dictionary diagnosis chunk | `steac_sim::models::dictionary` |
+///
+/// Kinds 1, 4 and 5 are one generic job, [`open_wire_job`], opened for
+/// each [`FaultModel`].
 #[must_use]
 pub fn worker_registry() -> JobRegistry {
     let mut registry = JobRegistry::new();
     registry.register(
-        steac_sim::fault::WIRE_KIND,
+        Fault::WIRE_KIND,
         "gate-vector-grading",
-        steac_sim::fault::open_wire_job,
+        open_wire_job::<Fault>,
     );
     registry.register(
         steac_pattern::cycle::WIRE_KIND,
@@ -66,14 +71,14 @@ pub fn worker_registry() -> JobRegistry {
         steac_membist::wire::open_wire_job,
     );
     registry.register(
-        steac_sim::models::transition::WIRE_KIND,
+        TransitionFault::WIRE_KIND,
         "transition-grading",
-        steac_sim::models::transition::open_wire_job,
+        open_wire_job::<TransitionFault>,
     );
     registry.register(
-        steac_sim::models::bridging::WIRE_KIND,
+        BridgingFault::WIRE_KIND,
         "bridging-grading",
-        steac_sim::models::bridging::open_wire_job,
+        open_wire_job::<BridgingFault>,
     );
     registry.register(
         steac_sim::models::dictionary::WIRE_KIND,

@@ -2,23 +2,20 @@
 //! build a glue netlist, produce a fault dictionary through the
 //! `Exec::from_env` backend, observe the failure signature of one
 //! injected fault, and diagnose it back — the true site must land in
-//! the top-3 ranked candidates. The CI dictionary leg runs this with
-//! `STEAC_MODEL=transition` (and the matrix re-runs it per backend);
-//! `STEAC_MODEL=bridging` drives the same loop through the bridging
-//! dictionary, and stuck-at (the default, which has no dictionary
-//! mode) falls back to the transition dictionary so the test is
-//! meaningful under every model setting.
+//! the top-3 ranked candidates. `STEAC_MODEL` picks the model: the
+//! stuck-at (default) and transition legs observe the injected fault
+//! with an independent scalar simulation, the bridging leg with the
+//! dictionary's own row. The CI dictionary leg runs it once per model
+//! (and the matrix re-runs it per backend).
 
-use steac_suite::steac_netlist::NetId;
-use steac_suite::steac_sim::models::{bridging, dictionary, transition, ModelKind};
-use steac_suite::steac_sim::{Exec, Logic};
+use steac_suite::steac_netlist::{Module, NetId};
+use steac_suite::steac_sim::models::{
+    bridging, dictionary, fault_dictionary, transition, ModelKind,
+};
+use steac_suite::steac_sim::{fault, Exec, Fault, Logic, Simulator};
 use steac_suite::steac_zoo::{glue_netlist, seeded_vectors, ZooParams};
 
-fn glue_case() -> (
-    steac_suite::steac_netlist::Module,
-    Vec<NetId>,
-    Vec<Vec<Logic>>,
-) {
+fn glue_case() -> (Module, Vec<NetId>, Vec<Vec<Logic>>) {
     let soc = ZooParams::smoke().soc(1);
     let m = glue_netlist(&soc);
     let pins: Vec<NetId> = m
@@ -47,25 +44,65 @@ fn unique_detected_entry(dict: &dictionary::FaultDictionary) -> usize {
         .expect("some detected fault has a unique signature")
 }
 
+/// The "silicon" observation of a stuck-at fault: one bit per (vector,
+/// output) where a scalar simulation with the net forced provably
+/// differs from a fault-free one.
+fn stuck_at_signature(
+    m: &Module,
+    fault: Fault,
+    pins: &[NetId],
+    vectors: &[Vec<Logic>],
+) -> Vec<u64> {
+    let mut good: Simulator = Simulator::new(m).expect("glue compiles");
+    let mut bad: Simulator = Simulator::new(m).expect("glue compiles");
+    bad.force(fault.net, fault.stuck.value());
+    let outs = good.program().output_nets.clone();
+    let mut sig = vec![0u64; dictionary::signature_words(vectors.len(), outs.len())];
+    for (p, vector) in vectors.iter().enumerate() {
+        for sim in [&mut good, &mut bad] {
+            for (&pin, &v) in pins.iter().zip(vector) {
+                sim.set(pin, v);
+            }
+            sim.settle().expect("glue settles");
+        }
+        for (o, &net) in outs.iter().enumerate() {
+            let (g, b) = (good.get_lane(net, 0), bad.get_lane(net, 0));
+            if g.is_known() && b.is_known() && g != b {
+                let bit = p * outs.len() + o;
+                sig[bit / 64] |= 1 << (bit % 64);
+            }
+        }
+    }
+    sig
+}
+
 #[test]
 fn dictionary_diagnosis_ranks_the_injected_fault_top3() {
     let (m, pins, vectors) = glue_case();
     let exec = Exec::from_env();
     let (dict, observed, truth) = match ModelKind::from_env() {
+        ModelKind::StuckAt => {
+            let faults = fault::enumerate_faults(&m);
+            let dict =
+                fault_dictionary(&exec, &m, &faults, &pins, &vectors).expect("dictionary build");
+            let truth = unique_detected_entry(&dict);
+            let observed = stuck_at_signature(&m, faults[truth], &pins, &vectors);
+            (dict, observed, truth)
+        }
         ModelKind::Bridging => {
             let faults = bridging::enumerate_bridges(&m).expect("glue compiles");
-            let dict = bridging::bridging_dictionary(&exec, &m, &faults, &pins, &vectors)
-                .expect("dictionary build");
+            let dict =
+                fault_dictionary(&exec, &m, &faults, &pins, &vectors).expect("dictionary build");
             let truth = unique_detected_entry(&dict);
             // The "silicon" observation: the dictionary's own simulation
             // of the injected bridge.
             let observed = dict.entries[truth].signature.clone();
             (dict, observed, truth)
         }
-        ModelKind::StuckAt | ModelKind::Transition => {
+        ModelKind::Transition => {
             let faults = transition::enumerate_transition_faults(&m);
-            let dict = transition::transition_dictionary(&exec, &m, &faults, &pins, &vectors)
-                .expect("dictionary build");
+            let dict =
+                fault_dictionary(&exec, &m, &faults, &pins, &vectors).expect("dictionary build");
             let truth = unique_detected_entry(&dict);
             // The "silicon" observation: an independent scalar
             // simulation of the injected fault, not the dictionary row.

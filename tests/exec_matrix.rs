@@ -2,8 +2,8 @@
 //! backends — `Serial`, `Threads(1/4)`, `Processes(1/2/3)`,
 //! `Remote(SpawnTransport)` and `Remote(TcpTransport@localhost)` —
 //! driven through the **same** unified entry points for every workload
-//! (gate-level vector grading under the stuck-at, transition and
-//! bridging fault models, dictionary building and diagnosis, batched
+//! (gate-level vector grading and dictionary building under the
+//! stuck-at, transition and bridging fault models, diagnosis, batched
 //! ATE playback, March fault simulation including inter-cell
 //! couplings, JPEG playback), asserting the reports are
 //! **byte-identical** to the serial baseline: counts, escape lists and
@@ -23,11 +23,12 @@ mod common;
 
 use common::{spawn_serve_workers, worker_binary};
 use steac_membist::{faultsim, MarchAlgorithm, SramConfig};
-use steac_netlist::{GateKind, NetlistBuilder};
+use steac_netlist::{GateKind, Module, NetId, NetlistBuilder};
 use steac_pattern::{apply_cycle_patterns_batch, CyclePattern, PinState};
+use steac_sim::models::{fault_dictionary, fault_dictionary_wide};
 use steac_sim::{
-    fault, Exec, Fallback, Logic, ProcessPool, RemoteFleet, ServeHandle, Simulator, SpawnTransport,
-    Threads, Transport,
+    fault, Exec, Fallback, FaultDictionary, FaultModel, Logic, ProcessPool, RemoteFleet, Report,
+    ServeHandle, Simulator, SpawnTransport, Threads, Transport,
 };
 
 /// The single backend table every workload case runs over: the five
@@ -262,22 +263,58 @@ fn optimized_program_reports_byte_identical_on_every_backend() {
     }
 }
 
-/// The fault-model subsystem under the full matrix: transition/delay
-/// grading, bridging grading, inter-cell memory-coupling grading,
-/// transition dictionary building and dictionary diagnosis all report
-/// byte-identical to the serial baseline on every backend AND at every
-/// supported lane-group width (chunking may only change how the fault
-/// list is cut, never a verdict).
+/// One gate-level fault model under the full matrix: grading and
+/// dictionary building report byte-identical to the serial baseline on
+/// every backend AND at every supported lane-group width (chunking may
+/// only change how the fault list is cut, never a verdict). Returns the
+/// serial baseline report and dictionary.
+fn check_model<F: FaultModel>(
+    matrix: &[(String, Exec)],
+    m: &Module,
+    faults: &[F],
+    pins: &[NetId],
+    vectors: &[Vec<Logic>],
+) -> (Report<F>, FaultDictionary) {
+    let noun = F::NOUN;
+    let serial = &matrix[0].1;
+    let base = fault::grade_vectors(serial, m, faults, pins, vectors).unwrap();
+    assert!(base.detected > 0, "{noun}: need detections");
+    let dict_base = fault_dictionary(serial, m, faults, pins, vectors).unwrap();
+    assert!(dict_base.detected_count() > 0, "{noun}: need detections");
+    for (name, exec) in &matrix[1..] {
+        let r = fault::grade_vectors(exec, m, faults, pins, vectors).unwrap();
+        assert_eq!(r, base, "{noun} grading diverged on {name}");
+        let dict = fault_dictionary(exec, m, faults, pins, vectors).unwrap();
+        assert_eq!(dict, dict_base, "{noun} dictionary diverged on {name}");
+    }
+    for groups in [1usize, 2, 4, 8] {
+        let r = fault::grade_vectors_wide(serial, m, faults, pins, vectors, groups).unwrap();
+        assert_eq!(r, base, "{noun} grading diverged at width {groups}");
+        let dict = fault_dictionary_wide(serial, m, faults, pins, vectors, groups).unwrap();
+        assert_eq!(
+            dict, dict_base,
+            "{noun} dictionary diverged at width {groups}"
+        );
+    }
+    (base, dict_base)
+}
+
+/// The fault-model subsystem under the full matrix: stuck-at,
+/// transition/delay and bridging grading and dictionaries (through
+/// [`check_model`]), inter-cell memory-coupling grading and dictionary
+/// diagnosis all report byte-identical to the serial baseline on every
+/// backend AND at every supported lane-group width.
 #[test]
 fn fault_models_report_byte_identical_on_every_backend_and_width() {
     use steac_sim::models::{bridging, dictionary, transition};
     use Logic::{One, Zero};
 
-    // Transition + bridging share the mixed module; the 5-vector walk
+    // The gate-level models share the mixed module; the 5-vector walk
     // launches both edges on the single input and leaves escapes.
     let m = mixed_module();
     let pins = [m.port("a").unwrap().net];
     let vectors = vec![vec![Zero], vec![One], vec![Zero], vec![One], vec![Zero]];
+    let sfaults = fault::enumerate_faults(&m);
     let tfaults = transition::enumerate_transition_faults(&m);
     let bfaults = bridging::enumerate_bridges(&m).unwrap();
     assert!(!bfaults.is_empty(), "mixed module must have bridge sites");
@@ -292,16 +329,12 @@ fn fault_models_report_byte_identical_on_every_backend_and_width() {
     let matrix = backend_matrix(&servers);
     let (_, serial) = &matrix[0];
 
-    let t_base = transition::grade_transitions(serial, &m, &tfaults, &pins, &vectors).unwrap();
-    assert!(t_base.detected > 0, "need detections");
+    check_model(&matrix, &m, &sfaults, &pins, &vectors);
+    let (t_base, dict_base) = check_model(&matrix, &m, &tfaults, &pins, &vectors);
     assert!(t_base.detected < t_base.total, "need escapes");
-    let b_base = bridging::grade_bridges(serial, &m, &bfaults, &pins, &vectors).unwrap();
-    assert!(b_base.detected > 0, "need detections");
+    check_model(&matrix, &m, &bfaults, &pins, &vectors);
     let c_base = faultsim::fault_coverage(serial, &alg, &cfg, &cfaults).unwrap();
     assert!(c_base.detected < c_base.total, "need coupling escapes");
-    let dict_base =
-        transition::transition_dictionary(serial, &m, &tfaults, &pins, &vectors).unwrap();
-    assert!(dict_base.detected_count() > 0);
     // Diagnose an observed failure that is a real dictionary signature.
     let truth = dict_base
         .entries
@@ -313,15 +346,9 @@ fn fault_models_report_byte_identical_on_every_backend_and_width() {
     assert_eq!(diag_base.ranked[0].1, 0, "true fault matches itself");
 
     for (name, exec) in &matrix[1..] {
-        let t = transition::grade_transitions(exec, &m, &tfaults, &pins, &vectors).unwrap();
-        assert_eq!(t, t_base, "transition grading diverged on {name}");
-        let b = bridging::grade_bridges(exec, &m, &bfaults, &pins, &vectors).unwrap();
-        assert_eq!(b, b_base, "bridging grading diverged on {name}");
         let c = faultsim::fault_coverage(exec, &alg, &cfg, &cfaults).unwrap();
         assert_eq!(c, c_base, "coupling grading diverged on {name}");
-        let dict = transition::transition_dictionary(exec, &m, &tfaults, &pins, &vectors).unwrap();
-        assert_eq!(dict, dict_base, "dictionary diverged on {name}");
-        let diag = dictionary::diagnose(exec, &dict, &observed).unwrap();
+        let diag = dictionary::diagnose(exec, &dict_base, &observed).unwrap();
         assert_eq!(diag, diag_base, "diagnosis diverged on {name}");
         assert_eq!(exec.process_fallbacks(), 0, "{name} must not fall back");
     }
@@ -329,18 +356,8 @@ fn fault_models_report_byte_identical_on_every_backend_and_width() {
     // Lane-width invariance on the serial backend (the matrix already
     // proves backend invariance at the default width).
     for groups in [1usize, 2, 4, 8] {
-        let t = transition::grade_transitions_wide(serial, &m, &tfaults, &pins, &vectors, groups)
-            .unwrap();
-        assert_eq!(t, t_base, "transition grading diverged at width {groups}");
-        let b =
-            bridging::grade_bridges_wide(serial, &m, &bfaults, &pins, &vectors, groups).unwrap();
-        assert_eq!(b, b_base, "bridging grading diverged at width {groups}");
         let c = faultsim::fault_coverage_wide(serial, &alg, &cfg, &cfaults, groups).unwrap();
         assert_eq!(c, c_base, "coupling grading diverged at width {groups}");
-        let dict =
-            transition::transition_dictionary_wide(serial, &m, &tfaults, &pins, &vectors, groups)
-                .unwrap();
-        assert_eq!(dict, dict_base, "dictionary diverged at width {groups}");
     }
 }
 

@@ -9,10 +9,14 @@
 
 use std::path::PathBuf;
 use steac_membist::{faultsim, MarchAlgorithm, SramConfig};
-use steac_netlist::{GateKind, NetlistBuilder};
+use steac_netlist::{GateKind, Module, NetId, NetlistBuilder};
 use steac_pattern::{apply_cycle_patterns_batch, CyclePattern, PinState};
+use steac_sim::models::{encode_chunk, encode_job, FaultModel, Mode};
 use steac_sim::shard::{self, PoolError, ProcessPool};
-use steac_sim::{fault, Exec, Fallback, Logic, SimError, Simulator};
+use steac_sim::{
+    fault, BridgingFault, Exec, Fallback, Fault, Logic, SimError, SimProgram, Simulator,
+    TransitionFault,
+};
 
 /// The worker binary built alongside this test suite.
 fn worker_binary() -> PathBuf {
@@ -221,14 +225,10 @@ fn unknown_job_kind_is_a_lowest_indexed_unit_error() {
 
 /// Corrupt job bytes (valid protocol envelope, garbage payload) come
 /// back as typed unit errors carrying the wire diagnostic — the worker
-/// exits cleanly rather than panicking.
+/// exits cleanly rather than panicking — for every registered kind.
 #[test]
 fn corrupt_job_bytes_are_typed_unit_errors() {
-    for kind in [
-        fault::WIRE_KIND,
-        steac_pattern::cycle::WIRE_KIND,
-        steac_membist::wire::WIRE_KIND,
-    ] {
+    for (kind, _) in steac_suite::worker_registry().kinds() {
         let err = pool(1)
             .run(kind, &[0xDE, 0xAD, 0xBE, 0xEF], &[vec![0; 4]])
             .unwrap_err();
@@ -240,6 +240,67 @@ fn corrupt_job_bytes_are_typed_unit_errors() {
             other => panic!("kind {kind}: expected PoolError::Unit, got {other:?}"),
         }
     }
+}
+
+/// Worker totality for one fault model: in both modes, every strict
+/// prefix of a valid job or unit is a typed error, and every single-byte
+/// change of either (each byte set to each of its 255 other values)
+/// opens and runs to `Ok` or a typed `Err` — never a panic — through the
+/// registry the worker binary routes by.
+fn sweep_fault_jobs<F: FaultModel>(m: &Module, pins: &[NetId], vectors: &[Vec<Logic>]) {
+    let registry = steac_suite::worker_registry();
+    let program = SimProgram::compile(m).unwrap();
+    let faults = F::enumerate(m).unwrap();
+    let unit = encode_chunk(&faults[..faults.len().min(fault::FAULTS_PER_PASS)]);
+    let kind = F::WIRE_KIND;
+    for mode in [Mode::Grade, Mode::Dictionary] {
+        let job = encode_job(&program, 1, mode, pins, vectors);
+        let mut opened = registry.open(kind, &job).unwrap();
+        assert!(opened.run_unit(&unit).is_ok(), "kind {kind} {mode:?}");
+        for cut in 0..job.len() {
+            assert!(
+                registry.open(kind, &job[..cut]).is_err(),
+                "job prefix {cut}"
+            );
+        }
+        for cut in 0..unit.len() {
+            assert!(opened.run_unit(&unit[..cut]).is_err(), "unit prefix {cut}");
+        }
+        for i in 0..job.len() {
+            for flip in 1..=u8::MAX {
+                let mut bad = job.clone();
+                bad[i] ^= flip;
+                if let Ok(mut flipped) = registry.open(kind, &bad) {
+                    let _ = flipped.run_unit(&unit);
+                }
+            }
+        }
+        for i in 0..unit.len() {
+            for flip in 1..=u8::MAX {
+                let mut bad = unit.clone();
+                bad[i] ^= flip;
+                let _ = opened.run_unit(&bad);
+            }
+        }
+    }
+}
+
+#[test]
+fn fault_jobs_are_total_under_truncation_and_byte_flips() {
+    use Logic::{One, Zero};
+    let mut b = NetlistBuilder::new("m");
+    let a = b.input("a");
+    let c = b.input("b");
+    let y = b.gate(GateKind::Nand2, &[a, c]);
+    let z = b.gate(GateKind::Xor2, &[y, a]);
+    b.output("y", y);
+    b.output("z", z);
+    let m = b.finish().unwrap();
+    let pins = [a, c];
+    let vectors = vec![vec![Zero, One], vec![One, One], vec![One, Zero]];
+    sweep_fault_jobs::<Fault>(&m, &pins, &vectors);
+    sweep_fault_jobs::<TransitionFault>(&m, &pins, &vectors);
+    sweep_fault_jobs::<BridgingFault>(&m, &pins, &vectors);
 }
 
 /// Corrupt *unit* bytes under a valid job: the decode failure is
