@@ -9,9 +9,9 @@
 //! Every row of every table runs the **same** unified entry point
 //! ([`steac_sim::fault::grade_vectors`],
 //! [`steac_pattern::apply_cycle_patterns_batch`]) — only the [`Exec`]
-//! backend changes: serial, threads 1/2/4/8, worker processes 1/2/4,
-//! remote fleets (spawn transports and `steac-worker --serve` over
-//! localhost TCP). Before printing, the binary asserts that coverage
+//! backend changes: serial, threads 1/2/4/8, worker processes 1/2/4
+//! (fleets of persistent stdio sessions), and a remote fleet of
+//! `steac-worker --serve` listeners over localhost TCP. Before printing, the binary asserts that coverage
 //! and mismatch reports are **bit-identical** on every backend —
 //! scaling must never change a verdict, in-process, across processes
 //! or across the wire.
@@ -38,7 +38,7 @@
 //! full flow (wrap → share → schedule → grade) and publishes the
 //! corpus-wide scheduling / test-time / coverage summary — the
 //! standing stress workload's throughput row, on the serial backend
-//! and again with grading dispatched through a two-worker spawn fleet
+//! and again with grading dispatched through a two-child process fleet
 //! (`STEAC_ZOO_SOCS` overrides the corpus size for quick runs).
 //!
 //! Before any of the materialized tables, a **streaming** table plays
@@ -175,9 +175,6 @@ fn backends() -> Vec<Exec> {
             if let Ok(exec) = Exec::parse(&format!("processes:{workers}")) {
                 execs.push(exec.with_fallback(Fallback::Fail));
             }
-        }
-        if let Some(fleet) = RemoteFleet::spawn_local(2) {
-            execs.push(Exec::remote(fleet).with_fallback(Fallback::Fail));
         }
     } else {
         println!(
@@ -439,43 +436,9 @@ fn main() {
         });
     }
 
-    // Machine-level rows over the same set: the Remote backend through
-    // spawn transports (zero network), then through a two-host TCP
-    // fleet of `steac-worker --serve` listeners on localhost — the
-    // wire-for-wire rehearsal of a real multi-host deployment.
-    if let Some(fleet) = RemoteFleet::spawn_local(2) {
-        let exec = Exec::remote(fleet).with_fallback(Fallback::Fail);
-        let (secs, reports) =
-            time(|| apply_cycle_patterns_batch(&exec, &sim, &full_refs).expect("plays"));
-        assert_eq!(
-            reports, baseline,
-            "full-set reports diverged on {exec} — dispatch changed a verdict"
-        );
-        print_row(
-            "remote:spawn*2",
-            secs,
-            base_secs,
-            full_count as f64,
-            "patterns/s",
-        );
-        let ship = fleet_of(&exec).stats();
-        println!(
-            "             ^ shipped {} program bytes ({} ships, one-shot workers) + {} unit bytes",
-            ship.program_bytes, ship.programs_shipped, ship.unit_bytes
-        );
-        rows.push(BenchRow {
-            workload: "jpeg_full_playback",
-            backend: "remote:spawn*2".to_string(),
-            lanes: play_lanes,
-            opt: sim_opt,
-            rate: full_count as f64 / secs.max(1e-12),
-            unit: "patterns/s",
-            compares: full_compares,
-            mismatches: full_mismatches,
-            ship: Some(ship),
-            peak_rss_kib: peak_rss_kib(),
-        });
-    }
+    // The machine-level row over the same set: a two-host TCP fleet of
+    // `steac-worker --serve` listeners on localhost — the wire-for-wire
+    // rehearsal of a real multi-host deployment.
     if let Some(bin) = shard::default_worker_binary() {
         let servers: Vec<ServeHandle> = (0..2)
             .map_while(|_| spawn_serve_process(&bin).ok())
@@ -928,13 +891,15 @@ fn main() {
         peak_rss_kib: peak_rss_kib(),
     });
 
-    // The same corpus with grading dispatched through a two-worker
-    // spawn fleet — the standing stress workload as a *remote*
+    // The same corpus with grading dispatched through a two-child
+    // process fleet — the standing stress workload as a *shipped*
     // customer of the exec seam. Scheduling stays in-process (it is
     // not an Exec workload); only the grading inner loops ship to the
-    // fleet, and the corpus summary must come back identical.
-    if let Some(fleet) = RemoteFleet::spawn_local(2) {
-        let remote = Exec::remote(fleet).with_fallback(Fallback::Fail);
+    // fleet, and the corpus summary must come back identical. The row
+    // keeps its historical `remote:spawn*2` label, under which the
+    // BENCH_9 baseline gates it.
+    if let Some(bin) = shard::default_worker_binary() {
+        let remote = Exec::processes(&bin, 2).with_fallback(Fallback::Fail);
         let (rsecs, rreport) = time(|| match run_corpus(&zoo_params, &remote, &zoo_opts) {
             Ok(r) => r,
             Err((index, e)) => panic!("zoo soc{index:03} infeasible on {remote}: {e}"),
@@ -948,8 +913,8 @@ fn main() {
         );
         let remote_rate = zoo_tasks as f64 / rsecs.max(1e-12);
         println!(
-            "remote fleet: {zoo_tasks} tasks in {rsecs:.2}s \
-             ({remote_rate:.0} tasks/s, remote:spawn*2, identical coverage)"
+            "process fleet: {zoo_tasks} tasks in {rsecs:.2}s \
+             ({remote_rate:.0} tasks/s, {remote}, identical coverage)"
         );
         rows.push(BenchRow {
             workload: "zoo_scheduling",
@@ -964,7 +929,7 @@ fn main() {
             peak_rss_kib: peak_rss_kib(),
         });
     } else {
-        println!("worker binary not found; the remote zoo row is skipped");
+        println!("worker binary not found; the process-fleet zoo row is skipped");
     }
 
     if json {

@@ -24,12 +24,12 @@
 //! transports. [`Exec::dispatch`] then owns the one merge-by-unit-index
 //! determinism contract for every backend: unit `i`'s result (or the
 //! lowest-indexed unit's error) is identical no matter which backend
-//! ran it or how execution interleaved. [`Backend::Remote`] is that
-//! seam paying off: the same wire bytes ship over a pluggable
-//! [`crate::remote::Transport`] (TCP to `steac-worker --serve`
-//! listeners on other machines, or spawned local processes) through a
-//! work-stealing [`RemoteFleet`] — and no workload crate changed to
-//! gain it.
+//! ran it or how execution interleaved. [`Backend::Processes`] and
+//! [`Backend::Remote`] are that seam paying off: the same wire bytes
+//! ship through one work-stealing [`RemoteFleet`] over a pluggable
+//! [`crate::remote::Transport`] — persistent local `steac-worker`
+//! children, or TCP to `steac-worker --serve` listeners on other
+//! machines — and no workload crate changed to gain either.
 //!
 //! Flows whose unit list is *produced* rather than materialized — the
 //! streaming generate→play pipeline — use the sibling seam: a
@@ -62,24 +62,14 @@
 //!
 //! # Environment resolution
 //!
-//! [`Exec::from_env`] is the deployment knob. Precedence:
-//!
-//! 1. `STEAC_EXEC` — `serial`, `auto`, `threads[:N]`, `processes[:N]`,
-//!    `remote:host:port[,host:port…]` (the CI matrix sets this);
-//! 2. `STEAC_HOSTS=host:port[,host:port…]` — shorthand for the
-//!    `remote:` spec;
-//! 3. `STEAC_WORKERS=N` — process pool of `N` workers (pre-`Exec`
-//!    compatibility knob);
-//! 4. `STEAC_THREADS=N` — in-process pool of `N` threads;
-//! 5. otherwise the detected core count ([`Threads::auto`]).
-//!
-//! A malformed spec **panics** with the parse diagnostic rather than
-//! silently running some default backend ([`SpecError`]).
+//! [`Exec::from_env`] reads one knob, `STEAC_EXEC` ([`Exec::parse`]
+//! grammar; a malformed spec panics), and is [`Exec::auto`] without it.
 
-use crate::remote::RemoteFleet;
-use crate::shard::{self, PoolError, ProcessPool, Threads};
+use crate::remote::{ProcessTransport, RemoteFleet, Transport};
+use crate::shard::{self, PoolError, Threads};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 
@@ -93,11 +83,14 @@ pub enum Backend {
     Serial,
     /// Units fan across a `std::thread::scope` pool ([`shard::run_units`]).
     Threads(Threads),
-    /// Units serialize to `steac-worker` processes ([`ProcessPool`]).
-    Processes(ProcessPool),
+    /// Units serialize to a fleet of persistent local `steac-worker`
+    /// children, one stdio session each
+    /// ([`crate::remote::ProcessTransport`]), through the same
+    /// [`RemoteFleet`] as [`Backend::Remote`].
+    Processes(RemoteFleet),
     /// Units serialize to `steac-worker` hosts behind pluggable
-    /// transports ([`crate::remote`]): TCP to `steac-worker --serve`
-    /// listeners on other machines, or spawned local processes — with
+    /// transports ([`crate::remote`]), typically TCP to
+    /// `steac-worker --serve` listeners on other machines — with
     /// work-stealing and retry/requeue across the fleet.
     Remote(RemoteFleet),
 }
@@ -120,7 +113,7 @@ pub enum Fallback {
     Fail,
 }
 
-/// A rejected `STEAC_EXEC` / `STEAC_HOSTS` backend spec — what was
+/// A rejected `STEAC_EXEC` backend spec — what was
 /// supplied and why it does not parse. [`Exec::from_env`] turns this
 /// into a panic so a misconfigured deployment cannot silently run a
 /// different backend than it asked for.
@@ -245,7 +238,7 @@ pub trait ExecWork: Sync {
     /// policy).
     fn decode_result(&self, unit: usize, bytes: &[u8]) -> Result<Self::Output, String>;
 
-    /// Wraps a process-pool failure in the workload's error type (used
+    /// Wraps a fleet failure in the workload's error type (used
     /// under [`Fallback::Fail`]).
     fn pool_error(&self, error: PoolError) -> Self::Error;
 }
@@ -321,10 +314,15 @@ impl Exec {
         Exec::with_backend(Backend::Threads(threads))
     }
 
-    /// Process-pool backend over `steac-worker` processes.
+    /// Process backend: a [`RemoteFleet`] of `workers` (≥ 1) persistent
+    /// `binary` children, each behind a [`ProcessTransport`] that spawns
+    /// it on first use.
     #[must_use]
-    pub fn processes(pool: ProcessPool) -> Self {
-        Exec::with_backend(Backend::Processes(pool))
+    pub fn processes(binary: &Path, workers: usize) -> Self {
+        let hosts = (0..workers.max(1))
+            .map(|_| Box::new(ProcessTransport::new(binary.to_path_buf())) as Box<dyn Transport>)
+            .collect();
+        Exec::with_backend(Backend::Processes(RemoteFleet::new(hosts)))
     }
 
     /// Remote backend over a fleet of transport-connected `steac-worker`
@@ -342,10 +340,8 @@ impl Exec {
         Exec::threads(Threads::auto())
     }
 
-    /// The deployment-level backend: resolves `STEAC_EXEC`, then
-    /// `STEAC_HOSTS` (a bare remote host list), then the pre-`Exec`
-    /// `STEAC_WORKERS` / `STEAC_THREADS` knobs (in that precedence),
-    /// defaulting to [`Exec::auto`].
+    /// The deployment-level backend: the `STEAC_EXEC` spec, or
+    /// [`Exec::auto`] when it is unset.
     ///
     /// Malformed specs are **loud**: a deployment that sets
     /// `STEAC_EXEC=threads:0` (or any other spec [`Exec::parse`]
@@ -362,44 +358,23 @@ impl Exec {
     ///
     /// # Panics
     ///
-    /// When `STEAC_EXEC` or `STEAC_HOSTS` is non-blank but does not
-    /// parse.
+    /// When `STEAC_EXEC` is non-blank but does not parse.
     #[must_use]
     pub fn from_env() -> Self {
-        let set = |name: &str| {
-            std::env::var(name)
-                .ok()
-                .filter(|value| !value.trim().is_empty())
-        };
-        if let Some(spec) = set("STEAC_EXEC") {
-            match Exec::parse(&spec) {
-                Ok(exec) => return exec,
-                Err(e) => panic!("steac exec: STEAC_EXEC: {e}"),
+        match std::env::var("STEAC_EXEC") {
+            Ok(spec) if !spec.trim().is_empty() => {
+                Exec::parse(&spec).unwrap_or_else(|e| panic!("steac exec: STEAC_EXEC: {e}"))
             }
+            _ => Exec::auto(),
         }
-        if let Some(hosts) = set("STEAC_HOSTS") {
-            match Exec::parse(&format!("remote:{hosts}")) {
-                Ok(exec) => return exec,
-                Err(e) => panic!("steac exec: STEAC_HOSTS: {e}"),
-            }
-        }
-        if let Some(workers) = shard::env_workers() {
-            if let Some(pool) = ProcessPool::new(workers) {
-                return Exec::processes(pool);
-            }
-            eprintln!(
-                "steac exec: STEAC_WORKERS={workers} but no steac-worker binary found; \
-                 using the thread backend"
-            );
-        }
-        Exec::threads(Threads::from_env())
     }
 
     /// Parses a `STEAC_EXEC`-style backend spec:
     ///
     /// * `serial` | `auto`
     /// * `threads[:N]` | `processes[:N]` (`N` > 0; bare forms use the
-    ///   detected core count)
+    ///   detected core count) — `processes:N` is [`Exec::processes`]
+    ///   over the discovered worker binary
     /// * `remote:host:port[,host:port…]` — a [`RemoteFleet`] of
     ///   [`crate::remote::TcpTransport`]s, one per address
     ///
@@ -444,16 +419,16 @@ impl Exec {
             })),
             "processes" => {
                 let workers = width(arg)?.unwrap_or_else(|| Threads::auto().get());
-                match ProcessPool::new(workers) {
-                    Some(pool) => Ok(Exec::processes(pool)),
+                Ok(match shard::default_worker_binary() {
+                    Some(binary) => Exec::processes(&binary, workers),
                     None => {
                         eprintln!(
                             "steac exec: `{spec}` requested but no steac-worker binary found; \
                              using the thread backend"
                         );
-                        Ok(Exec::threads(Threads::from_env()))
+                        Exec::auto()
                     }
-                }
+                })
             }
             "remote" => {
                 let Some(list) = arg.filter(|a| !a.is_empty()) else {
@@ -508,30 +483,29 @@ impl Exec {
         self.on_process_failure
     }
 
-    /// Configured fan-out width: 1 for serial, the thread count, the
-    /// worker-process count, or the remote host count (runs additionally
-    /// cap it at the unit count).
+    /// Configured fan-out width: 1 for serial, the thread count, or the
+    /// fleet's host count — worker children or remote hosts (runs
+    /// additionally cap it at the unit count).
     #[must_use]
     pub fn width(&self) -> usize {
         match &self.backend {
             Backend::Serial => 1,
             Backend::Threads(t) => t.get(),
-            Backend::Processes(p) => p.workers(),
-            Backend::Remote(f) => f.hosts(),
+            Backend::Processes(fleet) | Backend::Remote(fleet) => fleet.hosts(),
         }
     }
 
     /// The in-process worker count this backend implies — what
     /// [`Exec::run_units`] / [`Exec::run_fallible`] use, and what
-    /// process dispatch falls back to under [`Fallback::InThread`].
+    /// shipped dispatch falls back to under [`Fallback::InThread`].
     /// `Serial` pins it to 1; `Processes` and `Remote` use
-    /// [`Threads::from_env`] for their local compute.
+    /// [`Threads::auto`] for their local compute.
     #[must_use]
     pub fn local_threads(&self) -> Threads {
         match &self.backend {
             Backend::Serial => Threads::single(),
             Backend::Threads(t) => *t,
-            Backend::Processes(_) | Backend::Remote(_) => Threads::from_env(),
+            Backend::Processes(_) | Backend::Remote(_) => Threads::auto(),
         }
     }
 
@@ -582,27 +556,22 @@ impl Exec {
     /// # Errors
     ///
     /// The workload error of the lowest-indexed failing unit; under
-    /// [`Fallback::Fail`], also the wrapped process-pool failure.
+    /// [`Fallback::Fail`], also the wrapped fleet failure.
     pub fn dispatch<W: ExecWork>(&self, work: &W) -> Result<Dispatch<W::Output>, W::Error> {
         let count = work.unit_count();
         let local =
             |threads: Threads| shard::run_fallible(threads, count, |i| work.run_unit_local(i));
-        match &self.backend {
+        let fleet = match &self.backend {
             Backend::Serial => return Ok(Dispatch::clean(local(Threads::single())?)),
             Backend::Threads(t) => return Ok(Dispatch::clean(local(*t)?)),
-            Backend::Processes(_) | Backend::Remote(_) => {}
-        }
+            Backend::Processes(fleet) | Backend::Remote(fleet) => fleet,
+        };
         if count == 0 {
             return Ok(Dispatch::clean(Vec::new()));
         }
         let job = work.encode_job();
         let units: Vec<Vec<u8>> = (0..count).map(|i| work.encode_unit(i)).collect();
-        let shipped = match &self.backend {
-            Backend::Processes(pool) => pool.run(work.kind(), &job, &units),
-            Backend::Remote(fleet) => fleet.run(work.kind(), &job, &units),
-            Backend::Serial | Backend::Threads(_) => unreachable!("handled above"),
-        };
-        let failure = match shipped {
+        let failure = match fleet.run(work.kind(), &job, &units) {
             Ok(results) => {
                 let mut decoded = Vec::with_capacity(count);
                 let mut bad = None;
@@ -649,12 +618,12 @@ impl Exec {
     /// Memory stays bounded by pipeline depth, never by stream length:
     /// the serial and thread backends pull a window of `4 × threads`
     /// units at a time; the process and remote backends pull
-    /// [`STREAM_BATCH_UNITS`]-unit batches on dispatcher threads and a
-    /// merge loop re-orders finished batches back into unit order. The
-    /// remote path reuses the in-flight window and content-addressed
-    /// program cache of [`crate::remote`]: concurrent batches of the
-    /// same job still ship the program to each host exactly once (the
-    /// host-level prime gate), and every later batch goes by hash.
+    /// [`STREAM_BATCH_UNITS`]-unit batches on two dispatcher threads and
+    /// a merge loop re-orders finished batches back into unit order.
+    /// Both reuse the in-flight window and content-addressed program
+    /// cache of [`crate::remote`]: concurrent batches of the same job
+    /// still ship the program to each host exactly once (the host-level
+    /// prime gate), and every later batch goes by hash.
     ///
     /// Determinism contract: on success the sink sees exactly the
     /// outputs the materialized path would have produced, in unit
@@ -683,7 +652,9 @@ impl Exec {
             Backend::Serial | Backend::Threads(_) => {
                 self.stream_local(work, units, sink, self.local_threads())
             }
-            Backend::Processes(_) | Backend::Remote(_) => self.stream_shipped(work, units, sink),
+            Backend::Processes(fleet) | Backend::Remote(fleet) => {
+                self.stream_shipped(fleet, work, units, sink)
+            }
         }
     }
 
@@ -721,13 +692,13 @@ impl Exec {
 
     /// Process/remote streaming: dispatcher threads pull bounded
     /// batches off the shared producer and ship each one through the
-    /// pool/fleet as a sub-run of the same job, while a merge loop on
-    /// the calling thread re-orders finished batches back into unit
-    /// order before sinking. In-flight state is bounded by the
-    /// dispatcher count and the result-channel depth — never by the
-    /// stream length.
+    /// fleet as a sub-run of the same job, while a merge loop on the
+    /// calling thread re-orders finished batches back into unit order
+    /// before sinking. In-flight state is bounded by the dispatcher
+    /// count and the result-channel depth — never by the stream length.
     fn stream_shipped<W, I, S>(
         &self,
+        fleet: &RemoteFleet,
         work: &W,
         units: I,
         mut sink: S,
@@ -741,14 +712,9 @@ impl Exec {
             units: I,
             next_seq: usize,
         }
-        // Two dispatchers keep a remote fleet's pipeline full (one batch
-        // on the wire while the next is pulled and encoded); the process
-        // pool spawns workers per run, so a second concurrent batch
-        // would double the process count instead of overlapping it.
-        let dispatchers = match &self.backend {
-            Backend::Remote(_) => 2,
-            _ => 1,
-        };
+        // Two dispatchers keep the fleet's pipeline full: one batch on
+        // the wire while the next is pulled and encoded.
+        let dispatchers = 2;
         let kind = work.kind();
         let job = work.encode_job();
         let feed = Mutex::new(Feed { units, next_seq: 0 });
@@ -771,7 +737,7 @@ impl Exec {
                         if batch.is_empty() {
                             break;
                         }
-                        let done = self.ship_stream_batch(work, kind, job, start, &batch);
+                        let done = self.ship_stream_batch(fleet, work, kind, job, start, &batch);
                         if done.is_err() {
                             // Terminal under Fallback::Fail: stop pulling.
                             abort.store(true, Ordering::Relaxed);
@@ -832,13 +798,14 @@ impl Exec {
     }
 
     /// Ships one streamed batch (units `start..start + batch.len()`)
-    /// through the pool/fleet and decodes it, applying the fallback
+    /// through the fleet and decodes it, applying the fallback
     /// policy per batch: `Ok` carries per-unit results in batch order
     /// (recomputed in-thread under [`Fallback::InThread`], with the
     /// diagnostic), `Err` is terminal under [`Fallback::Fail`].
     #[allow(clippy::type_complexity)]
     fn ship_stream_batch<W: StreamWork>(
         &self,
+        fleet: &RemoteFleet,
         work: &W,
         kind: u16,
         job: &[u8],
@@ -846,14 +813,7 @@ impl Exec {
         batch: &[W::Unit],
     ) -> Result<(Vec<Result<W::Output, W::Error>>, Option<String>), W::Error> {
         let encoded: Vec<Vec<u8>> = batch.iter().map(|u| work.encode_unit(u)).collect();
-        let shipped = match &self.backend {
-            Backend::Processes(pool) => pool.run(kind, job, &encoded),
-            Backend::Remote(fleet) => fleet.run(kind, job, &encoded),
-            Backend::Serial | Backend::Threads(_) => {
-                unreachable!("in-process backends stream locally")
-            }
-        };
-        let failure = match shipped {
+        let failure = match fleet.run(kind, job, &encoded) {
             Ok(results) => {
                 let mut decoded = Vec::with_capacity(batch.len());
                 let mut bad = None;
@@ -880,7 +840,6 @@ impl Exec {
                 unit: start + unit,
                 diagnostic,
             },
-            Err(failure) => failure,
         };
         match self.on_process_failure {
             Fallback::Fail => Err(work.pool_error(failure)),
@@ -925,7 +884,7 @@ impl fmt::Display for Exec {
         match &self.backend {
             Backend::Serial => f.write_str("serial"),
             Backend::Threads(t) => write!(f, "threads:{}", t.get()),
-            Backend::Processes(p) => write!(f, "processes:{}", p.workers()),
+            Backend::Processes(fleet) => write!(f, "processes:{}", fleet.hosts()),
             Backend::Remote(fleet) => write!(f, "remote:{}", fleet.endpoints().join(",")),
         }
     }
@@ -934,7 +893,11 @@ impl fmt::Display for Exec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
+
+    /// A process backend whose worker binary does not exist.
+    fn bogus(workers: usize) -> Exec {
+        Exec::processes(Path::new("/nonexistent/steac-worker"), workers)
+    }
 
     #[test]
     fn spec_parsing_accepts_the_documented_grammar() {
@@ -995,7 +958,7 @@ mod tests {
         let threads = Exec::threads(Threads::exact(5));
         assert_eq!(threads.width(), 5);
         assert_eq!(threads.local_threads().get(), 5);
-        let procs = Exec::processes(ProcessPool::with_binary(PathBuf::from("/nope"), 3));
+        let procs = bogus(3);
         assert_eq!(procs.width(), 3);
         assert!(procs.local_threads().get() >= 1);
         assert_eq!(procs.to_string(), "processes:3");
@@ -1060,17 +1023,17 @@ mod tests {
 
     #[test]
     fn process_failure_honours_the_fallback_policy() {
-        let bogus = || ProcessPool::with_binary(PathBuf::from("/nonexistent/steac-worker"), 2);
-        let forgiving = Exec::processes(bogus());
+        let forgiving = bogus(2);
         let d = forgiving.dispatch(&Squares(10)).unwrap();
         assert_eq!(d.units, (0..10).map(|i| i * i).collect::<Vec<_>>());
         assert!(d.fallback.is_some(), "fallback must be surfaced");
         assert_eq!(d.fallback_count(), 1);
         assert_eq!(forgiving.process_fallbacks(), 1);
 
-        let strict = Exec::processes(bogus()).with_fallback(Fallback::Fail);
+        let strict = bogus(2).with_fallback(Fallback::Fail);
         let err = strict.dispatch(&Squares(10)).unwrap_err();
-        assert!(err.contains("cannot spawn worker"), "{err}");
+        assert!(err.contains("work unit 0"), "{err}");
+        assert!(err.contains("/nonexistent/steac-worker"), "{err}");
         assert_eq!(strict.process_fallbacks(), 0);
     }
 
@@ -1103,8 +1066,7 @@ mod tests {
 
     #[test]
     fn empty_dispatch_never_touches_the_pool() {
-        let exec = Exec::processes(ProcessPool::with_binary(PathBuf::from("/nope"), 2))
-            .with_fallback(Fallback::Fail);
+        let exec = bogus(2).with_fallback(Fallback::Fail);
         let d = exec.dispatch(&Squares(0)).unwrap();
         assert!(d.units.is_empty());
         assert!(d.fallback.is_none());
@@ -1183,9 +1145,8 @@ mod tests {
     fn stream_dispatch_honours_the_fallback_policy_on_shipped_backends() {
         // No real worker binary: every shipped batch fails. InThread
         // recomputes per batch (so the count tracks batches), Fail
-        // surfaces the wrapped pool error.
-        let bogus = || ProcessPool::with_binary(PathBuf::from("/nonexistent/steac-worker"), 2);
-        let forgiving = Exec::processes(bogus());
+        // surfaces the wrapped fleet error.
+        let forgiving = bogus(2);
         let mut got = Vec::new();
         let d = forgiving
             .dispatch_stream(&SquareStream, 0..100, |o| got.push(o))
@@ -1196,18 +1157,17 @@ mod tests {
         assert_eq!(d.fallback_count(), 100usize.div_ceil(STREAM_BATCH_UNITS));
         assert_eq!(forgiving.process_fallbacks(), d.fallback_count());
 
-        let strict = Exec::processes(bogus()).with_fallback(Fallback::Fail);
+        let strict = bogus(2).with_fallback(Fallback::Fail);
         let err = strict
             .dispatch_stream(&SquareStream, 0..100, |_| {})
             .unwrap_err();
-        assert!(err.contains("cannot spawn worker"), "{err}");
+        assert!(err.contains("/nonexistent/steac-worker"), "{err}");
         assert_eq!(strict.process_fallbacks(), 0);
     }
 
     #[test]
     fn empty_stream_never_touches_the_pool() {
-        let exec = Exec::processes(ProcessPool::with_binary(PathBuf::from("/nope"), 2))
-            .with_fallback(Fallback::Fail);
+        let exec = bogus(2).with_fallback(Fallback::Fail);
         let d = exec
             .dispatch_stream(&SquareStream, std::iter::empty(), |_: usize| {})
             .unwrap();

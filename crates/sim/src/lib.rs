@@ -52,8 +52,8 @@
 //!    behind one execution-backend value, [`Exec`]:
 //!    `Exec::serial()` runs them inline, `Exec::threads(..)` fans them
 //!    across a `std::thread::scope` pool ([`shard`]), and
-//!    `Exec::processes(..)` serializes them ([`wire`]) to `steac-worker`
-//!    processes ([`shard::ProcessPool`]). Every workload entry point
+//!    `Exec::processes(..)` serializes them ([`wire`]) to a fleet of
+//!    persistent `steac-worker` children (step 5). Every workload entry point
 //!    takes `&Exec` and routes through [`Exec::dispatch`], so the
 //!    merge-by-unit-index determinism contract — unit-order results,
 //!    lowest-indexed-unit errors, **bit-identical reports on every
@@ -66,9 +66,9 @@
 //!    thread — played through the same backends in bounded windows,
 //!    and sunk strictly in unit order, so peak memory follows pipeline
 //!    depth (not stream length) while reports stay byte-identical to
-//!    the materialized flow. [`Exec::from_env`] resolves the
-//!    deployment knobs (`STEAC_EXEC`, then `STEAC_WORKERS`, then
-//!    `STEAC_THREADS`; `STEAC_OPT` gates stage 2 independently), and
+//!    the materialized flow. [`Exec::from_env`] resolves the one
+//!    backend knob, `STEAC_EXEC` (`STEAC_OPT` gates stage 2
+//!    independently), and
 //!    [`exec::Fallback`] makes the process-failure policy explicit
 //!    (recompute in-thread and record it, or fail on the
 //!    lowest-indexed unit).
@@ -92,10 +92,11 @@
 //!    exactly once per host no matter how many batches race. A status
 //!    request
 //!    (`steac-worker --status`, [`remote::query_status`]) surfaces the
-//!    cache and traffic counters. [`remote::SpawnTransport`] runs the
-//!    same protocol over spawned local processes (zero network — the
-//!    in-repo test rig; one-shot workers, so the job always ships
-//!    inline). [`remote::RemoteFleet`] adds work-stealing across hosts
+//!    cache and traffic counters. [`remote::ProcessTransport`] runs the
+//!    same session over the stdin/stdout of one long-lived local
+//!    `steac-worker` child, so `processes:N` is a fleet of `N` such
+//!    sessions with the same cache, pipelining and retries (and zero
+//!    network). [`remote::RemoteFleet`] adds work-stealing across hosts
 //!    and streams (units handed out from one atomic counter, idle
 //!    streams steal from the global tail) and a retry/requeue policy
 //!    for lost workers, while [`Exec::dispatch`] still owns the
@@ -103,7 +104,7 @@
 //!    Serial even under injected host loss or cache loss, proven by
 //!    `tests/remote_chaos.rs`. No workload crate changed to gain this
 //!    backend; that was the point of the seam. `Exec::from_env` reaches
-//!    it via `STEAC_EXEC=remote:host:port,…` or `STEAC_HOSTS`.
+//!    it via `STEAC_EXEC=remote:host:port,…`.
 //!
 //! The scalar API below is a lane-0/broadcast view of that kernel, so
 //! single-pattern callers are unchanged. Batch callers fill all lanes
@@ -199,11 +200,11 @@ pub use opt::{OptConfig, OptStats};
 pub use packed::{PackedLogic, DEFAULT_LANE_GROUPS, LANES};
 pub use program::{ProgramStats, SimProgram};
 pub use remote::{
-    query_status, FleetStatsSnapshot, RemoteFleet, ServeHandle, SpawnTransport, TcpTransport,
+    query_status, FleetStatsSnapshot, ProcessTransport, RemoteFleet, ServeHandle, TcpTransport,
     Transport, TransportError, DEFAULT_TCP_STREAMS, DEFAULT_TCP_WINDOW,
 };
 pub use scan::ScanPorts;
-pub use shard::{JobRegistry, ProcessPool, Threads, WorkerState, WorkerStatus};
+pub use shard::{JobRegistry, Threads, WorkerState, WorkerStatus};
 pub use wire::WireError;
 
 use std::fmt;
@@ -231,8 +232,8 @@ pub enum SimError {
         /// Supplied number.
         got: usize,
     },
-    /// A process-pool work unit failed (the worker reported an error,
-    /// died, or returned malformed results). Deterministic: always the
+    /// A shipped work unit failed (the worker reported an error, died,
+    /// or returned malformed results). Deterministic: always the
     /// lowest-indexed failing unit.
     Worker {
         /// Lowest-indexed failing unit.
@@ -285,17 +286,11 @@ impl From<steac_netlist::NetlistError> for SimError {
 }
 
 impl From<shard::PoolError> for SimError {
-    /// The one process-pool-failure mapping every workload shares:
-    /// unit failures keep their index, spawn failures are pinned to
-    /// unit 0 (nothing ran).
+    /// The one shipped-failure mapping every workload shares: the
+    /// failing unit keeps its index.
     fn from(e: shard::PoolError) -> Self {
-        match e {
-            shard::PoolError::Spawn { diagnostic } => SimError::Worker {
-                unit: 0,
-                diagnostic: format!("cannot spawn worker: {diagnostic}"),
-            },
-            shard::PoolError::Unit { unit, diagnostic } => SimError::Worker { unit, diagnostic },
-        }
+        let shard::PoolError::Unit { unit, diagnostic } = e;
+        SimError::Worker { unit, diagnostic }
     }
 }
 

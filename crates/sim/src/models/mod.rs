@@ -8,10 +8,10 @@
 //! here, generic over the model — the [`Report`], the grading and
 //! dictionary pass loops, one [`ExecWork`] per mode, the job codec
 //! ([`encode_job`]), the worker-side [`open_wire_job`] and the lane-width
-//! switch — so every model inherits the whole platform: all five
-//! backends (serial / threads / processes / remote-spawn / remote-tcp),
-//! the optimizer pipeline, wide lane groups, per-pass fault dropping,
-//! fault dictionaries and the byte-identical-reports contract. A new
+//! switch — so every model inherits the whole platform: every backend
+//! (serial / threads / processes / remote), the optimizer pipeline,
+//! wide lane groups, per-pass fault dropping, fault dictionaries and the
+//! byte-identical-reports contract. A new
 //! model is one impl plus one `worker_registry()` line.
 //!
 //! | model | module | work-unit kind | fault site |

@@ -1,5 +1,6 @@
-//! Machine-level fan-out: the transport layer and host fleet behind
-//! [`crate::exec::Backend::Remote`].
+//! Work that leaves the process: the transport layer and the host fleet
+//! behind [`crate::exec::Backend::Remote`] and
+//! [`crate::exec::Backend::Processes`].
 //!
 //! The wire format ([`crate::wire`]) and the worker protocol
 //! ([`crate::shard`]) are transport-agnostic: one serialized request in,
@@ -10,40 +11,37 @@
 //!   transport failure is a typed [`TransportError`] — never a panic —
 //!   and is *retryable* by construction: the fleet may replay the same
 //!   request on the same or another host.
-//! * [`TcpTransport`] keeps **one long-lived session** per host: the
-//!   target address is resolved once per session, the connection is
-//!   established lazily and reconnected lazily after a loss, and
-//!   multiple requests are **pipelined** in flight on the one socket
-//!   under a bounded window ([`TcpTransport::with_window`]) — a
-//!   dedicated reader thread routes responses back to callers by the
-//!   envelope's request id, so responses may return in any order.
-//! * [`SpawnTransport`] runs each request through a freshly spawned
-//!   local `steac-worker` process over stdin/stdout — the
-//!   [`crate::shard::ProcessPool`] piping wrapped as a transport — so
-//!   the whole Remote dispatch arm is testable in-repo with zero
+//! * Every transport keeps **one long-lived session** to one persistent
+//!   worker: the session is opened lazily and reopened lazily after a
+//!   loss, and multiple requests are **pipelined** in flight on it under
+//!   a bounded window — a dedicated reader thread routes responses back
+//!   to callers by the envelope's request id, so responses may return in
+//!   any order. The session runs over any byte pipe:
+//!   [`TcpTransport`] over a socket to a `steac-worker --serve <addr>`
+//!   listener (its address resolved once per session), and
+//!   [`ProcessTransport`] over the stdin/stdout of one long-lived local
+//!   `steac-worker` child — the host behind each slot of `processes:N`,
+//!   which also makes the whole fleet testable in-repo with zero
 //!   network.
 //! * [`RemoteFleet`] fans work units across N transports with
 //!   work-stealing and a retry/requeue policy for lost hosts, keeping
-//!   the merge-by-unit-index determinism contract of
-//!   [`crate::shard::ProcessPool`]: unit `i`'s result (or the
-//!   lowest-indexed unit's error) is identical no matter which host ran
-//!   it, how execution interleaved, or which responses had to be
-//!   retried. On transports that keep a persistent worker alive
-//!   ([`Transport::caches_programs`]) the fleet references the job by
-//!   its content hash after the first successful inline ship, so the
-//!   serialized program crosses the wire **once per host per run**
-//!   instead of once per request — a worker that lost its cache
-//!   (restart, eviction) answers "need program" and the fleet
-//!   transparently re-ships inline. [`RemoteFleet::stats`] counts
-//!   exactly what was shipped.
+//!   the merge-by-unit-index determinism contract: unit `i`'s result (or
+//!   the lowest-indexed unit's error) is identical no matter which host
+//!   ran it, how execution interleaved, or which responses had to be
+//!   retried. Because every worker persists, the fleet references the
+//!   job by its content hash after the first successful inline ship, so
+//!   the serialized program crosses the wire **once per host** instead
+//!   of once per request — a worker that lost its cache (restart,
+//!   eviction) answers "need program" and the fleet transparently
+//!   re-ships inline. [`RemoteFleet::stats`] counts exactly what was
+//!   shipped.
 //!
 //! # Envelope (version 2)
 //!
-//! Stdin/stdout framing is the process lifetime (EOF ends the request,
-//! exit ends the response), but a persistent TCP session needs explicit
-//! framing — and pipelining needs each frame to say which request it
-//! answers. Every payload on a stream transport travels inside the
-//! envelope:
+//! A persistent session needs explicit framing, and pipelining needs
+//! each frame to say which request it answers. Every payload travels
+//! inside the envelope, over a socket and over a child's stdin/stdout
+//! alike:
 //!
 //! ```text
 //! magic      b"STEV"   (4 bytes)
@@ -73,17 +71,21 @@
 //! request ([`query_status`], `steac-worker --status <addr>`) returns
 //! the worker's uptime and cache/traffic counters
 //! ([`crate::shard::WorkerStatus`]) for fleet observability.
-//! [`serve_tcp`] keeps one `WorkerState` per listener, shared by every
-//! connection, and serves each request on its own thread so pipelined
-//! requests complete out of order.
+//! [`serve_session`] is the one worker-side frame loop: it serves each
+//! request on its own thread so pipelined requests complete out of
+//! order. [`serve_tcp`] runs it per connection with one `WorkerState`
+//! per listener, shared by every connection; the worker's stdio mode
+//! runs it once over stdin/stdout with one `WorkerState` for the
+//! child's whole life.
 //!
 //! # Failure model
 //!
 //! The fleet distinguishes two kinds of trouble:
 //!
-//! * **Transport-level loss** (connect refused, dead session, truncated
-//!   or corrupt envelope, a response missing some of its units): the
-//!   affected units are re-enqueued and stolen by other hosts, up to
+//! * **Transport-level loss** (connect refused, worker binary missing,
+//!   dead session or child, truncated or corrupt envelope, a response
+//!   missing some of its units): the affected units are re-enqueued and
+//!   stolen by other hosts, up to
 //!   [`RemoteFleet::with_max_retries`] extra attempts per unit. A host
 //!   that fails `max_retries + 1` calls in a row is declared lost and
 //!   stops taking work. Only when a unit's retries are exhausted — or
@@ -92,7 +94,7 @@
 //! * **Workload-level unit errors** (the worker ran the unit and
 //!   reported a typed failure, e.g. corrupt unit bytes or a program
 //!   hash mismatch): deterministic, so they are *not* retried; they
-//!   fail the run exactly as they do on the process backend.
+//!   fail the run.
 //!
 //! A "need program" reply is neither: it is part of the normal cache
 //! protocol, answered by re-sending the same units with the job inline
@@ -259,10 +261,13 @@ impl fmt::Display for TransportError {
 impl std::error::Error for TransportError {}
 
 /// One request in, one response out — the entire contract between the
-/// dispatcher and a remote `steac-worker`, with the request/response
-/// bytes exactly as the stdin/stdout protocol defines them
-/// ([`crate::shard`]). Implementations own connection management and
-/// framing; they must be callable concurrently from fleet threads.
+/// dispatcher and a `steac-worker`, with the request/response bytes
+/// exactly as the worker protocol defines them ([`crate::shard`]).
+/// Implementations own connection management and framing; they must be
+/// callable concurrently from fleet threads, and they must reach a
+/// *persistent* worker whose program cache outlives a single call —
+/// the fleet references a job by its content hash after the first
+/// inline ship.
 pub trait Transport: Send + Sync {
     /// Ships one request and returns the raw response bytes.
     ///
@@ -276,19 +281,11 @@ pub trait Transport: Send + Sync {
     /// `Exec` display (`remote:endpoint,endpoint`).
     fn endpoint(&self) -> String;
 
-    /// Whether requests reach a *persistent* worker whose program cache
-    /// outlives a single call. When `true` the fleet references the job
-    /// by content hash after its first successful inline ship; when
-    /// `false` (the default — one-shot workers like [`SpawnTransport`])
-    /// every request carries the job inline.
-    fn caches_programs(&self) -> bool {
-        false
-    }
-
     /// How many fleet threads should drive this transport concurrently
-    /// — the request-pipelining width. The default of 1 preserves the
-    /// classic one-request-at-a-time behaviour; [`TcpTransport`]
-    /// returns its configured stream count.
+    /// — the request-pipelining width. The default of 1 keeps one
+    /// request in flight per host during a run, which is what keeps a
+    /// fleet of `N` [`ProcessTransport`]s computing `N`-wide;
+    /// [`TcpTransport`] returns its configured stream count.
     fn streams(&self) -> usize {
         1
     }
@@ -307,16 +304,18 @@ pub const DEFAULT_TCP_WINDOW: usize = 4;
 /// The channel a caller waits on for its routed response.
 type ResponseSender = mpsc::Sender<Result<Vec<u8>, TransportError>>;
 
-/// One live pipelined session: a connected socket, the response router
-/// state, and the in-flight window. Requests are written under
-/// `write_lock` (frames must not interleave); a dedicated reader thread
+/// One live pipelined session over a byte pipe — a socket, or a worker
+/// child's stdin/stdout — plus the response router state and the
+/// in-flight window. Requests are written under the `writer` lock
+/// (frames must not interleave); a dedicated reader thread
 /// ([`Session::reader_loop`]) routes each response envelope to the
 /// caller registered under its request id. Any read or write failure
-/// marks the whole session dead and fails every outstanding caller —
-/// the owning [`TcpTransport`] then reconnects lazily on the next call.
+/// marks the whole session dead, tears the pipe down (`close`) and
+/// fails every outstanding caller — the owning [`SessionSlot`] then
+/// opens a fresh session lazily on the next call.
 struct Session {
-    stream: TcpStream,
-    write_lock: Mutex<()>,
+    writer: Mutex<Box<dyn Write + Send>>,
+    close: Box<dyn Fn() + Send + Sync>,
     pending: Mutex<HashMap<u64, ResponseSender>>,
     inflight: Mutex<usize>,
     slot_freed: Condvar,
@@ -324,23 +323,34 @@ struct Session {
 }
 
 impl Session {
-    fn new(stream: TcpStream) -> Self {
-        Session {
-            stream,
-            write_lock: Mutex::new(()),
+    /// Starts a session over a pipe's two halves and the hook that tears
+    /// the pipe down (which must wake a reader blocked on `reader`), and
+    /// spawns the reader thread.
+    fn start(
+        reader: impl Read + Send + 'static,
+        writer: impl Write + Send + 'static,
+        close: impl Fn() + Send + Sync + 'static,
+    ) -> Arc<Self> {
+        let session = Arc::new(Session {
+            writer: Mutex::new(Box::new(writer)),
+            close: Box::new(close),
             pending: Mutex::new(HashMap::new()),
             inflight: Mutex::new(0),
             slot_freed: Condvar::new(),
             dead: AtomicBool::new(false),
-        }
+        });
+        let router = Arc::clone(&session);
+        std::thread::spawn(move || router.reader_loop(reader));
+        session
     }
 
-    /// Marks the session dead, fails every outstanding caller with a
-    /// clone of `error` (keeping its type — an envelope error stays an
-    /// envelope error), and wakes anyone blocked on the window.
+    /// Marks the session dead, tears its pipe down, fails every
+    /// outstanding caller with a clone of `error` (keeping its type — an
+    /// envelope error stays an envelope error), and wakes anyone blocked
+    /// on the window.
     fn die(&self, error: &TransportError) {
         self.dead.store(true, Ordering::SeqCst);
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
+        (self.close)();
         let drained: Vec<_> = self
             .pending
             .lock()
@@ -353,14 +363,13 @@ impl Session {
         self.slot_freed.notify_all();
     }
 
-    /// The reader half: drains response envelopes off the socket and
+    /// The reader half: drains response envelopes off the pipe and
     /// routes them by request id until the session dies. A response to
     /// an id nobody is waiting on (a caller that already timed out) is
     /// dropped — late duplicates can never corrupt a later exchange.
-    fn reader_loop(self: &Arc<Self>) {
-        let mut stream = &self.stream;
+    fn reader_loop(&self, mut reader: impl Read) {
         loop {
-            match read_envelope(&mut stream) {
+            match read_envelope(&mut reader) {
                 Ok((id, payload)) => {
                     let tx = self
                         .pending
@@ -391,190 +400,76 @@ impl Drop for SlotGuard<'_> {
     }
 }
 
-/// Ships requests to a `steac-worker --serve <addr>` listening loop
-/// over **one persistent TCP session**: the address is resolved once
-/// per session, the connection is established lazily (and
-/// re-established lazily after a loss — every failure stays a typed
-/// [`TransportError`]), and up to [`TcpTransport::with_window`]
-/// requests are pipelined in flight at a time, matched to their
-/// responses by the envelope request id.
-pub struct TcpTransport {
-    addr: String,
+/// The pipe-independent half of every session transport: the live
+/// [`Session`] (opened lazily through the transport's `open`, reopened
+/// lazily after a loss — concurrent callers share one reopen), the
+/// request-id counter, the in-flight window and the response timeout.
+/// Dropping the slot kills the live session, so a dropped transport
+/// leaves no reader thread, socket or child process behind.
+struct SessionSlot {
+    /// The transport's endpoint, named in diagnostics.
+    endpoint: String,
     timeout: Option<Duration>,
-    streams: usize,
     window: usize,
-    /// Socket addresses resolved for the current session; dropped when
-    /// every one of them fails to connect, so a DNS change can heal a
-    /// moved host.
-    resolved: Mutex<Option<Vec<SocketAddr>>>,
-    /// How many times the address was actually resolved (unit-tested:
-    /// a session resolves once, not once per request).
-    resolutions: AtomicUsize,
-    session: Mutex<Option<Arc<Session>>>,
+    live: Mutex<Option<Arc<Session>>>,
     next_id: AtomicU64,
 }
 
-impl fmt::Debug for TcpTransport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TcpTransport")
-            .field("addr", &self.addr)
-            .field("timeout", &self.timeout)
-            .field("streams", &self.streams)
-            .field("window", &self.window)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Clone for TcpTransport {
-    /// Clones the configuration; the clone starts with a fresh (lazy)
-    /// session of its own.
-    fn clone(&self) -> Self {
-        TcpTransport {
-            addr: self.addr.clone(),
-            timeout: self.timeout,
-            streams: self.streams,
-            window: self.window,
-            resolved: Mutex::new(None),
-            resolutions: AtomicUsize::new(0),
-            session: Mutex::new(None),
-            next_id: AtomicU64::new(0),
-        }
-    }
-}
-
-impl Drop for TcpTransport {
-    fn drop(&mut self) {
-        // Kill the live session so its reader thread exits promptly
-        // instead of waiting out a read timeout.
-        if let Ok(slot) = self.session.lock() {
-            if let Some(session) = slot.as_ref() {
-                session.die(&TransportError::Io {
-                    diagnostic: "transport dropped".to_string(),
-                });
-            }
-        }
-    }
-}
-
-impl TcpTransport {
-    /// A transport to `addr` (`host:port`), with the default 120 s
-    /// connect/read/write timeout so a hung or blackholed host surfaces
-    /// as a typed error instead of blocking a fleet thread forever, and
-    /// the default pipelining width ([`DEFAULT_TCP_STREAMS`]) and
-    /// in-flight window ([`DEFAULT_TCP_WINDOW`]).
-    #[must_use]
-    pub fn new(addr: impl Into<String>) -> Self {
-        TcpTransport {
-            addr: addr.into(),
+impl SessionSlot {
+    /// A slot with no session yet, the default 120 s timeout and the
+    /// default in-flight window ([`DEFAULT_TCP_WINDOW`]).
+    fn new(endpoint: String) -> Self {
+        SessionSlot {
+            endpoint,
             timeout: Some(Duration::from_secs(120)),
-            streams: DEFAULT_TCP_STREAMS,
             window: DEFAULT_TCP_WINDOW,
-            resolved: Mutex::new(None),
-            resolutions: AtomicUsize::new(0),
-            session: Mutex::new(None),
+            live: Mutex::new(None),
             next_id: AtomicU64::new(0),
         }
     }
 
-    /// Overrides the connect/read/write timeout (`None` disables it).
-    #[must_use]
-    pub fn with_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.timeout = timeout;
-        self
+    /// A slot with this one's configuration and no session.
+    fn fresh(&self) -> Self {
+        let mut slot = SessionSlot::new(self.endpoint.clone());
+        slot.timeout = self.timeout;
+        slot.window = self.window;
+        slot
     }
 
-    /// Sets how many fleet threads drive this transport concurrently
-    /// (clamped to ≥ 1; default [`DEFAULT_TCP_STREAMS`]).
-    #[must_use]
-    pub fn with_streams(mut self, streams: usize) -> Self {
-        self.streams = streams.max(1);
-        self
-    }
-
-    /// Sets the bounded in-flight window per session (clamped to ≥ 1;
-    /// default [`DEFAULT_TCP_WINDOW`]). Callers past the window block
-    /// until a response frees a slot.
-    #[must_use]
-    pub fn with_window(mut self, window: usize) -> Self {
-        self.window = window.max(1);
-        self
-    }
-
-    /// How many times the target address has been resolved so far —
-    /// one per session, not one per request.
-    #[must_use]
-    pub fn resolutions(&self) -> usize {
-        self.resolutions.load(Ordering::Relaxed)
-    }
-
-    fn unreachable(&self, diagnostic: String) -> TransportError {
-        TransportError::Unreachable {
-            endpoint: self.addr.clone(),
-            diagnostic,
-        }
-    }
-
-    /// The session's resolved addresses, resolving (and caching) on
-    /// first use.
-    fn resolve(&self) -> Result<Vec<SocketAddr>, TransportError> {
-        let mut cached = self.resolved.lock().expect("no panics hold the lock");
-        if let Some(addrs) = cached.as_ref() {
-            return Ok(addrs.clone());
-        }
-        self.resolutions.fetch_add(1, Ordering::Relaxed);
-        let addrs: Vec<SocketAddr> = self
-            .addr
-            .to_socket_addrs()
-            .map_err(|e| self.unreachable(e.to_string()))?
-            .collect();
-        if addrs.is_empty() {
-            return Err(self.unreachable("address resolved to nothing".to_string()));
-        }
-        *cached = Some(addrs.clone());
-        Ok(addrs)
-    }
-
-    /// Connects within the configured timeout (a plain blocking connect
-    /// when the timeout is disabled) — a blackholed host must surface
-    /// as a typed error on our schedule, not the kernel's.
-    fn connect(&self) -> Result<TcpStream, TransportError> {
-        let addrs = self.resolve()?;
+    /// Ships one request through the live session, opening one with
+    /// `open` when there is none or the last one died. A session that
+    /// died while idle (worker restart, idle timeout) is only discovered
+    /// on first use: retry once, transparently, when the request
+    /// provably never left this machine.
+    fn call(
+        &self,
+        request: &[u8],
+        open: impl Fn() -> Result<Arc<Session>, TransportError>,
+    ) -> Result<Vec<u8>, TransportError> {
         let mut last = None;
-        for addr in &addrs {
-            let attempt = match self.timeout {
-                Some(timeout) => TcpStream::connect_timeout(addr, timeout),
-                None => TcpStream::connect(addr),
+        for _ in 0..2 {
+            let session = {
+                let mut live = self.live.lock().expect("no panics hold the lock");
+                match live.as_ref().filter(|s| !s.dead.load(Ordering::SeqCst)) {
+                    Some(session) => Arc::clone(session),
+                    None => {
+                        let session = open()?;
+                        *live = Some(Arc::clone(&session));
+                        session
+                    }
+                }
             };
-            match attempt {
-                Ok(stream) => return Ok(stream),
-                Err(e) => last = Some(e.to_string()),
+            match self.call_on(&session, request) {
+                Ok(response) => return Ok(response),
+                Err((e, retryable)) => {
+                    last = Some(e);
+                    if !retryable {
+                        break;
+                    }
+                }
             }
         }
-        // Every resolved address refused: forget them so the next
-        // attempt re-resolves (the host may have moved).
-        *self.resolved.lock().expect("no panics hold the lock") = None;
-        Err(self.unreachable(last.unwrap_or_else(|| "no address to try".to_string())))
-    }
-
-    /// The current live session, lazily (re)connecting when there is
-    /// none or the last one died. Concurrent callers share one
-    /// reconnect instead of racing their own.
-    fn ensure_session(&self) -> Result<Arc<Session>, TransportError> {
-        let mut slot = self.session.lock().expect("no panics hold the lock");
-        if let Some(session) = slot.as_ref() {
-            if !session.dead.load(Ordering::SeqCst) {
-                return Ok(Arc::clone(session));
-            }
-        }
-        let stream = self.connect()?;
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(self.timeout);
-        let _ = stream.set_write_timeout(self.timeout);
-        let session = Arc::new(Session::new(stream));
-        let reader = Arc::clone(&session);
-        std::thread::spawn(move || reader.reader_loop());
-        *slot = Some(Arc::clone(&session));
-        Ok(session)
+        Err(last.expect("loop ran at least once"))
     }
 
     /// One attempt on one session. `Err((error, retryable))`:
@@ -619,10 +514,8 @@ impl TcpTransport {
             .insert(id, tx);
         let framed = encode_envelope(id, request);
         let written = {
-            let _write = session.write_lock.lock().expect("no panics hold the lock");
-            (&session.stream)
-                .write_all(&framed)
-                .and_then(|()| (&session.stream).flush())
+            let mut writer = session.writer.lock().expect("no panics hold the lock");
+            writer.write_all(&framed).and_then(|()| writer.flush())
         };
         if let Err(e) = written {
             let never_sent = session
@@ -632,7 +525,7 @@ impl TcpTransport {
                 .remove(&id)
                 .is_some();
             let error = TransportError::Io {
-                diagnostic: format!("sending request to {}: {e}", self.addr),
+                diagnostic: format!("sending request to {}: {e}", self.endpoint),
             };
             session.die(&error);
             return Err((error, never_sent));
@@ -641,24 +534,24 @@ impl TcpTransport {
             Some(timeout) => rx.recv_timeout(timeout).map_err(|e| match e {
                 mpsc::RecvTimeoutError::Timeout => {
                     // Give up on this exchange and the whole session: a
-                    // stalled socket must not absorb further requests.
+                    // stalled pipe must not absorb further requests.
                     let _ = session
                         .pending
                         .lock()
                         .expect("no panics hold the lock")
                         .remove(&id);
                     let error = TransportError::Io {
-                        diagnostic: format!("response from {} timed out", self.addr),
+                        diagnostic: format!("response from {} timed out", self.endpoint),
                     };
                     session.die(&error);
                     error
                 }
                 mpsc::RecvTimeoutError::Disconnected => TransportError::Io {
-                    diagnostic: format!("session to {} closed", self.addr),
+                    diagnostic: format!("session to {} closed", self.endpoint),
                 },
             }),
             None => rx.recv().map_err(|_| TransportError::Io {
-                diagnostic: format!("session to {} closed", self.addr),
+                diagnostic: format!("session to {} closed", self.endpoint),
             }),
         };
         match response {
@@ -668,33 +561,188 @@ impl TcpTransport {
     }
 }
 
-impl Transport for TcpTransport {
-    fn call(&self, request: &[u8]) -> Result<Vec<u8>, TransportError> {
-        // A session that died while idle (server restart, idle timeout)
-        // is only discovered on first use: retry once, transparently,
-        // when the request provably never left this machine.
-        let mut last = None;
-        for _ in 0..2 {
-            let session = self.ensure_session()?;
-            match self.call_on(&session, request) {
-                Ok(response) => return Ok(response),
-                Err((e, retryable)) => {
-                    last = Some(e);
-                    if !retryable {
-                        break;
-                    }
-                }
+impl Drop for SessionSlot {
+    fn drop(&mut self) {
+        // Kill the live session so its reader thread exits promptly
+        // instead of waiting out a read timeout, and its pipe (socket
+        // or child) goes with it.
+        if let Ok(live) = self.live.lock() {
+            if let Some(session) = live.as_ref() {
+                session.die(&TransportError::Io {
+                    diagnostic: "transport dropped".to_string(),
+                });
             }
         }
-        Err(last.expect("loop ran at least once"))
+    }
+}
+
+/// Ships requests to a `steac-worker --serve <addr>` listening loop
+/// over **one persistent TCP session**: the address is resolved once
+/// per session, the connection is established lazily (and
+/// re-established lazily after a loss — every failure stays a typed
+/// [`TransportError`]), and up to [`TcpTransport::with_window`]
+/// requests are pipelined in flight at a time, matched to their
+/// responses by the envelope request id.
+pub struct TcpTransport {
+    streams: usize,
+    /// Socket addresses resolved for the current session; dropped when
+    /// every one of them fails to connect, so a DNS change can heal a
+    /// moved host.
+    resolved: Mutex<Option<Vec<SocketAddr>>>,
+    /// How many times the address was actually resolved (unit-tested:
+    /// a session resolves once, not once per request).
+    resolutions: AtomicUsize,
+    /// The session half; its endpoint is the `host:port` target.
+    session: SessionSlot,
+}
+
+impl fmt::Debug for TcpTransport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TcpTransport")
+            .field("addr", &self.session.endpoint)
+            .field("timeout", &self.session.timeout)
+            .field("streams", &self.streams)
+            .field("window", &self.session.window)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Clone for TcpTransport {
+    /// Clones the configuration; the clone starts with a fresh (lazy)
+    /// session of its own.
+    fn clone(&self) -> Self {
+        TcpTransport {
+            streams: self.streams,
+            resolved: Mutex::new(None),
+            resolutions: AtomicUsize::new(0),
+            session: self.session.fresh(),
+        }
+    }
+}
+
+impl TcpTransport {
+    /// A transport to `addr` (`host:port`), with the default 120 s
+    /// connect/read/write timeout so a hung or blackholed host surfaces
+    /// as a typed error instead of blocking a fleet thread forever, and
+    /// the default pipelining width ([`DEFAULT_TCP_STREAMS`]) and
+    /// in-flight window ([`DEFAULT_TCP_WINDOW`]).
+    #[must_use]
+    pub fn new(addr: impl Into<String>) -> Self {
+        TcpTransport {
+            streams: DEFAULT_TCP_STREAMS,
+            resolved: Mutex::new(None),
+            resolutions: AtomicUsize::new(0),
+            session: SessionSlot::new(addr.into()),
+        }
+    }
+
+    /// Overrides the connect/read/write timeout (`None` disables it).
+    #[must_use]
+    pub fn with_timeout(mut self, timeout: Option<Duration>) -> Self {
+        self.session.timeout = timeout;
+        self
+    }
+
+    /// Sets how many fleet threads drive this transport concurrently
+    /// (clamped to ≥ 1; default [`DEFAULT_TCP_STREAMS`]).
+    #[must_use]
+    pub fn with_streams(mut self, streams: usize) -> Self {
+        self.streams = streams.max(1);
+        self
+    }
+
+    /// Sets the bounded in-flight window per session (clamped to ≥ 1;
+    /// default [`DEFAULT_TCP_WINDOW`]). Callers past the window block
+    /// until a response frees a slot.
+    #[must_use]
+    pub fn with_window(mut self, window: usize) -> Self {
+        self.session.window = window.max(1);
+        self
+    }
+
+    /// How many times the target address has been resolved so far —
+    /// one per session, not one per request.
+    #[must_use]
+    pub fn resolutions(&self) -> usize {
+        self.resolutions.load(Ordering::Relaxed)
+    }
+
+    fn unreachable(&self, diagnostic: String) -> TransportError {
+        TransportError::Unreachable {
+            endpoint: self.session.endpoint.clone(),
+            diagnostic,
+        }
+    }
+
+    /// The session's resolved addresses, resolving (and caching) on
+    /// first use.
+    fn resolve(&self) -> Result<Vec<SocketAddr>, TransportError> {
+        let mut cached = self.resolved.lock().expect("no panics hold the lock");
+        if let Some(addrs) = cached.as_ref() {
+            return Ok(addrs.clone());
+        }
+        self.resolutions.fetch_add(1, Ordering::Relaxed);
+        let addrs: Vec<SocketAddr> = self
+            .session
+            .endpoint
+            .to_socket_addrs()
+            .map_err(|e| self.unreachable(e.to_string()))?
+            .collect();
+        if addrs.is_empty() {
+            return Err(self.unreachable("address resolved to nothing".to_string()));
+        }
+        *cached = Some(addrs.clone());
+        Ok(addrs)
+    }
+
+    /// Connects within the configured timeout (a plain blocking connect
+    /// when the timeout is disabled) — a blackholed host must surface
+    /// as a typed error on our schedule, not the kernel's.
+    fn connect(&self) -> Result<TcpStream, TransportError> {
+        let addrs = self.resolve()?;
+        let mut last = None;
+        for addr in &addrs {
+            let attempt = match self.session.timeout {
+                Some(timeout) => TcpStream::connect_timeout(addr, timeout),
+                None => TcpStream::connect(addr),
+            };
+            match attempt {
+                Ok(stream) => return Ok(stream),
+                Err(e) => last = Some(e.to_string()),
+            }
+        }
+        // Every resolved address refused: forget them so the next
+        // attempt re-resolves (the host may have moved).
+        *self.resolved.lock().expect("no panics hold the lock") = None;
+        Err(self.unreachable(last.unwrap_or_else(|| "no address to try".to_string())))
+    }
+
+    /// Connects and starts a session over the socket: reader and writer
+    /// are clones of one stream, and closing shuts it down.
+    fn open(&self) -> Result<Arc<Session>, TransportError> {
+        let stream = self.connect()?;
+        let _ = stream.set_nodelay(true);
+        let _ = stream.set_read_timeout(self.session.timeout);
+        let _ = stream.set_write_timeout(self.session.timeout);
+        let clone = || {
+            stream
+                .try_clone()
+                .map_err(|e| self.unreachable(e.to_string()))
+        };
+        let (writer, closer) = (clone()?, clone()?);
+        Ok(Session::start(stream, writer, move || {
+            let _ = closer.shutdown(std::net::Shutdown::Both);
+        }))
+    }
+}
+
+impl Transport for TcpTransport {
+    fn call(&self, request: &[u8]) -> Result<Vec<u8>, TransportError> {
+        self.session.call(request, || self.open())
     }
 
     fn endpoint(&self) -> String {
-        self.addr.clone()
-    }
-
-    fn caches_programs(&self) -> bool {
-        true
+        self.session.endpoint.clone()
     }
 
     fn streams(&self) -> usize {
@@ -702,76 +750,69 @@ impl Transport for TcpTransport {
     }
 }
 
-/// Runs each request through a freshly spawned local `steac-worker`
-/// process over stdin/stdout — the [`crate::shard::ProcessPool`] piping
-/// as a transport. No envelope: stdio framing is the process lifetime
-/// (EOF ends the request, exit ends the response). This makes the whole
-/// Remote dispatch arm — fleet, stealing, retries — testable with zero
-/// network.
-#[derive(Debug, Clone)]
-pub struct SpawnTransport {
+/// Ships requests to **one long-lived local `steac-worker` child** over
+/// its stdin/stdout — the host behind each slot of `processes:N`. The
+/// child is spawned on the first call and speaks the same envelope
+/// session as a `--serve` worker, with one [`WorkerState`] for its
+/// whole life, so the program ships once and later requests go by
+/// hash. When the session dies, or the transport drops, the child is
+/// killed and reaped; the next call spawns a fresh one, the way
+/// [`TcpTransport`] reconnects. The child's stderr is inherited, so its
+/// diagnostics reach the dispatcher's stderr as they happen. A binary
+/// that cannot be spawned is [`TransportError::Unreachable`], naming the
+/// path and the OS error.
+///
+/// It keeps the trait's default of one stream, so a fleet of `N`
+/// process transports has one request in flight per child per run:
+/// materialized dispatch computes `N`-wide. Streaming dispatch overlaps
+/// two batches, so there a child may run two requests at once.
+pub struct ProcessTransport {
     binary: PathBuf,
+    /// The session half; its endpoint is the binary's path.
+    session: SessionSlot,
 }
 
-impl SpawnTransport {
-    /// A transport spawning the given worker binary per call.
+impl ProcessTransport {
+    /// A transport over the given worker binary. Nothing is spawned
+    /// until the first call.
     #[must_use]
     pub fn new(binary: PathBuf) -> Self {
-        SpawnTransport { binary }
+        ProcessTransport {
+            session: SessionSlot::new(binary.display().to_string()),
+            binary,
+        }
     }
 
-    /// A transport over the default worker binary (see
-    /// [`crate::shard::default_worker_binary`]); `None` when no binary
-    /// can be found.
-    #[must_use]
-    pub fn discover() -> Option<Self> {
-        shard::default_worker_binary().map(SpawnTransport::new)
-    }
-}
-
-impl Transport for SpawnTransport {
-    fn call(&self, request: &[u8]) -> Result<Vec<u8>, TransportError> {
+    /// Spawns the worker and starts a session over its stdio; closing
+    /// kills and reaps it.
+    fn open(&self) -> Result<Arc<Session>, TransportError> {
         let mut child = Command::new(&self.binary)
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
+            .stderr(Stdio::inherit())
             .spawn()
             .map_err(|e| TransportError::Unreachable {
-                endpoint: self.binary.display().to_string(),
+                endpoint: self.session.endpoint.clone(),
                 diagnostic: e.to_string(),
             })?;
-        // The worker reads its whole request before writing anything, so
-        // a plain write-then-wait sequence cannot deadlock. A write
-        // failure (worker died early) is diagnosed from the exit status
-        // below, which carries stderr.
-        let write_failed = {
-            let stdin = child.stdin.take().expect("stdin was piped");
-            let mut stdin = stdin;
-            stdin.write_all(request).is_err()
-        };
-        let output = child.wait_with_output().map_err(|e| TransportError::Io {
-            diagnostic: format!("waiting for spawned worker: {e}"),
-        })?;
-        if !output.status.success() {
-            let stderr = String::from_utf8_lossy(&output.stderr);
-            return Err(TransportError::Io {
-                diagnostic: format!(
-                    "spawned worker exited abnormally ({}): {}",
-                    output.status,
-                    stderr.trim()
-                ),
-            });
-        }
-        if write_failed {
-            return Err(TransportError::Io {
-                diagnostic: "spawned worker closed stdin early".to_string(),
-            });
-        }
-        Ok(output.stdout)
+        let stdin = child.stdin.take().expect("stdin was piped");
+        let stdout = child.stdout.take().expect("stdout was piped");
+        let child = Mutex::new(child);
+        Ok(Session::start(stdout, stdin, move || {
+            let mut child = child.lock().expect("no panics hold the lock");
+            let _ = child.kill();
+            let _ = child.wait();
+        }))
+    }
+}
+
+impl Transport for ProcessTransport {
+    fn call(&self, request: &[u8]) -> Result<Vec<u8>, TransportError> {
+        self.session.call(request, || self.open())
     }
 
     fn endpoint(&self) -> String {
-        "spawn".to_string()
+        self.session.endpoint.clone()
     }
 }
 
@@ -930,12 +971,13 @@ pub struct FleetStatsSnapshot {
     pub need_program_replies: u64,
 }
 
-/// A fleet of remote hosts behind [`crate::exec::Backend::Remote`]:
-/// per-host work streams with work-stealing (units are handed out from
-/// one atomic counter per run, so an idle host always steals from the
-/// global tail) and a retry/requeue policy for lost workers.
+/// A fleet of worker hosts behind [`crate::exec::Backend::Remote`] and
+/// [`crate::exec::Backend::Processes`]: per-host work streams with
+/// work-stealing (units are handed out from one atomic counter per run,
+/// so an idle host always steals from the global tail) and a
+/// retry/requeue policy for lost workers.
 ///
-/// The determinism contract is [`crate::shard::ProcessPool`]'s: results
+/// The determinism contract is [`crate::shard::run_units`]'s: results
 /// merge **by unit index**, failures surface as the **lowest-indexed**
 /// unresolved unit — so reports stay byte-identical to the serial
 /// backend no matter how hosts raced, died or retried.
@@ -993,19 +1035,6 @@ impl RemoteFleet {
         }
     }
 
-    /// A fleet of `hosts` [`SpawnTransport`]s over the default worker
-    /// binary — machine-level dispatch semantics with zero network.
-    /// `None` when no worker binary can be found.
-    #[must_use]
-    pub fn spawn_local(hosts: usize) -> Option<Self> {
-        let binary = shard::default_worker_binary()?;
-        Some(RemoteFleet::new(
-            (0..hosts.max(1))
-                .map(|_| Box::new(SpawnTransport::new(binary.clone())) as Box<dyn Transport>)
-                .collect(),
-        ))
-    }
-
     /// Sets how many extra attempts a unit gets after a transport-level
     /// loss before the run fails (builder style; default
     /// [`DEFAULT_MAX_RETRIES`]). A host is declared lost after
@@ -1061,9 +1090,8 @@ impl RemoteFleet {
     }
 
     /// Executes `units` under job `kind`/`job` across the fleet and
-    /// returns the result payloads in unit order — the remote sibling of
-    /// [`crate::shard::ProcessPool::run`], with the same signature and
-    /// the same determinism contract.
+    /// returns the result payloads in unit order — the one path every
+    /// shipped dispatch takes, whatever its transports.
     ///
     /// # Errors
     ///
@@ -1318,22 +1346,22 @@ impl FleetRun<'_> {
         let response = transport.call(&request).map_err(|e| e.to_string())?;
         match shard::parse_reply(&response, self.units.len()) {
             Reply::Results(items, damage) => Ok((items, damage)),
-            Reply::NeedProgram(_) => {
-                Err("worker requested the program despite an inline ship".to_string())
-            }
+            Reply::NeedProgram(hash) => Err(format!(
+                "worker requested program {hash:#018x} despite an inline ship"
+            )),
             Reply::Status(_) => {
                 Err("worker answered a run request with a status reply".to_string())
             }
         }
     }
 
-    /// Ships one batch to a caching host, deciding inline vs by-hash
-    /// from the slot's ledger and per-hash prime gate (which serializes
+    /// Ships one batch to a host, deciding inline vs by-hash from the
+    /// slot's ledger and per-hash prime gate (which serializes
     /// the first inline ship across every stream and every concurrent
     /// sub-run of this job). A `NeedProgram` reply (worker restarted,
     /// or its LRU evicted us) is healed transparently with one inline
     /// re-ship of the same batch.
-    fn exchange_cached(&self, slot: &HostSlot, indices: &[usize]) -> Result<RunReply, String> {
+    fn exchange(&self, slot: &HostSlot, indices: &[usize]) -> Result<RunReply, String> {
         let transport = slot.transport.as_ref();
         if slot.claim_prime(self.job_hash) {
             let result = self.exchange_inline(transport, indices);
@@ -1367,13 +1395,12 @@ impl FleetRun<'_> {
     }
 
     /// One stream's work loop: steal a batch, ship it (by hash when the
-    /// host caches programs and already holds this one), record the
-    /// response; requeue what was lost. The stream stops when every
-    /// unit is resolved, when a sibling stream declares the host lost,
-    /// or after `max_retries + 1` consecutive call failures of its own
-    /// (its in-flight units having been requeued for the survivors).
+    /// host already holds this program), record the response; requeue
+    /// what was lost. The stream stops when every unit is resolved, when
+    /// a sibling stream declares the host lost, or after
+    /// `max_retries + 1` consecutive call failures of its own (its
+    /// in-flight units having been requeued for the survivors).
     fn stream_loop(&self, me: usize, slot: &HostSlot) {
-        let transport = slot.transport.as_ref();
         let mut strikes = 0usize;
         while self.pending.load(Ordering::Relaxed) > 0 {
             if !self.alive[me].load(Ordering::Relaxed) {
@@ -1386,12 +1413,7 @@ impl FleetRun<'_> {
                 continue;
             };
             let indices: Vec<usize> = batch.iter().map(|e| e.unit).collect();
-            let reply = if transport.caches_programs() {
-                self.exchange_cached(slot, &indices)
-            } else {
-                self.exchange_inline(transport, &indices)
-            };
-            let (lost, diagnostic) = match reply {
+            let (lost, diagnostic) = match self.exchange(slot, &indices) {
                 Ok((items, damage)) => {
                     let lost = self.record(batch, items);
                     if lost.is_empty() {
@@ -1418,7 +1440,7 @@ impl FleetRun<'_> {
                 if first_to_declare {
                     let lost_line = format!(
                         "host {me} ({}) lost after {strikes} consecutive failures: {diagnostic}",
-                        transport.endpoint()
+                        slot.transport.endpoint()
                     );
                     eprintln!("steac remote: {lost_line}");
                     self.lost_hosts
@@ -1460,14 +1482,9 @@ pub fn query_status(transport: &dyn Transport) -> Result<WorkerStatus, String> {
 }
 
 /// The TCP serving loop behind `steac-worker --serve <addr>`: accepts
-/// connections forever and serves each on its own thread. Every
-/// connection is a **session**: frames are read in a loop until the
-/// client closes, each request runs on its own thread through the same
-/// [`crate::shard::process_request_with`] core as the stdio worker
-/// (with `open` routing the job kind — the worker binary passes its
-/// [`crate::shard::JobRegistry`]), and responses are written back under
-/// a per-connection write lock as they finish — possibly out of request
-/// order, which is what the envelope's request id is for.
+/// connections forever and serves each on its own thread as one
+/// [`serve_session`] (with `open` routing the job kind — the worker
+/// binary passes its [`crate::shard::JobRegistry`]).
 ///
 /// One [`WorkerState`] is shared by every connection the listener ever
 /// accepts, so the program cache survives reconnects and its counters
@@ -1515,69 +1532,87 @@ where
         let open = Arc::clone(&open);
         let state = Arc::clone(&state);
         std::thread::spawn(move || {
-            if let Err(e) = serve_connection(stream, &open, &state) {
+            if let Err(e) = serve_connection(stream, &*open, &state) {
                 eprintln!("steac-worker: connection from {peer}: {e}");
             }
         });
     }
 }
 
-/// Serves one session: envelope-framed requests in a loop until the
-/// client closes the connection at a frame boundary (clean EOF) or a
-/// frame proves unreadable (the stream is desynchronized beyond repair,
-/// so the connection is dropped and the client's retry path takes
-/// over). Each request is answered on its own thread; the shared write
-/// lock keeps concurrently finishing responses from interleaving
-/// mid-frame.
-fn serve_connection<F>(
-    stream: TcpStream,
-    open: &Arc<F>,
-    state: &Arc<WorkerState>,
-) -> Result<(), String>
+/// Serves one TCP connection as a [`serve_session`], with socket
+/// timeouts so a client that stalls mid-request cannot pin the thread
+/// forever; closing shuts the socket down.
+fn serve_connection<F>(stream: TcpStream, open: &F, state: &WorkerState) -> Result<(), String>
 where
-    F: Fn(u16, &[u8]) -> Result<Box<dyn WireJob>, String> + Send + Sync + 'static,
+    F: Fn(u16, &[u8]) -> Result<Box<dyn WireJob>, String> + Sync,
 {
     let _ = stream.set_nodelay(true);
-    // A client that stalls mid-request must not pin this thread forever.
     let _ = stream.set_read_timeout(Some(Duration::from_secs(300)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(300)));
-    let stream = Arc::new(stream);
-    let write_lock = Arc::new(Mutex::new(()));
-    loop {
+    let close = || {
+        let _ = stream.shutdown(std::net::Shutdown::Both);
+    };
+    serve_session(&stream, &stream, &close, open, state)
+}
+
+/// The one worker-side session loop, over any byte pipe: envelope-framed
+/// requests are read from `input` until the peer closes at a frame
+/// boundary (clean EOF) or a frame proves unreadable (the pipe is
+/// desynchronized beyond repair, so the session ends and the peer's
+/// retry path takes over). Each request runs on its own thread through
+/// [`crate::shard::process_request_with`] against the one `state`, and
+/// its response envelope is written to `output` as it finishes —
+/// possibly out of request order, which is what the request id is for;
+/// the writer lock keeps concurrently finishing responses from
+/// interleaving mid-frame. A request that cannot be answered calls
+/// `close`, which must tear the pipe down: an unanswered request would
+/// otherwise strand the peer's pending call until its timeout. The loop
+/// returns once every request thread has finished.
+///
+/// [`serve_tcp`] runs it per connection; `steac-worker` with no
+/// arguments runs it once over its stdin/stdout and closes by exiting.
+///
+/// # Errors
+///
+/// A diagnostic when reading fails or a frame is unreadable.
+pub fn serve_session<F>(
+    mut input: impl Read,
+    output: impl Write + Send,
+    close: &(dyn Fn() + Sync),
+    open: &F,
+    state: &WorkerState,
+) -> Result<(), String>
+where
+    F: Fn(u16, &[u8]) -> Result<Box<dyn WireJob>, String> + Sync,
+{
+    let output = Mutex::new(output);
+    std::thread::scope(|scope| loop {
         // Peek the first byte by hand so a close between frames reads
         // as a clean end-of-session rather than a truncated envelope.
         let mut first = [0u8; 1];
-        match (&*stream).read(&mut first) {
+        match input.read(&mut first) {
             Ok(0) => return Ok(()),
             Ok(_) => {}
             Err(e) => return Err(format!("reading request: {e}")),
         }
-        let (request_id, request) = read_envelope(&mut (&first[..]).chain(&*stream))
+        let (request_id, request) = read_envelope(&mut (&first[..]).chain(&mut input))
             .map_err(|e| format!("request frame: {e}"))?;
-        let open = Arc::clone(open);
-        let state = Arc::clone(state);
-        let stream = Arc::clone(&stream);
-        let write_lock = Arc::clone(&write_lock);
-        std::thread::spawn(move || {
-            let outcome =
-                shard::process_request_with(&request, |kind, job| open(kind, job), &state)
-                    .and_then(|response| {
-                        let frame = encode_envelope(request_id, &response);
-                        let _guard = write_lock.lock().expect("no panics hold the lock");
-                        (&*stream)
-                            .write_all(&frame)
-                            .and_then(|()| (&*stream).flush())
-                            .map_err(|e| format!("writing response: {e}"))
-                    });
+        let output = &output;
+        scope.spawn(move || {
+            let outcome = shard::process_request_with(&request, open, state).and_then(|response| {
+                let frame = encode_envelope(request_id, &response);
+                let mut output = output.lock().expect("no panics hold the lock");
+                output
+                    .write_all(&frame)
+                    .and_then(|()| output.flush())
+                    .map_err(|e| format!("writing response: {e}"))
+            });
             if let Err(e) = outcome {
-                // An unanswerable request would strand the client's
-                // pending entry until its timeout; dropping the whole
-                // connection fails it over to the retry path instead.
                 eprintln!("steac-worker: request {request_id}: {e}");
-                let _ = stream.shutdown(std::net::Shutdown::Both);
+                close();
             }
         });
-    }
+    })
 }
 
 /// A locally spawned `steac-worker --serve` process: the child plus the
@@ -1769,11 +1804,16 @@ mod tests {
     // ---------- fleet over an in-memory transport ----------
 
     /// Runs requests through the real worker-protocol core in-process,
-    /// against a job that echoes each unit's bytes. Failure behaviour is
-    /// injected per call index.
+    /// against a job that echoes each unit's bytes and a *persistent*
+    /// [`WorkerState`], so by-hash requests exercise the real cache
+    /// path. Failure behaviour is injected per call index. The state
+    /// handle can be shared with the test, which may swap in a fresh one
+    /// to simulate a worker restart.
     struct Loopback<S: Fn(usize) -> Option<TransportError> + Send + Sync> {
         calls: AtomicUsize,
         inject: S,
+        state: Arc<Mutex<Arc<WorkerState>>>,
+        streams: usize,
     }
 
     struct EchoJob;
@@ -1793,11 +1833,15 @@ mod tests {
             if let Some(e) = (self.inject)(call) {
                 return Err(e);
             }
-            shard::process_request(request, |_, _| Ok(Box::new(EchoJob)))
+            let state = Arc::clone(&self.state.lock().expect("no panics hold the lock"));
+            shard::process_request_with(request, |_, _| Ok(Box::new(EchoJob)), &state)
                 .map_err(|diagnostic| TransportError::Io { diagnostic })
         }
         fn endpoint(&self) -> String {
             "loopback".to_string()
+        }
+        fn streams(&self) -> usize {
+            self.streams
         }
     }
 
@@ -1807,6 +1851,8 @@ mod tests {
         Box::new(Loopback {
             calls: AtomicUsize::new(0),
             inject,
+            state: Arc::new(Mutex::new(Arc::new(WorkerState::new()))),
+            streams: 1,
         })
     }
 
@@ -1898,36 +1944,25 @@ mod tests {
             }) as Box<dyn Transport>
         };
         let fleet = RemoteFleet::new(vec![dead(), dead()]).with_chunk(4);
-        match fleet.run(7, b"job", &units(20)).unwrap_err() {
-            PoolError::Unit { unit, diagnostic } => {
-                assert_eq!(unit, 0, "lowest-indexed unit wins");
-                assert!(!diagnostic.is_empty());
-            }
-            other => panic!("expected PoolError::Unit, got {other:?}"),
-        }
+        let PoolError::Unit { unit, diagnostic } = fleet.run(7, b"job", &units(20)).unwrap_err();
+        assert_eq!(unit, 0, "lowest-indexed unit wins");
+        assert!(!diagnostic.is_empty());
     }
 
     #[test]
     fn workload_unit_errors_are_final_and_never_retried() {
         let calls = Arc::new(AtomicUsize::new(0));
         let seen = Arc::clone(&calls);
-        let host = Box::new(Loopback {
-            calls: AtomicUsize::new(0),
-            inject: move |_| {
-                seen.fetch_add(1, Ordering::Relaxed);
-                None
-            },
+        let host = loopback(move |_| {
+            seen.fetch_add(1, Ordering::Relaxed);
+            None
         });
         let fleet = RemoteFleet::new(vec![host]).with_chunk(64);
         let mut work = units(5);
         work[3] = b"poison".to_vec();
-        match fleet.run(7, b"job", &work).unwrap_err() {
-            PoolError::Unit { unit, diagnostic } => {
-                assert_eq!(unit, 3);
-                assert!(diagnostic.contains("poisoned unit"), "{diagnostic}");
-            }
-            other => panic!("expected PoolError::Unit, got {other:?}"),
-        }
+        let PoolError::Unit { unit, diagnostic } = fleet.run(7, b"job", &work).unwrap_err();
+        assert_eq!(unit, 3);
+        assert!(diagnostic.contains("poisoned unit"), "{diagnostic}");
         assert_eq!(calls.load(Ordering::Relaxed), 1, "no retry of a unit error");
     }
 
@@ -1935,12 +1970,9 @@ mod tests {
     fn empty_unit_list_never_touches_a_host() {
         let touched = Arc::new(AtomicBool::new(false));
         let seen = Arc::clone(&touched);
-        let host = Box::new(Loopback {
-            calls: AtomicUsize::new(0),
-            inject: move |_| {
-                seen.store(true, Ordering::Relaxed);
-                None
-            },
+        let host = loopback(move |_| {
+            seen.store(true, Ordering::Relaxed);
+            None
         });
         let fleet = RemoteFleet::new(vec![host]);
         assert!(fleet.run(7, b"job", &[]).unwrap().is_empty());
@@ -2020,48 +2052,12 @@ mod tests {
 
     // ---------- program cache + session semantics ----------
 
-    /// A loopback transport backed by a *persistent* [`WorkerState`],
-    /// so by-hash requests exercise the real cache path in-process. The
-    /// state handle is shared with the test, which can swap in a fresh
-    /// one to simulate a worker restart.
-    struct CachingLoopback {
-        state: Arc<Mutex<Arc<WorkerState>>>,
-        streams: usize,
-    }
-
-    impl CachingLoopback {
-        fn new(streams: usize) -> (Box<Self>, Arc<Mutex<Arc<WorkerState>>>) {
-            let state = Arc::new(Mutex::new(Arc::new(WorkerState::new())));
-            let transport = Box::new(CachingLoopback {
-                state: Arc::clone(&state),
-                streams,
-            });
-            (transport, state)
-        }
-    }
-
-    impl Transport for CachingLoopback {
-        fn call(&self, request: &[u8]) -> Result<Vec<u8>, TransportError> {
-            let state = Arc::clone(&self.state.lock().expect("no panics hold the lock"));
-            shard::process_request_with(request, |_, _| Ok(Box::new(EchoJob)), &state)
-                .map_err(|diagnostic| TransportError::Io { diagnostic })
-        }
-        fn endpoint(&self) -> String {
-            "caching-loopback".to_string()
-        }
-        fn caches_programs(&self) -> bool {
-            true
-        }
-        fn streams(&self) -> usize {
-            self.streams
-        }
-    }
-
     #[test]
-    fn caching_transport_ships_the_program_once_then_goes_by_hash() {
+    fn fleet_ships_the_program_once_then_goes_by_hash() {
         let job = b"a-reasonably-long-program-blob".to_vec();
         let expected = units(40);
-        let (host, _state) = CachingLoopback::new(2);
+        let mut host = loopback(|_| None);
+        host.streams = 2;
         let fleet = RemoteFleet::new(vec![host]).with_chunk(2);
         let got = fleet.run(7, &job, &expected).unwrap();
         assert_eq!(got, expected);
@@ -2081,7 +2077,8 @@ mod tests {
     #[test]
     fn concurrent_sub_runs_of_one_job_still_ship_the_program_once() {
         let job = b"shared-program-blob".to_vec();
-        let (host, _state) = CachingLoopback::new(2);
+        let mut host = loopback(|_| None);
+        host.streams = 2;
         let fleet = RemoteFleet::new(vec![host]).with_chunk(2);
         std::thread::scope(|scope| {
             for _ in 0..4 {
@@ -2102,7 +2099,8 @@ mod tests {
     #[test]
     fn worker_restart_mid_run_heals_via_need_program() {
         let expected = units(60);
-        let (host, state) = CachingLoopback::new(1);
+        let host = loopback(|_| None);
+        let state = Arc::clone(&host.state);
         let fleet = RemoteFleet::new(vec![host]).with_chunk(2);
         // Prime the cache with a first run, restart the "worker", then
         // run again: the fleet's ledger is now stale and must heal.
@@ -2120,16 +2118,6 @@ mod tests {
         assert_eq!(stats.programs_shipped, 2, "one re-ship heals it: {stats:?}");
     }
 
-    #[test]
-    fn non_caching_transport_always_ships_inline() {
-        let expected = units(10);
-        let fleet = RemoteFleet::new(vec![loopback(|_| None)]).with_chunk(5);
-        let got = fleet.run(7, b"job", &expected).unwrap();
-        assert_eq!(got, expected);
-        let stats = fleet.stats();
-        assert_eq!(stats.programs_shipped, stats.requests, "{stats:?}");
-    }
-
     /// The whole point of persistent sessions: a fleet run over a
     /// 2-stream TCP transport uses exactly one connection.
     #[test]
@@ -2139,12 +2127,11 @@ mod tests {
         let accepts = Arc::new(AtomicUsize::new(0));
         let seen = Arc::clone(&accepts);
         std::thread::spawn(move || {
-            let open = Arc::new(|_: u16, _: &[u8]| Ok(Box::new(EchoJob) as Box<dyn WireJob>));
+            let open = |_: u16, _: &[u8]| Ok(Box::new(EchoJob) as Box<dyn WireJob>);
             let state = Arc::new(WorkerState::new());
             for stream in listener.incoming() {
                 let Ok(stream) = stream else { break };
                 seen.fetch_add(1, Ordering::Relaxed);
-                let open = Arc::clone(&open);
                 let state = Arc::clone(&state);
                 std::thread::spawn(move || {
                     let _ = serve_connection(stream, &open, &state);
@@ -2173,15 +2160,18 @@ mod tests {
                     // connection shut.
                     let mut reader = stream.try_clone().unwrap();
                     if let Ok((id, payload)) = read_envelope(&mut reader) {
-                        let response =
-                            shard::process_request(&payload, |_, _| Ok(Box::new(EchoJob))).unwrap();
+                        let response = shard::process_request_with(
+                            &payload,
+                            |_, _| Ok(Box::new(EchoJob)),
+                            &state,
+                        )
+                        .unwrap();
                         let mut w = &stream;
                         let _ = w.write_all(&encode_envelope(id, &response));
                     }
                     drop(stream);
                 } else {
-                    let open =
-                        Arc::new(|_: u16, _: &[u8]| Ok(Box::new(EchoJob) as Box<dyn WireJob>));
+                    let open = |_: u16, _: &[u8]| Ok(Box::new(EchoJob) as Box<dyn WireJob>);
                     let state = Arc::clone(&state);
                     std::thread::spawn(move || {
                         let _ = serve_connection(stream, &open, &state);
@@ -2234,5 +2224,74 @@ mod tests {
         assert_eq!(status.cache_entries, 1, "{status:?}");
         assert!(status.requests_served >= 1, "{status:?}");
         assert!(status.bytes_received > 0, "{status:?}");
+    }
+
+    // ---------- process transport lifecycle ----------
+
+    /// A process transport over `cat`, which echoes every request
+    /// envelope back as its own response: the session round-trips over
+    /// the child's stdio, a killed child is reaped by its dying session
+    /// and replaced by a fresh one on the next call, and dropping the
+    /// transport kills and reaps the child (its `/proc` entry, zombie
+    /// included, is gone).
+    #[test]
+    fn process_transport_respawns_and_reaps_its_child() {
+        let cat = PathBuf::from("/bin/cat");
+        if !cat.is_file() || !std::path::Path::new("/proc/self/stat").is_file() {
+            eprintln!("skipping: needs /bin/cat and /proc");
+            return;
+        }
+        // Live (non-zombie) `cat` children of this test process; no other
+        // test in this crate spawns `cat`.
+        let me = std::process::id();
+        let cats = || -> Vec<u32> {
+            let entries = std::fs::read_dir("/proc").expect("/proc lists");
+            let mut pids: Vec<u32> = entries
+                .filter_map(|entry| {
+                    let pid: u32 = entry.ok()?.file_name().to_str()?.parse().ok()?;
+                    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).ok()?;
+                    let (comm, rest) = stat.split_once(" (")?.1.rsplit_once(") ")?;
+                    let mut fields = rest.split(' ');
+                    let state = fields.next()?;
+                    let ppid: u32 = fields.next()?.parse().ok()?;
+                    (comm == "cat" && ppid == me && state != "Z").then_some(pid)
+                })
+                .collect();
+            pids.sort_unstable();
+            pids
+        };
+        let t = ProcessTransport::new(cat);
+        assert!(cats().is_empty(), "spawned lazily");
+        assert_eq!(t.call(b"ping").unwrap(), b"ping");
+        let first = cats();
+        assert_eq!(first.len(), 1, "one child per transport");
+        assert_eq!(t.call(b"again").unwrap(), b"again");
+        assert_eq!(cats(), first, "the session persists across calls");
+
+        let killed = Command::new("kill")
+            .args(["-9", &first[0].to_string()])
+            .status()
+            .is_ok_and(|s| s.success());
+        if killed {
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while std::path::Path::new(&format!("/proc/{}", first[0])).exists() {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "the killed child was never reaped"
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            assert_eq!(t.call(b"pong").unwrap(), b"pong", "respawned lazily");
+            let second = cats();
+            assert_eq!(second.len(), 1);
+            assert_ne!(second, first, "a fresh child replaced the killed one");
+        }
+        let last = cats();
+        drop(t);
+        assert!(cats().is_empty());
+        assert!(
+            !std::path::Path::new(&format!("/proc/{}", last[0])).exists(),
+            "the dropped transport's child was reaped"
+        );
     }
 }

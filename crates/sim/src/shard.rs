@@ -5,9 +5,8 @@
 //! independent 64-lane passes over an immutable compiled program. This
 //! module owns the pools that fan those units out:
 //!
-//! * [`Threads`] picks the in-process worker count (auto-detected,
-//!   capped by the `STEAC_THREADS` environment variable or an explicit
-//!   override);
+//! * [`Threads`] picks the in-process worker count (auto-detected or
+//!   an explicit override);
 //! * [`run_units`] / [`run_fallible`] execute `unit_count` closure calls
 //!   on a scoped worker pool, handing out unit indices from a shared
 //!   atomic counter (dynamic load balancing — passes that drop all their
@@ -19,16 +18,6 @@
 //!   detection mask, and flattens the masks back to per-item verdicts in
 //!   list order — the one place the partition/merge contract lives for
 //!   both gate-level and March fault grading, thread- or process-wide;
-//! * [`ProcessPool`] fans serialized work units across **worker
-//!   processes** (the `steac-worker` binary), the next rung after
-//!   threads: the job (a [`crate::wire`]-encoded program plus workload
-//!   parameters) ships once per worker, units are assigned round-robin
-//!   by index, and results merge by unit index with the exact same
-//!   determinism contract as [`run_units`]. Workloads reach it through
-//!   [`crate::exec::Exec`] (`Exec::processes(..)`, or `Exec::from_env`
-//!   with `STEAC_EXEC=processes:N` / `STEAC_WORKERS=N`), whose
-//!   [`crate::exec::Fallback`] policy decides what a spawn failure
-//!   does;
 //! * [`JobRegistry`] is the worker-side routing table: the umbrella
 //!   crate registers every workload's `open_wire_job` under its `kind`
 //!   and the `steac-worker` binary routes requests through that one
@@ -68,12 +57,14 @@
 //! program can fail a run but never produce a wrong answer.
 //!
 //! The same request/response bytes travel unchanged over every
-//! transport: stdio frames them by EOF and process exit (one fresh
-//! [`WorkerState`] per process, so a by-hash request correctly draws
-//! "need program"), remote transports ([`crate::remote`]) frame them
-//! with a length-prefixed versioned envelope and share one
-//! [`WorkerState`] across connections — [`process_request_with`] is
-//! the one execution core behind both.
+//! transport ([`crate::remote`]): each frames them with a
+//! length-prefixed versioned envelope, over a socket or over a worker
+//! child's stdin/stdout, and each worker keeps one [`WorkerState`] for
+//! its whole life — [`process_request_with`] is the one execution core
+//! behind every session. Framing belongs to the transport, not to this
+//! protocol: a child's stdio and a socket carry the same envelope
+//! frames, and neither this version nor the envelope's depends on which
+//! pipe carries them.
 //!
 //! The worker opens the job once (`kind` selects the workload; the job
 //! block carries the compiled program and shared parameters) and
@@ -84,23 +75,19 @@
 //! success merging.
 //!
 //! No dependencies beyond `std`: the thread pool is
-//! `std::thread::scope`, the process pool is `std::process::Command`.
+//! `std::thread::scope`.
 
 use crate::wire::{fnv1a64, WireReader, WireWriter};
 use std::fmt;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Worker-count configuration for sharded execution.
-///
-/// The resolution order is: explicit [`Threads::exact`] >
-/// `STEAC_THREADS` environment variable > detected core count. The
-/// effective count is always at least 1, and pools additionally cap it
-/// at the number of work units.
+/// Worker-count configuration for sharded execution: an explicit count
+/// ([`Threads::exact`]) or the detected core count ([`Threads::auto`]).
+/// The effective count is always at least 1, and pools additionally cap
+/// it at the number of work units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Threads(usize);
 
@@ -130,32 +117,10 @@ impl Threads {
         )
     }
 
-    /// [`Threads::auto`], overridden by a positive integer in the
-    /// `STEAC_THREADS` environment variable. Deployments normally
-    /// configure width through [`crate::exec::Exec::from_env`]
-    /// (`STEAC_EXEC`), which consults this as its compatibility
-    /// fallback.
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("STEAC_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-        {
-            Some(n) if n > 0 => Threads(n),
-            _ => Threads::auto(),
-        }
-    }
-
     /// The configured worker count (≥ 1).
     #[must_use]
     pub fn get(self) -> usize {
         self.0
-    }
-}
-
-impl Default for Threads {
-    fn default() -> Self {
-        Threads::from_env()
     }
 }
 
@@ -353,7 +318,7 @@ where
     Ok(flags_from_masks(items.len(), per_pass, first_lane, &masks))
 }
 
-// ---------- process-level fan-out ----------
+// ---------- the worker protocol ----------
 
 const REQUEST_MAGIC: [u8; 4] = *b"STWQ";
 const RESPONSE_MAGIC: [u8; 4] = *b"STWR";
@@ -463,9 +428,9 @@ impl ProgramCache {
 }
 
 /// The persistent state of one worker: the program cache plus the
-/// counters behind the status exchange. One per `--serve` listener
-/// (shared across connections and requests), one fresh per stdio
-/// request (where nothing can persist anyway).
+/// counters behind the status exchange. One per worker process, shared
+/// by every connection of a `--serve` listener or by every request of a
+/// stdio session.
 #[derive(Debug)]
 pub struct WorkerState {
     started: Instant,
@@ -663,26 +628,12 @@ impl JobRegistry {
     }
 }
 
-/// The process-worker count requested via the `STEAC_WORKERS`
-/// environment variable (`None` unless set to a positive integer). The
-/// deployment-level knob that opts the default workload entry points
-/// into process dispatch; CI pins it to 2 for one full suite run.
-#[must_use]
-pub fn env_workers() -> Option<usize> {
-    std::env::var("STEAC_WORKERS")
-        .ok()?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&n| n > 0)
-}
-
 /// Locates the `steac-worker` binary: the `STEAC_WORKER_BIN` environment
 /// variable if it names an existing file, else a `steac-worker` sitting
 /// next to the current executable or one directory up (which covers
 /// `target/<profile>/` binaries and `target/<profile>/deps/` test
-/// executables). `None` means process dispatch is unavailable and
-/// callers fall back to the in-thread pool.
+/// executables). `None` means process dispatch is unavailable and a
+/// `processes` spec falls back to the in-thread pool.
 #[must_use]
 pub fn default_worker_binary() -> Option<PathBuf> {
     if let Ok(p) = std::env::var("STEAC_WORKER_BIN") {
@@ -698,19 +649,12 @@ pub fn default_worker_binary() -> Option<PathBuf> {
     candidates.into_iter().find(|c| c.is_file())
 }
 
-/// Failure of a [`ProcessPool`] run.
+/// Failure of a shipped run ([`crate::remote::RemoteFleet::run`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PoolError {
-    /// A worker process could not be spawned at all (missing or broken
-    /// binary). Callers treat this as "process dispatch unavailable" and
-    /// fall back to the in-thread pool.
-    Spawn {
-        /// What failed.
-        diagnostic: String,
-    },
     /// A work unit failed — the unit itself reported an error, or its
-    /// worker died/misbehaved. Deterministic: always the lowest-indexed
-    /// affected unit.
+    /// worker died/misbehaved past the retry budget. Deterministic:
+    /// always the lowest-indexed affected unit.
     Unit {
         /// Lowest-indexed failing unit.
         unit: usize,
@@ -721,193 +665,12 @@ pub enum PoolError {
 
 impl std::fmt::Display for PoolError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PoolError::Spawn { diagnostic } => write!(f, "cannot spawn worker: {diagnostic}"),
-            PoolError::Unit { unit, diagnostic } => {
-                write!(f, "work unit {unit} failed: {diagnostic}")
-            }
-        }
+        let PoolError::Unit { unit, diagnostic } = self;
+        write!(f, "work unit {unit} failed: {diagnostic}")
     }
 }
 
 impl std::error::Error for PoolError {}
-
-/// Dispatcher that fans serialized work units across `steac-worker`
-/// processes and merges the results **by unit index** — the process-level
-/// sibling of [`run_units`], with the same determinism contract: unit
-/// `i`'s result (or the lowest-indexed unit's error) is identical no
-/// matter how many workers ran or how they interleaved.
-///
-/// Units are assigned round-robin by index (worker `w` of `W` gets units
-/// `w, w+W, w+2W, …`), the job payload ships once per worker, and each
-/// worker streams its results back over stdout.
-#[derive(Debug, Clone)]
-pub struct ProcessPool {
-    binary: PathBuf,
-    workers: usize,
-}
-
-impl ProcessPool {
-    /// A pool over the default worker binary (see
-    /// [`default_worker_binary`]); `None` when no binary can be found —
-    /// callers fall back to the in-thread pool.
-    #[must_use]
-    pub fn new(workers: usize) -> Option<Self> {
-        Some(ProcessPool::with_binary(default_worker_binary()?, workers))
-    }
-
-    /// A pool over an explicit worker binary (clamped to ≥ 1 worker).
-    /// Scaling harnesses and tests use this to pin the binary and width.
-    #[must_use]
-    pub fn with_binary(binary: PathBuf, workers: usize) -> Self {
-        ProcessPool {
-            binary,
-            workers: workers.max(1),
-        }
-    }
-
-    /// Configured worker-process count (≥ 1; runs additionally cap it at
-    /// the unit count).
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The worker binary this pool spawns.
-    #[must_use]
-    pub fn binary(&self) -> &Path {
-        &self.binary
-    }
-
-    /// Executes `units` under job `kind`/`job` across the worker
-    /// processes and returns the result payloads in unit order.
-    ///
-    /// # Errors
-    ///
-    /// [`PoolError::Spawn`] when no worker process could be started
-    /// (callers fall back to threads), [`PoolError::Unit`] for the
-    /// lowest-indexed unit whose execution failed.
-    pub fn run(&self, kind: u16, job: &[u8], units: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, PoolError> {
-        if units.is_empty() {
-            return Ok(Vec::new());
-        }
-        let job_hash = fnv1a64(job);
-        let workers = self.workers.min(units.len());
-        let assignments: Vec<Vec<usize>> = (0..workers)
-            .map(|w| (w..units.len()).step_by(workers).collect())
-            .collect();
-
-        let mut children: Vec<Child> = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            match Command::new(&self.binary)
-                .stdin(Stdio::piped())
-                .stdout(Stdio::piped())
-                .stderr(Stdio::piped())
-                .spawn()
-            {
-                Ok(child) => children.push(child),
-                Err(e) => {
-                    for mut child in children {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                    }
-                    return Err(PoolError::Spawn {
-                        diagnostic: format!("{}: {e}", self.binary.display()),
-                    });
-                }
-            }
-        }
-
-        let mut feeds = Vec::with_capacity(workers);
-        for (child, assigned) in children.iter_mut().zip(&assignments) {
-            let stdin = child.stdin.take().expect("stdin was piped");
-            // A spawned worker lives for exactly one request, so its
-            // cache can never be warm: always ship the job inline.
-            feeds.push((
-                stdin,
-                encode_request(kind, Some(job), job_hash, assigned, units),
-            ));
-        }
-        // Writers run on scoped threads so a worker blocked writing its
-        // response never deadlocks against us writing its request.
-        let outputs: Vec<std::io::Result<std::process::Output>> = std::thread::scope(|scope| {
-            let writers: Vec<_> = feeds
-                .into_iter()
-                .map(|(mut stdin, request)| {
-                    scope.spawn(move || {
-                        // A dead worker surfaces via its exit status;
-                        // the broken pipe here is expected then.
-                        let _ = stdin.write_all(&request);
-                    })
-                })
-                .collect();
-            let outs = children.into_iter().map(Child::wait_with_output).collect();
-            for w in writers {
-                let _ = w.join();
-            }
-            outs
-        });
-
-        let mut slots: Vec<Option<Vec<u8>>> = Vec::new();
-        slots.resize_with(units.len(), || None);
-        let mut failures: Vec<(usize, String)> = Vec::new();
-        for (w, (output, assigned)) in outputs.into_iter().zip(&assignments).enumerate() {
-            match output {
-                Err(e) => failures.push((assigned[0], format!("worker {w} I/O error: {e}"))),
-                Ok(output) => {
-                    let (items, parse_error) = match parse_reply(&output.stdout, units.len()) {
-                        Reply::Results(items, damage) => (items, damage),
-                        Reply::NeedProgram(h) => (
-                            Vec::new(),
-                            Some(format!(
-                                "worker demanded program {h:#018x} despite an inline job"
-                            )),
-                        ),
-                        Reply::Status(_) => {
-                            (Vec::new(), Some("unexpected status reply".to_string()))
-                        }
-                    };
-                    for (idx, result) in items {
-                        match result {
-                            Ok(bytes) => slots[idx] = Some(bytes),
-                            Err(diagnostic) => failures.push((idx, diagnostic)),
-                        }
-                    }
-                    // Assigned units with neither a result nor a recorded
-                    // failure: the worker died or sent garbage. Attribute
-                    // its diagnostics to its first missing unit (one entry
-                    // is enough — any failure fails the whole run).
-                    if let Some(&idx) = assigned
-                        .iter()
-                        .find(|&&idx| slots[idx].is_none() && !failures.iter().any(|f| f.0 == idx))
-                    {
-                        let stderr = String::from_utf8_lossy(&output.stderr);
-                        let stderr = stderr.trim();
-                        let mut diagnostic = if output.status.success() {
-                            format!("worker {w} returned no result")
-                        } else {
-                            format!("worker {w} exited abnormally ({})", output.status)
-                        };
-                        if let Some(e) = parse_error {
-                            diagnostic = format!("{diagnostic}; response: {e}");
-                        }
-                        if !stderr.is_empty() {
-                            diagnostic = format!("{diagnostic}; stderr: {stderr}");
-                        }
-                        failures.push((idx, diagnostic));
-                    }
-                }
-            }
-        }
-        if let Some((unit, diagnostic)) = failures.into_iter().min_by_key(|f| f.0) {
-            return Err(PoolError::Unit { unit, diagnostic });
-        }
-        Ok(slots
-            .into_iter()
-            .map(|s| s.expect("every unit has a result or a recorded failure"))
-            .collect())
-    }
-}
 
 /// Encodes one run request. `job` is `Some(bytes)` to ship the program
 /// inline (its FNV-1a hash must be `job_hash`) or `None` to reference
@@ -1088,10 +851,9 @@ pub(crate) fn parse_reply(bytes: &[u8], unit_count: usize) -> Reply {
 /// the request's `kind` and job bytes — inline from the request, or
 /// served from the program cache on a by-hash reference), executes
 /// every unit in order, and returns the serialized response.
-/// [`serve_worker`] (stdio framing, fresh state) and
-/// [`crate::remote::serve_tcp`] (envelope framing, one shared state per
-/// listener) are both thin shells around this function, so every
-/// transport executes requests identically.
+/// [`crate::remote::serve_session`] — the frame loop behind the stdio
+/// worker and every `--serve` connection — is the one shell around this
+/// function, so every transport executes requests identically.
 ///
 /// Three non-fatal outcomes still produce a well-formed response:
 ///
@@ -1220,49 +982,6 @@ where
     Ok(w.finish())
 }
 
-/// [`process_request_with`] against a fresh, throwaway [`WorkerState`] —
-/// the right core for one-shot workers (stdio, spawned processes) where
-/// nothing can persist between requests. A by-hash request here
-/// correctly draws "need program".
-///
-/// # Errors
-///
-/// As [`process_request_with`].
-pub fn process_request<F>(data: &[u8], open: F) -> Result<Vec<u8>, String>
-where
-    F: FnOnce(u16, &[u8]) -> Result<Box<dyn WireJob>, String>,
-{
-    process_request_with(data, open, &WorkerState::new())
-}
-
-/// The stdio worker shell: reads one request from `input` (framed by
-/// EOF), runs it through [`process_request`], and writes the response to
-/// `output` (framed by process exit). This is the entire main of the
-/// `steac-worker` binary's default mode; `--serve` wraps the same core
-/// in TCP envelopes ([`crate::remote::serve_tcp`]).
-///
-/// # Errors
-///
-/// A diagnostic when the request itself is unreadable (truncated bytes,
-/// bad magic, version mismatch, I/O failure); the binary prints it to
-/// stderr and exits nonzero.
-pub fn serve_worker<R, W, F>(mut input: R, mut output: W, open: F) -> Result<(), String>
-where
-    R: std::io::Read,
-    W: std::io::Write,
-    F: FnOnce(u16, &[u8]) -> Result<Box<dyn WireJob>, String>,
-{
-    let mut data = Vec::new();
-    input
-        .read_to_end(&mut data)
-        .map_err(|e| format!("reading request: {e}"))?;
-    let response = process_request(&data, open)?;
-    output
-        .write_all(&response)
-        .and_then(|()| output.flush())
-        .map_err(|e| format!("writing response: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1274,7 +993,6 @@ mod tests {
         assert_eq!(Threads::exact(7).get(), 7);
         assert_eq!(Threads::single().get(), 1);
         assert!(Threads::auto().get() >= 1);
-        assert!(Threads::from_env().get() >= 1);
     }
 
     #[test]
@@ -1368,7 +1086,7 @@ mod tests {
 
     // ---------- protocol v3: cache, hash verification, status ----------
 
-    /// The kind-routing shape `process_request*` expects (the registry
+    /// The kind-routing shape `process_request_with` expects (the registry
     /// adds the kind itself; here we take both).
     fn open_any(_kind: u16, _job: &[u8]) -> Result<Box<dyn WireJob>, String> {
         Ok(Box::new(EchoJob))
@@ -1522,15 +1240,5 @@ mod tests {
             &req[RUN_REQUEST_JOB_OFFSET..RUN_REQUEST_JOB_OFFSET + job.len()],
             job
         );
-    }
-
-    #[test]
-    fn one_shot_core_answers_by_hash_with_need_program() {
-        // process_request (fresh state per call) can never have a warm
-        // cache: the by-hash fast path must degrade loudly, not panic.
-        let units = unit_list(2);
-        let req = encode_request(7, None, 0x1234, &[0, 1], &units);
-        let reply = process_request(&req, open_any).unwrap();
-        assert!(matches!(parse_reply(&reply, 2), Reply::NeedProgram(0x1234)));
     }
 }

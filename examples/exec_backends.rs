@@ -12,25 +12,25 @@
 //!
 //! # machine-level: start one worker per host of the fleet ...
 //! steac-worker --serve 10.0.0.12:7601 &   # (on each host)
-//! # ... then point a remote spec (or STEAC_HOSTS) at them:
+//! # ... then point a remote spec at them:
 //! STEAC_EXEC=remote:10.0.0.12:7601,10.0.0.13:7601 \
 //!     cargo run --release --example exec_backends
 //! ```
 //!
-//! (Process and local-spawn remote backends need the worker binary:
-//! `cargo build [--release]` first. Without it, `processes` degrades to
-//! threads with a warning; a malformed spec — `threads:0`, a bad host
-//! list — panics loudly instead of silently running something else.)
+//! (The process backend needs the worker binary: `cargo build
+//! [--release]` first. Without it, `processes` degrades to threads with
+//! a warning; a malformed spec — `threads:0`, a bad host list — panics
+//! loudly instead of silently running something else.)
 //!
 //! When the worker binary is discoverable, this example also runs a
-//! two-host remote fleet over `SpawnTransport` — the Remote dispatch
-//! arm (work-stealing, retries, wire codecs) with zero network.
+//! two-child process fleet — the shipped dispatch arm (persistent
+//! sessions, work-stealing, retries, wire codecs) with zero network.
 
 use rand::SeedableRng;
 use steac_membist::faultsim::{self, random_fault_list};
 use steac_membist::{MarchAlgorithm, SramConfig};
 use steac_netlist::{GateKind, NetlistBuilder};
-use steac_sim::{enumerate_faults, fault, Exec, Logic, RemoteFleet, Threads};
+use steac_sim::{enumerate_faults, fault, shard, Exec, Logic, Threads};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A small scan-less circuit: an 80-deep inverter/NAND cone whose
@@ -59,15 +59,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Four backend families, one API. `Exec::from_env()` honours
     // STEAC_EXEC (serial | auto | threads[:N] | processes[:N] |
-    // remote:host:port,…), then STEAC_HOSTS, then the STEAC_WORKERS /
-    // STEAC_THREADS knobs.
+    // remote:host:port,…) and is `auto` without it.
     let mut backends = vec![
         Exec::serial(),
         Exec::threads(Threads::exact(4)),
         Exec::from_env(),
     ];
-    if let Some(fleet) = RemoteFleet::spawn_local(2) {
-        backends.push(Exec::remote(fleet));
+    if let Some(binary) = shard::default_worker_binary() {
+        backends.push(Exec::processes(&binary, 2));
     }
     let mut reference = None;
     for exec in &backends {

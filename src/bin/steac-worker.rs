@@ -1,24 +1,26 @@
-//! `steac-worker` — the process-pool and remote-fleet worker of the
-//! STEAC platform.
+//! `steac-worker` — the worker of the STEAC platform's process and
+//! remote fleets.
 //!
-//! Three modes, one execution core (`steac_sim::shard::process_request`
-//! / `process_request_with`), one job table
-//! (`steac_suite::worker_registry` — see its docs for the kind table),
-//! so this binary contains no per-workload knowledge at all:
+//! Three modes, one session loop (`steac_sim::remote::serve_session`,
+//! around the `steac_sim::shard::process_request_with` core), one job
+//! table (`steac_suite::worker_registry` — see its docs for the kind
+//! table), so this binary contains no per-workload knowledge at all:
 //!
-//! * **stdio (default)**: reads one job plus its work units from stdin
-//!   (the versioned protocol in `steac_sim::shard`), executes every
-//!   unit, writes the per-unit results to stdout and exits. Spawned by
-//!   `steac_sim::shard::ProcessPool` (`STEAC_EXEC=processes:N` /
-//!   `STEAC_WORKERS=N`) and by `steac_sim::remote::SpawnTransport`.
-//!   The worker state is fresh per process, so by-hash requests
-//!   correctly draw "need program".
+//! * **stdio session (no arguments)**: serves envelope-framed requests
+//!   (the versioned protocol in `steac_sim::shard`) from stdin and
+//!   writes each response envelope to stdout as it finishes, with one
+//!   worker state — program cache and status counters — for the whole
+//!   life of the process. This is the child behind each slot of
+//!   `STEAC_EXEC=processes:N` (`steac_sim::remote::ProcessTransport`).
+//!   It exits 0 when stdin closes at a frame boundary, so a dead parent
+//!   leaves no orphan, and nonzero, with a diagnostic on stderr, on a
+//!   damaged frame or a request it cannot answer.
 //! * **`--serve <host:port> [--cache-cap N]`**: binds a TCP listener
-//!   and serves the same requests forever over persistent, pipelined
-//!   sessions (`steac_sim::remote::serve_tcp_with_state`): each
-//!   connection is a framed request loop, each request runs on its own
-//!   thread, and one shared worker state carries the program cache and
-//!   status counters across every connection the process ever accepts.
+//!   and serves the same sessions forever
+//!   (`steac_sim::remote::serve_tcp_with_state`): each connection is a
+//!   framed request loop, each request runs on its own thread, and one
+//!   shared worker state carries the program cache and status counters
+//!   across every connection the process ever accepts.
 //!   This is the remote half of `STEAC_EXEC=remote:host:port,…` — start
 //!   one per host of the fleet. The bound address is printed to stdout
 //!   (bind to port 0 for an ephemeral port and scrape it from that
@@ -26,7 +28,8 @@
 //!   single campaign, but interleaved streaming workloads (grading +
 //!   playback + March) cycle more distinct jobs than that and thrash;
 //!   size it with `--cache-cap N` (or `STEAC_CACHE_CAP=N`, flag wins)
-//!   when a fleet serves mixed campaigns.
+//!   when a fleet serves mixed campaigns. A stdio session reads
+//!   `STEAC_CACHE_CAP` too.
 //! * **`--status <host:port>`**: queries a serving worker's status
 //!   counters (uptime, program-cache entries/capacity/hits/misses/
 //!   evictions, requests and units served, bytes received) and prints
@@ -34,9 +37,9 @@
 //!   Evictions while the cache sits full are flagged as pressure, the
 //!   signal to raise `--cache-cap`.
 //!
-//! Protocol errors exit nonzero with a diagnostic on stderr (stdio
-//! mode) or close the offending connection (serve mode — a misbehaving
-//! client never takes the server down); per-unit failures are reported
+//! Protocol errors end the session with a diagnostic on stderr: the
+//! stdio worker exits nonzero, a serve connection closes (a misbehaving
+//! client never takes the server down). Per-unit failures are reported
 //! in-band so the dispatcher can attribute them to the lowest-indexed
 //! failing unit.
 //!
@@ -62,10 +65,8 @@ use std::io::{stdin, stdout, Write as _};
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::Arc;
-use steac_sim::remote::{query_status, serve_tcp_with_state, TcpTransport};
-use steac_sim::shard::{
-    env_cache_capacity, serve_worker, WorkerState, DEFAULT_PROGRAM_CACHE_CAPACITY,
-};
+use steac_sim::remote::{query_status, serve_session, serve_tcp_with_state, TcpTransport};
+use steac_sim::shard::{env_cache_capacity, WorkerState, DEFAULT_PROGRAM_CACHE_CAPACITY};
 
 const USAGE: &str =
     "usage: steac-worker [--serve <host:port> [--cache-cap N] | --status <host:port>]";
@@ -87,9 +88,17 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let registry = steac_suite::worker_registry();
     let result = match args.as_slice() {
-        [] => serve_worker(stdin().lock(), stdout().lock(), |kind, job| {
-            registry.open(kind, job)
-        }),
+        [] => serve_session(
+            stdin().lock(),
+            stdout(),
+            // The session is the process: a request it cannot answer
+            // ends it, so the dispatcher fails over without waiting.
+            &|| std::process::exit(2),
+            &|kind, job| registry.open(kind, job),
+            &WorkerState::with_cache_capacity(
+                env_cache_capacity().unwrap_or(DEFAULT_PROGRAM_CACHE_CAPACITY),
+            ),
+        ),
         [flag, addr, rest @ ..] if flag == "--serve" => match serve_cache_capacity(rest) {
             Ok(capacity) => match TcpListener::bind(addr) {
                 Ok(listener) => {

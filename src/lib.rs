@@ -35,9 +35,8 @@ use steac_sim::{BridgingFault, Fault, TransitionFault};
 
 /// The platform's worker-side job registry: every distributable
 /// workload, keyed by its wire `kind`. This is the one table the
-/// `steac-worker` binary routes requests through — in stdio mode
-/// (process pools, spawn transports) and in `--serve` TCP mode (remote
-/// fleets) alike. Workload crates each contribute a single
+/// `steac-worker` binary routes requests through — in its stdio session
+/// (process fleets) and in `--serve` TCP mode (remote fleets) alike. Workload crates each contribute a single
 /// `open_wire_job` constructor, and this umbrella crate is the only
 /// place that knows them all.
 ///

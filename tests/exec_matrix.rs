@@ -1,7 +1,8 @@
-//! The exec-matrix battery: one table spanning all **five** execution
-//! backends — `Serial`, `Threads(1/4)`, `Processes(1/2/3)`,
-//! `Remote(SpawnTransport)` and `Remote(TcpTransport@localhost)` —
-//! driven through the **same** unified entry points for every workload
+//! The exec-matrix battery: one table spanning all **four** execution
+//! backend families — `Serial`, `Threads(1/4)`, `Processes(1/2/3)` (a
+//! fleet of persistent stdio sessions) and
+//! `Remote(TcpTransport@localhost)` — driven through the **same**
+//! unified entry points for every workload
 //! (gate-level vector grading and dictionary building under the
 //! stuck-at, transition and bridging fault models, diagnosis, batched
 //! ATE playback, March fault simulation including inter-cell
@@ -27,13 +28,13 @@ use steac_netlist::{GateKind, Module, NetId, NetlistBuilder};
 use steac_pattern::{apply_cycle_patterns_batch, CyclePattern, PinState};
 use steac_sim::models::{fault_dictionary, fault_dictionary_wide};
 use steac_sim::{
-    fault, Exec, Fallback, FaultDictionary, FaultModel, Logic, ProcessPool, RemoteFleet, Report,
-    ServeHandle, Simulator, SpawnTransport, Threads, Transport,
+    fault, Exec, Fallback, FaultDictionary, FaultModel, Logic, RemoteFleet, Report, ServeHandle,
+    Simulator, Threads,
 };
 
-/// The single backend table every workload case runs over: the five
-/// backend families, with the remote legs shipping real wire bytes
-/// through spawned workers and through `--serve` TCP listeners. The
+/// The single backend table every workload case runs over: the four
+/// backend families, with the shipped legs sending real wire bytes to
+/// worker children over stdio and to `--serve` TCP listeners. The
 /// first entry (serial) is the baseline the others must match
 /// byte-for-byte.
 fn backend_matrix(servers: &[ServeHandle]) -> Vec<(String, Exec)> {
@@ -45,19 +46,7 @@ fn backend_matrix(servers: &[ServeHandle]) -> Vec<(String, Exec)> {
     for workers in [1usize, 2, 3] {
         matrix.push((
             format!("processes:{workers}"),
-            Exec::processes(ProcessPool::with_binary(worker_binary(), workers))
-                .with_fallback(Fallback::Fail),
-        ));
-    }
-    for hosts in [1usize, 2] {
-        let fleet = RemoteFleet::new(
-            (0..hosts)
-                .map(|_| Box::new(SpawnTransport::new(worker_binary())) as Box<dyn Transport>)
-                .collect(),
-        );
-        matrix.push((
-            format!("remote-spawn:{hosts}"),
-            Exec::remote(fleet).with_fallback(Fallback::Fail),
+            Exec::processes(&worker_binary(), workers).with_fallback(Fallback::Fail),
         ));
     }
     let tcp = RemoteFleet::tcp(servers.iter().map(|s| s.addr().to_string()))

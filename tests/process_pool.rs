@@ -1,21 +1,24 @@
 //! Negative-path and policy battery for process-level fan-out behind
-//! the unified `Exec` seam. The differential (byte-identical) half of
-//! the old battery lives in `tests/exec_matrix.rs` now; this file pins
-//! what happens when process dispatch **misbehaves**: every failure
-//! mode (missing binary, dying worker, corrupt bytes, wrong version) is
-//! typed, deterministic and panic-free, and the explicit `Fallback`
-//! policy decides — visibly — between in-thread recomputation and a
-//! typed error.
+//! the unified `Exec` seam: `processes:N`, a fleet of `N` persistent
+//! `steac-worker` sessions. The differential (byte-identical) half lives
+//! in `tests/exec_matrix.rs`; this file pins that the sessions persist
+//! (program shipped once per child, sessions surviving unit errors),
+//! that the stdio session itself is total, and what happens when
+//! process dispatch **misbehaves**: every failure mode (missing binary,
+//! dying worker, corrupt bytes, wrong version) is typed, deterministic
+//! and panic-free, and the explicit `Fallback` policy decides — visibly
+//! — between in-thread recomputation and a typed error.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 use steac_membist::{faultsim, MarchAlgorithm, SramConfig};
 use steac_netlist::{GateKind, Module, NetId, NetlistBuilder};
 use steac_pattern::{apply_cycle_patterns_batch, CyclePattern, PinState};
 use steac_sim::models::{encode_chunk, encode_job, FaultModel, Mode};
-use steac_sim::shard::{self, PoolError, ProcessPool};
+use steac_sim::shard::{self, PoolError};
 use steac_sim::{
-    fault, BridgingFault, Exec, Fallback, Fault, Logic, SimError, SimProgram, Simulator,
-    TransitionFault,
+    fault, Backend, BridgingFault, Exec, Fallback, Fault, Logic, RemoteFleet, SimError, SimProgram,
+    Simulator, TransitionFault,
 };
 
 /// The worker binary built alongside this test suite.
@@ -23,12 +26,22 @@ fn worker_binary() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_steac-worker"))
 }
 
-fn pool(workers: usize) -> ProcessPool {
-    ProcessPool::with_binary(worker_binary(), workers)
+/// A `processes:N` exec over the freshly built worker.
+fn processes(workers: usize) -> Exec {
+    Exec::processes(&worker_binary(), workers)
 }
 
-fn bogus_pool() -> ProcessPool {
-    ProcessPool::with_binary(PathBuf::from("/nonexistent/steac-worker"), 2)
+/// A process exec whose worker binary does not exist.
+fn bogus() -> Exec {
+    Exec::processes(Path::new("/nonexistent/steac-worker"), 2)
+}
+
+/// The fleet inside a process exec.
+fn fleet(exec: &Exec) -> &RemoteFleet {
+    match exec.backend() {
+        Backend::Processes(fleet) => fleet,
+        _ => unreachable!("built as a process exec"),
+    }
 }
 
 /// A ~70-gate module whose fault list spans several passes and whose
@@ -81,9 +94,170 @@ fn process_playback_carries_forces_across_the_wire() {
     let refs: Vec<&CyclePattern> = patterns.iter().collect();
     let baseline = apply_cycle_patterns_batch(&Exec::serial(), &sim, &refs).unwrap();
     assert!(!baseline.passed(), "force must bite");
-    let procs = Exec::processes(pool(2)).with_fallback(Fallback::Fail);
+    let procs = processes(2).with_fallback(Fallback::Fail);
     let processed = apply_cycle_patterns_batch(&procs, &sim, &refs).unwrap();
     assert_eq!(processed, baseline);
+}
+
+/// `processes:2` is two persistent sessions. Replaying one batch ships
+/// the program once per child, never once per dispatch, and each child
+/// keeps it cached. A unit error (an unknown job kind) neither kills nor
+/// respawns a session: every worker's request counter keeps growing
+/// across the runs, and a later valid run still goes by hash without a
+/// single "need program" round trip.
+#[test]
+fn process_fleet_keeps_its_program_and_its_session() {
+    use Logic::{One, Zero};
+    let mut b = NetlistBuilder::new("m");
+    let d = b.input("d");
+    let ck = b.input("ck");
+    let q = b.gate(GateKind::Dff, &[d, ck]);
+    b.output("q", q);
+    let m = b.finish().unwrap();
+    let sim: Simulator = Simulator::new(&m).unwrap();
+    // Enough passes that both children take work on every run.
+    let patterns: Vec<CyclePattern> = (0..2048)
+        .map(|i| flop_pattern(&[if i % 3 == 0 { One } else { Zero }]))
+        .collect();
+    let refs: Vec<&CyclePattern> = patterns.iter().collect();
+    let baseline = apply_cycle_patterns_batch(&Exec::serial(), &sim, &refs).unwrap();
+
+    let exec = processes(2).with_fallback(Fallback::Fail);
+    for _ in 0..2 {
+        let played = apply_cycle_patterns_batch(&exec, &sim, &refs).unwrap();
+        assert_eq!(played, baseline);
+    }
+    let fleet = fleet(&exec);
+    let stats = fleet.stats();
+    assert_eq!(stats.programs_shipped, 2, "once per child: {stats:?}");
+    assert_eq!(stats.need_program_replies, 0, "{stats:?}");
+    // Each worker's lifetime request count; `cached` pins its cache size.
+    let served = |cached: Option<u64>| -> Vec<u64> {
+        let statuses = fleet.statuses();
+        assert_eq!(statuses.len(), 2);
+        statuses
+            .into_iter()
+            .map(|(endpoint, status)| {
+                let status = status.unwrap_or_else(|e| panic!("{endpoint}: {e}"));
+                if let Some(entries) = cached {
+                    assert_eq!(status.cache_entries, entries, "{endpoint}: {status}");
+                }
+                status.requests_served
+            })
+            .collect()
+    };
+    let after_replays = served(Some(1));
+
+    let PoolError::Unit { unit, diagnostic } = fleet
+        .run(999, b"whatever", &[vec![1], vec![2], vec![3]])
+        .unwrap_err();
+    assert_eq!(unit, 0);
+    assert!(
+        diagnostic.contains("unknown work-unit kind"),
+        "{diagnostic}"
+    );
+    let after_error = served(None);
+
+    let played = apply_cycle_patterns_batch(&exec, &sim, &refs).unwrap();
+    assert_eq!(played, baseline);
+    let after_rerun = served(None);
+    for host in 0..2 {
+        assert!(
+            after_replays[host] < after_error[host] && after_error[host] < after_rerun[host],
+            "worker {host} restarted: requests served {after_replays:?} -> {after_error:?} \
+             -> {after_rerun:?}"
+        );
+    }
+    let stats = fleet.stats();
+    assert_eq!(
+        stats.need_program_replies, 0,
+        "no cache was lost: {stats:?}"
+    );
+    assert_eq!(exec.process_fallbacks(), 0);
+}
+
+/// The stdio session every `processes:N` child runs is total: a status
+/// request answers and closing stdin then ends the session with exit 0,
+/// so a dead dispatcher leaves no orphan. A non-envelope frame, a
+/// truncated header followed by a closed stdin, and an envelope whose
+/// payload is no worker request each end it nonzero with a stderr
+/// diagnostic — never a hang, never a panic.
+#[test]
+fn stdio_worker_session_is_total() {
+    use std::io::{Read as _, Write as _};
+    use std::process::{Child, Command, ExitStatus, Stdio};
+    use steac_sim::remote::{encode_envelope, read_envelope};
+
+    let spawn = || {
+        Command::new(worker_binary())
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("worker spawns")
+    };
+    // Waits (polling, so a hang fails instead of blocking) for the child
+    // to exit on its own; returns its status and stderr.
+    let finish = |mut child: Child| -> (ExitStatus, String) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let status = loop {
+            if let Some(status) = child.try_wait().unwrap() {
+                break status;
+            }
+            if Instant::now() > deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("the worker did not exit on its own");
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        let mut stderr = String::new();
+        let _ = child.stderr.take().unwrap().read_to_string(&mut stderr);
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        (status, stderr)
+    };
+
+    // Protocol v3 status request: magic, version, tag 1.
+    let mut status_request = b"STWQ".to_vec();
+    status_request.extend_from_slice(&shard::PROTOCOL_VERSION.to_le_bytes());
+    status_request.push(1);
+    let mut child = spawn();
+    let mut stdin = child.stdin.take().unwrap();
+    stdin
+        .write_all(&encode_envelope(7, &status_request))
+        .unwrap();
+    let (id, reply) = read_envelope(child.stdout.as_mut().unwrap()).unwrap();
+    assert_eq!(id, 7, "the response echoes the request id");
+    assert!(reply.starts_with(b"STWR"), "{reply:?}");
+    assert_eq!(reply[6], 2, "a status reply");
+    drop(stdin);
+    let (status, stderr) = finish(child);
+    assert!(status.success(), "{status}: {stderr}");
+
+    let header = &encode_envelope(1, b"payload")[..10];
+    for (case, bytes, close) in [
+        (
+            "non-envelope frame",
+            &b"this is not an envelope at all"[..],
+            false,
+        ),
+        ("truncated header", header, true),
+        (
+            "non-request payload",
+            &encode_envelope(1, b"not a request")[..],
+            false,
+        ),
+    ] {
+        let mut child = spawn();
+        let mut stdin = child.stdin.take().unwrap();
+        stdin.write_all(bytes).unwrap();
+        if close {
+            drop(stdin);
+        }
+        let (status, stderr) = finish(child);
+        assert!(!status.success(), "{case}: {status}");
+        assert!(stderr.contains("steac-worker"), "{case}: {stderr}");
+    }
 }
 
 /// The default-discovery path (`shard::default_worker_binary`) must find
@@ -118,7 +292,7 @@ fn spawn_failure_falls_back_in_thread_and_is_counted() {
     let vectors = vec![vec![Logic::Zero], vec![Logic::One]];
     let baseline = fault::grade_vectors(&Exec::serial(), &m, &faults, &pins, &vectors).unwrap();
 
-    let forgiving = Exec::processes(bogus_pool());
+    let forgiving = bogus();
     let report = fault::grade_vectors(&forgiving, &m, &faults, &pins, &vectors).unwrap();
     assert_eq!(report.detected, baseline.detected);
     assert_eq!(report.undetected, baseline.undetected);
@@ -135,7 +309,7 @@ fn spawn_failure_falls_back_in_thread_and_is_counted() {
     let mfaults = vec![steac_membist::MemFault::stuck_at(3, 0, true)];
     let alg = MarchAlgorithm::march_c_minus();
     let march_base = faultsim::fault_coverage(&Exec::serial(), &alg, &cfg, &mfaults).unwrap();
-    let forgiving = Exec::processes(bogus_pool());
+    let forgiving = bogus();
     let march = faultsim::fault_coverage(&forgiving, &alg, &cfg, &mfaults).unwrap();
     assert_eq!(march.detected, march_base.detected);
     assert_eq!(march.escaped, march_base.escaped);
@@ -144,26 +318,29 @@ fn spawn_failure_falls_back_in_thread_and_is_counted() {
 }
 
 /// Under `Fallback::Fail` the same spawn failure is a typed error on
-/// unit 0 instead — for every workload, March included (which could
-/// never fail before).
+/// unit 0 instead, naming the binary — for every workload, March
+/// included.
 #[test]
 fn spawn_failure_is_a_typed_error_under_fail_policy() {
     let m = mixed_module();
     let faults = fault::enumerate_faults(&m);
     let pins = [m.port("a").unwrap().net];
     let vectors = vec![vec![Logic::Zero]];
-    let strict = Exec::processes(bogus_pool()).with_fallback(Fallback::Fail);
+    let strict = bogus().with_fallback(Fallback::Fail);
     match fault::grade_vectors(&strict, &m, &faults, &pins, &vectors).unwrap_err() {
         SimError::Worker { unit, diagnostic } => {
             assert_eq!(unit, 0);
-            assert!(diagnostic.contains("cannot spawn worker"), "{diagnostic}");
+            assert!(
+                diagnostic.contains("/nonexistent/steac-worker"),
+                "{diagnostic}"
+            );
         }
         other => panic!("expected SimError::Worker, got {other:?}"),
     }
     let cfg = SramConfig::single_port(16, 2);
     let mfaults = vec![steac_membist::MemFault::stuck_at(3, 0, true)];
     let alg = MarchAlgorithm::march_c_minus();
-    let strict = Exec::processes(bogus_pool()).with_fallback(Fallback::Fail);
+    let strict = bogus().with_fallback(Fallback::Fail);
     match faultsim::fault_coverage(&strict, &alg, &cfg, &mfaults).unwrap_err() {
         SimError::Worker { unit, .. } => assert_eq!(unit, 0),
         other => panic!("expected SimError::Worker, got {other:?}"),
@@ -172,9 +349,9 @@ fn spawn_failure_is_a_typed_error_under_fail_policy() {
 }
 
 /// A worker that dies without producing results surfaces as the
-/// lowest-indexed unit assigned to it under `Fallback::Fail`, with its
-/// diagnostics attached — and recomputes cleanly under the default
-/// policy.
+/// lowest-indexed unit under `Fallback::Fail` once the fleet's retries
+/// (each respawning the child) are spent — and recomputes cleanly under
+/// the default policy.
 #[test]
 fn dying_worker_follows_the_policy() {
     let false_bin = PathBuf::from("/bin/false");
@@ -186,9 +363,9 @@ fn dying_worker_follows_the_policy() {
     let faults = fault::enumerate_faults(&m);
     let pins = [m.port("a").unwrap().net];
     let vectors = vec![vec![Logic::Zero]];
-    let dying = || ProcessPool::with_binary(false_bin.clone(), 2);
+    let dying = || Exec::processes(&false_bin, 2);
 
-    let strict = Exec::processes(dying()).with_fallback(Fallback::Fail);
+    let strict = dying().with_fallback(Fallback::Fail);
     match fault::grade_vectors(&strict, &m, &faults, &pins, &vectors).unwrap_err() {
         SimError::Worker { unit, diagnostic } => {
             assert_eq!(unit, 0, "lowest-indexed unit wins: {diagnostic}");
@@ -196,7 +373,7 @@ fn dying_worker_follows_the_policy() {
         other => panic!("expected SimError::Worker, got {other:?}"),
     }
 
-    let forgiving = Exec::processes(dying());
+    let forgiving = dying();
     let baseline = fault::grade_vectors(&Exec::serial(), &m, &faults, &pins, &vectors).unwrap();
     let report = fault::grade_vectors(&forgiving, &m, &faults, &pins, &vectors).unwrap();
     assert_eq!(report.detected, baseline.detected);
@@ -208,37 +385,30 @@ fn dying_worker_follows_the_policy() {
 /// unit 0.
 #[test]
 fn unknown_job_kind_is_a_lowest_indexed_unit_error() {
-    let err = pool(2)
+    let exec = processes(2);
+    let PoolError::Unit { unit, diagnostic } = fleet(&exec)
         .run(999, b"whatever", &[vec![1], vec![2], vec![3]])
         .unwrap_err();
-    match err {
-        PoolError::Unit { unit, diagnostic } => {
-            assert_eq!(unit, 0);
-            assert!(
-                diagnostic.contains("unknown work-unit kind"),
-                "{diagnostic}"
-            );
-        }
-        other => panic!("expected PoolError::Unit, got {other:?}"),
-    }
+    assert_eq!(unit, 0);
+    assert!(
+        diagnostic.contains("unknown work-unit kind"),
+        "{diagnostic}"
+    );
 }
 
 /// Corrupt job bytes (valid protocol envelope, garbage payload) come
 /// back as typed unit errors carrying the wire diagnostic — the worker
-/// exits cleanly rather than panicking — for every registered kind.
+/// answers rather than panicking — for every registered kind, all on
+/// one session.
 #[test]
 fn corrupt_job_bytes_are_typed_unit_errors() {
+    let exec = processes(1);
     for (kind, _) in steac_suite::worker_registry().kinds() {
-        let err = pool(1)
+        let PoolError::Unit { unit, diagnostic } = fleet(&exec)
             .run(kind, &[0xDE, 0xAD, 0xBE, 0xEF], &[vec![0; 4]])
             .unwrap_err();
-        match err {
-            PoolError::Unit { unit, diagnostic } => {
-                assert_eq!(unit, 0, "kind {kind}");
-                assert!(!diagnostic.is_empty(), "kind {kind}");
-            }
-            other => panic!("kind {kind}: expected PoolError::Unit, got {other:?}"),
-        }
+        assert_eq!(unit, 0, "kind {kind}");
+        assert!(!diagnostic.is_empty(), "kind {kind}");
     }
 }
 
@@ -314,19 +484,15 @@ fn corrupt_unit_bytes_fail_only_that_unit() {
     let good =
         steac_membist::wire::encode_fault_unit(&[steac_membist::MemFault::stuck_at(3, 0, true)]);
     let corrupt = vec![0xFF; 3];
-    let err = pool(1)
+    let exec = processes(1);
+    let PoolError::Unit { unit, diagnostic } = fleet(&exec)
         .run(
             steac_membist::wire::WIRE_KIND,
             &job,
             &[good.clone(), corrupt, good],
         )
         .unwrap_err();
-    match err {
-        PoolError::Unit { unit, diagnostic } => {
-            assert_eq!(unit, 1, "only the corrupt unit fails: {diagnostic}");
-        }
-        other => panic!("expected PoolError::Unit, got {other:?}"),
-    }
+    assert_eq!(unit, 1, "only the corrupt unit fails: {diagnostic}");
 }
 
 /// Truncated and version-bumped program blobs decode to typed errors —

@@ -8,9 +8,9 @@
 //! failures, not by hoping the happy path generalises.
 //!
 //! The injection engine is [`FlakyTransport`], a deterministic-schedule
-//! test double wrapping a real transport (spawned `steac-worker`
-//! processes, so every surviving byte still crosses a real process
-//! boundary). `STEAC_CHAOS_SCALE` (default 1) multiplies the workload
+//! test double wrapping a real transport — the same persistent
+//! `steac-worker` child sessions that `processes:N` deploys, so every
+//! surviving byte still crosses a real process boundary. `STEAC_CHAOS_SCALE` (default 1) multiplies the workload
 //! size and schedule length — CI's nightly chaos job runs the same
 //! battery at scale 8.
 
@@ -23,8 +23,8 @@ use steac_netlist::{GateKind, NetlistBuilder};
 use steac_pattern::{apply_cycle_patterns_batch, CyclePattern, PinState};
 use steac_sim::remote::spawn_serve_process_at;
 use steac_sim::{
-    fault, shard, Backend, Exec, Fallback, Logic, RemoteFleet, SimError, Simulator, SpawnTransport,
-    TcpTransport, Transport, TransportError,
+    fault, shard, Backend, Exec, Fallback, Logic, ProcessTransport, RemoteFleet, SimError,
+    Simulator, TcpTransport, Transport, TransportError,
 };
 
 /// Chaos amplification knob: multiplies pattern counts and how long the
@@ -121,8 +121,9 @@ impl<S: Fn(usize) -> Option<Injection> + Send + Sync> Transport for FlakyTranspo
     }
 }
 
+/// One persistent worker child, as each slot of `processes:N` runs it.
 fn spawn() -> Box<dyn Transport> {
-    Box::new(SpawnTransport::new(worker_binary()))
+    Box::new(ProcessTransport::new(worker_binary()))
 }
 
 fn flaky(
@@ -411,9 +412,11 @@ fn corrupted_program_hash_is_a_typed_error_never_a_wrong_answer() {
     impl Transport for JobCorruptingTransport {
         fn call(&self, request: &[u8]) -> Result<Vec<u8>, TransportError> {
             let mut request = request.to_vec();
-            // Spawn transports always carry the job inline; 16 bytes
-            // past the job offset is safely inside the program bytes
-            // (past any structure a decoder would reject outright).
+            // On an inline ship, 16 bytes past the job offset is safely
+            // inside the program bytes (past any structure a decoder
+            // would reject outright). A hash-mismatched program is never
+            // cached, so every by-hash retry draws "need program" and
+            // its inline re-ship is corrupted the same way.
             if let Some(byte) = request.get_mut(shard::RUN_REQUEST_JOB_OFFSET + 16) {
                 *byte ^= 0xFF;
             }
@@ -441,10 +444,10 @@ fn corrupted_program_hash_is_a_typed_error_never_a_wrong_answer() {
     }
 }
 
-/// TCP and spawn transports interoperate in one fleet against a real
-/// `--serve` worker, chaos sprinkled on both — the full plumbing drill:
-/// envelope framing on one host, stdio framing on the other, one
-/// deterministic merge.
+/// TCP and process transports interoperate in one fleet, chaos
+/// sprinkled on both — the full plumbing drill: the same envelope
+/// session over a socket to a real `--serve` worker on one host and
+/// over a child's stdin/stdout on the other, one deterministic merge.
 #[test]
 fn mixed_tcp_and_spawn_fleet_reports_identically_under_chaos() {
     let server = spawn_serve_worker();
