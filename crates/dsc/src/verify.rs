@@ -19,7 +19,7 @@
 //! flavour — generate everything, then play — kept as the differential
 //! baseline; the two produce byte-identical [`PlaybackReport`]s. One
 //! [`Exec`] value picks the backend for the whole experiment: playback
-//! chunks dispatch through [`Exec::dispatch_stream`] (inline, threads,
+//! chunks dispatch through [`Exec::dispatch`] (inline, threads,
 //! `steac-worker` processes, or a remote fleet), and generation —
 //! whose expected-response closures cannot cross a process boundary —
 //! shards on the backend's in-process pool. Reports are byte-identical
@@ -47,12 +47,12 @@ pub struct PlaybackReport {
     /// Packed passes the player needed
     /// (⌈patterns / (64 · [`steac_pattern::PLAYBACK_LANE_GROUPS`])⌉).
     pub passes: usize,
-    /// Times process dispatch fell back to the in-thread pool while
-    /// producing this report (0 unless the `Exec` runs a process
-    /// backend under [`steac_sim::Fallback::InThread`] and that
-    /// dispatch failed); the verdicts are unaffected. Every other field
-    /// is backend-invariant, so healthy reports compare equal across
-    /// serial, thread and process execution.
+    /// Shipped playback batches recomputed in-thread while producing
+    /// this report (0 unless the `Exec` runs a process or remote backend
+    /// under [`steac_sim::Fallback::InThread`] and batches failed); the
+    /// verdicts are unaffected. Every other field is backend-invariant,
+    /// so healthy reports compare equal across serial, thread and
+    /// process execution.
     pub process_fallbacks: usize,
 }
 
@@ -200,7 +200,7 @@ pub fn jpeg_playback_batch(exec: &Exec, count: usize) -> Result<PlaybackReport, 
 /// Verifies `count` JPEG functional patterns as a **streaming
 /// pipeline**: generator threads (the backend's in-process width)
 /// produce [`LANES`]-pattern blocks into a bounded queue while the
-/// cycle player consumes them through [`Exec::dispatch_stream`], so the
+/// cycle player consumes them through [`Exec::dispatch`], so the
 /// full pattern set is never materialized — peak memory follows the
 /// queue depth, not `count` — and generation overlaps playback. Blocks
 /// are re-ordered to pattern order before they reach the player, so the

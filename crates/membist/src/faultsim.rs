@@ -13,15 +13,15 @@
 //! the walk stops early.
 //!
 //! Each walk is an independent work unit, so [`fault_coverage`]
-//! describes the walks as a [`steac_sim::ExecWork`]
-//! and hands them to [`Exec::dispatch`] — serial, thread-sharded, or
-//! fanned across `steac-worker` processes (walk descriptors serialized
-//! by [`crate::wire`]) — and merges the per-walk detection masks in
-//! fault-list order: reports are bit-identical on every backend and at
-//! every lane-group width (chunk size only changes how the fault list
-//! is cut).
-//! Process failures follow the `Exec`'s explicit
-//! [`steac_sim::Fallback`] policy, and an in-thread fallback is
+//! describes the walks as a [`steac_sim::ExecWork`] over fault-list
+//! chunks and feeds the chunk iterator to [`Exec::dispatch`] — inline,
+//! thread-sharded, or fanned across `steac-worker` processes (walk
+//! descriptors serialized by [`crate::wire`]) — whose sink collects the
+//! per-walk detection masks in fault-list order: reports are
+//! bit-identical on every backend and at every lane-group width (chunk
+//! size only changes how the fault list is cut).
+//! Shipped batches follow the `Exec`'s explicit
+//! [`steac_sim::Fallback`] policy, and every in-thread fallback is
 //! logged and counted in [`MemCoverageReport::process_fallbacks`]
 //! instead of happening silently.
 
@@ -445,12 +445,12 @@ pub struct MemCoverageReport {
     pub escapes_by_class: BTreeMap<&'static str, usize>,
     /// The escaped faults (for diagnosis).
     pub escaped: Vec<MemFault>,
-    /// Times process dispatch fell back to the in-thread pool while
-    /// producing this report (0 unless the `Exec` runs a process
-    /// backend under [`steac_sim::Fallback::InThread`] and that
-    /// dispatch failed). The verdicts are unaffected — the fallback
-    /// recomputes the identical report — but the degradation is
-    /// recorded instead of silent.
+    /// Shipped batches recomputed in-thread while producing this report
+    /// (0 unless the `Exec` runs a process or remote backend under
+    /// [`steac_sim::Fallback::InThread`] and batches failed; up to one
+    /// per [`steac_sim::STREAM_BATCH_UNITS`] walks). The verdicts are
+    /// unaffected — the fallback recomputes the identical walks — but
+    /// the degradation is recorded instead of silent.
     pub process_fallbacks: usize,
 }
 
@@ -531,10 +531,10 @@ fn report_from_flags(
 struct MarchWork<'a, const N: usize> {
     alg: &'a MarchAlgorithm,
     config: &'a SramConfig,
-    chunks: Vec<&'a [MemFault]>,
 }
 
-impl<const N: usize> ExecWork for MarchWork<'_, N> {
+impl<'a, const N: usize> ExecWork for MarchWork<'a, N> {
+    type Unit = &'a [MemFault];
     type Output = LaneMask<N>;
     type Error = SimError;
 
@@ -542,23 +542,19 @@ impl<const N: usize> ExecWork for MarchWork<'_, N> {
         crate::wire::WIRE_KIND
     }
 
-    fn unit_count(&self) -> usize {
-        self.chunks.len()
-    }
-
     fn encode_job(&self) -> Vec<u8> {
         crate::wire::encode_march_job(self.alg, self.config, N as u8)
     }
 
-    fn encode_unit(&self, unit: usize) -> Vec<u8> {
-        crate::wire::encode_fault_unit(self.chunks[unit])
+    fn encode_unit(&self, unit: &&'a [MemFault]) -> Vec<u8> {
+        crate::wire::encode_fault_unit(unit)
     }
 
-    fn run_unit_local(&self, unit: usize) -> Result<LaneMask<N>, SimError> {
-        Ok(run_packed_march(self.alg, self.config, self.chunks[unit]))
+    fn run_unit_local(&self, unit: &&'a [MemFault]) -> Result<LaneMask<N>, SimError> {
+        Ok(run_packed_march(self.alg, self.config, unit))
     }
 
-    fn decode_result(&self, _unit: usize, bytes: &[u8]) -> Result<LaneMask<N>, String> {
+    fn decode_result(&self, _unit: &&'a [MemFault], bytes: &[u8]) -> Result<LaneMask<N>, String> {
         if bytes.len() != N * 8 {
             return Err(format!(
                 "result has {} bytes, expected {}",
@@ -638,19 +634,19 @@ fn coverage_n<const N: usize>(
     faults: &[MemFault],
 ) -> Result<MemCoverageReport, SimError> {
     let per_walk = faults_per_walk(N);
-    let work = MarchWork::<N> {
-        alg,
-        config,
-        chunks: faults.chunks(per_walk).collect(),
-    };
-    let dispatched = exec.dispatch(&work)?;
-    let flags = shard::flags_from_lane_masks(faults.len(), per_walk, 0, &dispatched.units);
+    let mut masks = Vec::new();
+    let dispatched = exec.dispatch(
+        &MarchWork::<N> { alg, config },
+        faults.chunks(per_walk),
+        |mask| masks.push(mask),
+    )?;
+    let flags = shard::flags_from_lane_masks(faults.len(), per_walk, 0, &masks);
     Ok(report_from_flags(
         alg,
         config,
         faults,
         &flags,
-        dispatched.fallback_count(),
+        dispatched.fallbacks,
     ))
 }
 

@@ -62,16 +62,25 @@ pub fn encode_march_job(alg: &MarchAlgorithm, config: &SramConfig, groups: u8) -
     w.finish()
 }
 
-/// Deserializes a March job block.
+/// Most memory cells (`words × width`) a wire job may declare: twice
+/// the DSC's largest SRAM (131,072 × 16). A walk allocates one lane
+/// plane per cell, so an uncapped geometry from the wire could demand
+/// any amount of memory before a single fault runs.
+const MAX_WIRE_CELLS: usize = 1 << 22;
+
+/// Deserializes a March job block. Geometries above [`MAX_WIRE_CELLS`]
+/// cells are rejected here, on the worker side of the wire; in-thread
+/// runs take their geometry from the caller and have no such cap.
 ///
 /// # Errors
 ///
-/// A typed [`WireError`] on truncated or corrupted bytes.
+/// A typed [`WireError`] on truncated or corrupted bytes, or on a
+/// geometry over the cell cap.
 pub fn decode_march_job(bytes: &[u8]) -> Result<(MarchAlgorithm, SramConfig, u8), WireError> {
     let mut r = WireReader::new(bytes);
     let words = r.get_usize("memory words")?;
     let width = r.get_usize("memory width")?;
-    if words == 0 || width == 0 || width > 64 {
+    if words == 0 || width == 0 || width > 64 || words.saturating_mul(width) > MAX_WIRE_CELLS {
         return Err(WireError::Corrupt {
             context: "memory geometry",
         });
@@ -365,6 +374,25 @@ mod tests {
             decode_fault_unit(&bad),
             Err(WireError::Corrupt { .. })
         ));
+    }
+
+    /// A geometry past the cell cap — or one whose cell count
+    /// overflows — is a typed job error, never an allocation; the DSC's
+    /// largest SRAM still opens and runs.
+    #[test]
+    fn oversized_geometry_is_a_job_error_not_an_allocation() {
+        let alg = MarchAlgorithm::mats_plus();
+        for (words, width) in [(1usize << 40, 8usize), (usize::MAX / 2, 64)] {
+            let config = SramConfig::single_port(words, width);
+            let Err(err) = open_wire_job(&encode_march_job(&alg, &config, 1)) else {
+                panic!("{words} x {width} must be rejected");
+            };
+            assert!(err.contains("memory geometry"), "{err}");
+        }
+        let dsc = SramConfig::single_port(131_072, 16);
+        let mut job = open_wire_job(&encode_march_job(&alg, &dsc, 1)).unwrap();
+        let unit = encode_fault_unit(&[MemFault::stuck_at(0, 0, true)]);
+        assert_eq!(job.run_unit(&unit).unwrap(), 1u64.to_le_bytes());
     }
 
     /// Out-of-range faults are rejected with a diagnostic instead of the

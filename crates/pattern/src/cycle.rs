@@ -1,47 +1,37 @@
 //! Cycle-based patterns and the ATE cycle player.
 //!
-//! The batch player treats every pattern chunk — one pattern per
-//! simulation lane, [`PLAYBACK_LANE_GROUPS`]` * 64` patterns per chunk
-//! by default — as an independent work unit over the shared
-//! compiled program and hands the chunks to [`Exec::dispatch`] as an
-//! [`steac_sim::ExecWork`]: the one [`apply_cycle_patterns_batch`]
-//! entry point plays them inline (`Exec::serial()`), across cores
-//! (`Exec::threads(..)`) or across `steac-worker` **processes**
-//! (`Exec::processes(..)`) — in process mode the compiled program, the
-//! lane-group width, pin bindings and force state ship once per worker
-//! over the [`steac_sim::wire`] format and pattern chunks are the unit
-//! payloads. The per-pattern [`MismatchReport`]s merge in pattern order
-//! on every backend, so playback is bit-identical to a serial run at
-//! every thread and worker count — and at every lane-group width,
-//! because forces replicate per 64-lane group and padding lanes follow
-//! lane 0.
-//!
 //! Real ATE flows never hold a full pattern set in memory — patterns
-//! are translated and applied as they arrive — so next to the
-//! materialized batch entry sits the **streaming player**:
-//! [`stream_cycle_patterns`] pulls owned [`CyclePattern`]s from an
-//! iterator (typically the receiving end of a bounded channel fed by a
-//! generator thread), validates them incrementally against the shape
-//! the first pattern fixed, groups them into lane-width chunks, and
-//! plays them through [`steac_sim::Exec::dispatch_stream`] on the same
-//! five backends. Reports reach the caller's sink strictly in pattern
-//! order and are byte-identical to the materialized flow — chunk
-//! boundaries are invisible because every verdict is per-pattern and
-//! cycle indices are pattern-local — while peak memory is bounded by
-//! the pipeline depth, never the set size. The streaming path encodes
-//! the *same* job block as the materialized one, so a worker's
-//! content-addressed program cache (and the remote fleet's
-//! one-program-per-host guarantee) covers both flavours of the same
-//! job.
+//! are translated and applied as they arrive — so there is one player,
+//! and it streams: [`stream_cycle_patterns`] pulls patterns (owned
+//! [`CyclePattern`]s, or borrowed ones) from an iterator, typically the
+//! receiving end of a bounded channel fed by a generator thread. It
+//! validates them incrementally against the shape the first pattern
+//! fixed, groups them into lane-width chunks — one pattern per
+//! simulation lane, [`PLAYBACK_LANE_GROUPS`]` * 64` patterns per chunk
+//! by default — and hands the chunk iterator to [`Exec::dispatch`] as
+//! one [`steac_sim::ExecWork`] over the shared compiled program. The
+//! chunks play inline (`Exec::serial()`), across cores
+//! (`Exec::threads(..)`), or across `steac-worker` processes and remote
+//! hosts — there the compiled program, the lane-group width, pin
+//! bindings and force state ship once per worker over the
+//! [`steac_sim::wire`] format, and pattern chunks are the unit payloads.
+//!
+//! Reports reach the caller's sink strictly in pattern order and are
+//! byte-identical on every backend, at every chunk size and at every
+//! lane-group width: every verdict is per-pattern, cycle indices are
+//! pattern-local, forces replicate per 64-lane group and padding lanes
+//! follow lane 0. Peak memory follows the pipeline depth, never the set
+//! size. [`apply_cycle_patterns_batch`], the materialized entry point,
+//! is the same player over borrowed patterns that collects the reports.
 
 use crate::PatternError;
+use std::borrow::Borrow;
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
 use steac_netlist::NetId;
 use steac_sim::shard::{self, PoolError};
-use steac_sim::{
-    wire, Exec, ExecWork, Logic, PackedLogic, SimError, SimProgram, Simulator, StreamWork,
-};
+use steac_sim::{wire, Exec, ExecWork, Logic, PackedLogic, SimError, SimProgram, Simulator};
 
 /// Per-pin state in one tester cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -230,15 +220,16 @@ impl MismatchReport {
 /// Result of a batched playback run: one [`MismatchReport`] per
 /// pattern, plus the dispatch bookkeeping for the run. Every
 /// verdict-bearing field is backend-invariant; `process_fallbacks` is
-/// nonzero only when a process backend fell back in-thread under
+/// nonzero only when shipped batches fell back in-thread under
 /// [`steac_sim::Fallback::InThread`] (the verdicts are unaffected, the
 /// degradation is just recorded instead of silent).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BatchPlayback {
     /// One report per pattern, in batch order.
     pub reports: Vec<MismatchReport>,
-    /// Times this run's process dispatch fell back to the in-thread
-    /// pool (0 or 1; exactly this call's count, not a shared total).
+    /// Shipped batches this run recomputed in-thread — exactly this
+    /// call's count, not a shared total (up to one per
+    /// [`steac_sim::STREAM_BATCH_UNITS`] chunks).
     pub process_fallbacks: usize,
 }
 
@@ -351,15 +342,15 @@ fn resolve_pins(sim: &Simulator, pins: &[String]) -> Result<Vec<NetId>, PatternE
 /// Plays one chunk of patterns — up to one per simulation lane of the
 /// `N`-group executor — from the state `sim` is currently in. Returns
 /// one report per pattern in chunk order.
-fn play_chunk<const N: usize>(
+fn play_chunk<const N: usize, P: Borrow<CyclePattern>>(
     sim: &mut Simulator<N>,
     nets: &[NetId],
     pins: &[String],
-    chunk: &[&CyclePattern],
+    chunk: &[P],
 ) -> Result<Vec<MismatchReport>, PatternError> {
-    let cycles = chunk.first().map_or(0, |p| p.cycles.len());
+    let cycles = chunk.first().map_or(0, |p| p.borrow().cycles.len());
     play_cycles(sim, nets, pins, chunk.len(), cycles, |l, ci, pi| {
-        chunk[l].cycles[ci][pi]
+        chunk[l].borrow().cycles[ci][pi]
     })
 }
 
@@ -464,17 +455,19 @@ pub const PLAYBACK_LANE_GROUPS: usize = 1;
 /// [`PLAYBACK_LANE_GROUPS`]` * 64` patterns per pass — and
 /// returns a [`BatchPlayback`] with one [`MismatchReport`] per pattern —
 /// the batched ATE playback path (a tester floor applying the same
-/// timing program to hundreds of dies at once). Larger batches become
-/// independent chunks dispatched on `exec` — inline, across cores or
-/// across `steac-worker` processes; reports are byte-identical on every
-/// backend and at every lane-group width
+/// timing program to hundreds of dies at once). This is
+/// [`stream_cycle_patterns`] over the borrowed batch, collecting the
+/// reports; chunks dispatch on `exec` — inline, across cores or across
+/// `steac-worker` processes — and the reports are byte-identical on
+/// every backend and at every lane-group width
 /// (see [`apply_cycle_patterns_batch_wide`]).
 ///
 /// All patterns of a batch must share the *shape* that fixes the timing
 /// program: the same pin list, the same cycle count, and `P` (pulse) on
 /// the same pins in the same cycles — clock pulses are timeline events
 /// common to all lanes. Drive values and compare positions may differ
-/// freely per pattern.
+/// freely per pattern. Patterns are validated in pattern order, so of
+/// several defects the lowest-indexed pattern's wins.
 ///
 /// Every chunk plays on a worker-local clone of `sim`, reset to the
 /// all-`X` state first, so every pattern observes power-on semantics
@@ -487,7 +480,7 @@ pub const PLAYBACK_LANE_GROUPS: usize = 1;
 /// Returns [`PatternError::Shape`] when pin lists, cycle counts or pulse
 /// positions disagree, [`PatternError::UnknownPin`] for pins missing on
 /// the module, and propagates simulator errors (lowest-indexed failing
-/// chunk, deterministically). Process-backend failures surface as
+/// chunk, deterministically). Shipped-batch failures surface as
 /// [`SimError::Worker`] wrapped in [`PatternError::Sim`] under
 /// [`steac_sim::Fallback::Fail`], and are otherwise recomputed
 /// in-thread (counted on the `Exec`).
@@ -518,44 +511,18 @@ pub fn apply_cycle_patterns_batch_wide(
     patterns: &[&CyclePattern],
     groups: usize,
 ) -> Result<BatchPlayback, PatternError> {
-    match groups {
-        1 => batch_n::<1>(exec, sim, patterns),
-        2 => batch_n::<2>(exec, sim, patterns),
-        4 => batch_n::<4>(exec, sim, patterns),
-        8 => batch_n::<8>(exec, sim, patterns),
-        _ => Err(PatternError::Sim(SimError::UnsupportedWidth { groups })),
-    }
-}
-
-fn batch_n<const N: usize>(
-    exec: &Exec,
-    sim: &Simulator,
-    patterns: &[&CyclePattern],
-) -> Result<BatchPlayback, PatternError> {
-    let width = Simulator::<N>::WIDTH;
-    let Some(first) = validate_batch(patterns, width)? else {
-        return Ok(BatchPlayback::default());
-    };
-    let nets = resolve_pins(sim, &first.pins)?;
-    // The dispatcher simulator is the narrow lane-0 view; its 64-lane
-    // force state replicates into every group of the wide executors so
-    // fault injection means the same thing at every width.
-    let forces: Vec<(NetId, u64, PackedLogic<1>)> = sim
-        .export_forces()
-        .into_iter()
-        .map(|(net, mask, values)| (net, mask[0], values))
-        .collect();
-    let work = PlaybackWork::<N> {
+    let mut reports = Vec::with_capacity(patterns.len());
+    let run = stream_cycle_patterns_wide(
+        exec,
         sim,
-        forces,
-        pins: &first.pins,
-        nets: &nets,
-        chunks: patterns.chunks(width).collect(),
-    };
-    let dispatched = exec.dispatch(&work)?;
+        patterns.iter().copied(),
+        groups,
+        usize::MAX,
+        |r| reports.push(r),
+    )?;
     Ok(BatchPlayback {
-        process_fallbacks: dispatched.fallback_count(),
-        reports: dispatched.units.into_iter().flatten().collect(),
+        reports,
+        process_fallbacks: run.process_fallbacks,
     })
 }
 
@@ -569,27 +536,25 @@ pub struct StreamPlayback {
     /// Patterns played (= reports delivered to the sink).
     pub patterns: usize,
     /// Shipped batches this run recomputed in-thread under
-    /// [`steac_sim::Fallback::InThread`] (a streaming run ships many
-    /// batches, so unlike [`BatchPlayback`] this can exceed 1).
+    /// [`steac_sim::Fallback::InThread`], as in
+    /// [`BatchPlayback::process_fallbacks`].
     pub process_fallbacks: usize,
 }
 
 /// Plays cycle patterns **as they are produced**, without ever
-/// materializing the set: the streaming sibling of
-/// [`apply_cycle_patterns_batch`]. Patterns are pulled from `patterns`
-/// (typically the receiving end of a bounded channel fed by a
-/// generator thread), validated incrementally, grouped into lane-width
-/// chunks, and dispatched through [`Exec::dispatch_stream`]; `sink`
+/// materializing the set. Patterns — owned or borrowed — are pulled
+/// from `patterns` (typically the receiving end of a bounded channel
+/// fed by a generator thread), validated incrementally, grouped into
+/// lane-width chunks, and dispatched through [`Exec::dispatch`]; `sink`
 /// receives one [`MismatchReport`] per pattern, **strictly in pattern
-/// order**, byte-identical to what the materialized flow would have
-/// put in [`BatchPlayback::reports`] — on every backend, at any chunk
-/// size. Peak memory follows the pipeline depth (bounded windows of
-/// owned patterns in flight), never the stream length.
+/// order**, byte-identical on every backend and at any chunk size.
+/// Peak memory follows the pipeline depth (a bounded window of chunks
+/// in flight), never the stream length.
 ///
 /// The first pattern fixes the shape — pin list, cycle count, pulse
-/// timeline — that the materialized validator enforces batch-wide;
-/// every later pattern is checked against it as it is pulled, raising
-/// the same typed [`PatternError::Shape`] values.
+/// timeline — and every later pattern is checked against it as it is
+/// pulled, raising the typed [`PatternError::Shape`] values
+/// [`apply_cycle_patterns_batch`] documents.
 ///
 /// # Errors
 ///
@@ -597,14 +562,15 @@ pub struct StreamPlayback {
 /// delivery semantics: the sink has already received an in-order
 /// prefix of the reports when an error surfaces (a mid-stream shape
 /// violation truncates the stream at the offending pattern's chunk).
-pub fn stream_cycle_patterns<I, S>(
+pub fn stream_cycle_patterns<P, I, S>(
     exec: &Exec,
     sim: &Simulator,
     patterns: I,
     sink: S,
 ) -> Result<StreamPlayback, PatternError>
 where
-    I: Iterator<Item = CyclePattern> + Send,
+    P: Borrow<CyclePattern> + Send + Sync,
+    I: Iterator<Item = P> + Send,
     S: FnMut(MismatchReport),
 {
     stream_cycle_patterns_wide(exec, sim, patterns, PLAYBACK_LANE_GROUPS, usize::MAX, sink)
@@ -622,7 +588,7 @@ where
 /// Everything [`stream_cycle_patterns`] raises, plus
 /// [`SimError::UnsupportedWidth`] (wrapped in [`PatternError::Sim`])
 /// for widths with no compiled kernel.
-pub fn stream_cycle_patterns_wide<I, S>(
+pub fn stream_cycle_patterns_wide<P, I, S>(
     exec: &Exec,
     sim: &Simulator,
     patterns: I,
@@ -631,19 +597,20 @@ pub fn stream_cycle_patterns_wide<I, S>(
     sink: S,
 ) -> Result<StreamPlayback, PatternError>
 where
-    I: Iterator<Item = CyclePattern> + Send,
+    P: Borrow<CyclePattern> + Send + Sync,
+    I: Iterator<Item = P> + Send,
     S: FnMut(MismatchReport),
 {
     match groups {
-        1 => stream_n::<1, _, _>(exec, sim, patterns, chunk, sink),
-        2 => stream_n::<2, _, _>(exec, sim, patterns, chunk, sink),
-        4 => stream_n::<4, _, _>(exec, sim, patterns, chunk, sink),
-        8 => stream_n::<8, _, _>(exec, sim, patterns, chunk, sink),
+        1 => stream_n::<1, _, _, _>(exec, sim, patterns, chunk, sink),
+        2 => stream_n::<2, _, _, _>(exec, sim, patterns, chunk, sink),
+        4 => stream_n::<4, _, _, _>(exec, sim, patterns, chunk, sink),
+        8 => stream_n::<8, _, _, _>(exec, sim, patterns, chunk, sink),
         _ => Err(PatternError::Sim(SimError::UnsupportedWidth { groups })),
     }
 }
 
-fn stream_n<const N: usize, I, S>(
+fn stream_n<const N: usize, P, I, S>(
     exec: &Exec,
     sim: &Simulator,
     mut patterns: I,
@@ -651,7 +618,8 @@ fn stream_n<const N: usize, I, S>(
     mut sink: S,
 ) -> Result<StreamPlayback, PatternError>
 where
-    I: Iterator<Item = CyclePattern> + Send,
+    P: Borrow<CyclePattern> + Send + Sync,
+    I: Iterator<Item = P> + Send,
     S: FnMut(MismatchReport),
 {
     let width = Simulator::<N>::WIDTH;
@@ -661,30 +629,33 @@ where
     let Some(first) = patterns.next() else {
         return Ok(StreamPlayback::default());
     };
-    for row in &first.cycles {
-        if row.len() != first.pins.len() {
+    let head = first.borrow();
+    for row in &head.cycles {
+        if row.len() != head.pins.len() {
             return Err(PatternError::Shape {
                 context: "cycle row",
-                expected: first.pins.len(),
+                expected: head.pins.len(),
                 got: row.len(),
             });
         }
     }
-    let pins = first.pins.clone();
-    let cycles = first.cycles.len();
+    let pins = head.pins.clone();
+    let cycles = head.cycles.len();
     let nets = resolve_pins(sim, &pins)?;
-    // Same force export as the materialized path: the dispatcher
-    // simulator's 64-lane force state replicates into every group.
+    // The dispatcher simulator is the narrow lane-0 view; its 64-lane
+    // force state replicates into every group of the wide executors so
+    // fault injection means the same thing at every width.
     let forces: Vec<(NetId, u64, PackedLogic<1>)> = sim
         .export_forces()
         .into_iter()
         .map(|(net, mask, values)| (net, mask[0], values))
         .collect();
-    let work = StreamPlaybackWork::<N> {
+    let work = PlaybackWork::<N, P> {
         sim,
         forces,
         pins: &pins,
         nets: &nets,
+        unit: PhantomData,
     };
     // A mid-stream shape violation cannot surface through the unit
     // iterator (units are infallible values), so the chunker records it
@@ -700,7 +671,7 @@ where
         done: false,
     };
     let mut delivered = 0usize;
-    let dispatched = exec.dispatch_stream(&work, feed, |reports: Vec<MismatchReport>| {
+    let dispatched = exec.dispatch(&work, feed, |reports: Vec<MismatchReport>| {
         for report in reports {
             sink(report);
             delivered += 1;
@@ -714,27 +685,28 @@ where
     }
     Ok(StreamPlayback {
         patterns: delivered,
-        process_fallbacks: dispatched.fallback_count(),
+        process_fallbacks: dispatched.fallbacks,
     })
 }
 
-/// The streaming chunker/validator: groups pulled patterns into
-/// `chunk`-sized units, checking each against the shape the first
-/// pattern fixed (same typed [`PatternError::Shape`] contexts as
-/// [`validate_batch`]) and each chunk's pulse alignment — *before* any
-/// simulation, exactly like the materialized validator. The first
-/// violation poisons the shared cell and ends the stream.
-struct ValidatedChunks<'a, I> {
+/// The chunker/validator: groups pulled patterns into `chunk`-sized
+/// units, checking each against the shape the first pattern fixed and
+/// each chunk's pulse alignment — *before* any simulation, so a
+/// shape-invalid pattern raises the same typed [`PatternError::Shape`]
+/// whether its chunk would have played in-thread or shipped to a
+/// worker (and the wire encoding can rely on uniform row widths). The
+/// first violation poisons the shared cell and ends the stream.
+struct ValidatedChunks<'a, I, P> {
     patterns: I,
     pins: &'a [String],
     cycles: usize,
     chunk: usize,
-    pending: Option<CyclePattern>,
+    pending: Option<P>,
     poisoned: &'a Mutex<Option<PatternError>>,
     done: bool,
 }
 
-impl<I> ValidatedChunks<'_, I> {
+impl<I, P> ValidatedChunks<'_, I, P> {
     fn check(&self, p: &CyclePattern) -> Result<(), PatternError> {
         if p.pins != self.pins {
             return Err(PatternError::Shape {
@@ -768,10 +740,10 @@ impl<I> ValidatedChunks<'_, I> {
     }
 }
 
-impl<I: Iterator<Item = CyclePattern>> Iterator for ValidatedChunks<'_, I> {
-    type Item = Vec<CyclePattern>;
+impl<I: Iterator<Item = P>, P: Borrow<CyclePattern>> Iterator for ValidatedChunks<'_, I, P> {
+    type Item = Vec<P>;
 
-    fn next(&mut self) -> Option<Vec<CyclePattern>> {
+    fn next(&mut self) -> Option<Vec<P>> {
         if self.done {
             return None;
         }
@@ -784,7 +756,7 @@ impl<I: Iterator<Item = CyclePattern>> Iterator for ValidatedChunks<'_, I> {
                 self.done = true;
                 break;
             };
-            if let Err(e) = self.check(&p) {
+            if let Err(e) = self.check(p.borrow()) {
                 self.poison(e);
                 break;
             }
@@ -793,10 +765,8 @@ impl<I: Iterator<Item = CyclePattern>> Iterator for ValidatedChunks<'_, I> {
         if out.is_empty() {
             return None;
         }
-        let refs: Vec<&CyclePattern> = out.iter().collect();
-        if let Err(e) = check_pulse_alignment(&refs) {
-            // The materialized validator rejects before playing; the
-            // streaming one rejects the offending chunk whole.
+        if let Err(e) = check_pulse_alignment(&out) {
+            // The offending chunk is rejected whole, before it plays.
             self.poison(e);
             return None;
         }
@@ -804,20 +774,20 @@ impl<I: Iterator<Item = CyclePattern>> Iterator for ValidatedChunks<'_, I> {
     }
 }
 
-/// The [`StreamWork`] description of streaming playback: one unit per
-/// owned pattern chunk, the *same* job block as [`PlaybackWork`] (so
-/// the worker program cache and the fleet's one-program-per-host
-/// guarantee cover both flavours), per-chunk [`MismatchReport`] lists
-/// as unit results.
-struct StreamPlaybackWork<'a, const N: usize> {
+/// The [`ExecWork`] description of playback: one unit per chunk of up
+/// to `64 * N` patterns (owned or borrowed), a job block carrying the
+/// compiled program + lane-group width + pin bindings + force state,
+/// and per-chunk [`MismatchReport`] lists as unit results.
+struct PlaybackWork<'a, const N: usize, P> {
     sim: &'a Simulator,
     forces: Vec<(NetId, u64, PackedLogic<1>)>,
     pins: &'a [String],
     nets: &'a [NetId],
+    unit: PhantomData<P>,
 }
 
-impl<const N: usize> StreamWork for StreamPlaybackWork<'_, N> {
-    type Unit = Vec<CyclePattern>;
+impl<const N: usize, P: Borrow<CyclePattern> + Send + Sync> ExecWork for PlaybackWork<'_, N, P> {
+    type Unit = Vec<P>;
     type Output = Vec<MismatchReport>;
     type Error = PatternError;
 
@@ -835,141 +805,26 @@ impl<const N: usize> StreamWork for StreamPlaybackWork<'_, N> {
         )
     }
 
-    fn encode_unit(&self, unit: &Vec<CyclePattern>) -> Vec<u8> {
-        let refs: Vec<&CyclePattern> = unit.iter().collect();
-        encode_pattern_chunk(&refs)
+    fn encode_unit(&self, unit: &Vec<P>) -> Vec<u8> {
+        encode_pattern_chunk(unit)
     }
 
-    fn run_unit_local(
-        &self,
-        unit: &Vec<CyclePattern>,
-    ) -> Result<Vec<MismatchReport>, PatternError> {
+    fn run_unit_local(&self, unit: &Vec<P>) -> Result<Vec<MismatchReport>, PatternError> {
         let mut wsim = Simulator::<N>::from_program(self.sim.program_arc().clone());
         wsim.import_forces_replicated(&self.forces);
-        let refs: Vec<&CyclePattern> = unit.iter().collect();
-        play_chunk(&mut wsim, self.nets, self.pins, &refs)
+        play_chunk(&mut wsim, self.nets, self.pins, unit)
     }
 
-    fn decode_result(
-        &self,
-        unit: &Vec<CyclePattern>,
-        bytes: &[u8],
-    ) -> Result<Vec<MismatchReport>, String> {
+    fn decode_result(&self, unit: &Vec<P>, bytes: &[u8]) -> Result<Vec<MismatchReport>, String> {
         let reports = decode_reports(bytes).map_err(|e| format!("result: {e}"))?;
+        // One report per pattern, positionally: a miscounted result
+        // would misattribute every later report, so it is rejected like
+        // any other malformed worker result.
         if reports.len() != unit.len() {
             return Err(format!(
                 "result has {} reports for {} patterns",
                 reports.len(),
                 unit.len()
-            ));
-        }
-        Ok(reports)
-    }
-
-    fn pool_error(&self, error: PoolError) -> PatternError {
-        PatternError::Sim(SimError::from(error))
-    }
-}
-
-/// Checks the batch shares the shape that fixes the timing program —
-/// pin lists, cycle counts, row widths, per-chunk pulse alignment — and
-/// returns the reference pattern. Both dispatch flavours validate here,
-/// *before* any simulation, so a shape-invalid batch raises the same
-/// typed [`PatternError::Shape`] whether it would have played in-thread
-/// or shipped to worker processes (and the wire encoding can rely on
-/// uniform row widths).
-fn validate_batch<'a>(
-    patterns: &[&'a CyclePattern],
-    width: usize,
-) -> Result<Option<&'a CyclePattern>, PatternError> {
-    let Some(&first) = patterns.first() else {
-        return Ok(None);
-    };
-    for p in patterns {
-        if p.pins != first.pins {
-            return Err(PatternError::Shape {
-                context: "batch pin list",
-                expected: first.pins.len(),
-                got: p.pins.len(),
-            });
-        }
-        if p.cycles.len() != first.cycles.len() {
-            return Err(PatternError::Shape {
-                context: "batch cycle count",
-                expected: first.cycles.len(),
-                got: p.cycles.len(),
-            });
-        }
-        for row in &p.cycles {
-            if row.len() != p.pins.len() {
-                return Err(PatternError::Shape {
-                    context: "cycle row",
-                    expected: p.pins.len(),
-                    got: row.len(),
-                });
-            }
-        }
-    }
-    for chunk in patterns.chunks(width) {
-        check_pulse_alignment(chunk)?;
-    }
-    Ok(Some(first))
-}
-
-/// The [`ExecWork`] description of batched playback: one unit per
-/// `64 * N`-pattern chunk, a job block carrying the compiled program +
-/// lane-group width + pin bindings + force state, and per-chunk
-/// [`MismatchReport`] lists as unit results.
-struct PlaybackWork<'a, const N: usize> {
-    sim: &'a Simulator,
-    forces: Vec<(NetId, u64, PackedLogic<1>)>,
-    pins: &'a [String],
-    nets: &'a [NetId],
-    chunks: Vec<&'a [&'a CyclePattern]>,
-}
-
-impl<const N: usize> ExecWork for PlaybackWork<'_, N> {
-    type Output = Vec<MismatchReport>;
-    type Error = PatternError;
-
-    fn kind(&self) -> u16 {
-        WIRE_KIND
-    }
-
-    fn unit_count(&self) -> usize {
-        self.chunks.len()
-    }
-
-    fn encode_job(&self) -> Vec<u8> {
-        encode_playback_job(
-            self.sim.program(),
-            N as u8,
-            self.pins,
-            self.nets,
-            &self.forces,
-        )
-    }
-
-    fn encode_unit(&self, unit: usize) -> Vec<u8> {
-        encode_pattern_chunk(self.chunks[unit])
-    }
-
-    fn run_unit_local(&self, unit: usize) -> Result<Vec<MismatchReport>, PatternError> {
-        let mut wsim = Simulator::<N>::from_program(self.sim.program_arc().clone());
-        wsim.import_forces_replicated(&self.forces);
-        play_chunk(&mut wsim, self.nets, self.pins, self.chunks[unit])
-    }
-
-    fn decode_result(&self, unit: usize, bytes: &[u8]) -> Result<Vec<MismatchReport>, String> {
-        let reports = decode_reports(bytes).map_err(|e| format!("result: {e}"))?;
-        // One report per pattern, positionally: a miscounted result
-        // would misattribute every later report, so it is rejected like
-        // any other malformed worker result.
-        if reports.len() != self.chunks[unit].len() {
-            return Err(format!(
-                "result has {} reports for {} patterns",
-                reports.len(),
-                self.chunks[unit].len()
             ));
         }
         Ok(reports)
@@ -1018,12 +873,16 @@ fn encode_playback_job(
 
 /// Unit payload: the cycle rows of up to one chunk's worth of patterns
 /// (the pin list lives in the job; rows are STIL-style state characters).
-fn encode_pattern_chunk(chunk: &[&CyclePattern]) -> Vec<u8> {
+fn encode_pattern_chunk<P: Borrow<CyclePattern>>(chunk: &[P]) -> Vec<u8> {
     let mut w = wire::WireWriter::new();
-    let states: usize = chunk.iter().map(|p| p.cycles.len() * p.pins.len()).sum();
+    let states: usize = chunk
+        .iter()
+        .map(|p| p.borrow().cycles.len() * p.borrow().pins.len())
+        .sum();
     w.reserve(8 * (1 + chunk.len()) + states);
     w.put_usize(chunk.len());
     for p in chunk {
+        let p = p.borrow();
         w.put_usize(p.cycles.len());
         for row in &p.cycles {
             for state in row {
@@ -1075,19 +934,19 @@ fn decode_reports(bytes: &[u8]) -> Result<Vec<MismatchReport>, wire::WireError> 
 }
 
 /// Raises, at validation time, exactly the pulse-alignment error
-/// [`play_chunk`] would raise mid-play — scanning cycles then pins,
-/// chunk by chunk — so both dispatch flavours reject misaligned batches
-/// with the same typed [`PatternError::Shape`] before any simulation
-/// runs. (Workers and the in-thread player still check, as defense in
-/// depth against bytes that bypassed validation.)
-fn check_pulse_alignment(chunk: &[&CyclePattern]) -> Result<(), PatternError> {
-    let cycles = chunk.first().map_or(0, |p| p.cycles.len());
-    let pins = chunk.first().map_or(0, |p| p.pins.len());
+/// [`play_chunk`] would raise mid-play — scanning cycles then pins — so
+/// every backend rejects a misaligned chunk with the same typed
+/// [`PatternError::Shape`] before any simulation runs. (Workers and the
+/// in-thread player still check, as defense in depth against bytes that
+/// bypassed validation.)
+fn check_pulse_alignment<P: Borrow<CyclePattern>>(chunk: &[P]) -> Result<(), PatternError> {
+    let cycles = chunk.first().map_or(0, |p| p.borrow().cycles.len());
+    let pins = chunk.first().map_or(0, |p| p.borrow().pins.len());
     for ci in 0..cycles {
         for pi in 0..pins {
             let pulse_lanes = chunk
                 .iter()
-                .filter(|p| p.cycles[ci][pi] == PinState::Pulse)
+                .filter(|&p| p.borrow().cycles[ci][pi] == PinState::Pulse)
                 .count();
             if pulse_lanes != 0 && pulse_lanes != chunk.len() {
                 return Err(PatternError::Shape {
@@ -1169,8 +1028,7 @@ impl<const N: usize> shard::WireJob for PlaybackJob<N> {
 }
 
 /// Decodes a [`WIRE_KIND`] job block into the executable playback job —
-/// the `steac-worker` side of [`apply_cycle_patterns_batch`]'s process
-/// backend.
+/// the `steac-worker` side of the cycle player's shipped backends.
 ///
 /// # Errors
 ///
@@ -1482,8 +1340,8 @@ mod tests {
         ))
         .unwrap();
         // Hand-assemble a ragged unit: a 1-cycle pattern followed by a
-        // 2-cycle pattern (the dispatcher's validate_batch would reject
-        // this, so it can only arrive via corrupt or hostile bytes).
+        // 2-cycle pattern (the player's validator would reject this, so
+        // it can only arrive via corrupt or hostile bytes).
         let mut w = wire::WireWriter::new();
         w.put_usize(2);
         for p in [&one, &two] {
@@ -1596,7 +1454,8 @@ mod tests {
             "{err}"
         );
         // An empty stream is a clean no-op.
-        let run = stream_cycle_patterns(&Exec::serial(), &sim, std::iter::empty(), |_| {}).unwrap();
+        let none = std::iter::empty::<CyclePattern>();
+        let run = stream_cycle_patterns(&Exec::serial(), &sim, none, |_| {}).unwrap();
         assert_eq!(run, StreamPlayback::default());
     }
 

@@ -3,62 +3,73 @@
 //! across `steac-worker` processes, or across a fleet of remote
 //! `steac-worker` hosts — while the workload code stays identical.
 //!
-//! Every batched workload in the platform (PPSFP fault grading, batched
-//! ATE playback, March fault simulation, JPEG pattern playback)
-//! decomposes into independent work units over shared immutable state.
-//! Before this module each workload exposed a family of near-identical
-//! entry points (`_with`, `_processes`, `_with_pool`, env sniffing in
-//! the default); now each exposes exactly one, taking [`&Exec`](Exec):
+//! Every batched workload in the platform (PPSFP fault grading, fault
+//! dictionaries and diagnosis, ATE playback, March fault simulation,
+//! JPEG pattern playback) decomposes into independent work units over
+//! shared immutable state. Each exposes exactly one entry point taking
+//! [`&Exec`](Exec):
 //!
 //! ```text
 //! fault::grade_vectors(&exec, …)
-//! fault::fault_coverage(&exec, …)
 //! cycle::apply_cycle_patterns_batch(&exec, …)
+//! cycle::stream_cycle_patterns(&exec, …)
 //! membist::faultsim::fault_coverage(&exec, …)
-//! dsc::verify::jpeg_playback_batch(&exec, …)
+//! dsc::verify::jpeg_playback_stream(&exec, …)
 //! ```
 //!
-//! A workload describes itself to the dispatcher once, as an
-//! [`ExecWork`] — how to run a unit in-process, and how to serialize
-//! the job/units and decode results for process (and, later, remote)
-//! transports. [`Exec::dispatch`] then owns the one merge-by-unit-index
-//! determinism contract for every backend: unit `i`'s result (or the
-//! lowest-indexed unit's error) is identical no matter which backend
-//! ran it or how execution interleaved. [`Backend::Processes`] and
-//! [`Backend::Remote`] are that seam paying off: the same wire bytes
-//! ship through one work-stealing [`RemoteFleet`] over a pluggable
-//! [`crate::remote::Transport`] — persistent local `steac-worker`
-//! children, or TCP to `steac-worker --serve` listeners on other
-//! machines — and no workload crate changed to gain either.
+//! # One trait, one dispatcher
 //!
-//! Flows whose unit list is *produced* rather than materialized — the
-//! streaming generate→play pipeline — use the sibling seam: a
-//! [`StreamWork`] pulls owned units from an iterator (typically a
-//! bounded channel fed by a generator thread) and
-//! [`Exec::dispatch_stream`] plays them through the same backends under
-//! the same determinism contract, holding only a bounded window of
-//! units in flight so peak memory follows pipeline depth, not stream
-//! length.
+//! A workload describes itself once, as an [`ExecWork`]: its unit type,
+//! how to run a unit in-process, and how to serialize the job and a
+//! unit and decode a result for the worker protocol. [`Exec::dispatch`]
+//! is the one consumer. It pulls units from any iterator — a
+//! materialized batch passes its chunk iterator, a generate→play
+//! pipeline the receiving end of a bounded channel — and hands every
+//! output to a sink **strictly in unit order**. Unit `i`'s output (or
+//! the lowest-indexed unit's error) is identical no matter which
+//! backend ran it or how execution interleaved.
+//!
+//! The pipeline shape is fixed by the backend, with no option:
+//!
+//! * `Serial` and `Threads(1)` run inline on the calling thread, one
+//!   unit at a time.
+//! * `Threads(t)`, `t > 1`, runs `t` dispatcher threads with one unit
+//!   per batch.
+//! * [`Backend::Processes`] and [`Backend::Remote`] run two dispatcher
+//!   threads with [`STREAM_BATCH_UNITS`] units per batch, each batch a
+//!   sub-run of the same job through one work-stealing [`RemoteFleet`]
+//!   over a pluggable [`crate::remote::Transport`] — persistent local
+//!   `steac-worker` children, or TCP to `steac-worker --serve`
+//!   listeners. The job is encoded when the first batch ships, and the
+//!   fleet's per-host prime gate ships it once per host however many
+//!   batches race.
+//!
+//! Dispatcher threads pull batches from the input under one lock, and
+//! the calling thread merges finished batches back into unit order
+//! before sinking. **In-flight memory is bounded by the pipeline, never
+//! by the input:** a dispatcher waits while the input is
+//! `2 × dispatchers` batches ahead of the sink — 4 units on
+//! `threads:2`, 128 when shipped — so one stalled batch cannot let the
+//! others drain the input into the reorder buffer.
 //!
 //! # Fallback policy
 //!
-//! Shipped dispatch — processes or remote hosts — can fail for reasons
-//! that have nothing to do with the workload (worker binary missing,
-//! spawn failure, a worker dying, every remote host lost). The
-//! [`Fallback`] policy makes the response explicit instead of
-//! per-callsite folklore:
+//! Shipped batches can fail for reasons that have nothing to do with
+//! the workload (worker binary missing, a worker dying, every remote
+//! host lost). The [`Fallback`] policy decides, per batch:
 //!
-//! * [`Fallback::InThread`] (the default): recompute the whole run on
-//!   the in-thread pool. The fallback is **surfaced**, not silent — it
+//! * [`Fallback::InThread`] (the default): recompute the batch on the
+//!   calling dispatcher. The fallback is **surfaced**, not silent — it
 //!   is logged to stderr, counted on the `Exec`
-//!   ([`Exec::process_fallbacks`]), and returned to the caller in
-//!   [`Dispatch::fallback`] so reports can carry it.
+//!   ([`Exec::process_fallbacks`]) and in [`Dispatch::fallbacks`], and
+//!   the first diagnostic is kept in [`Dispatch::fallback`], so reports
+//!   can carry it.
 //! * [`Fallback::Fail`]: surface the failure as the workload's typed
 //!   error (deterministically the lowest-indexed affected unit).
 //!
 //! (Transient remote trouble is retried *inside* the fleet first; the
-//! policy only decides what a run that could not be completed remotely
-//! means. See [`crate::remote`] for the retry/requeue model.)
+//! policy only decides what a batch that could not be completed
+//! remotely means. See [`crate::remote`] for the retry/requeue model.)
 //!
 //! # Environment resolution
 //!
@@ -70,8 +81,8 @@ use crate::shard::{self, PoolError, Threads};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Condvar, Mutex, OnceLock, PoisonError};
 
 /// Where work units physically execute. `#[non_exhaustive]` so further
 /// rungs can be added without breaking any workload crate — exactly how
@@ -81,7 +92,8 @@ use std::sync::{mpsc, Mutex};
 pub enum Backend {
     /// Every unit runs inline on the calling thread, in unit order.
     Serial,
-    /// Units fan across a `std::thread::scope` pool ([`shard::run_units`]).
+    /// Units fan across scoped dispatcher threads, one per configured
+    /// thread (inline at width 1).
     Threads(Threads),
     /// Units serialize to a fleet of persistent local `steac-worker`
     /// children, one stdio session each
@@ -95,17 +107,16 @@ pub enum Backend {
     Remote(RemoteFleet),
 }
 
-/// What [`Exec::dispatch`] does when shipped dispatch — the process
+/// What [`Exec::dispatch`] does when a shipped batch — on the process
 /// *or* remote backend — fails (spawn failure, a worker dying, a remote
-/// host lost with retries exhausted, malformed results): the explicit
-/// replacement for the per-callsite behaviour the `_processes` variants
-/// used to hard-code.
+/// host lost with retries exhausted, malformed results).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Fallback {
-    /// Recompute in-process, logging and counting the fallback (see
-    /// [`Exec::process_fallbacks`] and [`Dispatch::fallback`]). The
-    /// run still produces exactly the result the in-thread pool would
-    /// have produced — never a silently different one.
+    /// Recompute the batch in-process, logging and counting the
+    /// fallback (see [`Exec::process_fallbacks`] and
+    /// [`Dispatch::fallbacks`]). The run still produces exactly the
+    /// result an in-process run would have produced — never a silently
+    /// different one.
     #[default]
     InThread,
     /// Surface the failure as the workload's typed error, attributed to
@@ -146,121 +157,39 @@ pub struct Exec {
     fallbacks: AtomicUsize,
 }
 
-/// The outcome of a successful [`Exec::dispatch`]: per-unit results in
-/// unit order, plus the fallback diagnostic when process dispatch
-/// failed and the run was recomputed in-thread.
-#[derive(Debug)]
-pub struct Dispatch<T> {
-    /// One result per work unit, merged **by unit index**.
-    pub units: Vec<T>,
-    /// `Some(diagnostic)` when the run fell back from processes to the
-    /// in-thread pool under [`Fallback::InThread`]; `None` otherwise.
-    pub fallback: Option<String>,
-}
-
-/// The outcome of a successful [`Exec::dispatch_stream`]: how many
-/// outputs reached the sink, plus fallback accounting. A streaming run
-/// ships many batches, so unlike [`Dispatch`] it can fall back more
-/// than once.
-#[derive(Debug)]
-pub struct StreamDispatch {
+/// The outcome of a successful [`Exec::dispatch`]: how many outputs
+/// reached the sink, plus fallback accounting.
+#[derive(Debug, Default)]
+pub struct Dispatch {
     /// Outputs delivered to the sink, in unit order.
     pub units: usize,
-    /// `Some(first diagnostic)` when any shipped batch fell back to the
-    /// in-thread pull loop under [`Fallback::InThread`]; `None`
+    /// `Some(first diagnostic)` when any shipped batch fell back to an
+    /// in-process recompute under [`Fallback::InThread`]; `None`
     /// otherwise.
     pub fallback: Option<String>,
-    /// Number of shipped batches recomputed in-thread.
+    /// Shipped batches recomputed in-process — the per-call count
+    /// reports fold in (up to ⌈units / [`STREAM_BATCH_UNITS`]⌉).
     pub fallbacks: usize,
 }
 
-impl StreamDispatch {
-    fn clean(units: usize) -> Self {
-        StreamDispatch {
-            units,
-            fallback: None,
-            fallbacks: 0,
-        }
-    }
+/// Units per shipped batch (process and remote backends): each batch is
+/// one fleet sub-run of the job. With two dispatchers and a window of
+/// four batches, at most `4 × STREAM_BATCH_UNITS` units (plus their
+/// encoded bytes) sit between the input and the sink at any moment.
+pub const STREAM_BATCH_UNITS: usize = 32;
 
-    /// Number of per-batch in-thread fallbacks this streaming dispatch
-    /// folded in — the per-call count reports fold into their totals.
-    #[must_use]
-    pub fn fallback_count(&self) -> usize {
-        self.fallbacks
-    }
-}
-
-/// A batch of independent work units that every backend can execute:
-/// in-process via [`ExecWork::run_unit_local`], or serialized to
-/// `steac-worker` processes (and, later, remote hosts) via the
-/// `kind`/`encode_*`/`decode_result` half, which must agree with the
-/// worker-side [`shard::WireJob`] registered for the same `kind`.
+/// A workload every backend can execute: in-process via
+/// [`ExecWork::run_unit_local`], or serialized to `steac-worker`
+/// processes and remote hosts via the `kind`/`encode_*`/`decode_result`
+/// half, which must agree with the worker-side [`shard::WireJob`]
+/// registered for the same `kind`.
 ///
 /// Implementations live next to their workloads (`crate::models`,
 /// `steac-pattern`, `steac-membist`); [`Exec::dispatch`] is the only
 /// consumer.
 pub trait ExecWork: Sync {
-    /// Per-unit result.
-    type Output: Send;
-    /// Workload error type.
-    type Error: Send;
-
-    /// Work-unit kind routed by the worker-side job registry.
-    fn kind(&self) -> u16;
-
-    /// Number of independent work units.
-    fn unit_count(&self) -> usize;
-
-    /// Serializes the shared job block (shipped once per worker). Only
-    /// called for process-backed dispatch.
-    fn encode_job(&self) -> Vec<u8>;
-
-    /// Serializes one work unit. Only called for process-backed
-    /// dispatch.
-    fn encode_unit(&self, unit: usize) -> Vec<u8>;
-
-    /// Executes one unit in-process — the exact code the worker binary
-    /// runs for the same unit, so dispatch flavour can never change a
-    /// result.
-    ///
-    /// # Errors
-    ///
-    /// The workload's typed error for this unit.
-    fn run_unit_local(&self, unit: usize) -> Result<Self::Output, Self::Error>;
-
-    /// Decodes one worker result payload.
-    ///
-    /// # Errors
-    ///
-    /// A diagnostic for malformed payloads; the dispatcher treats it as
-    /// a process-level failure of that unit (subject to the fallback
-    /// policy).
-    fn decode_result(&self, unit: usize, bytes: &[u8]) -> Result<Self::Output, String>;
-
-    /// Wraps a fleet failure in the workload's error type (used
-    /// under [`Fallback::Fail`]).
-    fn pool_error(&self, error: PoolError) -> Self::Error;
-}
-
-/// Units a streaming dispatcher pulls from the producer per shipped
-/// batch (process / remote backends). This bounds in-flight memory: at
-/// most `dispatchers × STREAM_BATCH_UNITS` owned units (plus their
-/// encoded wire bytes) sit between the producer and the wire at any
-/// moment, independent of how many units the stream eventually yields.
-pub const STREAM_BATCH_UNITS: usize = 32;
-
-/// The producer-driven sibling of [`ExecWork`]: a workload whose units
-/// are **owned values pulled from an iterator** (typically the
-/// receiving end of a bounded channel fed by a generator thread)
-/// rather than indices into a materialized batch.
-/// [`Exec::dispatch_stream`] is the only consumer; the wire half must
-/// agree with the same worker-side [`shard::WireJob`] kind as the
-/// materialized path, so a worker cannot tell the flavours apart — and
-/// the program cache dedupes both by the same job hash.
-pub trait StreamWork: Sync {
-    /// One owned work unit (`Sync` because the in-process pool fans a
-    /// pulled window across threads by reference).
+    /// One work unit, pulled from the dispatch input (`Sync` because
+    /// dispatcher threads run units by reference).
     type Unit: Send + Sync;
     /// Per-unit result.
     type Output: Send;
@@ -270,9 +199,9 @@ pub trait StreamWork: Sync {
     /// Work-unit kind routed by the worker-side job registry.
     fn kind(&self) -> u16;
 
-    /// Serializes the shared job block. It is encoded once for the
-    /// whole stream: every shipped batch reuses it, and the worker
-    /// program cache dedupes the batches on its hash.
+    /// Serializes the shared job block. Encoded at most once per
+    /// dispatch, when the first shipped batch needs it; every batch
+    /// reuses it, and the worker program cache dedupes them by its hash.
     fn encode_job(&self) -> Vec<u8>;
 
     /// Serializes one work unit for the wire.
@@ -296,9 +225,41 @@ pub trait StreamWork: Sync {
     /// policy).
     fn decode_result(&self, unit: &Self::Unit, bytes: &[u8]) -> Result<Self::Output, String>;
 
-    /// Wraps a pool/fleet failure in the workload's error type (used
-    /// under [`Fallback::Fail`]).
+    /// Wraps a fleet failure in the workload's error type (used under
+    /// [`Fallback::Fail`]).
     fn pool_error(&self, error: PoolError) -> Self::Error;
+}
+
+/// One finished batch: per-unit results in batch order, plus the
+/// fallback diagnostic when it was recomputed in-process.
+type Batch<W> = (
+    Vec<Result<<W as ExecWork>::Output, <W as ExecWork>::Error>>,
+    Option<String>,
+);
+
+/// The pipeline's shared input: the unit iterator plus how many
+/// batches and units have been pulled from it.
+struct Feed<I> {
+    units: I,
+    batches: usize,
+    pulled: usize,
+}
+
+/// The in-flight gate: batches sunk so far, and whether the run has
+/// stopped. It has its own lock so the merge loop never waits on a
+/// dispatcher blocked inside the input iterator.
+struct Gate {
+    sunk: usize,
+    abort: bool,
+}
+
+/// Runs its closure when dropped.
+struct OnDrop<F: Fn()>(F);
+
+impl<F: Fn()> Drop for OnDrop<F> {
+    fn drop(&mut self) {
+        (self.0)();
+    }
 }
 
 impl Exec {
@@ -484,8 +445,7 @@ impl Exec {
     }
 
     /// Configured fan-out width: 1 for serial, the thread count, or the
-    /// fleet's host count — worker children or remote hosts (runs
-    /// additionally cap it at the unit count).
+    /// fleet's host count — worker children or remote hosts.
     #[must_use]
     pub fn width(&self) -> usize {
         match &self.backend {
@@ -496,10 +456,8 @@ impl Exec {
     }
 
     /// The in-process worker count this backend implies — what
-    /// [`Exec::run_units`] / [`Exec::run_fallible`] use, and what
-    /// shipped dispatch falls back to under [`Fallback::InThread`].
-    /// `Serial` pins it to 1; `Processes` and `Remote` use
-    /// [`Threads::auto`] for their local compute.
+    /// [`Exec::run_fallible`] uses. `Serial` pins it to 1; `Processes`
+    /// and `Remote` use [`Threads::auto`] for their local compute.
     #[must_use]
     pub fn local_threads(&self) -> Threads {
         match &self.backend {
@@ -509,8 +467,8 @@ impl Exec {
         }
     }
 
-    /// How many times process dispatch on this `Exec` has fallen back
-    /// to the in-thread pool (only ever nonzero under
+    /// How many shipped batches on this `Exec` have fallen back to an
+    /// in-process recompute (only ever nonzero under
     /// [`Fallback::InThread`]). Reports fold the per-call count in; this
     /// is the running total across calls.
     #[must_use]
@@ -519,20 +477,10 @@ impl Exec {
     }
 
     /// Runs `work(0..unit_count)` on the backend's **in-process** pool
-    /// and returns results in unit order — for workloads (or workload
-    /// phases, like pattern generation) whose closures cannot cross a
-    /// process boundary. `Serial` runs inline; `Processes` uses the
-    /// local thread width ([`Exec::local_threads`]).
-    pub fn run_units<T, F>(&self, unit_count: usize, work: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        shard::run_units(self.local_threads(), unit_count, work)
-    }
-
-    /// [`Exec::run_units`] for fallible work: all results in unit
-    /// order, or the error of the lowest-indexed failing unit.
+    /// ([`Exec::local_threads`]) — for workloads, or workload phases like
+    /// pattern generation, whose closures cannot cross a process
+    /// boundary. Returns all results in unit order, or the error of the
+    /// lowest-indexed failing unit.
     ///
     /// # Errors
     ///
@@ -546,330 +494,187 @@ impl Exec {
         shard::run_fallible(self.local_threads(), unit_count, work)
     }
 
-    /// Executes an [`ExecWork`] on the configured backend and merges
-    /// the per-unit results **by unit index** — the single dispatch
-    /// seam every workload entry point routes through, so the
-    /// determinism contract (unit-order results, lowest-indexed-unit
-    /// errors, bit-identical reports across backends) lives in exactly
-    /// one place.
+    /// Executes an [`ExecWork`] over the units pulled from `units`,
+    /// delivering every output to `sink` **strictly in unit order** —
+    /// the single dispatch seam every workload entry point routes
+    /// through, so the determinism contract and the fallback decision
+    /// live in exactly one place. See the module docs for the pipeline
+    /// each backend runs and its in-flight bound.
+    ///
+    /// On success the sink has seen every output, exactly as a serial
+    /// run would produce them, regardless of backend, batch boundaries
+    /// or interleaving. On error the sink has seen an in-order prefix
+    /// (a batch's outputs are withheld from its first failing unit on),
+    /// and the error is the lowest-indexed failing unit's. An empty
+    /// input encodes nothing and never touches the fleet.
     ///
     /// # Errors
     ///
     /// The workload error of the lowest-indexed failing unit; under
     /// [`Fallback::Fail`], also the wrapped fleet failure.
-    pub fn dispatch<W: ExecWork>(&self, work: &W) -> Result<Dispatch<W::Output>, W::Error> {
-        let count = work.unit_count();
-        let local =
-            |threads: Threads| shard::run_fallible(threads, count, |i| work.run_unit_local(i));
-        let fleet = match &self.backend {
-            Backend::Serial => return Ok(Dispatch::clean(local(Threads::single())?)),
-            Backend::Threads(t) => return Ok(Dispatch::clean(local(*t)?)),
-            Backend::Processes(fleet) | Backend::Remote(fleet) => fleet,
-        };
-        if count == 0 {
-            return Ok(Dispatch::clean(Vec::new()));
-        }
-        let job = work.encode_job();
-        let units: Vec<Vec<u8>> = (0..count).map(|i| work.encode_unit(i)).collect();
-        let failure = match fleet.run(work.kind(), &job, &units) {
-            Ok(results) => {
-                let mut decoded = Vec::with_capacity(count);
-                let mut bad = None;
-                for (unit, bytes) in results.iter().enumerate() {
-                    match work.decode_result(unit, bytes) {
-                        Ok(v) => decoded.push(v),
-                        Err(diagnostic) => {
-                            bad = Some(PoolError::Unit { unit, diagnostic });
-                            break;
-                        }
-                    }
-                }
-                match bad {
-                    None => return Ok(Dispatch::clean(decoded)),
-                    Some(failure) => failure,
-                }
-            }
-            Err(failure) => failure,
-        };
-        match self.on_process_failure {
-            Fallback::Fail => Err(work.pool_error(failure)),
-            Fallback::InThread => {
-                let diagnostic = failure.to_string();
-                self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                eprintln!(
-                    "steac exec: {self} dispatch failed ({diagnostic}); \
-                     recomputing on the in-thread pool"
-                );
-                Ok(Dispatch {
-                    units: local(self.local_threads())?,
-                    fallback: Some(diagnostic),
-                })
-            }
-        }
-    }
-
-    /// Executes a [`StreamWork`] over units pulled from `units` as they
-    /// become available, delivering outputs to `sink` **strictly in
-    /// unit order** — the streaming sibling of [`Exec::dispatch`], for
-    /// flows whose unit list is produced incrementally (a generator
-    /// thread feeding a bounded channel) instead of materialized up
-    /// front.
-    ///
-    /// Memory stays bounded by pipeline depth, never by stream length:
-    /// the serial and thread backends pull a window of `4 × threads`
-    /// units at a time; the process and remote backends pull
-    /// [`STREAM_BATCH_UNITS`]-unit batches on two dispatcher threads and
-    /// a merge loop re-orders finished batches back into unit order.
-    /// Both reuse the in-flight window and content-addressed program
-    /// cache of [`crate::remote`]: concurrent batches of the same job
-    /// still ship the program to each host exactly once (the host-level
-    /// prime gate), and every later batch goes by hash.
-    ///
-    /// Determinism contract: on success the sink sees exactly the
-    /// outputs the materialized path would have produced, in unit
-    /// order, regardless of backend, batch boundaries, or interleaving.
-    /// On error the sink has seen an in-order prefix of those outputs
-    /// (a backend may withhold outputs from the failing unit's own
-    /// window or batch) and the error is the lowest-indexed failing
-    /// unit's.
-    ///
-    /// # Errors
-    ///
-    /// The workload error of the lowest-indexed failing unit; under
-    /// [`Fallback::Fail`], also the wrapped pool/fleet failure.
-    pub fn dispatch_stream<W, I, S>(
-        &self,
-        work: &W,
-        units: I,
-        sink: S,
-    ) -> Result<StreamDispatch, W::Error>
+    pub fn dispatch<W, I, S>(&self, work: &W, units: I, mut sink: S) -> Result<Dispatch, W::Error>
     where
-        W: StreamWork,
-        I: Iterator<Item = W::Unit> + Send,
+        W: ExecWork,
+        I: IntoIterator<Item = W::Unit>,
+        I::IntoIter: Send,
         S: FnMut(W::Output),
     {
-        match &self.backend {
-            Backend::Serial | Backend::Threads(_) => {
-                self.stream_local(work, units, sink, self.local_threads())
-            }
+        let (dispatchers, batch_units, fleet) = match &self.backend {
             Backend::Processes(fleet) | Backend::Remote(fleet) => {
-                self.stream_shipped(fleet, work, units, sink)
+                (2, STREAM_BATCH_UNITS, Some(fleet))
             }
-        }
-    }
-
-    /// Serial/thread streaming: pull a bounded window off the producer,
-    /// fan it across the in-process pool ([`shard::run_fallible`] — the
-    /// same lowest-index error rule as materialized dispatch), sink it
-    /// in order, repeat.
-    fn stream_local<W, I, S>(
-        &self,
-        work: &W,
-        mut units: I,
-        mut sink: S,
-        threads: Threads,
-    ) -> Result<StreamDispatch, W::Error>
-    where
-        W: StreamWork,
-        I: Iterator<Item = W::Unit>,
-        S: FnMut(W::Output),
-    {
-        let window = threads.get() * 4;
-        let mut delivered = 0usize;
-        loop {
-            let batch: Vec<W::Unit> = units.by_ref().take(window).collect();
-            if batch.is_empty() {
-                return Ok(StreamDispatch::clean(delivered));
+            Backend::Threads(t) if t.get() > 1 => (t.get(), 1, None),
+            Backend::Serial | Backend::Threads(_) => {
+                let mut done = Dispatch::default();
+                for unit in units {
+                    sink(work.run_unit_local(&unit)?);
+                    done.units += 1;
+                }
+                return Ok(done);
             }
-            let outputs =
-                shard::run_fallible(threads, batch.len(), |i| work.run_unit_local(&batch[i]))?;
-            for output in outputs {
-                sink(output);
-                delivered += 1;
-            }
-        }
-    }
-
-    /// Process/remote streaming: dispatcher threads pull bounded
-    /// batches off the shared producer and ship each one through the
-    /// fleet as a sub-run of the same job, while a merge loop on the
-    /// calling thread re-orders finished batches back into unit order
-    /// before sinking. In-flight state is bounded by the dispatcher
-    /// count and the result-channel depth — never by the stream length.
-    fn stream_shipped<W, I, S>(
-        &self,
-        fleet: &RemoteFleet,
-        work: &W,
-        units: I,
-        mut sink: S,
-    ) -> Result<StreamDispatch, W::Error>
-    where
-        W: StreamWork,
-        I: Iterator<Item = W::Unit> + Send,
-        S: FnMut(W::Output),
-    {
-        struct Feed<I> {
-            units: I,
-            next_seq: usize,
-        }
-        // Two dispatchers keep the fleet's pipeline full: one batch on
-        // the wire while the next is pulled and encoded.
-        let dispatchers = 2;
-        let kind = work.kind();
-        let job = work.encode_job();
-        let feed = Mutex::new(Feed { units, next_seq: 0 });
-        let abort = AtomicBool::new(false);
-        let (tx, rx) = mpsc::sync_channel(dispatchers * 2);
+        };
+        let window = 2 * dispatchers;
+        let feed = Mutex::new(Feed {
+            units: units.into_iter().fuse(),
+            batches: 0,
+            pulled: 0,
+        });
+        let gate = Mutex::new(Gate {
+            sunk: 0,
+            abort: false,
+        });
+        let wake = Condvar::new();
+        // Every exit — the input drained, an error, a panic — stops
+        // the pipeline, so no dispatcher waits on the gate forever.
+        let stop = || {
+            gate.lock().unwrap_or_else(PoisonError::into_inner).abort = true;
+            wake.notify_all();
+        };
+        let job = OnceLock::new();
         std::thread::scope(|scope| {
+            let (tx, rx) = mpsc::channel::<(usize, Batch<W>)>();
             for _ in 0..dispatchers {
                 let tx = tx.clone();
-                let (feed, abort, job) = (&feed, &abort, &job);
+                let (feed, gate, wake, stop, job) = (&feed, &gate, &wake, &stop, &job);
                 scope.spawn(move || {
-                    while !abort.load(Ordering::Relaxed) {
-                        let (start, batch) = {
+                    let _stop = OnDrop(stop);
+                    loop {
+                        let (seq, start, batch) = {
                             let mut feed = feed.lock().expect("no panics hold the lock");
-                            let start = feed.next_seq;
+                            let mut open = gate.lock().expect("no panics hold the lock");
+                            while !open.abort && feed.batches >= open.sunk + window {
+                                open = wake.wait(open).expect("no panics hold the lock");
+                            }
+                            if open.abort {
+                                return;
+                            }
+                            drop(open);
                             let batch: Vec<W::Unit> =
-                                feed.units.by_ref().take(STREAM_BATCH_UNITS).collect();
-                            feed.next_seq += batch.len();
-                            (start, batch)
+                                feed.units.by_ref().take(batch_units).collect();
+                            let (seq, start) = (feed.batches, feed.pulled);
+                            feed.batches += 1;
+                            feed.pulled += batch.len();
+                            (seq, start, batch)
                         };
                         if batch.is_empty() {
-                            break;
+                            return;
                         }
-                        let done = self.ship_stream_batch(fleet, work, kind, job, start, &batch);
-                        if done.is_err() {
-                            // Terminal under Fallback::Fail: stop pulling.
-                            abort.store(true, Ordering::Relaxed);
-                        }
-                        if tx.send((start, batch.len(), done)).is_err() {
-                            break; // the merge loop saw an earlier error
+                        let done = match fleet {
+                            Some(fleet) => self.ship_batch(fleet, work, job, start, &batch),
+                            None => (batch.iter().map(|u| work.run_unit_local(u)).collect(), None),
+                        };
+                        // After an error every later batch is moot; after a
+                        // failed send the merge loop has already returned.
+                        let failed = done.0.iter().any(Result::is_err);
+                        if tx.send((seq, done)).is_err() || failed {
+                            return;
                         }
                     }
                 });
             }
             drop(tx);
+            let _stop = OnDrop(&stop);
             let mut pending = BTreeMap::new();
+            let mut out = Dispatch::default();
             let mut head = 0usize;
-            let mut delivered = 0usize;
-            let mut fallbacks = 0usize;
-            let mut fallback: Option<String> = None;
-            let mut error: Option<W::Error> = None;
-            'merge: for (start, len, done) in rx {
-                pending.insert(start, (len, done));
-                while let Some((len, done)) = pending.remove(&head) {
-                    match done {
-                        Ok((results, diagnostic)) => {
-                            head += len;
-                            if let Some(diagnostic) = diagnostic {
-                                fallbacks += 1;
-                                fallback.get_or_insert(diagnostic);
+            for (seq, done) in rx {
+                pending.insert(seq, done);
+                while let Some((results, diagnostic)) = pending.remove(&head) {
+                    if let Some(diagnostic) = diagnostic {
+                        out.fallbacks += 1;
+                        out.fallback.get_or_insert(diagnostic);
+                    }
+                    for result in results {
+                        match result {
+                            Ok(output) => {
+                                sink(output);
+                                out.units += 1;
                             }
-                            for result in results {
-                                match result {
-                                    Ok(output) => {
-                                        sink(output);
-                                        delivered += 1;
-                                    }
-                                    Err(e) => {
-                                        error = Some(e);
-                                        abort.store(true, Ordering::Relaxed);
-                                        break 'merge;
-                                    }
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            error = Some(e);
-                            break 'merge;
+                            Err(e) => return Err(e),
                         }
                     }
+                    head += 1;
+                    gate.lock().expect("no panics hold the lock").sunk = head;
+                    wake.notify_all();
                 }
             }
-            match error {
-                Some(e) => Err(e),
-                None => Ok(StreamDispatch {
-                    units: delivered,
-                    fallback,
-                    fallbacks,
-                }),
-            }
+            Ok(out)
         })
     }
 
-    /// Ships one streamed batch (units `start..start + batch.len()`)
-    /// through the fleet and decodes it, applying the fallback
-    /// policy per batch: `Ok` carries per-unit results in batch order
-    /// (recomputed in-thread under [`Fallback::InThread`], with the
-    /// diagnostic), `Err` is terminal under [`Fallback::Fail`].
-    #[allow(clippy::type_complexity)]
-    fn ship_stream_batch<W: StreamWork>(
+    /// Ships one batch (units `start..start + batch.len()`) through the
+    /// fleet and decodes it, applying the fallback policy: under
+    /// [`Fallback::InThread`] a failed batch is recomputed in-process
+    /// and carries the diagnostic; under [`Fallback::Fail`] it is the
+    /// single wrapped error.
+    fn ship_batch<W: ExecWork>(
         &self,
         fleet: &RemoteFleet,
         work: &W,
-        kind: u16,
-        job: &[u8],
+        job: &OnceLock<Vec<u8>>,
         start: usize,
         batch: &[W::Unit],
-    ) -> Result<(Vec<Result<W::Output, W::Error>>, Option<String>), W::Error> {
+    ) -> Batch<W> {
         let encoded: Vec<Vec<u8>> = batch.iter().map(|u| work.encode_unit(u)).collect();
-        let failure = match fleet.run(kind, job, &encoded) {
-            Ok(results) => {
-                let mut decoded = Vec::with_capacity(batch.len());
-                let mut bad = None;
-                for (offset, (unit, bytes)) in batch.iter().zip(&results).enumerate() {
-                    match work.decode_result(unit, bytes) {
-                        Ok(v) => decoded.push(Ok(v)),
-                        Err(diagnostic) => {
-                            bad = Some(PoolError::Unit {
-                                unit: start + offset,
-                                diagnostic,
-                            });
-                            break;
+        let job = job.get_or_init(|| work.encode_job());
+        let failure = 'failed: {
+            match fleet.run(work.kind(), job, &encoded) {
+                Ok(results) => {
+                    let mut outputs = Vec::with_capacity(batch.len());
+                    for (offset, (unit, bytes)) in batch.iter().zip(&results).enumerate() {
+                        match work.decode_result(unit, bytes) {
+                            Ok(output) => outputs.push(Ok(output)),
+                            Err(diagnostic) => {
+                                break 'failed PoolError::Unit {
+                                    unit: start + offset,
+                                    diagnostic,
+                                }
+                            }
                         }
                     }
+                    return (outputs, None);
                 }
-                match bad {
-                    None => return Ok((decoded, None)),
-                    Some(failure) => failure,
-                }
+                // Re-key from batch-local to input indices so
+                // diagnostics name the true unit.
+                Err(PoolError::Unit { unit, diagnostic }) => PoolError::Unit {
+                    unit: start + unit,
+                    diagnostic,
+                },
             }
-            // Re-key unit-level failures from batch-local to stream
-            // indices so diagnostics name the true unit.
-            Err(PoolError::Unit { unit, diagnostic }) => PoolError::Unit {
-                unit: start + unit,
-                diagnostic,
-            },
         };
         match self.on_process_failure {
-            Fallback::Fail => Err(work.pool_error(failure)),
+            Fallback::Fail => (vec![Err(work.pool_error(failure))], None),
             Fallback::InThread => {
                 let diagnostic = failure.to_string();
                 self.fallbacks.fetch_add(1, Ordering::Relaxed);
                 eprintln!(
-                    "steac exec: {self} stream dispatch failed ({diagnostic}); \
+                    "steac exec: {self} dispatch failed ({diagnostic}); \
                      recomputing the batch in-thread"
                 );
                 let recomputed = batch.iter().map(|u| work.run_unit_local(u)).collect();
-                Ok((recomputed, Some(diagnostic)))
+                (recomputed, Some(diagnostic))
             }
         }
-    }
-}
-
-impl<T> Dispatch<T> {
-    fn clean(units: Vec<T>) -> Self {
-        Dispatch {
-            units,
-            fallback: None,
-        }
-    }
-
-    /// 1 when this dispatch fell back from processes to the in-thread
-    /// pool, else 0 — the per-call count reports fold in.
-    #[must_use]
-    pub fn fallback_count(&self) -> usize {
-        usize::from(self.fallback.is_some())
     }
 }
 
@@ -893,6 +698,7 @@ impl fmt::Display for Exec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     /// A process backend whose worker binary does not exist.
     fn bogus(workers: usize) -> Exec {
@@ -965,80 +771,123 @@ mod tests {
     }
 
     #[test]
-    fn in_process_dispatch_is_unit_ordered_on_every_backend() {
-        let expected: Vec<usize> = (0..50).map(|i| i * 3).collect();
+    fn run_fallible_is_unit_ordered_on_every_backend() {
         for exec in [
             Exec::serial(),
             Exec::threads(Threads::exact(1)),
             Exec::threads(Threads::exact(4)),
         ] {
-            assert_eq!(exec.run_units(50, |i| i * 3), expected, "{exec}");
-            let fallible: Result<Vec<usize>, usize> = exec.run_fallible(50, Ok);
-            assert_eq!(fallible.unwrap().len(), 50, "{exec}");
+            let got: Result<Vec<usize>, usize> = exec.run_fallible(50, |i| Ok(i * 3));
+            assert_eq!(got.unwrap(), (0..50).map(|i| i * 3).collect::<Vec<_>>());
         }
     }
 
-    /// A minimal ExecWork that squares its unit index; the process
-    /// backend has no real worker for it, which exercises both
-    /// fallback policies.
-    struct Squares(usize);
+    /// A minimal work over `usize` units: squares them in-process, and
+    /// on the wire ships the unit's bytes and squares the echo.
+    /// `usize::MAX` poisons the local path for error-order tests; the
+    /// fields stall unit 0 and forbid encoding the job.
+    #[derive(Default)]
+    struct Squares {
+        stall: Duration,
+        jobless: bool,
+    }
 
     impl ExecWork for Squares {
+        type Unit = usize;
         type Output = usize;
         type Error = String;
 
         fn kind(&self) -> u16 {
             9999
         }
-        fn unit_count(&self) -> usize {
-            self.0
-        }
         fn encode_job(&self) -> Vec<u8> {
+            assert!(!self.jobless, "this input must encode no job");
             Vec::new()
         }
-        fn encode_unit(&self, unit: usize) -> Vec<u8> {
-            vec![unit as u8]
+        fn encode_unit(&self, unit: &usize) -> Vec<u8> {
+            unit.to_le_bytes().to_vec()
         }
-        fn run_unit_local(&self, unit: usize) -> Result<usize, String> {
+        fn run_unit_local(&self, unit: &usize) -> Result<usize, String> {
+            if *unit == 0 {
+                std::thread::sleep(self.stall);
+            }
+            if *unit == usize::MAX {
+                return Err("poisoned unit".to_string());
+            }
             Ok(unit * unit)
         }
-        fn decode_result(&self, _unit: usize, _bytes: &[u8]) -> Result<usize, String> {
-            Err("no decoder in this test".to_string())
+        fn decode_result(&self, _unit: &usize, bytes: &[u8]) -> Result<usize, String> {
+            let echoed: [u8; 8] = bytes.try_into().map_err(|_| "not a usize".to_string())?;
+            let unit = usize::from_le_bytes(echoed);
+            Ok(unit * unit)
         }
         fn pool_error(&self, error: PoolError) -> String {
             error.to_string()
         }
     }
 
+    /// Dispatches `0..n` and checks every output arrives in unit order.
+    fn squares(exec: &Exec, work: &Squares, n: usize) -> Dispatch {
+        let mut got = Vec::new();
+        let d = exec.dispatch(work, 0..n, |o| got.push(o)).unwrap();
+        assert_eq!(got, (0..n).map(|i| i * i).collect::<Vec<_>>(), "{exec}");
+        assert_eq!(d.units, n, "{exec}");
+        d
+    }
+
     #[test]
-    fn dispatch_merges_by_unit_index_on_in_process_backends() {
-        let expected: Vec<usize> = (0..97).map(|i| i * i).collect();
-        for exec in [Exec::serial(), Exec::threads(Threads::exact(4))] {
-            let d = exec.dispatch(&Squares(97)).unwrap();
-            assert_eq!(d.units, expected, "{exec}");
+    fn dispatch_sinks_in_unit_order_on_in_process_backends() {
+        for exec in [
+            Exec::serial(),
+            Exec::threads(Threads::exact(1)),
+            Exec::threads(Threads::exact(4)),
+        ] {
+            let d = squares(&exec, &Squares::default(), 97);
             assert!(d.fallback.is_none());
-            assert_eq!(d.fallback_count(), 0);
+            assert_eq!(d.fallbacks, 0);
         }
     }
 
     #[test]
+    fn dispatch_surfaces_the_lowest_indexed_unit_error() {
+        for exec in [Exec::serial(), Exec::threads(Threads::exact(4))] {
+            let units = (0..40).map(|i| if i >= 17 { usize::MAX } else { i });
+            let mut got = Vec::new();
+            let err = exec
+                .dispatch(&Squares::default(), units, |o| got.push(o))
+                .unwrap_err();
+            assert_eq!(err, "poisoned unit", "{exec}");
+            assert!(got.len() <= 17, "{exec}: sink saw past the failing unit");
+            assert_eq!(
+                got,
+                (0..got.len()).map(|i| i * i).collect::<Vec<_>>(),
+                "{exec}: delivered prefix must be in unit order"
+            );
+        }
+    }
+
+    /// No real worker binary: every shipped batch fails. `InThread`
+    /// recomputes per batch, so the count tracks batches; `Fail`
+    /// surfaces the wrapped fleet error on unit 0.
+    #[test]
     fn process_failure_honours_the_fallback_policy() {
         let forgiving = bogus(2);
-        let d = forgiving.dispatch(&Squares(10)).unwrap();
-        assert_eq!(d.units, (0..10).map(|i| i * i).collect::<Vec<_>>());
+        let d = squares(&forgiving, &Squares::default(), 100);
         assert!(d.fallback.is_some(), "fallback must be surfaced");
-        assert_eq!(d.fallback_count(), 1);
-        assert_eq!(forgiving.process_fallbacks(), 1);
+        assert_eq!(d.fallbacks, 100usize.div_ceil(STREAM_BATCH_UNITS));
+        assert_eq!(forgiving.process_fallbacks(), d.fallbacks);
 
         let strict = bogus(2).with_fallback(Fallback::Fail);
-        let err = strict.dispatch(&Squares(10)).unwrap_err();
+        let err = strict
+            .dispatch(&Squares::default(), 0..100, |_| {})
+            .unwrap_err();
         assert!(err.contains("work unit 0"), "{err}");
         assert!(err.contains("/nonexistent/steac-worker"), "{err}");
         assert_eq!(strict.process_fallbacks(), 0);
     }
 
-    /// A fleet whose only host is unreachable: the Remote arm must obey
-    /// the same `Fallback` policy as the process arm, through the same
+    /// A fleet whose only host is unreachable: the Remote arm obeys the
+    /// same `Fallback` policy as the process arm, through the same
     /// dispatch seam.
     #[test]
     fn remote_failure_honours_the_fallback_policy() {
@@ -1053,125 +902,108 @@ mod tests {
                 .with_max_retries(0)
         };
         let forgiving = Exec::remote(dead_fleet());
-        let d = forgiving.dispatch(&Squares(10)).unwrap();
-        assert_eq!(d.units, (0..10).map(|i| i * i).collect::<Vec<_>>());
+        let d = squares(&forgiving, &Squares::default(), 10);
         assert!(d.fallback.is_some(), "fallback must be surfaced");
         assert_eq!(forgiving.process_fallbacks(), 1);
 
         let strict = Exec::remote(dead_fleet()).with_fallback(Fallback::Fail);
-        let err = strict.dispatch(&Squares(10)).unwrap_err();
+        let err = strict
+            .dispatch(&Squares::default(), 0..10, |_| {})
+            .unwrap_err();
         assert!(err.contains("work unit 0"), "{err}");
         assert_eq!(strict.process_fallbacks(), 0);
     }
 
     #[test]
-    fn empty_dispatch_never_touches_the_pool() {
+    fn empty_input_encodes_no_job_and_never_touches_the_fleet() {
         let exec = bogus(2).with_fallback(Fallback::Fail);
-        let d = exec.dispatch(&Squares(0)).unwrap();
-        assert!(d.units.is_empty());
-        assert!(d.fallback.is_none());
-    }
-
-    /// Streaming sibling of `Squares`: owned `usize` units, squared;
-    /// `usize::MAX` poisons the local path for error-order tests.
-    struct SquareStream;
-
-    impl StreamWork for SquareStream {
-        type Unit = usize;
-        type Output = usize;
-        type Error = String;
-
-        fn kind(&self) -> u16 {
-            9999
-        }
-        fn encode_job(&self) -> Vec<u8> {
-            Vec::new()
-        }
-        fn encode_unit(&self, unit: &usize) -> Vec<u8> {
-            vec![*unit as u8]
-        }
-        fn run_unit_local(&self, unit: &usize) -> Result<usize, String> {
-            if *unit == usize::MAX {
-                return Err("poisoned unit".to_string());
-            }
-            Ok(unit * unit)
-        }
-        fn decode_result(&self, _unit: &usize, _bytes: &[u8]) -> Result<usize, String> {
-            Err("no decoder in this test".to_string())
-        }
-        fn pool_error(&self, error: PoolError) -> String {
-            error.to_string()
-        }
-    }
-
-    #[test]
-    fn stream_dispatch_sinks_in_unit_order_on_in_process_backends() {
-        let expected: Vec<usize> = (0..97).map(|i| i * i).collect();
-        for exec in [
-            Exec::serial(),
-            Exec::threads(Threads::exact(1)),
-            Exec::threads(Threads::exact(4)),
-        ] {
-            let mut got = Vec::new();
-            let d = exec
-                .dispatch_stream(&SquareStream, 0..97, |o| got.push(o))
-                .unwrap();
-            assert_eq!(got, expected, "{exec}");
-            assert_eq!(d.units, 97, "{exec}");
-            assert!(d.fallback.is_none());
-            assert_eq!(d.fallback_count(), 0);
-        }
-    }
-
-    #[test]
-    fn stream_dispatch_surfaces_the_lowest_indexed_unit_error() {
-        for exec in [Exec::serial(), Exec::threads(Threads::exact(4))] {
-            let units = (0..40).map(|i| if i >= 17 { usize::MAX } else { i });
-            let mut got = Vec::new();
-            let err = exec
-                .dispatch_stream(&SquareStream, units, |o| got.push(o))
-                .unwrap_err();
-            assert_eq!(err, "poisoned unit", "{exec}");
-            assert!(got.len() <= 17, "{exec}: sink saw past the failing unit");
-            assert_eq!(
-                got,
-                (0..got.len()).map(|i| i * i).collect::<Vec<_>>(),
-                "{exec}: delivered prefix must be in unit order"
-            );
-        }
-    }
-
-    #[test]
-    fn stream_dispatch_honours_the_fallback_policy_on_shipped_backends() {
-        // No real worker binary: every shipped batch fails. InThread
-        // recomputes per batch (so the count tracks batches), Fail
-        // surfaces the wrapped fleet error.
-        let forgiving = bogus(2);
-        let mut got = Vec::new();
-        let d = forgiving
-            .dispatch_stream(&SquareStream, 0..100, |o| got.push(o))
-            .unwrap();
-        assert_eq!(got, (0..100).map(|i| i * i).collect::<Vec<_>>());
-        assert_eq!(d.units, 100);
-        assert!(d.fallback.is_some(), "fallback must be surfaced");
-        assert_eq!(d.fallback_count(), 100usize.div_ceil(STREAM_BATCH_UNITS));
-        assert_eq!(forgiving.process_fallbacks(), d.fallback_count());
-
-        let strict = bogus(2).with_fallback(Fallback::Fail);
-        let err = strict
-            .dispatch_stream(&SquareStream, 0..100, |_| {})
-            .unwrap_err();
-        assert!(err.contains("/nonexistent/steac-worker"), "{err}");
-        assert_eq!(strict.process_fallbacks(), 0);
-    }
-
-    #[test]
-    fn empty_stream_never_touches_the_pool() {
-        let exec = bogus(2).with_fallback(Fallback::Fail);
-        let d = exec
-            .dispatch_stream(&SquareStream, std::iter::empty(), |_: usize| {})
-            .unwrap();
+        let jobless = Squares {
+            jobless: true,
+            ..Squares::default()
+        };
+        let d = exec.dispatch(&jobless, 0..0, |_| {}).unwrap();
         assert_eq!(d.units, 0);
         assert!(d.fallback.is_none());
+    }
+
+    /// Dispatches `0..n` and returns the most units ever pulled from the
+    /// input but not yet sunk, measured at every pull.
+    fn most_pulled_ahead(exec: &Exec, work: &Squares, n: usize) -> usize {
+        let (pulled, sunk, worst) = (
+            AtomicUsize::new(0),
+            AtomicUsize::new(0),
+            AtomicUsize::new(0),
+        );
+        let units = (0..n).inspect(|_| {
+            let pulled = pulled.fetch_add(1, Ordering::SeqCst) + 1;
+            let ahead = pulled.saturating_sub(sunk.load(Ordering::SeqCst));
+            worst.fetch_max(ahead, Ordering::SeqCst);
+        });
+        let d = exec
+            .dispatch(work, units, |_| {
+                sunk.fetch_add(1, Ordering::SeqCst);
+            })
+            .unwrap();
+        assert_eq!(d.units, n);
+        worst.into_inner()
+    }
+
+    /// Serves every request in-process through the worker core with an
+    /// echo job, and stalls its second call — the first is held behind
+    /// the fleet's prime gate, so the second is an ordinary batch.
+    struct StallingEcho {
+        state: shard::WorkerState,
+        calls: AtomicUsize,
+    }
+
+    struct Echo;
+
+    impl shard::WireJob for Echo {
+        fn run_unit(&mut self, unit: &[u8]) -> Result<Vec<u8>, String> {
+            Ok(unit.to_vec())
+        }
+    }
+
+    impl Transport for StallingEcho {
+        fn call(&self, request: &[u8]) -> Result<Vec<u8>, crate::remote::TransportError> {
+            if self.calls.fetch_add(1, Ordering::SeqCst) == 1 {
+                std::thread::sleep(Duration::from_millis(1500));
+            }
+            let open = |_: u16, _: &[u8]| Ok(Box::new(Echo) as Box<dyn shard::WireJob>);
+            Ok(shard::process_request_with(request, open, &self.state).expect("a valid request"))
+        }
+        fn endpoint(&self) -> String {
+            "stalling-echo".to_string()
+        }
+    }
+
+    /// One stalled shipped batch must not let the other dispatcher drain
+    /// the input into the reorder buffer: at most two batches per
+    /// dispatcher are ever pulled but not yet sunk.
+    #[test]
+    fn a_stalled_batch_cannot_pull_the_input_ahead() {
+        let host = StallingEcho {
+            state: shard::WorkerState::new(),
+            calls: AtomicUsize::new(0),
+        };
+        let exec =
+            Exec::remote(RemoteFleet::new(vec![Box::new(host)])).with_fallback(Fallback::Fail);
+        let ahead = most_pulled_ahead(&exec, &Squares::default(), 20_000);
+        assert!(
+            ahead <= 2 * 2 * STREAM_BATCH_UNITS,
+            "{ahead} units pulled ahead"
+        );
+    }
+
+    /// The in-process twin: a slow unit 0 on `threads:2` holds the
+    /// input to four units ahead of the sink.
+    #[test]
+    fn a_stalled_unit_cannot_pull_the_input_ahead() {
+        let slow = Squares {
+            stall: Duration::from_millis(300),
+            ..Squares::default()
+        };
+        let ahead = most_pulled_ahead(&Exec::threads(Threads::exact(2)), &slow, 2_000);
+        assert!(ahead <= 4, "{ahead} units pulled ahead");
     }
 }

@@ -203,25 +203,21 @@ where
     F: Fn(&mut Simulator) -> Result<(), SimError> + Sync,
 {
     let program = Arc::new(SimProgram::compile(m)?);
-    let flags = shard::grade_in_passes(
-        exec.local_threads(),
-        faults,
-        FAULTS_PER_PASS,
-        1,
-        |_, chunk| {
-            let mut sim: Simulator = Simulator::from_program(Arc::clone(&program));
-            sim.set_observing(true);
-            for (i, f) in chunk.iter().enumerate() {
-                sim.force_lane(f.net, i + 1, f.stuck.value());
-            }
-            run_test(&mut sim)?;
-            let mut mask = 0u64;
-            for obs in sim.take_observations() {
-                mask |= detection_lanes(obs)[0];
-            }
-            Ok::<u64, SimError>(mask)
-        },
-    )?;
+    let chunks: Vec<&[Fault]> = faults.chunks(FAULTS_PER_PASS).collect();
+    let masks = exec.run_fallible(chunks.len(), |pass| {
+        let mut sim: Simulator = Simulator::from_program(Arc::clone(&program));
+        sim.set_observing(true);
+        for (i, f) in chunks[pass].iter().enumerate() {
+            sim.force_lane(f.net, i + 1, f.stuck.value());
+        }
+        run_test(&mut sim)?;
+        let mut mask = [0u64];
+        for obs in sim.take_observations() {
+            mask[0] |= detection_lanes(obs)[0];
+        }
+        Ok::<_, SimError>(mask)
+    })?;
+    let flags = shard::flags_from_lane_masks(faults.len(), FAULTS_PER_PASS, 1, &masks);
     Ok(Report::from_flags(faults, &flags, 0))
 }
 

@@ -49,29 +49,23 @@
 //!    are byte-identical at every width.
 //! 4. **Dispatch** ([`exec`]): independent packed passes (fault-grading
 //!    chunks, width-sized playback chunks, March walks) are *work units*
-//!    behind one execution-backend value, [`Exec`]:
+//!    of one [`ExecWork`] behind one execution-backend value, [`Exec`]:
 //!    `Exec::serial()` runs them inline, `Exec::threads(..)` fans them
-//!    across a `std::thread::scope` pool ([`shard`]), and
-//!    `Exec::processes(..)` serializes them ([`wire`]) to a fleet of
-//!    persistent `steac-worker` children (step 5). Every workload entry point
-//!    takes `&Exec` and routes through [`Exec::dispatch`], so the
-//!    merge-by-unit-index determinism contract — unit-order results,
-//!    lowest-indexed-unit errors, **bit-identical reports on every
-//!    backend** — lives in exactly one place, proven bit-for-bit by
-//!    `tests/exec_matrix.rs`. Workloads whose units are *produced*
-//!    rather than materialized (the streaming generate→play pipeline)
-//!    describe themselves as an [`exec::StreamWork`] instead and route
-//!    through [`Exec::dispatch_stream`]: units are pulled from an
-//!    iterator — typically a bounded channel fed by a generator
-//!    thread — played through the same backends in bounded windows,
-//!    and sunk strictly in unit order, so peak memory follows pipeline
-//!    depth (not stream length) while reports stay byte-identical to
-//!    the materialized flow. [`Exec::from_env`] resolves the one
-//!    backend knob, `STEAC_EXEC` (`STEAC_OPT` gates stage 2
-//!    independently), and
-//!    [`exec::Fallback`] makes the process-failure policy explicit
-//!    (recompute in-thread and record it, or fail on the
-//!    lowest-indexed unit).
+//!    across scoped dispatcher threads, and `Exec::processes(..)`
+//!    serializes them ([`wire`]) to a fleet of persistent
+//!    `steac-worker` children (step 5). Every workload entry point takes
+//!    `&Exec` and routes through [`Exec::dispatch`], which pulls units
+//!    from an iterator — a materialized batch's chunks or a generator
+//!    thread's bounded channel alike — and sinks outputs strictly in
+//!    unit order, holding at most two batches per dispatcher in flight.
+//!    So the merge-by-unit-index determinism contract — unit-order
+//!    results, lowest-indexed-unit errors, **bit-identical reports on
+//!    every backend** — and the bounded-memory promise live in exactly
+//!    one place, proven bit-for-bit by `tests/exec_matrix.rs`.
+//!    [`Exec::from_env`] resolves the one backend knob, `STEAC_EXEC`
+//!    (`STEAC_OPT` gates stage 2 independently), and [`exec::Fallback`]
+//!    makes the shipped-batch failure policy explicit (recompute
+//!    in-thread and record it, or fail on the lowest-indexed unit).
 //! 5. **Distribute across machines** ([`remote`]): the wire format and
 //!    the worker protocol are transport-agnostic — one serialized
 //!    request in, one serialized response out — so
@@ -85,12 +79,11 @@
 //!    **program cache** (FNV-1a 64 over the job bytes), so the fleet
 //!    ships the serialized program once per host and references it by
 //!    hash after that — a worker that restarted answers "need program"
-//!    and the bytes are re-shipped transparently. Streaming dispatch
-//!    leans on the same ledger: the concurrent sub-runs of one job
-//!    that [`Exec::dispatch_stream`] ships are serialized through a
-//!    per-host prime gate, so the program still crosses the wire
-//!    exactly once per host no matter how many batches race. A status
-//!    request
+//!    and the bytes are re-shipped transparently. The concurrent
+//!    batches [`Exec::dispatch`] ships as sub-runs of one job are
+//!    serialized through a per-host prime gate on the same ledger, so
+//!    the program still crosses the wire exactly once per host no
+//!    matter how many batches race. A status request
 //!    (`steac-worker --status`, [`remote::query_status`]) surfaces the
 //!    cache and traffic counters. [`remote::ProcessTransport`] runs the
 //!    same session over the stdin/stdout of one long-lived local
@@ -176,10 +169,7 @@ pub mod shard;
 pub mod wire;
 
 pub use engine::Simulator;
-pub use exec::{
-    Backend, Dispatch, Exec, ExecWork, Fallback, SpecError, StreamDispatch, StreamWork,
-    STREAM_BATCH_UNITS,
-};
+pub use exec::{Backend, Dispatch, Exec, ExecWork, Fallback, SpecError, STREAM_BATCH_UNITS};
 pub use fault::{
     enumerate_faults, fault_coverage, faults_per_pass, CoverageReport, Fault, StuckAt,
     FAULTS_PER_PASS, SUPPORTED_LANE_GROUPS,

@@ -236,19 +236,15 @@ fn distance(a: &[u64], b: &[u64]) -> u32 {
 struct DiagnoseWork<'a> {
     words: usize,
     observed: &'a [u64],
-    chunks: Vec<&'a [DictEntry]>,
 }
 
-impl ExecWork for DiagnoseWork<'_> {
+impl<'a> ExecWork for DiagnoseWork<'a> {
+    type Unit = &'a [DictEntry];
     type Output = Vec<u32>;
     type Error = SimError;
 
     fn kind(&self) -> u16 {
         WIRE_KIND
-    }
-
-    fn unit_count(&self) -> usize {
-        self.chunks.len()
     }
 
     fn encode_job(&self) -> Vec<u8> {
@@ -260,12 +256,12 @@ impl ExecWork for DiagnoseWork<'_> {
         w.finish()
     }
 
-    fn encode_unit(&self, unit: usize) -> Vec<u8> {
-        encode_dict_entries(self.chunks[unit])
+    fn encode_unit(&self, unit: &&'a [DictEntry]) -> Vec<u8> {
+        encode_dict_entries(unit)
     }
 
-    fn run_unit_local(&self, unit: usize) -> Result<Vec<u32>, SimError> {
-        Ok(self.chunks[unit]
+    fn run_unit_local(&self, unit: &&'a [DictEntry]) -> Result<Vec<u32>, SimError> {
+        Ok(unit
             .iter()
             .map(|e| distance(&e.signature, self.observed))
             .collect())
@@ -273,14 +269,14 @@ impl ExecWork for DiagnoseWork<'_> {
 
     /// Distances are flattened into entry order, so a reply with a
     /// wrong count would rank the wrong candidates: it is rejected.
-    fn decode_result(&self, unit: usize, bytes: &[u8]) -> Result<Vec<u32>, String> {
+    fn decode_result(&self, unit: &&'a [DictEntry], bytes: &[u8]) -> Result<Vec<u32>, String> {
         let mut r = wire::WireReader::new(bytes);
         let fail = |e: wire::WireError| format!("diagnose unit result: {e}");
         let count = r.get_count("diagnose distance count", 4).map_err(fail)?;
-        if count != self.chunks[unit].len() {
+        if count != unit.len() {
             return Err(format!(
                 "diagnose unit result has {count} distances, the unit has {} candidates",
-                self.chunks[unit].len()
+                unit.len()
             ));
         }
         let mut out = Vec::with_capacity(count);
@@ -318,14 +314,13 @@ pub fn diagnose(
             got: observed.len(),
         });
     }
-    let work = DiagnoseWork {
-        words,
-        observed,
-        chunks: dict.entries.chunks(DIAG_CHUNK.max(1)).collect(),
-    };
-    let dispatched = exec.dispatch(&work)?;
-    let mut ranked: Vec<(usize, u32)> =
-        dispatched.units.into_iter().flatten().enumerate().collect();
+    let mut distances = Vec::with_capacity(dict.entries.len());
+    exec.dispatch(
+        &DiagnoseWork { words, observed },
+        dict.entries.chunks(DIAG_CHUNK),
+        |unit| distances.extend(unit),
+    )?;
+    let mut ranked: Vec<(usize, u32)> = distances.into_iter().enumerate().collect();
     ranked.sort_by_key(|&(i, d)| (d, i));
     Ok(Diagnosis { ranked })
 }
@@ -422,8 +417,8 @@ mod tests {
         let work = DiagnoseWork {
             words: 3,
             observed: &observed,
-            chunks: vec![&d.entries[..]],
         };
+        let unit = &d.entries[..];
         let reply = |distances: &[u32]| {
             let mut w = wire::WireWriter::new();
             w.put_usize(distances.len());
@@ -433,14 +428,14 @@ mod tests {
             w.finish()
         };
         assert_eq!(
-            work.decode_result(0, &reply(&[3, 0, 2])).unwrap(),
-            work.run_unit_local(0).unwrap()
+            work.decode_result(&unit, &reply(&[3, 0, 2])).unwrap(),
+            work.run_unit_local(&unit).unwrap()
         );
-        assert!(work.decode_result(0, &reply(&[3, 0])).is_err());
-        assert!(work.decode_result(0, &reply(&[3, 0, 2, 1])).is_err());
+        assert!(work.decode_result(&unit, &reply(&[3, 0])).is_err());
+        assert!(work.decode_result(&unit, &reply(&[3, 0, 2, 1])).is_err());
         let mut ragged = reply(&[3, 0, 2]);
         ragged.pop();
-        assert!(work.decode_result(0, &ragged).is_err());
+        assert!(work.decode_result(&unit, &ragged).is_err());
     }
 
     #[test]

@@ -151,12 +151,12 @@ pub struct Report<F> {
     pub detected: usize,
     /// Faults that escaped, for diagnosis.
     pub undetected: Vec<F>,
-    /// Times process dispatch fell back to the in-thread pool while
-    /// producing this report (0 unless the `Exec` runs a process
-    /// backend under [`crate::exec::Fallback::InThread`] and that
-    /// dispatch failed). The verdicts are unaffected — the fallback
-    /// recomputes the identical report — but the degradation is
-    /// recorded instead of silent.
+    /// Shipped batches recomputed in-thread while producing this report
+    /// (0 unless the `Exec` runs a process or remote backend under
+    /// [`crate::exec::Fallback::InThread`] and batches failed; up to one
+    /// per [`crate::exec::STREAM_BATCH_UNITS`] passes). The verdicts are
+    /// unaffected — the fallback recomputes the identical passes — but
+    /// the degradation is recorded instead of silent.
     pub process_fallbacks: usize,
 }
 
@@ -430,21 +430,20 @@ fn decode_mask(bytes: &[u8], groups: usize) -> Result<Vec<u64>, String> {
 
 // ---------- Exec work descriptions ----------
 
-/// A fault list cut into passes over one compiled program and
-/// stimulus: the state both [`ExecWork`]s share.
+/// One compiled program and stimulus that fault chunks pass over: the
+/// state both [`ExecWork`]s share. Each unit is one pass's chunk of
+/// [`faults_per_pass`]`(groups)` faults.
 struct Passes<'a, F> {
     groups: usize,
     kernels: Kernels<F>,
     program: Arc<SimProgram>,
     pins: &'a [NetId],
     vectors: &'a [Vec<Logic>],
-    chunks: Vec<&'a [F]>,
 }
 
 impl<'a, F: FaultModel> Passes<'a, F> {
     fn new(
         m: &Module,
-        faults: &'a [F],
         pins: &'a [NetId],
         vectors: &'a [Vec<Logic>],
         groups: usize,
@@ -457,7 +456,6 @@ impl<'a, F: FaultModel> Passes<'a, F> {
             program: Arc::new(SimProgram::compile(m)?),
             pins,
             vectors,
-            chunks: faults.chunks(faults_per_pass(groups)).collect(),
         })
     }
 
@@ -475,7 +473,8 @@ impl<'a, F: FaultModel> Passes<'a, F> {
 /// Grading: one unit per pass, the pass's detection mask as its result.
 struct GradeWork<'a, F>(Passes<'a, F>);
 
-impl<F: FaultModel> ExecWork for GradeWork<'_, F> {
+impl<'a, F: FaultModel> ExecWork for GradeWork<'a, F> {
+    type Unit = &'a [F];
     type Output = Vec<u64>;
     type Error = SimError;
 
@@ -483,24 +482,20 @@ impl<F: FaultModel> ExecWork for GradeWork<'_, F> {
         F::WIRE_KIND
     }
 
-    fn unit_count(&self) -> usize {
-        self.0.chunks.len()
-    }
-
     fn encode_job(&self) -> Vec<u8> {
         self.0.encode_job(Mode::Grade)
     }
 
-    fn encode_unit(&self, unit: usize) -> Vec<u8> {
-        encode_chunk(self.0.chunks[unit])
+    fn encode_unit(&self, unit: &&'a [F]) -> Vec<u8> {
+        encode_chunk(unit)
     }
 
-    fn run_unit_local(&self, unit: usize) -> Result<Vec<u64>, SimError> {
+    fn run_unit_local(&self, unit: &&'a [F]) -> Result<Vec<u64>, SimError> {
         let p = &self.0;
-        (p.kernels.grade)(&p.program, p.pins, p.vectors, p.chunks[unit])
+        (p.kernels.grade)(&p.program, p.pins, p.vectors, unit)
     }
 
-    fn decode_result(&self, _unit: usize, bytes: &[u8]) -> Result<Vec<u64>, String> {
+    fn decode_result(&self, _unit: &&'a [F], bytes: &[u8]) -> Result<Vec<u64>, String> {
         decode_mask(bytes, self.0.groups)
     }
 
@@ -513,7 +508,8 @@ impl<F: FaultModel> ExecWork for GradeWork<'_, F> {
 /// [`DictEntry`] per fault as each unit's result.
 struct DictWork<'a, F>(Passes<'a, F>);
 
-impl<F: FaultModel> ExecWork for DictWork<'_, F> {
+impl<'a, F: FaultModel> ExecWork for DictWork<'a, F> {
+    type Unit = &'a [F];
     type Output = Vec<DictEntry>;
     type Error = SimError;
 
@@ -521,35 +517,31 @@ impl<F: FaultModel> ExecWork for DictWork<'_, F> {
         F::WIRE_KIND
     }
 
-    fn unit_count(&self) -> usize {
-        self.0.chunks.len()
-    }
-
     fn encode_job(&self) -> Vec<u8> {
         self.0.encode_job(Mode::Dictionary)
     }
 
-    fn encode_unit(&self, unit: usize) -> Vec<u8> {
-        encode_chunk(self.0.chunks[unit])
+    fn encode_unit(&self, unit: &&'a [F]) -> Vec<u8> {
+        encode_chunk(unit)
     }
 
-    fn run_unit_local(&self, unit: usize) -> Result<Vec<DictEntry>, SimError> {
+    fn run_unit_local(&self, unit: &&'a [F]) -> Result<Vec<DictEntry>, SimError> {
         let p = &self.0;
-        (p.kernels.dict)(&p.program, p.pins, p.vectors, p.chunks[unit])
+        (p.kernels.dict)(&p.program, p.pins, p.vectors, unit)
     }
 
     /// Entries are flattened into fault-list order, so a reply with a
     /// wrong entry count would shift every later entry onto the wrong
     /// fault: it is rejected, as is any signature of the wrong width.
-    fn decode_result(&self, unit: usize, bytes: &[u8]) -> Result<Vec<DictEntry>, String> {
+    fn decode_result(&self, unit: &&'a [F], bytes: &[u8]) -> Result<Vec<DictEntry>, String> {
         let p = &self.0;
         let words = signature_words(F::patterns(p.vectors.len()), p.program.output_nets.len());
         let entries = decode_dict_entries(bytes, words)?;
-        if entries.len() != p.chunks[unit].len() {
+        if entries.len() != unit.len() {
             return Err(format!(
                 "dictionary unit result has {} entries, the unit has {} faults",
                 entries.len(),
-                p.chunks[unit].len()
+                unit.len()
             ));
         }
         Ok(entries)
@@ -608,15 +600,12 @@ pub fn grade_vectors_wide<F: FaultModel>(
     vectors: &[Vec<Logic>],
     groups: usize,
 ) -> Result<Report<F>, SimError> {
-    let work = GradeWork(Passes::new(m, faults, pins, vectors, groups)?);
-    let dispatched = exec.dispatch(&work)?;
-    let flags =
-        shard::flags_from_lane_masks(faults.len(), faults_per_pass(groups), 1, &dispatched.units);
-    Ok(Report::from_flags(
-        faults,
-        &flags,
-        dispatched.fallback_count(),
-    ))
+    let work = GradeWork(Passes::new(m, pins, vectors, groups)?);
+    let per_pass = faults_per_pass(groups);
+    let mut masks = Vec::new();
+    let dispatched = exec.dispatch(&work, faults.chunks(per_pass), |mask| masks.push(mask))?;
+    let flags = shard::flags_from_lane_masks(faults.len(), per_pass, 1, &masks);
+    Ok(Report::from_flags(faults, &flags, dispatched.fallbacks))
 }
 
 /// Builds the fault dictionary of `faults` over the patterns of
@@ -652,12 +641,15 @@ pub fn fault_dictionary_wide<F: FaultModel>(
     vectors: &[Vec<Logic>],
     groups: usize,
 ) -> Result<FaultDictionary, SimError> {
-    let work = DictWork(Passes::new(m, faults, pins, vectors, groups)?);
-    let dispatched = exec.dispatch(&work)?;
+    let work = DictWork(Passes::new(m, pins, vectors, groups)?);
+    let mut entries = Vec::with_capacity(faults.len());
+    exec.dispatch(&work, faults.chunks(faults_per_pass(groups)), |unit| {
+        entries.extend(unit);
+    })?;
     Ok(FaultDictionary {
         patterns: F::patterns(vectors.len()) as u32,
         outputs: work.0.program.output_nets.len() as u32,
-        entries: dispatched.units.into_iter().flatten().collect(),
+        entries,
     })
 }
 
@@ -928,20 +920,23 @@ mod tests {
         let faults = enumerate_faults(&m);
         let pins = [m.port("a").unwrap().net, m.port("b").unwrap().net];
         let vectors = vec![vec![Zero, One], vec![One, One]];
-        let work = DictWork(Passes::new(&m, &faults, &pins, &vectors, 1).unwrap());
-        let entries = work.run_unit_local(0).unwrap();
+        let work = DictWork(Passes::new(&m, &pins, &vectors, 1).unwrap());
+        let unit = &faults[..];
+        let entries = work.run_unit_local(&unit).unwrap();
         assert_eq!(entries.len(), faults.len());
         let good = encode_dict_entries(&entries);
-        assert_eq!(work.decode_result(0, &good).unwrap(), entries);
+        assert_eq!(work.decode_result(&unit, &good).unwrap(), entries);
         let short = encode_dict_entries(&entries[1..]);
-        assert!(work.decode_result(0, &short).is_err());
+        assert!(work.decode_result(&unit, &short).is_err());
         let mut long = entries.clone();
         long.push(entries[0].clone());
-        assert!(work.decode_result(0, &encode_dict_entries(&long)).is_err());
+        assert!(work
+            .decode_result(&unit, &encode_dict_entries(&long))
+            .is_err());
         let mut ragged = entries.clone();
         ragged[2].signature.push(0);
         assert!(work
-            .decode_result(0, &encode_dict_entries(&ragged))
+            .decode_result(&unit, &encode_dict_entries(&ragged))
             .is_err());
     }
 

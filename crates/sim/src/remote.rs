@@ -100,12 +100,14 @@
 //! protocol, answered by re-sending the same units with the job inline
 //! (counted in [`FleetStats`], invisible to callers).
 //!
-//! What a failed run *means* is then the [`crate::exec::Fallback`]
-//! policy's decision, made once in [`crate::exec::Exec::dispatch`]:
-//! recompute on the in-thread pool (logged and counted) or surface the
-//! workload's typed error. `tests/remote_chaos.rs` drives every one of
-//! these paths with injected failures — including a worker restarted
-//! mid-run (cache wiped) and a corrupted inline program.
+//! [`crate::exec::Exec::dispatch`] ships a workload as a sequence of
+//! batches, each one fleet run of the same job. What a failed batch
+//! *means* is then the [`crate::exec::Fallback`] policy's decision, made
+//! once, per batch, in that dispatcher: recompute the batch in-thread
+//! (logged and counted) or surface the workload's typed error.
+//! `tests/remote_chaos.rs` drives every one of these paths with
+//! injected failures — including a worker restarted mid-run (cache
+//! wiped) and a corrupted inline program.
 
 use crate::shard::{self, PoolError, Reply, WireJob, WorkerState, WorkerStatus};
 use crate::wire::{fnv1a64, WireError, WireReader, WireWriter};
@@ -763,9 +765,9 @@ impl Transport for TcpTransport {
 /// path and the OS error.
 ///
 /// It keeps the trait's default of one stream, so a fleet of `N`
-/// process transports has one request in flight per child per run:
-/// materialized dispatch computes `N`-wide. Streaming dispatch overlaps
-/// two batches, so there a child may run two requests at once.
+/// process transports has one request in flight per child per fleet
+/// run. Dispatch overlaps two batches, so a child may run two requests
+/// at once.
 pub struct ProcessTransport {
     binary: PathBuf,
     /// The session half; its endpoint is the binary's path.
@@ -837,9 +839,9 @@ const KNOWN_HASHES_PER_HOST: usize = 8;
 ///
 /// The slot also owns the **prime gate** for each program: the first
 /// caller to ship a given hash inline claims it here, and every other
-/// stream — of the same run *or a concurrent one* (streaming dispatch
-/// issues many small sub-runs of one job against the same fleet) —
-/// waits, then proceeds by-hash. Keying the gate by hash on the slot,
+/// stream — of the same run *or a concurrent one* (dispatch issues many
+/// small sub-runs of one job against the same fleet) — waits, then
+/// proceeds by-hash. Keying the gate by hash on the slot,
 /// rather than per run, is what keeps "the program crosses the wire
 /// once per host" true when sub-runs overlap.
 struct HostSlot {

@@ -13,11 +13,9 @@
 //!   faults early finish early) and merging results **by unit index**,
 //!   never by completion order, so sharded results are bit-identical to
 //!   a single-threaded run at every thread count;
-//! * [`grade_in_passes`] is the shared good+63 pass-partitioning helper:
-//!   it chunks an item list into packed passes, runs each pass to a
-//!   detection mask, and flattens the masks back to per-item verdicts in
-//!   list order — the one place the partition/merge contract lives for
-//!   both gate-level and March fault grading, thread- or process-wide;
+//! * [`flags_from_lane_masks`] flattens per-pass detection masks back to
+//!   per-item verdicts in list order — the one merge every packed
+//!   grading workload (gate-level and March) shares;
 //! * [`JobRegistry`] is the worker-side routing table: the umbrella
 //!   crate registers every workload's `open_wire_job` under its `kind`
 //!   and the `steac-worker` binary routes requests through that one
@@ -203,34 +201,12 @@ where
 /// the item list, in list order) into one `bool` per item. `first_lane`
 /// is the lane carrying a pass's first item — 1 when lane 0 runs the
 /// good machine (gate-level PPSFP), 0 when every lane carries an item
-/// (March walks).
+/// (March walks). Lane `l` of a pass lives in bit `l % 64` of word
+/// `l / 64`, so one-word and wide (`N`×64-lane) masks flatten alike.
 ///
 /// Because the flattening walks chunks in order, downstream reports keep
 /// exactly the order a single-threaded pass-by-pass loop would produce,
 /// regardless of which thread or process computed each mask.
-#[must_use]
-pub fn flags_from_masks(
-    item_count: usize,
-    per_pass: usize,
-    first_lane: usize,
-    masks: &[u64],
-) -> Vec<bool> {
-    debug_assert!(per_pass + first_lane <= 64, "pass does not fit one word");
-    let mut flags = Vec::with_capacity(item_count);
-    'outer: for &mask in masks {
-        for lane in 0..per_pass {
-            if flags.len() == item_count {
-                break 'outer;
-            }
-            flags.push(mask >> (lane + first_lane) & 1 == 1);
-        }
-    }
-    flags
-}
-
-/// [`flags_from_masks`] over multi-word lane masks (the wide executors'
-/// `N`×64-lane passes): lane `l` of a pass lives in bit `l % 64` of word
-/// `l / 64`. One-word masks degenerate to the classic flattening.
 #[must_use]
 pub fn flags_from_lane_masks<M: AsRef<[u64]>>(
     item_count: usize,
@@ -255,67 +231,6 @@ pub fn flags_from_lane_masks<M: AsRef<[u64]>>(
         }
     }
     flags
-}
-
-/// [`grade_in_passes`] over `N`-word lane masks: chunks `items` into
-/// passes of `per_pass` (up to `N`×64 minus `first_lane` items each),
-/// runs them on the in-thread pool, and flattens through
-/// [`flags_from_lane_masks`].
-///
-/// # Errors
-///
-/// The error of the lowest-indexed failing pass.
-pub fn grade_in_lane_passes<const N: usize, T, E, F>(
-    threads: Threads,
-    items: &[T],
-    per_pass: usize,
-    first_lane: usize,
-    run: F,
-) -> Result<Vec<bool>, E>
-where
-    T: Sync,
-    E: Send,
-    F: Fn(usize, &[T]) -> Result<[u64; N], E> + Sync,
-{
-    let chunks: Vec<&[T]> = items.chunks(per_pass).collect();
-    let masks = run_fallible(threads, chunks.len(), |ci| run(ci, chunks[ci]))?;
-    Ok(flags_from_lane_masks(
-        items.len(),
-        per_pass,
-        first_lane,
-        &masks,
-    ))
-}
-
-/// The shared good+63 partition/merge contract: chunks `items` into
-/// packed passes of `per_pass`, runs `run(pass_index, chunk)` for each on
-/// the in-thread pool, and flattens the per-pass detection masks into
-/// per-item flags in list order (see [`flags_from_masks`]).
-///
-/// Both gate-level fault grading ([`crate::fault`]) and March fault
-/// simulation (`steac-membist`) drive their thread-sharded paths through
-/// this helper, and merge their process-pool results through
-/// [`flags_from_masks`], so every dispatch flavour shares one
-/// partitioning implementation.
-///
-/// # Errors
-///
-/// The error of the lowest-indexed failing pass.
-pub fn grade_in_passes<T, E, F>(
-    threads: Threads,
-    items: &[T],
-    per_pass: usize,
-    first_lane: usize,
-    run: F,
-) -> Result<Vec<bool>, E>
-where
-    T: Sync,
-    E: Send,
-    F: Fn(usize, &[T]) -> Result<u64, E> + Sync,
-{
-    let chunks: Vec<&[T]> = items.chunks(per_pass).collect();
-    let masks = run_fallible(threads, chunks.len(), |ci| run(ci, chunks[ci]))?;
-    Ok(flags_from_masks(items.len(), per_pass, first_lane, &masks))
 }
 
 // ---------- the worker protocol ----------

@@ -14,7 +14,7 @@
 //! By default the set is never materialized: generator threads produce
 //! 64-pattern blocks into a bounded queue while the cycle player
 //! (`64 * PLAYBACK_LANE_GROUPS` patterns per pass) consumes them
-//! through `Exec::dispatch_stream`, so generation — the slow phase —
+//! through `Exec::dispatch`, so generation — the slow phase —
 //! overlaps playback and peak memory follows the queue depth, not the
 //! set size. `--materialize` switches to the old generate-everything-
 //! then-play flow; the two print byte-identical reports. The binary

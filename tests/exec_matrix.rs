@@ -9,10 +9,11 @@
 //! couplings, JPEG playback), asserting the reports are
 //! **byte-identical** to the serial baseline: counts, escape lists and
 //! mismatch logs *including their order*. This is the determinism
-//! contract behind `steac_sim::Exec::dispatch` — and behind
-//! `Exec::dispatch_stream`, whose differential leg proves streaming
-//! playback byte-identical to the materialized flow at every chunk
-//! size — proven across every backend from a single table of cases.
+//! contract behind `steac_sim::Exec::dispatch`, the one seam every
+//! workload — materialized or streamed — routes through; its
+//! differential leg proves streamed playback byte-identical to the
+//! materialized batch at every chunk size — proven across every backend
+//! from a single table of cases.
 //!
 //! Process and remote backends pin the `steac-worker` binary Cargo
 //! built for this package (the TCP legs run it as real `--serve`
@@ -178,12 +179,12 @@ fn all_workloads_report_byte_identical_on_every_backend() {
     }
 }
 
-/// The streaming/materialized differential: playback through
-/// `Exec::dispatch_stream` is byte-identical to the materialized batch
-/// player at every chunk size — including content AND order of the
-/// mismatch logs — on every backend of the matrix. Chunk boundaries
-/// must be invisible in the report; this is the determinism contract
-/// behind the streaming seam.
+/// The streaming/materialized differential: owned patterns streamed
+/// through the player are byte-identical to the materialized batch at
+/// every chunk size — including content AND order of the mismatch
+/// logs — on every backend of the matrix. Chunk boundaries must be
+/// invisible in the report; this is the determinism contract behind
+/// `Exec::dispatch`.
 #[test]
 fn streaming_playback_reports_byte_identical_at_every_chunk_size() {
     use steac_pattern::{stream_cycle_patterns_wide, PLAYBACK_LANE_GROUPS};

@@ -10,15 +10,17 @@
 //! — between in-thread recomputation and a typed error.
 
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use steac_membist::{faultsim, MarchAlgorithm, SramConfig};
 use steac_netlist::{GateKind, Module, NetId, NetlistBuilder};
 use steac_pattern::{apply_cycle_patterns_batch, CyclePattern, PinState};
-use steac_sim::models::{encode_chunk, encode_job, FaultModel, Mode};
+use steac_sim::models::{encode_chunk, encode_job, fault_dictionary, FaultModel, Mode};
 use steac_sim::shard::{self, PoolError};
+use steac_sim::wire::WireReader;
 use steac_sim::{
-    fault, Backend, BridgingFault, Exec, Fallback, Fault, Logic, RemoteFleet, SimError, SimProgram,
-    Simulator, TransitionFault,
+    diagnose, fault, Backend, BridgingFault, Exec, Fallback, Fault, Logic, RemoteFleet, SimError,
+    SimProgram, Simulator, TransitionFault, Transport, TransportError,
 };
 
 /// The worker binary built alongside this test suite.
@@ -412,51 +414,47 @@ fn corrupt_job_bytes_are_typed_unit_errors() {
     }
 }
 
-/// Worker totality for one fault model: in both modes, every strict
-/// prefix of a valid job or unit is a typed error, and every single-byte
-/// change of either (each byte set to each of its 255 other values)
-/// opens and runs to `Ok` or a typed `Err` — never a panic — through the
-/// registry the worker binary routes by.
-fn sweep_fault_jobs<F: FaultModel>(m: &Module, pins: &[NetId], vectors: &[Vec<Logic>]) {
+/// Worker totality for one `(kind, job, unit)`: every strict prefix of
+/// the valid job or unit is a typed error, and every single-byte change
+/// of either (each byte set to each of its 255 other values) opens and
+/// runs to `Ok` or a typed `Err` — never a panic — through the registry
+/// the worker binary routes by.
+fn sweep_job(kind: u16, job: &[u8], unit: &[u8]) {
     let registry = steac_suite::worker_registry();
-    let program = SimProgram::compile(m).unwrap();
-    let faults = F::enumerate(m).unwrap();
-    let unit = encode_chunk(&faults[..faults.len().min(fault::FAULTS_PER_PASS)]);
-    let kind = F::WIRE_KIND;
-    for mode in [Mode::Grade, Mode::Dictionary] {
-        let job = encode_job(&program, 1, mode, pins, vectors);
-        let mut opened = registry.open(kind, &job).unwrap();
-        assert!(opened.run_unit(&unit).is_ok(), "kind {kind} {mode:?}");
-        for cut in 0..job.len() {
-            assert!(
-                registry.open(kind, &job[..cut]).is_err(),
-                "job prefix {cut}"
-            );
-        }
-        for cut in 0..unit.len() {
-            assert!(opened.run_unit(&unit[..cut]).is_err(), "unit prefix {cut}");
-        }
-        for i in 0..job.len() {
-            for flip in 1..=u8::MAX {
-                let mut bad = job.clone();
-                bad[i] ^= flip;
-                if let Ok(mut flipped) = registry.open(kind, &bad) {
-                    let _ = flipped.run_unit(&unit);
-                }
+    let mut opened = registry.open(kind, job).unwrap();
+    assert!(opened.run_unit(unit).is_ok(), "kind {kind}");
+    for cut in 0..job.len() {
+        assert!(
+            registry.open(kind, &job[..cut]).is_err(),
+            "kind {kind} job prefix {cut}"
+        );
+    }
+    for cut in 0..unit.len() {
+        assert!(
+            opened.run_unit(&unit[..cut]).is_err(),
+            "kind {kind} unit prefix {cut}"
+        );
+    }
+    for i in 0..job.len() {
+        for flip in 1..=u8::MAX {
+            let mut bad = job.to_vec();
+            bad[i] ^= flip;
+            if let Ok(mut flipped) = registry.open(kind, &bad) {
+                let _ = flipped.run_unit(unit);
             }
         }
-        for i in 0..unit.len() {
-            for flip in 1..=u8::MAX {
-                let mut bad = unit.clone();
-                bad[i] ^= flip;
-                let _ = opened.run_unit(&bad);
-            }
+    }
+    for i in 0..unit.len() {
+        for flip in 1..=u8::MAX {
+            let mut bad = unit.to_vec();
+            bad[i] ^= flip;
+            let _ = opened.run_unit(&bad);
         }
     }
 }
 
-#[test]
-fn fault_jobs_are_total_under_truncation_and_byte_flips() {
+/// A two-gate module with two outputs and three vectors over its pins.
+fn nand_xor() -> (Module, [NetId; 2], Vec<Vec<Logic>>) {
     use Logic::{One, Zero};
     let mut b = NetlistBuilder::new("m");
     let a = b.input("a");
@@ -465,12 +463,103 @@ fn fault_jobs_are_total_under_truncation_and_byte_flips() {
     let z = b.gate(GateKind::Xor2, &[y, a]);
     b.output("y", y);
     b.output("z", z);
-    let m = b.finish().unwrap();
-    let pins = [a, c];
     let vectors = vec![vec![Zero, One], vec![One, One], vec![One, Zero]];
+    (b.finish().unwrap(), [a, c], vectors)
+}
+
+/// Sweeps one fault model's job in both modes over one pass's unit.
+fn sweep_fault_jobs<F: FaultModel>(m: &Module, pins: &[NetId], vectors: &[Vec<Logic>]) {
+    let program = SimProgram::compile(m).unwrap();
+    let faults = F::enumerate(m).unwrap();
+    let unit = encode_chunk(&faults[..faults.len().min(fault::FAULTS_PER_PASS)]);
+    for mode in [Mode::Grade, Mode::Dictionary] {
+        sweep_job(
+            F::WIRE_KIND,
+            &encode_job(&program, 1, mode, pins, vectors),
+            &unit,
+        );
+    }
+}
+
+#[test]
+fn fault_jobs_are_total_under_truncation_and_byte_flips() {
+    let (m, pins, vectors) = nand_xor();
     sweep_fault_jobs::<Fault>(&m, &pins, &vectors);
     sweep_fault_jobs::<TransitionFault>(&m, &pins, &vectors);
     sweep_fault_jobs::<BridgingFault>(&m, &pins, &vectors);
+}
+
+/// A one-host transport that records every request and serves it
+/// in-process through the worker registry.
+struct Recording {
+    state: shard::WorkerState,
+    requests: Arc<Mutex<Vec<Vec<u8>>>>,
+}
+
+impl Transport for Recording {
+    fn call(&self, request: &[u8]) -> Result<Vec<u8>, TransportError> {
+        self.requests.lock().unwrap().push(request.to_vec());
+        let registry = steac_suite::worker_registry();
+        let open = |kind, job: &[u8]| registry.open(kind, job);
+        Ok(shard::process_request_with(request, open, &self.state).expect("a valid request"))
+    }
+    fn endpoint(&self) -> String {
+        "recording".to_string()
+    }
+}
+
+/// Runs `workload` on a one-host recording fleet and returns the kind,
+/// the job and the first unit of its first request — the one that
+/// ships the job inline.
+fn first_request(workload: impl FnOnce(&Exec)) -> (u16, Vec<u8>, Vec<u8>) {
+    let requests = Arc::new(Mutex::new(Vec::new()));
+    let host = Recording {
+        state: shard::WorkerState::new(),
+        requests: Arc::clone(&requests),
+    };
+    workload(&Exec::remote(RemoteFleet::new(vec![Box::new(host)])).with_fallback(Fallback::Fail));
+    let request = requests.lock().unwrap()[0].clone();
+    // Past the magic, version and tag: kind, job hash, inline flag.
+    let mut r = WireReader::new(&request[7..]);
+    let kind = r.get_u16("kind").unwrap();
+    let _hash = r.get_u64("job hash").unwrap();
+    assert_eq!(r.get_u8("job present").unwrap(), 1, "shipped inline");
+    let job = r.get_block("job").unwrap().to_vec();
+    let _count = r.get_usize("unit count").unwrap();
+    let _index = r.get_usize("unit index").unwrap();
+    (kind, job, r.get_block("unit").unwrap().to_vec())
+}
+
+/// The sweep over the private encoders' bytes: a real playback request
+/// (kind 2, with a force in its job) and a real diagnose request
+/// (kind 6), captured on the wire.
+#[test]
+fn playback_and_diagnose_jobs_are_total_under_truncation_and_byte_flips() {
+    use Logic::{One, Zero};
+    let mut b = NetlistBuilder::new("m");
+    let d = b.input("d");
+    let ck = b.input("ck");
+    let q = b.gate(GateKind::Dff, &[d, ck]);
+    b.output("q", q);
+    let flop = b.finish().unwrap();
+    let mut sim: Simulator = Simulator::new(&flop).unwrap();
+    sim.force(q, Zero);
+    let patterns = [flop_pattern(&[One, Zero]), flop_pattern(&[Zero, One])];
+    let (kind, job, unit) = first_request(|exec| {
+        apply_cycle_patterns_batch(exec, &sim, &[&patterns[0], &patterns[1]]).unwrap();
+    });
+    assert_eq!(kind, steac_pattern::cycle::WIRE_KIND);
+    sweep_job(kind, &job, &unit);
+
+    let (m, pins, vectors) = nand_xor();
+    let faults = fault::enumerate_faults(&m);
+    let dict = fault_dictionary(&Exec::serial(), &m, &faults, &pins, &vectors).unwrap();
+    let observed = dict.entries[1].signature.clone();
+    let (kind, job, unit) = first_request(|exec| {
+        diagnose(exec, &dict, &observed).unwrap();
+    });
+    assert_eq!(kind, steac_sim::models::dictionary::WIRE_KIND);
+    sweep_job(kind, &job, &unit);
 }
 
 /// Corrupt *unit* bytes under a valid job: the decode failure is
