@@ -926,6 +926,20 @@ mod tests {
         assert!(d.fallback.is_none());
     }
 
+    /// A panicking sink unwinds out of dispatch: the dispatchers waiting
+    /// on the gate are woken and joined, never left waiting forever.
+    #[test]
+    fn a_panicking_sink_unwinds_out_of_the_pipeline() {
+        for exec in [Exec::threads(Threads::exact(2)), bogus(2)] {
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                exec.dispatch(&Squares::default(), 0..1_000, |o| {
+                    assert!(o < 100, "the sink refuses {o}");
+                })
+            }));
+            assert!(run.is_err(), "{exec}");
+        }
+    }
+
     /// Dispatches `0..n` and returns the most units ever pulled from the
     /// input but not yet sunk, measured at every pull.
     fn most_pulled_ahead(exec: &Exec, work: &Squares, n: usize) -> usize {
