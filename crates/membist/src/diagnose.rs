@@ -191,7 +191,7 @@ const UNMATCHED_SITE: u32 = 16;
 
 /// Mismatch weight between an observed failure log and a dictionary
 /// signature: aligned sites compare with [`site_distance`], and every
-/// unmatched trailing site on either side costs [`UNMATCHED_SITE`]. An
+/// unmatched trailing site on either side costs 16. An
 /// undetected candidate (empty signature) can never explain an
 /// observed failure and scores [`u32::MAX`].
 #[must_use]

@@ -68,7 +68,7 @@ pub fn encode_march_job(alg: &MarchAlgorithm, config: &SramConfig, groups: u8) -
 /// any amount of memory before a single fault runs.
 const MAX_WIRE_CELLS: usize = 1 << 22;
 
-/// Deserializes a March job block. Geometries above [`MAX_WIRE_CELLS`]
+/// Deserializes a March job block. Geometries above 2²² (4,194,304)
 /// cells are rejected here, on the worker side of the wire; in-thread
 /// runs take their geometry from the caller and have no such cap.
 ///

@@ -47,7 +47,7 @@ use steac_netlist::{Module, NetId};
 const MAX_SETTLE_ITERS: usize = 1024;
 
 /// Gate-level executor for a compiled [`SimProgram`], carrying `N`
-/// lane groups of [`LANES`] lanes each per pass (`N`×64 lanes total).
+/// lane groups of [`LANES`](crate::LANES) lanes each per pass (`N`×64 lanes total).
 ///
 /// Clocks are just nets: after every [`settle`](Simulator::settle) the
 /// engine compares each flop's clock-net lanes against the previous
@@ -79,7 +79,7 @@ pub struct Simulator<const N: usize = 1> {
 }
 
 impl<const N: usize> Simulator<N> {
-    /// Total lanes per pass: `N` lane groups of [`LANES`] lanes.
+    /// Total lanes per pass: `N` lane groups of [`LANES`](crate::LANES) lanes.
     pub const WIDTH: usize = PackedLogic::<N>::WIDTH;
 
     /// Compiles and prepares a simulator for a flat module (no

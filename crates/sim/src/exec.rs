@@ -36,21 +36,28 @@
 //! * `Threads(t)`, `t > 1`, runs `t` dispatcher threads with one unit
 //!   per batch.
 //! * [`Backend::Processes`] and [`Backend::Remote`] run two dispatcher
-//!   threads with [`STREAM_BATCH_UNITS`] units per batch, each batch a
-//!   sub-run of the same job through one work-stealing [`RemoteFleet`]
-//!   over a pluggable [`crate::remote::Transport`] — persistent local
-//!   `steac-worker` children, or TCP to `steac-worker --serve`
-//!   listeners. The job is encoded when the first batch ships, and the
-//!   fleet's per-host prime gate ships it once per host however many
-//!   batches race.
+//!   threads per host stream — `2 × Σ streams` in all, summing
+//!   [`crate::remote::Transport::streams`] over the [`RemoteFleet`]'s
+//!   hosts — with [`STREAM_BATCH_UNITS`] units per batch. Each
+//!   dispatcher is homed on one host (in fleet order, each host
+//!   repeated `2 × streams` times) and ships every batch it pulls as
+//!   **one** run request, to its home host while that is live, failing
+//!   over otherwise. The hosts are persistent local `steac-worker`
+//!   children, or TCP to `steac-worker --serve` listeners. This is the
+//!   only scheduler of shipped work: the fleet chooses hosts, primes
+//!   their program caches and retries, but never re-cuts a batch. The
+//!   job is encoded when the first batch ships, and the fleet's
+//!   per-host prime gate ships it once per host however many batches
+//!   race. Host loss lasts for the dispatch call that saw it.
 //!
 //! Dispatcher threads pull batches from the input under one lock, and
 //! the calling thread merges finished batches back into unit order
 //! before sinking. **In-flight memory is bounded by the pipeline, never
 //! by the input:** a dispatcher waits while the input is
 //! `2 × dispatchers` batches ahead of the sink — 4 units on
-//! `threads:2`, 128 when shipped — so one stalled batch cannot let the
-//! others drain the input into the reorder buffer.
+//! `threads:2`, `128 × Σ streams` when shipped (128 for one
+//! single-stream host, 256 on `processes:2`) — so one stalled batch
+//! cannot let the others drain the input into the reorder buffer.
 //!
 //! # Fallback policy
 //!
@@ -67,16 +74,17 @@
 //! * [`Fallback::Fail`]: surface the failure as the workload's typed
 //!   error (deterministically the lowest-indexed affected unit).
 //!
-//! (Transient remote trouble is retried *inside* the fleet first; the
-//! policy only decides what a batch that could not be completed
-//! remotely means. See [`crate::remote`] for the retry/requeue model.)
+//! (Transient remote trouble is retried *inside* the fleet first, on
+//! the batch's dispatcher; the policy only decides what a batch that
+//! could not be completed remotely means. See [`crate::remote`] for the
+//! failover model.)
 //!
 //! # Environment resolution
 //!
 //! [`Exec::from_env`] reads one knob, `STEAC_EXEC` ([`Exec::parse`]
 //! grammar; a malformed spec panics), and is [`Exec::auto`] without it.
 
-use crate::remote::{ProcessTransport, RemoteFleet, Transport};
+use crate::remote::{ProcessTransport, RemoteFleet, Shipper, Transport};
 use crate::shard::{self, PoolError, Threads};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -103,7 +111,7 @@ pub enum Backend {
     /// Units serialize to `steac-worker` hosts behind pluggable
     /// transports ([`crate::remote`]), typically TCP to
     /// `steac-worker --serve` listeners on other machines — with
-    /// work-stealing and retry/requeue across the fleet.
+    /// failover and retries across the fleet.
     Remote(RemoteFleet),
 }
 
@@ -173,9 +181,10 @@ pub struct Dispatch {
 }
 
 /// Units per shipped batch (process and remote backends): each batch is
-/// one fleet sub-run of the job. With two dispatchers and a window of
-/// four batches, at most `4 × STREAM_BATCH_UNITS` units (plus their
-/// encoded bytes) sit between the input and the sink at any moment.
+/// one run request. With two dispatchers per host stream and a window
+/// of two batches per dispatcher, at most `4 × STREAM_BATCH_UNITS` units
+/// per stream (plus their encoded bytes) sit between the input and the
+/// sink at any moment.
 pub const STREAM_BATCH_UNITS: usize = 32;
 
 /// A workload every backend can execute: in-process via
@@ -287,8 +296,8 @@ impl Exec {
     }
 
     /// Remote backend over a fleet of transport-connected `steac-worker`
-    /// hosts ([`RemoteFleet`]) — machine-level fan-out with
-    /// work-stealing and retry/requeue, same determinism contract.
+    /// hosts ([`RemoteFleet`]) — machine-level fan-out with failover and
+    /// retries, same determinism contract.
     #[must_use]
     pub fn remote(fleet: RemoteFleet) -> Self {
         Exec::with_backend(Backend::Remote(fleet))
@@ -519,11 +528,15 @@ impl Exec {
         I::IntoIter: Send,
         S: FnMut(W::Output),
     {
-        let (dispatchers, batch_units, fleet) = match &self.backend {
+        // One home host per dispatcher (unused in-process).
+        let (homes, batch_units, shipper) = match &self.backend {
             Backend::Processes(fleet) | Backend::Remote(fleet) => {
-                (2, STREAM_BATCH_UNITS, Some(fleet))
+                let homes = (0..fleet.hosts())
+                    .flat_map(|host| vec![host; 2 * fleet.streams(host)])
+                    .collect();
+                (homes, STREAM_BATCH_UNITS, Some(fleet.shipper()))
             }
-            Backend::Threads(t) if t.get() > 1 => (t.get(), 1, None),
+            Backend::Threads(t) if t.get() > 1 => (vec![0; t.get()], 1, None),
             Backend::Serial | Backend::Threads(_) => {
                 let mut done = Dispatch::default();
                 for unit in units {
@@ -533,7 +546,7 @@ impl Exec {
                 return Ok(done);
             }
         };
-        let window = 2 * dispatchers;
+        let window = 2 * homes.len();
         let feed = Mutex::new(Feed {
             units: units.into_iter().fuse(),
             batches: 0,
@@ -553,9 +566,10 @@ impl Exec {
         let job = OnceLock::new();
         std::thread::scope(|scope| {
             let (tx, rx) = mpsc::channel::<(usize, Batch<W>)>();
-            for _ in 0..dispatchers {
+            for &home in &homes {
                 let tx = tx.clone();
                 let (feed, gate, wake, stop, job) = (&feed, &gate, &wake, &stop, &job);
+                let shipper = shipper.as_ref();
                 scope.spawn(move || {
                     let _stop = OnDrop(stop);
                     loop {
@@ -579,8 +593,10 @@ impl Exec {
                         if batch.is_empty() {
                             return;
                         }
-                        let done = match fleet {
-                            Some(fleet) => self.ship_batch(fleet, work, job, start, &batch),
+                        let done = match shipper {
+                            Some(shipper) => {
+                                self.ship_batch(shipper, home, work, job, start, &batch)
+                            }
                             None => (batch.iter().map(|u| work.run_unit_local(u)).collect(), None),
                         };
                         // After an error every later batch is moot; after a
@@ -622,14 +638,15 @@ impl Exec {
         })
     }
 
-    /// Ships one batch (units `start..start + batch.len()`) through the
-    /// fleet and decodes it, applying the fallback policy: under
-    /// [`Fallback::InThread`] a failed batch is recomputed in-process
-    /// and carries the diagnostic; under [`Fallback::Fail`] it is the
-    /// single wrapped error.
+    /// Ships one batch (units `start..start + batch.len()`) as one run
+    /// request from host `home` on, and decodes it, applying the
+    /// fallback policy: under [`Fallback::InThread`] a failed batch is
+    /// recomputed in-process and carries the diagnostic; under
+    /// [`Fallback::Fail`] it is the single wrapped error.
     fn ship_batch<W: ExecWork>(
         &self,
-        fleet: &RemoteFleet,
+        shipper: &Shipper,
+        home: usize,
         work: &W,
         job: &OnceLock<Vec<u8>>,
         start: usize,
@@ -638,7 +655,7 @@ impl Exec {
         let encoded: Vec<Vec<u8>> = batch.iter().map(|u| work.encode_unit(u)).collect();
         let job = job.get_or_init(|| work.encode_job());
         let failure = 'failed: {
-            match fleet.run(work.kind(), job, &encoded) {
+            match shipper.ship(home, work.kind(), job, &encoded) {
                 Ok(results) => {
                     let mut outputs = Vec::with_capacity(batch.len());
                     for (offset, (unit, bytes)) in batch.iter().zip(&results).enumerate() {
@@ -698,6 +715,8 @@ impl fmt::Display for Exec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::remote::TransportError;
+    use std::sync::Arc;
     use std::time::Duration;
 
     /// A process backend whose worker binary does not exist.
@@ -962,14 +981,6 @@ mod tests {
         worst.into_inner()
     }
 
-    /// Serves every request in-process through the worker core with an
-    /// echo job, and stalls its second call — the first is held behind
-    /// the fleet's prime gate, so the second is an ordinary batch.
-    struct StallingEcho {
-        state: shard::WorkerState,
-        calls: AtomicUsize,
-    }
-
     struct Echo;
 
     impl shard::WireJob for Echo {
@@ -978,28 +989,61 @@ mod tests {
         }
     }
 
-    impl Transport for StallingEcho {
-        fn call(&self, request: &[u8]) -> Result<Vec<u8>, crate::remote::TransportError> {
-            if self.calls.fetch_add(1, Ordering::SeqCst) == 1 {
-                std::thread::sleep(Duration::from_millis(1500));
-            }
+    /// A host that answers in-process through the worker core with the
+    /// echo job, once `before` has seen the call's index — which may
+    /// stall the call or refuse it. It records every request it gets.
+    struct EchoHost {
+        state: shard::WorkerState,
+        requests: Mutex<Vec<Vec<u8>>>,
+        before: Box<dyn Fn(usize) -> Result<(), TransportError> + Send + Sync>,
+    }
+
+    impl EchoHost {
+        fn new(
+            before: impl Fn(usize) -> Result<(), TransportError> + Send + Sync + 'static,
+        ) -> Arc<Self> {
+            Arc::new(EchoHost {
+                state: shard::WorkerState::new(),
+                requests: Mutex::new(Vec::new()),
+                before: Box::new(before),
+            })
+        }
+
+        fn calls(&self) -> usize {
+            self.requests.lock().unwrap().len()
+        }
+    }
+
+    impl Transport for Arc<EchoHost> {
+        fn call(&self, request: &[u8]) -> Result<Vec<u8>, TransportError> {
+            let call = {
+                let mut requests = self.requests.lock().unwrap();
+                requests.push(request.to_vec());
+                requests.len() - 1
+            };
+            (self.before)(call)?;
             let open = |_: u16, _: &[u8]| Ok(Box::new(Echo) as Box<dyn shard::WireJob>);
             Ok(shard::process_request_with(request, open, &self.state).expect("a valid request"))
         }
         fn endpoint(&self) -> String {
-            "stalling-echo".to_string()
+            "echo".to_string()
         }
     }
 
     /// One stalled shipped batch must not let the other dispatcher drain
-    /// the input into the reorder buffer: at most two batches per
-    /// dispatcher are ever pulled but not yet sunk.
+    /// the input into the reorder buffer: one single-stream host gets two
+    /// dispatchers, and at most two batches per dispatcher are ever
+    /// pulled but not yet sunk.
     #[test]
     fn a_stalled_batch_cannot_pull_the_input_ahead() {
-        let host = StallingEcho {
-            state: shard::WorkerState::new(),
-            calls: AtomicUsize::new(0),
-        };
+        // The first call is held behind the fleet's prime gate, so the
+        // second is an ordinary batch.
+        let host = EchoHost::new(|call| {
+            if call == 1 {
+                std::thread::sleep(Duration::from_millis(1500));
+            }
+            Ok(())
+        });
         let exec =
             Exec::remote(RemoteFleet::new(vec![Box::new(host)])).with_fallback(Fallback::Fail);
         let ahead = most_pulled_ahead(&exec, &Squares::default(), 20_000);
@@ -1007,6 +1051,56 @@ mod tests {
             ahead <= 2 * 2 * STREAM_BATCH_UNITS,
             "{ahead} units pulled ahead"
         );
+    }
+
+    /// Each shipped batch is exactly one run request, and only the first
+    /// ships the job inline: 100 units through a one-host fleet are
+    /// ⌈100 / 32⌉ = 4 requests.
+    #[test]
+    fn each_shipped_batch_is_one_run_request() {
+        let host = EchoHost::new(|_| Ok(()));
+        let exec = Exec::remote(RemoteFleet::new(vec![Box::new(Arc::clone(&host))]))
+            .with_fallback(Fallback::Fail);
+        squares(&exec, &Squares::default(), 100);
+        // The job-present flag sits just before the job block's length.
+        let present = shard::RUN_REQUEST_JOB_OFFSET - 9;
+        let inline: Vec<bool> = host
+            .requests
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|request| request[present] == 1)
+            .collect();
+        assert_eq!(inline, [true, false, false, false]);
+    }
+
+    /// A host that refuses every call, slowly, is lost after
+    /// `max_retries + 1` strikes and gets no more requests in that
+    /// dispatch call — at most one more per dispatcher homed on it, for
+    /// calls already on their way. The next call probes it again.
+    #[test]
+    fn host_loss_lasts_for_one_dispatch_call() {
+        let refusing = EchoHost::new(|_| {
+            std::thread::sleep(Duration::from_millis(50));
+            Err(TransportError::Unreachable {
+                endpoint: "refusing".to_string(),
+                diagnostic: "injected".to_string(),
+            })
+        });
+        let fleet = RemoteFleet::new(vec![
+            Box::new(Arc::clone(&refusing)),
+            Box::new(EchoHost::new(|_| Ok(()))),
+        ]);
+        let exec = Exec::remote(fleet).with_fallback(Fallback::Fail);
+        let bound = 2 * (crate::remote::DEFAULT_MAX_RETRIES + 1);
+        let mut before = 0;
+        for round in 1..=2 {
+            squares(&exec, &Squares::default(), 3_200);
+            let calls = refusing.calls();
+            assert!(calls > before, "round {round} never probed the host");
+            assert!(calls <= round * bound, "{calls} calls by round {round}");
+            before = calls;
+        }
     }
 
     /// The in-process twin: a slow unit 0 on `threads:2` holds the

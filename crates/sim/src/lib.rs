@@ -80,24 +80,27 @@
 //!    ships the serialized program once per host and references it by
 //!    hash after that — a worker that restarted answers "need program"
 //!    and the bytes are re-shipped transparently. The concurrent
-//!    batches [`Exec::dispatch`] ships as sub-runs of one job are
-//!    serialized through a per-host prime gate on the same ledger, so
-//!    the program still crosses the wire exactly once per host no
-//!    matter how many batches race. A status request
+//!    batches [`Exec::dispatch`] ships under one job are serialized
+//!    through a per-host prime gate on the same ledger, so the program
+//!    still crosses the wire exactly once per host no matter how many
+//!    batches race. A status request
 //!    (`steac-worker --status`, [`remote::query_status`]) surfaces the
 //!    cache and traffic counters. [`remote::ProcessTransport`] runs the
 //!    same session over the stdin/stdout of one long-lived local
 //!    `steac-worker` child, so `processes:N` is a fleet of `N` such
 //!    sessions with the same cache, pipelining and retries (and zero
-//!    network). [`remote::RemoteFleet`] adds work-stealing across hosts
-//!    and streams (units handed out from one atomic counter, idle
-//!    streams steal from the global tail) and a retry/requeue policy
-//!    for lost workers, while [`Exec::dispatch`] still owns the
-//!    merge-by-unit-index contract — so reports stay byte-identical to
-//!    Serial even under injected host loss or cache loss, proven by
-//!    `tests/remote_chaos.rs`. No workload crate changed to gain this
-//!    backend; that was the point of the seam. `Exec::from_env` reaches
-//!    it via `STEAC_EXEC=remote:host:port,…`.
+//!    network). [`Exec::dispatch`] stays the only scheduler: it runs
+//!    two dispatchers per host stream, each homed on one host, and
+//!    ships each 32-unit batch as one run request. The
+//!    [`remote::RemoteFleet`] only picks the host (failing over in
+//!    fleet order), retries what a lost or damaged response left
+//!    unresolved, and stops calling a host that fails repeatedly for
+//!    the rest of that dispatch call. Results merge by unit index, so
+//!    reports stay byte-identical to Serial even under injected host
+//!    loss or cache loss, proven by `tests/remote_chaos.rs`. No
+//!    workload crate changed to gain this backend; that was the point
+//!    of the seam. `Exec::from_env` reaches it via
+//!    `STEAC_EXEC=remote:host:port,…`.
 //!
 //! The scalar API below is a lane-0/broadcast view of that kernel, so
 //! single-pattern callers are unchanged. Batch callers fill all lanes
@@ -191,7 +194,7 @@ pub use packed::{PackedLogic, DEFAULT_LANE_GROUPS, LANES};
 pub use program::{ProgramStats, SimProgram};
 pub use remote::{
     query_status, FleetStatsSnapshot, ProcessTransport, RemoteFleet, ServeHandle, TcpTransport,
-    Transport, TransportError, DEFAULT_TCP_STREAMS, DEFAULT_TCP_WINDOW,
+    Transport, TransportError, DEFAULT_TCP_STREAMS,
 };
 pub use scan::ScanPorts;
 pub use shard::{JobRegistry, Threads, WorkerState, WorkerStatus};

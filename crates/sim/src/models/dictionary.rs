@@ -294,7 +294,7 @@ impl<'a> ExecWork for DiagnoseWork<'a> {
 
 /// Ranks every dictionary candidate against an observed failure
 /// signature by Hamming distance (ties broken by entry index), fanned
-/// out through `exec` in [`DIAG_CHUNK`]-candidate units — localization
+/// out through `exec` in 512-candidate units — localization
 /// as a first-class `Exec` workload, byte-identical on every backend.
 ///
 /// # Errors

@@ -23,18 +23,21 @@
 //!   `steac-worker` child — the host behind each slot of `processes:N`,
 //!   which also makes the whole fleet testable in-repo with zero
 //!   network.
-//! * [`RemoteFleet`] fans work units across N transports with
-//!   work-stealing and a retry/requeue policy for lost hosts, keeping
-//!   the merge-by-unit-index determinism contract: unit `i`'s result (or
-//!   the lowest-indexed unit's error) is identical no matter which host
-//!   ran it, how execution interleaved, or which responses had to be
-//!   retried. Because every worker persists, the fleet references the
-//!   job by its content hash after the first successful inline ship, so
-//!   the serialized program crosses the wire **once per host** instead
-//!   of once per request — a worker that lost its cache (restart,
-//!   eviction) answers "need program" and the fleet transparently
-//!   re-ships inline. [`RemoteFleet::stats`] counts exactly what was
-//!   shipped.
+//! * [`RemoteFleet`] ships batches to N transports. It does not schedule:
+//!   [`crate::exec::Exec::dispatch`] cuts the work into batches and runs
+//!   two dispatchers per host stream, each homed on one host, and every
+//!   batch a dispatcher pulls is **one** run request. The fleet chooses
+//!   the host (the home one while it is live, failing over in fleet
+//!   order), retries what a lost or damaged response left unresolved,
+//!   and keeps the merge-by-unit-index determinism contract: unit `i`'s
+//!   result (or the lowest-indexed unit's error) is identical no matter
+//!   which host ran it or which responses had to be retried. Because
+//!   every worker persists, the fleet references the job by its content
+//!   hash after the first successful inline ship, so the serialized
+//!   program crosses the wire **once per host** instead of once per
+//!   request — a worker that lost its cache (restart, eviction) answers
+//!   "need program" and the fleet transparently re-ships inline.
+//!   [`RemoteFleet::stats`] counts exactly what was shipped.
 //!
 //! # Envelope (version 2)
 //!
@@ -80,38 +83,44 @@
 //!
 //! # Failure model
 //!
-//! The fleet distinguishes two kinds of trouble:
+//! Failover runs per batch, sequentially on the dispatcher that pulled
+//! it — no thread of its own. The fleet distinguishes two kinds of
+//! trouble:
 //!
 //! * **Transport-level loss** (connect refused, worker binary missing,
 //!   dead session or child, truncated or corrupt envelope, a response
-//!   missing some of its units): the affected units are re-enqueued and
-//!   stolen by other hosts, up to
-//!   [`RemoteFleet::with_max_retries`] extra attempts per unit. A host
-//!   that fails `max_retries + 1` calls in a row is declared lost and
-//!   stops taking work. Only when a unit's retries are exhausted — or
-//!   no live host remains — does the run fail, as
-//!   [`PoolError::Unit`] on the **lowest-indexed** unresolved unit.
+//!   missing some of its units): the batch keeps the units the response
+//!   did resolve, the host takes a strike, and the unresolved units go
+//!   to the next live host the batch has not failed on — or to any live
+//!   host, once every live host has failed it. The batch fails, as
+//!   [`PoolError::Unit`] on its **lowest-indexed** unresolved unit, when
+//!   it has failed more than [`RemoteFleet::with_max_retries`] times
+//!   and every live host has failed it, or when no live host remains.
 //! * **Workload-level unit errors** (the worker ran the unit and
 //!   reported a typed failure, e.g. corrupt unit bytes or a program
 //!   hash mismatch): deterministic, so they are *not* retried; they
-//!   fail the run.
+//!   fail the batch.
 //!
-//! A "need program" reply is neither: it is part of the normal cache
-//! protocol, answered by re-sending the same units with the job inline
-//! (counted in [`FleetStats`], invisible to callers).
+//! A host that fails `max_retries + 1` calls in a row within one
+//! dispatch call is lost: it gets no more requests in that call, and
+//! its loss is logged once to stderr. A successful call resets the
+//! count, and the next dispatch call starts with every host live.
 //!
-//! [`crate::exec::Exec::dispatch`] ships a workload as a sequence of
-//! batches, each one fleet run of the same job. What a failed batch
-//! *means* is then the [`crate::exec::Fallback`] policy's decision, made
-//! once, per batch, in that dispatcher: recompute the batch in-thread
-//! (logged and counted) or surface the workload's typed error.
+//! A "need program" reply is neither kind of trouble: it is part of the
+//! normal cache protocol, answered by re-sending the same units with the
+//! job inline (counted in [`FleetStats`], invisible to callers).
+//!
+//! What a failed batch *means* is the [`crate::exec::Fallback`] policy's
+//! decision, made once, per batch, in its dispatcher: recompute the
+//! batch in-thread (logged and counted) or surface the workload's typed
+//! error.
 //! `tests/remote_chaos.rs` drives every one of these paths with
 //! injected failures — including a worker restarted mid-run (cache
 //! wiped) and a corrupted inline program.
 
 use crate::shard::{self, PoolError, Reply, WireJob, WorkerState, WorkerStatus};
 use crate::wire::{fnv1a64, WireError, WireReader, WireWriter};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -266,7 +275,7 @@ impl std::error::Error for TransportError {}
 /// dispatcher and a `steac-worker`, with the request/response bytes
 /// exactly as the worker protocol defines them ([`crate::shard`]).
 /// Implementations own connection management and framing; they must be
-/// callable concurrently from fleet threads, and they must reach a
+/// callable concurrently from dispatcher threads, and they must reach a
 /// *persistent* worker whose program cache outlives a single call —
 /// the fleet references a job by its content hash after the first
 /// inline ship.
@@ -283,25 +292,25 @@ pub trait Transport: Send + Sync {
     /// `Exec` display (`remote:endpoint,endpoint`).
     fn endpoint(&self) -> String;
 
-    /// How many fleet threads should drive this transport concurrently
-    /// — the request-pipelining width. The default of 1 keeps one
-    /// request in flight per host during a run, which is what keeps a
-    /// fleet of `N` [`ProcessTransport`]s computing `N`-wide;
-    /// [`TcpTransport`] returns its configured stream count.
+    /// How many dispatchers this host gets: [`crate::exec::Exec::dispatch`]
+    /// runs two per stream, homed on this host, so `2 × streams` of its
+    /// own batches can be in flight here at once. The default of 1 (two
+    /// dispatchers) is what keeps a fleet of `N` [`ProcessTransport`]s
+    /// computing `N`-wide; [`TcpTransport`] returns its configured
+    /// stream count.
     fn streams(&self) -> usize {
         1
     }
 }
 
-/// Default pipelining width of a [`TcpTransport`]: fleet threads
-/// driving one session concurrently.
+/// Default pipelining width of a [`TcpTransport`]: streams whose
+/// dispatchers share its one session.
 pub const DEFAULT_TCP_STREAMS: usize = 2;
 
-/// Default bounded in-flight window of a [`TcpTransport`] session:
-/// requests written but not yet answered. A caller needing a slot past
-/// the window blocks until one frees — backpressure, not an unbounded
-/// queue.
-pub const DEFAULT_TCP_WINDOW: usize = 4;
+/// Bounded in-flight window of every session: requests written but not
+/// yet answered. A caller needing a slot past the window blocks until
+/// one frees — backpressure, not an unbounded queue.
+const SESSION_WINDOW: usize = 4;
 
 /// The channel a caller waits on for its routed response.
 type ResponseSender = mpsc::Sender<Result<Vec<u8>, TransportError>>;
@@ -412,19 +421,16 @@ struct SessionSlot {
     /// The transport's endpoint, named in diagnostics.
     endpoint: String,
     timeout: Option<Duration>,
-    window: usize,
     live: Mutex<Option<Arc<Session>>>,
     next_id: AtomicU64,
 }
 
 impl SessionSlot {
-    /// A slot with no session yet, the default 120 s timeout and the
-    /// default in-flight window ([`DEFAULT_TCP_WINDOW`]).
+    /// A slot with no session yet and the default 120 s timeout.
     fn new(endpoint: String) -> Self {
         SessionSlot {
             endpoint,
             timeout: Some(Duration::from_secs(120)),
-            window: DEFAULT_TCP_WINDOW,
             live: Mutex::new(None),
             next_id: AtomicU64::new(0),
         }
@@ -434,7 +440,6 @@ impl SessionSlot {
     fn fresh(&self) -> Self {
         let mut slot = SessionSlot::new(self.endpoint.clone());
         slot.timeout = self.timeout;
-        slot.window = self.window;
         slot
     }
 
@@ -496,7 +501,7 @@ impl SessionSlot {
                         true,
                     ));
                 }
-                if *inflight < self.window {
+                if *inflight < SESSION_WINDOW {
                     *inflight += 1;
                     break;
                 }
@@ -582,9 +587,8 @@ impl Drop for SessionSlot {
 /// over **one persistent TCP session**: the address is resolved once
 /// per session, the connection is established lazily (and
 /// re-established lazily after a loss — every failure stays a typed
-/// [`TransportError`]), and up to [`TcpTransport::with_window`]
-/// requests are pipelined in flight at a time, matched to their
-/// responses by the envelope request id.
+/// [`TransportError`]), and up to four requests are pipelined in flight
+/// at a time, matched to their responses by the envelope request id.
 pub struct TcpTransport {
     streams: usize,
     /// Socket addresses resolved for the current session; dropped when
@@ -604,7 +608,6 @@ impl fmt::Debug for TcpTransport {
             .field("addr", &self.session.endpoint)
             .field("timeout", &self.session.timeout)
             .field("streams", &self.streams)
-            .field("window", &self.session.window)
             .finish_non_exhaustive()
     }
 }
@@ -625,9 +628,8 @@ impl Clone for TcpTransport {
 impl TcpTransport {
     /// A transport to `addr` (`host:port`), with the default 120 s
     /// connect/read/write timeout so a hung or blackholed host surfaces
-    /// as a typed error instead of blocking a fleet thread forever, and
-    /// the default pipelining width ([`DEFAULT_TCP_STREAMS`]) and
-    /// in-flight window ([`DEFAULT_TCP_WINDOW`]).
+    /// as a typed error instead of blocking a dispatcher forever, and
+    /// the default pipelining width ([`DEFAULT_TCP_STREAMS`]).
     #[must_use]
     pub fn new(addr: impl Into<String>) -> Self {
         TcpTransport {
@@ -645,20 +647,11 @@ impl TcpTransport {
         self
     }
 
-    /// Sets how many fleet threads drive this transport concurrently
-    /// (clamped to ≥ 1; default [`DEFAULT_TCP_STREAMS`]).
+    /// Sets this host's stream count, [`Transport::streams`] (clamped to
+    /// ≥ 1; default [`DEFAULT_TCP_STREAMS`]).
     #[must_use]
     pub fn with_streams(mut self, streams: usize) -> Self {
         self.streams = streams.max(1);
-        self
-    }
-
-    /// Sets the bounded in-flight window per session (clamped to ≥ 1;
-    /// default [`DEFAULT_TCP_WINDOW`]). Callers past the window block
-    /// until a response frees a slot.
-    #[must_use]
-    pub fn with_window(mut self, window: usize) -> Self {
-        self.session.window = window.max(1);
         self
     }
 
@@ -764,10 +757,9 @@ impl Transport for TcpTransport {
 /// that cannot be spawned is [`TransportError::Unreachable`], naming the
 /// path and the OS error.
 ///
-/// It keeps the trait's default of one stream, so a fleet of `N`
-/// process transports has one request in flight per child per fleet
-/// run. Dispatch overlaps two batches, so a child may run two requests
-/// at once.
+/// It keeps the trait's default of one stream, so each child gets two
+/// dispatchers homed on it and runs at most two of their batches at
+/// once (more only while another host is failing over to it).
 pub struct ProcessTransport {
     binary: PathBuf,
     /// The session half; its endpoint is the binary's path.
@@ -818,13 +810,7 @@ impl Transport for ProcessTransport {
     }
 }
 
-/// How many chunks each work stream's share of the units is split into
-/// when the fleet auto-sizes requests: small enough that idle streams
-/// keep finding work to steal, large enough that the per-request header
-/// amortizes over many units.
-const CHUNKS_PER_STREAM: usize = 8;
-
-/// Default extra attempts a unit gets after a transport-level loss.
+/// Default extra attempts a batch gets after a transport-level loss.
 pub const DEFAULT_MAX_RETRIES: usize = 2;
 
 /// Hashes a host is remembered to hold; bounded like the worker-side
@@ -839,11 +825,10 @@ const KNOWN_HASHES_PER_HOST: usize = 8;
 ///
 /// The slot also owns the **prime gate** for each program: the first
 /// caller to ship a given hash inline claims it here, and every other
-/// stream — of the same run *or a concurrent one* (dispatch issues many
-/// small sub-runs of one job against the same fleet) — waits, then
-/// proceeds by-hash. Keying the gate by hash on the slot,
-/// rather than per run, is what keeps "the program crosses the wire
-/// once per host" true when sub-runs overlap.
+/// dispatcher — of the same dispatch call *or a concurrent one* — waits,
+/// then proceeds by-hash. Keying the gate by hash on the slot, rather
+/// than per call, is what keeps "the program crosses the wire once per
+/// host" true when batches race.
 struct HostSlot {
     transport: Box<dyn Transport>,
     known: Mutex<Vec<u64>>,
@@ -974,19 +959,22 @@ pub struct FleetStatsSnapshot {
 }
 
 /// A fleet of worker hosts behind [`crate::exec::Backend::Remote`] and
-/// [`crate::exec::Backend::Processes`]: per-host work streams with
-/// work-stealing (units are handed out from one atomic counter per run,
-/// so an idle host always steals from the global tail) and a
-/// retry/requeue policy for lost workers.
+/// [`crate::exec::Backend::Processes`]. It ships batches; it does not
+/// schedule them. [`crate::exec::Exec::dispatch`] runs two dispatchers
+/// per host stream ([`Transport::streams`]), each homed on one host, and
+/// ships every batch it pulls here as one run request. The fleet keeps
+/// the jobs that are not scheduling: choosing the host with failover
+/// (the module docs' failure model), the per-host prime gate and
+/// program-cache handshake, retries, [`RemoteFleet::stats`] and
+/// [`RemoteFleet::statuses`].
 ///
-/// The determinism contract is [`crate::shard::run_units`]'s: results
-/// merge **by unit index**, failures surface as the **lowest-indexed**
+/// A batch's results merge **by unit index** (the first result for a
+/// unit wins), and a failed batch surfaces its **lowest-indexed**
 /// unresolved unit — so reports stay byte-identical to the serial
-/// backend no matter how hosts raced, died or retried.
+/// backend no matter which hosts answered, died or were retried.
 pub struct RemoteFleet {
     hosts: Vec<HostSlot>,
     max_retries: usize,
-    chunk: usize,
     stats: FleetStats,
 }
 
@@ -995,14 +983,13 @@ impl fmt::Debug for RemoteFleet {
         f.debug_struct("RemoteFleet")
             .field("hosts", &self.endpoints())
             .field("max_retries", &self.max_retries)
-            .field("chunk", &self.chunk)
             .finish()
     }
 }
 
 impl RemoteFleet {
     /// A fleet over explicit transports, with the default retry budget
-    /// ([`DEFAULT_MAX_RETRIES`]) and auto-sized request chunks.
+    /// ([`DEFAULT_MAX_RETRIES`]).
     ///
     /// # Panics
     ///
@@ -1014,7 +1001,6 @@ impl RemoteFleet {
         RemoteFleet {
             hosts: hosts.into_iter().map(HostSlot::new).collect(),
             max_retries: DEFAULT_MAX_RETRIES,
-            chunk: 0,
             stats: FleetStats::default(),
         }
     }
@@ -1037,22 +1023,14 @@ impl RemoteFleet {
         }
     }
 
-    /// Sets how many extra attempts a unit gets after a transport-level
-    /// loss before the run fails (builder style; default
-    /// [`DEFAULT_MAX_RETRIES`]). A host is declared lost after
-    /// `max_retries + 1` consecutive call failures.
+    /// Sets how many transport-level losses a batch may take beyond the
+    /// first before it fails, once every live host has failed it
+    /// (builder style; default [`DEFAULT_MAX_RETRIES`]). A host is
+    /// declared lost after `max_retries + 1` consecutive failed calls
+    /// within one dispatch call.
     #[must_use]
     pub fn with_max_retries(mut self, max_retries: usize) -> Self {
         self.max_retries = max_retries;
-        self
-    }
-
-    /// Pins the number of units per request (builder style; 0 — the
-    /// default — auto-sizes to `units / (total streams × 8)`, clamped
-    /// to ≥ 1, where a host contributes [`Transport::streams`] streams).
-    #[must_use]
-    pub fn with_chunk(mut self, chunk: usize) -> Self {
-        self.chunk = chunk;
         self
     }
 
@@ -1062,7 +1040,7 @@ impl RemoteFleet {
         self.hosts.len()
     }
 
-    /// The configured retry budget per unit.
+    /// The configured retry budget per batch.
     #[must_use]
     pub fn max_retries(&self) -> usize {
         self.max_retries
@@ -1091,9 +1069,24 @@ impl RemoteFleet {
             .collect()
     }
 
-    /// Executes `units` under job `kind`/`job` across the fleet and
-    /// returns the result payloads in unit order — the one path every
-    /// shipped dispatch takes, whatever its transports.
+    /// The streams host `host` declares ([`Transport::streams`], at
+    /// least 1).
+    pub(crate) fn streams(&self, host: usize) -> usize {
+        self.hosts[host].transport.streams().max(1)
+    }
+
+    /// A shipper for one dispatch call, with every host live.
+    pub(crate) fn shipper(&self) -> Shipper<'_> {
+        Shipper {
+            fleet: self,
+            health: Mutex::new(vec![HostHealth::default(); self.hosts.len()]),
+        }
+    }
+
+    /// Executes `units` under job `kind`/`job` as one batch — one run
+    /// request from host 0 on, failing over as a dispatched batch does,
+    /// with every host live — and returns the result payloads in unit
+    /// order.
     ///
     /// # Errors
     ///
@@ -1101,236 +1094,177 @@ impl RemoteFleet {
     /// resolved: a workload-level unit error (never retried), exhausted
     /// retries after transport-level losses, or no live host left.
     pub fn run(&self, kind: u16, job: &[u8], units: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, PoolError> {
-        if units.is_empty() {
-            return Ok(Vec::new());
-        }
-        let total_streams: usize = self
-            .hosts
-            .iter()
-            .map(|h| h.transport.streams().max(1))
-            .sum();
-        let chunk = if self.chunk > 0 {
-            self.chunk
-        } else {
-            units
-                .len()
-                .div_ceil(total_streams * CHUNKS_PER_STREAM)
-                .max(1)
-        };
-        let run = FleetRun {
+        self.shipper().ship(0, kind, job, units)
+    }
+}
+
+/// One host's health within one dispatch call.
+#[derive(Clone, Default)]
+struct HostHealth {
+    /// Consecutive failed calls.
+    strikes: usize,
+    /// Why the host was declared lost, once it is.
+    lost: Option<String>,
+}
+
+/// One dispatch call's handle on a fleet: it ships the call's batches
+/// and records host loss for the length of the call. Every dispatcher of
+/// the call shares it; the next call makes a fresh one, with every host
+/// live.
+pub(crate) struct Shipper<'a> {
+    fleet: &'a RemoteFleet,
+    health: Mutex<Vec<HostHealth>>,
+}
+
+impl Shipper<'_> {
+    /// Ships one batch of `units` under job `kind`/`job` as one run
+    /// request to host `home` — or, when it is lost, to the next live
+    /// host — failing over on the calling thread as the module docs'
+    /// failure model describes. Returns the result payloads in unit
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// [`PoolError::Unit`] for the lowest-indexed unit that could not be
+    /// resolved: its workload error, or why the fleet gave up on it.
+    pub(crate) fn ship(
+        &self,
+        home: usize,
+        kind: u16,
+        job: &[u8],
+        units: &[Vec<u8>],
+    ) -> Result<Vec<Vec<u8>>, PoolError> {
+        let batch = Batch {
             kind,
             job,
             job_hash: fnv1a64(job),
             units,
-            chunk,
-            max_retries: self.max_retries,
-            stats: &self.stats,
-            next: AtomicUsize::new(0),
-            pending: AtomicUsize::new(units.len()),
-            alive: (0..self.hosts.len())
-                .map(|_| AtomicBool::new(true))
-                .collect(),
-            retries: Mutex::new(VecDeque::new()),
-            slots: Mutex::new(vec![None; units.len()]),
-            failures: Mutex::new(Vec::new()),
-            lost_hosts: Mutex::new(Vec::new()),
+            stats: &self.fleet.stats,
         };
-        std::thread::scope(|scope| {
-            for (index, host) in self.hosts.iter().enumerate() {
-                for _ in 0..host.transport.streams().max(1) {
-                    let run = &run;
-                    scope.spawn(move || run.stream_loop(index, host));
+        let mut results: Vec<Option<Result<Vec<u8>, String>>> = vec![None; units.len()];
+        // The hosts that have failed this batch, and how often it failed.
+        let (mut failed, mut failures) = (Vec::new(), 0usize);
+        let mut next = self.pick(home, &failed);
+        let unresolved = loop {
+            let pending: Vec<usize> = (0..units.len()).filter(|&u| results[u].is_none()).collect();
+            if pending.is_empty() {
+                break String::new();
+            }
+            let Some(host) = next else {
+                break format!(
+                    "no live remote host left to run this unit ({})",
+                    self.obituaries()
+                );
+            };
+            let diagnostic = match batch.exchange(&self.fleet.hosts[host], &pending) {
+                Ok((items, damage)) => {
+                    // The first result for a unit wins, so a duplicated
+                    // or replayed frame can never change a merge.
+                    for (unit, result) in items {
+                        results[unit].get_or_insert(result);
+                    }
+                    if pending.iter().all(|&u| results[u].is_some()) {
+                        self.record(host, None);
+                        continue;
+                    }
+                    match damage {
+                        Some(e) => format!("response damaged: {e}"),
+                        None => "response missing unit results".to_string(),
+                    }
                 }
+                Err(e) => e,
+            };
+            failures += 1;
+            if !failed.contains(&host) {
+                failed.push(host);
             }
-        });
-
-        let slots = run.slots.into_inner().expect("no panics hold the lock");
-        let mut failures = run.failures.into_inner().expect("no panics hold the lock");
-        let lost = run
-            .lost_hosts
-            .into_inner()
-            .expect("no panics hold the lock");
-        for (unit, slot) in slots.iter().enumerate() {
-            if slot.is_none() && !failures.iter().any(|f| f.0 == unit) {
-                failures.push((
-                    unit,
-                    format!(
-                        "no live remote host left to run this unit ({})",
-                        lost.join("; ")
-                    ),
-                ));
+            self.record(host, Some(&diagnostic));
+            next = self.pick(host + 1, &failed);
+            if failures > self.fleet.max_retries && next.is_some_and(|h| failed.contains(&h)) {
+                break format!(
+                    "lost in transit {failures} times across {} host(s), retries exhausted: \
+                     {diagnostic}",
+                    failed.len()
+                );
             }
-        }
-        if let Some((unit, diagnostic)) = failures.into_iter().min_by_key(|f| f.0) {
-            return Err(PoolError::Unit { unit, diagnostic });
-        }
-        Ok(slots
+        };
+        results
             .into_iter()
-            .map(|s| s.expect("every unit resolved or failed"))
-            .collect())
+            .enumerate()
+            .map(|(unit, result)| {
+                result
+                    .unwrap_or_else(|| Err(unresolved.clone()))
+                    .map_err(|diagnostic| PoolError::Unit { unit, diagnostic })
+            })
+            .collect()
     }
-}
 
-/// One unit in flight or waiting to be retried.
-struct Retry {
-    unit: usize,
-    /// Transport-level failures so far.
-    attempts: usize,
-    /// Hosts that have already failed this unit. Routing prefers hosts
-    /// *not* in this set, so a fast-failing dead host cannot burn the
-    /// unit's whole retry budget while a healthy host never sees it.
-    failed: Vec<usize>,
-}
+    /// The host a batch goes to next: the first live host from `from`
+    /// on, in fleet order, that has not failed the batch — or the first
+    /// live one, once every live host has. `None` when no host is live.
+    fn pick(&self, from: usize, failed: &[usize]) -> Option<usize> {
+        let health = self.health.lock().expect("no panics hold the lock");
+        let n = health.len();
+        let live: Vec<usize> = (from..from + n)
+            .map(|h| h % n)
+            .filter(|&h| health[h].lost.is_none())
+            .collect();
+        live.iter()
+            .find(|h| !failed.contains(h))
+            .or(live.first())
+            .copied()
+    }
 
-impl Retry {
-    fn fresh(unit: usize) -> Self {
-        Retry {
-            unit,
-            attempts: 0,
-            failed: Vec::new(),
+    /// Records one call's outcome on `host`: a success clears its
+    /// strikes; a failure adds one, and the `max_retries + 1`-th in a
+    /// row declares the host lost for the rest of the call, logged once.
+    fn record(&self, host: usize, failure: Option<&str>) {
+        let mut health = self.health.lock().expect("no panics hold the lock");
+        let health = &mut health[host];
+        let Some(diagnostic) = failure else {
+            health.strikes = 0;
+            return;
+        };
+        health.strikes += 1;
+        if health.strikes > self.fleet.max_retries && health.lost.is_none() {
+            let line = format!(
+                "host {host} ({}) lost after {} consecutive failures: {diagnostic}",
+                self.fleet.hosts[host].transport.endpoint(),
+                health.strikes
+            );
+            eprintln!("steac remote: {line}");
+            health.lost = Some(line);
         }
     }
+
+    /// Every lost host's loss line, for a batch no host is left to run.
+    fn obituaries(&self) -> String {
+        let health = self.health.lock().expect("no panics hold the lock");
+        let lost: Vec<&str> = health.iter().filter_map(|h| h.lost.as_deref()).collect();
+        lost.join("; ")
+    }
 }
 
-/// Shared state of one fleet run; every host thread drives
-/// [`FleetRun::host_loop`] against it.
-struct FleetRun<'a> {
+/// One batch on its way to a host: the job it runs under (kind, program
+/// bytes and their hash) and its encoded units.
+struct Batch<'a> {
     kind: u16,
     job: &'a [u8],
     job_hash: u64,
     units: &'a [Vec<u8>],
-    chunk: usize,
-    max_retries: usize,
     stats: &'a FleetStats,
-    /// Work-stealing cursor: hosts grab `chunk` fresh units at a time.
-    next: AtomicUsize,
-    /// Units not yet resolved (no result, no recorded failure).
-    pending: AtomicUsize,
-    /// One flag per host; cleared when the host is declared lost.
-    alive: Vec<AtomicBool>,
-    retries: Mutex<VecDeque<Retry>>,
-    slots: Mutex<Vec<Option<Vec<u8>>>>,
-    failures: Mutex<Vec<(usize, String)>>,
-    lost_hosts: Mutex<Vec<String>>,
 }
 
-impl FleetRun<'_> {
-    /// Whether every host still alive has already failed this unit —
-    /// the point past which routing it to "someone else" is no longer
-    /// possible and retrying anywhere (or giving up, once the budget is
-    /// spent) is all that is left.
-    fn covered(&self, failed: &[usize]) -> bool {
-        self.alive
-            .iter()
-            .enumerate()
-            .all(|(host, alive)| !alive.load(Ordering::Relaxed) || failed.contains(&host))
-    }
-
-    /// The next batch for host `me`: a re-enqueued unit first, else a
-    /// fresh chunk off the stealing cursor. A host skips retry entries
-    /// it has itself failed — unless every live host has already failed
-    /// the entry, at which point anyone may take it (pure transience,
-    /// e.g. a fleet where every host is flaky) — so retries route to
-    /// hosts with a chance of succeeding. `None` when no work is
-    /// currently available.
-    fn next_batch(&self, me: usize) -> Option<Vec<Retry>> {
-        {
-            let mut queue = self.retries.lock().expect("no panics hold the lock");
-            for _ in 0..queue.len() {
-                let entry = queue.pop_front().expect("len checked");
-                if entry.failed.contains(&me) && !self.covered(&entry.failed) {
-                    queue.push_back(entry);
-                } else {
-                    return Some(vec![entry]);
-                }
-            }
-        }
-        let start = self.next.fetch_add(self.chunk, Ordering::Relaxed);
-        if start >= self.units.len() {
-            return None;
-        }
-        let end = (start + self.chunk).min(self.units.len());
-        Some((start..end).map(Retry::fresh).collect())
-    }
-
-    /// Re-enqueues transport-lost units, or records their permanent
-    /// failure once the retry budget is spent **and** every host still
-    /// alive has had (at least) one shot at them — exhausting a unit
-    /// while an untried healthy host exists would fail runs a live
-    /// fleet could finish.
-    fn requeue(&self, me: usize, lost: Vec<Retry>, diagnostic: &str) {
-        let mut queue = self.retries.lock().expect("no panics hold the lock");
-        let mut failures = self.failures.lock().expect("no panics hold the lock");
-        for mut entry in lost {
-            entry.attempts += 1;
-            if !entry.failed.contains(&me) {
-                entry.failed.push(me);
-            }
-            if entry.attempts > self.max_retries && self.covered(&entry.failed) {
-                failures.push((
-                    entry.unit,
-                    format!(
-                        "lost in transit {} times across {} host(s), retries exhausted: \
-                         {diagnostic}",
-                        entry.attempts,
-                        entry.failed.len()
-                    ),
-                ));
-                self.pending.fetch_sub(1, Ordering::Relaxed);
-            } else {
-                queue.push_back(entry);
-            }
-        }
-    }
-
-    /// Records one response against a batch and returns the entries the
-    /// response did **not** resolve (transport-level loss candidates).
-    /// Duplicate results — same unit delivered twice — are idempotent:
-    /// the first write wins, so replays after a lost response can never
-    /// change a merge.
-    fn record(
-        &self,
-        batch: Vec<Retry>,
-        response: Vec<(usize, Result<Vec<u8>, String>)>,
-    ) -> Vec<Retry> {
-        let mut slots = self.slots.lock().expect("no panics hold the lock");
-        let mut failures = self.failures.lock().expect("no panics hold the lock");
-        for (unit, result) in response {
-            if !batch.iter().any(|e| e.unit == unit) {
-                // A unit this batch never asked for (damaged or
-                // duplicated frame): ignoring it keeps the merge exact.
-                continue;
-            }
-            match result {
-                Ok(bytes) => {
-                    if slots[unit].is_none() {
-                        slots[unit] = Some(bytes);
-                        self.pending.fetch_sub(1, Ordering::Relaxed);
-                    }
-                }
-                Err(diagnostic) => {
-                    // Workload-level unit error: deterministic, final.
-                    if slots[unit].is_none() && !failures.iter().any(|f| f.0 == unit) {
-                        failures.push((unit, diagnostic));
-                        self.pending.fetch_sub(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-        batch
-            .into_iter()
-            .filter(|e| slots[e.unit].is_none() && !failures.iter().any(|f| f.0 == e.unit))
-            .collect()
-    }
-
-    /// Total unit payload bytes a batch of `indices` puts on the wire.
+impl Batch<'_> {
+    /// Total payload bytes of the units at `indices`.
     fn unit_payload_bytes(&self, indices: &[usize]) -> usize {
         indices.iter().map(|&i| self.units[i].len()).sum()
     }
 
-    /// Ships one batch inline (program bytes included) and parses the
-    /// reply. The worker has everything it needs, so a `NeedProgram`
-    /// answer here is a protocol violation, not a cache miss.
+    /// Ships the units at `indices` inline (program bytes included) and
+    /// parses the reply. The worker has everything it needs, so a
+    /// `NeedProgram` answer here is a protocol violation, not a cache
+    /// miss.
     fn exchange_inline(
         &self,
         transport: &dyn Transport,
@@ -1357,12 +1291,12 @@ impl FleetRun<'_> {
         }
     }
 
-    /// Ships one batch to a host, deciding inline vs by-hash from the
-    /// slot's ledger and per-hash prime gate (which serializes
-    /// the first inline ship across every stream and every concurrent
-    /// sub-run of this job). A `NeedProgram` reply (worker restarted,
-    /// or its LRU evicted us) is healed transparently with one inline
-    /// re-ship of the same batch.
+    /// Ships the units at `indices` to a host as one run request,
+    /// deciding inline vs by-hash from the slot's ledger and per-hash
+    /// prime gate (which serializes the first inline ship across every
+    /// dispatcher of every concurrent dispatch of this job). A
+    /// `NeedProgram` reply (worker restarted, or its LRU evicted us) is
+    /// healed transparently with one inline re-ship of the same units.
     fn exchange(&self, slot: &HostSlot, indices: &[usize]) -> Result<RunReply, String> {
         let transport = slot.transport.as_ref();
         if slot.claim_prime(self.job_hash) {
@@ -1392,65 +1326,6 @@ impl FleetRun<'_> {
             }
             Reply::Status(_) => {
                 Err("worker answered a run request with a status reply".to_string())
-            }
-        }
-    }
-
-    /// One stream's work loop: steal a batch, ship it (by hash when the
-    /// host already holds this program), record the response; requeue
-    /// what was lost. The stream stops when every unit is resolved, when
-    /// a sibling stream declares the host lost, or after
-    /// `max_retries + 1` consecutive call failures of its own (its
-    /// in-flight units having been requeued for the survivors).
-    fn stream_loop(&self, me: usize, slot: &HostSlot) {
-        let mut strikes = 0usize;
-        while self.pending.load(Ordering::Relaxed) > 0 {
-            if !self.alive[me].load(Ordering::Relaxed) {
-                return;
-            }
-            let Some(batch) = self.next_batch(me) else {
-                // Units are in flight on other hosts; wait for them to
-                // resolve (or fail and requeue).
-                std::thread::sleep(Duration::from_millis(1));
-                continue;
-            };
-            let indices: Vec<usize> = batch.iter().map(|e| e.unit).collect();
-            let (lost, diagnostic) = match self.exchange(slot, &indices) {
-                Ok((items, damage)) => {
-                    let lost = self.record(batch, items);
-                    if lost.is_empty() {
-                        strikes = 0;
-                        continue;
-                    }
-                    let diagnostic = match damage {
-                        Some(e) => format!("response damaged: {e}"),
-                        None => "response missing unit results".to_string(),
-                    };
-                    (lost, diagnostic)
-                }
-                Err(e) => (batch, e),
-            };
-            strikes += 1;
-            let dying = strikes > self.max_retries;
-            // Declare the loss before requeueing the in-flight units,
-            // so their routing immediately stops counting this host as
-            // a viable destination. `swap` elects exactly one stream to
-            // write the host's obituary.
-            let first_to_declare = dying && self.alive[me].swap(false, Ordering::Relaxed);
-            self.requeue(me, lost, &diagnostic);
-            if dying {
-                if first_to_declare {
-                    let lost_line = format!(
-                        "host {me} ({}) lost after {strikes} consecutive failures: {diagnostic}",
-                        slot.transport.endpoint()
-                    );
-                    eprintln!("steac remote: {lost_line}");
-                    self.lost_hosts
-                        .lock()
-                        .expect("no panics hold the lock")
-                        .push(lost_line);
-                }
-                return;
             }
         }
     }
@@ -1815,7 +1690,6 @@ mod tests {
         calls: AtomicUsize,
         inject: S,
         state: Arc<Mutex<Arc<WorkerState>>>,
-        streams: usize,
     }
 
     struct EchoJob;
@@ -1842,9 +1716,6 @@ mod tests {
         fn endpoint(&self) -> String {
             "loopback".to_string()
         }
-        fn streams(&self) -> usize {
-            self.streams
-        }
     }
 
     fn loopback<S: Fn(usize) -> Option<TransportError> + Send + Sync>(
@@ -1854,7 +1725,6 @@ mod tests {
             calls: AtomicUsize::new(0),
             inject,
             state: Arc::new(Mutex::new(Arc::new(WorkerState::new()))),
-            streams: 1,
         })
     }
 
@@ -1876,79 +1746,95 @@ mod tests {
         }
     }
 
+    /// Host 0 fails every third call: each batch it fails is retried on
+    /// host 1, and every batch merges to the same units.
     #[test]
     fn transient_failures_are_retried_to_an_identical_merge() {
-        let expected = units(40);
+        let calls = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&calls);
         let fleet = RemoteFleet::new(vec![
-            loopback(|call| {
+            loopback(move |call| {
+                seen.fetch_add(1, Ordering::Relaxed);
                 (call % 3 == 1).then(|| TransportError::Io {
                     diagnostic: "injected".to_string(),
                 })
             }) as Box<dyn Transport>,
             loopback(|_| None) as Box<dyn Transport>,
-        ])
-        .with_chunk(2);
-        let got = fleet.run(7, b"job", &expected).unwrap();
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn dead_host_requeues_onto_the_survivor() {
-        let expected = units(30);
-        let fleet = RemoteFleet::new(vec![
-            loopback(|_| {
-                Some(TransportError::Unreachable {
-                    endpoint: "dead".to_string(),
-                    diagnostic: "injected".to_string(),
-                })
-            }) as Box<dyn Transport>,
-            loopback(|_| None) as Box<dyn Transport>,
-        ])
-        .with_chunk(3);
-        let got = fleet.run(7, b"job", &expected).unwrap();
-        assert_eq!(got, expected);
-    }
-
-    /// Regression: fast-failing dead hosts poll the retry queue far
-    /// more often than a busy healthy host, but they must never burn a
-    /// unit's whole retry budget between them — a unit is only
-    /// exhausted once every live host has failed it. Two instant-fail
-    /// hosts plus one healthy host, with the tightest budget, must
-    /// still complete.
-    #[test]
-    fn dead_majority_cannot_exhaust_a_unit_the_healthy_host_never_saw() {
-        let dead = || {
-            loopback(|_| {
-                Some(TransportError::Unreachable {
-                    endpoint: "dead".to_string(),
-                    diagnostic: "injected".to_string(),
-                })
-            }) as Box<dyn Transport>
-        };
+        ]);
         let expected = units(40);
-        for _ in 0..10 {
-            let fleet = RemoteFleet::new(vec![dead(), dead(), loopback(|_| None)])
-                .with_max_retries(1)
-                .with_chunk(2);
-            let got = fleet.run(7, b"job", &expected).unwrap();
-            assert_eq!(got, expected);
+        for batch in expected.chunks(2) {
+            assert_eq!(fleet.run(7, b"job", batch).unwrap(), batch);
+        }
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            20,
+            "every batch tried host 0"
+        );
+        assert_eq!(fleet.stats().requests, 20 + 7, "7 injected losses retried");
+    }
+
+    fn dead() -> Box<dyn Transport> {
+        loopback(|_| {
+            Some(TransportError::Unreachable {
+                endpoint: "dead".to_string(),
+                diagnostic: "injected".to_string(),
+            })
+        })
+    }
+
+    #[test]
+    fn dead_host_fails_over_onto_the_survivor() {
+        let fleet = RemoteFleet::new(vec![dead(), loopback(|_| None)]);
+        let expected = units(30);
+        for batch in expected.chunks(3) {
+            assert_eq!(fleet.run(7, b"job", batch).unwrap(), batch);
+        }
+    }
+
+    /// A batch is only exhausted once every live host has failed it: two
+    /// dead hosts ahead of one healthy host, with the tightest budget,
+    /// must not burn the budget before the healthy host is tried.
+    #[test]
+    fn dead_majority_cannot_exhaust_a_batch_the_healthy_host_never_saw() {
+        let fleet = RemoteFleet::new(vec![dead(), dead(), loopback(|_| None)]).with_max_retries(1);
+        let expected = units(40);
+        assert_eq!(fleet.run(7, b"job", &expected).unwrap(), expected);
+    }
+
+    /// Within one dispatch call a host that fails `max_retries + 1`
+    /// calls in a row is lost and gets no more requests; the next call
+    /// starts with every host live and probes it again.
+    #[test]
+    fn host_loss_lasts_for_one_shipper() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&calls);
+        let refusing = loopback(move |_| {
+            seen.fetch_add(1, Ordering::Relaxed);
+            Some(TransportError::Unreachable {
+                endpoint: "dead".to_string(),
+                diagnostic: "injected".to_string(),
+            })
+        });
+        let fleet = RemoteFleet::new(vec![refusing, loopback(|_| None)]);
+        let expected = units(40);
+        for round in 1..=2 {
+            let shipper = fleet.shipper();
+            for batch in expected.chunks(2) {
+                assert_eq!(shipper.ship(0, 7, b"job", batch).unwrap(), batch);
+            }
+            assert_eq!(
+                calls.load(Ordering::Relaxed),
+                round * (DEFAULT_MAX_RETRIES + 1)
+            );
         }
     }
 
     #[test]
     fn all_hosts_dead_is_a_lowest_indexed_unit_error() {
-        let dead = || {
-            loopback(|_| {
-                Some(TransportError::Unreachable {
-                    endpoint: "dead".to_string(),
-                    diagnostic: "injected".to_string(),
-                })
-            }) as Box<dyn Transport>
-        };
-        let fleet = RemoteFleet::new(vec![dead(), dead()]).with_chunk(4);
+        let fleet = RemoteFleet::new(vec![dead(), dead()]);
         let PoolError::Unit { unit, diagnostic } = fleet.run(7, b"job", &units(20)).unwrap_err();
         assert_eq!(unit, 0, "lowest-indexed unit wins");
-        assert!(!diagnostic.is_empty());
+        assert!(diagnostic.contains("retries exhausted"), "{diagnostic}");
     }
 
     #[test]
@@ -1959,7 +1845,7 @@ mod tests {
             seen.fetch_add(1, Ordering::Relaxed);
             None
         });
-        let fleet = RemoteFleet::new(vec![host]).with_chunk(64);
+        let fleet = RemoteFleet::new(vec![host]);
         let mut work = units(5);
         work[3] = b"poison".to_vec();
         let PoolError::Unit { unit, diagnostic } = fleet.run(7, b"job", &work).unwrap_err();
@@ -2058,40 +1944,38 @@ mod tests {
     fn fleet_ships_the_program_once_then_goes_by_hash() {
         let job = b"a-reasonably-long-program-blob".to_vec();
         let expected = units(40);
-        let mut host = loopback(|_| None);
-        host.streams = 2;
-        let fleet = RemoteFleet::new(vec![host]).with_chunk(2);
-        let got = fleet.run(7, &job, &expected).unwrap();
-        assert_eq!(got, expected);
+        let fleet = RemoteFleet::new(vec![loopback(|_| None)]);
+        for batch in expected.chunks(2) {
+            assert_eq!(fleet.run(7, &job, batch).unwrap(), batch);
+        }
         let stats = fleet.stats();
-        assert!(stats.requests >= 20, "chunk 2 over 40 units: {stats:?}");
+        assert_eq!(stats.requests, 20, "one request per run: {stats:?}");
         assert_eq!(stats.programs_shipped, 1, "{stats:?}");
         assert_eq!(stats.program_bytes, job.len() as u64, "{stats:?}");
         assert_eq!(stats.need_program_replies, 0, "{stats:?}");
         assert!(stats.unit_bytes > 0, "{stats:?}");
     }
 
-    /// Streaming dispatch issues many small sub-runs of one job
-    /// against the same fleet, possibly overlapping in time. The prime
-    /// gate lives on the host slot keyed by job hash — not per run —
-    /// precisely so racing sub-runs on a cold host cannot each decide
-    /// to ship the program inline.
+    /// Dispatch ships many batches of one job against the same fleet,
+    /// overlapping in time. The prime gate lives on the host slot keyed
+    /// by job hash — not per batch — precisely so racing batches on a
+    /// cold host cannot each decide to ship the program inline.
     #[test]
-    fn concurrent_sub_runs_of_one_job_still_ship_the_program_once() {
+    fn concurrent_batches_of_one_job_still_ship_the_program_once() {
         let job = b"shared-program-blob".to_vec();
-        let mut host = loopback(|_| None);
-        host.streams = 2;
-        let fleet = RemoteFleet::new(vec![host]).with_chunk(2);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let (fleet, job) = (&fleet, &job);
-                scope.spawn(move || {
+        let fleet = Arc::new(RemoteFleet::new(vec![loopback(|_| None)]));
+        let racers: Vec<_> = (0..4)
+            .map(|_| {
+                let (fleet, job) = (Arc::clone(&fleet), job.clone());
+                std::thread::spawn(move || {
                     let expected = units(12);
-                    let got = fleet.run(7, job, &expected).unwrap();
-                    assert_eq!(got, expected);
-                });
-            }
-        });
+                    assert_eq!(fleet.run(7, &job, &expected).unwrap(), expected);
+                })
+            })
+            .collect();
+        for racer in racers {
+            racer.join().unwrap();
+        }
         let stats = fleet.stats();
         assert_eq!(stats.programs_shipped, 1, "{stats:?}");
         assert_eq!(stats.program_bytes, job.len() as u64, "{stats:?}");
@@ -2103,7 +1987,7 @@ mod tests {
         let expected = units(60);
         let host = loopback(|_| None);
         let state = Arc::clone(&host.state);
-        let fleet = RemoteFleet::new(vec![host]).with_chunk(2);
+        let fleet = RemoteFleet::new(vec![host]);
         // Prime the cache with a first run, restart the "worker", then
         // run again: the fleet's ledger is now stale and must heal.
         let got = fleet.run(7, b"job-bytes", &expected).unwrap();
@@ -2120,8 +2004,8 @@ mod tests {
         assert_eq!(stats.programs_shipped, 2, "one re-ship heals it: {stats:?}");
     }
 
-    /// The whole point of persistent sessions: a fleet run over a
-    /// 2-stream TCP transport uses exactly one connection.
+    /// The whole point of persistent sessions: racing runs over a
+    /// 2-stream TCP transport share exactly one connection.
     #[test]
     fn tcp_fleet_run_uses_one_connection_per_transport() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -2140,10 +2024,21 @@ mod tests {
                 });
             }
         });
-        let fleet = RemoteFleet::tcp([addr]).unwrap().with_chunk(2);
-        let expected = units(30);
-        let got = fleet.run(7, b"job", &expected).unwrap();
-        assert_eq!(got, expected);
+        let fleet = Arc::new(RemoteFleet::tcp([addr]).unwrap());
+        let racers: Vec<_> = (0..4)
+            .map(|_| {
+                let fleet = Arc::clone(&fleet);
+                std::thread::spawn(move || {
+                    let expected = units(30);
+                    for batch in expected.chunks(2) {
+                        assert_eq!(fleet.run(7, b"job", batch).unwrap(), batch);
+                    }
+                })
+            })
+            .collect();
+        for racer in racers {
+            racer.join().unwrap();
+        }
         assert_eq!(accepts.load(Ordering::Relaxed), 1);
         let stats = fleet.stats();
         assert_eq!(stats.programs_shipped, 1, "{stats:?}");
@@ -2216,7 +2111,7 @@ mod tests {
         std::thread::spawn(move || {
             let _ = serve_tcp(listener, |_, _| Ok(Box::new(EchoJob)));
         });
-        let fleet = RemoteFleet::tcp([addr]).unwrap().with_chunk(4);
+        let fleet = RemoteFleet::tcp([addr]).unwrap();
         let expected = units(12);
         assert_eq!(fleet.run(7, b"job", &expected).unwrap(), expected);
         let statuses = fleet.statuses();

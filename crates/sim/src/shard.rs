@@ -47,7 +47,7 @@
 //!
 //! The **program cache** is what makes tag-0-by-hash worthwhile: a
 //! persistent worker ([`WorkerState`]) keeps a small LRU of recently
-//! seen job blocks keyed by their content hash, so a fleet run ships
+//! seen job blocks keyed by their content hash, so a dispatch ships
 //! the serialized program *once per host* and every subsequent request
 //! is a 26-byte header plus unit bytes. An inline job whose bytes do
 //! not hash to the declared value is never executed or cached — every

@@ -1,4 +1,4 @@
-//! Corpus runner: drives [`run_soc`](crate::flow::run_soc) across a
+//! Corpus runner: drives [`run_soc`] across a
 //! whole [`ZooParams`] corpus and aggregates a scheduling / test-time /
 //! coverage table.
 

@@ -24,7 +24,8 @@
 //!
 //! When the worker binary is discoverable, this example also runs a
 //! two-child process fleet — the shipped dispatch arm (persistent
-//! sessions, work-stealing, retries, wire codecs) with zero network.
+//! sessions, one request per batch, failover and retries, wire codecs)
+//! with zero network.
 
 use rand::SeedableRng;
 use steac_membist::faultsim::{self, random_fault_list};

@@ -20,7 +20,7 @@ use steac_sim::shard::{self, PoolError};
 use steac_sim::wire::WireReader;
 use steac_sim::{
     diagnose, fault, Backend, BridgingFault, Exec, Fallback, Fault, Logic, RemoteFleet, SimError,
-    SimProgram, Simulator, TransitionFault, Transport, TransportError,
+    SimProgram, Simulator, TransitionFault, Transport, TransportError, STREAM_BATCH_UNITS,
 };
 
 /// The worker binary built alongside this test suite.
@@ -101,12 +101,12 @@ fn process_playback_carries_forces_across_the_wire() {
     assert_eq!(processed, baseline);
 }
 
-/// `processes:2` is two persistent sessions. Replaying one batch ships
+/// `processes:2` is two persistent sessions. Replaying one set ships
 /// the program once per child, never once per dispatch, and each child
 /// keeps it cached. A unit error (an unknown job kind) neither kills nor
-/// respawns a session: every worker's request counter keeps growing
-/// across the runs, and a later valid run still goes by hash without a
-/// single "need program" round trip.
+/// respawns the session that served it: every worker's request counter
+/// keeps growing across the runs, and a later valid run still goes by
+/// hash without a single "need program" round trip.
 #[test]
 fn process_fleet_keeps_its_program_and_its_session() {
     use Logic::{One, Zero};
@@ -117,8 +117,9 @@ fn process_fleet_keeps_its_program_and_its_session() {
     b.output("q", q);
     let m = b.finish().unwrap();
     let sim: Simulator = Simulator::new(&m).unwrap();
-    // Enough passes that both children take work on every run.
-    let patterns: Vec<CyclePattern> = (0..2048)
+    // Eight 32-unit batches of 64 patterns, so both children take work
+    // on every run.
+    let patterns: Vec<CyclePattern> = (0..8 * STREAM_BATCH_UNITS * 64)
         .map(|i| flop_pattern(&[if i % 3 == 0 { One } else { Zero }]))
         .collect();
     let refs: Vec<&CyclePattern> = patterns.iter().collect();
@@ -159,6 +160,10 @@ fn process_fleet_keeps_its_program_and_its_session() {
         "{diagnostic}"
     );
     let after_error = served(None);
+    // `run` ships its one batch to host 0 first; each worker also
+    // answered one more status request.
+    assert_eq!(after_error[0], after_replays[0] + 2, "{after_error:?}");
+    assert_eq!(after_error[1], after_replays[1] + 1, "{after_error:?}");
 
     let played = apply_cycle_patterns_batch(&exec, &sim, &refs).unwrap();
     assert_eq!(played, baseline);

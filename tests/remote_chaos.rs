@@ -10,25 +10,28 @@
 //! The injection engine is [`FlakyTransport`], a deterministic-schedule
 //! test double wrapping a real transport — the same persistent
 //! `steac-worker` child sessions that `processes:N` deploys, so every
-//! surviving byte still crosses a real process boundary. `STEAC_CHAOS_SCALE` (default 1) multiplies the workload
-//! size and schedule length — CI's nightly chaos job runs the same
-//! battery at scale 8.
+//! surviving byte still crosses a real process boundary. It counts the
+//! injections it fires, by mode, and the schedule tests replay their
+//! workload on the same fleet until every mode in the schedule has
+//! fired — a chaos test whose injections never fire proves nothing.
+//! `STEAC_CHAOS_SCALE` (default 1) multiplies the workload size —
+//! CI's nightly chaos job runs the same battery at scale 8.
 
 mod common;
 
 use common::{spawn_serve_worker, worker_binary};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use steac_netlist::{GateKind, NetlistBuilder};
 use steac_pattern::{apply_cycle_patterns_batch, CyclePattern, PinState};
 use steac_sim::remote::spawn_serve_process_at;
 use steac_sim::{
     fault, shard, Backend, Exec, Fallback, Logic, ProcessTransport, RemoteFleet, SimError,
-    Simulator, TcpTransport, Transport, TransportError,
+    Simulator, TcpTransport, Transport, TransportError, STREAM_BATCH_UNITS,
 };
 
-/// Chaos amplification knob: multiplies pattern counts and how long the
-/// injection schedules stay active.
+/// Chaos amplification knob: multiplies pattern counts.
 fn chaos_scale() -> usize {
     std::env::var("STEAC_CHAOS_SCALE")
         .ok()
@@ -55,24 +58,60 @@ enum Injection {
     Dead,
 }
 
+/// The injections fired so far, in firing order — shared by the flaky
+/// hosts of one fleet, so a test can show its schedule actually bit.
+#[derive(Clone, Default)]
+struct Fired(Arc<Mutex<Vec<Injection>>>);
+
+impl Fired {
+    /// How many injections of `mode` have fired.
+    fn count(&self, mode: Injection) -> usize {
+        let fired = self.0.lock().unwrap();
+        fired.iter().filter(|&&m| m == mode).count()
+    }
+}
+
+/// Most times a schedule test replays its workload waiting for every
+/// mode to fire.
+const MAX_CHAOS_RUNS: usize = 40;
+
+/// Runs `play` (which asserts its own report is byte-identical) on the
+/// same fleet until every mode in `modes` has fired at least once, and
+/// fails if that takes more than [`MAX_CHAOS_RUNS`] runs.
+fn until_every_mode_fires(fired: &Fired, modes: &[Injection], mut play: impl FnMut()) {
+    for _ in 0..MAX_CHAOS_RUNS {
+        play();
+        if modes.iter().all(|&mode| fired.count(mode) > 0) {
+            return;
+        }
+    }
+    let counts: Vec<_> = modes
+        .iter()
+        .map(|&mode| (mode, fired.count(mode)))
+        .collect();
+    panic!("not every injection fired in {MAX_CHAOS_RUNS} runs: {counts:?}");
+}
+
 /// Deterministic-schedule failure injector: wraps a real transport and
-/// misbehaves per `schedule(call_index)`. The schedule is a pure
-/// function of the per-transport call counter, so a test's injection
-/// plan is reproducible regardless of thread interleaving — and the
-/// *report* must come out byte-identical regardless of which calls the
-/// failures land on.
+/// misbehaves per `schedule(call_index)`, recording each injection in
+/// `fired`. The schedule is a pure function of the per-transport call
+/// counter, so a test's injection plan is reproducible regardless of
+/// thread interleaving — and the *report* must come out byte-identical
+/// regardless of which calls the failures land on.
 struct FlakyTransport<S: Fn(usize) -> Option<Injection> + Send + Sync> {
     inner: Box<dyn Transport>,
     schedule: S,
     calls: AtomicUsize,
+    fired: Fired,
 }
 
 impl<S: Fn(usize) -> Option<Injection> + Send + Sync> FlakyTransport<S> {
-    fn over(inner: Box<dyn Transport>, schedule: S) -> Box<Self> {
+    fn over(inner: Box<dyn Transport>, schedule: S, fired: &Fired) -> Box<Self> {
         Box::new(FlakyTransport {
             inner,
             schedule,
             calls: AtomicUsize::new(0),
+            fired: fired.clone(),
         })
     }
 }
@@ -80,7 +119,11 @@ impl<S: Fn(usize) -> Option<Injection> + Send + Sync> FlakyTransport<S> {
 impl<S: Fn(usize) -> Option<Injection> + Send + Sync> Transport for FlakyTransport<S> {
     fn call(&self, request: &[u8]) -> Result<Vec<u8>, TransportError> {
         let call = self.calls.fetch_add(1, Ordering::Relaxed);
-        match (self.schedule)(call) {
+        let injection = (self.schedule)(call);
+        if let Some(mode) = injection {
+            self.fired.0.lock().unwrap().push(mode);
+        }
+        match injection {
             None => self.inner.call(request),
             Some(Injection::Dead) => Err(TransportError::Unreachable {
                 endpoint: self.endpoint(),
@@ -127,10 +170,14 @@ fn spawn() -> Box<dyn Transport> {
 }
 
 fn flaky(
+    fired: &Fired,
     schedule: impl Fn(usize) -> Option<Injection> + Send + Sync + 'static,
 ) -> Box<dyn Transport> {
-    FlakyTransport::over(spawn(), schedule)
+    FlakyTransport::over(spawn(), schedule, fired)
 }
+
+/// Patterns in one shipped batch: 32 units of 64 lanes each.
+const BATCH_PATTERNS: usize = STREAM_BATCH_UNITS * 64;
 
 /// A DFF playback workload with deliberately failing patterns, so the
 /// mismatch logs (content AND order) cross every chaotic merge.
@@ -194,46 +241,62 @@ fn assert_playback_identical(exec: &Exec, patterns: usize) {
     assert_eq!(exec.process_fallbacks(), 0, "fleet retries must suffice");
 }
 
-/// A host that dies on its very first call: its stolen units requeue
-/// onto the surviving host and the report stays byte-identical — the
-/// killed-host drill.
+/// A host that dies on its very first call: the batches homed on it
+/// fail over onto the surviving host and the report stays
+/// byte-identical — the killed-host drill.
 #[test]
 fn killed_host_requeues_and_the_report_is_identical() {
-    let fleet = RemoteFleet::new(vec![flaky(|_| Some(Injection::Dead)), spawn()]);
+    let fired = Fired::default();
+    let fleet = RemoteFleet::new(vec![flaky(&fired, |_| Some(Injection::Dead)), spawn()]);
     let exec = Exec::remote(fleet).with_fallback(Fallback::Fail);
-    assert_playback_identical(&exec, 150 * chaos_scale());
+    until_every_mode_fires(&fired, &[Injection::Dead], || {
+        assert_playback_identical(&exec, 150 * chaos_scale());
+    });
 }
 
 /// A host that dies mid-run (healthy for its first calls, gone after):
-/// in-flight units requeue, the survivor finishes, same report.
+/// a dispatch of eight batches loses it part-way, its batches fail
+/// over, the survivor finishes, same report.
 #[test]
 fn host_lost_mid_run_requeues_its_in_flight_units() {
+    let fired = Fired::default();
     let fleet = RemoteFleet::new(vec![
-        flaky(|call| (call >= 2).then_some(Injection::Dead)),
+        flaky(&fired, |call| (call >= 2).then_some(Injection::Dead)),
         spawn(),
     ]);
     let exec = Exec::remote(fleet).with_fallback(Fallback::Fail);
-    assert_playback_identical(&exec, 300 * chaos_scale());
+    until_every_mode_fires(&fired, &[Injection::Dead], || {
+        assert_playback_identical(&exec, 8 * BATCH_PATTERNS * chaos_scale());
+    });
 }
 
 /// Every transient failure mode at once, on both hosts, on a
 /// deterministic schedule: drops (work done, response lost — the
 /// duplicate-execution case), truncations, corrupt frames, duplicated
 /// frames and delays. The fleet must retry its way to a byte-identical
-/// report for every workload family.
+/// report for every workload family, on every run until each mode has
+/// fired.
 #[test]
 fn every_transient_failure_mode_recovers_bit_identically() {
+    use Injection::{Corrupt, Delay, Drop, Duplicate, Truncate};
     let schedule = |call: usize| match call % 11 {
-        1 => Some(Injection::Drop),
-        3 => Some(Injection::Truncate),
-        5 => Some(Injection::Corrupt),
-        7 => Some(Injection::Duplicate),
-        9 => Some(Injection::Delay),
+        1 => Some(Drop),
+        3 => Some(Truncate),
+        5 => Some(Corrupt),
+        7 => Some(Duplicate),
+        9 => Some(Delay),
         _ => None,
     };
-    let fleet = RemoteFleet::new(vec![flaky(schedule), flaky(schedule)]).with_max_retries(4);
-    let exec = Exec::remote(fleet).with_fallback(Fallback::Fail);
-    assert_playback_identical(&exec, 400 * chaos_scale());
+    let modes = [Drop, Truncate, Corrupt, Duplicate, Delay];
+    let chaotic_fleet = |fired: &Fired| {
+        let fleet = RemoteFleet::new(vec![flaky(fired, schedule), flaky(fired, schedule)]);
+        Exec::remote(fleet.with_max_retries(4)).with_fallback(Fallback::Fail)
+    };
+    let fired = Fired::default();
+    let exec = chaotic_fleet(&fired);
+    until_every_mode_fires(&fired, &modes, || {
+        assert_playback_identical(&exec, 400 * chaos_scale());
+    });
 
     // Gate-level grading with escapes, through the same chaos.
     let m = mixed_module();
@@ -242,17 +305,19 @@ fn every_transient_failure_mode_recovers_bit_identically() {
     let vectors = vec![vec![Logic::Zero], vec![Logic::One]];
     let baseline = fault::grade_vectors(&Exec::serial(), &m, &faults, &pins, &vectors).unwrap();
     assert!(baseline.detected < baseline.total, "the case must escape");
-    let fleet = RemoteFleet::new(vec![flaky(schedule), flaky(schedule)]).with_max_retries(4);
-    let exec = Exec::remote(fleet).with_fallback(Fallback::Fail);
-    let chaotic = fault::grade_vectors(&exec, &m, &faults, &pins, &vectors).unwrap();
-    assert_eq!(chaotic, baseline, "chaos changed the coverage report");
+    let fired = Fired::default();
+    let exec = chaotic_fleet(&fired);
+    until_every_mode_fires(&fired, &modes, || {
+        let chaotic = fault::grade_vectors(&exec, &m, &faults, &pins, &vectors).unwrap();
+        assert_eq!(chaotic, baseline, "chaos changed the coverage report");
+    });
 }
 
 /// Every host gone and retries exhausted, under `Fallback::Fail`: the
 /// typed workload error on the lowest-indexed unit — never a panic.
 #[test]
 fn exhausted_retries_fail_on_the_lowest_indexed_unit() {
-    let dead = || flaky(|_| Some(Injection::Dead));
+    let dead = || flaky(&Fired::default(), |_| Some(Injection::Dead));
     let fleet = RemoteFleet::new(vec![dead(), dead()]).with_max_retries(1);
     let exec = Exec::remote(fleet).with_fallback(Fallback::Fail);
     let (m, patterns) = playback_case(100);
@@ -273,7 +338,7 @@ fn exhausted_retries_fail_on_the_lowest_indexed_unit() {
 /// the degradation is surfaced in the report and on the exec.
 #[test]
 fn exhausted_retries_fall_back_in_thread_when_allowed() {
-    let dead = || flaky(|_| Some(Injection::Dead));
+    let dead = || flaky(&Fired::default(), |_| Some(Injection::Dead));
     let fleet = RemoteFleet::new(vec![dead(), dead()]).with_max_retries(1);
     let exec = Exec::remote(fleet);
     let (m, patterns) = playback_case(100);
@@ -291,7 +356,7 @@ fn exhausted_retries_fall_back_in_thread_when_allowed() {
 /// never a panic.
 #[test]
 fn corrupt_envelope_is_a_typed_error_on_the_lowest_indexed_unit() {
-    let corrupting = || flaky(|_| Some(Injection::Corrupt));
+    let corrupting = || flaky(&Fired::default(), |_| Some(Injection::Corrupt));
     let fleet = RemoteFleet::new(vec![corrupting(), corrupting()]).with_max_retries(1);
     let exec = Exec::remote(fleet).with_fallback(Fallback::Fail);
     let m = mixed_module();
@@ -308,8 +373,8 @@ fn corrupt_envelope_is_a_typed_error_on_the_lowest_indexed_unit() {
 }
 
 /// Real TCP chaos: a fleet pointing one host at a real `--serve` worker
-/// and one at a rogue peer that answers garbage — the rogue host is
-/// declared lost, the real worker absorbs the queue, and the report is
+/// and one at a rogue peer that answers garbage — the rogue host's
+/// batches fail over, the real worker absorbs them, and the report is
 /// byte-identical. Then the rogue listener alone, to pin the typed
 /// failure.
 #[test]
@@ -452,14 +517,18 @@ fn corrupted_program_hash_is_a_typed_error_never_a_wrong_answer() {
 fn mixed_tcp_and_spawn_fleet_reports_identically_under_chaos() {
     let server = spawn_serve_worker();
     let schedule = |call: usize| (call % 5 == 2).then_some(Injection::Drop);
+    let fired = Fired::default();
     let fleet = RemoteFleet::new(vec![
         FlakyTransport::over(
             Box::new(TcpTransport::new(server.addr().to_string())) as Box<dyn Transport>,
             schedule,
+            &fired,
         ) as Box<dyn Transport>,
-        flaky(schedule),
+        flaky(&fired, schedule),
     ])
     .with_max_retries(3);
     let exec = Exec::remote(fleet).with_fallback(Fallback::Fail);
-    assert_playback_identical(&exec, 200 * chaos_scale());
+    until_every_mode_fires(&fired, &[Injection::Drop], || {
+        assert_playback_identical(&exec, 200 * chaos_scale());
+    });
 }
