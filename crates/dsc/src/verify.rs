@@ -8,30 +8,42 @@
 //! patterns on silicon; `examples/jpeg_full_playback.rs` plays the
 //! full set end to end, the tests a sampled subset the same way).
 //!
-//! Like a real ATE flow, verification is a **streaming pipeline**:
-//! [`jpeg_playback_stream`] runs pattern generation as a producer —
-//! generator threads computing [`LANES`]-sized blocks of stimulus +
-//! expected responses, feeding a bounded block queue — while the cycle
-//! player ([`steac_pattern::stream_cycle_patterns`]) consumes the
-//! blocks as they arrive, so generation (the slow phase, ~11–12k
-//! patterns/s) overlaps playback and peak memory is bounded by queue
-//! depth, never set size. [`jpeg_playback_batch`] is the materialized
-//! flavour — generate everything, then play — kept as the differential
-//! baseline; the two produce byte-identical [`PlaybackReport`]s. One
-//! [`Exec`] value picks the backend for the whole experiment: playback
-//! chunks dispatch through [`Exec::dispatch`] (inline, threads,
-//! `steac-worker` processes, or a remote fleet), and generation —
-//! whose expected-response closures cannot cross a process boundary —
-//! shards on the backend's in-process pool. Reports are byte-identical
-//! on every backend.
+//! Generation and playback are two [`ExecWork`]s dispatched through
+//! [`Exec::dispatch`], so one [`Exec`] value runs both inline, across
+//! threads, on `steac-worker` processes or on a remote fleet.
+//! Generation's unit is a [`LANES`]-pattern block index. Its job
+//! (wire kind [`WIRE_KIND`]) holds the compiled program, the PI, clock
+//! and PO nets and the set size; a unit's result is each pattern's
+//! expected PO values, computed by a scalar reference simulation from
+//! the power-on state, and the dispatching side builds the
+//! [`CyclePattern`]s from them. Pattern `k` depends only on `k`, so the
+//! set is identical on every backend and in any block order.
+//!
+//! [`jpeg_playback_stream`] chains the two dispatches: generation runs
+//! on one scoped thread, its sink feeds a bounded channel of blocks,
+//! and the cycle player ([`steac_pattern::stream_cycle_patterns`])
+//! reads that channel as its input. Both dispatches deliver in unit
+//! order, so nothing else reorders, and the set is never materialized:
+//! what is in flight is bounded by the generation dispatch window, four
+//! blocks queued in the channel and the playback dispatch window, each
+//! in 64-pattern blocks. A dispatch window is two batches per
+//! dispatcher — 4 blocks on `threads:2`, 8 batches of 32 blocks on
+//! `processes:2` — so the bound follows the backend, never the set
+//! size. [`jpeg_playback_batch`] generates the whole set and then plays
+//! it; it is the differential baseline, and the two produce
+//! byte-identical [`PlaybackReport`]s.
 
-use crate::cores::{jpeg_core, CoreParams};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use steac_netlist::Module;
-use steac_pattern::{stream_cycle_patterns, CyclePattern, PatternError, PinState};
-use steac_sim::{Exec, Logic, SimError, SimProgram, Simulator, LANES};
+use crate::cores::jpeg_core;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use steac_netlist::{Module, NetId};
+use steac_pattern::{
+    stream_cycle_patterns, CyclePattern, PatternError, PinState, PLAYBACK_LANE_GROUPS,
+};
+use steac_sim::shard::{self, PoolError};
+use steac_sim::wire::{self, WireError, WireReader, WireWriter};
+use steac_sim::{Dispatch, Exec, ExecWork, Logic, SimError, SimProgram, Simulator, LANES};
 
 /// Outcome of a batched playback experiment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,12 +59,12 @@ pub struct PlaybackReport {
     /// Packed passes the player needed
     /// (⌈patterns / (64 · [`steac_pattern::PLAYBACK_LANE_GROUPS`])⌉).
     pub passes: usize,
-    /// Shipped playback batches recomputed in-thread while producing
-    /// this report (0 unless the `Exec` runs a process or remote backend
-    /// under [`steac_sim::Fallback::InThread`] and batches failed); the
-    /// verdicts are unaffected. Every other field is backend-invariant,
-    /// so healthy reports compare equal across serial, thread and
-    /// process execution.
+    /// Shipped generation and playback batches recomputed in-thread
+    /// while producing this report (0 unless the `Exec` runs a process
+    /// or remote backend under [`steac_sim::Fallback::InThread`] and
+    /// batches failed); the verdicts are unaffected. Every other field
+    /// is backend-invariant, so healthy reports compare equal across
+    /// serial, thread and process execution.
     pub process_fallbacks: usize,
 }
 
@@ -67,109 +79,309 @@ fn stimulus_bit(pattern: usize, pin: usize) -> bool {
     (z ^ (z >> 31)) & 1 == 1
 }
 
-/// Everything JPEG pattern generation and playback share: the module,
-/// its compiled program (compiled exactly once), the core parameters
-/// and the pattern pin list (PIs, then the clock, then POs).
-struct JpegRig {
-    module: Module,
+/// Blocks the generation sink may queue for playback in
+/// [`jpeg_playback_stream`].
+const QUEUED_BLOCKS: usize = 4;
+
+/// The patterns of block `bi` of a `count`-pattern set. A block at or
+/// past ⌈count / 64⌉ is a typed error, checked so that no index
+/// overflows.
+fn block_patterns(bi: usize, count: usize) -> Result<Range<usize>, WireError> {
+    bi.checked_mul(LANES)
+        .filter(|&start| start < count)
+        .map(|start| start..count.min(start.saturating_add(LANES)))
+        .ok_or(WireError::Corrupt {
+            context: "generation block index",
+        })
+}
+
+/// JPEG pattern generation as an [`ExecWork`]: one unit per
+/// [`LANES`]-pattern block index, one two-cycle [`CyclePattern`] per
+/// pattern (drive the PIs and pulse the clock, then compare every PO).
+/// A worker opens the same value from the job block, without the pin
+/// names, and runs units as a [`shard::WireJob`].
+struct GenerateWork {
     program: Arc<SimProgram>,
-    params: CoreParams,
+    /// The pattern pin list: PIs, then the clock, then POs. Empty in a
+    /// worker, which only computes expected values.
     pins: Vec<String>,
-}
-
-fn jpeg_rig() -> Result<JpegRig, PatternError> {
-    let (module, params) = jpeg_core().map_err(|e| PatternError::Sim(SimError::Netlist(e)))?;
-    let mut pins: Vec<String> = params.pi.clone();
-    pins.push(params.clocks[0].clone());
-    pins.extend(params.po.iter().cloned());
-    let program = Arc::new(SimProgram::compile(&module)?);
-    Ok(JpegRig {
-        module,
-        program,
-        params,
-        pins,
-    })
-}
-
-/// Generates block `bi` (up to [`LANES`] two-cycle patterns: drive PIs +
-/// pulse `ck`, then compare every PO) of the `count`-pattern JPEG set,
-/// with expected responses computed by a scalar reference simulation of
-/// each pattern. Pattern `k` depends only on `k`, so the output is
-/// identical on every backend, at every width and in any block order —
-/// the foundation of both the materialized and the streaming flow.
-fn generate_block(
-    rig: &JpegRig,
-    bi: usize,
+    pi: Vec<NetId>,
+    clock: NetId,
+    po: Vec<NetId>,
     count: usize,
-) -> Result<Vec<CyclePattern>, PatternError> {
-    let n_pi = rig.params.pi.len();
-    let mut sim: Simulator = Simulator::from_program(Arc::clone(&rig.program));
-    let mut block = Vec::with_capacity(LANES);
-    for k in (bi * LANES..count).take(LANES) {
-        let drives: Vec<Logic> = (0..n_pi).map(|i| Logic::from(stimulus_bit(k, i))).collect();
-        // Scalar reference run from the power-on state (the batch
-        // player resets each chunk the same way).
-        sim.reset_to_x();
-        for (name, &v) in rig.params.pi.iter().zip(&drives) {
-            sim.set_by_name(name, v)?;
-        }
-        sim.clock_cycle_by_name(&rig.params.clocks[0])?;
-        let expected: Vec<Logic> = rig
-            .params
-            .po
-            .iter()
-            .map(|name| sim.get_by_name(name))
-            .collect::<Result<_, _>>()?;
-
-        let mut p = CyclePattern::new(rig.pins.clone());
-        let mut capture_row: Vec<PinState> =
-            drives.iter().map(|&v| PinState::from_drive(v)).collect();
-        capture_row.push(PinState::Pulse);
-        capture_row.extend(std::iter::repeat_n(PinState::DontCare, rig.params.po.len()));
-        p.push_cycle(capture_row)?;
-        let mut compare_row: Vec<PinState> =
-            drives.iter().map(|&v| PinState::from_drive(v)).collect();
-        compare_row.push(PinState::Drive0);
-        compare_row.extend(expected.iter().map(|&v| PinState::from_expect(v)));
-        p.push_cycle(compare_row)?;
-        block.push(p);
-    }
-    Ok(block)
 }
 
-/// Builds `count` two-cycle functional patterns for the JPEG core. The
-/// expected-response simulations are independent per pattern, so
-/// generation fans [`LANES`]-pattern blocks across the backend's
-/// in-process pool ([`Exec::run_fallible`]); the output is identical on
-/// every backend and at every width.
+impl GenerateWork {
+    /// Compiles the JPEG core once and resolves its pins, for a
+    /// `count`-pattern set.
+    fn jpeg(count: usize) -> Result<(Module, Self), PatternError> {
+        let (module, params) = jpeg_core().map_err(|e| PatternError::Sim(SimError::Netlist(e)))?;
+        let program = Arc::new(SimProgram::compile(&module)?);
+        let net = |name: &String| {
+            program
+                .port_net(name)
+                .ok_or_else(|| PatternError::UnknownPin { name: name.clone() })
+        };
+        let pi = params.pi.iter().map(net).collect::<Result<_, _>>()?;
+        let clock = net(&params.clocks[0])?;
+        let po = params.po.iter().map(net).collect::<Result<_, _>>()?;
+        let mut pins = params.pi;
+        pins.push(params.clocks[0].clone());
+        pins.extend(params.po);
+        let work = GenerateWork {
+            program,
+            pins,
+            pi,
+            clock,
+            po,
+            count,
+        };
+        Ok((module, work))
+    }
+
+    /// The dispatch input: every block index of the set.
+    fn blocks(&self) -> Range<usize> {
+        0..self.count.div_ceil(LANES)
+    }
+
+    /// The patterns of block `bi`, which the dispatch input produced.
+    fn patterns(&self, bi: usize) -> Range<usize> {
+        block_patterns(bi, self.count).expect("dispatched blocks lie inside the set")
+    }
+
+    /// Each pattern's expected PO values: pattern `k` drives PI `i` with
+    /// `stimulus_bit(k, i)` from the power-on (all-`X`) state, pulses
+    /// the clock once and reads every PO.
+    fn expected(&self, patterns: Range<usize>) -> Result<Vec<Vec<Logic>>, SimError> {
+        let mut sim: Simulator = Simulator::from_program(Arc::clone(&self.program));
+        patterns
+            .map(|k| {
+                sim.reset_to_x();
+                for (i, &net) in self.pi.iter().enumerate() {
+                    sim.set(net, Logic::from(stimulus_bit(k, i)));
+                }
+                sim.clock_cycle(self.clock)?;
+                Ok(self.po.iter().map(|&net| sim.get(net)).collect())
+            })
+            .collect()
+    }
+
+    /// Builds the patterns starting at `first` from their expected PO
+    /// values.
+    fn build(
+        &self,
+        first: usize,
+        expected: Vec<Vec<Logic>>,
+    ) -> Result<Vec<CyclePattern>, PatternError> {
+        let mut block = Vec::with_capacity(expected.len());
+        for (k, expected) in (first..).zip(expected) {
+            let drives =
+                (0..self.pi.len()).map(|i| PinState::from_drive(Logic::from(stimulus_bit(k, i))));
+            let mut p = CyclePattern::new(self.pins.clone());
+            let mut capture_row: Vec<PinState> = drives.clone().collect();
+            capture_row.push(PinState::Pulse);
+            capture_row.extend(std::iter::repeat_n(PinState::DontCare, self.po.len()));
+            p.push_cycle(capture_row)?;
+            let mut compare_row: Vec<PinState> = drives.collect();
+            compare_row.push(PinState::Drive0);
+            compare_row.extend(expected.into_iter().map(PinState::from_expect));
+            p.push_cycle(compare_row)?;
+            block.push(p);
+        }
+        Ok(block)
+    }
+
+    /// Opens a [`WIRE_KIND`] job block; a PI, clock or PO net at or past
+    /// the program's net count is a typed error.
+    fn decode(job: &[u8]) -> Result<Self, WireError> {
+        let mut r = WireReader::new(job);
+        let program = wire::decode_program(r.get_block("generation job program")?)?;
+        let net = |r: &mut WireReader<'_>, context| {
+            let net = r.get_u32(context)?;
+            if net as usize >= program.net_count {
+                return Err(WireError::Corrupt { context });
+            }
+            Ok(NetId(net))
+        };
+        let nets = |r: &mut WireReader<'_>, list, context| -> Result<Vec<NetId>, WireError> {
+            let count = r.get_count(list, 4)?;
+            (0..count).map(|_| net(r, context)).collect()
+        };
+        let pi = nets(&mut r, "generation job PIs", "generation job PI net")?;
+        let clock = net(&mut r, "generation job clock net")?;
+        let po = nets(&mut r, "generation job POs", "generation job PO net")?;
+        let count = r.get_usize("generation job pattern count")?;
+        r.finish()?;
+        Ok(GenerateWork {
+            program: Arc::new(program),
+            pins: Vec::new(),
+            pi,
+            clock,
+            po,
+            count,
+        })
+    }
+
+    /// Decodes a unit's block index and returns its patterns.
+    fn unit_patterns(&self, unit: &[u8]) -> Result<Range<usize>, WireError> {
+        let mut r = WireReader::new(unit);
+        let bi = r.get_usize("generation block index")?;
+        r.finish()?;
+        block_patterns(bi, self.count)
+    }
+}
+
+impl ExecWork for GenerateWork {
+    type Unit = usize;
+    type Output = Vec<CyclePattern>;
+    type Error = PatternError;
+
+    fn kind(&self) -> u16 {
+        WIRE_KIND
+    }
+
+    fn encode_job(&self) -> Vec<u8> {
+        encode_generate_job(&self.program, &self.pi, self.clock, &self.po, self.count)
+    }
+
+    fn encode_unit(&self, bi: &usize) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.put_usize(*bi);
+        w.finish()
+    }
+
+    fn run_unit_local(&self, bi: &usize) -> Result<Vec<CyclePattern>, PatternError> {
+        let patterns = self.patterns(*bi);
+        let expected = self.expected(patterns.clone())?;
+        self.build(patterns.start, expected)
+    }
+
+    fn decode_result(&self, bi: &usize, bytes: &[u8]) -> Result<Vec<CyclePattern>, String> {
+        let patterns = self.patterns(*bi);
+        let expected = decode_expected(bytes, patterns.len(), self.po.len())
+            .map_err(|e| format!("generation result: {e}"))?;
+        self.build(patterns.start, expected)
+            .map_err(|e| e.to_string())
+    }
+
+    fn pool_error(&self, error: PoolError) -> PatternError {
+        PatternError::Sim(SimError::from(error))
+    }
+}
+
+impl shard::WireJob for GenerateWork {
+    fn run_unit(&mut self, unit: &[u8]) -> Result<Vec<u8>, String> {
+        let patterns = self
+            .unit_patterns(unit)
+            .map_err(|e| format!("generation unit: {e}"))?;
+        let expected = self.expected(patterns).map_err(|e| e.to_string())?;
+        Ok(encode_expected(&expected, self.po.len()))
+    }
+}
+
+// ---------- wire codecs ----------
+
+/// Work-unit kind the worker-side job registry routes to
+/// [`open_wire_job`]: one 64-pattern block of the JPEG functional set.
+pub const WIRE_KIND: u16 = 7;
+
+/// Job block: compiled program, PI nets, clock net, PO nets and the
+/// set size. Public only so the worker-totality sweeps can build a job
+/// over a module small enough to flip every byte of.
+#[doc(hidden)]
+#[must_use]
+pub fn encode_generate_job(
+    program: &SimProgram,
+    pi: &[NetId],
+    clock: NetId,
+    po: &[NetId],
+    count: usize,
+) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.put_block(&wire::encode_program(program));
+    w.put_usize(pi.len());
+    pi.iter().for_each(|net| w.put_u32(net.0));
+    w.put_u32(clock.0);
+    w.put_usize(po.len());
+    po.iter().for_each(|net| w.put_u32(net.0));
+    w.put_usize(count);
+    w.finish()
+}
+
+/// Result payload: the pattern count, the values per pattern, then
+/// every pattern's expected PO values.
+fn encode_expected(expected: &[Vec<Logic>], values: usize) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.put_usize(expected.len());
+    w.put_usize(values);
+    expected.iter().flatten().for_each(|&v| w.put_logic(v));
+    w.finish()
+}
+
+/// Decodes a result payload that must hold `patterns` patterns of
+/// `values` expected values each.
+fn decode_expected(
+    bytes: &[u8],
+    patterns: usize,
+    values: usize,
+) -> Result<Vec<Vec<Logic>>, WireError> {
+    let mut r = WireReader::new(bytes);
+    for (context, want) in [
+        ("generated pattern count", patterns),
+        ("expected values per pattern", values),
+    ] {
+        if r.get_usize(context)? != want {
+            return Err(WireError::Corrupt { context });
+        }
+    }
+    let expected = (0..patterns)
+        .map(|_| (0..values).map(|_| r.get_logic("expected value")).collect())
+        .collect::<Result<_, _>>()?;
+    r.finish()?;
+    Ok(expected)
+}
+
+/// Decodes a [`WIRE_KIND`] job block into the executable generation
+/// job — the `steac-worker` side of shipped JPEG generation.
 ///
 /// # Errors
 ///
-/// Propagates netlist and simulation errors.
+/// A diagnostic on corrupt job bytes, including a PI, clock or PO net
+/// outside the program.
+pub fn open_wire_job(job: &[u8]) -> Result<Box<dyn shard::WireJob>, String> {
+    let job = GenerateWork::decode(job).map_err(|e| format!("generation job: {e}"))?;
+    Ok(Box::new(job))
+}
+
+// ---------- the experiments ----------
+
+/// Collects one generation dispatch over the whole set.
+fn generate_all(
+    exec: &Exec,
+    work: &GenerateWork,
+) -> Result<(Vec<CyclePattern>, Dispatch), PatternError> {
+    let mut patterns = Vec::with_capacity(work.count);
+    let generated = exec.dispatch(work, work.blocks(), |block| patterns.extend(block))?;
+    Ok((patterns, generated))
+}
+
+/// Builds `count` two-cycle functional patterns for the JPEG core: one
+/// generation dispatch of [`LANES`]-pattern blocks on `exec`, collected
+/// in pattern order. The output is identical on every backend and at
+/// every width.
+///
+/// # Errors
+///
+/// Propagates netlist and simulation errors; a failing worker surfaces
+/// as the lowest-indexed failing block's error (under
+/// [`steac_sim::Fallback::Fail`]).
 pub fn jpeg_functional_patterns(
     exec: &Exec,
     count: usize,
 ) -> Result<(Module, Vec<CyclePattern>), PatternError> {
-    let (module, program, patterns) = jpeg_patterns_and_program(exec, count)?;
-    drop(program);
+    let (module, work) = GenerateWork::jpeg(count)?;
+    let (patterns, _) = generate_all(exec, &work)?;
     Ok((module, patterns))
-}
-
-/// Shared generation core: compiles the JPEG module once and returns the
-/// program alongside the patterns, so playback never recompiles it.
-#[allow(clippy::type_complexity)]
-fn jpeg_patterns_and_program(
-    exec: &Exec,
-    count: usize,
-) -> Result<(Module, Arc<SimProgram>, Vec<CyclePattern>), PatternError> {
-    let rig = jpeg_rig()?;
-    let blocks = count.div_ceil(LANES);
-    let per_block = exec.run_fallible(blocks, |bi| generate_block(&rig, bi, count))?;
-    Ok((
-        rig.module,
-        rig.program,
-        per_block.into_iter().flatten().collect(),
-    ))
 }
 
 /// Verifies `count` JPEG functional patterns the **materialized** way:
@@ -177,182 +389,124 @@ fn jpeg_patterns_and_program(
 /// player at full-width chunks (one pattern per lane,
 /// `64 * PLAYBACK_LANE_GROUPS` per pass; see
 /// [`steac_pattern::PLAYBACK_LANE_GROUPS`]) and aggregate the result.
-/// `exec` decides whether playback chunks run inline, across threads,
-/// across `steac-worker` processes or on a remote fleet, and the report
-/// is byte-identical in every flavour — and to
-/// [`jpeg_playback_stream`], the constant-memory pipeline this is the
-/// differential baseline for.
+/// `exec` decides whether generation blocks and playback chunks run
+/// inline, across threads, across `steac-worker` processes or on a
+/// remote fleet, and the report is byte-identical in every flavour —
+/// and to [`jpeg_playback_stream`], the constant-memory pipeline this
+/// is the differential baseline for.
 ///
 /// # Errors
 ///
 /// Propagates netlist, pattern and simulation errors; a failing worker
-/// surfaces as the lowest-indexed failing chunk's error (under
+/// surfaces as the lowest-indexed failing unit's error (under
 /// [`steac_sim::Fallback::Fail`]).
 pub fn jpeg_playback_batch(exec: &Exec, count: usize) -> Result<PlaybackReport, PatternError> {
-    let (_module, program, patterns) = jpeg_patterns_and_program(exec, count)?;
-    let sim: Simulator = Simulator::from_program(program);
-    let cycles: u64 = patterns.iter().map(CyclePattern::cycle_count).sum();
-    let mut fold = ReportFold::default();
-    let run = stream_cycle_patterns(exec, &sim, patterns.into_iter(), |r| fold.add(&r))?;
-    Ok(fold.into_report(cycles, count, run.process_fallbacks))
+    let (_module, work) = GenerateWork::jpeg(count)?;
+    let (patterns, generated) = generate_all(exec, &work)?;
+    let mut report = play(exec, &work, patterns.into_iter())?;
+    report.process_fallbacks += generated.fallbacks;
+    Ok(report)
 }
 
 /// Verifies `count` JPEG functional patterns as a **streaming
-/// pipeline**: generator threads (the backend's in-process width)
-/// produce [`LANES`]-pattern blocks into a bounded queue while the
-/// cycle player consumes them through [`Exec::dispatch`], so the
-/// full pattern set is never materialized — peak memory follows the
-/// queue depth, not `count` — and generation overlaps playback. Blocks
-/// are re-ordered to pattern order before they reach the player, so the
-/// report is byte-identical to [`jpeg_playback_batch`] on every
-/// backend.
+/// pipeline**: the generation dispatch runs on one scoped thread and
+/// its sink feeds a bounded channel of blocks, which the playback
+/// dispatch reads as its input. The full pattern set is never
+/// materialized — peak memory follows the two dispatch windows and the
+/// channel (see the module docs), not `count` — and generation overlaps
+/// playback. The report is byte-identical to [`jpeg_playback_batch`]
+/// on every backend.
 ///
 /// # Errors
 ///
-/// Propagates netlist, pattern and simulation errors; the lowest-indexed
-/// failure wins (a dispatch error always precedes a generation error's
-/// truncation point in pattern order, so it takes precedence).
+/// Propagates netlist, pattern and simulation errors; the
+/// lowest-indexed failure wins (a playback error always precedes a
+/// generation error's truncation point in pattern order, so it takes
+/// precedence).
 pub fn jpeg_playback_stream(exec: &Exec, count: usize) -> Result<PlaybackReport, PatternError> {
-    let rig = jpeg_rig()?;
-    let sim: Simulator = Simulator::from_program(Arc::clone(&rig.program));
-    let blocks = count.div_ceil(LANES);
-    let generators = exec.local_threads().get().min(blocks.max(1));
-    let cursor = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let gen_error: Mutex<Option<PatternError>> = Mutex::new(None);
-    let cycles = AtomicU64::new(0);
-    // Bounded handoff: at most 2 blocks per generator queued, so the
-    // producer side holds O(generators) blocks however far ahead
-    // generation runs.
-    let (tx, rx) = mpsc::sync_channel::<(usize, Vec<CyclePattern>)>(generators * 2);
-
-    let mut fold = ReportFold::default();
-    let streamed = std::thread::scope(|scope| {
-        for _ in 0..generators {
-            let tx = tx.clone();
-            let (rig, cursor, abort, gen_error) = (&rig, &cursor, &abort, &gen_error);
-            scope.spawn(move || loop {
-                // Checked before pulling the next index so an error
-                // leaves only already-in-flight blocks to drain — the
-                // consumer's reorder buffer stays bounded past the hole.
-                if abort.load(Ordering::Acquire) {
-                    break;
-                }
-                let bi = cursor.fetch_add(1, Ordering::Relaxed);
-                if bi >= blocks {
-                    break;
-                }
-                match generate_block(rig, bi, count) {
-                    Ok(block) => {
-                        if tx.send((bi, block)).is_err() {
-                            break; // consumer gone (dispatch error)
-                        }
-                    }
-                    Err(e) => {
-                        let mut cell = gen_error.lock().expect("generator poisoned");
-                        if cell.is_none() {
-                            *cell = Some(e);
-                        }
-                        abort.store(true, Ordering::Release);
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        let feed = BlockStream {
-            rx,
-            pending: BTreeMap::new(),
-            next: 0,
-            current: Vec::new().into_iter(),
-            cycles: &cycles,
-        };
-        stream_cycle_patterns(exec, &sim, feed, |r| fold.add(&r))
+    let (_module, work) = GenerateWork::jpeg(count)?;
+    let (played, generated) = chain(exec, &work, work.blocks(), |blocks| {
+        play(exec, &work, blocks.flatten())
     });
-    // A dispatch error is always lower-indexed than a generation
-    // error's truncation point, so it wins.
-    let run = streamed?;
-    if let Some(e) = gen_error.into_inner().expect("generator poisoned") {
-        return Err(e);
-    }
-    Ok(fold.into_report(cycles.into_inner(), count, run.process_fallbacks))
+    let mut report = played?;
+    report.process_fallbacks += generated?.fallbacks;
+    Ok(report)
 }
 
-/// In-order pattern feed for the streaming pipeline: receives
-/// `(block index, block)` pairs from the generator threads — which race
-/// and finish out of order — and yields the patterns in pattern order,
-/// buffering at most the in-flight blocks. Counts tester cycles as
-/// patterns flow past, since the streaming flow never holds the set to
-/// sum over.
-struct BlockStream<'a> {
-    rx: mpsc::Receiver<(usize, Vec<CyclePattern>)>,
-    pending: BTreeMap<usize, Vec<CyclePattern>>,
-    next: usize,
-    current: std::vec::IntoIter<CyclePattern>,
-    cycles: &'a AtomicU64,
-}
-
-impl Iterator for BlockStream<'_> {
-    type Item = CyclePattern;
-
-    fn next(&mut self) -> Option<CyclePattern> {
-        loop {
-            if let Some(p) = self.current.next() {
-                self.cycles.fetch_add(p.cycle_count(), Ordering::Relaxed);
-                return Some(p);
-            }
-            loop {
-                if let Some(block) = self.pending.remove(&self.next) {
-                    self.next += 1;
-                    self.current = block.into_iter();
-                    break;
+/// Runs the generation dispatch over `units` on one scoped thread, its
+/// sink feeding a channel of at most [`QUEUED_BLOCKS`] blocks, and hands
+/// the receiving end to `consume` on the calling thread. When `consume`
+/// returns, the channel closes and generation pulls no further block.
+fn chain<R>(
+    exec: &Exec,
+    work: &GenerateWork,
+    mut units: impl Iterator<Item = usize> + Send,
+    consume: impl FnOnce(mpsc::IntoIter<Vec<CyclePattern>>) -> R,
+) -> (R, Result<Dispatch, PatternError>) {
+    let (tx, rx) = mpsc::sync_channel(QUEUED_BLOCKS);
+    std::thread::scope(|scope| {
+        // Owns the sender, so the channel closes when generation ends.
+        let generation = scope.spawn(move || {
+            // Checked before each pull: a closed channel ends the input.
+            // Relaxed, as the flag publishes no other data; the dispatch
+            // window bounds what a late read lets through.
+            let stopped = AtomicBool::new(false);
+            let units = std::iter::from_fn(|| {
+                (!stopped.load(Ordering::Relaxed))
+                    .then(|| units.next())
+                    .flatten()
+            });
+            exec.dispatch(work, units, |block| {
+                if tx.send(block).is_err() {
+                    stopped.store(true, Ordering::Relaxed);
                 }
-                match self.rx.recv() {
-                    Ok((bi, block)) => {
-                        self.pending.insert(bi, block);
-                    }
-                    // Generators done (or aborted): the stream ends at
-                    // the first hole.
-                    Err(_) => return None,
-                }
-            }
-        }
-    }
+            })
+        });
+        let consumed = consume(rx.into_iter());
+        let generated = generation
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (consumed, generated)
+    })
 }
 
-/// Folds per-pattern mismatch reports into one [`PlaybackReport`] as
-/// they arrive — shared by the materialized and streaming flows so the
-/// aggregation can never diverge.
-#[derive(Default)]
-struct ReportFold {
-    patterns: usize,
-    compares: u64,
-    mismatches: usize,
-}
-
-impl ReportFold {
-    fn add(&mut self, r: &steac_pattern::MismatchReport) {
-        self.patterns += 1;
-        self.compares += r.compares;
-        self.mismatches += r.mismatches.len();
-    }
-
-    fn into_report(self, cycles: u64, count: usize, process_fallbacks: usize) -> PlaybackReport {
-        PlaybackReport {
-            patterns: self.patterns,
-            cycles,
-            compares: self.compares,
-            mismatches: self.mismatches,
-            passes: count.div_ceil(LANES * steac_pattern::PLAYBACK_LANE_GROUPS),
-            process_fallbacks,
-        }
-    }
+/// Plays `patterns` through the cycle player, folding the per-pattern
+/// reports as they arrive and counting tester cycles as patterns flow
+/// past; `process_fallbacks` counts playback batches only. Shared by
+/// the materialized and streaming flows so the aggregation can never
+/// diverge.
+fn play(
+    exec: &Exec,
+    work: &GenerateWork,
+    patterns: impl Iterator<Item = CyclePattern> + Send,
+) -> Result<PlaybackReport, PatternError> {
+    let sim: Simulator = Simulator::from_program(Arc::clone(&work.program));
+    let mut report = PlaybackReport {
+        patterns: 0,
+        cycles: 0,
+        compares: 0,
+        mismatches: 0,
+        passes: work.count.div_ceil(LANES * PLAYBACK_LANE_GROUPS),
+        process_fallbacks: 0,
+    };
+    let mut cycles = 0;
+    let patterns = patterns.inspect(|p| cycles += p.cycle_count());
+    let run = stream_cycle_patterns(exec, &sim, patterns, |r| {
+        report.patterns += 1;
+        report.compares += r.compares;
+        report.mismatches += r.mismatches.len();
+    })?;
+    report.cycles = cycles;
+    report.process_fallbacks = run.process_fallbacks;
+    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
     use steac_pattern::apply_cycle_pattern;
+    use steac_sim::shard::WireJob as _;
     use steac_sim::Threads;
 
     fn exec() -> Exec {
@@ -427,7 +581,7 @@ mod tests {
 
     /// The streaming pipeline's report must be byte-identical to the
     /// materialized flow's on the in-process backends — the streaming
-    /// seam (bounded queues, racing generators, chunked dispatch) is
+    /// seam (a bounded channel between two chunked dispatches) is
     /// invisible in the outcome.
     #[test]
     fn streaming_playback_matches_the_materialized_report() {
@@ -442,5 +596,134 @@ mod tests {
             let rep = jpeg_playback_stream(&exec, count).unwrap();
             assert_eq!(rep, base, "{name}");
         }
+    }
+
+    /// A consumer that stops after the first block closes the channel,
+    /// and generation stops pulling blocks: past that first block, at
+    /// most the dispatch window (two dispatchers, two one-block batches
+    /// each on `threads:2`) and the channel's blocks are ever pulled,
+    /// out of a 10,000-block set.
+    #[test]
+    fn a_stopped_consumer_stops_generation() {
+        let blocks = 10_000;
+        let (_, work) = GenerateWork::jpeg(blocks * LANES).unwrap();
+        let pulled = AtomicUsize::new(0);
+        let units = (0..blocks).inspect(|_| {
+            pulled.fetch_add(1, Ordering::Relaxed);
+        });
+        let exec = Exec::threads(Threads::exact(2));
+        let (first, generated) = chain(&exec, &work, units, |mut blocks| blocks.next());
+        assert_eq!(first.map(|block| block.len()), Some(LANES));
+        generated.unwrap();
+        let window = 2 * 2;
+        let pulled = pulled.into_inner();
+        assert!(
+            pulled <= 1 + window + QUEUED_BLOCKS,
+            "{pulled} blocks pulled"
+        );
+    }
+
+    /// Generation over a one-flop module: PI `d`, clock `ck`, PO `q`.
+    fn flop(count: usize) -> GenerateWork {
+        let mut b = steac_netlist::NetlistBuilder::new("m");
+        let d = b.input("d");
+        let ck = b.input("ck");
+        let q = b.gate(steac_netlist::GateKind::Dff, &[d, ck]);
+        b.output("q", q);
+        let program = SimProgram::compile(&b.finish().unwrap()).unwrap();
+        GenerateWork {
+            program: Arc::new(program),
+            pins: ["d", "ck", "q"].map(String::from).to_vec(),
+            pi: vec![d],
+            clock: ck,
+            po: vec![q],
+            count,
+        }
+    }
+
+    fn flop_job(pi: NetId, clock: NetId, po: NetId, count: usize) -> Vec<u8> {
+        encode_generate_job(&flop(count).program, &[pi], clock, &[po], count)
+    }
+
+    /// A block shipped through the worker job decodes to the patterns
+    /// the in-process path builds, and the flop captures each pattern's
+    /// stimulus.
+    #[test]
+    fn a_shipped_block_matches_the_local_one() {
+        let local = flop(70);
+        let mut worker = GenerateWork::decode(&local.encode_job()).unwrap();
+        let bytes = worker.run_unit(&local.encode_unit(&1)).unwrap();
+        let shipped = local.decode_result(&1, &bytes).unwrap();
+        assert_eq!(shipped, local.run_unit_local(&1).unwrap());
+        let captured: Vec<Vec<Logic>> = (64..70)
+            .map(|k| vec![Logic::from(stimulus_bit(k, 0))])
+            .collect();
+        assert_eq!(decode_expected(&bytes, 6, 1), Ok(captured));
+    }
+
+    /// Opening a job rejects a PI, clock or PO net outside the program.
+    #[test]
+    fn a_net_outside_the_program_is_a_typed_error() {
+        let GenerateWork {
+            program,
+            pi,
+            clock,
+            po,
+            ..
+        } = flop(3);
+        let outside = NetId(program.net_count as u32);
+        for (job, context) in [
+            (flop_job(outside, clock, po[0], 3), "generation job PI net"),
+            (
+                flop_job(pi[0], outside, po[0], 3),
+                "generation job clock net",
+            ),
+            (flop_job(pi[0], clock, outside, 3), "generation job PO net"),
+        ] {
+            assert_eq!(
+                GenerateWork::decode(&job).err(),
+                Some(WireError::Corrupt { context })
+            );
+        }
+    }
+
+    /// A block index at or past ⌈count / 64⌉ is a typed error, up to
+    /// indices whose first pattern would overflow.
+    #[test]
+    fn a_block_past_the_set_is_a_typed_error() {
+        let job = flop(65);
+        let unit = |bi| job.encode_unit(&bi);
+        assert_eq!(job.unit_patterns(&unit(0)), Ok(0..64));
+        assert_eq!(job.unit_patterns(&unit(1)), Ok(64..65));
+        let past = Err(WireError::Corrupt {
+            context: "generation block index",
+        });
+        for bi in [2, usize::MAX / LANES + 1, usize::MAX] {
+            assert_eq!(job.unit_patterns(&unit(bi)), past, "block {bi}");
+        }
+        let last = usize::MAX / LANES;
+        assert_eq!(
+            block_patterns(last, usize::MAX),
+            Ok(last * LANES..usize::MAX)
+        );
+    }
+
+    /// A reply with the wrong pattern count, or the wrong number of
+    /// values per pattern, is a typed error.
+    #[test]
+    fn a_misshapen_reply_is_a_typed_error() {
+        let expected = [vec![Logic::One, Logic::Zero], vec![Logic::X, Logic::Z]];
+        let reply = encode_expected(&expected, 2);
+        assert_eq!(decode_expected(&reply, 2, 2), Ok(expected.to_vec()));
+        let count = Err(WireError::Corrupt {
+            context: "generated pattern count",
+        });
+        assert_eq!(decode_expected(&reply, 1, 2), count);
+        assert_eq!(decode_expected(&reply, 3, 2), count);
+        let values = Err(WireError::Corrupt {
+            context: "expected values per pattern",
+        });
+        assert_eq!(decode_expected(&reply, 2, 1), values);
+        assert_eq!(decode_expected(&reply, 2, 3), values);
     }
 }

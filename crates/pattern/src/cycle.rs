@@ -4,7 +4,7 @@
 //! are translated and applied as they arrive — so there is one player,
 //! and it streams: [`stream_cycle_patterns`] pulls patterns (owned
 //! [`CyclePattern`]s, or borrowed ones) from an iterator, typically the
-//! receiving end of a bounded channel fed by a generator thread. It
+//! receiving end of a bounded channel fed by a generating dispatch. It
 //! validates them incrementally against the shape the first pattern
 //! fixed, groups them into lane-width chunks — one pattern per
 //! simulation lane, [`PLAYBACK_LANE_GROUPS`]` * 64` patterns per chunk
@@ -297,23 +297,14 @@ pub fn apply_cycle_pattern(
         if !pulses.is_empty() {
             sim.clock_cycle_multi(&pulses)?;
         }
-        // Compare phase. `observe` records all 64 lanes when the
-        // simulator is grading faults (PPSFP), and returns lane 0 for
-        // the scalar comparison here.
+        // Compare phase.
         for (pi, state) in row.iter().enumerate() {
             if let Some(expected) = state.expect() {
                 report.compares += 1;
-                let observed = sim.observe(nets[pi]);
-                if observed.is_known() && observed != expected {
-                    report.mismatches.push((
-                        ci,
-                        pattern.pins[pi].clone(),
-                        PinState::from_expect(expected).to_char(),
-                        observed.to_char(),
-                    ));
-                } else if !observed.is_known() {
-                    // An unknown where a value is expected is a fail on
-                    // real ATE too.
+                let observed = sim.get(nets[pi]);
+                // An unknown where a value is expected is a fail on real
+                // ATE too: it never equals the expected 0 or 1.
+                if observed != expected {
                     report.mismatches.push((
                         ci,
                         pattern.pins[pi].clone(),
@@ -544,7 +535,7 @@ pub struct StreamPlayback {
 /// Plays cycle patterns **as they are produced**, without ever
 /// materializing the set. Patterns — owned or borrowed — are pulled
 /// from `patterns` (typically the receiving end of a bounded channel
-/// fed by a generator thread), validated incrementally, grouped into
+/// fed by a generating dispatch), validated incrementally, grouped into
 /// lane-width chunks, and dispatched through [`Exec::dispatch`]; `sink`
 /// receives one [`MismatchReport`] per pattern, **strictly in pattern
 /// order**, byte-identical on every backend and at any chunk size.

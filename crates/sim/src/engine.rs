@@ -73,9 +73,6 @@ pub struct Simulator<const N: usize = 1> {
     initialized: bool,
     /// Total rising-edge captures performed on lane 0 (statistics).
     captures: u64,
-    /// When set, [`observe`](Simulator::observe) records all lanes.
-    observing: bool,
-    observations: Vec<PackedLogic<N>>,
 }
 
 impl<const N: usize> Simulator<N> {
@@ -111,8 +108,6 @@ impl<const N: usize> Simulator<N> {
             forced: vec![false; nets],
             initialized: false,
             captures: 0,
-            observing: false,
-            observations: Vec::new(),
         }
     }
 
@@ -325,40 +320,6 @@ impl<const N: usize> Simulator<N> {
             .iter()
             .map(|&s| self.buf[s as usize].lane(lane))
             .collect()
-    }
-
-    /// Records an observation point: when observation is enabled (see
-    /// [`set_observing`](Simulator::set_observing)) all lanes of `net`
-    /// are appended to the observation log. Returns the lane-0 value, so
-    /// scalar test drivers can use it as a drop-in for
-    /// [`get`](Simulator::get).
-    pub fn observe(&mut self, net: NetId) -> Logic {
-        let v = self.buf[self.slot(net)];
-        if self.observing {
-            self.observations.push(v);
-        }
-        v.lane(0)
-    }
-
-    /// [`observe`](Simulator::observe) by port name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownName`] if no such port exists.
-    pub fn observe_by_name(&mut self, name: &str) -> Result<Logic, SimError> {
-        let net = self.lookup(name)?;
-        Ok(self.observe(net))
-    }
-
-    /// Enables or disables observation recording (disabled by default, so
-    /// scalar users pay nothing).
-    pub fn set_observing(&mut self, on: bool) {
-        self.observing = on;
-    }
-
-    /// Drains the observation log.
-    pub fn take_observations(&mut self) -> Vec<PackedLogic<N>> {
-        std::mem::take(&mut self.observations)
     }
 
     /// Writes a computed value (after force merging); returns whether any
@@ -688,7 +649,6 @@ impl<const N: usize> Simulator<N> {
         }
         self.initialized = false;
         self.captures = 0;
-        self.observations.clear();
     }
 }
 
@@ -1007,27 +967,6 @@ mod tests {
         assert_eq!(one.get_by_name("q").unwrap(), Logic::One);
         assert_eq!(other.join().unwrap(), Logic::Zero);
         assert_eq!(one.program().name, "m");
-    }
-
-    #[test]
-    fn observation_log_records_all_lanes() {
-        let mut b = NetlistBuilder::new("m");
-        let a = b.input("a");
-        let y = b.gate(GateKind::Inv, &[a]);
-        b.output("y", y);
-        let m = b.finish().unwrap();
-        let mut sim: Simulator = Simulator::new(&m).unwrap();
-        sim.set_observing(true);
-        use Logic::{One, Zero};
-        sim.set_lanes(m.port("a").unwrap().net, &[Zero, One]);
-        sim.settle().unwrap();
-        let lane0 = sim.observe_by_name("y").unwrap();
-        assert_eq!(lane0, One);
-        let obs = sim.take_observations();
-        assert_eq!(obs.len(), 1);
-        assert_eq!(obs[0].lane(0), One);
-        assert_eq!(obs[0].lane(1), Zero);
-        assert!(sim.take_observations().is_empty());
     }
 
     // ------- wide (N > 1) executors -------

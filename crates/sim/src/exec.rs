@@ -5,9 +5,9 @@
 //!
 //! Every batched workload in the platform (PPSFP fault grading, fault
 //! dictionaries and diagnosis, ATE playback, March fault simulation,
-//! JPEG pattern playback) decomposes into independent work units over
-//! shared immutable state. Each exposes exactly one entry point taking
-//! [`&Exec`](Exec):
+//! JPEG pattern generation and playback) decomposes into independent
+//! work units over shared immutable state. Each exposes exactly one
+//! entry point taking [`&Exec`](Exec):
 //!
 //! ```text
 //! fault::grade_vectors(&exec, …)
@@ -16,6 +16,10 @@
 //! membist::faultsim::fault_coverage(&exec, …)
 //! dsc::verify::jpeg_playback_stream(&exec, …)
 //! ```
+//!
+//! There is no in-process escape hatch: every workload is an
+//! [`ExecWork`], so every backend can ship it, and no second pool puts
+//! results in order next to [`Exec::dispatch`].
 //!
 //! # One trait, one dispatcher
 //!
@@ -464,18 +468,6 @@ impl Exec {
         }
     }
 
-    /// The in-process worker count this backend implies — what
-    /// [`Exec::run_fallible`] uses. `Serial` pins it to 1; `Processes`
-    /// and `Remote` use [`Threads::auto`] for their local compute.
-    #[must_use]
-    pub fn local_threads(&self) -> Threads {
-        match &self.backend {
-            Backend::Serial => Threads::single(),
-            Backend::Threads(t) => *t,
-            Backend::Processes(_) | Backend::Remote(_) => Threads::auto(),
-        }
-    }
-
     /// How many shipped batches on this `Exec` have fallen back to an
     /// in-process recompute (only ever nonzero under
     /// [`Fallback::InThread`]). Reports fold the per-call count in; this
@@ -483,24 +475,6 @@ impl Exec {
     #[must_use]
     pub fn process_fallbacks(&self) -> usize {
         self.fallbacks.load(Ordering::Relaxed)
-    }
-
-    /// Runs `work(0..unit_count)` on the backend's **in-process** pool
-    /// ([`Exec::local_threads`]) — for workloads, or workload phases like
-    /// pattern generation, whose closures cannot cross a process
-    /// boundary. Returns all results in unit order, or the error of the
-    /// lowest-indexed failing unit.
-    ///
-    /// # Errors
-    ///
-    /// The error of the lowest-indexed failing unit.
-    pub fn run_fallible<T, E, F>(&self, unit_count: usize, work: F) -> Result<Vec<T>, E>
-    where
-        T: Send,
-        E: Send,
-        F: Fn(usize) -> Result<T, E> + Sync,
-    {
-        shard::run_fallible(self.local_threads(), unit_count, work)
     }
 
     /// Executes an [`ExecWork`] over the units pulled from `units`,
@@ -776,29 +750,12 @@ mod tests {
     }
 
     #[test]
-    fn widths_and_local_threads_follow_the_backend() {
-        let serial = Exec::serial();
-        assert_eq!(serial.width(), 1);
-        assert_eq!(serial.local_threads().get(), 1);
-        let threads = Exec::threads(Threads::exact(5));
-        assert_eq!(threads.width(), 5);
-        assert_eq!(threads.local_threads().get(), 5);
+    fn widths_follow_the_backend() {
+        assert_eq!(Exec::serial().width(), 1);
+        assert_eq!(Exec::threads(Threads::exact(5)).width(), 5);
         let procs = bogus(3);
         assert_eq!(procs.width(), 3);
-        assert!(procs.local_threads().get() >= 1);
         assert_eq!(procs.to_string(), "processes:3");
-    }
-
-    #[test]
-    fn run_fallible_is_unit_ordered_on_every_backend() {
-        for exec in [
-            Exec::serial(),
-            Exec::threads(Threads::exact(1)),
-            Exec::threads(Threads::exact(4)),
-        ] {
-            let got: Result<Vec<usize>, usize> = exec.run_fallible(50, |i| Ok(i * 3));
-            assert_eq!(got.unwrap(), (0..50).map(|i| i * 3).collect::<Vec<_>>());
-        }
     }
 
     /// A minimal work over `usize` units: squares them in-process, and

@@ -6,9 +6,7 @@
 //!
 //! Vector grading and fault dictionaries run on the generic engine in
 //! [`crate::models`]; [`grade_vectors`] and [`grade_vectors_wide`] are
-//! re-exported here from it. [`fault_coverage`] drives an arbitrary test
-//! closure, which cannot cross a process boundary, so it always runs on
-//! the backend's in-process pool ([`Exec::local_threads`]).
+//! re-exported here from it.
 //!
 //! Used to check that generated DFT structures are themselves testable and
 //! to grade scan/functional pattern sets in the examples and benches. The
@@ -16,16 +14,12 @@
 //! this module covers the logic side.
 
 use crate::engine::Simulator;
-use crate::exec::Exec;
 use crate::logic::Logic;
-use crate::models::{detection_lanes, FaultModel, Report};
+use crate::models::{FaultModel, Report};
 use crate::packed::LANES;
-use crate::program::SimProgram;
-use crate::shard;
 use crate::wire::{WireError, WireReader, WireWriter};
 use crate::SimError;
 use std::fmt;
-use std::sync::Arc;
 use steac_netlist::{Module, NetId};
 
 pub use crate::models::{grade_vectors, grade_vectors_wide};
@@ -165,66 +159,10 @@ impl FaultModel for Fault {
     }
 }
 
-/// Packed (PPSFP-style) fault simulation over an arbitrary test driver.
-///
-/// Faults are processed in groups of [`FAULTS_PER_PASS`]: lane 0 runs the
-/// good machine, lanes 1–63 each run one faulty machine injected with a
-/// per-lane force. Every pass is one work unit executed on a
-/// worker-local [`Simulator`] over the shared compiled program.
-/// `run_test` drives a simulator through the complete test (set inputs,
-/// clock, scan, ...) using the ordinary scalar API — every scalar write
-/// broadcasts to all lanes — and marks its observation points with
-/// [`Simulator::observe`] / [`Simulator::observe_by_name`] (the scan and
-/// cycle-player drivers do this already); it may run concurrently on
-/// several workers, hence the `Fn + Sync` bound. A fault is detected if
-/// any observed position differs from lane 0 where both values are
-/// known.
-///
-/// Because `run_test` is an arbitrary closure, it cannot be serialized
-/// to worker processes: this workload always executes on the backend's
-/// **in-process** pool ([`Exec::local_threads`] — serial for
-/// `Exec::serial()`, the thread width otherwise). Results are
-/// bit-identical at every width.
-///
-/// The simulator handed to `run_test` starts from the all-`X` reset state
-/// on every pass.
-///
-/// # Errors
-///
-/// Propagates errors from `run_test` and the engine (the lowest-indexed
-/// failing pass wins, deterministically).
-pub fn fault_coverage<F>(
-    exec: &Exec,
-    m: &Module,
-    faults: &[Fault],
-    run_test: F,
-) -> Result<CoverageReport, SimError>
-where
-    F: Fn(&mut Simulator) -> Result<(), SimError> + Sync,
-{
-    let program = Arc::new(SimProgram::compile(m)?);
-    let chunks: Vec<&[Fault]> = faults.chunks(FAULTS_PER_PASS).collect();
-    let masks = exec.run_fallible(chunks.len(), |pass| {
-        let mut sim: Simulator = Simulator::from_program(Arc::clone(&program));
-        sim.set_observing(true);
-        for (i, f) in chunks[pass].iter().enumerate() {
-            sim.force_lane(f.net, i + 1, f.stuck.value());
-        }
-        run_test(&mut sim)?;
-        let mut mask = [0u64];
-        for obs in sim.take_observations() {
-            mask[0] |= detection_lanes(obs)[0];
-        }
-        Ok::<_, SimError>(mask)
-    })?;
-    let flags = shard::flags_from_lane_masks(faults.len(), FAULTS_PER_PASS, 1, &masks);
-    Ok(Report::from_flags(faults, &flags, 0))
-}
-
 /// Serial reference implementation: one full simulation per fault, as the
 /// original interpreter did. Kept strictly as the differential-test and
-/// benchmark oracle — production callers use [`fault_coverage`] /
-/// [`grade_vectors`] with an [`Exec`].
+/// benchmark oracle — production callers use [`grade_vectors`] with an
+/// [`Exec`](crate::Exec).
 ///
 /// `run_test` returns the stream of observed lane-0 values; a fault is
 /// detected when any position differs from the good run where both values
@@ -272,6 +210,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Exec;
     use crate::shard::Threads;
     use steac_netlist::{GateKind, NetlistBuilder};
 
@@ -288,73 +227,40 @@ mod tests {
         b.finish().unwrap()
     }
 
-    fn exhaustive_and2_driver(sim: &mut Simulator) -> Result<(), SimError> {
-        for (va, vb) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
-            sim.set_by_name("a", Logic::from(va == 1))?;
-            sim.set_by_name("b", Logic::from(vb == 1))?;
-            sim.settle()?;
-            sim.observe_by_name("y")?;
-        }
-        Ok(())
-    }
-
-    /// Exhaustive 2-input test of an AND gate detects every stuck-at.
-    #[test]
-    fn exhaustive_patterns_give_full_coverage_on_and2() {
-        let m = and2();
-        let faults = enumerate_faults(&m);
-        let rep = fault_coverage(&exec(), &m, &faults, exhaustive_and2_driver).unwrap();
-        assert_eq!(rep.coverage_percent(), 100.0, "{rep}");
-    }
-
-    /// A single pattern cannot catch everything on an XOR cone.
-    #[test]
-    fn single_pattern_leaves_escapes() {
-        let mut b = NetlistBuilder::new("m");
-        let a = b.input("a");
-        let c = b.input("b");
-        let y = b.gate(GateKind::Xor2, &[a, c]);
-        b.output("y", y);
-        let m = b.finish().unwrap();
-        let faults = enumerate_faults(&m);
-        let rep = fault_coverage(&exec(), &m, &faults, |sim| {
-            sim.set_by_name("a", Logic::One)?;
-            sim.set_by_name("b", Logic::Zero)?;
-            sim.settle()?;
-            sim.observe_by_name("y")?;
-            Ok(())
-        })
-        .unwrap();
-        assert!(rep.detected > 0);
-        assert!(rep.detected < rep.total, "{rep}");
-        assert_eq!(rep.undetected.len(), rep.total - rep.detected);
+    /// The exhaustive 2-input test, as pins and vectors.
+    fn exhaustive_and2(m: &Module) -> ([NetId; 2], Vec<Vec<Logic>>) {
+        use Logic::{One, Zero};
+        let pins = [m.port("a").unwrap().net, m.port("b").unwrap().net];
+        let vectors = vec![
+            vec![Zero, Zero],
+            vec![Zero, One],
+            vec![One, Zero],
+            vec![One, One],
+        ];
+        (pins, vectors)
     }
 
     #[test]
     fn coverage_of_empty_fault_list_is_100() {
-        let mut b = NetlistBuilder::new("m");
-        let a = b.input("a");
-        b.output("y", a);
-        let m = b.finish().unwrap();
-        let rep = fault_coverage(&exec(), &m, &[], |sim| {
-            sim.settle()?;
-            Ok(())
-        })
-        .unwrap();
+        let m = and2();
+        let (pins, vectors) = exhaustive_and2(&m);
+        let rep = grade_vectors::<Fault>(&exec(), &m, &[], &pins, &vectors).unwrap();
+        assert_eq!(rep.total, 0);
         assert_eq!(rep.coverage_percent(), 100.0);
     }
 
-    /// The packed pass and the serial reference agree fault-for-fault.
+    /// The packed passes and the serial reference agree fault-for-fault.
     #[test]
     fn packed_matches_serial_reference() {
         let m = and2();
         let faults = enumerate_faults(&m);
-        let packed = fault_coverage(&exec(), &m, &faults, exhaustive_and2_driver).unwrap();
+        let (pins, vectors) = exhaustive_and2(&m);
+        let packed = grade_vectors(&exec(), &m, &faults, &pins, &vectors).unwrap();
         let serial = fault_coverage_serial(&m, &faults, |sim| {
             let mut obs = Vec::new();
-            for (va, vb) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
-                sim.set_by_name("a", Logic::from(va == 1))?;
-                sim.set_by_name("b", Logic::from(vb == 1))?;
+            for v in &vectors {
+                sim.set(pins[0], v[0]);
+                sim.set(pins[1], v[1]);
                 sim.settle()?;
                 obs.push(sim.get_by_name("y")?);
             }
@@ -366,7 +272,8 @@ mod tests {
     }
 
     /// More than one pass: a chain of inverters has > 63 net faults, so
-    /// chunking across passes must still find everything detectable.
+    /// chunking across 64-lane passes must still find everything
+    /// detectable.
     #[test]
     fn multi_pass_chunking_covers_long_chains() {
         let mut b = NetlistBuilder::new("m");
@@ -378,16 +285,10 @@ mod tests {
         b.output("y", cur);
         let m = b.finish().unwrap();
         let faults = enumerate_faults(&m);
-        assert!(faults.len() > 2 * FAULTS_PER_PASS);
-        let rep = fault_coverage(&exec(), &m, &faults, |sim| {
-            for v in [Logic::Zero, Logic::One] {
-                sim.set_by_name("a", v)?;
-                sim.settle()?;
-                sim.observe_by_name("y")?;
-            }
-            Ok(())
-        })
-        .unwrap();
+        assert!(faults.len() > 2 * faults_per_pass(1));
+        let pins = [a];
+        let vectors = vec![vec![Logic::Zero], vec![Logic::One]];
+        let rep = grade_vectors_wide(&exec(), &m, &faults, &pins, &vectors, 1).unwrap();
         assert_eq!(rep.coverage_percent(), 100.0, "{rep}");
     }
 
@@ -395,14 +296,7 @@ mod tests {
     fn grade_vectors_detects_and_drops() {
         let m = and2();
         let faults = enumerate_faults(&m);
-        let pins = [m.port("a").unwrap().net, m.port("b").unwrap().net];
-        use Logic::{One, Zero};
-        let vectors = vec![
-            vec![Zero, Zero],
-            vec![Zero, One],
-            vec![One, Zero],
-            vec![One, One],
-        ];
+        let (pins, vectors) = exhaustive_and2(&m);
         let rep = grade_vectors(&exec(), &m, &faults, &pins, &vectors).unwrap();
         assert_eq!(rep.coverage_percent(), 100.0, "{rep}");
         // Fewer vectors leave escapes, and the report accounts for them.
@@ -443,17 +337,6 @@ mod tests {
             .unwrap();
             assert_eq!(sharded, baseline, "{t} threads");
         }
-        let cov = fault_coverage(&Exec::threads(Threads::exact(4)), &m, &faults, |sim| {
-            for v in [Logic::Zero, Logic::One] {
-                sim.set_by_name("a", v)?;
-                sim.settle()?;
-                sim.observe_by_name("y")?;
-            }
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(cov.detected, baseline.detected);
-        assert_eq!(cov.undetected, baseline.undetected);
     }
 
     #[test]

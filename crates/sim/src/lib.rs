@@ -47,21 +47,23 @@
 //!    [`packed::DEFAULT_LANE_GROUPS`] (256 lanes) with monomorphized
 //!    kernels for every width in [`SUPPORTED_LANE_GROUPS`], and reports
 //!    are byte-identical at every width.
-//! 4. **Dispatch** ([`exec`]): independent packed passes (fault-grading
-//!    chunks, width-sized playback chunks, March walks) are *work units*
-//!    of one [`ExecWork`] behind one execution-backend value, [`Exec`]:
-//!    `Exec::serial()` runs them inline, `Exec::threads(..)` fans them
-//!    across scoped dispatcher threads, and `Exec::processes(..)`
-//!    serializes them ([`wire`]) to a fleet of persistent
-//!    `steac-worker` children (step 5). Every workload entry point takes
-//!    `&Exec` and routes through [`Exec::dispatch`], which pulls units
-//!    from an iterator — a materialized batch's chunks or a generator
-//!    thread's bounded channel alike — and sinks outputs strictly in
-//!    unit order, holding at most two batches per dispatcher in flight.
-//!    So the merge-by-unit-index determinism contract — unit-order
-//!    results, lowest-indexed-unit errors, **bit-identical reports on
-//!    every backend** — and the bounded-memory promise live in exactly
-//!    one place, proven bit-for-bit by `tests/exec_matrix.rs`.
+//! 4. **Dispatch** ([`exec`]): independent passes (fault-grading
+//!    chunks, width-sized playback chunks, March walks, JPEG generation
+//!    blocks) are *work units* of one [`ExecWork`] behind one
+//!    execution-backend value, [`Exec`]: `Exec::serial()` runs them
+//!    inline, `Exec::threads(..)` fans them across scoped dispatcher
+//!    threads, and `Exec::processes(..)` serializes them ([`wire`]) to a
+//!    fleet of persistent `steac-worker` children (step 5). Every
+//!    workload entry point takes `&Exec` and routes through
+//!    [`Exec::dispatch`], the only code that puts unit results in
+//!    order. It pulls units from an iterator — a materialized batch's
+//!    chunks or the receiving end of a bounded channel fed by another
+//!    dispatch alike — and sinks outputs strictly in unit order, holding
+//!    at most two batches per dispatcher in flight. So the
+//!    merge-by-unit-index determinism contract — unit-order results,
+//!    lowest-indexed-unit errors, **bit-identical reports on every
+//!    backend** — and the bounded-memory promise live in exactly one
+//!    place, proven bit-for-bit by `tests/exec_matrix.rs`.
 //!    [`Exec::from_env`] resolves the one backend knob, `STEAC_EXEC`
 //!    (`STEAC_OPT` gates stage 2 independently), and [`exec::Fallback`]
 //!    makes the shipped-batch failure policy explicit (recompute
@@ -127,10 +129,9 @@
 //! signatures, [`models::dictionary`]), and
 //! [`models::dictionary::diagnose`] (kind 6) consumes a dictionary plus
 //! an observed failure signature to rank candidate fault sites —
-//! localization dispatched through the same `Exec` seam as grading. The
-//! closure-driven [`fault::fault_coverage`] stays stuck-at only. Flows
-//! that grade "with the configured model" select it via `STEAC_MODEL`
-//! ([`models::ModelKind::from_env`]).
+//! localization dispatched through the same `Exec` seam as grading.
+//! Flows that grade "with the configured model" select it via
+//! `STEAC_MODEL` ([`models::ModelKind::from_env`]).
 //!
 //! # Example
 //!
@@ -174,8 +175,8 @@ pub mod wire;
 pub use engine::Simulator;
 pub use exec::{Backend, Dispatch, Exec, ExecWork, Fallback, SpecError, STREAM_BATCH_UNITS};
 pub use fault::{
-    enumerate_faults, fault_coverage, faults_per_pass, CoverageReport, Fault, StuckAt,
-    FAULTS_PER_PASS, SUPPORTED_LANE_GROUPS,
+    enumerate_faults, faults_per_pass, CoverageReport, Fault, StuckAt, FAULTS_PER_PASS,
+    SUPPORTED_LANE_GROUPS,
 };
 pub use logic::Logic;
 pub use models::bridging::{

@@ -52,9 +52,9 @@
 //! Callers that know their force surface (e.g. pure functional playback
 //! driving only input ports) opt in to the aggressive passes with
 //! [`SimProgram::compile_with`] and a restricted set; with a restricted
-//! set, `Simulator::get`/`observe` on an eliminated interior net reads
-//! the parked slot (all-X) instead of a computed value, so observation
-//! should stay within `forceable ∪ ports`.
+//! set, `Simulator::get` on an eliminated interior net reads the
+//! parked slot (all-X) instead of a computed value, so reads should
+//! stay within `forceable ∪ ports`.
 //!
 //! # Scheduling
 //!

@@ -68,11 +68,10 @@ pub fn shift(
             sim.set_by_name(&ports.si[c], v)?;
         }
         // Sample scan-out before the shift pulse: so shows the current
-        // last-flop state. Observing records all 64 lanes for PPSFP
-        // grading; the returned lane-0 value feeds the scalar result.
+        // last-flop state.
         sim.settle()?;
         for (c, o) in out.iter_mut().enumerate() {
-            o.push(sim.observe_by_name(&ports.so[c])?);
+            o.push(sim.get_by_name(&ports.so[c])?);
         }
         sim.clock_cycle_by_name(&ports.clock)?;
     }

@@ -1,18 +1,14 @@
-//! Multi-core and multi-process fan-out of independent work units.
+//! The worker side of multi-process fan-out, and what both sides of
+//! the wire share.
 //!
 //! Every batched workload in the platform — PPSFP fault grading, batched
-//! ATE playback, March fault simulation — decomposes into *work units*:
-//! independent 64-lane passes over an immutable compiled program. This
-//! module owns the pools that fan those units out:
+//! ATE playback, March fault simulation, JPEG pattern generation —
+//! decomposes into *work units*: independent passes over an immutable
+//! compiled program. [`crate::Exec::dispatch`] schedules them and puts
+//! their results in unit order; this module holds no pool of its own:
 //!
-//! * [`Threads`] picks the in-process worker count (auto-detected or
-//!   an explicit override);
-//! * [`run_units`] / [`run_fallible`] execute `unit_count` closure calls
-//!   on a scoped worker pool, handing out unit indices from a shared
-//!   atomic counter (dynamic load balancing — passes that drop all their
-//!   faults early finish early) and merging results **by unit index**,
-//!   never by completion order, so sharded results are bit-identical to
-//!   a single-threaded run at every thread count;
+//! * [`Threads`] picks the in-process dispatcher count (auto-detected
+//!   or an explicit override);
 //! * [`flags_from_lane_masks`] flattens per-pass detection masks back to
 //!   per-item verdicts in list order — the one merge every packed
 //!   grading workload (gate-level and March) shares;
@@ -72,25 +68,23 @@
 //! affected unit's error, so failure reporting is as deterministic as
 //! success merging.
 //!
-//! No dependencies beyond `std`: the thread pool is
-//! `std::thread::scope`.
+//! No dependencies beyond `std`.
 
 use crate::wire::{fnv1a64, WireReader, WireWriter};
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Worker-count configuration for sharded execution: an explicit count
-/// ([`Threads::exact`]) or the detected core count ([`Threads::auto`]).
-/// The effective count is always at least 1, and pools additionally cap
-/// it at the number of work units.
+/// Dispatcher count of the thread backend: an explicit count
+/// ([`Threads::exact`]) or the detected core count ([`Threads::auto`]),
+/// always at least 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Threads(usize);
 
 impl Threads {
-    /// Exactly `n` workers (clamped to at least 1). Ignores the
+    /// Exactly `n` dispatchers (clamped to at least 1). Ignores the
     /// environment — use this in scaling experiments that must control
     /// the width.
     #[must_use]
@@ -98,7 +92,7 @@ impl Threads {
         Threads(n.max(1))
     }
 
-    /// One worker: sharded calls degenerate to the single-threaded loop.
+    /// One dispatcher: units run inline on the calling thread.
     #[must_use]
     pub fn single() -> Self {
         Threads(1)
@@ -115,86 +109,11 @@ impl Threads {
         )
     }
 
-    /// The configured worker count (≥ 1).
+    /// The configured dispatcher count (≥ 1).
     #[must_use]
     pub fn get(self) -> usize {
         self.0
     }
-}
-
-/// Runs `work(0..unit_count)` across a scoped worker pool and returns the
-/// results **in unit order** (index `i` of the result is `work(i)`,
-/// regardless of which worker ran it or when it finished).
-///
-/// Units are handed out from a shared atomic counter, so a unit that
-/// finishes early (fault dropping, short patterns) frees its worker for
-/// the next one. With one effective worker — or a single unit — the work
-/// runs inline on the calling thread, so scalar callers pay no spawn
-/// cost.
-///
-/// # Panics
-///
-/// Propagates a panic from any work unit.
-pub fn run_units<T, F>(threads: Threads, unit_count: usize, work: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = threads.get().min(unit_count);
-    if workers <= 1 {
-        return (0..unit_count).map(work).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = Vec::new();
-    slots.resize_with(unit_count, || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut produced = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= unit_count {
-                            break;
-                        }
-                        produced.push((i, work(i)));
-                    }
-                    produced
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, value) in handle.join().expect("shard worker panicked") {
-                slots[i] = Some(value);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|v| v.expect("every unit ran exactly once"))
-        .collect()
-}
-
-/// [`run_units`] for fallible work: returns all results in unit order,
-/// or the error of the **lowest-indexed** failing unit (not the first
-/// one to fail in wall-clock time), keeping error reporting
-/// deterministic across thread counts.
-///
-/// Later units may still run after an earlier one has failed (workers
-/// drain the counter independently); work must therefore be safe to run
-/// regardless of other units' outcomes — which independent simulation
-/// passes are by construction.
-///
-/// # Errors
-///
-/// The error of the lowest-indexed failing unit.
-pub fn run_fallible<T, E, F>(threads: Threads, unit_count: usize, work: F) -> Result<Vec<T>, E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
-{
-    run_units(threads, unit_count, work).into_iter().collect()
 }
 
 /// Flattens per-pass detection masks (one mask per `per_pass` chunk of
@@ -548,7 +467,7 @@ impl JobRegistry {
 /// next to the current executable or one directory up (which covers
 /// `target/<profile>/` binaries and `target/<profile>/deps/` test
 /// executables). `None` means process dispatch is unavailable and a
-/// `processes` spec falls back to the in-thread pool.
+/// `processes` spec falls back to the thread backend.
 #[must_use]
 pub fn default_worker_binary() -> Option<PathBuf> {
     if let Ok(p) = std::env::var("STEAC_WORKER_BIN") {
@@ -900,7 +819,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn threads_resolution_and_clamping() {
@@ -908,48 +826,6 @@ mod tests {
         assert_eq!(Threads::exact(7).get(), 7);
         assert_eq!(Threads::single().get(), 1);
         assert!(Threads::auto().get() >= 1);
-    }
-
-    #[test]
-    fn results_are_in_unit_order_at_every_width() {
-        let expected: Vec<usize> = (0..97).map(|i| i * i).collect();
-        for t in 1..=8 {
-            let got = run_units(Threads::exact(t), 97, |i| i * i);
-            assert_eq!(got, expected, "{t} threads");
-        }
-    }
-
-    #[test]
-    fn every_unit_runs_exactly_once() {
-        let runs: Vec<AtomicU64> = (0..50).map(|_| AtomicU64::new(0)).collect();
-        run_units(Threads::exact(4), 50, |i| {
-            runs[i].fetch_add(1, Ordering::Relaxed);
-        });
-        for (i, r) in runs.iter().enumerate() {
-            assert_eq!(r.load(Ordering::Relaxed), 1, "unit {i}");
-        }
-    }
-
-    #[test]
-    fn fallible_reports_lowest_indexed_error() {
-        for t in 1..=8 {
-            let r: Result<Vec<usize>, usize> = run_fallible(Threads::exact(t), 64, |i| {
-                if i == 13 || i == 40 {
-                    Err(i)
-                } else {
-                    Ok(i)
-                }
-            });
-            assert_eq!(r.unwrap_err(), 13, "{t} threads");
-        }
-        let ok: Result<Vec<usize>, usize> = run_fallible(Threads::exact(3), 10, Ok);
-        assert_eq!(ok.unwrap(), (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn zero_units_is_empty() {
-        let got: Vec<u8> = run_units(Threads::exact(4), 0, |_| unreachable!());
-        assert!(got.is_empty());
     }
 
     struct EchoJob;

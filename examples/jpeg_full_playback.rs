@@ -11,15 +11,17 @@
 //! cargo run --release --example jpeg_full_playback -- 235696 --materialize
 //! ```
 //!
-//! By default the set is never materialized: generator threads produce
-//! 64-pattern blocks into a bounded queue while the cycle player
-//! (`64 * PLAYBACK_LANE_GROUPS` patterns per pass) consumes them
-//! through `Exec::dispatch`, so generation — the slow phase —
-//! overlaps playback and peak memory follows the queue depth, not the
-//! set size. `--materialize` switches to the old generate-everything-
-//! then-play flow; the two print byte-identical reports. The binary
-//! prints the backend, the sustained patterns/sec and the peak RSS, so
-//! the constant-memory claim is checkable from the output alone.
+//! By default the set is never materialized: a generation dispatch of
+//! 64-pattern blocks feeds a bounded channel that the playback dispatch
+//! (`64 * PLAYBACK_LANE_GROUPS` patterns per pass) reads as its input,
+//! both through `Exec::dispatch`, so generation — the slow phase —
+//! overlaps playback, and peak memory follows the two dispatch windows
+//! and the channel, not the set size. On `processes:N` and `remote:`
+//! both dispatches ship to the workers. `--materialize` switches to the
+//! generate-everything-then-play flow; the two print byte-identical
+//! reports. The binary prints the backend, the sustained patterns/sec
+//! and the peak RSS, so the constant-memory claim is checkable from the
+//! output alone.
 
 use std::time::Instant;
 use steac_dsc::{jpeg_playback_batch, jpeg_playback_stream, TABLE1};

@@ -3,8 +3,19 @@
 //!
 //! Three modes, one session loop (`steac_sim::remote::serve_session`,
 //! around the `steac_sim::shard::process_request_with` core), one job
-//! table (`steac_suite::worker_registry` — see its docs for the kind
-//! table), so this binary contains no per-workload knowledge at all:
+//! table (`steac_suite::worker_registry`), so this binary contains no
+//! per-workload knowledge at all. The kinds it routes:
+//!
+//! | kind | work unit |
+//! |------|-----------|
+//! | 1, 4, 5 | stuck-at, transition or bridging grading / dictionary chunk |
+//! | 2 | 64-pattern ATE playback chunk |
+//! | 3 | March walk over a memory-fault chunk |
+//! | 6 | fault-dictionary diagnosis chunk |
+//! | 7 | expected responses of one 64-pattern block of the JPEG functional set |
+//!
+//! A `jpeg_playback_stream` run ships both its generation (kind 7) and
+//! its playback (kind 2) to the same workers. The modes:
 //!
 //! * **stdio session (no arguments)**: serves envelope-framed requests
 //!   (the versioned protocol in `steac_sim::shard`) from stdin and

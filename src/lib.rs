@@ -48,6 +48,7 @@ use steac_sim::{BridgingFault, Fault, TransitionFault};
 /// | 4 | transition-fault grading / dictionary chunk | `steac_sim::models::transition` |
 /// | 5 | bridging-fault grading / dictionary chunk | `steac_sim::models::bridging` |
 /// | 6 | fault-dictionary diagnosis chunk | `steac_sim::models::dictionary` |
+/// | 7 | 64-pattern JPEG functional-pattern generation block | `steac_dsc::verify` |
 ///
 /// Kinds 1, 4 and 5 are one generic job, [`open_wire_job`], opened for
 /// each [`FaultModel`].
@@ -84,6 +85,11 @@ pub fn worker_registry() -> JobRegistry {
         "dictionary-diagnose",
         steac_sim::models::dictionary::open_wire_job,
     );
+    registry.register(
+        steac_dsc::verify::WIRE_KIND,
+        "jpeg-generation",
+        steac_dsc::verify::open_wire_job,
+    );
     registry
 }
 
@@ -104,6 +110,7 @@ mod tests {
                 (4, "transition-grading"),
                 (5, "bridging-grading"),
                 (6, "dictionary-diagnose"),
+                (7, "jpeg-generation"),
             ]
         );
         assert!(worker_registry().open(999, b"").is_err());

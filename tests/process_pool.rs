@@ -9,6 +9,7 @@
 //! and panic-free, and the explicit `Fallback` policy decides — visibly
 //! — between in-thread recomputation and a typed error.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -513,17 +514,24 @@ impl Transport for Recording {
     }
 }
 
-/// Runs `workload` on a one-host recording fleet and returns the kind,
-/// the job and the first unit of its first request — the one that
-/// ships the job inline.
-fn first_request(workload: impl FnOnce(&Exec)) -> (u16, Vec<u8>, Vec<u8>) {
+/// Runs `workload` on a one-host recording fleet under
+/// `Fallback::Fail` and returns every request the host received.
+fn recorded_requests(workload: impl FnOnce(&Exec)) -> Vec<Vec<u8>> {
     let requests = Arc::new(Mutex::new(Vec::new()));
     let host = Recording {
         state: shard::WorkerState::new(),
         requests: Arc::clone(&requests),
     };
     workload(&Exec::remote(RemoteFleet::new(vec![Box::new(host)])).with_fallback(Fallback::Fail));
-    let request = requests.lock().unwrap()[0].clone();
+    let requests = requests.lock().unwrap().clone();
+    requests
+}
+
+/// Runs `workload` on a one-host recording fleet and returns the kind,
+/// the job and the first unit of its first request — the one that
+/// ships the job inline.
+fn first_request(workload: impl FnOnce(&Exec)) -> (u16, Vec<u8>, Vec<u8>) {
+    let request = recorded_requests(workload).swap_remove(0);
     // Past the magic, version and tag: kind, job hash, inline flag.
     let mut r = WireReader::new(&request[7..]);
     let kind = r.get_u16("kind").unwrap();
@@ -537,7 +545,9 @@ fn first_request(workload: impl FnOnce(&Exec)) -> (u16, Vec<u8>, Vec<u8>) {
 
 /// The sweep over the private encoders' bytes: a real playback request
 /// (kind 2, with a force in its job) and a real diagnose request
-/// (kind 6), captured on the wire.
+/// (kind 6), captured on the wire, and a generation job (kind 7) over
+/// the same flop — the JPEG program is far too large to flip every
+/// byte of.
 #[test]
 fn playback_and_diagnose_jobs_are_total_under_truncation_and_byte_flips() {
     use Logic::{One, Zero};
@@ -556,6 +566,10 @@ fn playback_and_diagnose_jobs_are_total_under_truncation_and_byte_flips() {
     assert_eq!(kind, steac_pattern::cycle::WIRE_KIND);
     sweep_job(kind, &job, &unit);
 
+    let program = SimProgram::compile(&flop).unwrap();
+    let job = steac_dsc::verify::encode_generate_job(&program, &[d], ck, &[q], 3);
+    sweep_job(steac_dsc::verify::WIRE_KIND, &job, &0u64.to_le_bytes());
+
     let (m, pins, vectors) = nand_xor();
     let faults = fault::enumerate_faults(&m);
     let dict = fault_dictionary(&Exec::serial(), &m, &faults, &pins, &vectors).unwrap();
@@ -565,6 +579,34 @@ fn playback_and_diagnose_jobs_are_total_under_truncation_and_byte_flips() {
     });
     assert_eq!(kind, steac_sim::models::dictionary::WIRE_KIND);
     sweep_job(kind, &job, &unit);
+}
+
+/// The streaming JPEG pipeline ships both of its dispatches: one
+/// host receives generation blocks (kind 7) and playback chunks
+/// (kind 2), and the report is the serial one, with no fallback.
+#[test]
+fn jpeg_stream_ships_generation_and_playback() {
+    let mut report = None;
+    let requests = recorded_requests(|exec| {
+        report = Some(steac_dsc::jpeg_playback_stream(exec, 130).unwrap());
+    });
+    let kinds: BTreeSet<u16> = requests
+        .iter()
+        .map(|request| WireReader::new(&request[7..]).get_u16("kind").unwrap())
+        .collect();
+    assert_eq!(
+        kinds,
+        BTreeSet::from([
+            steac_pattern::cycle::WIRE_KIND,
+            steac_dsc::verify::WIRE_KIND
+        ])
+    );
+    let report = report.unwrap();
+    assert_eq!(report.process_fallbacks, 0);
+    assert_eq!(
+        report,
+        steac_dsc::jpeg_playback_batch(&Exec::serial(), 130).unwrap()
+    );
 }
 
 /// Corrupt *unit* bytes under a valid job: the decode failure is

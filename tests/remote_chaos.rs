@@ -256,7 +256,10 @@ fn killed_host_requeues_and_the_report_is_identical() {
 
 /// A host that dies mid-run (healthy for its first calls, gone after):
 /// a dispatch of eight batches loses it part-way, its batches fail
-/// over, the survivor finishes, same report.
+/// over, the survivor finishes, same report. The streaming JPEG flow
+/// then runs two dispatches, generation and playback, on the same
+/// fleet at once; each loses the dead host, and the report is still
+/// the serial one.
 #[test]
 fn host_lost_mid_run_requeues_its_in_flight_units() {
     let fired = Fired::default();
@@ -265,8 +268,17 @@ fn host_lost_mid_run_requeues_its_in_flight_units() {
         spawn(),
     ]);
     let exec = Exec::remote(fleet).with_fallback(Fallback::Fail);
+    let jpeg_patterns = 4 * BATCH_PATTERNS * chaos_scale();
+    let jpeg_base = steac_dsc::jpeg_playback_stream(&Exec::serial(), jpeg_patterns).unwrap();
     until_every_mode_fires(&fired, &[Injection::Dead], || {
         assert_playback_identical(&exec, 8 * BATCH_PATTERNS * chaos_scale());
+        let before = fired.count(Injection::Dead);
+        let jpeg = steac_dsc::jpeg_playback_stream(&exec, jpeg_patterns).unwrap();
+        assert_eq!(jpeg, jpeg_base, "losing a host changed the JPEG report");
+        assert!(
+            fired.count(Injection::Dead) > before,
+            "no dispatch probed the dead host"
+        );
     });
 }
 
