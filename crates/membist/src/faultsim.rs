@@ -34,7 +34,7 @@ use steac_sim::packed::{
     mask_and, mask_andnot, mask_bit, mask_none, mask_or, mask_range, mask_set_bit, LaneMask,
 };
 use steac_sim::shard::{self, PoolError};
-use steac_sim::{Exec, ExecWork, SimError, DEFAULT_LANE_GROUPS};
+use steac_sim::{with_lane_groups, Exec, ExecWork, LaneGroupWork, SimError, DEFAULT_LANE_GROUPS};
 
 /// Faults graded per single-group (64-lane) packed March walk.
 pub const FAULTS_PER_PASS: usize = 64;
@@ -618,36 +618,49 @@ pub fn fault_coverage_wide(
     faults: &[MemFault],
     groups: usize,
 ) -> Result<MemCoverageReport, SimError> {
-    match groups {
-        1 => coverage_n::<1>(exec, alg, config, faults),
-        2 => coverage_n::<2>(exec, alg, config, faults),
-        4 => coverage_n::<4>(exec, alg, config, faults),
-        8 => coverage_n::<8>(exec, alg, config, faults),
-        _ => Err(SimError::UnsupportedWidth { groups }),
-    }
-}
-
-fn coverage_n<const N: usize>(
-    exec: &Exec,
-    alg: &MarchAlgorithm,
-    config: &SramConfig,
-    faults: &[MemFault],
-) -> Result<MemCoverageReport, SimError> {
-    let per_walk = faults_per_walk(N);
-    let mut masks = Vec::new();
-    let dispatched = exec.dispatch(
-        &MarchWork::<N> { alg, config },
-        faults.chunks(per_walk),
-        |mask| masks.push(mask),
-    )?;
-    let flags = shard::flags_from_lane_masks(faults.len(), per_walk, 0, &masks);
-    Ok(report_from_flags(
+    let coverage = Coverage {
+        exec,
         alg,
         config,
         faults,
-        &flags,
-        dispatched.fallbacks,
-    ))
+    };
+    with_lane_groups(groups, coverage).unwrap_or(Err(SimError::UnsupportedWidth { groups }))
+}
+
+/// One coverage run, at the width [`with_lane_groups`] picks.
+struct Coverage<'a> {
+    exec: &'a Exec,
+    alg: &'a MarchAlgorithm,
+    config: &'a SramConfig,
+    faults: &'a [MemFault],
+}
+
+impl LaneGroupWork for Coverage<'_> {
+    type Output = Result<MemCoverageReport, SimError>;
+
+    fn run<const N: usize>(self) -> Self::Output {
+        let Coverage {
+            exec,
+            alg,
+            config,
+            faults,
+        } = self;
+        let per_walk = faults_per_walk(N);
+        let mut masks = Vec::new();
+        let dispatched = exec.dispatch(
+            &MarchWork::<N> { alg, config },
+            faults.chunks(per_walk),
+            |mask| masks.push(mask),
+        )?;
+        let flags = shard::flags_from_lane_masks(faults.len(), per_walk, 0, &masks);
+        Ok(report_from_flags(
+            alg,
+            config,
+            faults,
+            &flags,
+            dispatched.fallbacks,
+        ))
+    }
 }
 
 /// Serial reference implementation: one full March walk per fault, as

@@ -15,6 +15,7 @@ use crate::march::{Direction, MarchAlgorithm, MarchElement, MarchOp};
 use crate::memory::{MemFault, PortKind, SramConfig};
 use steac_sim::shard::WireJob;
 use steac_sim::wire::{WireError, WireReader, WireWriter};
+use steac_sim::{with_lane_groups, LaneGroupWork};
 
 /// Work-unit kind the `steac-worker` binary routes to
 /// [`open_wire_job`]: one packed March walk over a fault chunk.
@@ -314,12 +315,24 @@ impl<const N: usize> WireJob for MarchWireJob<N> {
 /// width.
 pub fn open_wire_job(job: &[u8]) -> Result<Box<dyn WireJob>, String> {
     let (alg, config, groups) = decode_march_job(job).map_err(|e| format!("march job: {e}"))?;
-    match groups as usize {
-        1 => Ok(Box::new(MarchWireJob::<1> { alg, config })),
-        2 => Ok(Box::new(MarchWireJob::<2> { alg, config })),
-        4 => Ok(Box::new(MarchWireJob::<4> { alg, config })),
-        8 => Ok(Box::new(MarchWireJob::<8> { alg, config })),
-        _ => Err(format!("march job lane-group width {groups} unsupported")),
+    with_lane_groups(groups as usize, OpenMarch { alg, config })
+        .ok_or_else(|| format!("march job lane-group width {groups} unsupported"))
+}
+
+/// A decoded March job, opened at the width [`with_lane_groups`] picks.
+struct OpenMarch {
+    alg: MarchAlgorithm,
+    config: SramConfig,
+}
+
+impl LaneGroupWork for OpenMarch {
+    type Output = Box<dyn WireJob>;
+
+    fn run<const N: usize>(self) -> Self::Output {
+        Box::new(MarchWireJob::<N> {
+            alg: self.alg,
+            config: self.config,
+        })
     }
 }
 

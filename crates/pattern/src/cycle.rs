@@ -31,7 +31,10 @@ use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
 use steac_netlist::NetId;
 use steac_sim::shard::{self, PoolError};
-use steac_sim::{wire, Exec, ExecWork, Logic, PackedLogic, SimError, SimProgram, Simulator};
+use steac_sim::{
+    wire, with_lane_groups, Exec, ExecWork, LaneGroupWork, Logic, PackedLogic, SimError,
+    SimProgram, Simulator,
+};
 
 /// Per-pin state in one tester cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -592,92 +595,109 @@ where
     I: Iterator<Item = P> + Send,
     S: FnMut(MismatchReport),
 {
-    match groups {
-        1 => stream_n::<1, _, _, _>(exec, sim, patterns, chunk, sink),
-        2 => stream_n::<2, _, _, _>(exec, sim, patterns, chunk, sink),
-        4 => stream_n::<4, _, _, _>(exec, sim, patterns, chunk, sink),
-        8 => stream_n::<8, _, _, _>(exec, sim, patterns, chunk, sink),
-        _ => Err(PatternError::Sim(SimError::UnsupportedWidth { groups })),
-    }
+    let stream = Stream {
+        exec,
+        sim,
+        patterns,
+        chunk,
+        sink,
+    };
+    with_lane_groups(groups, stream).unwrap_or(Err(PatternError::Sim(SimError::UnsupportedWidth {
+        groups,
+    })))
 }
 
-fn stream_n<const N: usize, P, I, S>(
-    exec: &Exec,
-    sim: &Simulator,
-    mut patterns: I,
+/// One streaming playback, run at the width [`with_lane_groups`] picks.
+struct Stream<'a, I, S> {
+    exec: &'a Exec,
+    sim: &'a Simulator,
+    patterns: I,
     chunk: usize,
-    mut sink: S,
-) -> Result<StreamPlayback, PatternError>
+    sink: S,
+}
+
+impl<P, I, S> LaneGroupWork for Stream<'_, I, S>
 where
     P: Borrow<CyclePattern> + Send + Sync,
     I: Iterator<Item = P> + Send,
     S: FnMut(MismatchReport),
 {
-    let width = Simulator::<N>::WIDTH;
-    let chunk = chunk.clamp(1, width);
-    // The first pattern fixes the shape every later one must share —
-    // and names the pins, which the job block binds to nets once.
-    let Some(first) = patterns.next() else {
-        return Ok(StreamPlayback::default());
-    };
-    let head = first.borrow();
-    for row in &head.cycles {
-        if row.len() != head.pins.len() {
-            return Err(PatternError::Shape {
-                context: "cycle row",
-                expected: head.pins.len(),
-                got: row.len(),
-            });
+    type Output = Result<StreamPlayback, PatternError>;
+
+    fn run<const N: usize>(self) -> Self::Output {
+        let Stream {
+            exec,
+            sim,
+            mut patterns,
+            chunk,
+            mut sink,
+        } = self;
+        let width = Simulator::<N>::WIDTH;
+        let chunk = chunk.clamp(1, width);
+        // The first pattern fixes the shape every later one must share —
+        // and names the pins, which the job block binds to nets once.
+        let Some(first) = patterns.next() else {
+            return Ok(StreamPlayback::default());
+        };
+        let head = first.borrow();
+        for row in &head.cycles {
+            if row.len() != head.pins.len() {
+                return Err(PatternError::Shape {
+                    context: "cycle row",
+                    expected: head.pins.len(),
+                    got: row.len(),
+                });
+            }
         }
-    }
-    let pins = head.pins.clone();
-    let cycles = head.cycles.len();
-    let nets = resolve_pins(sim, &pins)?;
-    // The dispatcher simulator is the narrow lane-0 view; its 64-lane
-    // force state replicates into every group of the wide executors so
-    // fault injection means the same thing at every width.
-    let forces: Vec<(NetId, u64, PackedLogic<1>)> = sim
-        .export_forces()
-        .into_iter()
-        .map(|(net, mask, values)| (net, mask[0], values))
-        .collect();
-    let work = PlaybackWork::<N, P> {
-        sim,
-        forces,
-        pins: &pins,
-        nets: &nets,
-        unit: PhantomData,
-    };
-    // A mid-stream shape violation cannot surface through the unit
-    // iterator (units are infallible values), so the chunker records it
-    // here and truncates the stream; checked after dispatch drains.
-    let poisoned: Mutex<Option<PatternError>> = Mutex::new(None);
-    let feed = ValidatedChunks {
-        patterns,
-        pins: &pins,
-        cycles,
-        chunk,
-        pending: Some(first),
-        poisoned: &poisoned,
-        done: false,
-    };
-    let mut delivered = 0usize;
-    let dispatched = exec.dispatch(&work, feed, |reports: Vec<MismatchReport>| {
-        for report in reports {
-            sink(report);
-            delivered += 1;
+        let pins = head.pins.clone();
+        let cycles = head.cycles.len();
+        let nets = resolve_pins(sim, &pins)?;
+        // The dispatcher simulator is the narrow lane-0 view; its 64-lane
+        // force state replicates into every group of the wide executors so
+        // fault injection means the same thing at every width.
+        let forces: Vec<(NetId, u64, PackedLogic<1>)> = sim
+            .export_forces()
+            .into_iter()
+            .map(|(net, mask, values)| (net, mask[0], values))
+            .collect();
+        let work = PlaybackWork::<N, P> {
+            sim,
+            forces,
+            pins: &pins,
+            nets: &nets,
+            unit: PhantomData,
+        };
+        // A mid-stream shape violation cannot surface through the unit
+        // iterator (units are infallible values), so the chunker records it
+        // here and truncates the stream; checked after dispatch drains.
+        let poisoned: Mutex<Option<PatternError>> = Mutex::new(None);
+        let feed = ValidatedChunks {
+            patterns,
+            pins: &pins,
+            cycles,
+            chunk,
+            pending: Some(first),
+            poisoned: &poisoned,
+            done: false,
+        };
+        let mut delivered = 0usize;
+        let dispatched = exec.dispatch(&work, feed, |reports: Vec<MismatchReport>| {
+            for report in reports {
+                sink(report);
+                delivered += 1;
+            }
+        });
+        // A dispatch error always precedes the truncation point, so it is
+        // the lower-indexed failure and wins over a validation poison.
+        let dispatched = dispatched?;
+        if let Some(e) = poisoned.into_inner().expect("no panics hold the lock") {
+            return Err(e);
         }
-    });
-    // A dispatch error always precedes the truncation point, so it is
-    // the lower-indexed failure and wins over a validation poison.
-    let dispatched = dispatched?;
-    if let Some(e) = poisoned.into_inner().expect("no panics hold the lock") {
-        return Err(e);
+        Ok(StreamPlayback {
+            patterns: delivered,
+            process_fallbacks: dispatched.fallbacks,
+        })
     }
-    Ok(StreamPlayback {
-        patterns: delivered,
-        process_fallbacks: dispatched.fallbacks,
-    })
 }
 
 /// The chunker/validator: groups pulled patterns into `chunk`-sized
@@ -1061,32 +1081,38 @@ pub fn open_wire_job(job: &[u8]) -> Result<Box<dyn shard::WireJob>, String> {
         ));
     }
     r.finish().map_err(fail)?;
-    let program = Arc::new(program);
-    match groups as usize {
-        1 => Ok(open_job_n::<1>(program, pins, nets, &forces)),
-        2 => Ok(open_job_n::<2>(program, pins, nets, &forces)),
-        4 => Ok(open_job_n::<4>(program, pins, nets, &forces)),
-        8 => Ok(open_job_n::<8>(program, pins, nets, &forces)),
-        _ => Err(format!(
-            "playback job lane-group width {groups} unsupported"
-        )),
-    }
+    let job = OpenJob {
+        program: Arc::new(program),
+        pins,
+        nets,
+        forces,
+    };
+    with_lane_groups(groups as usize, job)
+        .ok_or_else(|| format!("playback job lane-group width {groups} unsupported"))
 }
 
-fn open_job_n<const N: usize>(
+/// A decoded playback job, opened at the width [`with_lane_groups`]
+/// picks.
+struct OpenJob {
     program: Arc<SimProgram>,
     pins: Vec<String>,
     nets: Vec<NetId>,
-    forces: &[(NetId, u64, PackedLogic<1>)],
-) -> Box<dyn shard::WireJob> {
-    let mut sim = Simulator::<N>::from_program(program);
-    sim.import_forces_replicated(forces);
-    Box::new(PlaybackJob::<N> {
-        sim,
-        pins,
-        nets,
-        scratch: Vec::new(),
-    })
+    forces: Vec<(NetId, u64, PackedLogic<1>)>,
+}
+
+impl LaneGroupWork for OpenJob {
+    type Output = Box<dyn shard::WireJob>;
+
+    fn run<const N: usize>(self) -> Self::Output {
+        let mut sim = Simulator::<N>::from_program(self.program);
+        sim.import_forces_replicated(&self.forces);
+        Box::new(PlaybackJob::<N> {
+            sim,
+            pins: self.pins,
+            nets: self.nets,
+            scratch: Vec::new(),
+        })
+    }
 }
 
 #[cfg(test)]

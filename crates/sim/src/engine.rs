@@ -3,15 +3,16 @@
 //!
 //! The engine is the **execute** third of a compile-once/execute-many
 //! split: [`SimProgram::compile`] levelizes a module once into a flat
-//! instruction stream ([`crate::program`]), [`crate::opt`] optimizes and
-//! schedules that stream, and any number of [`Simulator`] executors run
-//! it over private buffers of [`PackedLogic`] words, advancing **`N`×64
-//! independent simulation lanes at once** (the `Simulator<N>` lane-group
-//! parameter; `Simulator` = `Simulator<1>` is the classic 64-lane
-//! machine, and the wide batch paths run `N = 4` for 256 lanes). A
-//! `Simulator` owns all of its state (the program is shared behind an
-//! [`Arc`]), so it is `Send` and can be handed to a worker thread — one
-//! executor per core is exactly how [`crate::shard`] fans passes out.
+//! instruction stream ([`crate::program`]), [`crate::opt`] renumbers
+//! its slots and proves its schedule, and any number of [`Simulator`]
+//! executors run it over private buffers of [`PackedLogic`] words,
+//! advancing **`N`×64 independent simulation lanes at once** (the
+//! `Simulator<N>` lane-group parameter; `Simulator` = `Simulator<1>` is
+//! the classic 64-lane machine, and the wide batch paths run `N = 4` for
+//! 256 lanes). A `Simulator` owns all of its state (the program is
+//! shared behind an [`Arc`]), so it is `Send` and can be handed to a
+//! worker thread — one executor per dispatcher thread is how
+//! [`crate::Exec::dispatch`] runs passes in parallel.
 //!
 //! When the program's instruction stream is verified topologically
 //! scheduled ([`crate::opt::OptStats::scheduled`], the optimizer-on
@@ -20,23 +21,23 @@
 //! for the current sequential outputs, so stability is decided by the
 //! much smaller sequential pass instead of per-write change detection on
 //! every gate. `STEAC_OPT=0` compiles unscheduled programs, which settle
-//! through the legacy full-sweep fixpoint.
+//! through full sweeps with change detection — correct for any
+//! instruction order, and the reference the fast path is tested against.
 //!
 //! The original scalar API (`set`/`get`/`settle`/`force`, clock-edge
 //! capture, latches, async resets) is preserved: scalar writes broadcast
 //! to all lanes and scalar reads return lane 0, so existing callers see
 //! exactly the old 4-value semantics. Batch callers load distinct
-//! patterns per lane ([`Simulator::set_lanes`],
-//! [`Simulator::run_vectors`]) or inject per-lane faults
-//! ([`Simulator::force_lane`]) and read every lane back. External callers
-//! address values by [`NetId`]; the engine translates through the
-//! program's (possibly optimizer-permuted) `net_slot` table, so the slot
-//! renumbering pass is invisible to every API user.
+//! patterns per lane ([`Simulator::set_lanes`]) or inject per-lane
+//! faults ([`Simulator::force_lane`]) and read every lane back.
+//! External callers address values by [`NetId`]; the engine translates
+//! through the program's (possibly optimizer-permuted) `net_slot` table,
+//! so slot renumbering is invisible to every API user.
 
 use crate::logic::Logic;
 use crate::packed::{
-    mask_all, mask_and, mask_andnot, mask_any, mask_bit, mask_none, mask_or, mask_replicate,
-    LaneMask, PackedLogic,
+    mask_all, mask_and, mask_andnot, mask_any, mask_none, mask_or, mask_replicate, LaneMask,
+    PackedLogic,
 };
 use crate::program::{Instr, SeqInstr, SimOp, SimProgram, NO_SLOT};
 use crate::SimError;
@@ -71,8 +72,6 @@ pub struct Simulator<const N: usize = 1> {
     /// Per-slot "has any forced lane" fast check for the hot write path.
     forced: Vec<bool>,
     initialized: bool,
-    /// Total rising-edge captures performed on lane 0 (statistics).
-    captures: u64,
 }
 
 impl<const N: usize> Simulator<N> {
@@ -107,7 +106,6 @@ impl<const N: usize> Simulator<N> {
             force_val: vec![PackedLogic::ALL_X; nets],
             forced: vec![false; nets],
             initialized: false,
-            captures: 0,
         }
     }
 
@@ -122,12 +120,6 @@ impl<const N: usize> Simulator<N> {
     #[must_use]
     pub fn program_arc(&self) -> &Arc<SimProgram> {
         &self.program
-    }
-
-    /// Number of rising-edge captures performed on lane 0 so far.
-    #[must_use]
-    pub fn capture_count(&self) -> u64 {
-        self.captures
     }
 
     fn lookup(&self, name: &str) -> Result<NetId, SimError> {
@@ -259,20 +251,6 @@ impl<const N: usize> Simulator<N> {
             .filter(|&(_, mask)| mask_any(mask))
             .map(|(i, &mask)| (self.program.net_of_slot(i as u32), mask, self.force_val[i]))
             .collect()
-    }
-
-    /// Applies force snapshots from [`export_forces`](Self::export_forces)
-    /// onto this executor, merging with any forces already present (the
-    /// imported lanes win) and taking effect immediately, like
-    /// [`force_lane`](Self::force_lane).
-    pub fn import_forces(&mut self, forces: &[(NetId, LaneMask<N>, PackedLogic<N>)]) {
-        for &(net, mask, values) in forces {
-            let i = self.slot(net);
-            self.force_mask[i] = mask_or(self.force_mask[i], mask);
-            self.force_val[i] = values.select(self.force_val[i], mask);
-            self.forced[i] = true;
-            self.buf[i] = values.select(self.buf[i], mask);
-        }
     }
 
     /// Applies 64-lane force snapshots replicated across all `N` lane
@@ -428,8 +406,9 @@ impl<const N: usize> Simulator<N> {
     }
 
     /// Inner fixpoint via full sweeps with per-write change detection —
-    /// correct for any instruction order (the `STEAC_OPT=0` path).
-    fn comb_fixpoint_legacy(&mut self) -> Result<(), SimError> {
+    /// correct for any instruction order (the `STEAC_OPT=0` path, and the
+    /// reference the fast path is tested against).
+    fn comb_fixpoint_checked(&mut self) -> Result<(), SimError> {
         for _ in 0..MAX_SETTLE_ITERS {
             if !self.sweep() {
                 return Ok(());
@@ -445,7 +424,7 @@ impl<const N: usize> Simulator<N> {
     /// stops changing. Because the combinational stream is topological,
     /// a single pass fully propagates any sequential change, so stability
     /// is decided by the (much smaller) sequential pass alone — the
-    /// per-gate change-detection compare/branch of the legacy path
+    /// per-gate change-detection compare/branch of the checked path
     /// disappears from the hot loop.
     fn comb_fixpoint_fast(&mut self) -> Result<(), SimError> {
         for iter in 0..MAX_SETTLE_ITERS {
@@ -475,7 +454,7 @@ impl<const N: usize> Simulator<N> {
             if fast {
                 self.comb_fixpoint_fast()?;
             } else {
-                self.comb_fixpoint_legacy()?;
+                self.comb_fixpoint_checked()?;
             }
             // Per-lane edge detection.
             let mut any_capture = false;
@@ -519,9 +498,6 @@ impl<const N: usize> Simulator<N> {
                     self.buf[f.state as usize] = new_state;
                     any_capture = true;
                 }
-                if mask_bit(&events, 0) {
-                    self.captures += 1;
-                }
             }
             if !self.initialized {
                 self.initialized = true;
@@ -536,56 +512,6 @@ impl<const N: usize> Simulator<N> {
         Err(SimError::Unstable {
             iterations: MAX_SETTLE_ITERS,
         })
-    }
-
-    /// Alias of [`settle`](Simulator::settle) that makes batch call sites
-    /// read explicitly: all lanes settle in the same pass.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError::Unstable`].
-    pub fn settle_batch(&mut self) -> Result<(), SimError> {
-        self.settle()
-    }
-
-    /// Loads up to [`Self::WIDTH`] input vectors (one per lane), settles
-    /// once, and returns each lane's output-port values. `pins[i]`
-    /// receives `vectors[lane][i]` on lane `lane`; unused lanes replicate
-    /// vector 0.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::VectorLength`] if a vector's length differs
-    /// from `pins`, and propagates [`SimError::Unstable`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than [`Self::WIDTH`] vectors are supplied.
-    pub fn run_vectors(
-        &mut self,
-        pins: &[NetId],
-        vectors: &[Vec<Logic>],
-    ) -> Result<Vec<Vec<Logic>>, SimError> {
-        assert!(
-            vectors.len() <= Self::WIDTH,
-            "at most {} vectors per pass (got {})",
-            Self::WIDTH,
-            vectors.len()
-        );
-        for v in vectors {
-            if v.len() != pins.len() {
-                return Err(SimError::VectorLength {
-                    expected: pins.len(),
-                    got: v.len(),
-                });
-            }
-        }
-        for (i, &pin) in pins.iter().enumerate() {
-            let lanes: Vec<Logic> = vectors.iter().map(|v| v[i]).collect();
-            self.set_lanes(pin, &lanes);
-        }
-        self.settle()?;
-        Ok((0..vectors.len()).map(|l| self.outputs_lane(l)).collect())
     }
 
     /// Applies a full clock cycle on `clock`: drive 0, settle, drive 1,
@@ -648,7 +574,6 @@ impl<const N: usize> Simulator<N> {
             };
         }
         self.initialized = false;
-        self.captures = 0;
     }
 }
 
@@ -840,53 +765,12 @@ mod tests {
         use Logic::{One, Zero};
         sim.set_lanes(m.port("a").unwrap().net, &[Zero, Zero, One, One]);
         sim.set_lanes(m.port("b").unwrap().net, &[Zero, One, Zero, One]);
-        sim.settle_batch().unwrap();
+        sim.settle().unwrap();
         let y_net = m.port("y").unwrap().net;
         assert_eq!(sim.get_lane(y_net, 0), One);
         assert_eq!(sim.get_lane(y_net, 1), One);
         assert_eq!(sim.get_lane(y_net, 2), One);
         assert_eq!(sim.get_lane(y_net, 3), Zero);
-    }
-
-    #[test]
-    fn run_vectors_fills_lanes_and_reads_outputs() {
-        let mut b = NetlistBuilder::new("m");
-        let a = b.input("a");
-        let c = b.input("b");
-        let s = b.gate(GateKind::Xor2, &[a, c]);
-        let k = b.gate(GateKind::And2, &[a, c]);
-        b.output("sum", s);
-        b.output("carry", k);
-        let m = b.finish().unwrap();
-        let mut sim: Simulator = Simulator::new(&m).unwrap();
-        let pins = [m.port("a").unwrap().net, m.port("b").unwrap().net];
-        use Logic::{One, Zero};
-        let vectors = vec![
-            vec![Zero, Zero],
-            vec![Zero, One],
-            vec![One, Zero],
-            vec![One, One],
-        ];
-        let outs = sim.run_vectors(&pins, &vectors).unwrap();
-        assert_eq!(outs[0], vec![Zero, Zero]);
-        assert_eq!(outs[1], vec![One, Zero]);
-        assert_eq!(outs[2], vec![One, Zero]);
-        assert_eq!(outs[3], vec![Zero, One]);
-    }
-
-    #[test]
-    fn run_vectors_validates_lengths() {
-        let mut b = NetlistBuilder::new("m");
-        let a = b.input("a");
-        b.output("y", a);
-        let m = b.finish().unwrap();
-        let mut sim: Simulator = Simulator::new(&m).unwrap();
-        let pins = [m.port("a").unwrap().net];
-        let bad = vec![vec![Logic::Zero, Logic::One]];
-        assert!(matches!(
-            sim.run_vectors(&pins, &bad),
-            Err(SimError::VectorLength { .. })
-        ));
     }
 
     #[test]

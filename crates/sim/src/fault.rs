@@ -36,8 +36,30 @@ pub const fn faults_per_pass(groups: usize) -> usize {
     LANES * groups - 1
 }
 
-/// Lane-group widths the monomorphized grading kernels exist for.
+/// Lane-group widths the monomorphized kernels exist for: the widths
+/// [`with_lane_groups`] runs.
 pub const SUPPORTED_LANE_GROUPS: [usize; 4] = [1, 2, 4, 8];
+
+/// Work monomorphized per lane-group width, run by [`with_lane_groups`].
+pub trait LaneGroupWork {
+    /// What the work returns.
+    type Output;
+    /// Runs the work on `N`-group (`64 * N`-lane) executors.
+    fn run<const N: usize>(self) -> Self::Output;
+}
+
+/// The one lane-width switch: runs `work` at `groups` lane groups, or
+/// returns `None` when `groups` is not one of [`SUPPORTED_LANE_GROUPS`]
+/// (each caller turns that into its own error).
+pub fn with_lane_groups<W: LaneGroupWork>(groups: usize, work: W) -> Option<W::Output> {
+    Some(match groups {
+        1 => work.run::<1>(),
+        2 => work.run::<2>(),
+        4 => work.run::<4>(),
+        8 => work.run::<8>(),
+        _ => return None,
+    })
+}
 
 /// Stuck-at polarity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -216,6 +238,21 @@ mod tests {
 
     fn exec() -> Exec {
         Exec::from_env()
+    }
+
+    #[test]
+    fn lane_group_switch_runs_exactly_the_supported_widths() {
+        struct Width;
+        impl LaneGroupWork for Width {
+            type Output = usize;
+            fn run<const N: usize>(self) -> usize {
+                N
+            }
+        }
+        for groups in 0..=16 {
+            let expected = SUPPORTED_LANE_GROUPS.contains(&groups).then_some(groups);
+            assert_eq!(with_lane_groups(groups, Width), expected, "{groups}");
+        }
     }
 
     fn and2() -> Module {

@@ -19,21 +19,20 @@
 //!    the same buffer, plus the port-name lookup tables. The program is
 //!    self-contained: executors never touch the [`steac_netlist::Module`]
 //!    again.
-//! 2. **Optimize** ([`opt`]): a compile-time pass pipeline rewrites the
-//!    instruction stream before any executor sees it — constant folding
-//!    from tie cells, hash-consing CSE, dead-code elimination (fault
-//!    sites and force targets declared live via [`opt::OptConfig`]), and
-//!    level-aware slot renumbering for locality. Each pass records its
-//!    deltas in [`opt::OptStats`] (surfaced by
-//!    [`program::SimProgram::stats`] and carried on the wire), and the
-//!    pipeline may only change speed, never a verdict: optimized and
-//!    unoptimized programs produce byte-identical reports on every
-//!    backend (proven by `tests/exec_matrix.rs` and the proptests).
-//!    [`program::SimProgram::compile`] runs the pipeline by default;
-//!    `STEAC_OPT=0` is the escape hatch, and
-//!    [`program::SimProgram::compile_with`] /
-//!    [`program::SimProgram::compile_unoptimized`] pin the choice in
-//!    code.
+//! 2. **Optimize** ([`opt`]): before any executor sees the program, its
+//!    net slots are renumbered level-aware for locality and its stream is
+//!    proven topologically ordered, which licenses the engine's
+//!    single-sweep settle. No instruction is rewritten or removed, so
+//!    every net stays computed and forceable, and the optimizer may only
+//!    change speed, never a verdict: optimized and unoptimized programs
+//!    produce byte-identical reports on every backend (proven by
+//!    `tests/exec_matrix.rs` and the proptests). [`opt::OptStats`]
+//!    records the outcome (surfaced by [`program::SimProgram::stats`]
+//!    and carried on the wire). [`program::SimProgram::compile`]
+//!    optimizes by default; `STEAC_OPT=0` ships the raw program, whose
+//!    engine takes the change-detecting settle, and
+//!    [`program::SimProgram::compile_unoptimized`] (plus
+//!    [`opt::optimize`] when wanted) pins the choice in code.
 //! 3. **Execute** ([`engine`]): a [`Simulator`] is an owned, `Send`
 //!    executor over a shared `Arc<SimProgram>`
 //!    ([`Simulator::from_program`]; [`Simulator::new`] is the
@@ -45,8 +44,9 @@
 //!    scalar [`Logic`] algebra. The scalar API is the `N = 1` default;
 //!    workload entry points dispatch at
 //!    [`packed::DEFAULT_LANE_GROUPS`] (256 lanes) with monomorphized
-//!    kernels for every width in [`SUPPORTED_LANE_GROUPS`], and reports
-//!    are byte-identical at every width.
+//!    kernels for every width in [`SUPPORTED_LANE_GROUPS`], picked by one
+//!    switch ([`with_lane_groups`]), and reports are byte-identical at
+//!    every width.
 //! 4. **Dispatch** ([`exec`]): independent passes (fault-grading
 //!    chunks, width-sized playback chunks, March walks, JPEG generation
 //!    blocks) are *work units* of one [`ExecWork`] behind one
@@ -65,7 +65,8 @@
 //!    backend** — and the bounded-memory promise live in exactly one
 //!    place, proven bit-for-bit by `tests/exec_matrix.rs`.
 //!    [`Exec::from_env`] resolves the one backend knob, `STEAC_EXEC`
-//!    (`STEAC_OPT` gates stage 2 independently), and [`exec::Fallback`]
+//!    (`STEAC_OPT` gates stage 2 independently and, like `STEAC_EXEC`,
+//!    panics on a value it does not know), and [`exec::Fallback`]
 //!    makes the shipped-batch failure policy explicit (recompute
 //!    in-thread and record it, or fail on the lowest-indexed unit).
 //! 5. **Distribute across machines** ([`remote`]): the wire format and
@@ -106,10 +107,9 @@
 //!
 //! The scalar API below is a lane-0/broadcast view of that kernel, so
 //! single-pattern callers are unchanged. Batch callers fill all lanes
-//! with distinct patterns ([`Simulator::run_vectors`],
-//! [`Simulator::set_lanes`]) or run PPSFP fault simulation — lane 0 good
-//! machine, the remaining `64 * N - 1` lanes faulty machines via
-//! per-lane forces.
+//! with distinct patterns ([`Simulator::set_lanes`]) or run PPSFP fault
+//! simulation — lane 0 good machine, the remaining `64 * N - 1` lanes
+//! faulty machines via per-lane forces.
 //!
 //! # The fault-model registry
 //!
@@ -175,8 +175,8 @@ pub mod wire;
 pub use engine::Simulator;
 pub use exec::{Backend, Dispatch, Exec, ExecWork, Fallback, SpecError, STREAM_BATCH_UNITS};
 pub use fault::{
-    enumerate_faults, faults_per_pass, CoverageReport, Fault, StuckAt, FAULTS_PER_PASS,
-    SUPPORTED_LANE_GROUPS,
+    enumerate_faults, faults_per_pass, with_lane_groups, CoverageReport, Fault, LaneGroupWork,
+    StuckAt, FAULTS_PER_PASS, SUPPORTED_LANE_GROUPS,
 };
 pub use logic::Logic;
 pub use models::bridging::{
@@ -190,7 +190,7 @@ pub use models::{
     fault_dictionary, fault_dictionary_wide, grade_vectors, grade_vectors_wide, FaultModel,
     ModelKind, Report,
 };
-pub use opt::{OptConfig, OptStats};
+pub use opt::OptStats;
 pub use packed::{PackedLogic, DEFAULT_LANE_GROUPS, LANES};
 pub use program::{ProgramStats, SimProgram};
 pub use remote::{

@@ -7,9 +7,8 @@
 //! nets feeding the same instruction are *topologically adjacent*, the
 //! standard netlist proxy for physical proximity when no layout exists
 //! (nets converging on a gate are routed to the same place). Adjacency
-//! is derived from the **unoptimized** stream so the candidate list
-//! reflects the netlist's structure, not whatever `STEAC_OPT` did to
-//! it.
+//! is derived from the **unoptimized** stream, whose slots are net ids,
+//! so the candidate list is the same whatever `STEAC_OPT` says.
 //!
 //! The packed pass evaluates each vector twice: an unforced settle
 //! yields the fault-free values of every bridged net pair on lane 0,

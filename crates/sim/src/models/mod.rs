@@ -9,7 +9,7 @@
 //! dictionary pass loops, one [`ExecWork`] per mode, the job codec
 //! ([`encode_job`]), the worker-side [`open_wire_job`] and the lane-width
 //! switch — so every model inherits the whole platform: every backend
-//! (serial / threads / processes / remote), the optimizer pipeline,
+//! (serial / threads / processes / remote), the optimizer,
 //! wide lane groups, per-pass fault dropping, fault dictionaries and the
 //! byte-identical-reports contract. A new
 //! model is one impl plus one `worker_registry()` line.
@@ -62,7 +62,7 @@ pub mod transition;
 
 use crate::engine::Simulator;
 use crate::exec::{Exec, ExecWork};
-use crate::fault::faults_per_pass;
+use crate::fault::{faults_per_pass, with_lane_groups, LaneGroupWork};
 use crate::logic::Logic;
 use crate::packed::{
     mask_and, mask_bit, mask_none, mask_or, mask_range, LaneMask, PackedLogic, DEFAULT_LANE_GROUPS,
@@ -75,6 +75,7 @@ use dictionary::{
     decode_dict_entries, encode_dict_entries, signature_words, DictEntry, FaultDictionary,
 };
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::Arc;
 use steac_netlist::{Module, NetId};
 
@@ -246,8 +247,8 @@ pub(crate) fn validate_vectors(pins: &[NetId], vectors: &[Vec<Logic>]) -> Result
 /// One pass of a fault chunk over the whole stimulus, monomorphized at
 /// one lane width: lane 0 is the good machine, lanes `1..=chunk.len()`
 /// each carry one fault. The exact code every backend executes (inline,
-/// on a pool thread, or inside a `steac-worker` process), so dispatch
-/// flavour can never change a result.
+/// on a dispatcher thread, or inside a `steac-worker` process), so
+/// dispatch flavour can never change a result.
 type PassFn<F, T> = fn(&Arc<SimProgram>, &[NetId], &[Vec<Logic>], &[F]) -> Result<T, SimError>;
 
 /// The grading pass: the `N`-word mask of lanes that provably differ
@@ -319,28 +320,24 @@ struct Kernels<F> {
     dict: PassFn<F, Vec<DictEntry>>,
 }
 
-/// The lane-width switch, shared by both sides of the wire: the pass
-/// loops monomorphized for `groups` lane groups.
+/// The pass loops of model `F`, picked per width by [`with_lane_groups`].
+struct KernelsOf<F>(PhantomData<F>);
+
+impl<F: FaultModel> LaneGroupWork for KernelsOf<F> {
+    type Output = Kernels<F>;
+
+    fn run<const N: usize>(self) -> Kernels<F> {
+        Kernels {
+            grade: grade_pass::<F, N>,
+            dict: dict_pass::<F, N>,
+        }
+    }
+}
+
+/// The pass loops monomorphized for `groups` lane groups, shared by both
+/// sides of the wire.
 fn kernels<F: FaultModel>(groups: usize) -> Result<Kernels<F>, SimError> {
-    Ok(match groups {
-        1 => Kernels {
-            grade: grade_pass::<F, 1>,
-            dict: dict_pass::<F, 1>,
-        },
-        2 => Kernels {
-            grade: grade_pass::<F, 2>,
-            dict: dict_pass::<F, 2>,
-        },
-        4 => Kernels {
-            grade: grade_pass::<F, 4>,
-            dict: dict_pass::<F, 4>,
-        },
-        8 => Kernels {
-            grade: grade_pass::<F, 8>,
-            dict: dict_pass::<F, 8>,
-        },
-        _ => return Err(SimError::UnsupportedWidth { groups }),
-    })
+    with_lane_groups(groups, KernelsOf(PhantomData)).ok_or(SimError::UnsupportedWidth { groups })
 }
 
 // ---------- wire codecs ----------

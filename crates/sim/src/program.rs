@@ -23,19 +23,35 @@
 //! the [`Module`] again: compile once, hand the `Arc<SimProgram>` to as
 //! many [`Simulator`](crate::Simulator)s as there are cores.
 
-use crate::opt::{OptConfig, OptStats};
+use crate::opt::OptStats;
 use crate::SimError;
 use std::collections::HashMap;
 use std::fmt;
 use steac_netlist::{combinational_order, CellContents, GateKind, Module, NetId, PortDir};
 
-/// Whether the compile-time optimizer is enabled (`STEAC_OPT`, default
-/// on; `0`/`off`/`false` disable it).
-#[must_use]
-pub fn opt_enabled_from_env() -> bool {
+/// Whether [`SimProgram::compile`] optimizes: `STEAC_OPT`, on when unset
+/// or blank.
+///
+/// # Panics
+///
+/// When `STEAC_OPT` is set to anything `parse_opt` rejects, rather
+/// than silently keeping the optimizer on.
+fn opt_enabled_from_env() -> bool {
     match std::env::var("STEAC_OPT") {
-        Ok(v) => !matches!(v.trim(), "0" | "off" | "false"),
-        Err(_) => true,
+        Ok(v) if !v.trim().is_empty() => parse_opt(&v).unwrap_or_else(|| {
+            panic!("steac sim: STEAC_OPT={v:?}: expected 0/1, off/on or false/true")
+        }),
+        _ => true,
+    }
+}
+
+/// A `STEAC_OPT` value, in any case: `0`/`off`/`false` disable the
+/// optimizer, `1`/`on`/`true` enable it, anything else is `None`.
+fn parse_opt(v: &str) -> Option<bool> {
+    match v.trim().to_ascii_lowercase().as_str() {
+        "1" | "on" | "true" => Some(true),
+        "0" | "off" | "false" => Some(false),
+        _ => None,
     }
 }
 
@@ -220,7 +236,7 @@ pub struct SimProgram {
     /// see [`crate::opt`]'s renumbering pass). State slots
     /// (`>= net_count`) are never permuted.
     pub net_slot: Vec<u32>,
-    /// What the optimizer pipeline did to this program.
+    /// What the optimizer did to this program.
     pub opt: OptStats,
     /// Port-name index into `ports`.
     port_index: HashMap<String, u32>,
@@ -232,44 +248,33 @@ pub struct SimProgram {
 
 impl SimProgram {
     /// Compiles a flat module (no hierarchical instances — flatten first)
-    /// and runs the default optimizer pipeline ([`crate::opt`]) over the
-    /// result, unless the `STEAC_OPT=0` escape hatch is set.
-    ///
-    /// The default [`OptConfig`] treats **every** net as a potential
-    /// force/fault site, so only the unconditionally-sound passes (slot
-    /// renumbering + schedule verification) transform the program; see
-    /// [`SimProgram::compile_with`] to unlock constant folding, CSE and
-    /// dead-code elimination with a declared force surface.
+    /// and optimizes it ([`crate::opt`]: slot renumbering plus the
+    /// schedule proof), unless `STEAC_OPT=0` is set. Either way the
+    /// program computes every net, so any net may be forced or faulted.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Netlist`] if the module has multiple drivers or
     /// a combinational loop.
+    ///
+    /// # Panics
+    ///
+    /// When `STEAC_OPT` holds a value other than `0`/`1`, `off`/`on` or
+    /// `false`/`true` (any case).
     pub fn compile(m: &Module) -> Result<Self, SimError> {
-        if opt_enabled_from_env() {
-            Self::compile_with(m, &OptConfig::default())
-        } else {
-            Self::compile_unoptimized(m)
-        }
-    }
-
-    /// Compiles and optimizes with an explicit pass configuration
-    /// (ignores `STEAC_OPT`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Netlist`] if the module has multiple drivers or
-    /// a combinational loop.
-    pub fn compile_with(m: &Module, cfg: &OptConfig) -> Result<Self, SimError> {
         let mut p = Self::compile_unoptimized(m)?;
-        crate::opt::optimize(&mut p, cfg);
+        if opt_enabled_from_env() {
+            crate::opt::optimize(&mut p);
+        }
         Ok(p)
     }
 
-    /// Compiles without running any optimizer pass: the raw levelized
-    /// stream, an identity slot permutation, and `opt.scheduled = false`
-    /// (so the engine takes the legacy fixpoint settle). This is the
-    /// `STEAC_OPT=0` path and the honest baseline for benchmarks.
+    /// Compiles without optimizing: the raw levelized stream, an identity
+    /// slot permutation, and `opt.scheduled = false` (so the engine takes
+    /// its change-detecting settle). This is the `STEAC_OPT=0` path and
+    /// the baseline for benchmarks; [`crate::opt::optimize`] turns it
+    /// into what [`SimProgram::compile`] returns by default, whatever
+    /// the environment says.
     ///
     /// # Errors
     ///
@@ -417,6 +422,11 @@ impl SimProgram {
             );
         }
 
+        let opt = OptStats {
+            enabled: false,
+            instrs_after: comb.len() as u32,
+            scheduled: false,
+        };
         let mut p = SimProgram {
             name: m.name.clone(),
             net_count,
@@ -428,7 +438,7 @@ impl SimProgram {
             ports,
             output_nets,
             net_slot: (0..net_count as u32).collect(),
-            opt: OptStats::default(),
+            opt,
             port_index,
             slot_net: Vec::new(),
             output_slots: Vec::new(),
@@ -517,14 +527,8 @@ impl SimProgram {
         &self.output_slots
     }
 
-    /// Number of combinational instructions.
-    #[must_use]
-    pub fn instruction_count(&self) -> usize {
-        self.comb.len()
-    }
-
     /// Structural statistics: instruction mix, logic depth, buffer size,
-    /// unknown-gate count, and what the optimizer pipeline did.
+    /// unknown-gate count, and what the optimizer did.
     #[must_use]
     pub fn stats(&self) -> ProgramStats {
         let mut per_op = Vec::new();
@@ -596,7 +600,7 @@ pub struct ProgramStats {
     /// Instructions that evaluate to all-X because their gate kind was
     /// not recognised at compile time.
     pub unknown_gates: usize,
-    /// Optimizer pass deltas.
+    /// What the optimizer did.
     pub opt: OptStats,
 }
 
@@ -628,14 +632,8 @@ impl fmt::Display for ProgramStats {
         if self.opt.enabled {
             write!(
                 f,
-                "  opt: {} -> {} instrs (folded {}, cse {}, dce {}, slots reclaimed {}), scheduled={}",
-                self.opt.instrs_before,
-                self.opt.instrs_after,
-                self.opt.folded,
-                self.opt.cse_merged,
-                self.opt.dce_removed,
-                self.opt.slots_reclaimed,
-                self.opt.scheduled,
+                "  opt: slots renumbered, scheduled={}",
+                self.opt.scheduled
             )
         } else {
             write!(f, "  opt: disabled (STEAC_OPT=0)")
@@ -671,6 +669,19 @@ mod tests {
         assert_eq!(p.comb[1].op, SimOp::And2);
         // Sequential order follows cell order: flop before latch here.
         assert_eq!(p.seq_order, vec![SeqInstr::Flop(0), SeqInstr::Latch(0)]);
+    }
+
+    #[test]
+    fn steac_opt_parses_in_any_case_and_rejects_the_rest() {
+        for v in ["0", "off", "OFF", "False", " false "] {
+            assert_eq!(parse_opt(v), Some(false), "{v:?}");
+        }
+        for v in ["1", "on", "On", "TRUE"] {
+            assert_eq!(parse_opt(v), Some(true), "{v:?}");
+        }
+        for v in ["no", "yes", "2", "disabled"] {
+            assert_eq!(parse_opt(v), None, "{v:?}");
+        }
     }
 
     #[test]

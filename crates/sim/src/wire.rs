@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! magic   b"SPRG"                        (4 bytes)
-//! version u16                            (currently 4)
+//! version u16                            (currently 5)
 //! name    str
 //! net_count, slot_count                  (u64 each)
 //! comb    u64 count, then per instr:     op u8, ins 4 x u32, out u32
@@ -22,7 +22,7 @@
 //! ports   u64 count, then per port:      name str, net u32, dir u8 (0 = in, 1 = out)
 //! outputs u64 count, then per net:       u32
 //! slots   u64 count (= net_count), then per net: slot u32 (a permutation)
-//! opt     enabled u8, folded/cse/dce/reclaimed/before/after (6 x u32), scheduled u8
+//! opt     enabled u8, scheduled u8
 //! ```
 //!
 //! Version 2 added the optimizer metadata (the `slots` permutation and
@@ -36,7 +36,10 @@
 //! unchanged, but the whole family moves in lock step per the rule
 //! below. Version 4 gave the stuck-at job (kind 1) the mode byte the
 //! transition and bridging jobs carry, so all three kinds share one
-//! job layout and stuck-at builds dictionaries too.
+//! job layout and stuck-at builds dictionaries too. Version 5 cut the
+//! `opt` record to its two flags: the optimizer only renumbers slots,
+//! and the instruction count it used to carry is re-derived from the
+//! decoded stream.
 //!
 //! Work-unit payloads (fault chunks in [`crate::models`], pattern chunks
 //! in `steac-pattern`, March chunks in `steac-membist`) carry no magic of
@@ -93,7 +96,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Current wire-format version (see the module docs for the bump rule).
-pub const WIRE_VERSION: u16 = 4;
+pub const WIRE_VERSION: u16 = 5;
 
 /// Typed decode failure. Encoding cannot fail.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -542,16 +545,6 @@ pub fn encode_program(p: &SimProgram) -> Vec<u8> {
         w.put_u32(s);
     }
     w.put_bool(p.opt.enabled);
-    for v in [
-        p.opt.folded,
-        p.opt.cse_merged,
-        p.opt.dce_removed,
-        p.opt.slots_reclaimed,
-        p.opt.instrs_before,
-        p.opt.instrs_after,
-    ] {
-        w.put_u32(v);
-    }
     w.put_bool(p.opt.scheduled);
     w.finish()
 }
@@ -746,12 +739,7 @@ pub fn decode_program(bytes: &[u8]) -> Result<SimProgram, WireError> {
 
     let opt = OptStats {
         enabled: r.get_bool("opt enabled")?,
-        folded: r.get_u32("opt folded")?,
-        cse_merged: r.get_u32("opt cse")?,
-        dce_removed: r.get_u32("opt dce")?,
-        slots_reclaimed: r.get_u32("opt slots reclaimed")?,
-        instrs_before: r.get_u32("opt instrs before")?,
-        instrs_after: r.get_u32("opt instrs after")?,
+        instrs_after: comb.len() as u32,
         scheduled: r.get_bool("opt scheduled")?,
     };
 
@@ -885,37 +873,50 @@ mod tests {
         ));
     }
 
-    /// Version-1 blobs (pre-optimizer, no slot table) are rejected with
-    /// a typed error rather than misparsed.
+    /// Older blobs — version 1 (pre-optimizer, no slot table) through
+    /// version 4 (a six-counter `opt` record) — are rejected with a typed
+    /// error rather than misparsed.
     #[test]
     fn old_version_is_rejected() {
-        let mut bytes = encode_program(&sample_program());
-        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
-        assert_eq!(
-            decode_program(&bytes),
-            Err(WireError::UnsupportedVersion {
-                found: 1,
-                supported: WIRE_VERSION
-            })
-        );
+        for old in 1..WIRE_VERSION {
+            let mut bytes = encode_program(&sample_program());
+            bytes[4..6].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(
+                decode_program(&bytes),
+                Err(WireError::UnsupportedVersion {
+                    found: old,
+                    supported: WIRE_VERSION
+                })
+            );
+        }
     }
 
-    /// A program with real optimizer effects (folds, CSE, DCE, a
-    /// non-identity slot permutation) round-trips field-for-field,
-    /// including the stats record.
+    /// Compiled and optimized whatever `STEAC_OPT` says.
+    fn optimized(m: &steac_netlist::Module) -> SimProgram {
+        let mut p = SimProgram::compile_unoptimized(m).unwrap();
+        crate::opt::optimize(&mut p);
+        p
+    }
+
+    /// An optimized program with a non-identity slot permutation
+    /// round-trips field-for-field, including the stats record.
     #[test]
     fn optimized_program_round_trips() {
-        use crate::opt::OptConfig;
+        // Nets declared out of topological order, so renumbering moves
+        // them.
         let mut b = NetlistBuilder::new("wire_opt");
+        let y = b.net("y");
+        let x = b.net("x");
         let a = b.input("a");
         let t1 = b.tie1();
-        let x = b.gate(GateKind::And2, &[a, t1]);
-        let y = b.gate(GateKind::Inv, &[x]);
+        b.gate_into(GateKind::And2, &[a, t1], x);
+        b.gate_into(GateKind::Inv, &[x], y);
         b.output("y", y);
-        let m = b.finish().unwrap();
-        let ports = vec![m.port("a").unwrap().net, m.port("y").unwrap().net];
-        let p = SimProgram::compile_with(&m, &OptConfig::with_forceable(ports)).unwrap();
-        assert!(p.opt.folded > 0, "test premise: something folded");
+        let p = optimized(&b.finish().unwrap());
+        assert!(
+            p.net_slot.iter().enumerate().any(|(n, &s)| n as u32 != s),
+            "test premise: slots renumbered"
+        );
         let back = decode_program(&encode_program(&p)).unwrap();
         assert_eq!(back, p);
         assert_eq!(back.opt, p.opt);
@@ -931,10 +932,7 @@ mod tests {
             let x = b.gate(GateKind::Inv, &[a]);
             let y = b.gate(GateKind::Inv, &[x]);
             b.output("y", y);
-            // compile_with optimizes unconditionally, so this test is
-            // independent of the STEAC_OPT environment.
-            SimProgram::compile_with(&b.finish().unwrap(), &crate::opt::OptConfig::default())
-                .unwrap()
+            optimized(&b.finish().unwrap())
         };
         assert!(p.opt.scheduled);
         p.comb.reverse(); // y's instruction now reads x before it is written

@@ -40,14 +40,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut faulty = Sram::with_fault(cfg, fault);
     let alg = MarchAlgorithm::march_c_minus();
     println!("injected {:?}", fault);
+    let detected = run_march(&alg, &mut faulty);
     println!(
         "March C- verdict: {}",
-        if run_march(&alg, &mut faulty) {
-            "DETECTED"
-        } else {
-            "escaped (bug!)"
-        }
+        if detected { "DETECTED" } else { "escaped" }
     );
+    if !detected {
+        return Err(format!("injected {fault:?} escaped March C-").into());
+    }
 
     // 3. The design-space question BRAINS answers: one sequencer or many?
     let design = shell.design().expect("compiled above");

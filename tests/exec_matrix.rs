@@ -224,22 +224,23 @@ fn streaming_playback_reports_byte_identical_at_every_chunk_size() {
 
 /// Playback from an explicitly optimized dispatcher program matches the
 /// unoptimized serial baseline byte for byte on every backend — the
-/// optimized instruction stream (and its v2 wire image, on the process
-/// and remote legs) may only change speed, never a verdict.
-/// `compile_with`/`compile_unoptimized` pin the choice on both sides,
-/// so the assertion holds at any `STEAC_OPT` setting.
+/// renumbered slots and single-sweep settle (and the program's wire
+/// image, on the process and remote legs) may only change speed, never
+/// a verdict. Both programs come from `compile_unoptimized`, one run
+/// through `opt::optimize`, so the assertion holds at any `STEAC_OPT`
+/// setting.
 #[test]
 fn optimized_program_reports_byte_identical_on_every_backend() {
     use std::sync::Arc;
-    use steac_sim::{OptConfig, SimProgram};
+    use steac_sim::SimProgram;
 
     let (flop_m, patterns) = playback_case();
     let refs: Vec<&CyclePattern> = patterns.iter().collect();
-    let raw: Simulator =
-        Simulator::from_program(Arc::new(SimProgram::compile_unoptimized(&flop_m).unwrap()));
-    let opt: Simulator = Simulator::from_program(Arc::new(
-        SimProgram::compile_with(&flop_m, &OptConfig::default()).unwrap(),
-    ));
+    let raw_program = SimProgram::compile_unoptimized(&flop_m).unwrap();
+    let mut opt_program = raw_program.clone();
+    steac_sim::opt::optimize(&mut opt_program);
+    let raw: Simulator = Simulator::from_program(Arc::new(raw_program));
+    let opt: Simulator = Simulator::from_program(Arc::new(opt_program));
     assert!(opt.program().opt.enabled, "optimizer must have run");
 
     let servers = spawn_serve_workers(1);

@@ -321,8 +321,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// A random small module's `settle_batch` lanes equal 64 independent
-    /// scalar `settle` runs (including a clock pulse through any DFFs).
+    /// A random small module's 64 lanes, settled in one batch, equal 64
+    /// independent scalar `settle` runs (including a clock pulse through
+    /// any DFFs).
     #[test]
     fn settle_batch_lanes_equal_scalar_runs(
         seeds in prop::collection::vec((0u8..7, 0u8..32, 0u8..32, 0u8..32), 3..16),
@@ -342,7 +343,7 @@ proptest! {
             let lanes: Vec<Logic> = vectors.iter().map(|v| v[i]).collect();
             batch.set_lanes(pin, &lanes);
         }
-        batch.settle_batch().unwrap();
+        batch.settle().unwrap();
         batch.clock_cycle_by_name("ck").unwrap();
         for (lane, vector) in vectors.iter().enumerate() {
             let mut scalar: Simulator = Simulator::new(&m).unwrap();
@@ -458,12 +459,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The optimizer pipeline (fold + CSE + DCE + slot renumbering) is
-    /// semantics-preserving on arbitrary netlists: an optimized program
-    /// with a declared forceable net produces bit-identical outputs to
-    /// the unoptimized compile on all 64 lanes — including under active
-    /// per-lane forces on that net (the PPSFP fault-injection mechanism)
-    /// and through clock cycles.
+    /// The optimizer is the raw program under a slot permutation, and
+    /// semantics-preserving on arbitrary netlists: the optimized program
+    /// has the raw one's instructions, flops and latches at the same
+    /// indices once its slots are mapped back to nets, and produces
+    /// bit-identical outputs to the unoptimized compile on all 64 lanes —
+    /// including under active per-lane forces on a random port net (the
+    /// PPSFP fault-injection mechanism) and through clock cycles.
     #[test]
     fn optimized_program_bit_exact_with_forces(
         seeds in prop::collection::vec((0u8..7, 0u8..32, 0u8..32, 0u8..32), 3..16),
@@ -473,13 +475,50 @@ proptest! {
         force_val in 0u8..2,
     ) {
         use std::sync::Arc;
+        use steac_sim::program::{FlopInstr, LatchInstr, NO_SLOT};
         let m = random_module(&seeds);
         let ports: Vec<&str> = vec!["in0", "in1", "in2", "in3", "out0", "out1", "out2"];
         let force_net = m.port(ports[force_pick % ports.len()]).unwrap().net;
-        let cfg = steac_sim::OptConfig::with_forceable(vec![force_net]);
-        let opt = SimProgram::compile_with(&m, &cfg).unwrap();
         let raw = SimProgram::compile_unoptimized(&m).unwrap();
+        let mut opt = raw.clone();
+        steac_sim::opt::optimize(&mut opt);
         prop_assert!(opt.opt.enabled && opt.opt.scheduled);
+
+        // Raw slots are net ids; map the optimized slots back to nets.
+        let net = |s: u32| if s == NO_SLOT { s } else { opt.net_of_slot(s).0 };
+        prop_assert_eq!(opt.comb.len(), raw.comb.len());
+        prop_assert_eq!(opt.opt.instrs_after as usize, raw.comb.len());
+        for (k, (o, r)) in opt.comb.iter().zip(&raw.comb).enumerate() {
+            let mut back = *o;
+            for s in &mut back.ins[..o.op.arity()] {
+                *s = net(*s);
+            }
+            back.out = net(o.out);
+            prop_assert_eq!(back, *r, "instruction {}", k);
+        }
+        prop_assert_eq!(opt.flops.len(), raw.flops.len());
+        for (o, r) in opt.flops.iter().zip(&raw.flops) {
+            let back = FlopInstr {
+                d: net(o.d),
+                si: net(o.si),
+                se: net(o.se),
+                ck: net(o.ck),
+                rstn: net(o.rstn),
+                q: net(o.q),
+                ..*o
+            };
+            prop_assert_eq!(back, *r);
+        }
+        prop_assert_eq!(opt.latches.len(), raw.latches.len());
+        for (o, r) in opt.latches.iter().zip(&raw.latches) {
+            let back = LatchInstr {
+                d: net(o.d),
+                en: net(o.en),
+                q: net(o.q),
+                ..*o
+            };
+            prop_assert_eq!(back, *r);
+        }
 
         let pins: Vec<NetId> = (0..4)
             .map(|i| m.port(&format!("in{i}")).unwrap().net)
@@ -497,7 +536,7 @@ proptest! {
                     sim.force_lane(force_net, lane, lv(force_val));
                 }
             }
-            sim.settle_batch()?;
+            sim.settle()?;
             let settled: Vec<Vec<Logic>> =
                 (0..LANES).map(|l| sim.outputs_lane(l)).collect();
             sim.clock_cycle_by_name("ck")?;
@@ -587,6 +626,13 @@ proptest! {
                     .unwrap();
             prop_assert_eq!(&wide, &baseline, "{} lane groups", groups);
         }
+        let unsupported = matches!(
+            steac_pattern::apply_cycle_patterns_batch_wide(&exec, &sim, &refs, 3),
+            Err(steac_pattern::PatternError::Sim(
+                steac_sim::SimError::UnsupportedWidth { groups: 3 }
+            ))
+        );
+        prop_assert!(unsupported, "3 lane groups must be a typed error");
     }
 
     /// March memory-fault grading is byte-identical at every supported
@@ -610,6 +656,11 @@ proptest! {
                     .unwrap();
             prop_assert_eq!(&wide, &baseline, "{} lane groups", groups);
         }
+        let unsupported = matches!(
+            steac_membist::fault_coverage_wide(&exec, &alg, &cfg, &faults, 3),
+            Err(steac_sim::SimError::UnsupportedWidth { groups: 3 })
+        );
+        prop_assert!(unsupported, "3 lane groups must be a typed error");
     }
 }
 
