@@ -13,10 +13,13 @@
 //!
 //! * [`task`] — malleable test tasks (scan / functional / BIST) with
 //!   width-dependent test-time models,
-//! * [`alloc`] — water-filling pin allocation within a session,
+//! * [`alloc`] — water-filling pin allocation within a session, over
+//!   each task's staircase of test times by pin count, filled lazily,
 //! * [`session`] — the session-based scheduler (exhaustive partition
 //!   search for small instances, greedy + local search beyond) under pin
-//!   and power constraints, with session-scoped control-IO sharing,
+//!   and power constraints, with session-scoped control-IO sharing.
+//!   One call computes each task's time at each pin count at most once
+//!   and evaluates each candidate session at most once,
 //! * [`nonsession`] — the non-session baseline (2-D strip packing with a
 //!   static, whole-test control-IO allocation) and the pure-serial
 //!   baseline,

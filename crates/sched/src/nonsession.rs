@@ -19,7 +19,7 @@
 use crate::alloc::{allocate_session, min_pins_needed};
 use crate::session::ScheduleError;
 use crate::task::{ChipConfig, TestTask};
-use steac_tam::{share_controls, ControlSignal};
+use steac_tam::shared_pin_count;
 
 /// A placed task in a non-session schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,11 +61,7 @@ pub struct NonSessionSchedule {
 /// groups such as the BIST port) are charged by the allocator inside the
 /// data budget, exactly as in the session path.
 fn static_budget(tasks: &[TestTask], config: &ChipConfig) -> (usize, usize) {
-    let signals: Vec<ControlSignal> = tasks
-        .iter()
-        .flat_map(|t| t.controls.iter().cloned())
-        .collect();
-    let control = share_controls(&signals, &config.static_share).shared_pins();
+    let control = shared_pin_count(tasks.iter().flat_map(|t| &t.controls), &config.static_share);
     let data = config.budget.data_pins(config.global_pins + control);
     (control, data)
 }
@@ -169,14 +165,17 @@ fn power_fits(
 /// # Errors
 ///
 /// [`ScheduleError::Infeasible`] naming every task that cannot run even
-/// alone — too wide for the data budget or over the power cap.
+/// alone — too wide for the data budget (its minimum width plus any
+/// shared interface it drags in) or over the power cap.
 pub fn schedule_serial(
     tasks: &[TestTask],
     config: &ChipConfig,
 ) -> Result<NonSessionSchedule, ScheduleError> {
     let (control_pins, data) = static_budget(tasks, config);
     let lone: Vec<usize> = (0..tasks.len())
-        .filter(|&i| data < tasks[i].min_pins() || tasks[i].power > config.power_limit + 1e-9)
+        .filter(|&i| {
+            data < min_pins_needed(&[&tasks[i]]) || tasks[i].power > config.power_limit + 1e-9
+        })
         .collect();
     if !lone.is_empty() {
         return Err(ScheduleError::Infeasible { tasks: lone });
@@ -314,6 +313,30 @@ mod tests {
             }
             other => panic!("expected StaticBudget, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn serial_rejects_a_task_whose_shared_interface_does_not_fit() {
+        // 5 data pins; the BIST task's 7-pin mbist interface does not
+        // fit, so no baseline may schedule it.
+        let tasks = vec![crate::task::TestTask::bist("b", 100)];
+        let config = ChipConfig {
+            budget: steac_tam::PinBudget::with_reserved(11, 2),
+            ..ChipConfig::default()
+        };
+        assert_eq!(static_budget(&tasks, &config).1, 5);
+        let err = schedule_serial(&tasks, &config).unwrap_err();
+        assert_eq!(err, ScheduleError::Infeasible { tasks: vec![0] });
+        let err = crate::session::schedule_sessions(&tasks, &config).unwrap_err();
+        assert_eq!(err, ScheduleError::Infeasible { tasks: vec![0] });
+        let err = schedule_nonsession(&tasks, &config).unwrap_err();
+        assert_eq!(
+            err,
+            ScheduleError::StaticBudget {
+                needed: 7,
+                available: 5
+            }
+        );
     }
 
     #[test]

@@ -10,11 +10,22 @@
 //! Small instances (≤ [`EXHAUSTIVE_LIMIT`] tasks) are solved by exhaustive
 //! set-partition search; larger instances use greedy seeding plus a
 //! move/swap local search.
+//!
+//! Every search step asks for the makespans of a few blocks (candidate
+//! sessions), and most of those blocks were asked for before. One
+//! scheduler call therefore keeps one evaluation context: each task's
+//! staircase of times by pin count (see [`crate::alloc`]), filled as
+//! water-filling reaches it, and a memo of every block's makespan
+//! keyed by its ordered member list. The order is part of the key
+//! because allocation ties break by position in the block. Searches
+//! read makespans only; the full [`ScheduledSession`]s are built once,
+//! for the winning partition.
 
-use crate::alloc::{allocate_session, Allocation};
+use crate::alloc::{water_fill, Staircase};
 use crate::task::{ChipConfig, TestTask};
+use std::collections::HashMap;
 use std::fmt;
-use steac_tam::{share_controls, ControlSignal};
+use steac_tam::shared_pin_count;
 
 /// Exhaustive partition search is used up to this many tasks.
 pub const EXHAUSTIVE_LIMIT: usize = 9;
@@ -138,40 +149,103 @@ impl SessionSchedule {
     }
 }
 
-/// Evaluates one session (a set of task indices): control sharing, pin
-/// budget, power cap, allocation. `None` if infeasible.
-fn eval_session(
-    block: &[usize],
-    tasks: &[TestTask],
-    config: &ChipConfig,
-) -> Option<ScheduledSession> {
-    let members: Vec<&TestTask> = block.iter().map(|&i| &tasks[i]).collect();
-    let power: f64 = members.iter().map(|t| t.power).sum();
-    if power > config.power_limit + 1e-9 {
-        return None;
+/// The evaluation context of one scheduler call: every task's
+/// staircase and the makespan of every block evaluated so far. It lives
+/// for one call, so its memory goes with the call.
+struct Evaluator<'a> {
+    tasks: &'a [TestTask],
+    config: &'a ChipConfig,
+    stairs: Vec<Staircase<'a>>,
+    /// Makespan by ordered member list; `None` for an infeasible block.
+    makespans: HashMap<Vec<usize>, Option<u64>>,
+}
+
+impl<'a> Evaluator<'a> {
+    fn new(tasks: &'a [TestTask], config: &'a ChipConfig) -> Self {
+        Evaluator {
+            tasks,
+            config,
+            stairs: tasks.iter().map(Staircase::new).collect(),
+            makespans: HashMap::new(),
+        }
     }
-    let signals: Vec<ControlSignal> = members
-        .iter()
-        .flat_map(|t| t.controls.iter().cloned())
-        .collect();
-    let control_pins = share_controls(&signals, &config.session_share).shared_pins();
-    let data_pins = config.budget.data_pins(config.global_pins + control_pins);
-    let alloc: Allocation = allocate_session(&members, data_pins)?;
-    Some(ScheduledSession {
-        tasks: block
+
+    /// Evaluates one session (task indices in block order): power cap,
+    /// control sharing, pin budget, allocation. `None` if infeasible.
+    fn session(&mut self, block: &[usize]) -> Option<ScheduledSession> {
+        let config = self.config;
+        let power: f64 = block.iter().map(|&i| self.tasks[i].power).sum();
+        if power > config.power_limit + 1e-9 {
+            return None;
+        }
+        let control_pins = shared_pin_count(
+            block.iter().flat_map(|&i| &self.tasks[i].controls),
+            &config.session_share,
+        );
+        let data_pins = config.budget.data_pins(config.global_pins + control_pins);
+        let alloc = water_fill(&mut self.stairs, block, data_pins)?;
+        Some(ScheduledSession {
+            makespan: alloc.makespan(),
+            tasks: block
+                .iter()
+                .zip(alloc.pins.iter().zip(&alloc.times))
+                .map(|(&task_index, (&pins, &cycles))| ScheduledTask {
+                    task_index,
+                    pins,
+                    cycles,
+                })
+                .collect(),
+            control_pins,
+            data_pins_available: data_pins,
+            power,
+        })
+    }
+
+    /// The makespan of one block, evaluated at most once per call.
+    fn makespan(&mut self, block: &[usize]) -> Option<u64> {
+        if let Some(&makespan) = self.makespans.get(block) {
+            return makespan;
+        }
+        let makespan = self.session(block).map(|s| s.makespan);
+        self.makespans.insert(block.to_vec(), makespan);
+        makespan
+    }
+
+    /// Total test time of a partition (empty blocks skipped); `None` if
+    /// any block is infeasible.
+    fn total(&mut self, blocks: &[Vec<usize>]) -> Option<u64> {
+        let mut total = 0u64;
+        for b in blocks.iter().filter(|b| !b.is_empty()) {
+            total = total.saturating_add(self.makespan(b)?);
+        }
+        Some(total)
+    }
+
+    /// Builds the schedule of a partition.
+    fn schedule(&mut self, blocks: &[Vec<usize>]) -> Option<SessionSchedule> {
+        let sessions: Option<Vec<ScheduledSession>> = blocks
             .iter()
-            .zip(alloc.pins.iter().zip(&alloc.times))
-            .map(|(&task_index, (&pins, &cycles))| ScheduledTask {
-                task_index,
-                pins,
-                cycles,
-            })
-            .collect(),
-        control_pins,
-        data_pins_available: data_pins,
-        makespan: alloc.makespan(),
-        power,
-    })
+            .filter(|b| !b.is_empty())
+            .map(|b| self.session(b))
+            .collect();
+        sessions.map(SessionSchedule::from_sessions)
+    }
+
+    /// Explains a failed partition search: names the tasks that do not
+    /// fit even alone, or blames the session budget when every task
+    /// does.
+    fn diagnose(&mut self) -> ScheduleError {
+        let lone: Vec<usize> = (0..self.tasks.len())
+            .filter(|&i| self.makespan(&[i]).is_none())
+            .collect();
+        if lone.is_empty() {
+            ScheduleError::NoPartition {
+                max_sessions: self.config.max_sessions,
+            }
+        } else {
+            ScheduleError::Infeasible { tasks: lone }
+        }
+    }
 }
 
 /// Schedules `tasks` into at most `config.max_sessions` sessions,
@@ -211,93 +285,65 @@ pub fn schedule_sessions_with(
             total_cycles: 0,
         });
     }
+    let mut ev = Evaluator::new(tasks, config);
     let best = match strategy {
-        Strategy::Auto if tasks.len() <= EXHAUSTIVE_LIMIT => exhaustive(tasks, config),
-        Strategy::Auto => greedy_local(tasks, config),
-        Strategy::Exhaustive => exhaustive(tasks, config),
-        Strategy::Greedy => greedy_local(tasks, config),
+        Strategy::Auto if tasks.len() <= EXHAUSTIVE_LIMIT => exhaustive(&mut ev),
+        Strategy::Auto => greedy_local(&mut ev),
+        Strategy::Exhaustive => exhaustive(&mut ev),
+        Strategy::Greedy => greedy_local(&mut ev),
     };
-    best.ok_or_else(|| diagnose_infeasibility(tasks, config))
+    best.and_then(|blocks| ev.schedule(&blocks))
+        .ok_or_else(|| ev.diagnose())
 }
 
-/// Explains a failed partition search: names the tasks that do not fit
-/// even alone, or blames the session budget when every task does.
-fn diagnose_infeasibility(tasks: &[TestTask], config: &ChipConfig) -> ScheduleError {
-    let lone: Vec<usize> = (0..tasks.len())
-        .filter(|&i| eval_session(&[i], tasks, config).is_none())
-        .collect();
-    if lone.is_empty() {
-        ScheduleError::NoPartition {
-            max_sessions: config.max_sessions,
-        }
-    } else {
-        ScheduleError::Infeasible { tasks: lone }
-    }
-}
-
-fn exhaustive(tasks: &[TestTask], config: &ChipConfig) -> Option<SessionSchedule> {
-    struct Ctx<'a> {
-        tasks: &'a [TestTask],
-        config: &'a ChipConfig,
-        // (total, sessions). The total rides inside the Option rather
-        // than starting from a `u64::MAX` sentinel: a real schedule
-        // whose saturated total *equals* `u64::MAX` must still beat
-        // "nothing found yet".
-        best: Option<(u64, Vec<ScheduledSession>)>,
-    }
-    fn rec(ctx: &mut Ctx<'_>, i: usize, blocks: &mut Vec<Vec<usize>>) {
-        if i == ctx.tasks.len() {
-            let mut sessions = Vec::with_capacity(blocks.len());
-            let mut total = 0u64;
-            for b in blocks.iter() {
-                match eval_session(b, ctx.tasks, ctx.config) {
-                    Some(s) => {
-                        total = total.saturating_add(s.makespan);
-                        sessions.push(s);
-                    }
-                    None => return,
-                }
-            }
-            if ctx.best.as_ref().is_none_or(|(t, _)| total < *t) {
-                ctx.best = Some((total, sessions));
+/// The partition with the smallest total over every set partition into
+/// at most `max_sessions` blocks; the first found wins ties.
+fn exhaustive(ev: &mut Evaluator<'_>) -> Option<Vec<Vec<usize>>> {
+    // (total, blocks). The total rides inside the Option rather than
+    // starting from a `u64::MAX` sentinel: a real schedule whose
+    // saturated total *equals* `u64::MAX` must still beat "nothing
+    // found yet".
+    type Best = Option<(u64, Vec<Vec<usize>>)>;
+    fn rec(ev: &mut Evaluator<'_>, i: usize, blocks: &mut Vec<Vec<usize>>, best: &mut Best) {
+        if i == ev.tasks.len() {
+            let Some(total) = ev.total(blocks) else {
+                return;
+            };
+            if best.as_ref().is_none_or(|(t, _)| total < *t) {
+                *best = Some((total, blocks.clone()));
             }
             return;
         }
         for bi in 0..blocks.len() {
             blocks[bi].push(i);
-            rec(ctx, i + 1, blocks);
+            rec(ev, i + 1, blocks, best);
             blocks[bi].pop();
         }
-        if blocks.len() < ctx.config.max_sessions {
+        if blocks.len() < ev.config.max_sessions {
             blocks.push(vec![i]);
-            rec(ctx, i + 1, blocks);
+            rec(ev, i + 1, blocks, best);
             blocks.pop();
         }
     }
-    let mut ctx = Ctx {
-        tasks,
-        config,
-        best: None,
-    };
-    let mut blocks: Vec<Vec<usize>> = Vec::new();
-    rec(&mut ctx, 0, &mut blocks);
-    ctx.best
-        .map(|(_, sessions)| SessionSchedule::from_sessions(sessions))
+    let mut best = None;
+    rec(ev, 0, &mut Vec::new(), &mut best);
+    best.map(|(_, blocks)| blocks)
 }
 
-fn greedy_local(tasks: &[TestTask], config: &ChipConfig) -> Option<SessionSchedule> {
-    let mut blocks = seed_min_total(tasks, config).or_else(|| seed_backtracking(tasks, config))?;
+fn greedy_local(ev: &mut Evaluator<'_>) -> Option<Vec<Vec<usize>>> {
+    let mut blocks = seed_min_total(ev).or_else(|| seed_backtracking(ev))?;
+    let max_sessions = ev.config.max_sessions;
 
     // Local search: single-task moves between blocks (including opening a
     // new block), first-improvement, bounded rounds.
-    let mut cur_total = total_of(&blocks, tasks, config)?;
+    let mut cur_total = ev.total(&blocks)?;
     for _round in 0..32 {
         let mut improved = false;
         'moves: for from in 0..blocks.len() {
             for pos in 0..blocks[from].len() {
                 let ti = blocks[from][pos];
                 for to in 0..=blocks.len() {
-                    if to == from || (to == blocks.len() && blocks.len() >= config.max_sessions) {
+                    if to == from || (to == blocks.len() && blocks.len() >= max_sessions) {
                         continue;
                     }
                     let mut cand = blocks.clone();
@@ -308,7 +354,7 @@ fn greedy_local(tasks: &[TestTask], config: &ChipConfig) -> Option<SessionSchedu
                         cand[to].push(ti);
                     }
                     cand.retain(|b| !b.is_empty());
-                    if let Some(total) = total_of(&cand, tasks, config) {
+                    if let Some(total) = ev.total(&cand) {
                         if total < cur_total {
                             blocks = cand;
                             cur_total = total;
@@ -323,20 +369,15 @@ fn greedy_local(tasks: &[TestTask], config: &ChipConfig) -> Option<SessionSchedu
             break;
         }
     }
-
-    let sessions: Option<Vec<ScheduledSession>> = blocks
-        .iter()
-        .filter(|b| !b.is_empty())
-        .map(|b| eval_session(b, tasks, config))
-        .collect();
-    sessions.map(SessionSchedule::from_sessions)
+    Some(blocks)
 }
 
 /// Myopic seeding: longest tasks first, each into the block whose
 /// inclusion yields the smallest total; open a new block when
 /// allowed/better. Fast and usually good, but can paint itself into a
 /// corner on tightly power-packed instances.
-fn seed_min_total(tasks: &[TestTask], config: &ChipConfig) -> Option<Vec<Vec<usize>>> {
+fn seed_min_total(ev: &mut Evaluator<'_>) -> Option<Vec<Vec<usize>>> {
+    let tasks = ev.tasks;
     let mut order: Vec<usize> = (0..tasks.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(tasks[i].best_time()));
     let mut blocks: Vec<Vec<usize>> = Vec::new();
@@ -344,16 +385,16 @@ fn seed_min_total(tasks: &[TestTask], config: &ChipConfig) -> Option<Vec<Vec<usi
         let mut best: Option<(usize, u64)> = None; // (block idx or usize::MAX for new, total)
         for bi in 0..blocks.len() {
             blocks[bi].push(ti);
-            if let Some(total) = total_of(&blocks, tasks, config) {
+            if let Some(total) = ev.total(&blocks) {
                 if best.is_none_or(|(_, t)| total < t) {
                     best = Some((bi, total));
                 }
             }
             blocks[bi].pop();
         }
-        if blocks.len() < config.max_sessions {
+        if blocks.len() < ev.config.max_sessions {
             blocks.push(vec![ti]);
-            if let Some(total) = total_of(&blocks, tasks, config) {
+            if let Some(total) = ev.total(&blocks) {
                 if best.is_none_or(|(_, t)| total < t) {
                     best = Some((usize::MAX, total));
                 }
@@ -373,7 +414,8 @@ fn seed_min_total(tasks: &[TestTask], config: &ChipConfig) -> Option<Vec<Vec<usi
 /// tried in every feasible block (or a new one), backtracking on dead
 /// ends. Finds a feasible partition whenever one exists within the node
 /// budget; quality is then recovered by local search.
-fn seed_backtracking(tasks: &[TestTask], config: &ChipConfig) -> Option<Vec<Vec<usize>>> {
+fn seed_backtracking(ev: &mut Evaluator<'_>) -> Option<Vec<Vec<usize>>> {
+    let tasks = ev.tasks;
     let mut order: Vec<usize> = (0..tasks.len()).collect();
     order.sort_by(|&a, &b| {
         tasks[b]
@@ -386,8 +428,7 @@ fn seed_backtracking(tasks: &[TestTask], config: &ChipConfig) -> Option<Vec<Vec<
         pos: usize,
         order: &[usize],
         blocks: &mut Vec<Vec<usize>>,
-        tasks: &[TestTask],
-        config: &ChipConfig,
+        ev: &mut Evaluator<'_>,
         nodes: &mut usize,
     ) -> bool {
         if pos == order.len() {
@@ -400,17 +441,15 @@ fn seed_backtracking(tasks: &[TestTask], config: &ChipConfig) -> Option<Vec<Vec<
         let ti = order[pos];
         for bi in 0..blocks.len() {
             blocks[bi].push(ti);
-            if eval_session(&blocks[bi], tasks, config).is_some()
-                && rec(pos + 1, order, blocks, tasks, config, nodes)
-            {
+            if ev.makespan(&blocks[bi]).is_some() && rec(pos + 1, order, blocks, ev, nodes) {
                 return true;
             }
             blocks[bi].pop();
         }
-        if blocks.len() < config.max_sessions {
+        if blocks.len() < ev.config.max_sessions {
             blocks.push(vec![ti]);
-            if eval_session(&blocks[blocks.len() - 1], tasks, config).is_some()
-                && rec(pos + 1, order, blocks, tasks, config, nodes)
+            if ev.makespan(&blocks[blocks.len() - 1]).is_some()
+                && rec(pos + 1, order, blocks, ev, nodes)
             {
                 return true;
             }
@@ -420,18 +459,7 @@ fn seed_backtracking(tasks: &[TestTask], config: &ChipConfig) -> Option<Vec<Vec<
     }
     let mut blocks: Vec<Vec<usize>> = Vec::new();
     let mut nodes = 0usize;
-    rec(0, &order, &mut blocks, tasks, config, &mut nodes).then_some(blocks)
-}
-
-fn total_of(blocks: &[Vec<usize>], tasks: &[TestTask], config: &ChipConfig) -> Option<u64> {
-    let mut total = 0u64;
-    for b in blocks {
-        if b.is_empty() {
-            continue;
-        }
-        total = total.saturating_add(eval_session(b, tasks, config)?.makespan);
-    }
-    Some(total)
+    rec(0, &order, &mut blocks, ev, &mut nodes).then_some(blocks)
 }
 
 #[cfg(test)]
@@ -601,8 +629,8 @@ mod tests {
 
     #[test]
     fn greedy_path_matches_exhaustive_on_moderate_instance() {
-        // 10 tasks forces the greedy path; compare against exhaustive on
-        // the same instance with a raised limit via direct call.
+        // 10 tasks puts `Auto` on the greedy path; compare against an
+        // explicit exhaustive search of the same instance.
         let mut tasks = dsc_like_tasks();
         tasks.push(TestTask::bist("c", 300_000));
         tasks.push(TestTask::bist("d", 250_000));
@@ -610,8 +638,9 @@ mod tests {
         tasks.push(TestTask::bist("e", 50_000));
         assert_eq!(tasks.len(), 10);
         let config = ChipConfig::default();
-        let greedy = greedy_local(&tasks, &config).expect("feasible");
-        let exact = exhaustive(&tasks, &config).expect("feasible");
+        let greedy = schedule_sessions_with(&tasks, &config, Strategy::Greedy).expect("feasible");
+        let exact =
+            schedule_sessions_with(&tasks, &config, Strategy::Exhaustive).expect("feasible");
         assert!(
             greedy.total_cycles <= exact.total_cycles.saturating_mul(12) / 10,
             "greedy {} much worse than optimal {}",

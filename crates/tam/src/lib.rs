@@ -21,7 +21,8 @@ pub use bus::{tam_mux_module, TamCoreSpec, TamSpec};
 pub use controller::{controller_module, ControllerSpec, CoreControl};
 pub use iopin::PinBudget;
 pub use share::{
-    share_controls, ControlClass, ControlSignal, ShareGroup, SharePolicy, ShareReport,
+    share_controls, shared_pin_count, ControlClass, ControlSignal, ShareGroup, SharePolicy,
+    ShareReport,
 };
 
 #[cfg(test)]

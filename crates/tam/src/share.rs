@@ -193,91 +193,152 @@ impl fmt::Display for ShareReport {
 /// deduplicated first (e.g. a core's scan task and functional task both
 /// listing its clock).
 #[must_use]
-pub fn share_controls(signals: &[ControlSignal], policy: &SharePolicy) -> ShareReport {
-    let mut dedup: Vec<ControlSignal> = Vec::with_capacity(signals.len());
-    for s in signals {
-        if !dedup.iter().any(|d| d.core == s.core && d.name == s.name) {
-            dedup.push(s.clone());
-        }
-    }
-    let signals: &[ControlSignal] = &dedup;
-    let unshared_pins = signals.len();
-    let mut groups: Vec<ShareGroup> = Vec::new();
-    let mut extra_pins = 0usize;
-
-    let mut clock_bins: BTreeMap<Option<u32>, Vec<String>> = BTreeMap::new();
-    let mut resets: Vec<String> = Vec::new();
-    let mut ses: Vec<String> = Vec::new();
-    let mut tes: Vec<String> = Vec::new();
-    let mut solo = 0usize;
-
-    for s in signals {
-        let label = format!("{}/{}", s.core, s.name);
-        match s.class {
-            ControlClass::Clock { freq_mhz } => {
-                let key = if policy.pll_generated_clocks {
-                    None // one bin for everything
-                } else if policy.share_clocks_same_freq {
-                    Some(freq_mhz)
-                } else {
-                    // Unique bin per signal.
-                    solo += 1;
-                    clock_bins
-                        .entry(Some(u32::MAX - solo as u32))
-                        .or_default()
-                        .push(label);
-                    continue;
-                };
-                clock_bins.entry(key).or_default().push(label);
-            }
-            ControlClass::Reset => resets.push(label),
-            ControlClass::ScanEnable => ses.push(label),
-            ControlClass::TestEnable => tes.push(label),
-        }
-    }
-
-    for (key, members) in clock_bins {
-        let pin = match key {
-            None => "clk_pll_ref".to_string(),
-            Some(f) if f < u32::MAX - 1_000_000 => format!("clk_{f}mhz"),
-            _ => format!("clk_dedicated_{}", groups.len()),
-        };
-        groups.push(ShareGroup { pin, members });
-    }
-    push_class(&mut groups, resets, policy.share_resets, "rst");
-    push_class(&mut groups, ses, policy.share_scan_enables, "se");
-    if policy.te_via_controller {
-        if !tes.is_empty() {
-            // Pins replaced by session-select inputs to the controller.
-            let n = (usize::BITS - policy.sessions.max(1).leading_zeros()) as usize;
-            extra_pins = n.max(1);
-        }
-    } else {
-        push_class(&mut groups, tes, false, "te");
-    }
-
+pub fn share_controls<'a>(
+    signals: impl IntoIterator<Item = &'a ControlSignal>,
+    policy: &SharePolicy,
+) -> ShareReport {
+    let sharing = Sharing::of(signals, policy);
+    let groups = sharing
+        .groups
+        .iter()
+        .map(|(pin, members)| ShareGroup {
+            pin: pin.name(),
+            members: members
+                .iter()
+                .map(|s| format!("{}/{}", s.core, s.name))
+                .collect(),
+        })
+        .collect();
     ShareReport {
-        unshared_pins,
+        unshared_pins: sharing.unshared_pins,
         groups,
-        extra_pins,
+        extra_pins: sharing.extra_pins,
     }
 }
 
-fn push_class(groups: &mut Vec<ShareGroup>, members: Vec<String>, merge: bool, base: &str) {
+/// The chip pins `signals` occupy under `policy`: the
+/// [`shared_pins`](ShareReport::shared_pins) of [`share_controls`]'s
+/// report, without naming any pin or signal.
+#[must_use]
+pub fn shared_pin_count<'a>(
+    signals: impl IntoIterator<Item = &'a ControlSignal>,
+    policy: &SharePolicy,
+) -> usize {
+    let sharing = Sharing::of(signals, policy);
+    sharing.groups.len() + sharing.extra_pins
+}
+
+/// How a shared pin is named in a [`ShareReport`].
+enum Pin {
+    /// The PLL reference every generated clock shares.
+    PllRef,
+    /// The clocks of one frequency class.
+    Freq(u32),
+    /// A clock on a pin of its own, named by its group's position.
+    DedicatedClock(usize),
+    /// A whole class merged onto one pin.
+    Merged(&'static str),
+    /// The `i`-th signal of a class that is not merged.
+    Single(&'static str, usize),
+}
+
+impl Pin {
+    fn name(&self) -> String {
+        match self {
+            Pin::PllRef => "clk_pll_ref".to_string(),
+            Pin::Freq(f) => format!("clk_{f}mhz"),
+            Pin::DedicatedClock(index) => format!("clk_dedicated_{index}"),
+            Pin::Merged(base) => (*base).to_string(),
+            Pin::Single(base, i) => format!("{base}_{i}"),
+        }
+    }
+}
+
+/// Deduplicated signals, borrowed, grouped onto pins under a policy:
+/// the sharing rules, written once for the report and the count.
+struct Sharing<'a> {
+    unshared_pins: usize,
+    /// One entry per chip pin, in report order.
+    groups: Vec<(Pin, Vec<&'a ControlSignal>)>,
+    extra_pins: usize,
+}
+
+impl<'a> Sharing<'a> {
+    fn of(signals: impl IntoIterator<Item = &'a ControlSignal>, policy: &SharePolicy) -> Self {
+        let mut dedup: Vec<&ControlSignal> = Vec::new();
+        for s in signals {
+            if !dedup.iter().any(|d| d.core == s.core && d.name == s.name) {
+                dedup.push(s);
+            }
+        }
+        let mut clock_bins: BTreeMap<Option<u32>, Vec<&ControlSignal>> = BTreeMap::new();
+        let mut resets = Vec::new();
+        let mut ses = Vec::new();
+        let mut tes = Vec::new();
+        let mut solo = 0usize;
+        for &s in &dedup {
+            match s.class {
+                ControlClass::Clock { freq_mhz } => {
+                    let key = if policy.pll_generated_clocks {
+                        None // one bin for everything
+                    } else if policy.share_clocks_same_freq {
+                        Some(freq_mhz)
+                    } else {
+                        // Unique bin per signal.
+                        solo += 1;
+                        Some(u32::MAX - solo as u32)
+                    };
+                    clock_bins.entry(key).or_default().push(s);
+                }
+                ControlClass::Reset => resets.push(s),
+                ControlClass::ScanEnable => ses.push(s),
+                ControlClass::TestEnable => tes.push(s),
+            }
+        }
+
+        let mut groups = Vec::new();
+        for (key, members) in clock_bins {
+            let pin = match key {
+                None => Pin::PllRef,
+                Some(f) if f < u32::MAX - 1_000_000 => Pin::Freq(f),
+                _ => Pin::DedicatedClock(groups.len()),
+            };
+            groups.push((pin, members));
+        }
+        push_class(&mut groups, resets, policy.share_resets, "rst");
+        push_class(&mut groups, ses, policy.share_scan_enables, "se");
+        let mut extra_pins = 0usize;
+        if policy.te_via_controller {
+            if !tes.is_empty() {
+                // Pins replaced by session-select inputs to the controller.
+                let n = (usize::BITS - policy.sessions.max(1).leading_zeros()) as usize;
+                extra_pins = n.max(1);
+            }
+        } else {
+            push_class(&mut groups, tes, false, "te");
+        }
+        Sharing {
+            unshared_pins: dedup.len(),
+            groups,
+            extra_pins,
+        }
+    }
+}
+
+fn push_class<'a>(
+    groups: &mut Vec<(Pin, Vec<&'a ControlSignal>)>,
+    members: Vec<&'a ControlSignal>,
+    merge: bool,
+    base: &'static str,
+) {
     if members.is_empty() {
         return;
     }
     if merge {
-        groups.push(ShareGroup {
-            pin: base.to_string(),
-            members,
-        });
+        groups.push((Pin::Merged(base), members));
     } else {
         for (i, m) in members.into_iter().enumerate() {
-            groups.push(ShareGroup {
-                pin: format!("{base}_{i}"),
-                members: vec![m],
-            });
+            groups.push((Pin::Single(base, i), vec![m]));
         }
     }
 }
@@ -402,6 +463,34 @@ mod tests {
         // ceil(log2(4)) = 2 session-select pins, no TE pins.
         assert_eq!(rep2.shared_pins(), 2);
         assert_eq!(rep2.extra_pins, 2);
+    }
+
+    #[test]
+    fn pin_count_equals_the_report_under_every_policy() {
+        // The DSC inventory plus repeats: the same (core, name) pairs
+        // again, one with a different class (the first listing wins).
+        let mut signals = dsc_control_inventory();
+        signals.extend(dsc_control_inventory().into_iter().step_by(3));
+        signals.push(ControlSignal::new("TV", "ck", ControlClass::Reset));
+        let mut policies = vec![
+            SharePolicy::unshared(),
+            SharePolicy::default(),
+            SharePolicy {
+                pll_generated_clocks: false,
+                share_clocks_same_freq: false,
+                ..SharePolicy::dsc(3)
+            },
+        ];
+        policies.extend((1..=5).map(SharePolicy::dsc));
+        for policy in &policies {
+            let report = share_controls(&signals, policy);
+            assert_eq!(report.unshared_pins, 19, "{policy:?}");
+            assert_eq!(
+                shared_pin_count(&signals, policy),
+                report.shared_pins(),
+                "{policy:?}"
+            );
+        }
     }
 
     #[test]

@@ -136,12 +136,10 @@ pub fn run_soc(
 ) -> Result<SocRun, ScheduleError> {
     // Share the whole control inventory once: the static upper bound
     // every session must undercut.
-    let signals: Vec<_> = soc
-        .tasks
-        .iter()
-        .flat_map(|t| t.controls.iter().cloned())
-        .collect();
-    let control = share_controls(&signals, &soc.config.session_share);
+    let control = share_controls(
+        soc.tasks.iter().flat_map(|t| &t.controls),
+        &soc.config.session_share,
+    );
 
     let schedule = schedule_sessions(&soc.tasks, &soc.config)?;
     let wrapped_cells = verify_wrap(soc, &schedule);

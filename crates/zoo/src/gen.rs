@@ -15,7 +15,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use steac_sched::{ChipConfig, TestTask};
-use steac_tam::{share_controls, ControlClass, ControlSignal, PinBudget, SharePolicy};
+use steac_tam::{shared_pin_count, ControlClass, ControlSignal, PinBudget, SharePolicy};
 
 /// Clock frequencies (MHz) SOCs draw their clock palettes from; cores
 /// on the same frequency can share a clock pin under the DSC policy.
@@ -287,11 +287,7 @@ fn size_config(
 
     // Upper bound on any session's control pins: sharing the whole
     // inventory (a session's subset can only form fewer groups).
-    let signals: Vec<ControlSignal> = tasks
-        .iter()
-        .flat_map(|t| t.controls.iter().cloned())
-        .collect();
-    let control_upper = share_controls(&signals, &session_share).shared_pins();
+    let control_upper = shared_pin_count(tasks.iter().flat_map(|t| &t.controls), &session_share);
 
     let refs: Vec<&TestTask> = tasks.iter().collect();
     let total_min = steac_sched::min_pins_needed(&refs);
@@ -443,7 +439,7 @@ mod tests {
         assert!(soc.tasks.iter().all(|t| t.min_pins() == 0));
         for t in &soc.tasks {
             let need = steac_sched::min_pins_needed(&[t]);
-            let control = share_controls(&t.controls, &soc.config.session_share).shared_pins();
+            let control = shared_pin_count(&t.controls, &soc.config.session_share);
             let data = soc
                 .config
                 .budget

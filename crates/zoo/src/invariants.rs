@@ -196,13 +196,15 @@ pub fn check_schedule(soc: &SyntheticSoc, schedule: &SessionSchedule) -> Vec<Vio
         }
 
         // Re-derive the session's control sharing and data budget from
-        // its members; the recorded numbers must agree.
-        let signals: Vec<_> = sess
+        // its members; the recorded numbers must agree. The full report,
+        // not `shared_pin_count`, on purpose: the scheduler counts
+        // through the latter, so every checked session cross-checks the
+        // two.
+        let signals = sess
             .tasks
             .iter()
-            .flat_map(|t| tasks[t.task_index].controls.iter().cloned())
-            .collect();
-        let control = share_controls(&signals, &config.session_share).shared_pins();
+            .flat_map(|t| &tasks[t.task_index].controls);
+        let control = share_controls(signals, &config.session_share).shared_pins();
         if control != sess.control_pins {
             v.push(Violation::ControlMismatch {
                 session: si,

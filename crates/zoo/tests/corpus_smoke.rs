@@ -5,10 +5,9 @@
 use steac_sim::exec::Exec;
 use steac_zoo::{run_corpus, RunOptions, ZooParams};
 
-/// The full 120-SOC corpus with grading. Slow in debug builds — the CI
-/// zoo job runs it in release with `--include-ignored`.
+/// The full 120-SOC corpus with grading, through the `STEAC_EXEC`
+/// backend, so every CI test leg runs it on its own backend.
 #[test]
-#[cfg_attr(debug_assertions, ignore = "slow in debug: run with --release")]
 fn smoke_corpus_runs_end_to_end_clean() {
     let params = ZooParams::smoke();
     let opts = RunOptions {
@@ -41,10 +40,9 @@ fn smoke_corpus_runs_end_to_end_clean() {
 /// The adversarial corpus: pathological spiky power under near-zero
 /// pin/power headroom. Feasibility and invariants must hold on every
 /// instance even when the schedule is forced down to single-wire TAM
-/// grants. Fixed seed — the CI zoo job runs this with
-/// `--include-ignored`.
+/// grants. Fixed seed, through the `STEAC_EXEC` backend like the smoke
+/// corpus.
 #[test]
-#[cfg_attr(debug_assertions, ignore = "slow in debug: run with --release")]
 fn adversarial_corpus_runs_end_to_end_clean() {
     let params = ZooParams::adversarial();
     let opts = RunOptions {

@@ -1,6 +1,6 @@
 //! Differential test: the greedy+local-search heuristic against the
-//! exhaustive set-partition search, over every zoo instance small
-//! enough for the exact search.
+//! exhaustive set-partition search, over every tiny zoo instance within
+//! [`EXHAUSTIVE_LIMIT`] and over instances just past it.
 //!
 //! Two properties must hold on every such instance:
 //!
@@ -50,6 +50,44 @@ fn greedy_matches_or_trails_exhaustive_on_small_instances() {
     assert!(
         compared >= 40,
         "only {compared} instances were small enough to compare — tiny() drifted"
+    );
+}
+
+/// Just past [`EXHAUSTIVE_LIMIT`], where `Auto` switches to greedy, the
+/// exact search is still cheap (each block is evaluated once per call),
+/// so greedy is checked against the true optimum where it really runs:
+/// 20 SOCs of 10–11 tasks. Greedy trails on some of them; it must never
+/// win or fail.
+#[test]
+fn greedy_never_beats_exhaustive_just_past_the_limit() {
+    let params = ZooParams {
+        socs: 90,
+        min_cores: 5,
+        max_cores: 9,
+        ..ZooParams::tiny()
+    };
+    let mut compared = 0usize;
+    for index in 0..params.socs {
+        let soc = params.soc(index);
+        if !(EXHAUSTIVE_LIMIT + 1..=EXHAUSTIVE_LIMIT + 2).contains(&soc.tasks.len()) {
+            continue;
+        }
+        let exact = schedule_sessions_with(&soc.tasks, &soc.config, Strategy::Exhaustive)
+            .unwrap_or_else(|e| panic!("{}: exhaustive: {e}", soc.name));
+        let greedy = schedule_sessions_with(&soc.tasks, &soc.config, Strategy::Greedy)
+            .unwrap_or_else(|e| panic!("{}: greedy: {e}", soc.name));
+        assert!(
+            greedy.total_cycles >= exact.total_cycles,
+            "{}: greedy {} beat the exhaustive optimum {}",
+            soc.name,
+            greedy.total_cycles,
+            exact.total_cycles
+        );
+        compared += 1;
+    }
+    assert!(
+        compared >= 12,
+        "only {compared} SOCs rolled 10-11 tasks: the preset drifted"
     );
 }
 
