@@ -91,7 +91,9 @@ pub fn dsc_test_tasks() -> Vec<TestTask> {
     let usb = &TABLE1[0];
     let tv = &TABLE1[1];
     let jpeg = &TABLE1[2];
-    let bist = dsc_brains().compile().expect("DSC BIST compiles");
+    let bist = dsc_brains()
+        .sequencer_cycles()
+        .expect("DSC BIST groups resolve");
     vec![
         TestTask::scan(
             "usb",
@@ -119,15 +121,15 @@ pub fn dsc_test_tasks() -> Vec<TestTask> {
                 ControlClass::Clock { freq_mhz: 54 },
             )])
             .with_power(1.4),
-        TestTask::bist("sp_group", bist.sequencer_cycles[0]).with_power(1.3),
-        TestTask::bist("tp_group", bist.sequencer_cycles[1]).with_power(0.6),
+        TestTask::bist("sp_group", bist[0]).with_power(1.3),
+        TestTask::bist("tp_group", bist[1]).with_power(0.6),
     ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use steac_sched::{schedule_nonsession, schedule_serial, schedule_sessions};
+    use steac_sched::{schedule_nonsession, schedule_serial, schedule_sessions, TestKind};
 
     #[test]
     fn control_inventory_sums_to_19() {
@@ -176,6 +178,21 @@ mod tests {
             ns.makespan,
             PAPER_NONSESSION_CYCLES
         );
+    }
+
+    /// The §3 totals, pinned: the BIST tasks take their times from the
+    /// same model `compile` reports.
+    #[test]
+    fn dsc_totals_are_pinned() {
+        let tasks = dsc_test_tasks();
+        let config = dsc_chip_config();
+        let s = schedule_sessions(&tasks, &config).expect("feasible");
+        let ns = schedule_nonsession(&tasks, &config).expect("feasible");
+        assert_eq!((s.total_cycles, ns.makespan), (4_370_805, 4_606_501));
+        let compiled = dsc_brains().compile().expect("DSC BIST compiles");
+        for (task, &cycles) in tasks[4..].iter().zip(&compiled.sequencer_cycles) {
+            assert_eq!(task.kind, TestKind::Bist { cycles }, "{}", task.name);
+        }
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //! and PO nets and the set size; a unit's result is each pattern's
 //! expected PO values, computed by a scalar reference simulation from
 //! the power-on state, and the dispatching side builds the
-//! [`CyclePattern`]s from them. Pattern `k` depends only on `k`, so the
-//! set is identical on every backend and in any block order.
+//! [`CyclePattern`]s from them. Every pattern of the set shares one pin
+//! table, the `Arc` the dispatching side holds, so a pattern stores its
+//! two cycle rows and nothing else. Pattern `k` depends only on `k`, so
+//! the set is identical on every backend and in any block order.
 //!
 //! [`jpeg_playback_stream`] chains the two dispatches: generation runs
 //! on one scoped thread, its sink feeds a bounded channel of blocks,
@@ -102,9 +104,10 @@ fn block_patterns(bi: usize, count: usize) -> Result<Range<usize>, WireError> {
 /// names, and runs units as a [`shard::WireJob`].
 struct GenerateWork {
     program: Arc<SimProgram>,
-    /// The pattern pin list: PIs, then the clock, then POs. Empty in a
-    /// worker, which only computes expected values.
-    pins: Vec<String>,
+    /// The set's one pin table: PIs, then the clock, then POs. Every
+    /// built pattern holds a clone of this `Arc`. Empty in a worker,
+    /// which only computes expected values.
+    pins: Arc<[String]>,
     pi: Vec<NetId>,
     clock: NetId,
     po: Vec<NetId>,
@@ -130,7 +133,7 @@ impl GenerateWork {
         pins.extend(params.po);
         let work = GenerateWork {
             program,
-            pins,
+            pins: pins.into(),
             pi,
             clock,
             po,
@@ -177,7 +180,7 @@ impl GenerateWork {
         for (k, expected) in (first..).zip(expected) {
             let drives =
                 (0..self.pi.len()).map(|i| PinState::from_drive(Logic::from(stimulus_bit(k, i))));
-            let mut p = CyclePattern::new(self.pins.clone());
+            let mut p = CyclePattern::new(Arc::clone(&self.pins));
             let mut capture_row: Vec<PinState> = drives.clone().collect();
             capture_row.push(PinState::Pulse);
             capture_row.extend(std::iter::repeat_n(PinState::DontCare, self.po.len()));
@@ -214,7 +217,7 @@ impl GenerateWork {
         r.finish()?;
         Ok(GenerateWork {
             program: Arc::new(program),
-            pins: Vec::new(),
+            pins: Arc::new([]),
             pi,
             clock,
             po,
@@ -532,6 +535,21 @@ mod tests {
         }
     }
 
+    /// Every generated pattern shares pattern 0's pin table, whichever
+    /// in-process backend built its block.
+    #[test]
+    fn a_generated_set_shares_one_pin_table() {
+        for exec in [Exec::serial(), Exec::threads(Threads::exact(2))] {
+            let (_, patterns) = jpeg_functional_patterns(&exec, 130).unwrap();
+            let table = &patterns[0].pins;
+            assert_eq!(table.len(), 270, "{exec}");
+            assert!(
+                patterns.iter().all(|p| Arc::ptr_eq(&p.pins, table)),
+                "{exec}"
+            );
+        }
+    }
+
     #[test]
     fn playback_report_aggregates() {
         let rep = jpeg_playback_batch(&Exec::threads(Threads::exact(2)), 10).unwrap();
@@ -633,7 +651,7 @@ mod tests {
         let program = SimProgram::compile(&b.finish().unwrap()).unwrap();
         GenerateWork {
             program: Arc::new(program),
-            pins: ["d", "ck", "q"].map(String::from).to_vec(),
+            pins: ["d", "ck", "q"].map(String::from).into(),
             pi: vec![d],
             clock: ck,
             po: vec![q],
@@ -646,8 +664,8 @@ mod tests {
     }
 
     /// A block shipped through the worker job decodes to the patterns
-    /// the in-process path builds, and the flop captures each pattern's
-    /// stimulus.
+    /// the in-process path builds, on the dispatching side's one pin
+    /// table, and the flop captures each pattern's stimulus.
     #[test]
     fn a_shipped_block_matches_the_local_one() {
         let local = flop(70);
@@ -655,6 +673,7 @@ mod tests {
         let bytes = worker.run_unit(&local.encode_unit(&1)).unwrap();
         let shipped = local.decode_result(&1, &bytes).unwrap();
         assert_eq!(shipped, local.run_unit_local(&1).unwrap());
+        assert!(shipped.iter().all(|p| Arc::ptr_eq(&p.pins, &local.pins)));
         let captured: Vec<Vec<Logic>> = (64..70)
             .map(|k| vec![Logic::from(stimulus_bit(k, 0))])
             .collect();

@@ -123,38 +123,70 @@ impl Brains {
         self.overrides.get(&mem.name).unwrap_or(&self.default_alg)
     }
 
-    /// Compiles the BIST design.
+    /// The memories of each sequencer under the policy, in sequencer
+    /// order: one per memory in insertion order, one per
+    /// [`MemorySpec::group`] in group order, or all in one.
+    fn sequencer_groups(&self) -> Result<Vec<Vec<&MemorySpec>>, BistError> {
+        if let Some(name) = self
+            .overrides
+            .keys()
+            .find(|name| !self.memories.iter().any(|m| &m.name == *name))
+        {
+            return Err(BistError::Unknown {
+                what: "memory",
+                name: name.clone(),
+            });
+        }
+        let mut groups: BTreeMap<usize, Vec<&MemorySpec>> = BTreeMap::new();
+        for (i, m) in self.memories.iter().enumerate() {
+            let key = match self.policy {
+                SequencerPolicy::PerMemory => i,
+                SequencerPolicy::PerGroup => m.group,
+                SequencerPolicy::Single => 0,
+            };
+            groups.entry(key).or_default().push(m);
+        }
+        Ok(groups.into_values().collect())
+    }
+
+    /// One sequencer's test time: memories with identical geometry run
+    /// in lock-step (broadcast) and take the longest of their times;
+    /// distinct geometries serialise.
+    fn group_cycles(&self, members: &[&MemorySpec]) -> u64 {
+        let mut geometry_cycles: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+        for m in members {
+            let slot = geometry_cycles
+                .entry((m.config.words, m.config.width))
+                .or_insert(0);
+            *slot = (*slot).max(self.alg_for(m).cycles(m.config.words));
+        }
+        geometry_cycles.values().sum()
+    }
+
+    /// The test time of each sequencer, in sequencer order: the
+    /// [`BistDesign::sequencer_cycles`] that [`compile`](Self::compile)
+    /// reports, from the same time model, without building a netlist.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BistError::Unknown`] when an override references a
+    /// missing memory.
+    pub fn sequencer_cycles(&self) -> Result<Vec<u64>, BistError> {
+        let groups = self.sequencer_groups()?;
+        Ok(groups.iter().map(|g| self.group_cycles(g)).collect())
+    }
+
+    /// Compiles the BIST design: a sequencer per group sized for the
+    /// group's largest address space and longest algorithm, a TPG per
+    /// memory and the shared controller, with their areas and the
+    /// test times of [`sequencer_cycles`](Self::sequencer_cycles).
     ///
     /// # Errors
     ///
     /// Returns [`BistError::Unknown`] when an override references a
     /// missing memory, or netlist errors.
     pub fn compile(&self) -> Result<BistDesign, BistError> {
-        for name in self.overrides.keys() {
-            if !self.memories.iter().any(|m| &m.name == name) {
-                return Err(BistError::Unknown {
-                    what: "memory",
-                    name: name.clone(),
-                });
-            }
-        }
-        // Group memories by sequencer.
-        let mut groups: BTreeMap<usize, Vec<&MemorySpec>> = BTreeMap::new();
-        for m in &self.memories {
-            let key = match self.policy {
-                SequencerPolicy::PerMemory => groups.len() + 1_000_000 + groups.len(), // unique
-                SequencerPolicy::PerGroup => m.group,
-                SequencerPolicy::Single => 0,
-            };
-            // PerMemory: force a unique key per memory.
-            let key = if self.policy == SequencerPolicy::PerMemory {
-                1_000_000 + groups.values().map(Vec::len).sum::<usize>()
-            } else {
-                key
-            };
-            groups.entry(key).or_default().push(m);
-        }
-
+        let groups = self.sequencer_groups()?;
         let mut design = Design::new();
         let mut per_memory = Vec::new();
         let mut sequencer_cycles = Vec::new();
@@ -162,10 +194,9 @@ impl Brains {
         let mut sequencer_area = 0.0;
         let mut tpg_area = 0.0;
 
-        for (gi, (_, members)) in groups.iter().enumerate() {
+        for (gi, members) in groups.iter().enumerate() {
             // A sequencer covers the largest address space and the
-            // longest algorithm in its group; memories with identical
-            // geometry run in lock-step (broadcast), others serialise.
+            // longest algorithm in its group.
             let max_words = members.iter().map(|m| m.config.words).max().unwrap_or(1);
             let addr_bits = (usize::BITS - (max_words.max(2) - 1).leading_zeros()) as usize;
             let max_elems = members
@@ -183,26 +214,19 @@ impl Brains {
             sequencer_area += AreaReport::for_module(&seq).total_ge();
             design.add_module(seq)?;
 
-            // Distinct geometries within the group serialise; identical
-            // ones broadcast.
-            let mut geometry_cycles: BTreeMap<(usize, usize), u64> = BTreeMap::new();
             for m in members {
-                let cycles = self.alg_for(m).cycles(m.config.words);
                 per_memory.push(PerMemory {
                     name: m.name.clone(),
                     config: m.config,
                     algorithm: self.alg_for(m).name.clone(),
-                    cycles,
+                    cycles: self.alg_for(m).cycles(m.config.words),
                 });
-                let key = (m.config.words, m.config.width);
-                let slot = geometry_cycles.entry(key).or_insert(0);
-                *slot = (*slot).max(cycles);
                 let mut tpg = tpg_netlist(&m.config)?;
                 tpg.name = format!("tpg_{}", m.name);
                 tpg_area += AreaReport::for_module(&tpg).total_ge();
                 design.add_module(tpg)?;
             }
-            sequencer_cycles.push(geometry_cycles.values().sum());
+            sequencer_cycles.push(self.group_cycles(members));
             group_sizes.push(members.len());
         }
 
@@ -429,6 +453,34 @@ mod tests {
         assert_eq!(d.per_memory[0].algorithm, "MATS+");
     }
 
+    /// `sequencer_cycles` reads the times `compile` reports, under every
+    /// policy, with and without an algorithm override.
+    #[test]
+    fn sequencer_cycles_equal_the_compiled_ones() {
+        for policy in [
+            SequencerPolicy::PerMemory,
+            SequencerPolicy::PerGroup,
+            SequencerPolicy::Single,
+        ] {
+            let mut b = Brains::new();
+            for m in small_inventory() {
+                b.add_memory(m);
+            }
+            b.policy(policy);
+            for overridden in [false, true] {
+                if overridden {
+                    b.algorithm_for("ram_b", MarchAlgorithm::mats_plus());
+                }
+                let compiled = b.compile().unwrap().sequencer_cycles;
+                assert_eq!(
+                    b.sequencer_cycles().unwrap(),
+                    compiled,
+                    "{policy:?}, override {overridden}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn unknown_override_is_reported() {
         let mut b = Brains::new();
@@ -437,6 +489,7 @@ mod tests {
             b.compile(),
             Err(BistError::Unknown { what: "memory", .. })
         ));
+        assert_eq!(b.sequencer_cycles().unwrap_err(), b.compile().unwrap_err());
     }
 
     #[test]

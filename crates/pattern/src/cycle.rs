@@ -16,6 +16,15 @@
 //! bindings and force state ship once per worker over the
 //! [`steac_sim::wire`] format, and pattern chunks are the unit payloads.
 //!
+//! A pattern set keeps one pin table: [`CyclePattern::pins`] is a shared
+//! `Arc<[String]>`, so a stored pattern holds only its states, and the
+//! chunker checks a pattern's table against the set's by pointer. A
+//! playback unit is one flat chunk — the pattern count, the cycle count
+//! and every state laid out `[pattern][cycle][pin]`. The chunker builds
+//! it from the pulled patterns and a worker decodes it from the unit
+//! bytes, with the same checks on both sides, and one player plays it
+//! in-thread and on the worker alike.
+//!
 //! Reports reach the caller's sink strictly in pattern order and are
 //! byte-identical on every backend, at every chunk size and at every
 //! lane-group width: every verdict is per-pattern, cycle indices are
@@ -27,7 +36,6 @@
 use crate::PatternError;
 use std::borrow::Borrow;
 use std::fmt;
-use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
 use steac_netlist::NetId;
 use steac_sim::shard::{self, PoolError};
@@ -135,22 +143,26 @@ impl fmt::Display for PinState {
     }
 }
 
-/// A cycle-based pattern: a pin list and one row of [`PinState`]s per
+/// A cycle-based pattern: a pin table and one row of [`PinState`]s per
 /// tester cycle.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CyclePattern {
-    /// Pin names, fixed for all cycles.
-    pub pins: Vec<String>,
+    /// Pin names, fixed for all cycles. The table is shared: the
+    /// patterns of one set hold clones of one `Arc`, so storing or
+    /// cloning a pattern never copies the names, and comparing two
+    /// tables of one set is a pointer comparison.
+    pub pins: Arc<[String]>,
     /// Cycle rows; each row has `pins.len()` states.
     pub cycles: Vec<Vec<PinState>>,
 }
 
 impl CyclePattern {
-    /// Creates an empty pattern over the given pins.
+    /// Creates an empty pattern over the given pins: a `Vec<String>`,
+    /// or a clone of a set's shared table.
     #[must_use]
-    pub fn new(pins: Vec<String>) -> Self {
+    pub fn new(pins: impl Into<Arc<[String]>>) -> Self {
         CyclePattern {
-            pins,
+            pins: pins.into(),
             cycles: Vec::new(),
         }
     }
@@ -333,55 +345,134 @@ fn resolve_pins(sim: &Simulator, pins: &[String]) -> Result<Vec<NetId>, PatternE
         .collect()
 }
 
-/// Plays one chunk of patterns — up to one per simulation lane of the
-/// `N`-group executor — from the state `sim` is currently in. Returns
-/// one report per pattern in chunk order.
-fn play_chunk<const N: usize, P: Borrow<CyclePattern>>(
-    sim: &mut Simulator<N>,
-    nets: &[NetId],
-    pins: &[String],
-    chunk: &[P],
-) -> Result<Vec<MismatchReport>, PatternError> {
-    let cycles = chunk.first().map_or(0, |p| p.borrow().cycles.len());
-    play_cycles(sim, nets, pins, chunk.len(), cycles, |l, ci, pi| {
-        chunk[l].borrow().cycles[ci][pi]
-    })
+/// One playback unit: `count` patterns of `cycles` cycles each, every
+/// state flattened `[pattern][cycle][pin]` over the set's one pin
+/// table. The chunker builds it from pulled patterns and a worker
+/// decodes it from unit bytes, each with the same checks — at most one
+/// pass of patterns, no ragged pattern and aligned pulses — so [`play`]
+/// reads the pulse timeline from lane 0.
+struct Chunk {
+    count: usize,
+    cycles: usize,
+    states: Vec<PinState>,
 }
 
-/// The lane-parallel play core: `lanes` patterns of `cycles` cycles
-/// each, with the per-(lane, cycle, pin) state supplied by `state` —
-/// so the dispatcher plays straight out of borrowed [`CyclePattern`]s
-/// while the worker plays out of one flat decode buffer, and neither
-/// materializes the other's representation. Returns one report per
-/// lane in lane order.
-fn play_cycles<const N: usize>(
+impl Chunk {
+    /// Appends a pattern whose rows have been checked against the
+    /// chunk's shape.
+    fn push(&mut self, p: &CyclePattern) {
+        self.count += 1;
+        for row in &p.cycles {
+            self.states.extend_from_slice(row);
+        }
+    }
+
+    /// Checks that every lane pulses exactly where lane 0 does — clock
+    /// pulses are timeline events common to all lanes of a pass —
+    /// scanning cycles, then pins, and reporting the first misaligned
+    /// position.
+    fn check_pulses(&self, pins: usize) -> Result<(), PatternError> {
+        let stride = self.cycles * pins;
+        for at in 0..stride {
+            let pulse_lanes = (0..self.count)
+                .filter(|&l| self.states[l * stride + at] == PinState::Pulse)
+                .count();
+            if pulse_lanes != 0 && pulse_lanes != self.count {
+                return Err(PatternError::Shape {
+                    context: "batch pulse alignment",
+                    expected: self.count,
+                    got: pulse_lanes,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// The unit bytes: the pattern count, then each pattern's cycle
+    /// count and states as STIL-style characters (the pin table lives
+    /// in the job).
+    fn encode(&self) -> Vec<u8> {
+        let mut w = wire::WireWriter::new();
+        w.reserve(8 * (1 + self.count) + self.states.len());
+        w.put_usize(self.count);
+        let stride = self.states.len() / self.count.max(1);
+        for lane in 0..self.count {
+            w.put_usize(self.cycles);
+            for state in &self.states[lane * stride..][..stride] {
+                w.put_u8(state.to_char() as u8);
+            }
+        }
+        w.finish()
+    }
+
+    /// Decodes the unit bytes of a job over `pins` pins that plays
+    /// `width` lanes per pass, with the chunker's checks plus known
+    /// state bytes. It reserves no more states than the unit's
+    /// remaining bytes can hold.
+    fn decode(unit: &[u8], pins: usize, width: usize) -> Result<Chunk, String> {
+        let fail = |e: wire::WireError| format!("pattern unit: {e}");
+        let mut r = wire::WireReader::new(unit);
+        let count = r.get_count("pattern count", 8).map_err(fail)?;
+        if count > width {
+            return Err(format!(
+                "pattern unit has {count} patterns, a pass holds {width}"
+            ));
+        }
+        let mut chunk = Chunk {
+            count,
+            cycles: 0,
+            states: Vec::with_capacity(r.remaining()),
+        };
+        for lane in 0..count {
+            let cycles = r.get_count("pattern cycles", pins).map_err(fail)?;
+            // The player walks every pattern over the first one's
+            // timeline, so a ragged chunk would index out of bounds.
+            if lane == 0 {
+                chunk.cycles = cycles;
+            } else if cycles != chunk.cycles {
+                return Err(format!(
+                    "pattern unit is ragged: {cycles} cycles vs {} in pattern 0",
+                    chunk.cycles
+                ));
+            }
+            for _ in 0..cycles * pins {
+                let b = r.get_u8("pattern state").map_err(fail)?;
+                let state = PinState::from_char(char::from(b))
+                    .ok_or_else(|| format!("invalid pattern state byte {b:#04x}"))?;
+                chunk.states.push(state);
+            }
+        }
+        r.finish().map_err(fail)?;
+        chunk.check_pulses(pins).map_err(|e| e.to_string())?;
+        Ok(chunk)
+    }
+}
+
+/// The player: plays `chunk`, one pattern per simulation lane of the
+/// `N`-group executor, from the state `sim` is currently in, and
+/// returns one report per pattern in chunk order. The in-thread unit
+/// and the worker both play through it.
+fn play<const N: usize>(
     sim: &mut Simulator<N>,
     nets: &[NetId],
     pins: &[String],
-    lanes: usize,
-    cycles: usize,
-    state: impl Fn(usize, usize, usize) -> PinState,
+    chunk: &Chunk,
 ) -> Result<Vec<MismatchReport>, PatternError> {
     use steac_sim::packed::{mask_any, mask_bit, mask_none, mask_set_bit};
 
     let width = Simulator::<N>::WIDTH;
+    let lanes = chunk.count;
+    let stride = chunk.cycles * nets.len();
+    let state = |l: usize, at: usize| chunk.states[l * stride + at];
     let mut reports: Vec<MismatchReport> = vec![MismatchReport::default(); lanes];
-    for ci in 0..cycles {
+    for ci in 0..chunk.cycles {
+        let row = ci * nets.len();
         // Drive phase: build one packed word per pin; lanes that
         // don't drive this cycle keep their previous value.
         let mut pulses = Vec::new();
         for (pi, &net) in nets.iter().enumerate() {
-            let pulse_lanes = (0..lanes)
-                .filter(|&l| state(l, ci, pi) == PinState::Pulse)
-                .count();
-            if pulse_lanes != 0 && pulse_lanes != lanes {
-                return Err(PatternError::Shape {
-                    context: "batch pulse alignment",
-                    expected: lanes,
-                    got: pulse_lanes,
-                });
-            }
-            if pulse_lanes == lanes {
+            // The chunk's check proved every lane pulses where lane 0 does.
+            if state(0, row + pi) == PinState::Pulse {
                 sim.set(net, Logic::Zero);
                 pulses.push(net);
                 continue;
@@ -389,7 +480,7 @@ fn play_cycles<const N: usize>(
             let mut driven = PackedLogic::<N>::ALL_X;
             let mut drive_mask = mask_none::<N>();
             for l in 0..lanes {
-                if let Some(v) = state(l, ci, pi).drive() {
+                if let Some(v) = state(l, row + pi).drive() {
                     driven.set_lane(l, v);
                     mask_set_bit(&mut drive_mask, l);
                 }
@@ -417,7 +508,7 @@ fn play_cycles<const N: usize>(
         for (pi, &net) in nets.iter().enumerate() {
             let packed = sim.get_packed(net);
             for (l, report) in reports.iter_mut().enumerate() {
-                if let Some(expected) = state(l, ci, pi).expect() {
+                if let Some(expected) = state(l, row + pi).expect() {
                     report.compares += 1;
                     let observed = packed.lane(l);
                     if !observed.is_known() || observed != expected {
@@ -639,47 +730,25 @@ where
         let Some(first) = patterns.next() else {
             return Ok(StreamPlayback::default());
         };
-        let head = first.borrow();
-        for row in &head.cycles {
-            if row.len() != head.pins.len() {
-                return Err(PatternError::Shape {
-                    context: "cycle row",
-                    expected: head.pins.len(),
-                    got: row.len(),
-                });
-            }
-        }
-        let pins = head.pins.clone();
-        let cycles = head.cycles.len();
-        let nets = resolve_pins(sim, &pins)?;
-        // The dispatcher simulator is the narrow lane-0 view; its 64-lane
-        // force state replicates into every group of the wide executors so
-        // fault injection means the same thing at every width.
-        let forces: Vec<(NetId, u64, PackedLogic<1>)> = sim
-            .export_forces()
-            .into_iter()
-            .map(|(net, mask, values)| (net, mask[0], values))
-            .collect();
-        let work = PlaybackWork::<N, P> {
-            sim,
-            forces,
-            pins: &pins,
-            nets: &nets,
-            unit: PhantomData,
-        };
+        let pins = Arc::clone(&first.borrow().pins);
         // A mid-stream shape violation cannot surface through the unit
         // iterator (units are infallible values), so the chunker records it
         // here and truncates the stream; checked after dispatch drains.
-        let poisoned: Mutex<Option<PatternError>> = Mutex::new(None);
-        let feed = ValidatedChunks {
+        let poisoned = Mutex::new(None);
+        let mut feed = ValidatedChunks {
             patterns,
             pins: &pins,
-            cycles,
+            cycles: first.borrow().cycles.len(),
             chunk,
-            pending: Some(first),
+            pending: None,
             poisoned: &poisoned,
             done: false,
         };
+        // The head's rows are checked like every later pattern's.
+        feed.check(first.borrow())?;
+        feed.pending = Some(first);
+        let nets = resolve_pins(sim, &pins)?;
+        let work = PlaybackWork::<N>::new(sim, &pins, &nets);
         let mut delivered = 0usize;
         let dispatched = exec.dispatch(&work, feed, |reports: Vec<MismatchReport>| {
             for report in reports {
@@ -700,16 +769,16 @@ where
     }
 }
 
-/// The chunker/validator: groups pulled patterns into `chunk`-sized
-/// units, checking each against the shape the first pattern fixed and
-/// each chunk's pulse alignment — *before* any simulation, so a
-/// shape-invalid pattern raises the same typed [`PatternError::Shape`]
-/// whether its chunk would have played in-thread or shipped to a
-/// worker (and the wire encoding can rely on uniform row widths). The
-/// first violation poisons the shared cell and ends the stream.
+/// The chunker/validator: flattens pulled patterns into `chunk`-sized
+/// [`Chunk`]s, checking each pattern against the shape the first
+/// pattern fixed and each chunk's pulse alignment — *before* any
+/// simulation, so a shape-invalid pattern raises the same typed
+/// [`PatternError::Shape`] whether its chunk would have played
+/// in-thread or shipped to a worker. The first violation poisons the
+/// shared cell and ends the stream.
 struct ValidatedChunks<'a, I, P> {
     patterns: I,
-    pins: &'a [String],
+    pins: &'a Arc<[String]>,
     cycles: usize,
     chunk: usize,
     pending: Option<P>,
@@ -719,7 +788,9 @@ struct ValidatedChunks<'a, I, P> {
 
 impl<I, P> ValidatedChunks<'_, I, P> {
     fn check(&self, p: &CyclePattern) -> Result<(), PatternError> {
-        if p.pins != self.pins {
+        // `Arc` equality tries the pointer first, so for the patterns of
+        // one set this compares no names.
+        if p.pins != *self.pins {
             return Err(PatternError::Shape {
                 context: "batch pin list",
                 expected: self.pins.len(),
@@ -734,10 +805,10 @@ impl<I, P> ValidatedChunks<'_, I, P> {
             });
         }
         for row in &p.cycles {
-            if row.len() != p.pins.len() {
+            if row.len() != self.pins.len() {
                 return Err(PatternError::Shape {
                     context: "cycle row",
-                    expected: p.pins.len(),
+                    expected: self.pins.len(),
                     got: row.len(),
                 });
             }
@@ -752,17 +823,21 @@ impl<I, P> ValidatedChunks<'_, I, P> {
 }
 
 impl<I: Iterator<Item = P>, P: Borrow<CyclePattern>> Iterator for ValidatedChunks<'_, I, P> {
-    type Item = Vec<P>;
+    type Item = Chunk;
 
-    fn next(&mut self) -> Option<Vec<P>> {
+    fn next(&mut self) -> Option<Chunk> {
         if self.done {
             return None;
         }
-        let mut out = Vec::with_capacity(self.chunk);
+        let mut chunk = Chunk {
+            count: 0,
+            cycles: self.cycles,
+            states: Vec::new(),
+        };
         if let Some(p) = self.pending.take() {
-            out.push(p);
+            chunk.push(p.borrow());
         }
-        while out.len() < self.chunk {
+        while chunk.count < self.chunk {
             let Some(p) = self.patterns.next() else {
                 self.done = true;
                 break;
@@ -771,34 +846,52 @@ impl<I: Iterator<Item = P>, P: Borrow<CyclePattern>> Iterator for ValidatedChunk
                 self.poison(e);
                 break;
             }
-            out.push(p);
+            chunk.push(p.borrow());
         }
-        if out.is_empty() {
+        if chunk.count == 0 {
             return None;
         }
-        if let Err(e) = check_pulse_alignment(&out) {
+        if let Err(e) = chunk.check_pulses(self.pins.len()) {
             // The offending chunk is rejected whole, before it plays.
             self.poison(e);
             return None;
         }
-        Some(out)
+        Some(chunk)
     }
 }
 
-/// The [`ExecWork`] description of playback: one unit per chunk of up
-/// to `64 * N` patterns (owned or borrowed), a job block carrying the
-/// compiled program + lane-group width + pin bindings + force state,
-/// and per-chunk [`MismatchReport`] lists as unit results.
-struct PlaybackWork<'a, const N: usize, P> {
+/// The [`ExecWork`] description of playback: one unit per [`Chunk`] of
+/// up to `64 * N` patterns, a job block carrying the compiled program +
+/// lane-group width + pin bindings + force state, and per-chunk
+/// [`MismatchReport`] lists as unit results.
+struct PlaybackWork<'a, const N: usize> {
     sim: &'a Simulator,
     forces: Vec<(NetId, u64, PackedLogic<1>)>,
     pins: &'a [String],
     nets: &'a [NetId],
-    unit: PhantomData<P>,
 }
 
-impl<const N: usize, P: Borrow<CyclePattern> + Send + Sync> ExecWork for PlaybackWork<'_, N, P> {
-    type Unit = Vec<P>;
+impl<'a, const N: usize> PlaybackWork<'a, N> {
+    fn new(sim: &'a Simulator, pins: &'a [String], nets: &'a [NetId]) -> Self {
+        // The dispatcher simulator is the narrow lane-0 view; its 64-lane
+        // force state replicates into every group of the wide executors so
+        // fault injection means the same thing at every width.
+        let forces = sim
+            .export_forces()
+            .into_iter()
+            .map(|(net, mask, values)| (net, mask[0], values))
+            .collect();
+        PlaybackWork {
+            sim,
+            forces,
+            pins,
+            nets,
+        }
+    }
+}
+
+impl<const N: usize> ExecWork for PlaybackWork<'_, N> {
+    type Unit = Chunk;
     type Output = Vec<MismatchReport>;
     type Error = PatternError;
 
@@ -816,26 +909,26 @@ impl<const N: usize, P: Borrow<CyclePattern> + Send + Sync> ExecWork for Playbac
         )
     }
 
-    fn encode_unit(&self, unit: &Vec<P>) -> Vec<u8> {
-        encode_pattern_chunk(unit)
+    fn encode_unit(&self, unit: &Chunk) -> Vec<u8> {
+        unit.encode()
     }
 
-    fn run_unit_local(&self, unit: &Vec<P>) -> Result<Vec<MismatchReport>, PatternError> {
+    fn run_unit_local(&self, unit: &Chunk) -> Result<Vec<MismatchReport>, PatternError> {
         let mut wsim = Simulator::<N>::from_program(self.sim.program_arc().clone());
         wsim.import_forces_replicated(&self.forces);
-        play_chunk(&mut wsim, self.nets, self.pins, unit)
+        play(&mut wsim, self.nets, self.pins, unit)
     }
 
-    fn decode_result(&self, unit: &Vec<P>, bytes: &[u8]) -> Result<Vec<MismatchReport>, String> {
+    fn decode_result(&self, unit: &Chunk, bytes: &[u8]) -> Result<Vec<MismatchReport>, String> {
         let reports = decode_reports(bytes).map_err(|e| format!("result: {e}"))?;
         // One report per pattern, positionally: a miscounted result
         // would misattribute every later report, so it is rejected like
         // any other malformed worker result.
-        if reports.len() != unit.len() {
+        if reports.len() != unit.count {
             return Err(format!(
                 "result has {} reports for {} patterns",
                 reports.len(),
-                unit.len()
+                unit.count
             ));
         }
         Ok(reports)
@@ -882,28 +975,6 @@ fn encode_playback_job(
     w.finish()
 }
 
-/// Unit payload: the cycle rows of up to one chunk's worth of patterns
-/// (the pin list lives in the job; rows are STIL-style state characters).
-fn encode_pattern_chunk<P: Borrow<CyclePattern>>(chunk: &[P]) -> Vec<u8> {
-    let mut w = wire::WireWriter::new();
-    let states: usize = chunk
-        .iter()
-        .map(|p| p.borrow().cycles.len() * p.borrow().pins.len())
-        .sum();
-    w.reserve(8 * (1 + chunk.len()) + states);
-    w.put_usize(chunk.len());
-    for p in chunk {
-        let p = p.borrow();
-        w.put_usize(p.cycles.len());
-        for row in &p.cycles {
-            for state in row {
-                w.put_u8(state.to_char() as u8);
-            }
-        }
-    }
-    w.finish()
-}
-
 fn encode_reports(reports: &[MismatchReport]) -> Vec<u8> {
     let mut w = wire::WireWriter::new();
     w.put_usize(reports.len());
@@ -944,96 +1015,22 @@ fn decode_reports(bytes: &[u8]) -> Result<Vec<MismatchReport>, wire::WireError> 
     Ok(reports)
 }
 
-/// Raises, at validation time, exactly the pulse-alignment error
-/// [`play_chunk`] would raise mid-play — scanning cycles then pins — so
-/// every backend rejects a misaligned chunk with the same typed
-/// [`PatternError::Shape`] before any simulation runs. (Workers and the
-/// in-thread player still check, as defense in depth against bytes that
-/// bypassed validation.)
-fn check_pulse_alignment<P: Borrow<CyclePattern>>(chunk: &[P]) -> Result<(), PatternError> {
-    let cycles = chunk.first().map_or(0, |p| p.borrow().cycles.len());
-    let pins = chunk.first().map_or(0, |p| p.borrow().pins.len());
-    for ci in 0..cycles {
-        for pi in 0..pins {
-            let pulse_lanes = chunk
-                .iter()
-                .filter(|&p| p.borrow().cycles[ci][pi] == PinState::Pulse)
-                .count();
-            if pulse_lanes != 0 && pulse_lanes != chunk.len() {
-                return Err(PatternError::Shape {
-                    context: "batch pulse alignment",
-                    expected: chunk.len(),
-                    got: pulse_lanes,
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
 /// An opened playback job inside a worker process, monomorphized to
-/// the lane-group width the job header requested.
-///
-/// Units decode into one flat pattern-major scratch buffer reused
-/// across units — no [`CyclePattern`] (and no per-pattern pin-list
-/// clone, ~hundreds of `String`s on real designs) is ever materialized
-/// on the worker side; [`play_cycles`] reads states straight out of
-/// the buffer.
+/// the lane-group width the job header requested. Each unit decodes
+/// into a [`Chunk`] — never a [`CyclePattern`] — and plays through
+/// the same [`play`] as the in-thread path.
 struct PlaybackJob<const N: usize> {
     sim: Simulator<N>,
     pins: Vec<String>,
     nets: Vec<NetId>,
-    /// `[pattern][cycle][pin]`, reused across units.
-    scratch: Vec<PinState>,
 }
 
 impl<const N: usize> shard::WireJob for PlaybackJob<N> {
     fn run_unit(&mut self, unit: &[u8]) -> Result<Vec<u8>, String> {
-        let width = Simulator::<N>::WIDTH;
-        let pin_count = self.pins.len();
-        let fail = |e: wire::WireError| format!("pattern unit: {e}");
-        let mut r = wire::WireReader::new(unit);
-        let count = r.get_count("pattern count", 8).map_err(fail)?;
-        if count > width {
-            return Err(format!(
-                "pattern unit has {count} patterns, a pass holds {width}"
-            ));
-        }
-        self.scratch.clear();
-        let mut chunk_cycles = 0;
-        for lane in 0..count {
-            let cycles = r.get_count("pattern cycles", pin_count).map_err(fail)?;
-            // play_cycles walks every pattern over the first one's
-            // timeline, so a ragged chunk would index out of bounds.
-            if lane == 0 {
-                chunk_cycles = cycles;
-                self.scratch.reserve(count * cycles * pin_count);
-            } else if cycles != chunk_cycles {
-                return Err(format!(
-                    "pattern unit is ragged: {cycles} cycles vs {chunk_cycles} in pattern 0"
-                ));
-            }
-            for _ in 0..cycles * pin_count {
-                let b = r.get_u8("pattern state").map_err(fail)?;
-                let state = PinState::from_char(char::from(b))
-                    .ok_or_else(|| format!("invalid pattern state byte {b:#04x}"))?;
-                self.scratch.push(state);
-            }
-        }
-        r.finish().map_err(fail)?;
+        let chunk = Chunk::decode(unit, self.pins.len(), Simulator::<N>::WIDTH)?;
         let mut wsim = self.sim.clone();
         wsim.reset_to_x();
-        let stride = chunk_cycles * pin_count;
-        let scratch = &self.scratch;
-        let reports = play_cycles(
-            &mut wsim,
-            &self.nets,
-            &self.pins,
-            count,
-            chunk_cycles,
-            |l, ci, pi| scratch[l * stride + ci * pin_count + pi],
-        )
-        .map_err(|e| e.to_string())?;
+        let reports = play(&mut wsim, &self.nets, &self.pins, &chunk).map_err(|e| e.to_string())?;
         Ok(encode_reports(&reports))
     }
 }
@@ -1110,7 +1107,6 @@ impl LaneGroupWork for OpenJob {
             sim,
             pins: self.pins,
             nets: self.nets,
-            scratch: Vec::new(),
         })
     }
 }
@@ -1336,10 +1332,39 @@ mod tests {
         }
     }
 
+    /// Unit bytes assembled by hand in the kind-2 layout: the pattern
+    /// count, then each pattern's cycle count and state characters.
+    fn hand_unit(patterns: &[&CyclePattern]) -> Vec<u8> {
+        let mut w = wire::WireWriter::new();
+        w.put_usize(patterns.len());
+        for p in patterns {
+            w.put_usize(p.cycles.len());
+            for row in &p.cycles {
+                for state in row {
+                    w.put_u8(state.to_char() as u8);
+                }
+            }
+        }
+        w.finish()
+    }
+
+    /// The chunk of `patterns`, built without the chunker's checks.
+    fn chunk_of(patterns: &[&CyclePattern]) -> Chunk {
+        let mut chunk = Chunk {
+            count: 0,
+            cycles: patterns[0].cycles.len(),
+            states: Vec::new(),
+        };
+        patterns.iter().for_each(|p| chunk.push(p));
+        chunk
+    }
+
     /// A ragged unit (patterns with different cycle counts) must come
     /// back as a typed unit error from the worker-side decoder, never a
-    /// panic — `play_chunk` walks every pattern over pattern 0's
-    /// timeline. Also pins the report wire codec round trip.
+    /// panic — `play` walks every pattern over pattern 0's timeline.
+    /// Also pins the chunk encoder to the hand-assembled layout, the
+    /// decoder's reservation to the unit's size and the report wire
+    /// codec round trip.
     #[test]
     fn worker_rejects_ragged_pattern_units() {
         use Logic::{One, Zero};
@@ -1356,27 +1381,117 @@ mod tests {
             &[],
         ))
         .unwrap();
-        // Hand-assemble a ragged unit: a 1-cycle pattern followed by a
-        // 2-cycle pattern (the player's validator would reject this, so
-        // it can only arrive via corrupt or hostile bytes).
-        let mut w = wire::WireWriter::new();
-        w.put_usize(2);
-        for p in [&one, &two] {
-            w.put_usize(p.cycles.len());
-            for row in &p.cycles {
-                for state in row {
-                    w.put_u8(state.to_char() as u8);
-                }
-            }
-        }
-        let err = job.run_unit(&w.finish()).unwrap_err();
+        // A ragged unit: a 1-cycle pattern followed by a 2-cycle pattern
+        // (the player's validator would reject this, so it can only
+        // arrive via corrupt or hostile bytes).
+        let err = job.run_unit(&hand_unit(&[&one, &two])).unwrap_err();
         assert!(err.contains("ragged"), "{err}");
         // A well-formed unit on the same job round-trips its reports.
-        let unit = encode_pattern_chunk(&[&two, &two]);
+        let unit = chunk_of(&[&two, &two]).encode();
+        assert_eq!(unit, hand_unit(&[&two, &two]));
+        let decoded = Chunk::decode(&unit, nets.len(), 64).unwrap();
+        assert_eq!(decoded.states, chunk_of(&[&two, &two]).states);
+        assert!(decoded.states.capacity() <= unit.len());
         let reports = decode_reports(&job.run_unit(&unit).unwrap()).unwrap();
         assert_eq!(reports.len(), 2);
         assert!(reports.iter().all(MismatchReport::passed));
         assert_eq!(reports[0].compares, 2);
+    }
+
+    /// A misaligned-pulse unit that bypassed the chunker fails on the
+    /// worker with the text of the chunker's typed error.
+    #[test]
+    fn worker_rejects_misaligned_pulses_with_the_chunkers_error() {
+        use Logic::{One, Zero};
+        let m = flop_module();
+        let sim: Simulator = Simulator::new(&m).unwrap();
+        let a = flop_pattern(&[One, Zero]);
+        let mut c = flop_pattern(&[One, Zero]);
+        c.cycles[1][1] = PinState::Drive0;
+        let typed = apply_cycle_patterns_batch(&exec(), &sim, &[&a, &c, &a]).unwrap_err();
+        assert_eq!(
+            typed,
+            PatternError::Shape {
+                context: "batch pulse alignment",
+                expected: 3,
+                got: 2,
+            }
+        );
+        let nets = resolve_pins(&sim, &a.pins).unwrap();
+        let mut job =
+            open_wire_job(&encode_playback_job(sim.program(), 1, &a.pins, &nets, &[])).unwrap();
+        let err = job.run_unit(&hand_unit(&[&a, &c, &a])).unwrap_err();
+        assert_eq!(err, typed.to_string());
+    }
+
+    /// Plays `patterns` in `chunk`-pattern units at width `N` both ways
+    /// — `run_unit_local`, and the opened wire job on the encoded unit —
+    /// requiring equal reports for every chunk. Returns the failing
+    /// patterns' count.
+    fn local_equals_worker<const N: usize>(
+        sim: &Simulator,
+        patterns: &[CyclePattern],
+        chunk: usize,
+    ) -> usize {
+        let pins = Arc::clone(&patterns[0].pins);
+        let nets = resolve_pins(sim, &pins).unwrap();
+        let work = PlaybackWork::<N>::new(sim, &pins, &nets);
+        let mut job = open_wire_job(&work.encode_job()).unwrap();
+        let poisoned = Mutex::new(None);
+        let chunks = ValidatedChunks {
+            patterns: patterns.iter(),
+            pins: &pins,
+            cycles: patterns[0].cycles.len(),
+            chunk,
+            pending: None,
+            poisoned: &poisoned,
+            done: false,
+        };
+        let mut failing = 0;
+        for (i, unit) in chunks.enumerate() {
+            let local = work.run_unit_local(&unit).unwrap();
+            let shipped = job.run_unit(&work.encode_unit(&unit)).unwrap();
+            assert_eq!(local, decode_reports(&shipped).unwrap(), "chunk {i}");
+            failing += local.iter().filter(|r| !r.passed()).count();
+        }
+        assert_eq!(poisoned.into_inner().unwrap(), None);
+        failing
+    }
+
+    /// The in-thread unit and the worker unit play the same chunk
+    /// through the same player: on a set with a failing pattern and a
+    /// simulator with a forced net, every chunk reports the same both
+    /// ways, at two widths and three chunk sizes.
+    #[test]
+    fn local_and_worker_units_report_the_same() {
+        use Logic::{One, Zero};
+        let m = flop_module();
+        let patterns: Vec<CyclePattern> = (0..150u32)
+            .map(|i| {
+                let bits: Vec<Logic> = (0..4)
+                    .map(|k| if (i >> (k % 5)) & 1 == 1 { One } else { Zero })
+                    .collect();
+                let mut p = flop_pattern(&bits);
+                if i == 77 {
+                    p.cycles[2][2] = PinState::ExpectH;
+                    p.cycles[2][0] = PinState::Drive0;
+                }
+                p
+            })
+            .collect();
+        let clean: Simulator = Simulator::new(&m).unwrap();
+        let mut forced = clean.clone();
+        let d = forced.program().port_net("d").unwrap();
+        forced.force_lane(d, 5, One);
+        assert_eq!(local_equals_worker::<1>(&clean, &patterns, 64), 1);
+        // The force fails lane 5 of some chunks besides pattern 77.
+        for failing in [
+            local_equals_worker::<1>(&forced, &patterns, 7),
+            local_equals_worker::<1>(&forced, &patterns, 64),
+            local_equals_worker::<2>(&forced, &patterns, 128),
+        ] {
+            assert!(failing > 1, "{failing} failing patterns");
+        }
     }
 
     /// The streaming player's reports are byte-identical to the

@@ -338,17 +338,9 @@ impl fmt::Display for ChipPatternSet {
 #[must_use]
 pub fn merge_sessions(mut streams: Vec<SessionStream>) -> ChipPatternSet {
     for st in &mut streams {
-        for pin in &mut st.pattern.pins {
-            if let Some(rest) = pin.strip_prefix("wsi[") {
-                if let Some(k) = rest.strip_suffix(']').and_then(|s| s.parse::<usize>().ok()) {
-                    *pin = format!("tam_in[{}]", st.tam_offset + k);
-                }
-            } else if let Some(rest) = pin.strip_prefix("wso[") {
-                if let Some(k) = rest.strip_suffix(']').and_then(|s| s.parse::<usize>().ok()) {
-                    *pin = format!("tam_out[{}]", st.tam_offset + k);
-                }
-            }
-        }
+        // One renamed table per stream, shared like the one it replaces.
+        let offset = st.tam_offset;
+        st.pattern.pins = st.pattern.pins.iter().map(|p| tam_pin(p, offset)).collect();
     }
     let mut sessions: Vec<(usize, Vec<SessionStream>)> = Vec::new();
     streams.sort_by_key(|s| s.session);
@@ -359,6 +351,18 @@ pub fn merge_sessions(mut streams: Vec<SessionStream>) -> ChipPatternSet {
         }
     }
     ChipPatternSet { sessions }
+}
+
+/// `wsi[k]` → `tam_in[offset+k]`, `wso[k]` → `tam_out[offset+k]`;
+/// any other pin keeps its name.
+fn tam_pin(pin: &str, offset: usize) -> String {
+    for (wrapper, tam) in [("wsi[", "tam_in"), ("wso[", "tam_out")] {
+        let index = pin.strip_prefix(wrapper).and_then(|r| r.strip_suffix(']'));
+        if let Some(k) = index.and_then(|k| k.parse::<usize>().ok()) {
+            return format!("{tam}[{}]", offset + k);
+        }
+    }
+    pin.to_string()
 }
 
 #[cfg(test)]

@@ -688,6 +688,16 @@ impl<F: FaultModel> WireJob for FaultJob<F> {
     }
 }
 
+/// Most (pattern, output) bits one fault's signature may hold in a
+/// shipped dictionary job: 2^20, or 128 KiB per fault. The largest
+/// dictionary the suite builds, over a zoo glue netlist with 48–96
+/// vectors, needs a few thousand. A dictionary unit allocates every
+/// fault's signature before its first pattern runs, and an empty vector
+/// costs 8 job bytes, so an uncapped job could demand any amount of
+/// memory. In-thread runs take their vectors from the caller and have
+/// no such cap.
+const MAX_SIGNATURE_BITS: usize = 1 << 20;
+
 /// Decodes a fault job block of model `F` (see [`encode_job`]) into the
 /// executable job the worker loop drives — the `steac-worker` side of
 /// [`grade_vectors`] and [`fault_dictionary`], registered under
@@ -695,7 +705,8 @@ impl<F: FaultModel> WireJob for FaultJob<F> {
 ///
 /// # Errors
 ///
-/// A diagnostic on corrupt job bytes.
+/// A diagnostic on corrupt job bytes, or on a dictionary job whose
+/// per-fault signature exceeds 2^20 (pattern, output) bits.
 pub fn open_wire_job<F: FaultModel>(job: &[u8]) -> Result<Box<dyn WireJob>, String> {
     let mut r = WireReader::new(job);
     let program = wire::decode_program(
@@ -736,6 +747,17 @@ pub fn open_wire_job<F: FaultModel>(job: &[u8]) -> Result<Box<dyn WireJob>, Stri
         vectors.push(v);
     }
     r.finish().map_err(fail)?;
+    let (patterns, outputs) = (F::patterns(vectors.len()), program.output_nets.len());
+    if mode == Mode::Dictionary
+        && patterns
+            .checked_mul(outputs)
+            .is_none_or(|bits| bits > MAX_SIGNATURE_BITS)
+    {
+        return Err(format!(
+            "fault job dictionary signature of {patterns} patterns x {outputs} outputs \
+             exceeds {MAX_SIGNATURE_BITS} bits per fault"
+        ));
+    }
     Ok(Box::new(FaultJob {
         program: Arc::new(program),
         pins,
@@ -817,6 +839,31 @@ mod tests {
     use super::*;
     use crate::fault::{enumerate_faults, Fault};
     use steac_netlist::{GateKind, NetlistBuilder};
+
+    /// A dictionary job whose per-fault signature passes the cap fails
+    /// to open, naming the size; it is never run, so nothing large is
+    /// allocated. The same job in grading mode opens.
+    #[test]
+    fn an_oversized_dictionary_job_fails_to_open() {
+        let mut b = NetlistBuilder::new("wide");
+        let a = b.input("a");
+        for o in 0..1024 {
+            b.output(&format!("y{o}"), a);
+        }
+        let program = SimProgram::compile(&b.finish().unwrap()).unwrap();
+        // 2^17 empty vectors (1 MiB of job) × 1,024 outputs = 2^27 bits.
+        let vectors = vec![Vec::new(); 1 << 17];
+        let job = |mode| encode_job(&program, 8, mode, &[], &vectors);
+        let err = open_wire_job::<Fault>(&job(Mode::Dictionary))
+            .err()
+            .expect("the job is over the cap");
+        assert_eq!(
+            err,
+            "fault job dictionary signature of 131072 patterns x 1024 outputs \
+             exceeds 1048576 bits per fault"
+        );
+        assert!(open_wire_job::<Fault>(&job(Mode::Grade)).is_ok());
+    }
 
     #[test]
     fn model_names_round_trip_through_parse() {
