@@ -18,11 +18,13 @@
 //!
 //! The closing table holds the backends fixed (single core, serial)
 //! and sweeps the *per-core* axes instead: the optimizer (on/off: slot
-//! renumbering with single-sweep settle, or neither) × the lane-group width — playback defaults to the narrow
-//! 64-lane width ([`steac_pattern::PLAYBACK_LANE_GROUPS`]) while
-//! grading keeps the wide 256-lane default, a per-workload choice this
-//! binary asserts — again requiring byte-identical reports in every
-//! cell. A sustained-load table closes the remote story: fixed-rate
+//! renumbering with single-sweep settle, or neither) for both
+//! workloads, times the lane-group width (64 or 256 lanes) for grading.
+//! Playback runs at its one 64-lane width
+//! ([`steac_pattern::PLAYBACK_LANE_GROUPS`]) and grading defaults to
+//! 256 lanes, widths this binary asserts — again requiring
+//! byte-identical reports in every cell. A sustained-load table closes
+//! the remote story: fixed-rate
 //! pattern injection (the SAIBERSOC-style drill — validate the
 //! pipeline under the load you claim it takes, not just at
 //! saturation) against the TCP fleet, with the fleet's bytes-shipped
@@ -55,9 +57,7 @@ use std::time::{Duration, Instant};
 use steac_bench::{header, splitmix_vectors};
 use steac_dsc::{jpeg_core, jpeg_functional_patterns, jpeg_playback_stream};
 use steac_membist::{enumerate_inter_cell_couplings, fault_coverage, MarchAlgorithm, SramConfig};
-use steac_pattern::{
-    apply_cycle_patterns_batch, apply_cycle_patterns_batch_wide, CyclePattern, PLAYBACK_LANE_GROUPS,
-};
+use steac_pattern::{apply_cycle_patterns_batch, CyclePattern, PLAYBACK_LANE_GROUPS};
 use steac_sim::models::{bridging, transition};
 use steac_sim::remote::{spawn_serve_process, FleetStatsSnapshot, ServeHandle};
 use steac_sim::{
@@ -198,9 +198,9 @@ fn main() {
     let default_lanes = LANES * DEFAULT_LANE_GROUPS;
     let play_lanes = LANES * PLAYBACK_LANE_GROUPS;
     // The per-workload width choice is part of the measured contract:
-    // settle-bound playback defaults narrow, compare-dense grading
-    // stays wide (BENCH_6 per-core sweep is the evidence).
-    assert_eq!(play_lanes, 64, "playback must default to the narrow width");
+    // settle-bound playback plays narrow, compare-dense grading
+    // defaults wide (BENCH_10's per-core sweep is the evidence).
+    assert_eq!(play_lanes, 64, "playback must play at the narrow width");
     assert_eq!(default_lanes, 256, "grading must keep the wide default");
     let (module, _) = jpeg_core().expect("jpeg core builds");
     let faults = enumerate_faults(&module);
@@ -679,56 +679,45 @@ fn main() {
          {LANES} lanes: {headline:.2}x"
     );
 
-    // The same sweep over full-set playback. Playback passes spend most
-    // of their time on per-pattern lane packing and per-PO compares
-    // (width-invariant scalar work), so the cells mostly show that the
-    // wide kernel costs nothing where it cannot win.
+    // The same two programs over full-set playback, at its one 64-lane
+    // width; the reports must not change with the optimizer.
     println!("full-set JPEG playback, {full_count} patterns:");
     let (raw, opt) = (Arc::new(raw), Arc::new(optimized));
-    let mut play_cells: Vec<(bool, usize, f64)> = Vec::new();
     let mut cell_base: Option<(f64, steac_pattern::BatchPlayback)> = None;
     println!(
         "{:>12} {:>6} {:>10} {:<12} {:>8}",
         "program", "lanes", "rate", "", "speedup"
     );
     for (label, is_opt, program) in [("unoptimized", false, &raw), ("optimized", true, &opt)] {
-        for groups in [1usize, DEFAULT_LANE_GROUPS] {
-            let psim: Simulator = Simulator::from_program(Arc::clone(program));
-            let (secs, reports) = time(|| {
-                apply_cycle_patterns_batch_wide(&serial_exec, &psim, &full_refs, groups)
-                    .expect("plays")
-            });
-            let base = if let Some((base, base_reports)) = &cell_base {
-                assert_eq!(
-                    &reports, base_reports,
-                    "reports diverged at opt={is_opt} groups={groups}"
-                );
-                *base
-            } else {
-                cell_base = Some((secs, reports));
-                secs
-            };
-            println!(
-                "{label:>12} {:>6} {:>10.0} {:<12} {:>7.2}x",
-                LANES * groups,
-                full_count as f64 / secs.max(1e-12),
-                "patterns/s",
-                base / secs.max(1e-12),
-            );
-            play_cells.push((is_opt, LANES * groups, secs));
-            rows.push(BenchRow {
-                workload: "jpeg_full_playback",
-                backend: "serial".to_string(),
-                lanes: LANES * groups,
-                opt: is_opt,
-                rate: full_count as f64 / secs.max(1e-12),
-                unit: "patterns/s",
-                compares: full_compares,
-                mismatches: full_mismatches,
-                ship: None,
-                peak_rss_kib: peak_rss_kib(),
-            });
-        }
+        let psim: Simulator = Simulator::from_program(Arc::clone(program));
+        let (secs, reports) =
+            time(|| apply_cycle_patterns_batch(&serial_exec, &psim, &full_refs).expect("plays"));
+        let base = if let Some((base, base_reports)) = &cell_base {
+            assert_eq!(&reports, base_reports, "reports diverged at opt={is_opt}");
+            *base
+        } else {
+            cell_base = Some((secs, reports));
+            secs
+        };
+        println!(
+            "{label:>12} {:>6} {:>10.0} {:<12} {:>7.2}x",
+            play_lanes,
+            full_count as f64 / secs.max(1e-12),
+            "patterns/s",
+            base / secs.max(1e-12),
+        );
+        rows.push(BenchRow {
+            workload: "jpeg_full_playback",
+            backend: "serial".to_string(),
+            lanes: play_lanes,
+            opt: is_opt,
+            rate: full_count as f64 / secs.max(1e-12),
+            unit: "patterns/s",
+            compares: full_compares,
+            mismatches: full_mismatches,
+            ship: None,
+            peak_rss_kib: peak_rss_kib(),
+        });
     }
 
     // ---- fault-model registry: per-model grading throughput ----

@@ -43,7 +43,7 @@ use steac_netlist::{Module, NetId};
 use steac_pattern::{
     stream_cycle_patterns, CyclePattern, PatternError, PinState, PLAYBACK_LANE_GROUPS,
 };
-use steac_sim::shard::{self, PoolError};
+use steac_sim::shard;
 use steac_sim::wire::{self, WireError, WireReader, WireWriter};
 use steac_sim::{Dispatch, Exec, ExecWork, Logic, SimError, SimProgram, Simulator, LANES};
 
@@ -266,10 +266,6 @@ impl ExecWork for GenerateWork {
         self.build(patterns.start, expected)
             .map_err(|e| e.to_string())
     }
-
-    fn pool_error(&self, error: PoolError) -> PatternError {
-        PatternError::Sim(SimError::from(error))
-    }
 }
 
 impl shard::WireJob for GenerateWork {
@@ -370,8 +366,7 @@ fn generate_all(
 
 /// Builds `count` two-cycle functional patterns for the JPEG core: one
 /// generation dispatch of [`LANES`]-pattern blocks on `exec`, collected
-/// in pattern order. The output is identical on every backend and at
-/// every width.
+/// in pattern order. The output is identical on every backend.
 ///
 /// # Errors
 ///

@@ -3,14 +3,14 @@
 //!
 //! Grading is bit-parallel (PPSFP style): faulty machines are packed
 //! into lane planes — one lane-mask word group per memory cell column,
-//! one lane per fault — so a single March walk grades `64 * N` faults
-//! at once (`N` = lane groups, [`steac_sim::DEFAULT_LANE_GROUPS`] by
-//! default). March writes are uniform across machines, so the walk
-//! broadcasts them word-parallel and then applies each lane's fault
-//! perturbation as a constant-time bit fix; reads compare every lane
-//! against the analytic expected value in one XOR per word group.
-//! Detected lanes are dropped: once every fault of a pass is caught,
-//! the walk stops early.
+//! one lane per fault — so a single March walk grades
+//! [`FAULTS_PER_WALK`] (256) faults at once, at the one width
+//! [`steac_sim::DEFAULT_LANE_GROUPS`]. March writes are uniform across
+//! machines, so the walk broadcasts them word-parallel and then applies
+//! each lane's fault perturbation as a constant-time bit fix; reads
+//! compare every lane against the analytic expected value in one XOR
+//! per word group. Detected lanes are dropped: once every fault of a
+//! walk is caught, the walk stops early.
 //!
 //! Each walk is an independent work unit, so [`fault_coverage`]
 //! describes the walks as a [`steac_sim::ExecWork`] over fault-list
@@ -18,8 +18,8 @@
 //! thread-sharded, or fanned across `steac-worker` processes (walk
 //! descriptors serialized by [`crate::wire`]) — whose sink collects the
 //! per-walk detection masks in fault-list order: reports are
-//! bit-identical on every backend and at every lane-group width (chunk
-//! size only changes how the fault list is cut).
+//! bit-identical on every backend and equal to the one-walk-per-fault
+//! oracle [`fault_coverage_serial`].
 //! Shipped batches follow the `Exec`'s explicit
 //! [`steac_sim::Fallback`] policy, and every in-thread fallback is
 //! logged and counted in [`MemCoverageReport::process_fallbacks`]
@@ -33,19 +33,17 @@ use std::fmt;
 use steac_sim::packed::{
     mask_and, mask_andnot, mask_bit, mask_none, mask_or, mask_range, mask_set_bit, LaneMask,
 };
-use steac_sim::shard::{self, PoolError};
-use steac_sim::{with_lane_groups, Exec, ExecWork, LaneGroupWork, SimError, DEFAULT_LANE_GROUPS};
+use steac_sim::shard;
+use steac_sim::{Exec, ExecWork, SimError, DEFAULT_LANE_GROUPS, LANES};
 
-/// Faults graded per single-group (64-lane) packed March walk.
-pub const FAULTS_PER_PASS: usize = 64;
+/// Faults graded per packed March walk: one per lane of
+/// [`DEFAULT_LANE_GROUPS`] lane groups. Unlike gate-level PPSFP there
+/// is no good-machine lane, so every one of the 256 lanes holds a
+/// fault.
+pub const FAULTS_PER_WALK: usize = LANES * DEFAULT_LANE_GROUPS;
 
-/// Faults graded per packed March walk at `groups` lane groups. Unlike
-/// gate-level PPSFP there is no good-machine lane: every lane holds a
-/// fault, so a walk grades the full `64 * groups`.
-#[must_use]
-pub const fn faults_per_walk(groups: usize) -> usize {
-    FAULTS_PER_PASS * groups
-}
+/// The detected-lane mask of one walk.
+type WalkMask = LaneMask<DEFAULT_LANE_GROUPS>;
 
 /// Runs `alg` on `mem`; returns `true` if any read mismatches its
 /// expected background value (fault detected). Scalar single-machine
@@ -112,15 +110,15 @@ pub(crate) fn fault_fits(config: &SramConfig, fault: &MemFault) -> bool {
     }
 }
 
-/// One packed March walk over a (pre-validated) fault chunk — the pass
-/// body shared by the thread-sharded path and the `steac-worker` process
+/// One packed March walk over a (pre-validated) fault chunk — the walk
+/// body shared by the in-thread path and the `steac-worker` process
 /// (`crate::wire`). Returns the detected-lane mask.
-pub(crate) fn run_packed_march<const N: usize>(
+pub(crate) fn run_packed_march(
     alg: &MarchAlgorithm,
     config: &SramConfig,
     chunk: &[MemFault],
-) -> LaneMask<N> {
-    PackedFaultSim::<N>::new(*config, chunk).run_march(alg)
+) -> WalkMask {
+    PackedFaultSim::new(*config, chunk).run_march(alg)
 }
 
 pub(crate) fn word_mask(config: &SramConfig) -> u64 {
@@ -131,14 +129,14 @@ pub(crate) fn word_mask(config: &SramConfig) -> u64 {
     }
 }
 
-/// `64 * N` faulty memories packed into lane planes:
+/// [`FAULTS_PER_WALK`] faulty memories packed into lane planes:
 /// `planes[addr * width + bit]` holds one bit per lane (per fault
 /// machine). Lane semantics replicate [`Sram`]'s scalar fault behaviour
 /// exactly (differentially tested).
 #[derive(Debug, Clone)]
-struct PackedFaultSim<const N: usize> {
+struct PackedFaultSim {
     config: SramConfig,
-    planes: Vec<LaneMask<N>>,
+    planes: Vec<WalkMask>,
     /// `(lane, fault)` pairs of this pass.
     faults: Vec<(usize, MemFault)>,
     /// Per-address indices into `faults` that perturb writes to the
@@ -149,19 +147,16 @@ struct PackedFaultSim<const N: usize> {
     read_hooks: Vec<Vec<u32>>,
     /// Per-address lane mask excluded from broadcast writes (decoder
     /// faults that lose or redirect the access).
-    write_exclude: Vec<LaneMask<N>>,
+    write_exclude: Vec<WalkMask>,
     /// Per-address lane mask whose reads need individual evaluation.
-    read_exclude: Vec<LaneMask<N>>,
+    read_exclude: Vec<WalkMask>,
     /// Lanes in use.
-    active: LaneMask<N>,
+    active: WalkMask,
 }
 
-impl<const N: usize> PackedFaultSim<N> {
+impl PackedFaultSim {
     fn new(config: SramConfig, chunk: &[MemFault]) -> Self {
-        assert!(
-            chunk.len() <= faults_per_walk(N),
-            "too many faults per pass"
-        );
+        assert!(chunk.len() <= FAULTS_PER_WALK, "too many faults per walk");
         assert!(config.width <= 64, "model supports widths up to 64 bits");
         assert!(config.words > 0, "memory must have at least one word");
         let mut sim = PackedFaultSim {
@@ -221,7 +216,7 @@ impl<const N: usize> PackedFaultSim<N> {
     }
 
     #[inline]
-    fn plane(&self, addr: usize, bit: usize) -> LaneMask<N> {
+    fn plane(&self, addr: usize, bit: usize) -> WalkMask {
         self.planes[addr * self.config.width + bit]
     }
 
@@ -345,14 +340,13 @@ impl<const N: usize> PackedFaultSim<N> {
 
     /// Reads `addr` in every lane and returns the mask of lanes whose
     /// value differs from `expected` (matching `Sram::read` semantics).
-    fn read_mismatch(&self, addr: usize, expected: u64) -> LaneMask<N> {
+    fn read_mismatch(&self, addr: usize, expected: u64) -> WalkMask {
         let expected = expected & word_mask(&self.config);
-        let mut diff = mask_none::<N>();
+        let mut diff: WalkMask = mask_none();
         for bit in 0..self.config.width {
             let exp = if expected >> bit & 1 == 1 { !0u64 } else { 0 };
-            let plane = self.plane(addr, bit);
-            for g in 0..N {
-                diff[g] |= plane[g] ^ exp;
+            for (d, p) in diff.iter_mut().zip(self.plane(addr, bit)) {
+                *d |= p ^ exp;
             }
         }
         diff = mask_and(diff, mask_andnot(self.active, self.read_exclude[addr]));
@@ -399,10 +393,10 @@ impl<const N: usize> PackedFaultSim<N> {
     /// Runs the March walk over all lanes at once; returns the detected
     /// lane mask. Stops early once every active lane is detected (fault
     /// dropping).
-    fn run_march(&mut self, alg: &MarchAlgorithm) -> LaneMask<N> {
+    fn run_march(&mut self, alg: &MarchAlgorithm) -> WalkMask {
         let words = self.config.words;
         let mask = word_mask(&self.config);
-        let mut detected = mask_none::<N>();
+        let mut detected: WalkMask = mask_none();
         for element in &alg.elements {
             let addrs: Box<dyn Iterator<Item = usize>> = match element.dir {
                 Direction::Up | Direction::Any => Box::new(0..words),
@@ -421,7 +415,7 @@ impl<const N: usize> PackedFaultSim<N> {
                         }
                     }
                     if detected == self.active {
-                        return detected; // every fault of this pass dropped
+                        return detected; // every fault of this walk dropped
                     }
                 }
             }
@@ -524,18 +518,18 @@ fn report_from_flags(
 }
 
 /// The [`ExecWork`] description of March fault grading: one unit per
-/// [`faults_per_walk`] walk, a job block carrying geometry, algorithm
-/// and lane-group width ([`crate::wire`]), and lane-mask detection
+/// walk of up to [`FAULTS_PER_WALK`] faults, a job block carrying
+/// geometry and algorithm ([`crate::wire`]), and lane-mask detection
 /// word groups as unit results. The walk itself is infallible — errors
 /// can only come from dispatch.
-struct MarchWork<'a, const N: usize> {
+struct MarchWork<'a> {
     alg: &'a MarchAlgorithm,
     config: &'a SramConfig,
 }
 
-impl<'a, const N: usize> ExecWork for MarchWork<'a, N> {
+impl<'a> ExecWork for MarchWork<'a> {
     type Unit = &'a [MemFault];
-    type Output = LaneMask<N>;
+    type Output = WalkMask;
     type Error = SimError;
 
     fn kind(&self) -> u16 {
@@ -543,40 +537,36 @@ impl<'a, const N: usize> ExecWork for MarchWork<'a, N> {
     }
 
     fn encode_job(&self) -> Vec<u8> {
-        crate::wire::encode_march_job(self.alg, self.config, N as u8)
+        crate::wire::encode_march_job(self.alg, self.config)
     }
 
     fn encode_unit(&self, unit: &&'a [MemFault]) -> Vec<u8> {
         crate::wire::encode_fault_unit(unit)
     }
 
-    fn run_unit_local(&self, unit: &&'a [MemFault]) -> Result<LaneMask<N>, SimError> {
+    fn run_unit_local(&self, unit: &&'a [MemFault]) -> Result<WalkMask, SimError> {
         Ok(run_packed_march(self.alg, self.config, unit))
     }
 
-    fn decode_result(&self, _unit: &&'a [MemFault], bytes: &[u8]) -> Result<LaneMask<N>, String> {
-        if bytes.len() != N * 8 {
+    fn decode_result(&self, _unit: &&'a [MemFault], bytes: &[u8]) -> Result<WalkMask, String> {
+        if bytes.len() != DEFAULT_LANE_GROUPS * 8 {
             return Err(format!(
                 "result has {} bytes, expected {}",
                 bytes.len(),
-                N * 8
+                DEFAULT_LANE_GROUPS * 8
             ));
         }
-        let mut mask = mask_none::<N>();
+        let mut mask: WalkMask = mask_none();
         for (g, word) in bytes.chunks_exact(8).enumerate() {
             mask[g] = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
         }
         Ok(mask)
     }
-
-    fn pool_error(&self, error: PoolError) -> SimError {
-        error.into()
-    }
 }
 
 /// Simulates every fault in `faults` (single-fault assumption) under
-/// `alg` and reports coverage. Packed: 64 faults per March walk, with
-/// fault dropping.
+/// `alg` and reports coverage. Packed: [`FAULTS_PER_WALK`] faults per
+/// March walk, with fault dropping.
 ///
 /// The single entry point for every backend: `exec` decides whether
 /// walks run inline, across threads or across `steac-worker` processes
@@ -598,69 +588,20 @@ pub fn fault_coverage(
     config: &SramConfig,
     faults: &[MemFault],
 ) -> Result<MemCoverageReport, SimError> {
-    fault_coverage_wide(exec, alg, config, faults, DEFAULT_LANE_GROUPS)
-}
-
-/// [`fault_coverage`] with an explicit lane-group width: each walk
-/// grades `64 * groups` faults. Only the monomorphized widths in
-/// [`steac_sim::SUPPORTED_LANE_GROUPS`] are accepted. The report is
-/// byte-identical across widths — chunking only changes how the fault
-/// list is cut into walks.
-///
-/// # Errors
-///
-/// Everything [`fault_coverage`] raises, plus
-/// [`SimError::UnsupportedWidth`] for widths with no compiled kernel.
-pub fn fault_coverage_wide(
-    exec: &Exec,
-    alg: &MarchAlgorithm,
-    config: &SramConfig,
-    faults: &[MemFault],
-    groups: usize,
-) -> Result<MemCoverageReport, SimError> {
-    let coverage = Coverage {
-        exec,
+    let mut masks = Vec::new();
+    let dispatched = exec.dispatch(
+        &MarchWork { alg, config },
+        faults.chunks(FAULTS_PER_WALK),
+        |mask| masks.push(mask),
+    )?;
+    let flags = shard::flags_from_lane_masks(faults.len(), FAULTS_PER_WALK, 0, &masks);
+    Ok(report_from_flags(
         alg,
         config,
         faults,
-    };
-    with_lane_groups(groups, coverage).unwrap_or(Err(SimError::UnsupportedWidth { groups }))
-}
-
-/// One coverage run, at the width [`with_lane_groups`] picks.
-struct Coverage<'a> {
-    exec: &'a Exec,
-    alg: &'a MarchAlgorithm,
-    config: &'a SramConfig,
-    faults: &'a [MemFault],
-}
-
-impl LaneGroupWork for Coverage<'_> {
-    type Output = Result<MemCoverageReport, SimError>;
-
-    fn run<const N: usize>(self) -> Self::Output {
-        let Coverage {
-            exec,
-            alg,
-            config,
-            faults,
-        } = self;
-        let per_walk = faults_per_walk(N);
-        let mut masks = Vec::new();
-        let dispatched = exec.dispatch(
-            &MarchWork::<N> { alg, config },
-            faults.chunks(per_walk),
-            |mask| masks.push(mask),
-        )?;
-        let flags = shard::flags_from_lane_masks(faults.len(), per_walk, 0, &masks);
-        Ok(report_from_flags(
-            alg,
-            config,
-            faults,
-            &flags,
-            dispatched.fallbacks,
-        ))
-    }
+        &flags,
+        dispatched.fallbacks,
+    ))
 }
 
 /// Serial reference implementation: one full March walk per fault, as
@@ -931,12 +872,13 @@ mod tests {
         }
     }
 
-    /// A pass with exactly 64 faults exercises the full-lane mask path.
+    /// Walks with exactly [`FAULTS_PER_WALK`] faults exercise the
+    /// full-lane mask path.
     #[test]
     fn full_lane_pass_and_chunking() {
         let mut rng = StdRng::seed_from_u64(5);
-        let mut faults = random_fault_list(&CFG, 30, &mut rng);
-        faults.truncate(130); // 64 + 64 + 2: three passes
+        let mut faults = random_fault_list(&CFG, 90, &mut rng);
+        faults.truncate(2 * FAULTS_PER_WALK + 2); // three walks
         let alg = MarchAlgorithm::march_c_minus();
         let packed = fault_coverage(&exec(), &alg, &CFG, &faults).unwrap();
         let serial = fault_coverage_serial(&alg, &CFG, &faults);

@@ -69,8 +69,7 @@ pub use diagnose::{
     rank_candidates, signature_distance, FailureSite, MemDictionary,
 };
 pub use faultsim::{
-    enumerate_inter_cell_couplings, fault_coverage, fault_coverage_wide, faults_per_walk,
-    run_march, MemCoverageReport, FAULTS_PER_PASS,
+    enumerate_inter_cell_couplings, fault_coverage, run_march, MemCoverageReport, FAULTS_PER_WALK,
 };
 pub use march::{Direction, MarchAlgorithm, MarchElement, MarchOp};
 pub use memory::{MemFault, PortKind, Sram, SramConfig};

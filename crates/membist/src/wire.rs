@@ -4,18 +4,17 @@
 //! every byte).
 //!
 //! A March job carries what one walk needs besides the fault chunk: the
-//! memory geometry, the algorithm and the lane-group width. Unit
-//! payloads are fault chunks (tag byte + fields per fault); results are
-//! one detection lane mask (`groups` little-endian `u64` words) per
-//! walk, merged in fault-list order by the dispatcher exactly like the
-//! thread-sharded path.
+//! memory geometry and the algorithm. Unit payloads are fault chunks
+//! (tag byte + fields per fault) of at most [`FAULTS_PER_WALK`] faults;
+//! results are one detection lane mask (four little-endian `u64` words)
+//! per walk, merged in fault-list order by the dispatcher exactly like
+//! the thread-sharded path.
 
-use crate::faultsim::{fault_fits, faults_per_walk, run_packed_march};
+use crate::faultsim::{fault_fits, run_packed_march, FAULTS_PER_WALK};
 use crate::march::{Direction, MarchAlgorithm, MarchElement, MarchOp};
 use crate::memory::{MemFault, PortKind, SramConfig};
 use steac_sim::shard::WireJob;
 use steac_sim::wire::{WireError, WireReader, WireWriter};
-use steac_sim::{with_lane_groups, LaneGroupWork};
 
 /// Work-unit kind the `steac-worker` binary routes to
 /// [`open_wire_job`]: one packed March walk over a fault chunk.
@@ -30,10 +29,9 @@ fn get_cell(r: &mut WireReader<'_>, context: &'static str) -> Result<(usize, usi
     Ok((r.get_usize(context)?, r.get_usize(context)?))
 }
 
-/// Serializes a March job block (geometry + algorithm + lane-group
-/// width).
+/// Serializes a March job block (geometry + algorithm).
 #[must_use]
-pub fn encode_march_job(alg: &MarchAlgorithm, config: &SramConfig, groups: u8) -> Vec<u8> {
+pub fn encode_march_job(alg: &MarchAlgorithm, config: &SramConfig) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.put_usize(config.words);
     w.put_usize(config.width);
@@ -41,7 +39,6 @@ pub fn encode_march_job(alg: &MarchAlgorithm, config: &SramConfig, groups: u8) -
         PortKind::SinglePort => 0,
         PortKind::TwoPort => 1,
     });
-    w.put_u8(groups);
     w.put_str(&alg.name);
     w.put_usize(alg.elements.len());
     for e in &alg.elements {
@@ -77,7 +74,7 @@ const MAX_WIRE_CELLS: usize = 1 << 22;
 ///
 /// A typed [`WireError`] on truncated or corrupted bytes, or on a
 /// geometry over the cell cap.
-pub fn decode_march_job(bytes: &[u8]) -> Result<(MarchAlgorithm, SramConfig, u8), WireError> {
+pub fn decode_march_job(bytes: &[u8]) -> Result<(MarchAlgorithm, SramConfig), WireError> {
     let mut r = WireReader::new(bytes);
     let words = r.get_usize("memory words")?;
     let width = r.get_usize("memory width")?;
@@ -100,7 +97,6 @@ pub fn decode_march_job(bytes: &[u8]) -> Result<(MarchAlgorithm, SramConfig, u8)
         width,
         ports,
     };
-    let groups = r.get_u8("lane groups")?;
     let name = r.get_str("algorithm name")?;
     let element_count = r.get_count("element count", 9)?;
     let mut elements = Vec::with_capacity(element_count);
@@ -133,7 +129,7 @@ pub fn decode_march_job(bytes: &[u8]) -> Result<(MarchAlgorithm, SramConfig, u8)
         elements.push(MarchElement { dir, ops });
     }
     r.finish()?;
-    Ok((MarchAlgorithm { name, elements }, config, groups))
+    Ok((MarchAlgorithm { name, elements }, config))
 }
 
 /// Serializes one March work unit (a chunk of the fault list).
@@ -273,20 +269,18 @@ pub fn decode_fault_unit(bytes: &[u8]) -> Result<Vec<MemFault>, WireError> {
     Ok(faults)
 }
 
-/// An opened March job inside a worker process, monomorphized to the
-/// lane-group width the job header requested.
-struct MarchWireJob<const N: usize> {
+/// An opened March job inside a worker process.
+struct MarchWireJob {
     alg: MarchAlgorithm,
     config: SramConfig,
 }
 
-impl<const N: usize> WireJob for MarchWireJob<N> {
+impl WireJob for MarchWireJob {
     fn run_unit(&mut self, unit: &[u8]) -> Result<Vec<u8>, String> {
-        let per_walk = faults_per_walk(N);
         let chunk = decode_fault_unit(unit).map_err(|e| format!("march unit: {e}"))?;
-        if chunk.len() > per_walk {
+        if chunk.len() > FAULTS_PER_WALK {
             return Err(format!(
-                "march unit has {} faults, a walk holds at most {per_walk}",
+                "march unit has {} faults, a walk holds at most {FAULTS_PER_WALK}",
                 chunk.len()
             ));
         }
@@ -295,8 +289,8 @@ impl<const N: usize> WireJob for MarchWireJob<N> {
                 return Err(format!("fault {f:?} out of range for {}", self.config));
             }
         }
-        let mask = run_packed_march::<N>(&self.alg, &self.config, &chunk);
-        let mut out = Vec::with_capacity(N * 8);
+        let mask = run_packed_march(&self.alg, &self.config, &chunk);
+        let mut out = Vec::with_capacity(8 * mask.len());
         for word in mask {
             out.extend_from_slice(&word.to_le_bytes());
         }
@@ -311,29 +305,10 @@ impl<const N: usize> WireJob for MarchWireJob<N> {
 ///
 /// # Errors
 ///
-/// A diagnostic on corrupt job bytes, or an unsupported lane-group
-/// width.
+/// A diagnostic on corrupt job bytes.
 pub fn open_wire_job(job: &[u8]) -> Result<Box<dyn WireJob>, String> {
-    let (alg, config, groups) = decode_march_job(job).map_err(|e| format!("march job: {e}"))?;
-    with_lane_groups(groups as usize, OpenMarch { alg, config })
-        .ok_or_else(|| format!("march job lane-group width {groups} unsupported"))
-}
-
-/// A decoded March job, opened at the width [`with_lane_groups`] picks.
-struct OpenMarch {
-    alg: MarchAlgorithm,
-    config: SramConfig,
-}
-
-impl LaneGroupWork for OpenMarch {
-    type Output = Box<dyn WireJob>;
-
-    fn run<const N: usize>(self) -> Self::Output {
-        Box::new(MarchWireJob::<N> {
-            alg: self.alg,
-            config: self.config,
-        })
-    }
+    let (alg, config) = decode_march_job(job).map_err(|e| format!("march job: {e}"))?;
+    Ok(Box::new(MarchWireJob { alg, config }))
 }
 
 #[cfg(test)]
@@ -347,28 +322,13 @@ mod tests {
     fn march_job_round_trip() {
         let alg = MarchAlgorithm::march_c_minus();
         let config = SramConfig::two_port(48, 9);
-        let bytes = encode_march_job(&alg, &config, 4);
-        let (alg2, config2, groups) = decode_march_job(&bytes).unwrap();
+        let bytes = encode_march_job(&alg, &config);
+        let (alg2, config2) = decode_march_job(&bytes).unwrap();
         assert_eq!(alg2, alg);
         assert_eq!(config2, config);
-        assert_eq!(groups, 4);
         for cut in 0..bytes.len() {
             assert!(decode_march_job(&bytes[..cut]).is_err(), "prefix {cut}");
         }
-    }
-
-    #[test]
-    fn unsupported_lane_width_is_a_job_error() {
-        let bytes = encode_march_job(
-            &MarchAlgorithm::mats_plus(),
-            &SramConfig::single_port(8, 2),
-            3,
-        );
-        let err = match open_wire_job(&bytes) {
-            Err(e) => e,
-            Ok(_) => panic!("lane-group width 3 must be rejected"),
-        };
-        assert!(err.contains("unsupported"), "{err}");
     }
 
     #[test]
@@ -397,15 +357,17 @@ mod tests {
         let alg = MarchAlgorithm::mats_plus();
         for (words, width) in [(1usize << 40, 8usize), (usize::MAX / 2, 64)] {
             let config = SramConfig::single_port(words, width);
-            let Err(err) = open_wire_job(&encode_march_job(&alg, &config, 1)) else {
+            let Err(err) = open_wire_job(&encode_march_job(&alg, &config)) else {
                 panic!("{words} x {width} must be rejected");
             };
             assert!(err.contains("memory geometry"), "{err}");
         }
         let dsc = SramConfig::single_port(131_072, 16);
-        let mut job = open_wire_job(&encode_march_job(&alg, &dsc, 1)).unwrap();
+        let mut job = open_wire_job(&encode_march_job(&alg, &dsc)).unwrap();
         let unit = encode_fault_unit(&[MemFault::stuck_at(0, 0, true)]);
-        assert_eq!(job.run_unit(&unit).unwrap(), 1u64.to_le_bytes());
+        let mut detected = vec![0u8; 32];
+        detected[0] = 1;
+        assert_eq!(job.run_unit(&unit).unwrap(), detected);
     }
 
     /// Out-of-range faults are rejected with a diagnostic instead of the
@@ -413,7 +375,7 @@ mod tests {
     #[test]
     fn out_of_range_fault_is_a_unit_error_not_a_panic() {
         let config = SramConfig::single_port(8, 2);
-        let mut job = MarchWireJob::<1> {
+        let mut job = MarchWireJob {
             alg: MarchAlgorithm::mats_plus(),
             config,
         };

@@ -6,15 +6,15 @@
 //! [`CyclePattern`]s, or borrowed ones) from an iterator, typically the
 //! receiving end of a bounded channel fed by a generating dispatch. It
 //! validates them incrementally against the shape the first pattern
-//! fixed, groups them into lane-width chunks — one pattern per
-//! simulation lane, [`PLAYBACK_LANE_GROUPS`]` * 64` patterns per chunk
-//! by default — and hands the chunk iterator to [`Exec::dispatch`] as
+//! fixed, groups them into chunks of one pass — one pattern per
+//! simulation lane, 64 patterns ([`PLAYBACK_LANE_GROUPS`] lane group)
+//! per chunk — and hands the chunk iterator to [`Exec::dispatch`] as
 //! one [`steac_sim::ExecWork`] over the shared compiled program. The
 //! chunks play inline (`Exec::serial()`), across cores
 //! (`Exec::threads(..)`), or across `steac-worker` processes and remote
-//! hosts — there the compiled program, the lane-group width, pin
-//! bindings and force state ship once per worker over the
-//! [`steac_sim::wire`] format, and pattern chunks are the unit payloads.
+//! hosts — there the compiled program, pin bindings and force state
+//! ship once per worker over the [`steac_sim::wire`] format, and
+//! pattern chunks are the unit payloads.
 //!
 //! A pattern set keeps one pin table: [`CyclePattern::pins`] is a shared
 //! `Arc<[String]>`, so a stored pattern holds only its states, and the
@@ -26,23 +26,22 @@
 //! in-thread and on the worker alike.
 //!
 //! Reports reach the caller's sink strictly in pattern order and are
-//! byte-identical on every backend, at every chunk size and at every
-//! lane-group width: every verdict is per-pattern, cycle indices are
-//! pattern-local, forces replicate per 64-lane group and padding lanes
-//! follow lane 0. Peak memory follows the pipeline depth, never the set
-//! size. [`apply_cycle_patterns_batch`], the materialized entry point,
-//! is the same player over borrowed patterns that collects the reports.
+//! byte-identical on every backend and wherever the stream ends: every
+//! verdict is per-pattern, cycle indices are pattern-local and padding
+//! lanes follow lane 0. The player has one width, 64 lanes, because
+//! playback is settle-bound and wider words buy it nothing (see
+//! [`PLAYBACK_LANE_GROUPS`]). Peak memory follows the pipeline depth,
+//! never the set size. [`apply_cycle_patterns_batch`], the materialized
+//! entry point, is the same player over borrowed patterns that collects
+//! the reports.
 
 use crate::PatternError;
 use std::borrow::Borrow;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 use steac_netlist::NetId;
-use steac_sim::shard::{self, PoolError};
-use steac_sim::{
-    wire, with_lane_groups, Exec, ExecWork, LaneGroupWork, Logic, PackedLogic, SimError,
-    SimProgram, Simulator,
-};
+use steac_sim::shard;
+use steac_sim::{wire, Exec, ExecWork, Logic, PackedLogic, SimProgram, Simulator, LANES};
 
 /// Per-pin state in one tester cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -185,33 +184,10 @@ impl CyclePattern {
         Ok(())
     }
 
-    /// Index of a pin.
-    #[must_use]
-    pub fn pin_index(&self, name: &str) -> Option<usize> {
-        self.pins.iter().position(|p| p == name)
-    }
-
     /// Number of tester cycles.
     #[must_use]
     pub fn cycle_count(&self) -> u64 {
         self.cycles.len() as u64
-    }
-
-    /// Appends all cycles of `other` (pin lists must match).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PatternError::Shape`] on pin-list mismatch.
-    pub fn append(&mut self, other: &CyclePattern) -> Result<(), PatternError> {
-        if self.pins != other.pins {
-            return Err(PatternError::Shape {
-                context: "pattern concatenation",
-                expected: self.pins.len(),
-                got: other.pins.len(),
-            });
-        }
-        self.cycles.extend(other.cycles.iter().cloned());
-        Ok(())
     }
 }
 
@@ -348,9 +324,9 @@ fn resolve_pins(sim: &Simulator, pins: &[String]) -> Result<Vec<NetId>, PatternE
 /// One playback unit: `count` patterns of `cycles` cycles each, every
 /// state flattened `[pattern][cycle][pin]` over the set's one pin
 /// table. The chunker builds it from pulled patterns and a worker
-/// decodes it from unit bytes, each with the same checks — at most one
-/// pass of patterns, no ragged pattern and aligned pulses — so [`play`]
-/// reads the pulse timeline from lane 0.
+/// decodes it from unit bytes, each with the same checks — at most
+/// [`PASS`] patterns, no ragged pattern and aligned pulses — so
+/// [`play`] reads the pulse timeline from lane 0.
 struct Chunk {
     count: usize,
     cycles: usize,
@@ -405,17 +381,16 @@ impl Chunk {
         w.finish()
     }
 
-    /// Decodes the unit bytes of a job over `pins` pins that plays
-    /// `width` lanes per pass, with the chunker's checks plus known
-    /// state bytes. It reserves no more states than the unit's
-    /// remaining bytes can hold.
-    fn decode(unit: &[u8], pins: usize, width: usize) -> Result<Chunk, String> {
+    /// Decodes the unit bytes of a job over `pins` pins, with the
+    /// chunker's checks plus known state bytes. It reserves no more
+    /// states than the unit's remaining bytes can hold.
+    fn decode(unit: &[u8], pins: usize) -> Result<Chunk, String> {
         let fail = |e: wire::WireError| format!("pattern unit: {e}");
         let mut r = wire::WireReader::new(unit);
         let count = r.get_count("pattern count", 8).map_err(fail)?;
-        if count > width {
+        if count > PASS {
             return Err(format!(
-                "pattern unit has {count} patterns, a pass holds {width}"
+                "pattern unit has {count} patterns, a pass holds {PASS}"
             ));
         }
         let mut chunk = Chunk {
@@ -448,19 +423,17 @@ impl Chunk {
     }
 }
 
-/// The player: plays `chunk`, one pattern per simulation lane of the
-/// `N`-group executor, from the state `sim` is currently in, and
-/// returns one report per pattern in chunk order. The in-thread unit
-/// and the worker both play through it.
-fn play<const N: usize>(
-    sim: &mut Simulator<N>,
+/// The player: plays `chunk`, one pattern per simulation lane, from the
+/// state `sim` is currently in, and returns one report per pattern in
+/// chunk order. The in-thread unit and the worker both play through it.
+fn play(
+    sim: &mut Simulator<PLAYBACK_LANE_GROUPS>,
     nets: &[NetId],
     pins: &[String],
     chunk: &Chunk,
 ) -> Result<Vec<MismatchReport>, PatternError> {
     use steac_sim::packed::{mask_any, mask_bit, mask_none, mask_set_bit};
 
-    let width = Simulator::<N>::WIDTH;
     let lanes = chunk.count;
     let stride = chunk.cycles * nets.len();
     let state = |l: usize, at: usize| chunk.states[l * stride + at];
@@ -477,8 +450,8 @@ fn play<const N: usize>(
                 pulses.push(net);
                 continue;
             }
-            let mut driven = PackedLogic::<N>::ALL_X;
-            let mut drive_mask = mask_none::<N>();
+            let mut driven = PackedLogic::<PLAYBACK_LANE_GROUPS>::ALL_X;
+            let mut drive_mask = mask_none::<PLAYBACK_LANE_GROUPS>();
             for l in 0..lanes {
                 if let Some(v) = state(l, row + pi).drive() {
                     driven.set_lane(l, v);
@@ -488,9 +461,9 @@ fn play<const N: usize>(
             if mask_any(&drive_mask) {
                 // Lanes beyond the chunk follow lane 0 so spare lanes
                 // never oscillate differently from real ones.
-                if lanes < width && mask_bit(&drive_mask, 0) {
+                if lanes < PASS && mask_bit(&drive_mask, 0) {
                     let v0 = driven.lane(0);
-                    for l in lanes..width {
+                    for l in lanes..PASS {
                         driven.set_lane(l, v0);
                         mask_set_bit(&mut drive_mask, l);
                     }
@@ -510,8 +483,9 @@ fn play<const N: usize>(
             for (l, report) in reports.iter_mut().enumerate() {
                 if let Some(expected) = state(l, row + pi).expect() {
                     report.compares += 1;
+                    // An unknown never equals the expected 0 or 1.
                     let observed = packed.lane(l);
-                    if !observed.is_known() || observed != expected {
+                    if observed != expected {
                         report.mismatches.push((
                             ci,
                             pins[pi].clone(),
@@ -526,26 +500,29 @@ fn play<const N: usize>(
     Ok(reports)
 }
 
-/// The default lane-group width for cycle playback: 1 group = 64
-/// lanes. Playback is settle-bound, not compare-bound, and benchmarks
-/// (BENCH_6 `serial_playback`) show the narrow width beats
-/// [`steac_sim::DEFAULT_LANE_GROUPS`] (256 lanes) by ~18% on the JPEG
-/// workload — wide words only pay off when most lanes carry work
-/// per instruction, which fault grading guarantees and playback does
-/// not. Grading keeps [`steac_sim::DEFAULT_LANE_GROUPS`]; use
-/// [`apply_cycle_patterns_batch_wide`] to pin a different width.
+/// The lane-group width of cycle playback: one group, so every pass
+/// plays 64 patterns, on every backend and in every call. Playback is
+/// settle-bound, not compare-bound: wide words only pay off when most
+/// lanes carry work per instruction, which fault grading guarantees
+/// and playback does not. BENCH_10 records 118.7k JPEG patterns/s at 64
+/// lanes against 108.1k at [`steac_sim::DEFAULT_LANE_GROUPS`] (256
+/// lanes), and a serial probe of 16,384 JPEG patterns on a 2-core box
+/// (5 alternating repetitions) read 112–131k, 108–127k, 95–112k and
+/// 104–108k patterns/s at 64, 128, 256 and 512 lanes. Grading keeps
+/// [`steac_sim::DEFAULT_LANE_GROUPS`].
 pub const PLAYBACK_LANE_GROUPS: usize = 1;
 
-/// Plays cycle patterns one per simulation lane —
-/// [`PLAYBACK_LANE_GROUPS`]` * 64` patterns per pass — and
-/// returns a [`BatchPlayback`] with one [`MismatchReport`] per pattern —
-/// the batched ATE playback path (a tester floor applying the same
-/// timing program to hundreds of dies at once). This is
-/// [`stream_cycle_patterns`] over the borrowed batch, collecting the
-/// reports; chunks dispatch on `exec` — inline, across cores or across
-/// `steac-worker` processes — and the reports are byte-identical on
-/// every backend and at every lane-group width
-/// (see [`apply_cycle_patterns_batch_wide`]).
+/// Patterns per playback pass and chunk: one per simulation lane.
+const PASS: usize = LANES * PLAYBACK_LANE_GROUPS;
+
+/// Plays cycle patterns one per simulation lane — 64 patterns per pass
+/// ([`PLAYBACK_LANE_GROUPS`]) — and returns a [`BatchPlayback`] with one
+/// [`MismatchReport`] per pattern — the batched ATE playback path (a
+/// tester floor applying the same timing program to many dies at
+/// once). This is [`stream_cycle_patterns`] over the borrowed batch,
+/// collecting the reports; chunks dispatch on `exec` — inline, across
+/// cores or across `steac-worker` processes — and the reports are
+/// byte-identical on every backend.
 ///
 /// All patterns of a batch must share the *shape* that fixes the timing
 /// program: the same pin list, the same cycle count, and `P` (pulse) on
@@ -566,45 +543,16 @@ pub const PLAYBACK_LANE_GROUPS: usize = 1;
 /// positions disagree, [`PatternError::UnknownPin`] for pins missing on
 /// the module, and propagates simulator errors (lowest-indexed failing
 /// chunk, deterministically). Shipped-batch failures surface as
-/// [`SimError::Worker`] wrapped in [`PatternError::Sim`] under
-/// [`steac_sim::Fallback::Fail`], and are otherwise recomputed
+/// [`steac_sim::SimError::Worker`] wrapped in [`PatternError::Sim`]
+/// under [`steac_sim::Fallback::Fail`], and are otherwise recomputed
 /// in-thread (counted on the `Exec`).
 pub fn apply_cycle_patterns_batch(
     exec: &Exec,
     sim: &Simulator,
     patterns: &[&CyclePattern],
 ) -> Result<BatchPlayback, PatternError> {
-    apply_cycle_patterns_batch_wide(exec, sim, patterns, PLAYBACK_LANE_GROUPS)
-}
-
-/// [`apply_cycle_patterns_batch`] with an explicit lane-group width:
-/// each work unit plays up to `64 * groups` patterns on one
-/// `groups`-wide executor. Only the monomorphized widths in
-/// [`steac_sim::SUPPORTED_LANE_GROUPS`] are accepted. Reports are
-/// byte-identical across widths: chunk size only changes how the work
-/// is cut, forces on `sim` replicate into every 64-lane group, and
-/// padding lanes mirror lane 0.
-///
-/// # Errors
-///
-/// Everything [`apply_cycle_patterns_batch`] raises, plus
-/// [`SimError::UnsupportedWidth`] (wrapped in [`PatternError::Sim`])
-/// for widths with no compiled kernel.
-pub fn apply_cycle_patterns_batch_wide(
-    exec: &Exec,
-    sim: &Simulator,
-    patterns: &[&CyclePattern],
-    groups: usize,
-) -> Result<BatchPlayback, PatternError> {
     let mut reports = Vec::with_capacity(patterns.len());
-    let run = stream_cycle_patterns_wide(
-        exec,
-        sim,
-        patterns.iter().copied(),
-        groups,
-        usize::MAX,
-        |r| reports.push(r),
-    )?;
+    let run = stream_cycle_patterns(exec, sim, patterns.iter().copied(), |r| reports.push(r))?;
     Ok(BatchPlayback {
         reports,
         process_fallbacks: run.process_fallbacks,
@@ -630,11 +578,11 @@ pub struct StreamPlayback {
 /// materializing the set. Patterns — owned or borrowed — are pulled
 /// from `patterns` (typically the receiving end of a bounded channel
 /// fed by a generating dispatch), validated incrementally, grouped into
-/// lane-width chunks, and dispatched through [`Exec::dispatch`]; `sink`
+/// 64-pattern chunks, and dispatched through [`Exec::dispatch`]; `sink`
 /// receives one [`MismatchReport`] per pattern, **strictly in pattern
-/// order**, byte-identical on every backend and at any chunk size.
-/// Peak memory follows the pipeline depth (a bounded window of chunks
-/// in flight), never the stream length.
+/// order**, byte-identical on every backend. Peak memory follows the
+/// pipeline depth (a bounded window of chunks in flight), never the
+/// stream length.
 ///
 /// The first pattern fixes the shape — pin list, cycle count, pulse
 /// timeline — and every later pattern is checked against it as it is
@@ -650,126 +598,57 @@ pub struct StreamPlayback {
 pub fn stream_cycle_patterns<P, I, S>(
     exec: &Exec,
     sim: &Simulator,
-    patterns: I,
-    sink: S,
+    mut patterns: I,
+    mut sink: S,
 ) -> Result<StreamPlayback, PatternError>
 where
     P: Borrow<CyclePattern> + Send + Sync,
     I: Iterator<Item = P> + Send,
     S: FnMut(MismatchReport),
 {
-    stream_cycle_patterns_wide(exec, sim, patterns, PLAYBACK_LANE_GROUPS, usize::MAX, sink)
-}
-
-/// [`stream_cycle_patterns`] with an explicit lane-group width and
-/// chunk size: each work unit plays up to `chunk` patterns (clamped to
-/// the `64 * groups` lanes one pass holds) on one `groups`-wide
-/// executor. Reports are byte-identical across chunk sizes and widths —
-/// chunk boundaries only change how the stream is cut, never a
-/// verdict — which `tests/exec_matrix.rs` and the proptests pin down.
-///
-/// # Errors
-///
-/// Everything [`stream_cycle_patterns`] raises, plus
-/// [`SimError::UnsupportedWidth`] (wrapped in [`PatternError::Sim`])
-/// for widths with no compiled kernel.
-pub fn stream_cycle_patterns_wide<P, I, S>(
-    exec: &Exec,
-    sim: &Simulator,
-    patterns: I,
-    groups: usize,
-    chunk: usize,
-    sink: S,
-) -> Result<StreamPlayback, PatternError>
-where
-    P: Borrow<CyclePattern> + Send + Sync,
-    I: Iterator<Item = P> + Send,
-    S: FnMut(MismatchReport),
-{
-    let stream = Stream {
-        exec,
-        sim,
-        patterns,
-        chunk,
-        sink,
+    // The first pattern fixes the shape every later one must share —
+    // and names the pins, which the job block binds to nets once.
+    let Some(first) = patterns.next() else {
+        return Ok(StreamPlayback::default());
     };
-    with_lane_groups(groups, stream).unwrap_or(Err(PatternError::Sim(SimError::UnsupportedWidth {
-        groups,
-    })))
-}
-
-/// One streaming playback, run at the width [`with_lane_groups`] picks.
-struct Stream<'a, I, S> {
-    exec: &'a Exec,
-    sim: &'a Simulator,
-    patterns: I,
-    chunk: usize,
-    sink: S,
-}
-
-impl<P, I, S> LaneGroupWork for Stream<'_, I, S>
-where
-    P: Borrow<CyclePattern> + Send + Sync,
-    I: Iterator<Item = P> + Send,
-    S: FnMut(MismatchReport),
-{
-    type Output = Result<StreamPlayback, PatternError>;
-
-    fn run<const N: usize>(self) -> Self::Output {
-        let Stream {
-            exec,
-            sim,
-            mut patterns,
-            chunk,
-            mut sink,
-        } = self;
-        let width = Simulator::<N>::WIDTH;
-        let chunk = chunk.clamp(1, width);
-        // The first pattern fixes the shape every later one must share —
-        // and names the pins, which the job block binds to nets once.
-        let Some(first) = patterns.next() else {
-            return Ok(StreamPlayback::default());
-        };
-        let pins = Arc::clone(&first.borrow().pins);
-        // A mid-stream shape violation cannot surface through the unit
-        // iterator (units are infallible values), so the chunker records it
-        // here and truncates the stream; checked after dispatch drains.
-        let poisoned = Mutex::new(None);
-        let mut feed = ValidatedChunks {
-            patterns,
-            pins: &pins,
-            cycles: first.borrow().cycles.len(),
-            chunk,
-            pending: None,
-            poisoned: &poisoned,
-            done: false,
-        };
-        // The head's rows are checked like every later pattern's.
-        feed.check(first.borrow())?;
-        feed.pending = Some(first);
-        let nets = resolve_pins(sim, &pins)?;
-        let work = PlaybackWork::<N>::new(sim, &pins, &nets);
-        let mut delivered = 0usize;
-        let dispatched = exec.dispatch(&work, feed, |reports: Vec<MismatchReport>| {
-            for report in reports {
-                sink(report);
-                delivered += 1;
-            }
-        });
-        // A dispatch error always precedes the truncation point, so it is
-        // the lower-indexed failure and wins over a validation poison.
-        let dispatched = dispatched?;
-        if let Some(e) = poisoned.into_inner().expect("no panics hold the lock") {
-            return Err(e);
+    let pins = Arc::clone(&first.borrow().pins);
+    // A mid-stream shape violation cannot surface through the unit
+    // iterator (units are infallible values), so the chunker records it
+    // here and truncates the stream; checked after dispatch drains.
+    let poisoned = Mutex::new(None);
+    let mut feed = ValidatedChunks {
+        patterns,
+        pins: &pins,
+        cycles: first.borrow().cycles.len(),
+        pending: None,
+        poisoned: &poisoned,
+        done: false,
+    };
+    // The head's rows are checked like every later pattern's.
+    feed.check(first.borrow())?;
+    feed.pending = Some(first);
+    let nets = resolve_pins(sim, &pins)?;
+    let work = PlaybackWork::new(sim, &pins, &nets);
+    let mut delivered = 0usize;
+    let dispatched = exec.dispatch(&work, feed, |reports: Vec<MismatchReport>| {
+        for report in reports {
+            sink(report);
+            delivered += 1;
         }
-        Ok(StreamPlayback {
-            patterns: delivered,
-            process_fallbacks: dispatched.fallbacks,
-        })
+    });
+    // A dispatch error always precedes the truncation point, so it is
+    // the lower-indexed failure and wins over a validation poison.
+    let dispatched = dispatched?;
+    if let Some(e) = poisoned.into_inner().expect("no panics hold the lock") {
+        return Err(e);
     }
+    Ok(StreamPlayback {
+        patterns: delivered,
+        process_fallbacks: dispatched.fallbacks,
+    })
 }
 
-/// The chunker/validator: flattens pulled patterns into `chunk`-sized
+/// The chunker/validator: flattens pulled patterns into [`PASS`]-pattern
 /// [`Chunk`]s, checking each pattern against the shape the first
 /// pattern fixed and each chunk's pulse alignment — *before* any
 /// simulation, so a shape-invalid pattern raises the same typed
@@ -780,7 +659,6 @@ struct ValidatedChunks<'a, I, P> {
     patterns: I,
     pins: &'a Arc<[String]>,
     cycles: usize,
-    chunk: usize,
     pending: Option<P>,
     poisoned: &'a Mutex<Option<PatternError>>,
     done: bool,
@@ -837,7 +715,7 @@ impl<I: Iterator<Item = P>, P: Borrow<CyclePattern>> Iterator for ValidatedChunk
         if let Some(p) = self.pending.take() {
             chunk.push(p.borrow());
         }
-        while chunk.count < self.chunk {
+        while chunk.count < PASS {
             let Some(p) = self.patterns.next() else {
                 self.done = true;
                 break;
@@ -861,21 +739,20 @@ impl<I: Iterator<Item = P>, P: Borrow<CyclePattern>> Iterator for ValidatedChunk
 }
 
 /// The [`ExecWork`] description of playback: one unit per [`Chunk`] of
-/// up to `64 * N` patterns, a job block carrying the compiled program +
-/// lane-group width + pin bindings + force state, and per-chunk
-/// [`MismatchReport`] lists as unit results.
-struct PlaybackWork<'a, const N: usize> {
+/// up to [`PASS`] patterns, a job block carrying the compiled program +
+/// pin bindings + force state, and per-chunk [`MismatchReport`] lists
+/// as unit results.
+struct PlaybackWork<'a> {
     sim: &'a Simulator,
     forces: Vec<(NetId, u64, PackedLogic<1>)>,
     pins: &'a [String],
     nets: &'a [NetId],
 }
 
-impl<'a, const N: usize> PlaybackWork<'a, N> {
+impl<'a> PlaybackWork<'a> {
     fn new(sim: &'a Simulator, pins: &'a [String], nets: &'a [NetId]) -> Self {
-        // The dispatcher simulator is the narrow lane-0 view; its 64-lane
-        // force state replicates into every group of the wide executors so
-        // fault injection means the same thing at every width.
+        // The dispatcher simulator's 64-lane force state, in the form
+        // the job block ships and every player imports.
         let forces = sim
             .export_forces()
             .into_iter()
@@ -890,7 +767,7 @@ impl<'a, const N: usize> PlaybackWork<'a, N> {
     }
 }
 
-impl<const N: usize> ExecWork for PlaybackWork<'_, N> {
+impl ExecWork for PlaybackWork<'_> {
     type Unit = Chunk;
     type Output = Vec<MismatchReport>;
     type Error = PatternError;
@@ -900,13 +777,7 @@ impl<const N: usize> ExecWork for PlaybackWork<'_, N> {
     }
 
     fn encode_job(&self) -> Vec<u8> {
-        encode_playback_job(
-            self.sim.program(),
-            N as u8,
-            self.pins,
-            self.nets,
-            &self.forces,
-        )
+        encode_playback_job(self.sim.program(), self.pins, self.nets, &self.forces)
     }
 
     fn encode_unit(&self, unit: &Chunk) -> Vec<u8> {
@@ -914,7 +785,7 @@ impl<const N: usize> ExecWork for PlaybackWork<'_, N> {
     }
 
     fn run_unit_local(&self, unit: &Chunk) -> Result<Vec<MismatchReport>, PatternError> {
-        let mut wsim = Simulator::<N>::from_program(self.sim.program_arc().clone());
+        let mut wsim = Simulator::from_program(self.sim.program_arc().clone());
         wsim.import_forces_replicated(&self.forces);
         play(&mut wsim, self.nets, self.pins, unit)
     }
@@ -933,33 +804,25 @@ impl<const N: usize> ExecWork for PlaybackWork<'_, N> {
         }
         Ok(reports)
     }
-
-    fn pool_error(&self, error: PoolError) -> PatternError {
-        PatternError::Sim(SimError::from(error))
-    }
 }
 
 // ---------- wire codecs + worker-side job ----------
 
 /// Work-unit kind the worker-side job registry routes to
-/// [`open_wire_job`]: one playback chunk of up to `64 * groups`
-/// patterns.
+/// [`open_wire_job`]: one playback chunk of up to 64 patterns.
 pub const WIRE_KIND: u16 = 2;
 
-/// Job block: compiled program, lane-group width, pin bindings
-/// (name + net) and the dispatcher simulator's 64-lane force state
-/// (fault injection carries into every worker, replicated per lane
-/// group, matching the in-thread semantics).
+/// Job block: compiled program, pin bindings (name + net) and the
+/// dispatcher simulator's 64-lane force state (fault injection carries
+/// into every worker, matching the in-thread semantics).
 fn encode_playback_job(
     program: &SimProgram,
-    groups: u8,
     pins: &[String],
     nets: &[NetId],
     forces: &[(NetId, u64, PackedLogic<1>)],
 ) -> Vec<u8> {
     let mut w = wire::WireWriter::new();
     w.put_block(&wire::encode_program(program));
-    w.put_u8(groups);
     w.put_usize(pins.len());
     for (pin, net) in pins.iter().zip(nets) {
         w.put_str(pin);
@@ -1015,19 +878,18 @@ fn decode_reports(bytes: &[u8]) -> Result<Vec<MismatchReport>, wire::WireError> 
     Ok(reports)
 }
 
-/// An opened playback job inside a worker process, monomorphized to
-/// the lane-group width the job header requested. Each unit decodes
-/// into a [`Chunk`] — never a [`CyclePattern`] — and plays through
-/// the same [`play`] as the in-thread path.
-struct PlaybackJob<const N: usize> {
-    sim: Simulator<N>,
+/// An opened playback job inside a worker process. Each unit decodes
+/// into a [`Chunk`] — never a [`CyclePattern`] — and plays through the
+/// same [`play`] as the in-thread path.
+struct PlaybackJob {
+    sim: Simulator<PLAYBACK_LANE_GROUPS>,
     pins: Vec<String>,
     nets: Vec<NetId>,
 }
 
-impl<const N: usize> shard::WireJob for PlaybackJob<N> {
+impl shard::WireJob for PlaybackJob {
     fn run_unit(&mut self, unit: &[u8]) -> Result<Vec<u8>, String> {
-        let chunk = Chunk::decode(unit, self.pins.len(), Simulator::<N>::WIDTH)?;
+        let chunk = Chunk::decode(unit, self.pins.len())?;
         let mut wsim = self.sim.clone();
         wsim.reset_to_x();
         let reports = play(&mut wsim, &self.nets, &self.pins, &chunk).map_err(|e| e.to_string())?;
@@ -1046,7 +908,6 @@ pub fn open_wire_job(job: &[u8]) -> Result<Box<dyn shard::WireJob>, String> {
     let mut r = wire::WireReader::new(job);
     let program = wire::decode_program(r.get_block("playback job program").map_err(fail)?)
         .map_err(|e| format!("playback job program: {e}"))?;
-    let groups = r.get_u8("playback job lane groups").map_err(fail)?;
     let pin_count = r.get_count("playback job pins", 12).map_err(fail)?;
     let mut pins = Vec::with_capacity(pin_count);
     let mut nets = Vec::with_capacity(pin_count);
@@ -1078,37 +939,9 @@ pub fn open_wire_job(job: &[u8]) -> Result<Box<dyn shard::WireJob>, String> {
         ));
     }
     r.finish().map_err(fail)?;
-    let job = OpenJob {
-        program: Arc::new(program),
-        pins,
-        nets,
-        forces,
-    };
-    with_lane_groups(groups as usize, job)
-        .ok_or_else(|| format!("playback job lane-group width {groups} unsupported"))
-}
-
-/// A decoded playback job, opened at the width [`with_lane_groups`]
-/// picks.
-struct OpenJob {
-    program: Arc<SimProgram>,
-    pins: Vec<String>,
-    nets: Vec<NetId>,
-    forces: Vec<(NetId, u64, PackedLogic<1>)>,
-}
-
-impl LaneGroupWork for OpenJob {
-    type Output = Box<dyn shard::WireJob>;
-
-    fn run<const N: usize>(self) -> Self::Output {
-        let mut sim = Simulator::<N>::from_program(self.program);
-        sim.import_forces_replicated(&self.forces);
-        Box::new(PlaybackJob::<N> {
-            sim,
-            pins: self.pins,
-            nets: self.nets,
-        })
-    }
+    let mut sim = Simulator::from_program(Arc::new(program));
+    sim.import_forces_replicated(&forces);
+    Ok(Box::new(PlaybackJob { sim, pins, nets }))
 }
 
 #[cfg(test)]
@@ -1373,14 +1206,8 @@ mod tests {
         let one = flop_pattern(&[One]);
         let two = flop_pattern(&[One, Zero]);
         let nets = resolve_pins(&sim, &one.pins).unwrap();
-        let mut job = open_wire_job(&encode_playback_job(
-            sim.program(),
-            1,
-            &one.pins,
-            &nets,
-            &[],
-        ))
-        .unwrap();
+        let mut job =
+            open_wire_job(&encode_playback_job(sim.program(), &one.pins, &nets, &[])).unwrap();
         // A ragged unit: a 1-cycle pattern followed by a 2-cycle pattern
         // (the player's validator would reject this, so it can only
         // arrive via corrupt or hostile bytes).
@@ -1389,7 +1216,7 @@ mod tests {
         // A well-formed unit on the same job round-trips its reports.
         let unit = chunk_of(&[&two, &two]).encode();
         assert_eq!(unit, hand_unit(&[&two, &two]));
-        let decoded = Chunk::decode(&unit, nets.len(), 64).unwrap();
+        let decoded = Chunk::decode(&unit, nets.len()).unwrap();
         assert_eq!(decoded.states, chunk_of(&[&two, &two]).states);
         assert!(decoded.states.capacity() <= unit.len());
         let reports = decode_reports(&job.run_unit(&unit).unwrap()).unwrap();
@@ -1419,30 +1246,24 @@ mod tests {
         );
         let nets = resolve_pins(&sim, &a.pins).unwrap();
         let mut job =
-            open_wire_job(&encode_playback_job(sim.program(), 1, &a.pins, &nets, &[])).unwrap();
+            open_wire_job(&encode_playback_job(sim.program(), &a.pins, &nets, &[])).unwrap();
         let err = job.run_unit(&hand_unit(&[&a, &c, &a])).unwrap_err();
         assert_eq!(err, typed.to_string());
     }
 
-    /// Plays `patterns` in `chunk`-pattern units at width `N` both ways
-    /// — `run_unit_local`, and the opened wire job on the encoded unit —
-    /// requiring equal reports for every chunk. Returns the failing
-    /// patterns' count.
-    fn local_equals_worker<const N: usize>(
-        sim: &Simulator,
-        patterns: &[CyclePattern],
-        chunk: usize,
-    ) -> usize {
+    /// Plays `patterns` chunk by chunk both ways — `run_unit_local`, and
+    /// the opened wire job on the encoded unit — requiring equal reports
+    /// for every chunk. Returns the failing patterns' count.
+    fn local_equals_worker(sim: &Simulator, patterns: &[CyclePattern]) -> usize {
         let pins = Arc::clone(&patterns[0].pins);
         let nets = resolve_pins(sim, &pins).unwrap();
-        let work = PlaybackWork::<N>::new(sim, &pins, &nets);
+        let work = PlaybackWork::new(sim, &pins, &nets);
         let mut job = open_wire_job(&work.encode_job()).unwrap();
         let poisoned = Mutex::new(None);
         let chunks = ValidatedChunks {
             patterns: patterns.iter(),
             pins: &pins,
             cycles: patterns[0].cycles.len(),
-            chunk,
             pending: None,
             poisoned: &poisoned,
             done: false,
@@ -1461,7 +1282,7 @@ mod tests {
     /// The in-thread unit and the worker unit play the same chunk
     /// through the same player: on a set with a failing pattern and a
     /// simulator with a forced net, every chunk reports the same both
-    /// ways, at two widths and three chunk sizes.
+    /// ways — full chunks, and last chunks of 7, 22 and 1 patterns.
     #[test]
     fn local_and_worker_units_report_the_same() {
         use Logic::{One, Zero};
@@ -1483,19 +1304,18 @@ mod tests {
         let mut forced = clean.clone();
         let d = forced.program().port_net("d").unwrap();
         forced.force_lane(d, 5, One);
-        assert_eq!(local_equals_worker::<1>(&clean, &patterns, 64), 1);
-        // The force fails lane 5 of some chunks besides pattern 77.
-        for failing in [
-            local_equals_worker::<1>(&forced, &patterns, 7),
-            local_equals_worker::<1>(&forced, &patterns, 64),
-            local_equals_worker::<2>(&forced, &patterns, 128),
-        ] {
-            assert!(failing > 1, "{failing} failing patterns");
-        }
+        assert_eq!(local_equals_worker(&clean, &patterns), 1);
+        assert_eq!(local_equals_worker(&clean, &patterns[..65]), 0);
+        // The force fails pattern 5, lane 5 of the first chunk, and
+        // lane 5 of later chunks besides pattern 77.
+        assert_eq!(local_equals_worker(&forced, &patterns[..7]), 1);
+        let failing = local_equals_worker(&forced, &patterns);
+        assert!(failing > 2, "{failing} failing patterns");
     }
 
     /// The streaming player's reports are byte-identical to the
-    /// materialized batch at every chunk size — chunk boundaries must
+    /// materialized batch's on every prefix of the set, so the last
+    /// chunk holds 1, 7, 64, 1 and 22 patterns — chunk boundaries must
     /// be invisible in the report stream.
     #[test]
     fn streaming_matches_materialized_at_every_chunk_size() {
@@ -1519,19 +1339,19 @@ mod tests {
         let baseline = apply_cycle_patterns_batch(&Exec::serial(), &sim, &refs).unwrap();
         assert!(!baseline.passed());
         for exec in [Exec::serial(), Exec::threads(steac_sim::Threads::exact(3))] {
-            for chunk in [1, 7, 64, usize::MAX] {
+            for prefix in [1, 7, 64, 65, patterns.len()] {
                 let mut streamed = Vec::new();
-                let run = stream_cycle_patterns_wide(
-                    &exec,
-                    &sim,
-                    patterns.iter().cloned(),
-                    PLAYBACK_LANE_GROUPS,
-                    chunk,
-                    |r| streamed.push(r),
-                )
-                .unwrap();
-                assert_eq!(run.patterns, patterns.len(), "{exec} chunk {chunk}");
-                assert_eq!(streamed, baseline.reports, "{exec} chunk {chunk}");
+                let run =
+                    stream_cycle_patterns(&exec, &sim, patterns[..prefix].iter().cloned(), |r| {
+                        streamed.push(r)
+                    })
+                    .unwrap();
+                assert_eq!(run.patterns, prefix, "{exec} prefix {prefix}");
+                assert_eq!(
+                    streamed,
+                    baseline.reports[..prefix],
+                    "{exec} prefix {prefix}"
+                );
             }
         }
     }

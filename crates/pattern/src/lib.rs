@@ -23,9 +23,8 @@ pub mod translate;
 pub use ate::{export_ate, AteStats};
 pub use corelevel::ScanVector;
 pub use cycle::{
-    apply_cycle_pattern, apply_cycle_patterns_batch, apply_cycle_patterns_batch_wide,
-    stream_cycle_patterns, stream_cycle_patterns_wide, BatchPlayback, CyclePattern, MismatchReport,
-    PinState, StreamPlayback, PLAYBACK_LANE_GROUPS,
+    apply_cycle_pattern, apply_cycle_patterns_batch, stream_cycle_patterns, BatchPlayback,
+    CyclePattern, MismatchReport, PinState, StreamPlayback, PLAYBACK_LANE_GROUPS,
 };
 pub use translate::{
     merge_sessions, scan_to_wrapper, wrapper_vectors_to_cycles, ChipPatternSet, SessionStream,

@@ -70,13 +70,13 @@
 //! host lost). The [`Fallback`] policy decides, per batch:
 //!
 //! * [`Fallback::InThread`] (the default): recompute the batch on the
-//!   calling dispatcher. The fallback is **surfaced**, not silent — it
-//!   is logged to stderr, counted on the `Exec`
-//!   ([`Exec::process_fallbacks`]) and in [`Dispatch::fallbacks`], and
-//!   the first diagnostic is kept in [`Dispatch::fallback`], so reports
-//!   can carry it.
+//!   calling dispatcher. The fallback is **surfaced**, not silent — its
+//!   diagnostic is logged to stderr, and it is counted on the `Exec`
+//!   ([`Exec::process_fallbacks`]) and in [`Dispatch::fallbacks`], so
+//!   reports can carry the count.
 //! * [`Fallback::Fail`]: surface the failure as the workload's typed
-//!   error (deterministically the lowest-indexed affected unit).
+//!   error, through `From<SimError>` (deterministically the
+//!   lowest-indexed affected unit).
 //!
 //! (Transient remote trouble is retried *inside* the fleet first, on
 //! the batch's dispatcher; the policy only decides what a batch that
@@ -90,6 +90,7 @@
 
 use crate::remote::{ProcessTransport, RemoteFleet, Shipper, Transport};
 use crate::shard::{self, PoolError, Threads};
+use crate::SimError;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
@@ -175,10 +176,6 @@ pub struct Exec {
 pub struct Dispatch {
     /// Outputs delivered to the sink, in unit order.
     pub units: usize,
-    /// `Some(first diagnostic)` when any shipped batch fell back to an
-    /// in-process recompute under [`Fallback::InThread`]; `None`
-    /// otherwise.
-    pub fallback: Option<String>,
     /// Shipped batches recomputed in-process — the per-call count
     /// reports fold in (up to ⌈units / [`STREAM_BATCH_UNITS`]⌉).
     pub fallbacks: usize,
@@ -206,8 +203,9 @@ pub trait ExecWork: Sync {
     type Unit: Send + Sync;
     /// Per-unit result.
     type Output: Send;
-    /// Workload error type.
-    type Error: Send;
+    /// Workload error type. A fleet failure under [`Fallback::Fail`]
+    /// becomes one through [`SimError::Worker`].
+    type Error: Send + From<SimError>;
 
     /// Work-unit kind routed by the worker-side job registry.
     fn kind(&self) -> u16;
@@ -237,17 +235,13 @@ pub trait ExecWork: Sync {
     /// a shipped-level failure of that unit (subject to the fallback
     /// policy).
     fn decode_result(&self, unit: &Self::Unit, bytes: &[u8]) -> Result<Self::Output, String>;
-
-    /// Wraps a fleet failure in the workload's error type (used under
-    /// [`Fallback::Fail`]).
-    fn pool_error(&self, error: PoolError) -> Self::Error;
 }
 
-/// One finished batch: per-unit results in batch order, plus the
-/// fallback diagnostic when it was recomputed in-process.
+/// One finished batch: per-unit results in batch order, and whether it
+/// was recomputed in-process.
 type Batch<W> = (
     Vec<Result<<W as ExecWork>::Output, <W as ExecWork>::Error>>,
-    Option<String>,
+    bool,
 );
 
 /// The pipeline's shared input: the unit iterator plus how many
@@ -571,7 +565,10 @@ impl Exec {
                             Some(shipper) => {
                                 self.ship_batch(shipper, home, work, job, start, &batch)
                             }
-                            None => (batch.iter().map(|u| work.run_unit_local(u)).collect(), None),
+                            None => (
+                                batch.iter().map(|u| work.run_unit_local(u)).collect(),
+                                false,
+                            ),
                         };
                         // After an error every later batch is moot; after a
                         // failed send the merge loop has already returned.
@@ -589,11 +586,8 @@ impl Exec {
             let mut head = 0usize;
             for (seq, done) in rx {
                 pending.insert(seq, done);
-                while let Some((results, diagnostic)) = pending.remove(&head) {
-                    if let Some(diagnostic) = diagnostic {
-                        out.fallbacks += 1;
-                        out.fallback.get_or_insert(diagnostic);
-                    }
+                while let Some((results, fell_back)) = pending.remove(&head) {
+                    out.fallbacks += usize::from(fell_back);
                     for result in results {
                         match result {
                             Ok(output) => {
@@ -615,8 +609,8 @@ impl Exec {
     /// Ships one batch (units `start..start + batch.len()`) as one run
     /// request from host `home` on, and decodes it, applying the
     /// fallback policy: under [`Fallback::InThread`] a failed batch is
-    /// recomputed in-process and carries the diagnostic; under
-    /// [`Fallback::Fail`] it is the single wrapped error.
+    /// logged and recomputed in-process; under [`Fallback::Fail`] it is
+    /// the single [`SimError::Worker`] error.
     fn ship_batch<W: ExecWork>(
         &self,
         shipper: &Shipper,
@@ -643,7 +637,7 @@ impl Exec {
                             }
                         }
                     }
-                    return (outputs, None);
+                    return (outputs, false);
                 }
                 // Re-key from batch-local to input indices so
                 // diagnostics name the true unit.
@@ -654,16 +648,15 @@ impl Exec {
             }
         };
         match self.on_process_failure {
-            Fallback::Fail => (vec![Err(work.pool_error(failure))], None),
+            Fallback::Fail => (vec![Err(SimError::from(failure).into())], false),
             Fallback::InThread => {
-                let diagnostic = failure.to_string();
                 self.fallbacks.fetch_add(1, Ordering::Relaxed);
                 eprintln!(
-                    "steac exec: {self} dispatch failed ({diagnostic}); \
+                    "steac exec: {self} dispatch failed ({failure}); \
                      recomputing the batch in-thread"
                 );
                 let recomputed = batch.iter().map(|u| work.run_unit_local(u)).collect();
-                (recomputed, Some(diagnostic))
+                (recomputed, true)
             }
         }
     }
@@ -768,10 +761,21 @@ mod tests {
         jobless: bool,
     }
 
+    /// [`Squares`]' error: the diagnostic of a poisoned unit or of a
+    /// fleet failure.
+    #[derive(Debug, PartialEq)]
+    struct SquaresError(String);
+
+    impl From<SimError> for SquaresError {
+        fn from(e: SimError) -> Self {
+            SquaresError(e.to_string())
+        }
+    }
+
     impl ExecWork for Squares {
         type Unit = usize;
         type Output = usize;
-        type Error = String;
+        type Error = SquaresError;
 
         fn kind(&self) -> u16 {
             9999
@@ -783,12 +787,12 @@ mod tests {
         fn encode_unit(&self, unit: &usize) -> Vec<u8> {
             unit.to_le_bytes().to_vec()
         }
-        fn run_unit_local(&self, unit: &usize) -> Result<usize, String> {
+        fn run_unit_local(&self, unit: &usize) -> Result<usize, SquaresError> {
             if *unit == 0 {
                 std::thread::sleep(self.stall);
             }
             if *unit == usize::MAX {
-                return Err("poisoned unit".to_string());
+                return Err(SquaresError("poisoned unit".to_string()));
             }
             Ok(unit * unit)
         }
@@ -796,9 +800,6 @@ mod tests {
             let echoed: [u8; 8] = bytes.try_into().map_err(|_| "not a usize".to_string())?;
             let unit = usize::from_le_bytes(echoed);
             Ok(unit * unit)
-        }
-        fn pool_error(&self, error: PoolError) -> String {
-            error.to_string()
         }
     }
 
@@ -819,7 +820,6 @@ mod tests {
             Exec::threads(Threads::exact(4)),
         ] {
             let d = squares(&exec, &Squares::default(), 97);
-            assert!(d.fallback.is_none());
             assert_eq!(d.fallbacks, 0);
         }
     }
@@ -832,7 +832,7 @@ mod tests {
             let err = exec
                 .dispatch(&Squares::default(), units, |o| got.push(o))
                 .unwrap_err();
-            assert_eq!(err, "poisoned unit", "{exec}");
+            assert_eq!(err.0, "poisoned unit", "{exec}");
             assert!(got.len() <= 17, "{exec}: sink saw past the failing unit");
             assert_eq!(
                 got,
@@ -849,12 +849,11 @@ mod tests {
     fn process_failure_honours_the_fallback_policy() {
         let forgiving = bogus(2);
         let d = squares(&forgiving, &Squares::default(), 100);
-        assert!(d.fallback.is_some(), "fallback must be surfaced");
         assert_eq!(d.fallbacks, 100usize.div_ceil(STREAM_BATCH_UNITS));
         assert_eq!(forgiving.process_fallbacks(), d.fallbacks);
 
         let strict = bogus(2).with_fallback(Fallback::Fail);
-        let err = strict
+        let SquaresError(err) = strict
             .dispatch(&Squares::default(), 0..100, |_| {})
             .unwrap_err();
         assert!(err.contains("work unit 0"), "{err}");
@@ -879,11 +878,11 @@ mod tests {
         };
         let forgiving = Exec::remote(dead_fleet());
         let d = squares(&forgiving, &Squares::default(), 10);
-        assert!(d.fallback.is_some(), "fallback must be surfaced");
+        assert_eq!(d.fallbacks, 1, "fallback must be counted");
         assert_eq!(forgiving.process_fallbacks(), 1);
 
         let strict = Exec::remote(dead_fleet()).with_fallback(Fallback::Fail);
-        let err = strict
+        let SquaresError(err) = strict
             .dispatch(&Squares::default(), 0..10, |_| {})
             .unwrap_err();
         assert!(err.contains("work unit 0"), "{err}");
@@ -899,7 +898,7 @@ mod tests {
         };
         let d = exec.dispatch(&jobless, 0..0, |_| {}).unwrap();
         assert_eq!(d.units, 0);
-        assert!(d.fallback.is_none());
+        assert_eq!(d.fallbacks, 0);
     }
 
     /// A panicking sink unwinds out of dispatch: the dispatchers waiting

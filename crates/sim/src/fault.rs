@@ -49,8 +49,12 @@ pub trait LaneGroupWork {
 }
 
 /// The one lane-width switch: runs `work` at `groups` lane groups, or
-/// returns `None` when `groups` is not one of [`SUPPORTED_LANE_GROUPS`]
-/// (each caller turns that into its own error).
+/// returns `None` when `groups` is not one of [`SUPPORTED_LANE_GROUPS`].
+/// Gate-level grading and dictionaries are its one caller (`kernels` in
+/// [`crate::models`], which turns `None` into
+/// [`SimError::UnsupportedWidth`]): there the width really pays, since
+/// every lane carries a fault. Cycle playback and March walks each run
+/// at one fixed width.
 pub fn with_lane_groups<W: LaneGroupWork>(groups: usize, work: W) -> Option<W::Output> {
     Some(match groups {
         1 => work.run::<1>(),

@@ -41,14 +41,17 @@
 //!    representation generic over its lane-group width `N`, carrying
 //!    **`64 * N` independent simulation lanes** (`[u64; N]` per plane)
 //!    whose word-parallel AND/OR/XOR/NOT/MUX are lane-exact against the
-//!    scalar [`Logic`] algebra. The scalar API is the `N = 1` default;
-//!    workload entry points dispatch at
-//!    [`packed::DEFAULT_LANE_GROUPS`] (256 lanes) with monomorphized
-//!    kernels for every width in [`SUPPORTED_LANE_GROUPS`], picked by one
-//!    switch ([`with_lane_groups`]), and reports are byte-identical at
+//!    scalar [`Logic`] algebra. The scalar API is the `N = 1` default.
+//!    Each player runs at one width: cycle playback at 64 lanes
+//!    (`steac_pattern::PLAYBACK_LANE_GROUPS`), March walks at
+//!    [`packed::DEFAULT_LANE_GROUPS`] (256 lanes). Gate-level grading
+//!    defaults to 256 lanes too, and is the one workload that takes a
+//!    width: monomorphized kernels exist for every width in
+//!    [`SUPPORTED_LANE_GROUPS`], picked by one switch
+//!    ([`with_lane_groups`]), and its reports are byte-identical at
 //!    every width.
 //! 4. **Dispatch** ([`exec`]): independent passes (fault-grading
-//!    chunks, width-sized playback chunks, March walks, JPEG generation
+//!    chunks, 64-pattern playback chunks, March walks, JPEG generation
 //!    blocks) are *work units* of one [`ExecWork`] behind one
 //!    execution-backend value, [`Exec`]: `Exec::serial()` runs them
 //!    inline, `Exec::threads(..)` fans them across scoped dispatcher

@@ -84,16 +84,6 @@ impl Logic {
         matches!(self, Logic::Zero | Logic::One)
     }
 
-    /// Converts a known value to `bool`.
-    #[must_use]
-    pub fn to_bool(self) -> Option<bool> {
-        match self {
-            Logic::Zero => Some(false),
-            Logic::One => Some(true),
-            _ => None,
-        }
-    }
-
     /// Pattern-character representation: `0`, `1`, `X`, `Z`.
     #[must_use]
     pub fn to_char(self) -> char {
@@ -116,13 +106,6 @@ impl Logic {
             'Z' => Some(Logic::Z),
             _ => None,
         }
-    }
-
-    /// Does an observed value `self` match an expected value? `X`/`Z`
-    /// expectations match anything (masked compare, as on an ATE).
-    #[must_use]
-    pub fn matches_expected(self, expected: Logic) -> bool {
-        !expected.is_known() || self == expected
     }
 }
 
@@ -203,13 +186,6 @@ mod tests {
         }
         assert_eq!(Logic::from_char('n'), Some(Logic::X));
         assert_eq!(Logic::from_char('?'), None);
-    }
-
-    #[test]
-    fn masked_compare() {
-        assert!(Logic::Zero.matches_expected(Logic::X));
-        assert!(Logic::One.matches_expected(Logic::One));
-        assert!(!Logic::One.matches_expected(Logic::Zero));
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! contract.
 
 use crate::exec::{Exec, ExecWork};
-use crate::shard::{self, PoolError};
+use crate::shard;
 use crate::wire;
 use crate::SimError;
 
@@ -285,10 +285,6 @@ impl<'a> ExecWork for DiagnoseWork<'a> {
         }
         r.finish().map_err(fail)?;
         Ok(out)
-    }
-
-    fn pool_error(&self, error: PoolError) -> SimError {
-        error.into()
     }
 }
 

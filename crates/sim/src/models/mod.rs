@@ -68,7 +68,7 @@ use crate::packed::{
     mask_and, mask_bit, mask_none, mask_or, mask_range, LaneMask, PackedLogic, DEFAULT_LANE_GROUPS,
 };
 use crate::program::SimProgram;
-use crate::shard::{self, PoolError, WireJob};
+use crate::shard::{self, WireJob};
 use crate::wire::{self, WireError, WireReader, WireWriter};
 use crate::SimError;
 use dictionary::{
@@ -495,10 +495,6 @@ impl<'a, F: FaultModel> ExecWork for GradeWork<'a, F> {
     fn decode_result(&self, _unit: &&'a [F], bytes: &[u8]) -> Result<Vec<u64>, String> {
         decode_mask(bytes, self.0.groups)
     }
-
-    fn pool_error(&self, error: PoolError) -> SimError {
-        error.into()
-    }
 }
 
 /// Dictionary building: the same units as [`GradeWork`], one
@@ -542,10 +538,6 @@ impl<'a, F: FaultModel> ExecWork for DictWork<'a, F> {
             ));
         }
         Ok(entries)
-    }
-
-    fn pool_error(&self, error: PoolError) -> SimError {
-        error.into()
     }
 }
 

@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! magic   b"SPRG"                        (4 bytes)
-//! version u16                            (currently 5)
+//! version u16                            (currently 6)
 //! name    str
 //! net_count, slot_count                  (u64 each)
 //! comb    u64 count, then per instr:     op u8, ins 4 x u32, out u32
@@ -39,7 +39,10 @@
 //! job layout and stuck-at builds dictionaries too. Version 5 cut the
 //! `opt` record to its two flags: the optimizer only renumbers slots,
 //! and the instruction count it used to carry is re-derived from the
-//! decoded stream.
+//! decoded stream. Version 6 took the lane-group byte out of the
+//! playback (kind 2) and March (kind 3) job blocks: cycle playback
+//! always runs 64 lanes and a March walk 256, so the width is no longer
+//! the job's to choose.
 //!
 //! Work-unit payloads (fault chunks in [`crate::models`], pattern chunks
 //! in `steac-pattern`, March chunks in `steac-membist`) carry no magic of
@@ -96,7 +99,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Current wire-format version (see the module docs for the bump rule).
-pub const WIRE_VERSION: u16 = 5;
+pub const WIRE_VERSION: u16 = 6;
 
 /// Typed decode failure. Encoding cannot fail.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -874,7 +877,8 @@ mod tests {
     }
 
     /// Older blobs — version 1 (pre-optimizer, no slot table) through
-    /// version 4 (a six-counter `opt` record) — are rejected with a typed
+    /// version 4 (a six-counter `opt` record) and version 5 (kind-2 and
+    /// kind-3 jobs with a lane-group byte) — are rejected with a typed
     /// error rather than misparsed.
     #[test]
     fn old_version_is_rejected() {

@@ -616,7 +616,7 @@ fn jpeg_stream_ships_generation_and_playback() {
 fn corrupt_unit_bytes_fail_only_that_unit() {
     let cfg = SramConfig::single_port(16, 2);
     let alg = MarchAlgorithm::march_c_minus();
-    let job = steac_membist::wire::encode_march_job(&alg, &cfg, 1);
+    let job = steac_membist::wire::encode_march_job(&alg, &cfg);
     let good =
         steac_membist::wire::encode_fault_unit(&[steac_membist::MemFault::stuck_at(3, 0, true)]);
     let corrupt = vec![0xFF; 3];

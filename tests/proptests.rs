@@ -586,8 +586,10 @@ proptest! {
         prop_assert!(unsupported, "3 lane groups must be a typed error");
     }
 
-    /// Batched playback reports are byte-identical at every supported
-    /// lane-group width, including failing expectations.
+    /// The 64-lane batched player reports exactly what the scalar
+    /// player reports for each pattern played alone from power-on,
+    /// failing expectations included: packing patterns into lanes,
+    /// three chunks and padding lanes never change a verdict.
     #[test]
     fn playback_is_lane_width_invariant(
         seeds in prop::collection::vec((0u8..7, 0u8..32, 0u8..32, 0u8..32), 3..10),
@@ -617,50 +619,32 @@ proptest! {
             .collect();
         let refs: Vec<&steac_pattern::CyclePattern> = patterns.iter().collect();
         let sim: Simulator = Simulator::new(&m).unwrap();
-        let exec = Exec::serial();
-        let baseline =
-            steac_pattern::apply_cycle_patterns_batch_wide(&exec, &sim, &refs, 1).unwrap();
-        for groups in [2usize, 4, 8] {
-            let wide =
-                steac_pattern::apply_cycle_patterns_batch_wide(&exec, &sim, &refs, groups)
-                    .unwrap();
-            prop_assert_eq!(&wide, &baseline, "{} lane groups", groups);
+        let batch =
+            steac_pattern::apply_cycle_patterns_batch(&Exec::serial(), &sim, &refs).unwrap();
+        prop_assert_eq!(batch.reports.len(), patterns.len());
+        for (k, (p, report)) in patterns.iter().zip(&batch.reports).enumerate() {
+            let alone = steac_pattern::apply_cycle_pattern(&mut sim.clone(), p).unwrap();
+            prop_assert_eq!(report, &alone, "pattern {}", k);
         }
-        let unsupported = matches!(
-            steac_pattern::apply_cycle_patterns_batch_wide(&exec, &sim, &refs, 3),
-            Err(steac_pattern::PatternError::Sim(
-                steac_sim::SimError::UnsupportedWidth { groups: 3 }
-            ))
-        );
-        prop_assert!(unsupported, "3 lane groups must be a typed error");
     }
 
-    /// March memory-fault grading is byte-identical at every supported
-    /// lane-group width.
+    /// The 256-lane March walk grades exactly like one scalar walk per
+    /// fault — coverage, escapes and their order — on fault lists that
+    /// fill more than one walk.
     #[test]
     fn march_grading_is_lane_width_invariant(
         seed in 0u64..1000,
-        per_class in 8usize..20,
+        per_class in 43usize..60,
     ) {
         use rand::SeedableRng;
         let cfg = SramConfig::single_port(32, 4);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let faults = random_fault_list(&cfg, per_class, &mut rng);
+        prop_assert!(faults.len() > steac_membist::FAULTS_PER_WALK);
         let alg = MarchAlgorithm::mats_plus();
-        let exec = Exec::serial();
-        let baseline =
-            steac_membist::fault_coverage_wide(&exec, &alg, &cfg, &faults, 1).unwrap();
-        for groups in [2usize, 4, 8] {
-            let wide =
-                steac_membist::fault_coverage_wide(&exec, &alg, &cfg, &faults, groups)
-                    .unwrap();
-            prop_assert_eq!(&wide, &baseline, "{} lane groups", groups);
-        }
-        let unsupported = matches!(
-            steac_membist::fault_coverage_wide(&exec, &alg, &cfg, &faults, 3),
-            Err(steac_sim::SimError::UnsupportedWidth { groups: 3 })
-        );
-        prop_assert!(unsupported, "3 lane groups must be a typed error");
+        let packed = fault_coverage(&Exec::serial(), &alg, &cfg, &faults).unwrap();
+        let serial = steac_membist::faultsim::fault_coverage_serial(&alg, &cfg, &faults);
+        prop_assert_eq!(&packed, &serial);
     }
 }
 
@@ -706,8 +690,8 @@ proptest! {
 
 /// 130 playback patterns (3 chunks) for a `random_module`: drive
 /// in0..3, pulse ck and expect fixed values on out0 — some expectations
-/// fail, and the failure logs must merge identically at every width and
-/// at every chunking.
+/// fail, and the failure logs must merge identically at every thread
+/// count and wherever the stream ends.
 fn expect_playback_patterns(data: &[u8]) -> Vec<steac_pattern::CyclePattern> {
     let pins: Vec<String> = (0..4)
         .map(|i| format!("in{i}"))
@@ -786,16 +770,17 @@ proptest! {
         }
     }
 
-    /// Streaming playback at an **arbitrary** chunk size produces
+    /// Streaming an **arbitrary** prefix of the set produces
     /// byte-identical `MismatchReport`s — content AND order — to the
-    /// materialized batch player: a chunk boundary can never move, add,
-    /// drop or reorder a mismatch-log entry or an escape, at any thread
-    /// count.
+    /// materialized batch's first reports: wherever the stream ends, and
+    /// so wherever its last chunk is cut, a chunk boundary can never
+    /// move, add, drop or reorder a mismatch-log entry or an escape, at
+    /// any thread count.
     #[test]
     fn streaming_chunk_boundaries_never_change_report_order(
         seeds in prop::collection::vec((0u8..7, 0u8..32, 0u8..32, 0u8..32), 3..12),
         data in prop::collection::vec(0u8..4, 130 * 4..130 * 4 + 1),
-        chunk in 1usize..300,
+        prefix in 0usize..131,
         threads in 1usize..5,
     ) {
         let m = random_module(&seeds);
@@ -807,18 +792,16 @@ proptest! {
                 .unwrap();
         let exec = Exec::threads(Threads::exact(threads));
         let mut streamed = Vec::new();
-        let run = steac_pattern::stream_cycle_patterns_wide(
+        let run = steac_pattern::stream_cycle_patterns(
             &exec,
             &sim,
-            patterns.iter().cloned(),
-            steac_pattern::PLAYBACK_LANE_GROUPS,
-            chunk,
+            patterns[..prefix].iter().cloned(),
             |r| streamed.push(r),
         ).unwrap();
-        prop_assert_eq!(run.patterns, patterns.len());
+        prop_assert_eq!(run.patterns, prefix);
         prop_assert_eq!(
-            &streamed, &baseline.reports,
-            "chunk {} on {} threads", chunk, threads
+            &streamed[..], &baseline.reports[..prefix],
+            "prefix {} on {} threads", prefix, threads
         );
     }
 
