@@ -31,9 +31,9 @@
 //! grading, wrapper equivalence) rides `steac-sim`'s compiled pipeline:
 //! the flat netlist is levelized **once** into a `SimProgram` — a
 //! contiguous instruction stream over a single flat value buffer — and
-//! then executed with 64 packed 4-value lanes per pass, so pattern sets
-//! play 64 patterns at a time and fault simulation grades a good machine
-//! plus 63 faulty machines per pass (with fault dropping).
+//! then executed over packed 4-value lanes, so pattern sets play 64
+//! patterns per 64-lane pass and fault simulation grades a good machine
+//! plus 255 faulty machines per 256-lane pass (with fault dropping).
 //!
 //! # Example
 //!

@@ -519,8 +519,9 @@ fn report_from_flags(
 
 /// The [`ExecWork`] description of March fault grading: one unit per
 /// walk of up to [`FAULTS_PER_WALK`] faults, a job block carrying
-/// geometry and algorithm ([`crate::wire`]), and lane-mask detection
-/// word groups as unit results. The walk itself is infallible — errors
+/// geometry and algorithm ([`crate::wire`]), and the walk's detection
+/// mask as each unit's result, in the codec gate-level grading shares
+/// ([`shard::encode_lane_mask`]). The walk itself is infallible — errors
 /// can only come from dispatch.
 struct MarchWork<'a> {
     alg: &'a MarchAlgorithm,
@@ -549,18 +550,7 @@ impl<'a> ExecWork for MarchWork<'a> {
     }
 
     fn decode_result(&self, _unit: &&'a [MemFault], bytes: &[u8]) -> Result<WalkMask, String> {
-        if bytes.len() != DEFAULT_LANE_GROUPS * 8 {
-            return Err(format!(
-                "result has {} bytes, expected {}",
-                bytes.len(),
-                DEFAULT_LANE_GROUPS * 8
-            ));
-        }
-        let mut mask: WalkMask = mask_none();
-        for (g, word) in bytes.chunks_exact(8).enumerate() {
-            mask[g] = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
-        }
-        Ok(mask)
+        shard::decode_lane_mask(bytes)
     }
 }
 

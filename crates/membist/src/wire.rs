@@ -6,14 +6,15 @@
 //! A March job carries what one walk needs besides the fault chunk: the
 //! memory geometry and the algorithm. Unit payloads are fault chunks
 //! (tag byte + fields per fault) of at most [`FAULTS_PER_WALK`] faults;
-//! results are one detection lane mask (four little-endian `u64` words)
-//! per walk, merged in fault-list order by the dispatcher exactly like
-//! the thread-sharded path.
+//! results are one detection lane mask (four little-endian `u64` words,
+//! [`steac_sim::shard::encode_lane_mask`], the result a gate-level
+//! grading pass returns too) per walk, merged in fault-list order by
+//! the dispatcher exactly like the thread-sharded path.
 
 use crate::faultsim::{fault_fits, run_packed_march, FAULTS_PER_WALK};
 use crate::march::{Direction, MarchAlgorithm, MarchElement, MarchOp};
 use crate::memory::{MemFault, PortKind, SramConfig};
-use steac_sim::shard::WireJob;
+use steac_sim::shard::{self, WireJob};
 use steac_sim::wire::{WireError, WireReader, WireWriter};
 
 /// Work-unit kind the `steac-worker` binary routes to
@@ -290,11 +291,7 @@ impl WireJob for MarchWireJob {
             }
         }
         let mask = run_packed_march(&self.alg, &self.config, &chunk);
-        let mut out = Vec::with_capacity(8 * mask.len());
-        for word in mask {
-            out.extend_from_slice(&word.to_le_bytes());
-        }
-        Ok(out)
+        Ok(shard::encode_lane_mask(&mask))
     }
 }
 

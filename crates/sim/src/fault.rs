@@ -1,12 +1,13 @@
 //! Single-stuck-at fault model — the founding [`FaultModel`] — and the
 //! PPSFP pass geometry every gate-level model shares: one packed pass
-//! simulates the good machine on lane 0 and up to `64 * N - 1` faulty
-//! machines on the other lanes, each stuck-at fault injected once per
-//! pass as a per-lane force ([`Simulator::force_lane`]).
+//! runs at the one grading width, [`DEFAULT_LANE_GROUPS`] (256 lanes),
+//! and simulates the good machine on lane 0 and up to
+//! [`FAULTS_PER_PASS`] (255) faulty machines on the other lanes, each
+//! stuck-at fault injected once per pass as a per-lane force
+//! ([`Simulator::force_lane`]).
 //!
 //! Vector grading and fault dictionaries run on the generic engine in
-//! [`crate::models`]; [`grade_vectors`] and [`grade_vectors_wide`] are
-//! re-exported here from it.
+//! [`crate::models`]; [`grade_vectors`] is re-exported here from it.
 //!
 //! Used to check that generated DFT structures are themselves testable and
 //! to grade scan/functional pattern sets in the examples and benches. The
@@ -16,54 +17,18 @@
 use crate::engine::Simulator;
 use crate::logic::Logic;
 use crate::models::{FaultModel, Report};
-use crate::packed::LANES;
+use crate::packed::{DEFAULT_LANE_GROUPS, LANES};
 use crate::wire::{WireError, WireReader, WireWriter};
 use crate::SimError;
 use std::fmt;
 use steac_netlist::{Module, NetId};
 
-pub use crate::models::{grade_vectors, grade_vectors_wide};
+pub use crate::models::grade_vectors;
 
-/// Faults simulated per classic 64-lane pass (lane 0 is the good
-/// machine). Wide passes carry [`faults_per_pass`]`(groups)` faults.
-pub const FAULTS_PER_PASS: usize = LANES - 1;
-
-/// Faults simulated per `groups`-wide pass: lane 0 is the good machine,
-/// every other one of the `groups`×64 lanes carries a fault (255 at the
-/// default 4-group width).
-#[must_use]
-pub const fn faults_per_pass(groups: usize) -> usize {
-    LANES * groups - 1
-}
-
-/// Lane-group widths the monomorphized kernels exist for: the widths
-/// [`with_lane_groups`] runs.
-pub const SUPPORTED_LANE_GROUPS: [usize; 4] = [1, 2, 4, 8];
-
-/// Work monomorphized per lane-group width, run by [`with_lane_groups`].
-pub trait LaneGroupWork {
-    /// What the work returns.
-    type Output;
-    /// Runs the work on `N`-group (`64 * N`-lane) executors.
-    fn run<const N: usize>(self) -> Self::Output;
-}
-
-/// The one lane-width switch: runs `work` at `groups` lane groups, or
-/// returns `None` when `groups` is not one of [`SUPPORTED_LANE_GROUPS`].
-/// Gate-level grading and dictionaries are its one caller (`kernels` in
-/// [`crate::models`], which turns `None` into
-/// [`SimError::UnsupportedWidth`]): there the width really pays, since
-/// every lane carries a fault. Cycle playback and March walks each run
-/// at one fixed width.
-pub fn with_lane_groups<W: LaneGroupWork>(groups: usize, work: W) -> Option<W::Output> {
-    Some(match groups {
-        1 => work.run::<1>(),
-        2 => work.run::<2>(),
-        4 => work.run::<4>(),
-        8 => work.run::<8>(),
-        _ => return None,
-    })
-}
+/// Faults simulated per gate-level pass: every lane of the
+/// [`DEFAULT_LANE_GROUPS`] lane groups but lane 0, which runs the good
+/// machine.
+pub const FAULTS_PER_PASS: usize = LANES * DEFAULT_LANE_GROUPS - 1;
 
 /// Stuck-at polarity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -165,14 +130,14 @@ impl FaultModel for Fault {
     }
 
     /// A stuck-at fault holds for the whole pass: its force goes in once.
-    fn begin_pass<const N: usize>(sim: &mut Simulator<N>, chunk: &[Self]) {
+    fn begin_pass(sim: &mut Simulator<DEFAULT_LANE_GROUPS>, chunk: &[Self]) {
         for (i, f) in chunk.iter().enumerate() {
             sim.force_lane(f.net, i + 1, f.stuck.value());
         }
     }
 
-    fn apply<const N: usize>(
-        sim: &mut Simulator<N>,
+    fn apply(
+        sim: &mut Simulator<DEFAULT_LANE_GROUPS>,
         pins: &[NetId],
         vectors: &[Vec<Logic>],
         pattern: usize,
@@ -244,21 +209,6 @@ mod tests {
         Exec::from_env()
     }
 
-    #[test]
-    fn lane_group_switch_runs_exactly_the_supported_widths() {
-        struct Width;
-        impl LaneGroupWork for Width {
-            type Output = usize;
-            fn run<const N: usize>(self) -> usize {
-                N
-            }
-        }
-        for groups in 0..=16 {
-            let expected = SUPPORTED_LANE_GROUPS.contains(&groups).then_some(groups);
-            assert_eq!(with_lane_groups(groups, Width), expected, "{groups}");
-        }
-    }
-
     fn and2() -> Module {
         let mut b = NetlistBuilder::new("m");
         let a = b.input("a");
@@ -312,24 +262,24 @@ mod tests {
         assert_eq!(packed.undetected, serial.undetected);
     }
 
-    /// More than one pass: a chain of inverters has > 63 net faults, so
-    /// chunking across 64-lane passes must still find everything
-    /// detectable.
+    /// More than two passes: a chain of 300 inverters has 602 net
+    /// faults, so chunking across 256-lane passes must still find
+    /// everything detectable.
     #[test]
     fn multi_pass_chunking_covers_long_chains() {
         let mut b = NetlistBuilder::new("m");
         let a = b.input("a");
         let mut cur = a;
-        for _ in 0..80 {
+        for _ in 0..300 {
             cur = b.gate(GateKind::Inv, &[cur]);
         }
         b.output("y", cur);
         let m = b.finish().unwrap();
         let faults = enumerate_faults(&m);
-        assert!(faults.len() > 2 * faults_per_pass(1));
+        assert!(faults.len() > 2 * FAULTS_PER_PASS);
         let pins = [a];
         let vectors = vec![vec![Logic::Zero], vec![Logic::One]];
-        let rep = grade_vectors_wide(&exec(), &m, &faults, &pins, &vectors, 1).unwrap();
+        let rep = grade_vectors(&exec(), &m, &faults, &pins, &vectors).unwrap();
         assert_eq!(rep.coverage_percent(), 100.0, "{rep}");
     }
 
@@ -348,13 +298,14 @@ mod tests {
 
     /// Grading is bit-identical (counts AND `undetected` order) on the
     /// serial backend and at every thread count — the merge-by-unit-index
-    /// contract behind one `Exec` seam.
+    /// contract behind one `Exec` seam. The 300-gate chain's 602 faults
+    /// fill three passes, so the merge crosses pass boundaries.
     #[test]
     fn grading_is_backend_invariant_in_process() {
         let mut b = NetlistBuilder::new("m");
         let a = b.input("a");
         let mut cur = a;
-        for i in 0..70 {
+        for i in 0..300 {
             cur = if i % 3 == 0 {
                 b.gate(GateKind::Inv, &[cur])
             } else {
@@ -364,6 +315,7 @@ mod tests {
         b.output("y", cur);
         let m = b.finish().unwrap();
         let faults = enumerate_faults(&m);
+        assert!(faults.len() > 2 * FAULTS_PER_PASS);
         let pins = [m.port("a").unwrap().net];
         let vectors = vec![vec![Logic::Zero], vec![Logic::One]];
         let baseline = grade_vectors(&Exec::serial(), &m, &faults, &pins, &vectors).unwrap();

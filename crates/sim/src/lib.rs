@@ -42,14 +42,11 @@
 //!    **`64 * N` independent simulation lanes** (`[u64; N]` per plane)
 //!    whose word-parallel AND/OR/XOR/NOT/MUX are lane-exact against the
 //!    scalar [`Logic`] algebra. The scalar API is the `N = 1` default.
-//!    Each player runs at one width: cycle playback at 64 lanes
-//!    (`steac_pattern::PLAYBACK_LANE_GROUPS`), March walks at
-//!    [`packed::DEFAULT_LANE_GROUPS`] (256 lanes). Gate-level grading
-//!    defaults to 256 lanes too, and is the one workload that takes a
-//!    width: monomorphized kernels exist for every width in
-//!    [`SUPPORTED_LANE_GROUPS`], picked by one switch
-//!    ([`with_lane_groups`]), and its reports are byte-identical at
-//!    every width.
+//!    Each player runs at one width, fixed in code: cycle playback at
+//!    64 lanes (`steac_pattern::PLAYBACK_LANE_GROUPS`), and gate-level
+//!    grading, fault dictionaries and March walks at
+//!    [`packed::DEFAULT_LANE_GROUPS`] (256 lanes). No caller, job or
+//!    setting picks a width at run time.
 //! 4. **Dispatch** ([`exec`]): independent passes (fault-grading
 //!    chunks, 64-pattern playback chunks, March walks, JPEG generation
 //!    blocks) are *work units* of one [`ExecWork`] behind one
@@ -111,8 +108,8 @@
 //! The scalar API below is a lane-0/broadcast view of that kernel, so
 //! single-pattern callers are unchanged. Batch callers fill all lanes
 //! with distinct patterns ([`Simulator::set_lanes`]) or run PPSFP fault
-//! simulation — lane 0 good machine, the remaining `64 * N - 1` lanes
-//! faulty machines via per-lane forces.
+//! simulation — lane 0 good machine, the remaining 255 lanes faulty
+//! machines via per-lane forces ([`FAULTS_PER_PASS`]).
 //!
 //! # The fault-model registry
 //!
@@ -121,8 +118,8 @@
 //! codec, fault list, pattern count and per-pass lane injection — and
 //! one engine in [`models`] grades ([`grade_vectors`]) and builds fault
 //! dictionaries ([`fault_dictionary`]) for any of them, so every model
-//! inherits stages 1–5 above wholesale: the optimizer, the wide lane
-//! groups, all five backends, and the byte-identical-reports contract.
+//! inherits stages 1–5 above wholesale: the optimizer, the 256-lane
+//! passes, all five backends, and the byte-identical-reports contract.
 //! Stuck-at ([`fault`], work-unit kind 1) is the founding member;
 //! [`models::transition`] (kind 4) injects slow-to-rise/fall faults into
 //! launch–capture vector pairs, [`models::bridging`] (kind 5) AND/OR
@@ -177,10 +174,7 @@ pub mod wire;
 
 pub use engine::Simulator;
 pub use exec::{Backend, Dispatch, Exec, ExecWork, Fallback, SpecError, STREAM_BATCH_UNITS};
-pub use fault::{
-    enumerate_faults, faults_per_pass, with_lane_groups, CoverageReport, Fault, LaneGroupWork,
-    StuckAt, FAULTS_PER_PASS, SUPPORTED_LANE_GROUPS,
-};
+pub use fault::{enumerate_faults, CoverageReport, Fault, StuckAt, FAULTS_PER_PASS};
 pub use logic::Logic;
 pub use models::bridging::{
     enumerate_bridges, grade_bridges, BridgeKind, BridgingFault, BridgingReport,
@@ -189,10 +183,7 @@ pub use models::dictionary::{diagnose, Diagnosis, DictEntry, FaultDictionary};
 pub use models::transition::{
     enumerate_transition_faults, grade_transitions, SlowEdge, TransitionFault, TransitionReport,
 };
-pub use models::{
-    fault_dictionary, fault_dictionary_wide, grade_vectors, grade_vectors_wide, FaultModel,
-    ModelKind, Report,
-};
+pub use models::{fault_dictionary, grade_vectors, FaultModel, ModelKind, Report};
 pub use opt::OptStats;
 pub use packed::{PackedLogic, DEFAULT_LANE_GROUPS, LANES};
 pub use program::{ProgramStats, SimProgram};
@@ -238,12 +229,6 @@ pub enum SimError {
         /// Worker- or dispatcher-provided diagnostic.
         diagnostic: String,
     },
-    /// A lane-group width with no monomorphized kernel was requested
-    /// (see [`fault::SUPPORTED_LANE_GROUPS`]).
-    UnsupportedWidth {
-        /// The requested lane-group count.
-        groups: usize,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -259,9 +244,6 @@ impl fmt::Display for SimError {
             }
             SimError::Worker { unit, diagnostic } => {
                 write!(f, "work unit {unit} failed in worker process: {diagnostic}")
-            }
-            SimError::UnsupportedWidth { groups } => {
-                write!(f, "no simulation kernel for {groups} lane groups")
             }
         }
     }

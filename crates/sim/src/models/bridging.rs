@@ -21,6 +21,7 @@
 use crate::exec::Exec;
 use crate::logic::Logic;
 use crate::models::{grade_vectors, validate_vectors, FaultModel, Report};
+use crate::packed::DEFAULT_LANE_GROUPS;
 use crate::program::SimProgram;
 use crate::wire::{WireError, WireReader, WireWriter};
 use crate::{SimError, Simulator};
@@ -172,8 +173,8 @@ impl FaultModel for BridgingFault {
     /// fault-free bridge values, then per-lane wired forces on both nets
     /// of each pair and a second settle. Afterwards the simulator holds
     /// the faulty state.
-    fn apply<const N: usize>(
-        sim: &mut Simulator<N>,
+    fn apply(
+        sim: &mut Simulator<DEFAULT_LANE_GROUPS>,
         pins: &[NetId],
         vectors: &[Vec<Logic>],
         pattern: usize,

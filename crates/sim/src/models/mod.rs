@@ -7,12 +7,16 @@
 //! injects its faults into the lanes. Everything else is written once
 //! here, generic over the model — the [`Report`], the grading and
 //! dictionary pass loops, one [`ExecWork`] per mode, the job codec
-//! ([`encode_job`]), the worker-side [`open_wire_job`] and the lane-width
-//! switch — so every model inherits the whole platform: every backend
-//! (serial / threads / processes / remote), the optimizer,
-//! wide lane groups, per-pass fault dropping, fault dictionaries and the
-//! byte-identical-reports contract. A new
-//! model is one impl plus one `worker_registry()` line.
+//! ([`encode_job`]) and the worker-side [`open_wire_job`] — so every
+//! model inherits the whole platform: every backend (serial / threads /
+//! processes / remote), the optimizer, 256-lane passes, per-pass fault
+//! dropping, fault dictionaries and the byte-identical-reports contract.
+//! A new model is one impl plus one `worker_registry()` line.
+//!
+//! Every pass runs at one width, [`DEFAULT_LANE_GROUPS`] (256 lanes):
+//! lane 0 is the good machine and lanes 1–255 each carry one of the
+//! pass's up to [`FAULTS_PER_PASS`] faults. Neither a caller nor a job
+//! picks the width.
 //!
 //! | model | module | work-unit kind | fault site |
 //! |---|---|---|---|
@@ -36,13 +40,14 @@
 //! # Wire layout (kinds 1, 4 and 5)
 //!
 //! ```text
-//! job:     program block, lane groups u8, mode u8 (0 = grade,
-//!          1 = dictionary), pin count u64 + one u32 net per pin,
-//!          vector count u64 + per vector: length u64 + one logic byte
-//!          per pin
-//! unit:    fault count u64, then each fault in its model's codec
-//! result:  grade — the pass's detection mask, lane-groups u64 words
-//!          (lane 0 is the good machine, lane i + 1 carries fault i);
+//! job:     program block, mode u8 (0 = grade, 1 = dictionary),
+//!          pin count u64 + one u32 net per pin, vector count u64 +
+//!          per vector: length u64 + one logic byte per pin
+//! unit:    fault count u64 (at most 255), then each fault in its
+//!          model's codec
+//! result:  grade — the pass's detection mask, four little-endian u64
+//!          words (lane 0 is the good machine, lane i + 1 carries
+//!          fault i; see [`shard::encode_lane_mask`]);
 //!          dictionary — one entry per fault of the unit (see
 //!          [`dictionary`])
 //! ```
@@ -62,7 +67,7 @@ pub mod transition;
 
 use crate::engine::Simulator;
 use crate::exec::{Exec, ExecWork};
-use crate::fault::{faults_per_pass, with_lane_groups, LaneGroupWork};
+use crate::fault::FAULTS_PER_PASS;
 use crate::logic::Logic;
 use crate::packed::{
     mask_and, mask_bit, mask_none, mask_or, mask_range, LaneMask, PackedLogic, DEFAULT_LANE_GROUPS,
@@ -121,7 +126,7 @@ pub trait FaultModel: Copy + Eq + fmt::Debug + fmt::Display + Send + Sync + 'sta
     /// Injects a pass's faults once, before its first pattern; lane
     /// `i + 1` carries `chunk[i]`. Models that inject per pattern keep
     /// the empty default.
-    fn begin_pass<const N: usize>(_sim: &mut Simulator<N>, _chunk: &[Self]) {}
+    fn begin_pass(_sim: &mut Simulator<DEFAULT_LANE_GROUPS>, _chunk: &[Self]) {}
 
     /// Drives pattern `pattern` of `vectors` onto `pins` with `chunk`'s
     /// per-pattern lane injection and settles: afterwards the outputs
@@ -130,8 +135,8 @@ pub trait FaultModel: Copy + Eq + fmt::Debug + fmt::Display + Send + Sync + 'sta
     /// # Errors
     ///
     /// Engine errors.
-    fn apply<const N: usize>(
-        sim: &mut Simulator<N>,
+    fn apply(
+        sim: &mut Simulator<DEFAULT_LANE_GROUPS>,
         pins: &[NetId],
         vectors: &[Vec<Logic>],
         pattern: usize,
@@ -218,7 +223,9 @@ impl<F: FaultModel> fmt::Display for Report<F> {
 /// Accumulates, into a lane mask, the lanes whose observed value provably
 /// differs from the good machine on lane 0 (both values known, values
 /// differ — the masked-compare rule an ATE applies).
-pub(crate) fn detection_lanes<const N: usize>(obs: PackedLogic<N>) -> LaneMask<N> {
+pub(crate) fn detection_lanes(
+    obs: PackedLogic<DEFAULT_LANE_GROUPS>,
+) -> LaneMask<DEFAULT_LANE_GROUPS> {
     let ones = obs.is_one();
     let zeros = obs.is_zero();
     if mask_bit(&ones, 0) {
@@ -243,27 +250,26 @@ pub(crate) fn validate_vectors(pins: &[NetId], vectors: &[Vec<Logic>]) -> Result
 }
 
 // ---------- the pass loops ----------
+//
+// One pass of a fault chunk over the whole stimulus: lane 0 is the good
+// machine, lanes `1..=chunk.len()` each carry one fault. The exact code
+// every backend executes (inline, on a dispatcher thread, or inside a
+// `steac-worker` process), so dispatch flavour can never change a
+// result.
 
-/// One pass of a fault chunk over the whole stimulus, monomorphized at
-/// one lane width: lane 0 is the good machine, lanes `1..=chunk.len()`
-/// each carry one fault. The exact code every backend executes (inline,
-/// on a dispatcher thread, or inside a `steac-worker` process), so
-/// dispatch flavour can never change a result.
-type PassFn<F, T> = fn(&Arc<SimProgram>, &[NetId], &[Vec<Logic>], &[F]) -> Result<T, SimError>;
-
-/// The grading pass: the `N`-word mask of lanes that provably differ
-/// from lane 0 on some output, with per-pass fault dropping.
-fn grade_pass<F: FaultModel, const N: usize>(
+/// The grading pass: the mask of lanes that provably differ from lane 0
+/// on some output, with per-pass fault dropping.
+fn grade_pass<F: FaultModel>(
     program: &Arc<SimProgram>,
     pins: &[NetId],
     vectors: &[Vec<Logic>],
     chunk: &[F],
-) -> Result<Vec<u64>, SimError> {
-    let mut sim: Simulator<N> = Simulator::from_program(Arc::clone(program));
+) -> Result<LaneMask<DEFAULT_LANE_GROUPS>, SimError> {
+    let mut sim: Simulator<DEFAULT_LANE_GROUPS> = Simulator::from_program(Arc::clone(program));
     F::begin_pass(&mut sim, chunk);
-    // Lane mask with one bit per in-flight fault (≤ N×64 − 1 of them).
-    let want = mask_range::<N>(1, chunk.len());
-    let mut mask = mask_none::<N>();
+    // Lane mask with one bit per in-flight fault.
+    let want = mask_range(1, chunk.len());
+    let mut mask = mask_none();
     for pattern in 0..F::patterns(vectors.len()) {
         F::apply(&mut sim, pins, vectors, pattern, chunk)?;
         for &net in &sim.program().output_nets {
@@ -273,13 +279,13 @@ fn grade_pass<F: FaultModel, const N: usize>(
             break; // every fault in this pass dropped
         }
     }
-    Ok(mask.to_vec())
+    Ok(mask)
 }
 
 /// The dictionary pass: the grading loop without early exit, recording
 /// per-(pattern, output) detection bits and the first detecting pattern
 /// per fault.
-fn dict_pass<F: FaultModel, const N: usize>(
+fn dict_pass<F: FaultModel>(
     program: &Arc<SimProgram>,
     pins: &[NetId],
     vectors: &[Vec<Logic>],
@@ -294,7 +300,7 @@ fn dict_pass<F: FaultModel, const N: usize>(
         };
         chunk.len()
     ];
-    let mut sim: Simulator<N> = Simulator::from_program(Arc::clone(program));
+    let mut sim: Simulator<DEFAULT_LANE_GROUPS> = Simulator::from_program(Arc::clone(program));
     F::begin_pass(&mut sim, chunk);
     for p in 0..F::patterns(vectors.len()) {
         F::apply(&mut sim, pins, vectors, p, chunk)?;
@@ -314,32 +320,6 @@ fn dict_pass<F: FaultModel, const N: usize>(
     Ok(entries)
 }
 
-/// Both pass loops at one lane width.
-struct Kernels<F> {
-    grade: PassFn<F, Vec<u64>>,
-    dict: PassFn<F, Vec<DictEntry>>,
-}
-
-/// The pass loops of model `F`, picked per width by [`with_lane_groups`].
-struct KernelsOf<F>(PhantomData<F>);
-
-impl<F: FaultModel> LaneGroupWork for KernelsOf<F> {
-    type Output = Kernels<F>;
-
-    fn run<const N: usize>(self) -> Kernels<F> {
-        Kernels {
-            grade: grade_pass::<F, N>,
-            dict: dict_pass::<F, N>,
-        }
-    }
-}
-
-/// The pass loops monomorphized for `groups` lane groups, shared by both
-/// sides of the wire.
-fn kernels<F: FaultModel>(groups: usize) -> Result<Kernels<F>, SimError> {
-    with_lane_groups(groups, KernelsOf(PhantomData)).ok_or(SimError::UnsupportedWidth { groups })
-}
-
 // ---------- wire codecs ----------
 
 /// What a fault job computes per pass: the job block's mode byte.
@@ -356,14 +336,12 @@ pub enum Mode {
 #[must_use]
 pub fn encode_job(
     program: &SimProgram,
-    groups: u8,
     mode: Mode,
     pins: &[NetId],
     vectors: &[Vec<Logic>],
 ) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.put_block(&wire::encode_program(program));
-    w.put_u8(groups);
     w.put_u8(mode as u8);
     w.put_usize(pins.len());
     for pin in pins {
@@ -407,63 +385,31 @@ pub(crate) fn decode_chunk<F: FaultModel>(bytes: &[u8]) -> Result<Vec<F>, WireEr
     Ok(faults)
 }
 
-fn encode_mask(mask: &[u64]) -> Vec<u8> {
-    mask.iter().flat_map(|w| w.to_le_bytes()).collect()
-}
-
-fn decode_mask(bytes: &[u8], groups: usize) -> Result<Vec<u64>, String> {
-    if bytes.len() != groups * 8 {
-        return Err(format!(
-            "result has {} bytes, expected {}",
-            bytes.len(),
-            groups * 8
-        ));
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-        .collect())
-}
-
 // ---------- Exec work descriptions ----------
 
 /// One compiled program and stimulus that fault chunks pass over: the
-/// state both [`ExecWork`]s share. Each unit is one pass's chunk of
-/// [`faults_per_pass`]`(groups)` faults.
+/// state both [`ExecWork`]s share. Each unit is one pass's chunk of up
+/// to [`FAULTS_PER_PASS`] faults.
 struct Passes<'a, F> {
-    groups: usize,
-    kernels: Kernels<F>,
     program: Arc<SimProgram>,
     pins: &'a [NetId],
     vectors: &'a [Vec<Logic>],
+    model: PhantomData<F>,
 }
 
 impl<'a, F: FaultModel> Passes<'a, F> {
-    fn new(
-        m: &Module,
-        pins: &'a [NetId],
-        vectors: &'a [Vec<Logic>],
-        groups: usize,
-    ) -> Result<Self, SimError> {
-        let kernels = kernels(groups)?;
+    fn new(m: &Module, pins: &'a [NetId], vectors: &'a [Vec<Logic>]) -> Result<Self, SimError> {
         validate_vectors(pins, vectors)?;
         Ok(Passes {
-            groups,
-            kernels,
             program: Arc::new(SimProgram::compile(m)?),
             pins,
             vectors,
+            model: PhantomData,
         })
     }
 
     fn encode_job(&self, mode: Mode) -> Vec<u8> {
-        encode_job(
-            &self.program,
-            self.groups as u8,
-            mode,
-            self.pins,
-            self.vectors,
-        )
+        encode_job(&self.program, mode, self.pins, self.vectors)
     }
 }
 
@@ -472,7 +418,7 @@ struct GradeWork<'a, F>(Passes<'a, F>);
 
 impl<'a, F: FaultModel> ExecWork for GradeWork<'a, F> {
     type Unit = &'a [F];
-    type Output = Vec<u64>;
+    type Output = LaneMask<DEFAULT_LANE_GROUPS>;
     type Error = SimError;
 
     fn kind(&self) -> u16 {
@@ -487,13 +433,17 @@ impl<'a, F: FaultModel> ExecWork for GradeWork<'a, F> {
         encode_chunk(unit)
     }
 
-    fn run_unit_local(&self, unit: &&'a [F]) -> Result<Vec<u64>, SimError> {
+    fn run_unit_local(&self, unit: &&'a [F]) -> Result<LaneMask<DEFAULT_LANE_GROUPS>, SimError> {
         let p = &self.0;
-        (p.kernels.grade)(&p.program, p.pins, p.vectors, unit)
+        grade_pass(&p.program, p.pins, p.vectors, unit)
     }
 
-    fn decode_result(&self, _unit: &&'a [F], bytes: &[u8]) -> Result<Vec<u64>, String> {
-        decode_mask(bytes, self.0.groups)
+    fn decode_result(
+        &self,
+        _unit: &&'a [F],
+        bytes: &[u8],
+    ) -> Result<LaneMask<DEFAULT_LANE_GROUPS>, String> {
+        shard::decode_lane_mask(bytes)
     }
 }
 
@@ -520,7 +470,7 @@ impl<'a, F: FaultModel> ExecWork for DictWork<'a, F> {
 
     fn run_unit_local(&self, unit: &&'a [F]) -> Result<Vec<DictEntry>, SimError> {
         let p = &self.0;
-        (p.kernels.dict)(&p.program, p.pins, p.vectors, unit)
+        dict_pass(&p.program, p.pins, p.vectors, unit)
     }
 
     /// Entries are flattened into fault-list order, so a reply with a
@@ -547,7 +497,9 @@ impl<'a, F: FaultModel> ExecWork for DictWork<'a, F> {
 /// model `F` — each model's drive-and-settle per pattern
 /// ([`FaultModel::apply`]), compare output ports — with **per-pass
 /// fault dropping**: once every fault of a pass is detected, that
-/// worker skips the remaining patterns and pulls the next pass.
+/// worker skips the remaining patterns and pulls the next pass. Each
+/// pass grades up to [`FAULTS_PER_PASS`] faults next to the good
+/// machine.
 ///
 /// The single entry point for every model and every backend: `exec`
 /// decides whether passes run inline, across threads or across
@@ -568,32 +520,10 @@ pub fn grade_vectors<F: FaultModel>(
     pins: &[NetId],
     vectors: &[Vec<Logic>],
 ) -> Result<Report<F>, SimError> {
-    grade_vectors_wide(exec, m, faults, pins, vectors, DEFAULT_LANE_GROUPS)
-}
-
-/// [`grade_vectors`] with an explicit lane-group width: each pass
-/// carries the good machine plus [`faults_per_pass`]`(groups)` faults.
-/// The verdicts (and the whole [`Report`]) are bit-identical at every
-/// width — only the pass count, and therefore the throughput, changes.
-///
-/// # Errors
-///
-/// [`SimError::UnsupportedWidth`] unless `groups` is one of
-/// [`SUPPORTED_LANE_GROUPS`](crate::fault::SUPPORTED_LANE_GROUPS);
-/// otherwise as [`grade_vectors`].
-pub fn grade_vectors_wide<F: FaultModel>(
-    exec: &Exec,
-    m: &Module,
-    faults: &[F],
-    pins: &[NetId],
-    vectors: &[Vec<Logic>],
-    groups: usize,
-) -> Result<Report<F>, SimError> {
-    let work = GradeWork(Passes::new(m, pins, vectors, groups)?);
-    let per_pass = faults_per_pass(groups);
+    let work = GradeWork(Passes::new(m, pins, vectors)?);
     let mut masks = Vec::new();
-    let dispatched = exec.dispatch(&work, faults.chunks(per_pass), |mask| masks.push(mask))?;
-    let flags = shard::flags_from_lane_masks(faults.len(), per_pass, 1, &masks);
+    let dispatched = exec.dispatch(&work, faults.chunks(FAULTS_PER_PASS), |m| masks.push(m))?;
+    let flags = shard::flags_from_lane_masks(faults.len(), FAULTS_PER_PASS, 1, &masks);
     Ok(Report::from_flags(faults, &flags, dispatched.fallbacks))
 }
 
@@ -601,8 +531,7 @@ pub fn grade_vectors_wide<F: FaultModel>(
 /// `vectors`: per fault, the first detecting pattern and the packed
 /// per-(pattern, output) detection signature
 /// [`diagnose`](dictionary::diagnose) consumes. Dispatched through the
-/// same `Exec` seam as grading and byte-identical on every backend and
-/// width.
+/// same `Exec` seam as grading and byte-identical on every backend.
 ///
 /// # Errors
 ///
@@ -614,25 +543,9 @@ pub fn fault_dictionary<F: FaultModel>(
     pins: &[NetId],
     vectors: &[Vec<Logic>],
 ) -> Result<FaultDictionary, SimError> {
-    fault_dictionary_wide(exec, m, faults, pins, vectors, DEFAULT_LANE_GROUPS)
-}
-
-/// [`fault_dictionary`] with an explicit lane-group width.
-///
-/// # Errors
-///
-/// As [`grade_vectors_wide`].
-pub fn fault_dictionary_wide<F: FaultModel>(
-    exec: &Exec,
-    m: &Module,
-    faults: &[F],
-    pins: &[NetId],
-    vectors: &[Vec<Logic>],
-    groups: usize,
-) -> Result<FaultDictionary, SimError> {
-    let work = DictWork(Passes::new(m, pins, vectors, groups)?);
+    let work = DictWork(Passes::new(m, pins, vectors)?);
     let mut entries = Vec::with_capacity(faults.len());
-    exec.dispatch(&work, faults.chunks(faults_per_pass(groups)), |unit| {
+    exec.dispatch(&work, faults.chunks(FAULTS_PER_PASS), |unit| {
         entries.extend(unit);
     })?;
     Ok(FaultDictionary {
@@ -649,18 +562,16 @@ struct FaultJob<F> {
     program: Arc<SimProgram>,
     pins: Vec<NetId>,
     vectors: Vec<Vec<Logic>>,
-    groups: usize,
     mode: Mode,
-    kernels: Kernels<F>,
+    model: PhantomData<F>,
 }
 
 impl<F: FaultModel> WireJob for FaultJob<F> {
     fn run_unit(&mut self, unit: &[u8]) -> Result<Vec<u8>, String> {
         let chunk = decode_chunk::<F>(unit).map_err(|e| format!("fault unit: {e}"))?;
-        let per_pass = faults_per_pass(self.groups);
-        if chunk.len() > per_pass {
+        if chunk.len() > FAULTS_PER_PASS {
             return Err(format!(
-                "fault unit has {} faults, a pass holds at most {per_pass}",
+                "fault unit has {} faults, a pass holds at most {FAULTS_PER_PASS}",
                 chunk.len()
             ));
         }
@@ -670,10 +581,10 @@ impl<F: FaultModel> WireJob for FaultJob<F> {
         let (program, pins, vectors) = (&self.program, &self.pins[..], &self.vectors[..]);
         match self.mode {
             Mode::Grade => {
-                (self.kernels.grade)(program, pins, vectors, &chunk).map(|m| encode_mask(&m))
+                grade_pass(program, pins, vectors, &chunk).map(|m| shard::encode_lane_mask(&m))
             }
             Mode::Dictionary => {
-                (self.kernels.dict)(program, pins, vectors, &chunk).map(|e| encode_dict_entries(&e))
+                dict_pass(program, pins, vectors, &chunk).map(|e| encode_dict_entries(&e))
             }
         }
         .map_err(|e| e.to_string())
@@ -707,7 +618,6 @@ pub fn open_wire_job<F: FaultModel>(job: &[u8]) -> Result<Box<dyn WireJob>, Stri
     )
     .map_err(|e| format!("fault job program: {e}"))?;
     let fail = |e: WireError| format!("fault job: {e}");
-    let groups = usize::from(r.get_u8("fault job lane groups").map_err(fail)?);
     let mode = match r.get_u8("fault job mode").map_err(fail)? {
         0 => Mode::Grade,
         1 => Mode::Dictionary,
@@ -750,13 +660,12 @@ pub fn open_wire_job<F: FaultModel>(job: &[u8]) -> Result<Box<dyn WireJob>, Stri
              exceeds {MAX_SIGNATURE_BITS} bits per fault"
         ));
     }
-    Ok(Box::new(FaultJob {
+    Ok(Box::new(FaultJob::<F> {
         program: Arc::new(program),
         pins,
         vectors,
-        groups,
         mode,
-        kernels: kernels::<F>(groups).map_err(|e| format!("fault job: {e}"))?,
+        model: PhantomData,
     }))
 }
 
@@ -845,7 +754,7 @@ mod tests {
         let program = SimProgram::compile(&b.finish().unwrap()).unwrap();
         // 2^17 empty vectors (1 MiB of job) × 1,024 outputs = 2^27 bits.
         let vectors = vec![Vec::new(); 1 << 17];
-        let job = |mode| encode_job(&program, 8, mode, &[], &vectors);
+        let job = |mode| encode_job(&program, mode, &[], &vectors);
         let err = open_wire_job::<Fault>(&job(Mode::Dictionary))
             .err()
             .expect("the job is over the cap");
@@ -956,7 +865,7 @@ mod tests {
         let faults = enumerate_faults(&m);
         let pins = [m.port("a").unwrap().net, m.port("b").unwrap().net];
         let vectors = vec![vec![Zero, One], vec![One, One]];
-        let work = DictWork(Passes::new(&m, &pins, &vectors, 1).unwrap());
+        let work = DictWork(Passes::new(&m, &pins, &vectors).unwrap());
         let unit = &faults[..];
         let entries = work.run_unit_local(&unit).unwrap();
         assert_eq!(entries.len(), faults.len());
@@ -984,14 +893,14 @@ mod tests {
         let program = SimProgram::compile(&m).unwrap();
         let pins = [m.port("a").unwrap().net, m.port("b").unwrap().net];
         let vectors = [vec![Logic::One, Logic::One]];
-        let job = encode_job(&program, 1, Mode::Grade, &pins, &vectors);
+        let job = encode_job(&program, Mode::Grade, &pins, &vectors);
         let mut opened = open_wire_job::<Fault>(&job).unwrap();
         let f = Fault {
             net: pins[0],
             stuck: crate::fault::StuckAt::Zero,
         };
-        assert!(opened.run_unit(&encode_chunk(&[f; 63])).is_ok());
-        assert!(opened.run_unit(&encode_chunk(&[f; 64])).is_err());
+        assert!(opened.run_unit(&encode_chunk(&[f; 255])).is_ok());
+        assert!(opened.run_unit(&encode_chunk(&[f; 256])).is_err());
         let far = Fault {
             net: NetId(999),
             ..f

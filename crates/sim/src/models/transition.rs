@@ -32,6 +32,7 @@ use crate::exec::Exec;
 use crate::logic::Logic;
 use crate::models::dictionary::signature_words;
 use crate::models::{grade_vectors, validate_vectors, FaultModel, Report};
+use crate::packed::DEFAULT_LANE_GROUPS;
 use crate::wire::{WireError, WireReader, WireWriter};
 use crate::{SimError, Simulator};
 use std::fmt;
@@ -108,8 +109,8 @@ pub type TransitionReport = Report<TransitionFault>;
 /// The good-machine launch values that trigger each chunk fault for one
 /// pair, read after the launch settle. `None` = not triggered (the
 /// launch value was not the slow edge's starting value).
-fn triggered_forces<const N: usize>(
-    sim: &Simulator<N>,
+fn triggered_forces(
+    sim: &Simulator<DEFAULT_LANE_GROUPS>,
     chunk: &[TransitionFault],
 ) -> Vec<Option<Logic>> {
     chunk
@@ -164,8 +165,8 @@ impl FaultModel for TransitionFault {
     /// Drives launch–capture pair `pattern` for one fault chunk: reset,
     /// launch settle, per-lane stale forces for triggered faults,
     /// capture settle. Afterwards the simulator holds the capture state.
-    fn apply<const N: usize>(
-        sim: &mut Simulator<N>,
+    fn apply(
+        sim: &mut Simulator<DEFAULT_LANE_GROUPS>,
         pins: &[NetId],
         vectors: &[Vec<Logic>],
         pattern: usize,

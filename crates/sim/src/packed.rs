@@ -3,7 +3,8 @@
 //!
 //! [`PackedLogic`] carries one [`Logic`] value per lane in two bit planes,
 //! each plane an `[u64; N]` *lane group* (`N = 1`, the default, is the
-//! classic 64-lane kernel; `N = 4` is the 256-lane wide path):
+//! 64-lane kernel cycle playback runs; `N = 4` is the 256-lane path of
+//! grading and March walks, [`DEFAULT_LANE_GROUPS`]):
 //!
 //! | value | `ones` bit | `unknowns` bit |
 //! |-------|------------|----------------|
@@ -17,10 +18,11 @@
 //! the `N = 4` case in vector registers — and is **lane-exact**: for each
 //! lane, the packed result equals the scalar [`Logic`] algebra applied to
 //! that lane's inputs (a property-tested invariant, see
-//! `tests/proptests.rs`, which also pins lane-width invariance across
-//! `N = 1/4/8`). This is what lets the engine evaluate `64 × N` patterns
-//! — or one good machine plus `64 × N − 1` faulty machines — in a single
-//! pass over the compiled netlist.
+//! `tests/proptests.rs`, which also checks the 64-lane player and the
+//! 256-lane graders against scalar oracles). This is what lets the
+//! engine evaluate `64 × N` patterns — or one good machine plus
+//! `64 × N − 1` faulty machines — in a single pass over the compiled
+//! netlist.
 //!
 //! Lane *masks* are plain `[u64; N]` arrays (bit `l % 64` of word
 //! `l / 64` is lane `l`), manipulated with the free `mask_*` helpers
@@ -31,8 +33,17 @@ use crate::logic::Logic;
 /// Number of independent simulation lanes in one `u64` lane group.
 pub const LANES: usize = 64;
 
-/// Default lane-group count for the wide batch paths (fault grading,
-/// playback, March walks): 4 groups = 256 lanes per pass.
+/// The one lane-group count of gate-level grading, fault dictionaries
+/// and March walks: 4 groups = 256 lanes per pass, the good machine
+/// plus 255 faults in a grading pass and 256 faults in a walk. (Cycle
+/// playback runs at 64 lanes, `steac_pattern::PLAYBACK_LANE_GROUPS`.)
+/// Grading speeds up with width up to here and barely past it.
+/// `BENCH_10.json` grades the JPEG core's 668 stuck-at faults at
+/// 646,933 faults/s at 256 lanes against 344,706 at 64 (optimized,
+/// serial). A serial probe grading the USB core under the stuck-at,
+/// transition and bridging models over 512 seeded vectors took 27.4 s
+/// at 64 lanes, 13.7 s at 128, 10.3 s at 256 and 10.2 s at 512 (best
+/// of two runs per width on a 2-core box).
 pub const DEFAULT_LANE_GROUPS: usize = 4;
 
 /// A lane mask over `N` lane groups: bit `l % 64` of word `l / 64`

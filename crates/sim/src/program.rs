@@ -111,7 +111,8 @@ impl SimOp {
         }
     }
 
-    /// All opcodes, in wire order (for per-opcode statistics).
+    /// All opcodes, in wire order: an opcode's byte in a serialized
+    /// program is its index here.
     pub const ALL: [SimOp; 17] = [
         SimOp::Inv,
         SimOp::Buf,

@@ -9,9 +9,11 @@
 //!
 //! * [`Threads`] picks the in-process dispatcher count (auto-detected
 //!   or an explicit override);
-//! * [`flags_from_lane_masks`] flattens per-pass detection masks back to
-//!   per-item verdicts in list order — the one merge every packed
-//!   grading workload (gate-level and March) shares;
+//! * [`encode_lane_mask`] and [`decode_lane_mask`] carry one pass's
+//!   256-lane detection mask across the wire, and
+//!   [`flags_from_lane_masks`] flattens per-pass masks back to per-item
+//!   verdicts in list order — the one result codec and the one merge
+//!   every packed grading workload (gate-level and March) shares;
 //! * [`JobRegistry`] is the worker-side routing table: the umbrella
 //!   crate registers every workload's `open_wire_job` under its `kind`
 //!   and the `steac-worker` binary routes requests through that one
@@ -70,6 +72,7 @@
 //!
 //! No dependencies beyond `std`.
 
+use crate::packed::{mask_bit, LaneMask, DEFAULT_LANE_GROUPS};
 use crate::wire::{fnv1a64, WireReader, WireWriter};
 use std::fmt;
 use std::path::PathBuf;
@@ -116,40 +119,57 @@ impl Threads {
     }
 }
 
+/// Serializes one pass's detection mask as a unit result: its
+/// [`DEFAULT_LANE_GROUPS`] words, little-endian, 32 bytes. Gate-level
+/// grading (kinds 1, 4 and 5) and March walks (kind 3) both answer
+/// with it.
+#[must_use]
+pub fn encode_lane_mask(mask: &LaneMask<DEFAULT_LANE_GROUPS>) -> Vec<u8> {
+    mask.iter().flat_map(|w| w.to_le_bytes()).collect()
+}
+
+/// Reads a mask written by [`encode_lane_mask`].
+///
+/// # Errors
+///
+/// A diagnostic naming both lengths unless `bytes` is exactly 32 bytes.
+pub fn decode_lane_mask(bytes: &[u8]) -> Result<LaneMask<DEFAULT_LANE_GROUPS>, String> {
+    let mut mask = [0u64; DEFAULT_LANE_GROUPS];
+    if bytes.len() != 8 * mask.len() {
+        return Err(format!(
+            "result has {} bytes, expected {}",
+            bytes.len(),
+            8 * mask.len()
+        ));
+    }
+    for (word, le) in mask.iter_mut().zip(bytes.chunks_exact(8)) {
+        *word = u64::from_le_bytes(le.try_into().expect("8-byte chunk"));
+    }
+    Ok(mask)
+}
+
 /// Flattens per-pass detection masks (one mask per `per_pass` chunk of
 /// the item list, in list order) into one `bool` per item. `first_lane`
 /// is the lane carrying a pass's first item — 1 when lane 0 runs the
-/// good machine (gate-level PPSFP), 0 when every lane carries an item
-/// (March walks). Lane `l` of a pass lives in bit `l % 64` of word
-/// `l / 64`, so one-word and wide (`N`×64-lane) masks flatten alike.
+/// good machine (gate-level PPSFP, 255 items per pass), 0 when every
+/// lane carries an item (March walks, 256 items per walk).
 ///
 /// Because the flattening walks chunks in order, downstream reports keep
 /// exactly the order a single-threaded pass-by-pass loop would produce,
 /// regardless of which thread or process computed each mask.
 #[must_use]
-pub fn flags_from_lane_masks<M: AsRef<[u64]>>(
+pub fn flags_from_lane_masks(
     item_count: usize,
     per_pass: usize,
     first_lane: usize,
-    masks: &[M],
+    masks: &[LaneMask<DEFAULT_LANE_GROUPS>],
 ) -> Vec<bool> {
-    let mut flags = Vec::with_capacity(item_count);
-    'outer: for mask in masks {
-        let mask = mask.as_ref();
-        debug_assert!(
-            per_pass + first_lane <= 64 * mask.len(),
-            "pass does not fit {} words",
-            mask.len()
-        );
-        for lane in 0..per_pass {
-            if flags.len() == item_count {
-                break 'outer;
-            }
-            let bit = lane + first_lane;
-            flags.push(mask[bit / 64] >> (bit % 64) & 1 == 1);
-        }
-    }
-    flags
+    let lanes = first_lane..first_lane + per_pass;
+    masks
+        .iter()
+        .flat_map(|mask| lanes.clone().map(move |lane| mask_bit(mask, lane)))
+        .take(item_count)
+        .collect()
 }
 
 // ---------- the worker protocol ----------
@@ -819,6 +839,33 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packed::mask_set_bit;
+
+    /// A mask survives the wire; any other length is a diagnostic.
+    #[test]
+    fn lane_mask_codec_round_trips_and_checks_length() {
+        let mask = [1, u64::MAX, 0, 1 << 63];
+        let bytes = encode_lane_mask(&mask);
+        assert_eq!(bytes.len(), 32);
+        assert_eq!(decode_lane_mask(&bytes), Ok(mask));
+        assert!(decode_lane_mask(&bytes[..31]).is_err());
+        assert!(decode_lane_mask(&[&bytes[..], &[0]].concat()).is_err());
+    }
+
+    /// Flags walk each pass's lanes from `first_lane` across word
+    /// boundaries, pass after pass, and stop at the item count.
+    #[test]
+    fn flags_follow_lanes_in_list_order() {
+        let mut a = [0u64; DEFAULT_LANE_GROUPS];
+        for lane in [1, 64, 255] {
+            mask_set_bit(&mut a, lane);
+        }
+        let b = [u64::MAX; DEFAULT_LANE_GROUPS];
+        let flags = flags_from_lane_masks(257, 255, 1, &[a, b]);
+        let hits: Vec<usize> = (0..flags.len()).filter(|&i| flags[i]).collect();
+        assert_eq!(hits, [0, 63, 254, 255, 256]);
+        assert_eq!(flags_from_lane_masks(3, 256, 0, &[a]), [false, true, false]);
+    }
 
     #[test]
     fn threads_resolution_and_clamping() {

@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! magic   b"SPRG"                        (4 bytes)
-//! version u16                            (currently 6)
+//! version u16                            (currently 7)
 //! name    str
 //! net_count, slot_count                  (u64 each)
 //! comb    u64 count, then per instr:     op u8, ins 4 x u32, out u32
@@ -42,7 +42,11 @@
 //! decoded stream. Version 6 took the lane-group byte out of the
 //! playback (kind 2) and March (kind 3) job blocks: cycle playback
 //! always runs 64 lanes and a March walk 256, so the width is no longer
-//! the job's to choose.
+//! the job's to choose. Version 7 took it out of the fault job block
+//! (kinds 1, 4 and 5) too: gate-level grading and dictionaries always
+//! run 256-lane passes of up to 255 faults, and a grading result is
+//! four `u64` words, the same mask a March walk returns (see
+//! [`crate::shard::encode_lane_mask`]).
 //!
 //! Work-unit payloads (fault chunks in [`crate::models`], pattern chunks
 //! in `steac-pattern`, March chunks in `steac-membist`) carry no magic of
@@ -99,7 +103,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Current wire-format version (see the module docs for the bump rule).
-pub const WIRE_VERSION: u16 = 6;
+pub const WIRE_VERSION: u16 = 7;
 
 /// Typed decode failure. Encoding cannot fail.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -436,54 +440,17 @@ impl<'a> WireReader<'a> {
 
 // ---------- SimProgram ----------
 
+/// An opcode's wire byte: its index in [`SimOp::ALL`].
 fn op_code(op: SimOp) -> u8 {
-    match op {
-        SimOp::Inv => 0,
-        SimOp::Buf => 1,
-        SimOp::And2 => 2,
-        SimOp::And3 => 3,
-        SimOp::Nand2 => 4,
-        SimOp::Nand3 => 5,
-        SimOp::Nand4 => 6,
-        SimOp::Or2 => 7,
-        SimOp::Or3 => 8,
-        SimOp::Nor2 => 9,
-        SimOp::Nor3 => 10,
-        SimOp::Xor2 => 11,
-        SimOp::Xnor2 => 12,
-        SimOp::Mux2 => 13,
-        SimOp::Tie0 => 14,
-        SimOp::Tie1 => 15,
-        SimOp::Unknown => 16,
-    }
+    SimOp::ALL
+        .iter()
+        .position(|&o| o == op)
+        .expect("SimOp::ALL lists every opcode") as u8
 }
 
+/// The opcode a wire byte names, if any.
 fn op_from_code(code: u8) -> Option<SimOp> {
-    Some(match code {
-        0 => SimOp::Inv,
-        1 => SimOp::Buf,
-        2 => SimOp::And2,
-        3 => SimOp::And3,
-        4 => SimOp::Nand2,
-        5 => SimOp::Nand3,
-        6 => SimOp::Nand4,
-        7 => SimOp::Or2,
-        8 => SimOp::Or3,
-        9 => SimOp::Nor2,
-        10 => SimOp::Nor3,
-        11 => SimOp::Xor2,
-        12 => SimOp::Xnor2,
-        13 => SimOp::Mux2,
-        14 => SimOp::Tie0,
-        15 => SimOp::Tie1,
-        16 => SimOp::Unknown,
-        _ => return None,
-    })
-}
-
-/// Number of leading `ins` entries the engine actually reads for `op`.
-fn op_arity(op: SimOp) -> usize {
-    op.arity()
+    SimOp::ALL.get(usize::from(code)).copied()
 }
 
 /// Serializes a compiled program (see the module docs for the layout).
@@ -603,7 +570,7 @@ pub fn decode_program(bytes: &[u8]) -> Result<SimProgram, WireError> {
         for slot in &mut ins {
             *slot = r.get_u32("instruction input")?;
         }
-        for &slot in ins.iter().take(op_arity(op)) {
+        for &slot in ins.iter().take(op.arity()) {
             check_slot(slot, slot_count, "instruction input")?;
         }
         let out = r.get_u32("instruction output")?;
@@ -877,9 +844,10 @@ mod tests {
     }
 
     /// Older blobs — version 1 (pre-optimizer, no slot table) through
-    /// version 4 (a six-counter `opt` record) and version 5 (kind-2 and
-    /// kind-3 jobs with a lane-group byte) — are rejected with a typed
-    /// error rather than misparsed.
+    /// version 4 (a six-counter `opt` record), version 5 (kind-2 and
+    /// kind-3 jobs with a lane-group byte) and version 6 (fault jobs of
+    /// kinds 1, 4 and 5 with one) — are rejected with a typed error
+    /// rather than misparsed.
     #[test]
     fn old_version_is_rejected() {
         for old in 1..WIRE_VERSION {
@@ -892,6 +860,39 @@ mod tests {
                     supported: WIRE_VERSION
                 })
             );
+        }
+    }
+
+    /// Every opcode keeps the byte it has always had on the wire, which
+    /// is its index in `SimOp::ALL`; byte 17 and above name no opcode.
+    #[test]
+    fn opcode_bytes_are_pinned() {
+        let pinned = [
+            (SimOp::Inv, 0),
+            (SimOp::Buf, 1),
+            (SimOp::And2, 2),
+            (SimOp::And3, 3),
+            (SimOp::Nand2, 4),
+            (SimOp::Nand3, 5),
+            (SimOp::Nand4, 6),
+            (SimOp::Or2, 7),
+            (SimOp::Or3, 8),
+            (SimOp::Nor2, 9),
+            (SimOp::Nor3, 10),
+            (SimOp::Xor2, 11),
+            (SimOp::Xnor2, 12),
+            (SimOp::Mux2, 13),
+            (SimOp::Tie0, 14),
+            (SimOp::Tie1, 15),
+            (SimOp::Unknown, 16),
+        ];
+        assert_eq!(pinned.len(), SimOp::ALL.len());
+        for (op, code) in pinned {
+            assert_eq!(op_code(op), code, "{op:?}");
+            assert_eq!(op_from_code(code), Some(op), "{code}");
+        }
+        for code in 17..=u8::MAX {
+            assert_eq!(op_from_code(code), None, "{code}");
         }
     }
 

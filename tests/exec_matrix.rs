@@ -28,7 +28,7 @@ use common::{spawn_serve_workers, worker_binary};
 use steac_membist::{faultsim, MarchAlgorithm, SramConfig};
 use steac_netlist::{GateKind, Module, NetId, NetlistBuilder};
 use steac_pattern::{apply_cycle_patterns_batch, CyclePattern, PinState};
-use steac_sim::models::{fault_dictionary, fault_dictionary_wide};
+use steac_sim::models::fault_dictionary;
 use steac_sim::{
     fault, Exec, Fallback, FaultDictionary, FaultModel, Logic, RemoteFleet, Report, ServeHandle,
     Simulator, Threads,
@@ -60,13 +60,14 @@ fn backend_matrix(servers: &[ServeHandle]) -> Vec<(String, Exec)> {
     matrix
 }
 
-/// A ~70-gate module whose fault list spans several passes and whose
-/// two-vector test leaves escapes (so `undetected` order is exercised).
+/// A 300-gate module whose fault list spans several passes (602
+/// stuck-at faults fill three 255-fault passes) and whose two-vector
+/// test leaves escapes (so `undetected` order is exercised).
 fn mixed_module() -> steac_netlist::Module {
     let mut b = NetlistBuilder::new("m");
     let a = b.input("a");
     let mut cur = a;
-    for i in 0..70 {
+    for i in 0..300 {
         cur = if i % 3 == 0 {
             b.gate(GateKind::Inv, &[cur])
         } else {
@@ -124,9 +125,13 @@ fn playback_case() -> (steac_netlist::Module, Vec<CyclePattern>) {
 fn all_workloads_report_byte_identical_on_every_backend() {
     use rand::SeedableRng;
 
-    // Case 1: gate-level vector grading, with escapes.
+    // Case 1: gate-level vector grading over three passes, with escapes.
     let m = mixed_module();
     let faults = fault::enumerate_faults(&m);
+    assert!(
+        faults.len() > 2 * fault::FAULTS_PER_PASS,
+        "need three passes"
+    );
     let pins = [m.port("a").unwrap().net];
     let vectors = vec![vec![Logic::Zero], vec![Logic::One]];
 
@@ -252,9 +257,9 @@ fn optimized_program_reports_byte_identical_on_every_backend() {
 
 /// One gate-level fault model under the full matrix: grading and
 /// dictionary building report byte-identical to the serial baseline on
-/// every backend AND at every supported lane-group width (chunking may
-/// only change how the fault list is cut, never a verdict). Returns the
-/// serial baseline report and dictionary.
+/// every backend, with every fault list spanning more than one 255-fault
+/// pass (the merge crosses pass boundaries). Returns the serial baseline
+/// report and dictionary.
 fn check_model<F: FaultModel>(
     matrix: &[(String, Exec)],
     m: &Module,
@@ -263,6 +268,10 @@ fn check_model<F: FaultModel>(
     vectors: &[Vec<Logic>],
 ) -> (Report<F>, FaultDictionary) {
     let noun = F::NOUN;
+    assert!(
+        faults.len() > fault::FAULTS_PER_PASS,
+        "{noun}: need more than one pass"
+    );
     let serial = &matrix[0].1;
     let base = fault::grade_vectors(serial, m, faults, pins, vectors).unwrap();
     assert!(base.detected > 0, "{noun}: need detections");
@@ -274,23 +283,14 @@ fn check_model<F: FaultModel>(
         let dict = fault_dictionary(exec, m, faults, pins, vectors).unwrap();
         assert_eq!(dict, dict_base, "{noun} dictionary diverged on {name}");
     }
-    for groups in [1usize, 2, 4, 8] {
-        let r = fault::grade_vectors_wide(serial, m, faults, pins, vectors, groups).unwrap();
-        assert_eq!(r, base, "{noun} grading diverged at width {groups}");
-        let dict = fault_dictionary_wide(serial, m, faults, pins, vectors, groups).unwrap();
-        assert_eq!(
-            dict, dict_base,
-            "{noun} dictionary diverged at width {groups}"
-        );
-    }
     (base, dict_base)
 }
 
 /// The fault-model subsystem under the full matrix: stuck-at,
 /// transition/delay and bridging grading and dictionaries (through
 /// [`check_model`]) report byte-identical to the serial baseline on
-/// every backend AND at every supported lane-group width; inter-cell
-/// memory-coupling grading (one 256-lane walk width) and dictionary
+/// every backend at the one 256-lane width, each over several passes;
+/// inter-cell memory-coupling grading (256-lane walks) and dictionary
 /// diagnosis report byte-identical on every backend.
 #[test]
 fn fault_models_report_byte_identical_on_every_backend_and_width() {
@@ -344,7 +344,7 @@ fn fault_models_report_byte_identical_on_every_backend_and_width() {
 
 /// The serial-reference oracles agree with the serial backend, closing
 /// the loop: matrix == serial backend == one-simulation-per-fault
-/// reference.
+/// reference, with the gate-level merge crossing pass boundaries.
 #[test]
 fn serial_backend_matches_the_serial_oracles() {
     let m = mixed_module();

@@ -481,7 +481,7 @@ fn sweep_fault_jobs<F: FaultModel>(m: &Module, pins: &[NetId], vectors: &[Vec<Lo
     for mode in [Mode::Grade, Mode::Dictionary] {
         sweep_job(
             F::WIRE_KIND,
-            &encode_job(&program, 1, mode, pins, vectors),
+            &encode_job(&program, mode, pins, vectors),
             &unit,
         );
     }

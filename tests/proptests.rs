@@ -362,9 +362,9 @@ proptest! {
         }
     }
 
-    /// PPSFP grading (lane 0 good machine + 63 per-lane fault forces,
-    /// with dropping) reports exactly the faults the serial
-    /// one-simulation-per-fault reference reports.
+    /// PPSFP grading (lane 0 good machine + up to 255 per-lane fault
+    /// forces per pass, with dropping) reports exactly the faults the
+    /// serial one-simulation-per-fault reference reports.
     #[test]
     fn ppsfp_grading_equals_serial(
         seeds in prop::collection::vec((0u8..7, 0u8..32, 0u8..32, 0u8..32), 3..14),
@@ -405,11 +405,13 @@ proptest! {
     /// good machine, conditional stale forces) reports exactly the
     /// faults the one-scalar-simulation-per-fault reference reports, on
     /// random modules — including sequential ones — and random
-    /// launch/capture walks.
+    /// launch/capture walks. The fault list is cycled to 1–600 entries,
+    /// so it may fill up to three 255-fault passes.
     #[test]
     fn packed_transition_grading_equals_serial(
         seeds in prop::collection::vec((0u8..7, 0u8..32, 0u8..32, 0u8..32), 3..14),
         stim in prop::collection::vec(0u8..2, 16..17),
+        len in 1usize..601,
     ) {
         use steac_sim::models::transition;
         let m = random_module(&seeds);
@@ -419,7 +421,11 @@ proptest! {
         let vectors: Vec<Vec<Logic>> = (0..4)
             .map(|k| (0..4).map(|i| lv(stim[k * 4 + i] % 2)).collect())
             .collect();
-        let faults = transition::enumerate_transition_faults(&m);
+        let faults: Vec<_> = transition::enumerate_transition_faults(&m)
+            .into_iter()
+            .cycle()
+            .take(len)
+            .collect();
         let packed =
             transition::grade_transitions(&Exec::from_env(), &m, &faults, &pins, &vectors)
                 .unwrap();
@@ -430,11 +436,13 @@ proptest! {
     }
 
     /// Packed bridging grading (good-machine wired values, paired
-    /// per-lane forces) matches its scalar reference the same way.
+    /// per-lane forces) matches its scalar reference the same way, on a
+    /// fault list cycled to 1–600 entries.
     #[test]
     fn packed_bridging_grading_equals_serial(
         seeds in prop::collection::vec((0u8..7, 0u8..32, 0u8..32, 0u8..32), 3..14),
         stim in prop::collection::vec(0u8..2, 12..13),
+        len in 1usize..601,
     ) {
         use steac_sim::models::bridging;
         let m = random_module(&seeds);
@@ -446,6 +454,7 @@ proptest! {
             .collect();
         let faults = bridging::enumerate_bridges(&m).unwrap();
         prop_assume!(!faults.is_empty());
+        let faults: Vec<_> = faults.into_iter().cycle().take(len).collect();
         let packed =
             bridging::grade_bridges(&Exec::from_env(), &m, &faults, &pins, &vectors).unwrap();
         let serial = bridging::grade_bridges_serial(&m, &faults, &pins, &vectors).unwrap();
@@ -553,14 +562,16 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// PPSFP grading reports are byte-identical at every supported
-    /// lane-group width — 64, 128, 256 and 512 lanes per pass — on
-    /// random modules and full fault lists (width only changes how the
-    /// fault list is cut into passes).
+    /// PPSFP grading at its one 256-lane width reports exactly what the
+    /// one-simulation-per-fault oracle reports — the whole report:
+    /// coverage, escapes and their order — on random modules whose fault
+    /// list is cycled to 256–600 entries, so every list fills more than
+    /// one 255-fault pass and the merge crosses pass boundaries.
     #[test]
     fn grading_is_lane_width_invariant(
         seeds in prop::collection::vec((0u8..7, 0u8..32, 0u8..32, 0u8..32), 3..14),
         stim in prop::collection::vec(0u8..2, 12..13),
+        len in 256usize..601,
     ) {
         let m = random_module(&seeds);
         let pins: Vec<NetId> = (0..4)
@@ -569,21 +580,24 @@ proptest! {
         let vectors: Vec<Vec<Logic>> = (0..3)
             .map(|k| (0..4).map(|i| lv(stim[k * 4 + i] % 2)).collect())
             .collect();
-        let faults = fault::enumerate_faults(&m);
-        let exec = Exec::serial();
-        let baseline =
-            fault::grade_vectors_wide(&exec, &m, &faults, &pins, &vectors, 1).unwrap();
-        for groups in [2usize, 4, 8] {
-            let wide =
-                fault::grade_vectors_wide(&exec, &m, &faults, &pins, &vectors, groups)
-                    .unwrap();
-            prop_assert_eq!(&wide, &baseline, "{} lane groups", groups);
-        }
-        let unsupported = matches!(
-            fault::grade_vectors_wide(&exec, &m, &faults, &pins, &vectors, 3),
-            Err(steac_sim::SimError::UnsupportedWidth { groups: 3 })
-        );
-        prop_assert!(unsupported, "3 lane groups must be a typed error");
+        let faults: Vec<fault::Fault> =
+            fault::enumerate_faults(&m).into_iter().cycle().take(len).collect();
+        prop_assert!(faults.len() > fault::FAULTS_PER_PASS);
+        let packed =
+            fault::grade_vectors(&Exec::serial(), &m, &faults, &pins, &vectors).unwrap();
+        let serial = fault::fault_coverage_serial(&m, &faults, |sim| {
+            let mut obs = Vec::new();
+            for vector in &vectors {
+                for (&pin, &v) in pins.iter().zip(vector) {
+                    sim.set(pin, v);
+                }
+                sim.settle()?;
+                obs.extend(sim.outputs());
+            }
+            Ok(obs)
+        })
+        .unwrap();
+        prop_assert_eq!(&packed, &serial);
     }
 
     /// The 64-lane batched player reports exactly what the scalar
