@@ -214,24 +214,30 @@ fn bench_batched_playback(c: &mut Criterion) {
     });
 }
 
-/// Times both closures (median of three runs after a warm-up) and
-/// prints the ratio, so the packed kernel's advantage is recorded in
-/// the bench output itself.
+/// Times both closures and prints the ratio, so the packed kernel's
+/// advantage is recorded in the bench output itself. A closure's time
+/// is the median of five samples, each a loop of calls lasting at least
+/// 20 ms divided by its call count, so a sub-millisecond call is timed
+/// over many repeats and one preempted call cannot set the ratio.
 fn report_speedup<A: PartialEq + std::fmt::Debug>(
     label: &str,
     baseline: impl Fn() -> A,
     candidate: impl Fn() -> A,
 ) {
     fn median_time<A>(f: &impl Fn() -> A) -> (std::time::Duration, A) {
-        let mut times = Vec::with_capacity(3);
+        const SAMPLE: std::time::Duration = std::time::Duration::from_millis(20);
+        let mut samples = Vec::with_capacity(5);
         let mut result = None;
-        for _ in 0..3 {
-            let t = Instant::now();
-            result = Some(f());
-            times.push(t.elapsed());
+        for _ in 0..5 {
+            let (start, mut calls) = (Instant::now(), 0u32);
+            while calls == 0 || start.elapsed() < SAMPLE {
+                result = Some(f());
+                calls += 1;
+            }
+            samples.push(start.elapsed() / calls);
         }
-        times.sort_unstable();
-        (times[1], result.expect("ran at least once"))
+        samples.sort_unstable();
+        (samples[2], result.expect("ran at least once"))
     }
     // Warm both paths (allocator, caches) before the timed runs.
     let a = baseline();

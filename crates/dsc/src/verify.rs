@@ -13,26 +13,32 @@
 //! threads, on `steac-worker` processes or on a remote fleet.
 //! Generation's unit is a [`LANES`]-pattern block index. Its job
 //! (wire kind [`WIRE_KIND`]) holds the compiled program, the PI, clock
-//! and PO nets and the set size; a unit's result is each pattern's
-//! expected PO values, computed by a scalar reference simulation from
-//! the power-on state, and the dispatching side builds the
-//! [`CyclePattern`]s from them. Every pattern of the set shares one pin
-//! table, the `Arc` the dispatching side holds, so a pattern stores its
-//! two cycle rows and nothing else. Pattern `k` depends only on `k`, so
-//! the set is identical on every backend and in any block order.
+//! and PO nets and the set size; a unit's result is the block's
+//! [`PatternBlock`] — the bit-plane unit the cycle player plays — whose
+//! responses one 64-lane packed simulation from the power-on state
+//! computes, lane `l` playing pattern `first + l`. A shipped block
+//! travels as the same sparse bytes a playback unit does
+//! ([`PatternBlock::encode`]), read by the same decoder. Pattern `k`
+//! depends only on `k`, so the set is identical on every backend and
+//! in any block order.
 //!
 //! [`jpeg_playback_stream`] chains the two dispatches: generation runs
 //! on one scoped thread, its sink feeds a bounded channel of blocks,
-//! and the cycle player ([`steac_pattern::stream_cycle_patterns`])
-//! reads that channel as its input. Both dispatches deliver in unit
-//! order, so nothing else reorders, and the set is never materialized:
-//! what is in flight is bounded by the generation dispatch window, four
-//! blocks queued in the channel and the playback dispatch window, each
-//! in 64-pattern blocks. A dispatch window is two batches per
-//! dispatcher — 4 blocks on `threads:2`, 8 batches of 32 blocks on
-//! `processes:2` — so the bound follows the backend, never the set
-//! size. [`jpeg_playback_batch`] generates the whole set and then plays
-//! it; it is the differential baseline, and the two produce
+//! and the block player ([`steac_pattern::stream_pattern_blocks`])
+//! reads that channel as its input, so no [`CyclePattern`] exists in
+//! between. Both dispatches deliver in unit order, so nothing else
+//! reorders, and the set is never materialized: what is in flight is
+//! bounded by the generation dispatch window, four blocks queued in the
+//! channel and the playback dispatch window, each in 64-pattern blocks.
+//! A dispatch window is two batches per dispatcher — 4 blocks on
+//! `threads:2`, 8 batches of 32 blocks on `processes:2` — so the bound
+//! follows the backend, never the set size.
+//! [`jpeg_functional_patterns`] expands the generated blocks into
+//! patterns on one shared pin table. [`jpeg_playback_batch`] is the
+//! independent oracle: it builds every pattern in-thread, state by
+//! state, from one scalar reference simulation per pattern and plays
+//! the patterns through the pattern chunker
+//! ([`steac_pattern::stream_cycle_patterns`]); the two flows produce
 //! byte-identical [`PlaybackReport`]s.
 
 use crate::cores::jpeg_core;
@@ -41,11 +47,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use steac_netlist::{Module, NetId};
 use steac_pattern::{
-    stream_cycle_patterns, CyclePattern, PatternError, PinState, PLAYBACK_LANE_GROUPS,
+    stream_cycle_patterns, stream_pattern_blocks, CyclePattern, MismatchReport, PatternBlock,
+    PatternError, PinPlanes, PinState, PLAYBACK_LANE_GROUPS,
 };
 use steac_sim::shard;
 use steac_sim::wire::{self, WireError, WireReader, WireWriter};
-use steac_sim::{Dispatch, Exec, ExecWork, Logic, SimError, SimProgram, Simulator, LANES};
+use steac_sim::{
+    Dispatch, Exec, ExecWork, Logic, PackedLogic, SimError, SimProgram, Simulator, LANES,
+};
 
 /// Outcome of a batched playback experiment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,6 +77,15 @@ pub struct PlaybackReport {
     /// is backend-invariant, so healthy reports compare equal across
     /// serial, thread and process execution.
     pub process_fallbacks: usize,
+}
+
+impl PlaybackReport {
+    /// Folds one pattern's report in.
+    fn tally(&mut self, r: &MismatchReport) {
+        self.patterns += 1;
+        self.compares += r.compares;
+        self.mismatches += r.mismatches.len();
+    }
 }
 
 /// Deterministic per-pattern stimulus (SplitMix64, so the experiment is
@@ -98,15 +116,15 @@ fn block_patterns(bi: usize, count: usize) -> Result<Range<usize>, WireError> {
 }
 
 /// JPEG pattern generation as an [`ExecWork`]: one unit per
-/// [`LANES`]-pattern block index, one two-cycle [`CyclePattern`] per
-/// pattern (drive the PIs and pulse the clock, then compare every PO).
-/// A worker opens the same value from the job block, without the pin
-/// names, and runs units as a [`shard::WireJob`].
+/// [`LANES`]-pattern block index, one [`PatternBlock`] per unit, each
+/// pattern two cycles long (drive the PIs and pulse the clock, then
+/// compare every PO). A worker opens the same value from the job block,
+/// without the pin names, and runs units as a [`shard::WireJob`].
 struct GenerateWork {
     program: Arc<SimProgram>,
     /// The set's one pin table: PIs, then the clock, then POs. Every
-    /// built pattern holds a clone of this `Arc`. Empty in a worker,
-    /// which only computes expected values.
+    /// expanded pattern holds a clone of this `Arc`. Empty in a worker,
+    /// which never names a pin.
     pins: Arc<[String]>,
     pi: Vec<NetId>,
     clock: NetId,
@@ -152,9 +170,80 @@ impl GenerateWork {
         block_patterns(bi, self.count).expect("dispatched blocks lie inside the set")
     }
 
-    /// Each pattern's expected PO values: pattern `k` drives PI `i` with
-    /// `stimulus_bit(k, i)` from the power-on (all-`X`) state, pulses
-    /// the clock once and reads every PO.
+    /// The report of no pattern played yet, for this set's size.
+    fn report(&self) -> PlaybackReport {
+        PlaybackReport {
+            patterns: 0,
+            cycles: 0,
+            compares: 0,
+            mismatches: 0,
+            passes: self.count.div_ceil(LANES * PLAYBACK_LANE_GROUPS),
+            process_fallbacks: 0,
+        }
+    }
+
+    /// Pins per pattern: the PIs, the clock and the POs.
+    fn pin_count(&self) -> usize {
+        self.pi.len() + 1 + self.po.len()
+    }
+
+    /// The block of `patterns`, from one 64-lane packed simulation: lane
+    /// `l` drives PI `i` with `stimulus_bit(first + l, i)` from the
+    /// power-on (all-`X`) state, pulses the clock once and reads every
+    /// PO, and spare lanes replicate lane 0. The capture cycle drives
+    /// the PIs and pulses the clock; the compare cycle drives the PIs
+    /// again and the clock low, and compares every PO whose value is
+    /// known.
+    fn block(&self, patterns: Range<usize>) -> Result<PatternBlock, PatternError> {
+        let lanes = patterns.len();
+        let live = u64::MAX >> (LANES - lanes);
+        let stimulus: Vec<u64> = (0..self.pi.len())
+            .map(|i| {
+                let word = (patterns.clone().enumerate())
+                    .fold(0, |word, (l, k)| word | u64::from(stimulus_bit(k, i)) << l);
+                word | ((word & 1).wrapping_neg() & !live)
+            })
+            .collect();
+        let mut sim: Simulator = Simulator::from_program(Arc::clone(&self.program));
+        for (&net, &word) in self.pi.iter().zip(&stimulus) {
+            let value = PackedLogic {
+                ones: [word],
+                unknowns: [0],
+            };
+            sim.set_packed(net, value);
+        }
+        sim.clock_cycle(self.clock)?;
+        let drive = |word: u64| PinPlanes {
+            drive: live,
+            value: word & live,
+            ..PinPlanes::default()
+        };
+        let pulse = PinPlanes {
+            pulse: live,
+            ..PinPlanes::default()
+        };
+        let mut planes = Vec::with_capacity(2 * self.pin_count());
+        planes.extend(stimulus.iter().map(|&word| drive(word)));
+        planes.push(pulse);
+        planes.extend(std::iter::repeat_n(PinPlanes::default(), self.po.len()));
+        planes.extend(stimulus.iter().map(|&word| drive(word)));
+        planes.push(drive(0));
+        planes.extend(self.po.iter().map(|&net| {
+            let observed = sim.get_packed(net);
+            let known = !observed.unknowns[0] & live;
+            PinPlanes {
+                expect: known,
+                value: observed.ones[0] & known,
+                ..PinPlanes::default()
+            }
+        }));
+        PatternBlock::from_planes(lanes, 2, self.pin_count(), planes)
+    }
+
+    /// The scalar reference for [`GenerateWork::block`]: each pattern's
+    /// expected PO values, one simulation per pattern. Pattern `k`
+    /// drives PI `i` with `stimulus_bit(k, i)` from the power-on
+    /// (all-`X`) state, pulses the clock once and reads every PO.
     fn expected(&self, patterns: Range<usize>) -> Result<Vec<Vec<Logic>>, SimError> {
         let mut sim: Simulator = Simulator::from_program(Arc::clone(&self.program));
         patterns
@@ -170,7 +259,8 @@ impl GenerateWork {
     }
 
     /// Builds the patterns starting at `first` from their expected PO
-    /// values.
+    /// values, state by state — the oracle's half of
+    /// [`GenerateWork::block`].
     fn build(
         &self,
         first: usize,
@@ -236,7 +326,7 @@ impl GenerateWork {
 
 impl ExecWork for GenerateWork {
     type Unit = usize;
-    type Output = Vec<CyclePattern>;
+    type Output = PatternBlock;
     type Error = PatternError;
 
     fn kind(&self) -> u16 {
@@ -253,18 +343,22 @@ impl ExecWork for GenerateWork {
         w.finish()
     }
 
-    fn run_unit_local(&self, bi: &usize) -> Result<Vec<CyclePattern>, PatternError> {
-        let patterns = self.patterns(*bi);
-        let expected = self.expected(patterns.clone())?;
-        self.build(patterns.start, expected)
+    fn run_unit_local(&self, bi: &usize) -> Result<PatternBlock, PatternError> {
+        self.block(self.patterns(*bi))
     }
 
-    fn decode_result(&self, bi: &usize, bytes: &[u8]) -> Result<Vec<CyclePattern>, String> {
-        let patterns = self.patterns(*bi);
-        let expected = decode_expected(bytes, patterns.len(), self.po.len())
+    fn decode_result(&self, bi: &usize, bytes: &[u8]) -> Result<PatternBlock, String> {
+        let patterns = self.patterns(*bi).len();
+        let block = PatternBlock::decode(bytes, self.pins.len())
             .map_err(|e| format!("generation result: {e}"))?;
-        self.build(patterns.start, expected)
-            .map_err(|e| e.to_string())
+        if (block.lanes(), block.cycles()) != (patterns, 2) {
+            return Err(format!(
+                "generation result holds {} patterns of {} cycles; block {bi} has {patterns} of 2",
+                block.lanes(),
+                block.cycles()
+            ));
+        }
+        Ok(block)
     }
 }
 
@@ -273,8 +367,8 @@ impl shard::WireJob for GenerateWork {
         let patterns = self
             .unit_patterns(unit)
             .map_err(|e| format!("generation unit: {e}"))?;
-        let expected = self.expected(patterns).map_err(|e| e.to_string())?;
-        Ok(encode_expected(&expected, self.po.len()))
+        let block = self.block(patterns).map_err(|e| e.to_string())?;
+        Ok(block.encode())
     }
 }
 
@@ -307,39 +401,6 @@ pub fn encode_generate_job(
     w.finish()
 }
 
-/// Result payload: the pattern count, the values per pattern, then
-/// every pattern's expected PO values.
-fn encode_expected(expected: &[Vec<Logic>], values: usize) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.put_usize(expected.len());
-    w.put_usize(values);
-    expected.iter().flatten().for_each(|&v| w.put_logic(v));
-    w.finish()
-}
-
-/// Decodes a result payload that must hold `patterns` patterns of
-/// `values` expected values each.
-fn decode_expected(
-    bytes: &[u8],
-    patterns: usize,
-    values: usize,
-) -> Result<Vec<Vec<Logic>>, WireError> {
-    let mut r = WireReader::new(bytes);
-    for (context, want) in [
-        ("generated pattern count", patterns),
-        ("expected values per pattern", values),
-    ] {
-        if r.get_usize(context)? != want {
-            return Err(WireError::Corrupt { context });
-        }
-    }
-    let expected = (0..patterns)
-        .map(|_| (0..values).map(|_| r.get_logic("expected value")).collect())
-        .collect::<Result<_, _>>()?;
-    r.finish()?;
-    Ok(expected)
-}
-
 /// Decodes a [`WIRE_KIND`] job block into the executable generation
 /// job — the `steac-worker` side of shipped JPEG generation.
 ///
@@ -354,19 +415,10 @@ pub fn open_wire_job(job: &[u8]) -> Result<Box<dyn shard::WireJob>, String> {
 
 // ---------- the experiments ----------
 
-/// Collects one generation dispatch over the whole set.
-fn generate_all(
-    exec: &Exec,
-    work: &GenerateWork,
-) -> Result<(Vec<CyclePattern>, Dispatch), PatternError> {
-    let mut patterns = Vec::with_capacity(work.count);
-    let generated = exec.dispatch(work, work.blocks(), |block| patterns.extend(block))?;
-    Ok((patterns, generated))
-}
-
 /// Builds `count` two-cycle functional patterns for the JPEG core: one
-/// generation dispatch of [`LANES`]-pattern blocks on `exec`, collected
-/// in pattern order. The output is identical on every backend.
+/// generation dispatch of [`LANES`]-pattern blocks on `exec`, each
+/// block expanded in pattern order onto the set's one pin table. The
+/// output is identical on every backend.
 ///
 /// # Errors
 ///
@@ -378,31 +430,57 @@ pub fn jpeg_functional_patterns(
     count: usize,
 ) -> Result<(Module, Vec<CyclePattern>), PatternError> {
     let (module, work) = GenerateWork::jpeg(count)?;
-    let (patterns, _) = generate_all(exec, &work)?;
+    let mut patterns = Vec::with_capacity(count);
+    exec.dispatch(&work, work.blocks(), |block| {
+        // Both paths build and decode blocks as wide as the table.
+        let expanded = block.to_patterns(&work.pins);
+        patterns.extend(expanded.expect("a generated block is as wide as its pin table"));
+    })?;
     Ok((module, patterns))
 }
 
-/// Verifies `count` JPEG functional patterns the **materialized** way:
-/// generate the whole set, then play it through the streaming cycle
-/// player at full-width chunks (one pattern per lane,
-/// `64 * PLAYBACK_LANE_GROUPS` per pass; see
-/// [`steac_pattern::PLAYBACK_LANE_GROUPS`]) and aggregate the result.
-/// `exec` decides whether generation blocks and playback chunks run
-/// inline, across threads, across `steac-worker` processes or on a
-/// remote fleet, and the report is byte-identical in every flavour —
-/// and to [`jpeg_playback_stream`], the constant-memory pipeline this
-/// is the differential baseline for.
+/// Verifies `count` JPEG functional patterns through the **scalar
+/// oracle** of [`jpeg_playback_stream`]: a generation path independent
+/// of the packed blocks builds every pattern state by state from one
+/// scalar reference simulation per pattern, in-thread, one 64-pattern
+/// block at a time as the playback dispatch pulls its input, and the
+/// pattern chunker ([`steac_pattern::stream_cycle_patterns`]) plays the
+/// [`CyclePattern`]s — one per lane, `64 * PLAYBACK_LANE_GROUPS` per
+/// pass (see [`steac_pattern::PLAYBACK_LANE_GROUPS`]) — and the reports
+/// are aggregated. Generation never ships; `exec` decides whether
+/// playback blocks run inline, across threads, across `steac-worker`
+/// processes or on a remote fleet. The report is byte-identical in
+/// every flavour — and to [`jpeg_playback_stream`].
 ///
 /// # Errors
 ///
-/// Propagates netlist, pattern and simulation errors; a failing worker
+/// Propagates netlist, pattern and simulation errors; the
+/// lowest-indexed failure wins (a generation error ends the pattern
+/// stream, so every playback error precedes it), and a failing worker
 /// surfaces as the lowest-indexed failing unit's error (under
 /// [`steac_sim::Fallback::Fail`]).
 pub fn jpeg_playback_batch(exec: &Exec, count: usize) -> Result<PlaybackReport, PatternError> {
     let (_module, work) = GenerateWork::jpeg(count)?;
-    let (patterns, generated) = generate_all(exec, &work)?;
-    let mut report = play(exec, &work, patterns.into_iter())?;
-    report.process_fallbacks += generated.fallbacks;
+    let mut built = Ok(());
+    let mut cycles = 0;
+    let patterns = work
+        .blocks()
+        .map_while(|bi| {
+            let block = work.patterns(bi);
+            let expected = work.expected(block.clone()).map_err(PatternError::from);
+            let patterns = expected.and_then(|expected| work.build(block.start, expected));
+            patterns.map_err(|e| built = Err(e)).ok()
+        })
+        .flatten()
+        .inspect(|p| cycles += p.cycle_count());
+    let sim: Simulator = Simulator::from_program(Arc::clone(&work.program));
+    let mut report = work.report();
+    let run = stream_cycle_patterns(exec, &sim, patterns, |r| report.tally(&r))?;
+    // A generation error ends the stream, so every playback error
+    // comes before it.
+    built?;
+    report.cycles = cycles;
+    report.process_fallbacks = run.process_fallbacks;
     Ok(report)
 }
 
@@ -410,10 +488,10 @@ pub fn jpeg_playback_batch(exec: &Exec, count: usize) -> Result<PlaybackReport, 
 /// pipeline**: the generation dispatch runs on one scoped thread and
 /// its sink feeds a bounded channel of blocks, which the playback
 /// dispatch reads as its input. The full pattern set is never
-/// materialized — peak memory follows the two dispatch windows and the
-/// channel (see the module docs), not `count` — and generation overlaps
-/// playback. The report is byte-identical to [`jpeg_playback_batch`]
-/// on every backend.
+/// materialized, nor is any pattern — peak memory follows the two
+/// dispatch windows and the channel (see the module docs), not
+/// `count` — and generation overlaps playback. The report is
+/// byte-identical to [`jpeg_playback_batch`] on every backend.
 ///
 /// # Errors
 ///
@@ -424,7 +502,14 @@ pub fn jpeg_playback_batch(exec: &Exec, count: usize) -> Result<PlaybackReport, 
 pub fn jpeg_playback_stream(exec: &Exec, count: usize) -> Result<PlaybackReport, PatternError> {
     let (_module, work) = GenerateWork::jpeg(count)?;
     let (played, generated) = chain(exec, &work, work.blocks(), |blocks| {
-        play(exec, &work, blocks.flatten())
+        let sim: Simulator = Simulator::from_program(Arc::clone(&work.program));
+        let mut report = work.report();
+        let mut cycles = 0;
+        let blocks = blocks.inspect(|b| cycles += (b.lanes() * b.cycles()) as u64);
+        let run = stream_pattern_blocks(exec, &sim, &work.pins, blocks, |r| report.tally(&r))?;
+        report.cycles = cycles;
+        report.process_fallbacks = run.process_fallbacks;
+        Ok::<_, PatternError>(report)
     });
     let mut report = played?;
     report.process_fallbacks += generated?.fallbacks;
@@ -439,7 +524,7 @@ fn chain<R>(
     exec: &Exec,
     work: &GenerateWork,
     mut units: impl Iterator<Item = usize> + Send,
-    consume: impl FnOnce(mpsc::IntoIter<Vec<CyclePattern>>) -> R,
+    consume: impl FnOnce(mpsc::IntoIter<PatternBlock>) -> R,
 ) -> (R, Result<Dispatch, PatternError>) {
     let (tx, rx) = mpsc::sync_channel(QUEUED_BLOCKS);
     std::thread::scope(|scope| {
@@ -466,37 +551,6 @@ fn chain<R>(
             .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
         (consumed, generated)
     })
-}
-
-/// Plays `patterns` through the cycle player, folding the per-pattern
-/// reports as they arrive and counting tester cycles as patterns flow
-/// past; `process_fallbacks` counts playback batches only. Shared by
-/// the materialized and streaming flows so the aggregation can never
-/// diverge.
-fn play(
-    exec: &Exec,
-    work: &GenerateWork,
-    patterns: impl Iterator<Item = CyclePattern> + Send,
-) -> Result<PlaybackReport, PatternError> {
-    let sim: Simulator = Simulator::from_program(Arc::clone(&work.program));
-    let mut report = PlaybackReport {
-        patterns: 0,
-        cycles: 0,
-        compares: 0,
-        mismatches: 0,
-        passes: work.count.div_ceil(LANES * PLAYBACK_LANE_GROUPS),
-        process_fallbacks: 0,
-    };
-    let mut cycles = 0;
-    let patterns = patterns.inspect(|p| cycles += p.cycle_count());
-    let run = stream_cycle_patterns(exec, &sim, patterns, |r| {
-        report.patterns += 1;
-        report.compares += r.compares;
-        report.mismatches += r.mismatches.len();
-    })?;
-    report.cycles = cycles;
-    report.process_fallbacks = run.process_fallbacks;
-    Ok(report)
 }
 
 #[cfg(test)]
@@ -593,9 +647,9 @@ mod tests {
     }
 
     /// The streaming pipeline's report must be byte-identical to the
-    /// materialized flow's on the in-process backends — the streaming
-    /// seam (a bounded channel between two chunked dispatches) is
-    /// invisible in the outcome.
+    /// scalar oracle's on the in-process backends — packed generation
+    /// and the streaming seam (a bounded channel between two block
+    /// dispatches) are invisible in the outcome.
     #[test]
     fn streaming_playback_matches_the_materialized_report() {
         let count = 150; // three generation blocks
@@ -626,7 +680,7 @@ mod tests {
         });
         let exec = Exec::threads(Threads::exact(2));
         let (first, generated) = chain(&exec, &work, units, |mut blocks| blocks.next());
-        assert_eq!(first.map(|block| block.len()), Some(LANES));
+        assert_eq!(first.map(|block| block.lanes()), Some(LANES));
         generated.unwrap();
         let window = 2 * 2;
         let pulled = pulled.into_inner();
@@ -658,21 +712,86 @@ mod tests {
         encode_generate_job(&flop(count).program, &[pi], clock, &[po], count)
     }
 
-    /// A block shipped through the worker job decodes to the patterns
-    /// the in-process path builds, on the dispatching side's one pin
-    /// table, and the flop captures each pattern's stimulus.
+    /// Packed generation builds exactly the patterns the scalar oracle
+    /// builds, on every block of `work`'s set.
+    fn packed_equals_scalar(work: &GenerateWork) {
+        for bi in work.blocks() {
+            let patterns = work.patterns(bi);
+            let packed = work.block(patterns.clone()).unwrap();
+            let scalar = work.build(patterns.start, work.expected(patterns.clone()).unwrap());
+            assert_eq!(packed.to_patterns(&work.pins), scalar, "block {bi}");
+        }
+    }
+
+    /// On every block of a 1,000-pattern JPEG set (15 full blocks and
+    /// one of 40) and of a 70-pattern one-flop set (a last block of 6).
+    #[test]
+    fn packed_generation_matches_the_scalar_oracle() {
+        packed_equals_scalar(&GenerateWork::jpeg(1_000).unwrap().1);
+        packed_equals_scalar(&flop(70));
+    }
+
+    /// A block shipped through the worker job decodes to the block the
+    /// in-process path builds, and the flop captures each pattern's
+    /// stimulus.
     #[test]
     fn a_shipped_block_matches_the_local_one() {
         let local = flop(70);
         let mut worker = GenerateWork::decode(&local.encode_job()).unwrap();
         let bytes = worker.run_unit(&local.encode_unit(&1)).unwrap();
+        assert_eq!(bytes, local.run_unit_local(&1).unwrap().encode());
         let shipped = local.decode_result(&1, &bytes).unwrap();
         assert_eq!(shipped, local.run_unit_local(&1).unwrap());
-        assert!(shipped.iter().all(|p| Arc::ptr_eq(&p.pins, &local.pins)));
-        let captured: Vec<Vec<Logic>> = (64..70)
-            .map(|k| vec![Logic::from(stimulus_bit(k, 0))])
-            .collect();
-        assert_eq!(decode_expected(&bytes, 6, 1), Ok(captured));
+        let patterns = shipped.to_patterns(&local.pins).unwrap();
+        for (k, p) in (64..70).zip(&patterns) {
+            let captured = PinState::from_expect(Logic::from(stimulus_bit(k, 0)));
+            assert_eq!(p.cycles[1][2], captured, "pattern {k}");
+        }
+    }
+
+    /// A reply holding another block's pattern count, another cycle
+    /// count or another pin count is a typed error; so is every strict
+    /// prefix of a valid reply, and every single-byte change of it
+    /// decodes to `Ok` or a typed error.
+    #[test]
+    fn a_misshapen_or_damaged_reply_is_a_typed_error() {
+        let work = flop(70);
+        let reply = work.run_unit_local(&1).unwrap().encode();
+        assert!(work.decode_result(&1, &reply).is_ok());
+        let other = work.run_unit_local(&0).unwrap().encode();
+        let err = work.decode_result(&1, &other).unwrap_err();
+        assert!(
+            err.contains("64 patterns of 2 cycles; block 1 has 6 of 2"),
+            "{err}"
+        );
+        let pattern = flop(1)
+            .block(0..1)
+            .unwrap()
+            .to_patterns(&work.pins)
+            .unwrap();
+        let mut one_cycle = pattern[0].clone();
+        one_cycle.cycles.truncate(1);
+        let short = PatternBlock::from_patterns(&vec![one_cycle; 6]).unwrap();
+        let err = work.decode_result(&1, &short.encode()).unwrap_err();
+        assert!(err.contains("6 patterns of 1 cycles"), "{err}");
+        let narrow = GenerateWork {
+            pins: ["d", "ck"].map(String::from).into(),
+            ..flop(70)
+        };
+        assert!(narrow.decode_result(&1, &reply).is_err());
+        for cut in 0..reply.len() {
+            assert!(
+                work.decode_result(&1, &reply[..cut]).is_err(),
+                "prefix {cut}"
+            );
+        }
+        for i in 0..reply.len() {
+            for flip in 1..=u8::MAX {
+                let mut bad = reply.clone();
+                bad[i] ^= flip;
+                let _ = work.decode_result(&1, &bad);
+            }
+        }
     }
 
     /// Opening a job rejects a PI, clock or PO net outside the program.
@@ -720,24 +839,5 @@ mod tests {
             block_patterns(last, usize::MAX),
             Ok(last * LANES..usize::MAX)
         );
-    }
-
-    /// A reply with the wrong pattern count, or the wrong number of
-    /// values per pattern, is a typed error.
-    #[test]
-    fn a_misshapen_reply_is_a_typed_error() {
-        let expected = [vec![Logic::One, Logic::Zero], vec![Logic::X, Logic::Z]];
-        let reply = encode_expected(&expected, 2);
-        assert_eq!(decode_expected(&reply, 2, 2), Ok(expected.to_vec()));
-        let count = Err(WireError::Corrupt {
-            context: "generated pattern count",
-        });
-        assert_eq!(decode_expected(&reply, 1, 2), count);
-        assert_eq!(decode_expected(&reply, 3, 2), count);
-        let values = Err(WireError::Corrupt {
-            context: "expected values per pattern",
-        });
-        assert_eq!(decode_expected(&reply, 2, 1), values);
-        assert_eq!(decode_expected(&reply, 2, 3), values);
     }
 }

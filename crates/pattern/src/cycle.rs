@@ -2,38 +2,54 @@
 //!
 //! Real ATE flows never hold a full pattern set in memory — patterns
 //! are translated and applied as they arrive — so there is one player,
-//! and it streams: [`stream_cycle_patterns`] pulls patterns (owned
-//! [`CyclePattern`]s, or borrowed ones) from an iterator, typically the
-//! receiving end of a bounded channel fed by a generating dispatch. It
-//! validates them incrementally against the shape the first pattern
-//! fixed, groups them into chunks of one pass — one pattern per
-//! simulation lane, 64 patterns ([`PLAYBACK_LANE_GROUPS`] lane group)
-//! per chunk — and hands the chunk iterator to [`Exec::dispatch`] as
-//! one [`steac_sim::ExecWork`] over the shared compiled program. The
-//! chunks play inline (`Exec::serial()`), across cores
-//! (`Exec::threads(..)`), or across `steac-worker` processes and remote
-//! hosts — there the compiled program, pin bindings and force state
-//! ship once per worker over the [`steac_sim::wire`] format, and
-//! pattern chunks are the unit payloads.
+//! and it streams blocks. A [`PatternBlock`] is the playback unit: up
+//! to 64 patterns of one shape (pin count, cycle count, pulse timeline)
+//! as bit planes, one pattern per simulation lane. Each (cycle, pin)
+//! position holds one [`PinPlanes`] — five `u64` words, bit `l` of
+//! each word belonging to lane `l`:
 //!
-//! A pattern set keeps one pin table: [`CyclePattern::pins`] is a shared
-//! `Arc<[String]>`, so a stored pattern holds only its states, and the
-//! chunker checks a pattern's table against the set's by pointer. A
-//! playback unit is one flat chunk — the pattern count, the cycle count
-//! and every state laid out `[pattern][cycle][pin]`. The chunker builds
-//! it from the pulled patterns and a worker decodes it from the unit
-//! bytes, with the same checks on both sides, and one player plays it
-//! in-thread and on the worker alike.
+//! | state | drive | expect | pulse | value | Z |
+//! |-------|-------|--------|-------|-------|---|
+//! | `0`   | 1     |        |       |       |   |
+//! | `1`   | 1     |        |       | 1     |   |
+//! | `Z`   | 1     |        |       | 1     | 1 |
+//! | `X`   |       |        |       |       |   |
+//! | `P`   |       |        | 1     |       |   |
+//! | `L`   |       | 1      |       |       |   |
+//! | `H`   |       | 1      |       | 1     |   |
 //!
-//! Reports reach the caller's sink strictly in pattern order and are
-//! byte-identical on every backend and wherever the stream ends: every
-//! verdict is per-pattern, cycle indices are pattern-local and padding
-//! lanes follow lane 0. The player has one width, 64 lanes, because
-//! playback is settle-bound and wider words buy it nothing (see
+//! Every [`PinState`] has its own combination and every other
+//! combination is refused, so a block converts to and from its
+//! [`CyclePattern`]s losslessly ([`PatternBlock::from_patterns`],
+//! [`PatternBlock::to_patterns`]). Its constructors, and the decoder of
+//! its wire bytes, check that no bit lies past the live lanes, that each
+//! lane has one state, and that a pulse covers every live lane or none,
+//! so the player reads the pulse timeline from the pulse word alone.
+//!
+//! [`stream_pattern_blocks`] plays blocks as they are produced: it hands
+//! the block iterator (typically the receiving end of a bounded channel
+//! fed by a generating dispatch) to [`Exec::dispatch`] as one
+//! [`steac_sim::ExecWork`] over the shared compiled program. The blocks
+//! play inline (`Exec::serial()`), across cores (`Exec::threads(..)`),
+//! or across `steac-worker` processes and remote hosts — there the
+//! compiled program, pin bindings and force state ship once per worker
+//! over the [`steac_sim::wire`] format, and each block ships as its
+//! sparse bytes ([`PatternBlock::encode`]): per position a presence
+//! byte, then only the non-zero plane words. [`stream_cycle_patterns`]
+//! is the chunker in front of it: it pulls [`CyclePattern`]s (owned or
+//! borrowed), validates them incrementally against the shape the first
+//! pattern fixed, and converts each 64 into one block, column-wise.
+//!
+//! The player drives each pin with one word select and compares each
+//! pin with one mismatch mask, walking lanes only inside a mismatching
+//! word. Reports reach the caller's sink strictly in pattern order and
+//! are byte-identical on every backend and wherever the stream ends:
+//! every verdict is per-pattern, cycle indices are pattern-local and
+//! padding lanes follow lane 0. The player has one width, 64 lanes (see
 //! [`PLAYBACK_LANE_GROUPS`]). Peak memory follows the pipeline depth,
 //! never the set size. [`apply_cycle_patterns_batch`], the materialized
-//! entry point, is the same player over borrowed patterns that collects
-//! the reports.
+//! entry point, is the same chunker and player over borrowed patterns
+//! that collects the reports.
 
 use crate::PatternError;
 use std::borrow::Borrow;
@@ -43,24 +59,27 @@ use steac_netlist::NetId;
 use steac_sim::shard;
 use steac_sim::{wire, Exec, ExecWork, Logic, PackedLogic, SimProgram, Simulator, LANES};
 
-/// Per-pin state in one tester cycle.
+/// Per-pin state in one tester cycle. Each discriminant is the state's
+/// [`PinPlanes`] bits (drive, expect, pulse, value, Z from bit 0 up),
+/// which the block conversion reads directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[repr(u8)]
 pub enum PinState {
     /// Drive logic 0.
-    Drive0,
+    Drive0 = 0b0_0001,
     /// Drive logic 1.
-    Drive1,
+    Drive1 = 0b0_1001,
     /// Release (high impedance).
-    DriveZ,
+    DriveZ = 0b1_1001,
     /// Don't care / keep previous.
     #[default]
-    DontCare,
+    DontCare = 0,
     /// Apply a full clock pulse (0 → 1 → 0) this cycle.
-    Pulse,
+    Pulse = 0b0_0100,
     /// Compare for logic 0.
-    ExpectL,
+    ExpectL = 0b0_0010,
     /// Compare for logic 1.
-    ExpectH,
+    ExpectH = 0b0_1010,
 }
 
 impl PinState {
@@ -220,7 +239,7 @@ pub struct BatchPlayback {
     pub reports: Vec<MismatchReport>,
     /// Shipped batches this run recomputed in-thread — exactly this
     /// call's count, not a shared total (up to one per
-    /// [`steac_sim::STREAM_BATCH_UNITS`] chunks).
+    /// [`steac_sim::STREAM_BATCH_UNITS`] blocks).
     pub process_fallbacks: usize,
 }
 
@@ -321,198 +340,493 @@ fn resolve_pins(sim: &Simulator, pins: &[String]) -> Result<Vec<NetId>, PatternE
         .collect()
 }
 
-/// One playback unit: `count` patterns of `cycles` cycles each, every
-/// state flattened `[pattern][cycle][pin]` over the set's one pin
-/// table. The chunker builds it from pulled patterns and a worker
-/// decodes it from unit bytes, each with the same checks — at most
-/// [`PASS`] patterns, no ragged pattern and aligned pulses — so
-/// [`play`] reads the pulse timeline from lane 0.
-struct Chunk {
-    count: usize,
-    cycles: usize,
-    states: Vec<PinState>,
+/// The planes of one (cycle, pin) position of a [`PatternBlock`]: bit
+/// `l` of each word belongs to lane `l` (see the module docs for the
+/// combination each [`PinState`] sets).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PinPlanes {
+    /// Lanes that drive the pin (`0`, `1` or `Z`).
+    pub drive: u64,
+    /// Lanes that compare the pin (`L` or `H`).
+    pub expect: u64,
+    /// Lanes that pulse the pin (`P`): every live lane or none.
+    pub pulse: u64,
+    /// The 1 of a driving or comparing lane (`1`, `Z` and `H`).
+    pub value: u64,
+    /// Lanes that release the pin (`Z`); each also drives a 1.
+    pub z: u64,
 }
 
-impl Chunk {
-    /// Appends a pattern whose rows have been checked against the
-    /// chunk's shape.
-    fn push(&mut self, p: &CyclePattern) {
-        self.count += 1;
-        for row in &p.cycles {
-            self.states.extend_from_slice(row);
+/// The state of each five-bit plane code (the discriminants); a
+/// block's checks keep every other code out, so those entries are
+/// never read.
+const STATE_OF_CODE: [PinState; 32] = {
+    let mut table = [PinState::DontCare; 32];
+    let states = [
+        PinState::Drive0,
+        PinState::Drive1,
+        PinState::DriveZ,
+        PinState::Pulse,
+        PinState::ExpectL,
+        PinState::ExpectH,
+    ];
+    let mut i = 0;
+    while i < states.len() {
+        table[states[i] as usize] = states[i];
+        i += 1;
+    }
+    table
+};
+
+/// Low bit of each byte of a word.
+const BYTE_LOW_BITS: u64 = 0x0101_0101_0101_0101;
+
+/// Multiplying [`BYTE_LOW_BITS`]-masked bytes by this moves the low bit
+/// of byte `j` to bit `56 + j`, with no carries in between.
+const GATHER_BYTES: u64 = 0x0102_0408_1020_4080;
+
+/// Bit `j` of byte `j`, for every byte of a word.
+const SPREAD_BITS: u64 = 0x8040_2010_0804_0201;
+
+impl PinPlanes {
+    fn words(self) -> [u64; 5] {
+        [self.drive, self.expect, self.pulse, self.value, self.z]
+    }
+
+    fn from_words([drive, expect, pulse, value, z]: [u64; 5]) -> Self {
+        PinPlanes {
+            drive,
+            expect,
+            pulse,
+            value,
+            z,
         }
     }
 
-    /// Checks that every lane pulses exactly where lane 0 does — clock
-    /// pulses are timeline events common to all lanes of a pass —
-    /// scanning cycles, then pins, and reporting the first misaligned
-    /// position.
-    fn check_pulses(&self, pins: usize) -> Result<(), PatternError> {
-        let stride = self.cycles * pins;
-        for at in 0..stride {
-            let pulse_lanes = (0..self.count)
-                .filter(|&l| self.states[l * stride + at] == PinState::Pulse)
-                .count();
-            if pulse_lanes != 0 && pulse_lanes != self.count {
+    /// Every lane's state code, eight lanes per word: byte `j` of word
+    /// `g` holds lane `8g + j`'s. The inverse of [`PinPlanes::gather`].
+    fn codes(self) -> [u64; 8] {
+        std::array::from_fn(|g| {
+            self.words().iter().enumerate().fold(0, |codes, (k, word)| {
+                // Byte `j` of the product is plane `k`'s lane byte; the
+                // mask keeps its bit `j`, and adding 0x7f moves any set
+                // bit to bit 7 without a carry.
+                let lanes = u64::from((word >> (8 * g)) as u8);
+                let bits =
+                    ((lanes * BYTE_LOW_BITS) & SPREAD_BITS).wrapping_add(0x7f * BYTE_LOW_BITS);
+                codes | (bits >> 7 & BYTE_LOW_BITS) << k
+            })
+        })
+    }
+
+    /// The planes of position `pin` over `rows`, lane `l` reading
+    /// `rows[l]`, eight lanes per step: their state codes are packed
+    /// into the bytes of one word, and one multiply per plane gathers
+    /// bit `k` of the eight bytes into eight lane bits of plane `k`.
+    fn gather(rows: &[&[PinState]], pin: usize) -> Self {
+        let mut words = [0u64; 5];
+        for (g, group) in rows.chunks_exact(8).enumerate() {
+            let codes = group.iter().enumerate().fold(0, |codes, (j, row)| {
+                codes | u64::from(row[pin] as u8) << (8 * j)
+            });
+            for (k, word) in words.iter_mut().enumerate() {
+                let lanes = ((codes >> k) & BYTE_LOW_BITS).wrapping_mul(GATHER_BYTES) >> 56;
+                *word |= lanes << (8 * g);
+            }
+        }
+        PinPlanes::from_words(words)
+    }
+
+    /// Why these planes are no [`PinState`] combination on `live`, if
+    /// they are not.
+    fn fault(self, live: u64) -> Option<&'static str> {
+        let PinPlanes {
+            drive,
+            expect,
+            pulse,
+            value,
+            z,
+        } = self;
+        if (drive | expect | pulse | value | z) & !live != 0 {
+            Some("bit past the live lanes")
+        } else if (drive & expect) | (drive & pulse) | (expect & pulse) != 0 {
+            Some("lane in two of drive, expect and pulse")
+        } else if value & !(drive | expect) != 0 {
+            Some("value bit without a drive or expect")
+        } else if z & !(drive & value) != 0 {
+            Some("Z bit without a driven 1")
+        } else {
+            None
+        }
+    }
+}
+
+/// The mask of lanes `0..lanes`, for `lanes` in `1..=64`.
+fn live_mask(lanes: usize) -> u64 {
+    u64::MAX >> (LANES - lanes)
+}
+
+/// One playback unit: `lanes` patterns (1 to 64) of `cycles` cycles
+/// over `pins` pins, as one [`PinPlanes`] per (cycle, pin) position in
+/// cycle-major order. The pin names live with the caller. Every
+/// constructor checks what the module docs list, so every block plays.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PatternBlock {
+    lanes: usize,
+    cycles: usize,
+    pins: usize,
+    planes: Vec<PinPlanes>,
+}
+
+impl PatternBlock {
+    /// A block from its planes, `planes[cycle * pins + pin]`.
+    ///
+    /// # Errors
+    ///
+    /// [`PatternError::Shape`] for a lane count outside `1..=64` or a
+    /// plane count other than `cycles * pins`; then, scanning positions
+    /// in (cycle, pin) order, [`PatternError::Planes`] for a combination
+    /// no [`PinState`] sets, and [`PatternError::Shape`] (`"batch pulse
+    /// alignment"`) for a pulse on some live lanes but not all.
+    pub fn from_planes(
+        lanes: usize,
+        cycles: usize,
+        pins: usize,
+        planes: Vec<PinPlanes>,
+    ) -> Result<Self, PatternError> {
+        if !(1..=PASS).contains(&lanes) {
+            return Err(PatternError::Shape {
+                context: "block lanes",
+                expected: PASS,
+                got: lanes,
+            });
+        }
+        if cycles.checked_mul(pins) != Some(planes.len()) {
+            return Err(PatternError::Shape {
+                context: "block planes",
+                expected: cycles.saturating_mul(pins),
+                got: planes.len(),
+            });
+        }
+        let live = live_mask(lanes);
+        for (at, p) in planes.iter().enumerate() {
+            if let Some(context) = p.fault(live) {
+                return Err(PatternError::Planes {
+                    context,
+                    cycle: at / pins,
+                    pin: at % pins,
+                });
+            }
+            // Clock pulses are timeline events common to all lanes.
+            if p.pulse != 0 && p.pulse != live {
                 return Err(PatternError::Shape {
                     context: "batch pulse alignment",
-                    expected: self.count,
-                    got: pulse_lanes,
+                    expected: lanes,
+                    got: p.pulse.count_ones() as usize,
                 });
             }
         }
-        Ok(())
+        Ok(PatternBlock {
+            lanes,
+            cycles,
+            pins,
+            planes,
+        })
     }
 
-    /// The unit bytes: the pattern count, then each pattern's cycle
-    /// count and states as STIL-style characters (the pin table lives
-    /// in the job).
-    fn encode(&self) -> Vec<u8> {
+    /// The block of `patterns`, pattern `l` on lane `l`, converted
+    /// column-wise: each position's planes gather from every pattern's
+    /// row at once ([`PinPlanes`]), with no branch on a state.
+    ///
+    /// # Errors
+    ///
+    /// [`PatternError::Shape`] for 0 or more than 64 patterns, a pattern
+    /// whose pin count (`"batch pin list"`), cycle count (`"batch cycle
+    /// count"`) or row width (`"cycle row"`) differs from the first's,
+    /// and a misaligned pulse, as [`PatternBlock::from_planes`].
+    pub fn from_patterns<P: Borrow<CyclePattern>>(patterns: &[P]) -> Result<Self, PatternError> {
+        let lanes = patterns.len();
+        let Some(first) = patterns.first().filter(|_| lanes <= PASS) else {
+            return Err(PatternError::Shape {
+                context: "block lanes",
+                expected: PASS,
+                got: lanes,
+            });
+        };
+        let (pins, cycles) = (first.borrow().pins.len(), first.borrow().cycles.len());
+        for p in patterns {
+            check_shape(p.borrow(), pins, cycles)?;
+        }
+        let planes = transpose(patterns, pins, cycles);
+        PatternBlock::from_planes(lanes, cycles, pins, planes)
+    }
+
+    /// The block's patterns, lane by lane, each holding a clone of the
+    /// `pins` table.
+    ///
+    /// # Errors
+    ///
+    /// [`PatternError::Shape`] (`"batch pin list"`) when `pins` is not
+    /// as wide as the block.
+    pub fn to_patterns(&self, pins: &Arc<[String]>) -> Result<Vec<CyclePattern>, PatternError> {
+        if pins.len() != self.pins {
+            return Err(PatternError::Shape {
+                context: "batch pin list",
+                expected: self.pins,
+                got: pins.len(),
+            });
+        }
+        let codes: Vec<[u64; 8]> = self.planes.iter().map(|p| p.codes()).collect();
+        Ok((0..self.lanes)
+            .map(|lane| {
+                let (group, shift) = (lane / 8, 8 * (lane % 8));
+                let state = |codes: &[u64; 8]| STATE_OF_CODE[(codes[group] >> shift & 31) as usize];
+                CyclePattern {
+                    pins: Arc::clone(pins),
+                    cycles: (0..self.cycles)
+                        .map(|c| {
+                            codes[c * self.pins..][..self.pins]
+                                .iter()
+                                .map(state)
+                                .collect()
+                        })
+                        .collect(),
+                }
+            })
+            .collect())
+    }
+
+    /// Patterns in the block, one per lane.
+    #[must_use]
+    pub fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    /// Cycles of every pattern in the block.
+    #[must_use]
+    pub fn cycles(&self) -> usize {
+        self.cycles
+    }
+
+    /// The planes of cycle `c`, one per pin.
+    fn row(&self, c: usize) -> &[PinPlanes] {
+        &self.planes[c * self.pins..][..self.pins]
+    }
+
+    /// The block's wire bytes, the unit of a playback job and the result
+    /// of a JPEG generation block: the lane and cycle counts (the pin
+    /// count lives in the job), then per position in (cycle, pin) order
+    /// a presence byte, bit `k` set when plane `k` (drive, expect,
+    /// pulse, value, Z) is non-zero, followed by those planes' words.
+    #[must_use]
+    pub fn encode(&self) -> Vec<u8> {
         let mut w = wire::WireWriter::new();
-        w.reserve(8 * (1 + self.count) + self.states.len());
-        w.put_usize(self.count);
-        let stride = self.states.len() / self.count.max(1);
-        for lane in 0..self.count {
-            w.put_usize(self.cycles);
-            for state in &self.states[lane * stride..][..stride] {
-                w.put_u8(state.to_char() as u8);
-            }
+        w.reserve(16 + 9 * self.planes.len());
+        w.put_usize(self.lanes);
+        w.put_usize(self.cycles);
+        for p in &self.planes {
+            let words = p.words();
+            let presence = words
+                .iter()
+                .enumerate()
+                .fold(0, |bits, (k, &word)| bits | u8::from(word != 0) << k);
+            w.put_u8(presence);
+            words
+                .iter()
+                .filter(|&&word| word != 0)
+                .for_each(|&word| w.put_u64(word));
         }
         w.finish()
     }
 
-    /// Decodes the unit bytes of a job over `pins` pins, with the
-    /// chunker's checks plus known state bytes. It reserves no more
-    /// states than the unit's remaining bytes can hold.
-    fn decode(unit: &[u8], pins: usize) -> Result<Chunk, String> {
-        let fail = |e: wire::WireError| format!("pattern unit: {e}");
-        let mut r = wire::WireReader::new(unit);
-        let count = r.get_count("pattern count", 8).map_err(fail)?;
-        if count > PASS {
-            return Err(format!(
-                "pattern unit has {count} patterns, a pass holds {PASS}"
-            ));
-        }
-        let mut chunk = Chunk {
-            count,
-            cycles: 0,
-            states: Vec::with_capacity(r.remaining()),
-        };
-        for lane in 0..count {
-            let cycles = r.get_count("pattern cycles", pins).map_err(fail)?;
-            // The player walks every pattern over the first one's
-            // timeline, so a ragged chunk would index out of bounds.
-            if lane == 0 {
-                chunk.cycles = cycles;
-            } else if cycles != chunk.cycles {
-                return Err(format!(
-                    "pattern unit is ragged: {cycles} cycles vs {} in pattern 0",
-                    chunk.cycles
-                ));
+    /// Decodes [`PatternBlock::encode`]'s bytes for a `pins`-pin job,
+    /// with [`PatternBlock::from_planes`]'s checks; a present plane
+    /// must be non-zero, so every block has one encoding. It reserves
+    /// no more positions than the bytes left can hold, one byte each.
+    ///
+    /// # Errors
+    ///
+    /// [`PatternError::Wire`] on truncated, corrupt or trailing bytes,
+    /// and every error of [`PatternBlock::from_planes`].
+    pub fn decode(bytes: &[u8], pins: usize) -> Result<Self, PatternError> {
+        let mut r = wire::WireReader::new(bytes);
+        let lanes = r.get_usize("block lanes")?;
+        let cycles = r.get_count("block cycles", pins)?;
+        let mut planes = Vec::with_capacity(cycles * pins);
+        for _ in 0..cycles * pins {
+            let presence = r.get_u8("block presence byte")?;
+            if presence >> 5 != 0 {
+                return Err(corrupt("block presence byte"));
             }
-            for _ in 0..cycles * pins {
-                let b = r.get_u8("pattern state").map_err(fail)?;
-                let state = PinState::from_char(char::from(b))
-                    .ok_or_else(|| format!("invalid pattern state byte {b:#04x}"))?;
-                chunk.states.push(state);
+            let mut words = [0u64; 5];
+            for (k, word) in words.iter_mut().enumerate() {
+                if presence >> k & 1 == 1 {
+                    *word = r.get_u64("block plane")?;
+                    if *word == 0 {
+                        return Err(corrupt("block plane"));
+                    }
+                }
             }
+            planes.push(PinPlanes::from_words(words));
         }
-        r.finish().map_err(fail)?;
-        chunk.check_pulses(pins).map_err(|e| e.to_string())?;
-        Ok(chunk)
+        r.finish()?;
+        PatternBlock::from_planes(lanes, cycles, pins, planes)
     }
 }
 
-/// The player: plays `chunk`, one pattern per simulation lane, from the
+/// The planes of `patterns`, which all have `cycles` rows of `pins`
+/// states, pattern `l` on lane `l`.
+fn transpose<P: Borrow<CyclePattern>>(
+    patterns: &[P],
+    pins: usize,
+    cycles: usize,
+) -> Vec<PinPlanes> {
+    // Lanes past the last pattern read a blank row, which sets no bit.
+    let blank = vec![PinState::DontCare; pins];
+    let mut rows = [blank.as_slice(); PASS];
+    let groups = patterns.len().div_ceil(8) * 8;
+    let mut planes = Vec::with_capacity(cycles * pins);
+    for c in 0..cycles {
+        for (row, p) in rows.iter_mut().zip(patterns) {
+            *row = &p.borrow().cycles[c];
+        }
+        let rows = &rows[..groups];
+        planes.extend((0..pins).map(|pin| PinPlanes::gather(rows, pin)));
+    }
+    planes
+}
+
+fn corrupt(context: &'static str) -> PatternError {
+    PatternError::Wire(wire::WireError::Corrupt { context })
+}
+
+/// Checks that `p` has `pins` pins and `cycles` rows of `pins` states.
+fn check_shape(p: &CyclePattern, pins: usize, cycles: usize) -> Result<(), PatternError> {
+    let shape = |context, expected, got| {
+        if expected == got {
+            Ok(())
+        } else {
+            Err(PatternError::Shape {
+                context,
+                expected,
+                got,
+            })
+        }
+    };
+    shape("batch pin list", pins, p.pins.len())?;
+    shape("batch cycle count", cycles, p.cycles.len())?;
+    p.cycles
+        .iter()
+        .try_for_each(|row| shape("cycle row", pins, row.len()))
+}
+
+/// Per-lane counts kept bit-sliced: word `k` holds bit `k` of every
+/// lane's count, so counting one for a set of lanes is a ripple-carry
+/// add of one word, however many lanes it holds.
+struct LaneCounts([u64; 64]);
+
+impl LaneCounts {
+    fn add(&mut self, lanes: u64) {
+        let mut carry = lanes;
+        for bit in &mut self.0 {
+            if carry == 0 {
+                break;
+            }
+            (*bit, carry) = (*bit ^ carry, *bit & carry);
+        }
+    }
+
+    fn get(&self, lane: usize) -> u64 {
+        self.0
+            .iter()
+            .enumerate()
+            .fold(0, |count, (k, bits)| count | (bits >> lane & 1) << k)
+    }
+}
+
+/// The player: plays `block`, one pattern per simulation lane, from the
 /// state `sim` is currently in, and returns one report per pattern in
-/// chunk order. The in-thread unit and the worker both play through it.
+/// lane order. The in-thread unit and the worker both play through it.
+/// Each cycle drives every pin with one select over its drive plane,
+/// pulses the pins whose pulse plane is set, and compares every pin
+/// with one mismatch mask, `expect & (unknowns | (ones ^ value))`.
 fn play(
     sim: &mut Simulator<PLAYBACK_LANE_GROUPS>,
     nets: &[NetId],
     pins: &[String],
-    chunk: &Chunk,
+    block: &PatternBlock,
 ) -> Result<Vec<MismatchReport>, PatternError> {
-    use steac_sim::packed::{mask_any, mask_bit, mask_none, mask_set_bit};
-
-    let lanes = chunk.count;
-    let stride = chunk.cycles * nets.len();
-    let state = |l: usize, at: usize| chunk.states[l * stride + at];
-    let mut reports: Vec<MismatchReport> = vec![MismatchReport::default(); lanes];
-    for ci in 0..chunk.cycles {
-        let row = ci * nets.len();
-        // Drive phase: build one packed word per pin; lanes that
-        // don't drive this cycle keep their previous value.
-        let mut pulses = Vec::new();
-        for (pi, &net) in nets.iter().enumerate() {
-            // The chunk's check proved every lane pulses where lane 0 does.
-            if state(0, row + pi) == PinState::Pulse {
+    // Lanes beyond the block follow lane 0, so spare lanes never
+    // oscillate differently from real ones.
+    let spare = !live_mask(block.lanes);
+    let mut reports = vec![MismatchReport::default(); block.lanes];
+    let mut compares = LaneCounts([0; 64]);
+    let mut pulses = Vec::new();
+    for ci in 0..block.cycles {
+        let row = block.row(ci);
+        pulses.clear();
+        for (&net, p) in nets.iter().zip(row) {
+            // The block's checks proved a pulse covers every live lane.
+            if p.pulse != 0 {
                 sim.set(net, Logic::Zero);
                 pulses.push(net);
-                continue;
-            }
-            let mut driven = PackedLogic::<PLAYBACK_LANE_GROUPS>::ALL_X;
-            let mut drive_mask = mask_none::<PLAYBACK_LANE_GROUPS>();
-            for l in 0..lanes {
-                if let Some(v) = state(l, row + pi).drive() {
-                    driven.set_lane(l, v);
-                    mask_set_bit(&mut drive_mask, l);
-                }
-            }
-            if mask_any(&drive_mask) {
-                // Lanes beyond the chunk follow lane 0 so spare lanes
-                // never oscillate differently from real ones.
-                if lanes < PASS && mask_bit(&drive_mask, 0) {
-                    let v0 = driven.lane(0);
-                    for l in lanes..PASS {
-                        driven.set_lane(l, v0);
-                        mask_set_bit(&mut drive_mask, l);
-                    }
-                }
-                let merged = driven.select(sim.get_packed(net), drive_mask);
+            } else if p.drive != 0 {
+                let follow = (p.drive & 1).wrapping_neg() & spare;
+                let spread = |word: u64| word | ((word & 1).wrapping_neg() & follow);
+                let driven = PackedLogic {
+                    ones: [spread(p.value)],
+                    unknowns: [spread(p.z)],
+                };
+                let merged = driven.select(sim.get_packed(net), [p.drive | follow]);
                 sim.set_packed(net, merged);
             }
         }
         sim.settle()?;
-        // Clock phase.
         if !pulses.is_empty() {
             sim.clock_cycle_multi(&pulses)?;
         }
-        // Compare phase, per lane.
-        for (pi, &net) in nets.iter().enumerate() {
-            let packed = sim.get_packed(net);
-            for (l, report) in reports.iter_mut().enumerate() {
-                if let Some(expected) = state(l, row + pi).expect() {
-                    report.compares += 1;
-                    // An unknown never equals the expected 0 or 1.
-                    let observed = packed.lane(l);
-                    if observed != expected {
-                        report.mismatches.push((
-                            ci,
-                            pins[pi].clone(),
-                            PinState::from_expect(expected).to_char(),
-                            observed.to_char(),
-                        ));
-                    }
-                }
+        for ((&net, pin), p) in nets.iter().zip(pins).zip(row) {
+            if p.expect == 0 {
+                continue;
+            }
+            compares.add(p.expect);
+            let observed = sim.get_packed(net);
+            // An unknown never equals the expected 0 or 1.
+            let mut failed = p.expect & (observed.unknowns[0] | (observed.ones[0] ^ p.value));
+            while failed != 0 {
+                let lane = failed.trailing_zeros() as usize;
+                failed &= failed - 1;
+                let expected = if p.value >> lane & 1 == 1 { 'H' } else { 'L' };
+                reports[lane].mismatches.push((
+                    ci,
+                    pin.clone(),
+                    expected,
+                    observed.lane(lane).to_char(),
+                ));
             }
         }
+    }
+    for (lane, report) in reports.iter_mut().enumerate() {
+        report.compares = compares.get(lane);
     }
     Ok(reports)
 }
 
 /// The lane-group width of cycle playback: one group, so every pass
-/// plays 64 patterns, on every backend and in every call. Playback is
-/// settle-bound, not compare-bound: wide words only pay off when most
-/// lanes carry work per instruction, which fault grading guarantees
-/// and playback does not. BENCH_10 records 118.7k JPEG patterns/s at 64
-/// lanes against 108.1k at [`steac_sim::DEFAULT_LANE_GROUPS`] (256
-/// lanes), and a serial probe of 16,384 JPEG patterns on a 2-core box
-/// (5 alternating repetitions) read 112–131k, 108–127k, 95–112k and
-/// 104–108k patterns/s at 64, 128, 256 and 512 lanes. Grading keeps
+/// plays one 64-pattern block, on every backend and in every call.
+/// Playback is settle-bound, not compare-bound: wide words only pay off
+/// when most lanes carry work per instruction, which fault grading
+/// guarantees and playback does not. These numbers come from the
+/// per-lane player that preceded the word-wise one: BENCH_10 records
+/// 118.7k JPEG patterns/s at 64 lanes against 108.1k at
+/// [`steac_sim::DEFAULT_LANE_GROUPS`] (256 lanes), and a serial probe
+/// of 16,384 JPEG patterns on a 2-core box (5 alternating repetitions)
+/// read 112–131k, 108–127k, 95–112k and 104–108k patterns/s at 64,
+/// 128, 256 and 512 lanes. Grading keeps
 /// [`steac_sim::DEFAULT_LANE_GROUPS`].
 pub const PLAYBACK_LANE_GROUPS: usize = 1;
 
-/// Patterns per playback pass and chunk: one per simulation lane.
+/// Patterns per playback pass and block: one per simulation lane.
 const PASS: usize = LANES * PLAYBACK_LANE_GROUPS;
 
 /// Plays cycle patterns one per simulation lane — 64 patterns per pass
@@ -520,18 +834,19 @@ const PASS: usize = LANES * PLAYBACK_LANE_GROUPS;
 /// [`MismatchReport`] per pattern — the batched ATE playback path (a
 /// tester floor applying the same timing program to many dies at
 /// once). This is [`stream_cycle_patterns`] over the borrowed batch,
-/// collecting the reports; chunks dispatch on `exec` — inline, across
+/// collecting the reports; blocks dispatch on `exec` — inline, across
 /// cores or across `steac-worker` processes — and the reports are
 /// byte-identical on every backend.
 ///
 /// All patterns of a batch must share the *shape* that fixes the timing
 /// program: the same pin list, the same cycle count, and `P` (pulse) on
-/// the same pins in the same cycles — clock pulses are timeline events
-/// common to all lanes. Drive values and compare positions may differ
-/// freely per pattern. Patterns are validated in pattern order, so of
-/// several defects the lowest-indexed pattern's wins.
+/// the same pins in the same cycles within each 64-pattern block —
+/// clock pulses are timeline events common to all lanes. Drive values
+/// and compare positions may differ freely per pattern. Patterns are
+/// validated in pattern order, so of several defects the
+/// lowest-indexed pattern's wins.
 ///
-/// Every chunk plays on a worker-local clone of `sim`, reset to the
+/// Every block plays on a worker-local clone of `sim`, reset to the
 /// all-`X` state first, so every pattern observes power-on semantics
 /// (reset your patterns' preambles accordingly); forces applied to `sim`
 /// (fault injection) carry into every clone — including across the wire
@@ -542,7 +857,7 @@ const PASS: usize = LANES * PLAYBACK_LANE_GROUPS;
 /// Returns [`PatternError::Shape`] when pin lists, cycle counts or pulse
 /// positions disagree, [`PatternError::UnknownPin`] for pins missing on
 /// the module, and propagates simulator errors (lowest-indexed failing
-/// chunk, deterministically). Shipped-batch failures surface as
+/// block, deterministically). Shipped-batch failures surface as
 /// [`steac_sim::SimError::Worker`] wrapped in [`PatternError::Sim`]
 /// under [`steac_sim::Fallback::Fail`], and are otherwise recomputed
 /// in-thread (counted on the `Exec`).
@@ -561,7 +876,7 @@ pub fn apply_cycle_patterns_batch(
 
 /// Bookkeeping of a streaming playback run — the reports themselves
 /// were handed to the sink, one per pattern, in pattern order, as
-/// chunks finished. The verdict-bearing stream is backend-invariant
+/// blocks finished. The verdict-bearing stream is backend-invariant
 /// and byte-identical to [`apply_cycle_patterns_batch`] on the same
 /// patterns; only `process_fallbacks` reflects how the run went.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -577,16 +892,16 @@ pub struct StreamPlayback {
 /// Plays cycle patterns **as they are produced**, without ever
 /// materializing the set. Patterns — owned or borrowed — are pulled
 /// from `patterns` (typically the receiving end of a bounded channel
-/// fed by a generating dispatch), validated incrementally, grouped into
-/// 64-pattern chunks, and dispatched through [`Exec::dispatch`]; `sink`
-/// receives one [`MismatchReport`] per pattern, **strictly in pattern
-/// order**, byte-identical on every backend. Peak memory follows the
-/// pipeline depth (a bounded window of chunks in flight), never the
-/// stream length.
+/// fed by a generating dispatch), validated incrementally, converted
+/// into 64-pattern [`PatternBlock`]s, and played through
+/// [`stream_pattern_blocks`]; `sink` receives one [`MismatchReport`]
+/// per pattern, **strictly in pattern order**, byte-identical on every
+/// backend. Peak memory follows the pipeline depth (a bounded window of
+/// blocks in flight), never the stream length.
 ///
-/// The first pattern fixes the shape — pin list, cycle count, pulse
-/// timeline — and every later pattern is checked against it as it is
-/// pulled, raising the typed [`PatternError::Shape`] values
+/// The first pattern fixes the shape — pin list, cycle count — and
+/// every later pattern is checked against it as it is pulled, raising
+/// the typed [`PatternError::Shape`] values
 /// [`apply_cycle_patterns_batch`] documents.
 ///
 /// # Errors
@@ -594,12 +909,12 @@ pub struct StreamPlayback {
 /// Everything [`apply_cycle_patterns_batch`] raises, with streaming
 /// delivery semantics: the sink has already received an in-order
 /// prefix of the reports when an error surfaces (a mid-stream shape
-/// violation truncates the stream at the offending pattern's chunk).
+/// violation truncates the stream at the offending pattern).
 pub fn stream_cycle_patterns<P, I, S>(
     exec: &Exec,
     sim: &Simulator,
     mut patterns: I,
-    mut sink: S,
+    sink: S,
 ) -> Result<StreamPlayback, PatternError>
 where
     P: Borrow<CyclePattern> + Send + Sync,
@@ -612,34 +927,101 @@ where
         return Ok(StreamPlayback::default());
     };
     let pins = Arc::clone(&first.borrow().pins);
-    // A mid-stream shape violation cannot surface through the unit
-    // iterator (units are infallible values), so the chunker records it
-    // here and truncates the stream; checked after dispatch drains.
-    let poisoned = Mutex::new(None);
-    let mut feed = ValidatedChunks {
+    let cycles = first.borrow().cycles.len();
+    // The head's rows are checked like every later pattern's.
+    check_shape(first.borrow(), pins.len(), cycles)?;
+    let chunks = Chunker {
         patterns,
         pins: &pins,
-        cycles: first.borrow().cycles.len(),
-        pending: None,
-        poisoned: &poisoned,
-        done: false,
+        cycles,
+        pending: Some(first),
+        failed: None,
     };
-    // The head's rows are checked like every later pattern's.
-    feed.check(first.borrow())?;
-    feed.pending = Some(first);
-    let nets = resolve_pins(sim, &pins)?;
-    let work = PlaybackWork::new(sim, &pins, &nets);
+    dispatch_blocks(exec, sim, &pins, chunks, sink)
+}
+
+/// Plays [`PatternBlock`]s over the pin table `pins` **as they are
+/// produced** — the one block-streaming dispatch, which
+/// [`stream_cycle_patterns`] feeds with converted patterns and a
+/// generator can feed directly. Blocks are pulled from `blocks`,
+/// dispatched through [`Exec::dispatch`], and `sink` receives one
+/// [`MismatchReport`] per lane, strictly in block and lane order,
+/// byte-identical on every backend, with the memory bound and
+/// power-on semantics of [`stream_cycle_patterns`].
+///
+/// # Errors
+///
+/// [`PatternError::UnknownPin`] for pins missing on the module,
+/// [`PatternError::Shape`] for a block as wide as `pins` is not
+/// (`"batch pin list"`) or of another cycle count than the first
+/// (`"batch cycle count"`), truncating the stream there, and the
+/// dispatch errors [`apply_cycle_patterns_batch`] documents.
+pub fn stream_pattern_blocks<I, S>(
+    exec: &Exec,
+    sim: &Simulator,
+    pins: &[String],
+    blocks: I,
+    sink: S,
+) -> Result<StreamPlayback, PatternError>
+where
+    I: Iterator<Item = PatternBlock> + Send,
+    S: FnMut(MismatchReport),
+{
+    let width = pins.len();
+    let mut cycles = None;
+    let checked = blocks.map(move |block| {
+        let want = *cycles.get_or_insert(block.cycles);
+        if block.pins != width {
+            Err(PatternError::Shape {
+                context: "batch pin list",
+                expected: width,
+                got: block.pins,
+            })
+        } else if block.cycles != want {
+            Err(PatternError::Shape {
+                context: "batch cycle count",
+                expected: want,
+                got: block.cycles,
+            })
+        } else {
+            Ok(block)
+        }
+    });
+    dispatch_blocks(exec, sim, pins, checked, sink)
+}
+
+/// The block dispatch behind both streaming entry points. A failed
+/// block cannot surface through the unit iterator (units are
+/// infallible values), so the first failure is recorded here and ends
+/// the stream; it is returned once the dispatch drains, unless a
+/// dispatch error — always at a lower index — comes first.
+fn dispatch_blocks<I, S>(
+    exec: &Exec,
+    sim: &Simulator,
+    pins: &[String],
+    blocks: I,
+    mut sink: S,
+) -> Result<StreamPlayback, PatternError>
+where
+    I: Iterator<Item = Result<PatternBlock, PatternError>> + Send,
+    S: FnMut(MismatchReport),
+{
+    let nets = resolve_pins(sim, pins)?;
+    let work = PlaybackWork::new(sim, pins, &nets);
+    let failed = Mutex::new(None);
+    let units = blocks.map_while(|block| {
+        block
+            .map_err(|e| *failed.lock().expect("no panics hold the lock") = Some(e))
+            .ok()
+    });
     let mut delivered = 0usize;
-    let dispatched = exec.dispatch(&work, feed, |reports: Vec<MismatchReport>| {
+    let dispatched = exec.dispatch(&work, units, |reports: Vec<MismatchReport>| {
         for report in reports {
             sink(report);
             delivered += 1;
         }
-    });
-    // A dispatch error always precedes the truncation point, so it is
-    // the lower-indexed failure and wins over a validation poison.
-    let dispatched = dispatched?;
-    if let Some(e) = poisoned.into_inner().expect("no panics hold the lock") {
+    })?;
+    if let Some(e) = failed.into_inner().expect("no panics hold the lock") {
         return Err(e);
     }
     Ok(StreamPlayback {
@@ -648,100 +1030,58 @@ where
     })
 }
 
-/// The chunker/validator: flattens pulled patterns into [`PASS`]-pattern
-/// [`Chunk`]s, checking each pattern against the shape the first
-/// pattern fixed and each chunk's pulse alignment — *before* any
+/// The chunker: converts pulled patterns into [`PASS`]-pattern
+/// [`PatternBlock`]s, checking each pattern against the shape the first
+/// pattern fixed and each block's pulse alignment — *before* any
 /// simulation, so a shape-invalid pattern raises the same typed
-/// [`PatternError::Shape`] whether its chunk would have played
-/// in-thread or shipped to a worker. The first violation poisons the
-/// shared cell and ends the stream.
-struct ValidatedChunks<'a, I, P> {
+/// [`PatternError::Shape`] whether its block would have played
+/// in-thread or shipped to a worker. A pattern that fails its check
+/// ends the block before it, and its error follows that block.
+struct Chunker<'a, I, P> {
     patterns: I,
     pins: &'a Arc<[String]>,
     cycles: usize,
     pending: Option<P>,
-    poisoned: &'a Mutex<Option<PatternError>>,
-    done: bool,
+    failed: Option<PatternError>,
 }
 
-impl<I, P> ValidatedChunks<'_, I, P> {
-    fn check(&self, p: &CyclePattern) -> Result<(), PatternError> {
-        // `Arc` equality tries the pointer first, so for the patterns of
-        // one set this compares no names.
-        if p.pins != *self.pins {
-            return Err(PatternError::Shape {
-                context: "batch pin list",
-                expected: self.pins.len(),
-                got: p.pins.len(),
-            });
-        }
-        if p.cycles.len() != self.cycles {
-            return Err(PatternError::Shape {
-                context: "batch cycle count",
-                expected: self.cycles,
-                got: p.cycles.len(),
-            });
-        }
-        for row in &p.cycles {
-            if row.len() != self.pins.len() {
-                return Err(PatternError::Shape {
-                    context: "cycle row",
-                    expected: self.pins.len(),
-                    got: row.len(),
-                });
-            }
-        }
-        Ok(())
-    }
+impl<I: Iterator<Item = P>, P: Borrow<CyclePattern>> Iterator for Chunker<'_, I, P> {
+    type Item = Result<PatternBlock, PatternError>;
 
-    fn poison(&mut self, e: PatternError) {
-        *self.poisoned.lock().expect("no panics hold the lock") = Some(e);
-        self.done = true;
-    }
-}
-
-impl<I: Iterator<Item = P>, P: Borrow<CyclePattern>> Iterator for ValidatedChunks<'_, I, P> {
-    type Item = Chunk;
-
-    fn next(&mut self) -> Option<Chunk> {
-        if self.done {
-            return None;
-        }
-        let mut chunk = Chunk {
-            count: 0,
-            cycles: self.cycles,
-            states: Vec::new(),
-        };
-        if let Some(p) = self.pending.take() {
-            chunk.push(p.borrow());
-        }
-        while chunk.count < PASS {
+    fn next(&mut self) -> Option<Self::Item> {
+        let mut batch: Vec<P> = Vec::with_capacity(PASS);
+        batch.extend(self.pending.take());
+        while self.failed.is_none() && batch.len() < PASS {
             let Some(p) = self.patterns.next() else {
-                self.done = true;
                 break;
             };
-            if let Err(e) = self.check(p.borrow()) {
-                self.poison(e);
-                break;
+            // `Arc` equality tries the pointer first, so for the patterns
+            // of one set this compares no names.
+            let checked = if p.borrow().pins == *self.pins {
+                check_shape(p.borrow(), self.pins.len(), self.cycles)
+            } else {
+                Err(PatternError::Shape {
+                    context: "batch pin list",
+                    expected: self.pins.len(),
+                    got: p.borrow().pins.len(),
+                })
+            };
+            match checked {
+                Ok(()) => batch.push(p),
+                Err(e) => self.failed = Some(e),
             }
-            chunk.push(p.borrow());
         }
-        if chunk.count == 0 {
-            return None;
+        if batch.is_empty() {
+            return self.failed.take().map(Err);
         }
-        if let Err(e) = chunk.check_pulses(self.pins.len()) {
-            // The offending chunk is rejected whole, before it plays.
-            self.poison(e);
-            return None;
-        }
-        Some(chunk)
+        Some(PatternBlock::from_patterns(&batch))
     }
 }
 
-/// The [`ExecWork`] description of playback: one unit per [`Chunk`] of
-/// up to [`PASS`] patterns, a job block carrying the compiled program +
-/// pin bindings + force state, and per-chunk [`MismatchReport`] lists
-/// as unit results.
+/// The [`ExecWork`] description of playback: one unit per
+/// [`PatternBlock`], a job block carrying the compiled program + pin
+/// bindings + force state, and per-block [`MismatchReport`] lists as
+/// unit results.
 struct PlaybackWork<'a> {
     sim: &'a Simulator,
     forces: Vec<(NetId, u64, PackedLogic<1>)>,
@@ -768,7 +1108,7 @@ impl<'a> PlaybackWork<'a> {
 }
 
 impl ExecWork for PlaybackWork<'_> {
-    type Unit = Chunk;
+    type Unit = PatternBlock;
     type Output = Vec<MismatchReport>;
     type Error = PatternError;
 
@@ -780,26 +1120,30 @@ impl ExecWork for PlaybackWork<'_> {
         encode_playback_job(self.sim.program(), self.pins, self.nets, &self.forces)
     }
 
-    fn encode_unit(&self, unit: &Chunk) -> Vec<u8> {
+    fn encode_unit(&self, unit: &PatternBlock) -> Vec<u8> {
         unit.encode()
     }
 
-    fn run_unit_local(&self, unit: &Chunk) -> Result<Vec<MismatchReport>, PatternError> {
+    fn run_unit_local(&self, unit: &PatternBlock) -> Result<Vec<MismatchReport>, PatternError> {
         let mut wsim = Simulator::from_program(self.sim.program_arc().clone());
         wsim.import_forces_replicated(&self.forces);
         play(&mut wsim, self.nets, self.pins, unit)
     }
 
-    fn decode_result(&self, unit: &Chunk, bytes: &[u8]) -> Result<Vec<MismatchReport>, String> {
+    fn decode_result(
+        &self,
+        unit: &PatternBlock,
+        bytes: &[u8],
+    ) -> Result<Vec<MismatchReport>, String> {
         let reports = decode_reports(bytes).map_err(|e| format!("result: {e}"))?;
         // One report per pattern, positionally: a miscounted result
         // would misattribute every later report, so it is rejected like
         // any other malformed worker result.
-        if reports.len() != unit.count {
+        if reports.len() != unit.lanes {
             return Err(format!(
                 "result has {} reports for {} patterns",
                 reports.len(),
-                unit.count
+                unit.lanes
             ));
         }
         Ok(reports)
@@ -809,7 +1153,7 @@ impl ExecWork for PlaybackWork<'_> {
 // ---------- wire codecs + worker-side job ----------
 
 /// Work-unit kind the worker-side job registry routes to
-/// [`open_wire_job`]: one playback chunk of up to 64 patterns.
+/// [`open_wire_job`]: one [`PatternBlock`] of up to 64 patterns.
 pub const WIRE_KIND: u16 = 2;
 
 /// Job block: compiled program, pin bindings (name + net) and the
@@ -879,8 +1223,8 @@ fn decode_reports(bytes: &[u8]) -> Result<Vec<MismatchReport>, wire::WireError> 
 }
 
 /// An opened playback job inside a worker process. Each unit decodes
-/// into a [`Chunk`] — never a [`CyclePattern`] — and plays through the
-/// same [`play`] as the in-thread path.
+/// into a [`PatternBlock`] — never a [`CyclePattern`] — and plays
+/// through the same [`play`] as the in-thread path.
 struct PlaybackJob {
     sim: Simulator<PLAYBACK_LANE_GROUPS>,
     pins: Vec<String>,
@@ -889,10 +1233,10 @@ struct PlaybackJob {
 
 impl shard::WireJob for PlaybackJob {
     fn run_unit(&mut self, unit: &[u8]) -> Result<Vec<u8>, String> {
-        let chunk = Chunk::decode(unit, self.pins.len())?;
+        let block = PatternBlock::decode(unit, self.pins.len()).map_err(|e| e.to_string())?;
         let mut wsim = self.sim.clone();
         wsim.reset_to_x();
-        let reports = play(&mut wsim, &self.nets, &self.pins, &chunk).map_err(|e| e.to_string())?;
+        let reports = play(&mut wsim, &self.nets, &self.pins, &block).map_err(|e| e.to_string())?;
         Ok(encode_reports(&reports))
     }
 }
@@ -953,17 +1297,19 @@ mod tests {
         Exec::from_env()
     }
 
+    const ALL_STATES: [PinState; 7] = [
+        PinState::Drive0,
+        PinState::Drive1,
+        PinState::DriveZ,
+        PinState::DontCare,
+        PinState::Pulse,
+        PinState::ExpectL,
+        PinState::ExpectH,
+    ];
+
     #[test]
     fn char_round_trip() {
-        for s in [
-            PinState::Drive0,
-            PinState::Drive1,
-            PinState::DriveZ,
-            PinState::DontCare,
-            PinState::Pulse,
-            PinState::ExpectL,
-            PinState::ExpectH,
-        ] {
+        for s in ALL_STATES {
             assert_eq!(PinState::from_char(s.to_char()), Some(s));
         }
         assert_eq!(PinState::from_char('q'), None);
@@ -1133,27 +1479,12 @@ mod tests {
     }
 
     /// Sharded playback returns the same reports, in the same order, at
-    /// every thread count (the merge-by-chunk-index contract), including
-    /// batches spanning several chunks.
+    /// every thread count (the merge-by-block-index contract), including
+    /// batches spanning several blocks.
     #[test]
     fn batch_player_is_thread_count_invariant() {
-        use Logic::{One, Zero};
         let m = flop_module();
-        let patterns: Vec<CyclePattern> = (0..150u32)
-            .map(|i| {
-                let bits: Vec<Logic> = (0..4)
-                    .map(|k| if (i >> (k % 5)) & 1 == 1 { One } else { Zero })
-                    .collect();
-                let mut p = flop_pattern(&bits);
-                if i == 77 {
-                    // One deliberately failing pattern, to exercise the
-                    // mismatch merge too.
-                    p.cycles[2][2] = PinState::ExpectH;
-                    p.cycles[2][0] = PinState::Drive0;
-                }
-                p
-            })
-            .collect();
+        let patterns = flop_set(&[77]);
         let refs: Vec<&CyclePattern> = patterns.iter().collect();
         let sim: Simulator = Simulator::new(&m).unwrap();
         let baseline = apply_cycle_patterns_batch(&Exec::serial(), &sim, &refs).unwrap();
@@ -1165,64 +1496,263 @@ mod tests {
         }
     }
 
-    /// Unit bytes assembled by hand in the kind-2 layout: the pattern
-    /// count, then each pattern's cycle count and state characters.
-    fn hand_unit(patterns: &[&CyclePattern]) -> Vec<u8> {
-        let mut w = wire::WireWriter::new();
-        w.put_usize(patterns.len());
-        for p in patterns {
-            w.put_usize(p.cycles.len());
-            for row in &p.cycles {
-                for state in row {
-                    w.put_u8(state.to_char() as u8);
+    /// 150 four-cycle flop patterns; the patterns in `failing` expect
+    /// `H` in cycle 2 after driving a 0, so they fail there.
+    fn flop_set(failing: &[usize]) -> Vec<CyclePattern> {
+        use Logic::{One, Zero};
+        (0..150usize)
+            .map(|i| {
+                let bits: Vec<Logic> = (0..4)
+                    .map(|k| if (i >> (k % 5)) & 1 == 1 { One } else { Zero })
+                    .collect();
+                let mut p = flop_pattern(&bits);
+                if failing.contains(&i) {
+                    p.cycles[2][2] = PinState::ExpectH;
+                    p.cycles[2][0] = PinState::Drive0;
                 }
-            }
+                p
+            })
+            .collect()
+    }
+
+    /// The six states that need no alignment across lanes.
+    const UNPULSED: [PinState; 6] = [
+        PinState::Drive0,
+        PinState::Drive1,
+        PinState::DriveZ,
+        PinState::DontCare,
+        PinState::ExpectL,
+        PinState::ExpectH,
+    ];
+
+    /// Every state in every lane of a partial block: lane `l`, pin `p`,
+    /// cycle `c` holds `UNPULSED[(l + 3p + 5c) % 6]`, except that pin 3
+    /// pulses in every lane of cycle 1.
+    fn every_state(lanes: usize) -> Vec<CyclePattern> {
+        let pins: Arc<[String]> = (0..4).map(|p| format!("p{p}")).collect::<Vec<_>>().into();
+        (0..lanes)
+            .map(|l| CyclePattern {
+                pins: Arc::clone(&pins),
+                cycles: (0..2)
+                    .map(|c| {
+                        (0..4)
+                            .map(|p| match (c, p) {
+                                (1, 3) => PinState::Pulse,
+                                _ => UNPULSED[(l + 3 * p + 5 * c) % 6],
+                            })
+                            .collect()
+                    })
+                    .collect(),
+            })
+            .collect()
+    }
+
+    /// Patterns go to blocks and back, and blocks to bytes and back,
+    /// unchanged — every state, full and partial blocks — and each
+    /// state sets exactly the planes of its discriminant.
+    #[test]
+    fn blocks_convert_losslessly() {
+        for lanes in [1, 7, 8, 9, 63, 64] {
+            let patterns = every_state(lanes);
+            let block = PatternBlock::from_patterns(&patterns).unwrap();
+            assert_eq!((block.lanes, block.cycles, block.pins), (lanes, 2, 4));
+            assert_eq!(block.to_patterns(&patterns[0].pins).unwrap(), patterns);
+            let bytes = block.encode();
+            let decoded = PatternBlock::decode(&bytes, 4).unwrap();
+            assert_eq!(decoded, block, "{lanes} lanes");
+            assert!(decoded.planes.capacity() <= bytes.len());
+        }
+        for s in ALL_STATES {
+            let mut p = CyclePattern::new(vec!["a".to_string()]);
+            p.push_cycle(vec![s]).unwrap();
+            let planes = PatternBlock::from_patterns(&[p]).unwrap().planes[0];
+            let code = planes
+                .words()
+                .iter()
+                .enumerate()
+                .fold(0u8, |code, (k, &w)| code | (w as u8) << k);
+            assert_eq!(code, s as u8, "{s}");
+        }
+        let wide = PatternBlock::from_patterns(&every_state(1)).unwrap();
+        assert_eq!(
+            wide.to_patterns(&Arc::from(vec!["a".to_string()])),
+            Err(PatternError::Shape {
+                context: "batch pin list",
+                expected: 4,
+                got: 1,
+            })
+        );
+    }
+
+    /// The checked constructor refuses every plane combination no state
+    /// sets, naming the first offending position in (cycle, pin) order,
+    /// and a pulse on some live lanes with the chunker's typed error.
+    #[test]
+    fn blocks_refuse_what_the_player_cannot_play() {
+        let block = |lanes, planes: Vec<PinPlanes>| PatternBlock::from_planes(lanes, 2, 2, planes);
+        let clean = || vec![PinPlanes::default(); 4];
+        let at = |pos: usize, p: PinPlanes| {
+            let mut planes = clean();
+            planes[pos] = p;
+            planes
+        };
+        let planes_err = |context, cycle, pin| {
+            Err(PatternError::Planes {
+                context,
+                cycle,
+                pin,
+            })
+        };
+        let p = |drive, expect, pulse, value, z| PinPlanes {
+            drive,
+            expect,
+            pulse,
+            value,
+            z,
+        };
+        assert!(block(3, clean()).is_ok());
+        assert_eq!(
+            block(3, at(3, p(0b1000, 0, 0, 0, 0))),
+            planes_err("bit past the live lanes", 1, 1)
+        );
+        assert_eq!(
+            block(3, at(2, p(0, 0, 0, 0, 0b1000))),
+            planes_err("bit past the live lanes", 1, 0)
+        );
+        for (pos, two) in [
+            (1, p(1, 1, 0, 0, 0)),
+            (2, p(2, 0, 2, 0, 0)),
+            (3, p(0, 4, 4, 0, 0)),
+        ] {
+            assert_eq!(
+                block(3, at(pos, two)),
+                planes_err("lane in two of drive, expect and pulse", pos / 2, pos % 2)
+            );
+        }
+        assert_eq!(
+            block(3, at(1, p(1, 2, 0, 4, 0))),
+            planes_err("value bit without a drive or expect", 0, 1)
+        );
+        for z in [p(1, 0, 0, 0, 1), p(0, 1, 0, 1, 1), p(0, 0, 0, 0, 2)] {
+            assert_eq!(
+                block(3, at(2, z)),
+                planes_err("Z bit without a driven 1", 1, 0)
+            );
+        }
+        // The first misaligned pulse, scanning cycles and then pins.
+        let mut pulses = clean();
+        pulses[1].pulse = 0b011;
+        pulses[2].pulse = 0b001;
+        assert_eq!(
+            block(3, pulses),
+            Err(PatternError::Shape {
+                context: "batch pulse alignment",
+                expected: 3,
+                got: 2,
+            })
+        );
+        for lanes in [0, 65] {
+            assert_eq!(
+                block(lanes, clean()),
+                Err(PatternError::Shape {
+                    context: "block lanes",
+                    expected: 64,
+                    got: lanes,
+                })
+            );
+        }
+        assert_eq!(
+            block(3, vec![PinPlanes::default(); 3]),
+            Err(PatternError::Shape {
+                context: "block planes",
+                expected: 4,
+                got: 3,
+            })
+        );
+        let none: [&CyclePattern; 0] = [];
+        assert!(PatternBlock::from_patterns(&none).is_err());
+        let many = vec![flop_pattern(&[Logic::One]); 65];
+        assert!(PatternBlock::from_patterns(&many).is_err());
+    }
+
+    /// Unit bytes assembled by hand in the kind-2 layout: the lane and
+    /// cycle counts, then per position a presence byte and the non-zero
+    /// plane words.
+    fn hand_unit(lanes: u64, cycles: u64, positions: &[[u64; 5]]) -> Vec<u8> {
+        let mut w = wire::WireWriter::new();
+        w.put_u64(lanes);
+        w.put_u64(cycles);
+        for words in positions {
+            let presence = (0..5).fold(0u8, |m, k| m | u8::from(words[k] != 0) << k);
+            w.put_u8(presence);
+            words
+                .iter()
+                .filter(|&&x| x != 0)
+                .for_each(|&x| w.put_u64(x));
         }
         w.finish()
     }
 
-    /// The chunk of `patterns`, built without the chunker's checks.
-    fn chunk_of(patterns: &[&CyclePattern]) -> Chunk {
-        let mut chunk = Chunk {
-            count: 0,
-            cycles: patterns[0].cycles.len(),
-            states: Vec::new(),
-        };
-        patterns.iter().for_each(|p| chunk.push(p));
-        chunk
+    /// The block of `patterns` with none of the constructor's checks.
+    fn raw_block(patterns: &[&CyclePattern]) -> PatternBlock {
+        let (pins, cycles) = (patterns[0].pins.len(), patterns[0].cycles.len());
+        PatternBlock {
+            lanes: patterns.len(),
+            cycles,
+            pins,
+            planes: transpose(patterns, pins, cycles),
+        }
     }
 
-    /// A ragged unit (patterns with different cycle counts) must come
-    /// back as a typed unit error from the worker-side decoder, never a
-    /// panic — `play` walks every pattern over pattern 0's timeline.
-    /// Also pins the chunk encoder to the hand-assembled layout, the
-    /// decoder's reservation to the unit's size and the report wire
-    /// codec round trip.
+    /// The worker-side decoder turns malformed block bytes into typed
+    /// unit errors, never a panic. Also pins the block encoder to the
+    /// hand-assembled layout and the report wire codec round trip.
     #[test]
-    fn worker_rejects_ragged_pattern_units() {
+    fn worker_rejects_malformed_block_units() {
         use Logic::{One, Zero};
         let m = flop_module();
         let sim: Simulator = Simulator::new(&m).unwrap();
-        let one = flop_pattern(&[One]);
         let two = flop_pattern(&[One, Zero]);
-        let nets = resolve_pins(&sim, &one.pins).unwrap();
+        let nets = resolve_pins(&sim, &two.pins).unwrap();
         let mut job =
-            open_wire_job(&encode_playback_job(sim.program(), &one.pins, &nets, &[])).unwrap();
-        // A ragged unit: a 1-cycle pattern followed by a 2-cycle pattern
-        // (the player's validator would reject this, so it can only
-        // arrive via corrupt or hostile bytes).
-        let err = job.run_unit(&hand_unit(&[&one, &two])).unwrap_err();
-        assert!(err.contains("ragged"), "{err}");
-        // A well-formed unit on the same job round-trips its reports.
-        let unit = chunk_of(&[&two, &two]).encode();
-        assert_eq!(unit, hand_unit(&[&two, &two]));
-        let decoded = Chunk::decode(&unit, nets.len()).unwrap();
-        assert_eq!(decoded.states, chunk_of(&[&two, &two]).states);
-        assert!(decoded.states.capacity() <= unit.len());
+            open_wire_job(&encode_playback_job(sim.program(), &two.pins, &nets, &[])).unwrap();
+        // Two lanes of d=1/P/H, then d=0/P/L.
+        let positions = [
+            [0b11, 0, 0, 0b11, 0],
+            [0, 0, 0b11, 0, 0],
+            [0, 0b11, 0, 0b11, 0],
+            [0b11, 0, 0, 0, 0],
+            [0, 0, 0b11, 0, 0],
+            [0, 0b11, 0, 0, 0],
+        ];
+        let unit = PatternBlock::from_patterns(&[&two, &two]).unwrap().encode();
+        assert_eq!(unit, hand_unit(2, 2, &positions));
         let reports = decode_reports(&job.run_unit(&unit).unwrap()).unwrap();
         assert_eq!(reports.len(), 2);
         assert!(reports.iter().all(MismatchReport::passed));
         assert_eq!(reports[0].compares, 2);
+
+        let mut presence = hand_unit(2, 2, &positions);
+        presence[16] |= 0b10_0000;
+        let mut zero_word = hand_unit(2, 2, &positions);
+        zero_word[17..25].fill(0);
+        let mut trailing = unit.clone();
+        trailing.push(0);
+        for (bad, want) in [
+            (hand_unit(0, 2, &positions), "block lanes"),
+            (hand_unit(65, 2, &positions), "block lanes"),
+            (hand_unit(2, 3, &positions), "truncated"),
+            (hand_unit(2, 1000, &positions), "block cycles"),
+            (hand_unit(2, 1, &positions), "trailing"),
+            (trailing, "trailing"),
+            (presence, "block presence byte"),
+            (zero_word, "block plane"),
+            (unit[..unit.len() - 1].to_vec(), "block plane"),
+            (hand_unit(2, 2, &[[0b100, 0, 0, 0, 0]; 6]), "live lanes"),
+        ] {
+            let err = job.run_unit(&bad).unwrap_err();
+            assert!(err.contains(want), "{want}: {err}");
+        }
     }
 
     /// A misaligned-pulse unit that bypassed the chunker fails on the
@@ -1247,93 +1777,105 @@ mod tests {
         let nets = resolve_pins(&sim, &a.pins).unwrap();
         let mut job =
             open_wire_job(&encode_playback_job(sim.program(), &a.pins, &nets, &[])).unwrap();
-        let err = job.run_unit(&hand_unit(&[&a, &c, &a])).unwrap_err();
+        let err = job
+            .run_unit(&raw_block(&[&a, &c, &a]).encode())
+            .unwrap_err();
         assert_eq!(err, typed.to_string());
     }
 
-    /// Plays `patterns` chunk by chunk both ways — `run_unit_local`, and
+    /// Plays `patterns` block by block both ways — `run_unit_local`, and
     /// the opened wire job on the encoded unit — requiring equal reports
-    /// for every chunk. Returns the failing patterns' count.
+    /// for every block. Returns the failing patterns' count.
     fn local_equals_worker(sim: &Simulator, patterns: &[CyclePattern]) -> usize {
         let pins = Arc::clone(&patterns[0].pins);
         let nets = resolve_pins(sim, &pins).unwrap();
         let work = PlaybackWork::new(sim, &pins, &nets);
         let mut job = open_wire_job(&work.encode_job()).unwrap();
-        let poisoned = Mutex::new(None);
-        let chunks = ValidatedChunks {
+        let chunks = Chunker {
             patterns: patterns.iter(),
             pins: &pins,
             cycles: patterns[0].cycles.len(),
             pending: None,
-            poisoned: &poisoned,
-            done: false,
+            failed: None,
         };
         let mut failing = 0;
         for (i, unit) in chunks.enumerate() {
+            let unit = unit.unwrap();
             let local = work.run_unit_local(&unit).unwrap();
             let shipped = job.run_unit(&work.encode_unit(&unit)).unwrap();
-            assert_eq!(local, decode_reports(&shipped).unwrap(), "chunk {i}");
+            assert_eq!(local, decode_reports(&shipped).unwrap(), "block {i}");
             failing += local.iter().filter(|r| !r.passed()).count();
         }
-        assert_eq!(poisoned.into_inner().unwrap(), None);
         failing
     }
 
-    /// The in-thread unit and the worker unit play the same chunk
+    /// The in-thread unit and the worker unit play the same block
     /// through the same player: on a set with a failing pattern and a
-    /// simulator with a forced net, every chunk reports the same both
-    /// ways — full chunks, and last chunks of 7, 22 and 1 patterns.
+    /// simulator with a forced net, every block reports the same both
+    /// ways — full blocks, and last blocks of 7, 22 and 1 patterns.
     #[test]
     fn local_and_worker_units_report_the_same() {
-        use Logic::{One, Zero};
+        use Logic::One;
         let m = flop_module();
-        let patterns: Vec<CyclePattern> = (0..150u32)
-            .map(|i| {
-                let bits: Vec<Logic> = (0..4)
-                    .map(|k| if (i >> (k % 5)) & 1 == 1 { One } else { Zero })
-                    .collect();
-                let mut p = flop_pattern(&bits);
-                if i == 77 {
-                    p.cycles[2][2] = PinState::ExpectH;
-                    p.cycles[2][0] = PinState::Drive0;
-                }
-                p
-            })
-            .collect();
+        let patterns = flop_set(&[77]);
         let clean: Simulator = Simulator::new(&m).unwrap();
         let mut forced = clean.clone();
         let d = forced.program().port_net("d").unwrap();
         forced.force_lane(d, 5, One);
         assert_eq!(local_equals_worker(&clean, &patterns), 1);
         assert_eq!(local_equals_worker(&clean, &patterns[..65]), 0);
-        // The force fails pattern 5, lane 5 of the first chunk, and
-        // lane 5 of later chunks besides pattern 77.
+        // The force fails pattern 5, lane 5 of the first block, and
+        // lane 5 of later blocks besides pattern 77.
         assert_eq!(local_equals_worker(&forced, &patterns[..7]), 1);
         let failing = local_equals_worker(&forced, &patterns);
         assert!(failing > 2, "{failing} failing patterns");
     }
 
+    /// The word-wise player reports exactly what the scalar player
+    /// reports for each pattern alone — compares, and every mismatch's
+    /// cycle, pin and characters in order — on a set where many lanes
+    /// of one word fail at once, some observing `X`.
+    #[test]
+    fn word_wise_compares_match_the_scalar_player() {
+        let m = flop_module();
+        let sim: Simulator = Simulator::new(&m).unwrap();
+        let mut patterns = flop_set(&[]);
+        for (i, p) in patterns.iter_mut().enumerate() {
+            // Every third pattern expects the inverse in cycle 1, every
+            // fifth releases d before a capture, and every seventh
+            // compares nothing in cycle 3.
+            if i % 3 == 0 {
+                p.cycles[1][2] = match p.cycles[1][2] {
+                    PinState::ExpectH => PinState::ExpectL,
+                    _ => PinState::ExpectH,
+                };
+            }
+            if i % 5 == 0 {
+                p.cycles[2][0] = PinState::DriveZ;
+            }
+            if i % 7 == 0 {
+                p.cycles[3][2] = PinState::DontCare;
+            }
+        }
+        let refs: Vec<&CyclePattern> = patterns.iter().collect();
+        let batch = apply_cycle_patterns_batch(&Exec::serial(), &sim, &refs).unwrap();
+        let mut failing = 0;
+        for (p, report) in patterns.iter().zip(&batch.reports) {
+            let alone = apply_cycle_pattern(&mut sim.clone(), p).unwrap();
+            assert_eq!(report, &alone);
+            failing += usize::from(!report.passed());
+        }
+        assert!(failing >= 50, "{failing} failing patterns");
+    }
+
     /// The streaming player's reports are byte-identical to the
     /// materialized batch's on every prefix of the set, so the last
-    /// chunk holds 1, 7, 64, 1 and 22 patterns — chunk boundaries must
+    /// block holds 1, 7, 64, 1 and 22 patterns — block boundaries must
     /// be invisible in the report stream.
     #[test]
     fn streaming_matches_materialized_at_every_chunk_size() {
-        use Logic::{One, Zero};
         let m = flop_module();
-        let patterns: Vec<CyclePattern> = (0..150u32)
-            .map(|i| {
-                let bits: Vec<Logic> = (0..4)
-                    .map(|k| if (i >> (k % 5)) & 1 == 1 { One } else { Zero })
-                    .collect();
-                let mut p = flop_pattern(&bits);
-                if i % 49 == 7 {
-                    p.cycles[2][2] = PinState::ExpectH;
-                    p.cycles[2][0] = PinState::Drive0;
-                }
-                p
-            })
-            .collect();
+        let patterns = flop_set(&[7, 56, 105]);
         let refs: Vec<&CyclePattern> = patterns.iter().collect();
         let sim: Simulator = Simulator::new(&m).unwrap();
         let baseline = apply_cycle_patterns_batch(&Exec::serial(), &sim, &refs).unwrap();
@@ -1354,6 +1896,69 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Blocks streamed straight into the player report what their
+    /// patterns report through the chunker; a block of another width
+    /// or cycle count ends the stream with a typed error after the
+    /// blocks before it.
+    #[test]
+    fn block_streaming_matches_the_chunker_and_checks_shape() {
+        use Logic::One;
+        let m = flop_module();
+        let sim: Simulator = Simulator::new(&m).unwrap();
+        let patterns = flop_set(&[77]);
+        let refs: Vec<&CyclePattern> = patterns.iter().collect();
+        let baseline = apply_cycle_patterns_batch(&Exec::serial(), &sim, &refs).unwrap();
+        let blocks: Vec<PatternBlock> = patterns
+            .chunks(64)
+            .map(|chunk| PatternBlock::from_patterns(chunk).unwrap())
+            .collect();
+        let pins = &patterns[0].pins;
+        for exec in [Exec::serial(), Exec::threads(steac_sim::Threads::exact(2))] {
+            let mut streamed = Vec::new();
+            let run = stream_pattern_blocks(&exec, &sim, pins, blocks.iter().cloned(), |r| {
+                streamed.push(r)
+            })
+            .unwrap();
+            assert_eq!(run.patterns, patterns.len());
+            assert_eq!(streamed, baseline.reports, "{exec}");
+        }
+        let short = PatternBlock::from_patterns(&[flop_pattern(&[One])]).unwrap();
+        let mut sunk = 0;
+        let err = stream_pattern_blocks(
+            &Exec::serial(),
+            &sim,
+            pins,
+            [blocks[0].clone(), short].into_iter(),
+            |_| sunk += 1,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            PatternError::Shape {
+                context: "batch cycle count",
+                expected: 4,
+                got: 1,
+            }
+        );
+        assert_eq!(sunk, 64);
+        let err = stream_pattern_blocks(
+            &Exec::serial(),
+            &sim,
+            &pins[..2],
+            blocks.into_iter(),
+            |_| {},
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            PatternError::Shape {
+                context: "batch pin list",
+                expected: 2,
+                got: 3,
+            }
+        );
     }
 
     /// Mid-stream shape violations raise the same typed errors the
@@ -1385,7 +1990,7 @@ mod tests {
             "{err}"
         );
         assert!(sunk <= 2, "only the clean prefix may be delivered");
-        // Misaligned pulse inside a chunk: rejected before simulation.
+        // Misaligned pulse inside a block: rejected before simulation.
         let mut unclocked = flop_pattern(&[One, Zero]);
         unclocked.cycles[0][1] = PinState::Drive0;
         let err = stream_cycle_patterns(
@@ -1409,6 +2014,19 @@ mod tests {
         let none = std::iter::empty::<CyclePattern>();
         let run = stream_cycle_patterns(&Exec::serial(), &sim, none, |_| {}).unwrap();
         assert_eq!(run, StreamPlayback::default());
+    }
+
+    #[test]
+    fn lane_counts_count_each_lane() {
+        let mut counts = LaneCounts([0; 64]);
+        let words = [u64::MAX, 1, 0b110, 1 << 63, u64::MAX, 0b100];
+        for _ in 0..300 {
+            words.iter().for_each(|&w| counts.add(w));
+        }
+        for lane in 0..64 {
+            let want = words.iter().filter(|&&w| w >> lane & 1 == 1).count() as u64 * 300;
+            assert_eq!(counts.get(lane), want, "lane {lane}");
+        }
     }
 
     #[test]

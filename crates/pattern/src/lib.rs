@@ -5,9 +5,10 @@
 //! the wrapper level and then to the chip level. The test patterns are
 //! cycle based, which can be applied by external ATE easily."*
 //!
-//! * [`cycle`] — cycle-based pattern representation ([`CyclePattern`])
-//!   and the ATE *cycle player* that applies patterns to the gate-level
-//!   simulator and compares responses,
+//! * [`cycle`] — cycle-based pattern representation ([`CyclePattern`]),
+//!   its bit-plane playback unit ([`PatternBlock`]) and the ATE *cycle
+//!   player* that applies patterns to the gate-level simulator and
+//!   compares responses,
 //! * [`corelevel`] — core-level scan vectors ([`ScanVector`]),
 //! * [`translate`] — core → wrapper translation (mapping PI/PO and
 //!   internal chains onto balanced wrapper chains) and wrapper → chip
@@ -23,8 +24,9 @@ pub mod translate;
 pub use ate::{export_ate, AteStats};
 pub use corelevel::ScanVector;
 pub use cycle::{
-    apply_cycle_pattern, apply_cycle_patterns_batch, stream_cycle_patterns, BatchPlayback,
-    CyclePattern, MismatchReport, PinState, StreamPlayback, PLAYBACK_LANE_GROUPS,
+    apply_cycle_pattern, apply_cycle_patterns_batch, stream_cycle_patterns, stream_pattern_blocks,
+    BatchPlayback, CyclePattern, MismatchReport, PatternBlock, PinPlanes, PinState, StreamPlayback,
+    PLAYBACK_LANE_GROUPS,
 };
 pub use translate::{
     merge_sessions, scan_to_wrapper, wrapper_vectors_to_cycles, ChipPatternSet, SessionStream,
@@ -52,6 +54,18 @@ pub enum PatternError {
         /// Pin name.
         name: String,
     },
+    /// A [`PatternBlock`] position holds a plane combination no
+    /// [`PinState`] sets.
+    Planes {
+        /// What is wrong.
+        context: &'static str,
+        /// Cycle of the first offending position.
+        cycle: usize,
+        /// Pin of the first offending position.
+        pin: usize,
+    },
+    /// [`PatternBlock`] bytes did not decode.
+    Wire(steac_sim::WireError),
     /// Simulation failed while playing a pattern.
     Sim(steac_sim::SimError),
 }
@@ -65,6 +79,12 @@ impl fmt::Display for PatternError {
                 got,
             } => write!(f, "{context}: expected {expected} entries, got {got}"),
             PatternError::UnknownPin { name } => write!(f, "unknown pin `{name}`"),
+            PatternError::Planes {
+                context,
+                cycle,
+                pin,
+            } => write!(f, "pattern block: {context} at cycle {cycle}, pin {pin}"),
+            PatternError::Wire(e) => write!(f, "pattern block bytes: {e}"),
             PatternError::Sim(e) => write!(f, "simulation: {e}"),
         }
     }
@@ -73,9 +93,16 @@ impl fmt::Display for PatternError {
 impl std::error::Error for PatternError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            PatternError::Wire(e) => Some(e),
             PatternError::Sim(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+impl From<steac_sim::WireError> for PatternError {
+    fn from(e: steac_sim::WireError) -> Self {
+        PatternError::Wire(e)
     }
 }
 

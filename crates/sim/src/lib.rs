@@ -48,7 +48,7 @@
 //!    [`packed::DEFAULT_LANE_GROUPS`] (256 lanes). No caller, job or
 //!    setting picks a width at run time.
 //! 4. **Dispatch** ([`exec`]): independent passes (fault-grading
-//!    chunks, 64-pattern playback chunks, March walks, JPEG generation
+//!    chunks, 64-pattern playback blocks, March walks, JPEG generation
 //!    blocks) are *work units* of one [`ExecWork`] behind one
 //!    execution-backend value, [`Exec`]: `Exec::serial()` runs them
 //!    inline, `Exec::threads(..)` fans them across scoped dispatcher

@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! magic   b"SPRG"                        (4 bytes)
-//! version u16                            (currently 7)
+//! version u16                            (currently 8)
 //! name    str
 //! net_count, slot_count                  (u64 each)
 //! comb    u64 count, then per instr:     op u8, ins 4 x u32, out u32
@@ -46,9 +46,15 @@
 //! (kinds 1, 4 and 5) too: gate-level grading and dictionaries always
 //! run 256-lane passes of up to 255 faults, and a grading result is
 //! four `u64` words, the same mask a March walk returns (see
-//! [`crate::shard::encode_lane_mask`]).
+//! [`crate::shard::encode_lane_mask`]). Version 8 made the playback
+//! unit (kind 2) and the JPEG generation result (kind 7) one layout,
+//! the sparse bytes of a `steac-pattern` bit-plane block: the lane and
+//! cycle counts, then per (cycle, pin) a presence byte and only the
+//! non-zero plane words. A kind-2 unit used to carry one state
+//! character per (pattern, cycle, pin), and a kind-7 result each
+//! pattern's expected PO values.
 //!
-//! Work-unit payloads (fault chunks in [`crate::models`], pattern chunks
+//! Work-unit payloads (fault chunks in [`crate::models`], pattern blocks
 //! in `steac-pattern`, March chunks in `steac-membist`) carry no magic of
 //! their own: they ride inside the versioned worker-protocol envelope
 //! (see [`crate::shard`]), which pins the version for every byte of a
@@ -103,7 +109,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Current wire-format version (see the module docs for the bump rule).
-pub const WIRE_VERSION: u16 = 7;
+pub const WIRE_VERSION: u16 = 8;
 
 /// Typed decode failure. Encoding cannot fail.
 #[derive(Debug, Clone, PartialEq, Eq)]

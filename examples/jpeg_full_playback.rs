@@ -11,14 +11,18 @@
 //! cargo run --release --example jpeg_full_playback -- 235696 --materialize
 //! ```
 //!
-//! By default the set is never materialized: a generation dispatch of
-//! 64-pattern blocks feeds a bounded channel that the playback dispatch
-//! (`64 * PLAYBACK_LANE_GROUPS` patterns per pass) reads as its input,
-//! both through `Exec::dispatch`, so generation — the slow phase —
-//! overlaps playback, and peak memory follows the two dispatch windows
-//! and the channel, not the set size. On `processes:N` and `remote:`
-//! both dispatches ship to the workers. `--materialize` switches to the
-//! generate-everything-then-play flow; the two print byte-identical
+//! By default the set is never materialized, nor is any pattern: a
+//! generation dispatch of 64-pattern bit-plane blocks, each computed in
+//! one packed simulation, feeds a bounded channel that the playback
+//! dispatch (`64 * PLAYBACK_LANE_GROUPS` patterns per pass) reads as
+//! its input, both through `Exec::dispatch`, so generation overlaps
+//! playback, and peak memory follows the two dispatch windows and the
+//! channel, not the set size. On `processes:N` and `remote:` both
+//! dispatches ship to the workers. `--materialize` switches to the
+//! scalar oracle (`jpeg_playback_batch`): every pattern is built as a
+//! `CyclePattern`, state by state, from one scalar simulation per
+//! pattern, and played through the pattern chunker, which on
+//! `processes:N` ships them as blocks. The two print byte-identical
 //! reports. The binary prints the backend, the sustained patterns/sec
 //! and the peak RSS, so the constant-memory claim is checkable from the
 //! output alone.
@@ -47,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .unwrap_or(full);
     let exec = Exec::from_env();
     let flavour = if materialize {
-        "materialized"
+        "materialized patterns, scalar oracle"
     } else {
         "streaming"
     };

@@ -9,13 +9,15 @@
 //! | kind | work unit |
 //! |------|-----------|
 //! | 1, 4, 5 | stuck-at, transition or bridging grading / dictionary chunk |
-//! | 2 | 64-pattern ATE playback chunk |
+//! | 2 | ATE playback of one bit-plane pattern block (up to 64 patterns) |
 //! | 3 | March walk over a memory-fault chunk |
 //! | 6 | fault-dictionary diagnosis chunk |
-//! | 7 | expected responses of one 64-pattern block of the JPEG functional set |
+//! | 7 | one 64-pattern block of the JPEG functional set, generated as a bit-plane pattern block |
 //!
 //! A `jpeg_playback_stream` run ships both its generation (kind 7) and
-//! its playback (kind 2) to the same workers. The modes:
+//! its playback (kind 2) to the same workers, and a generated block
+//! comes back in the very bytes a playback unit ships in
+//! (`steac_pattern::PatternBlock::encode`). The modes:
 //!
 //! * **stdio session (no arguments)**: serves envelope-framed requests
 //!   (the versioned protocol in `steac_sim::shard`) from stdin and

@@ -43,12 +43,12 @@ use steac_sim::{BridgingFault, Fault, TransitionFault};
 /// | kind | workload | crate |
 /// |------|----------|-------|
 /// | 1 | stuck-at grading / dictionary chunk | `steac_sim::fault` |
-/// | 2 | 64-pattern ATE playback chunk | `steac_pattern::cycle` |
+/// | 2 | ATE playback of one bit-plane pattern block (up to 64 patterns) | `steac_pattern::cycle` |
 /// | 3 | packed March walk over a memory-fault chunk | `steac_membist::wire` |
 /// | 4 | transition-fault grading / dictionary chunk | `steac_sim::models::transition` |
 /// | 5 | bridging-fault grading / dictionary chunk | `steac_sim::models::bridging` |
 /// | 6 | fault-dictionary diagnosis chunk | `steac_sim::models::dictionary` |
-/// | 7 | 64-pattern JPEG functional-pattern generation block | `steac_dsc::verify` |
+/// | 7 | 64-pattern JPEG functional-pattern generation block, answered as a pattern block | `steac_dsc::verify` |
 ///
 /// Kinds 1, 4 and 5 are one generic job, [`open_wire_job`], opened for
 /// each [`FaultModel`].

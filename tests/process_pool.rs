@@ -426,6 +426,12 @@ fn corrupt_job_bytes_are_typed_unit_errors() {
 /// runs to `Ok` or a typed `Err` — never a panic — through the registry
 /// the worker binary routes by.
 fn sweep_job(kind: u16, job: &[u8], unit: &[u8]) {
+    sweep_job_where(kind, job, unit, |_| true);
+}
+
+/// [`sweep_job`], except that a changed job which opens runs the unit
+/// only when `runnable` accepts its bytes.
+fn sweep_job_where(kind: u16, job: &[u8], unit: &[u8], runnable: impl Fn(&[u8]) -> bool) {
     let registry = steac_suite::worker_registry();
     let mut opened = registry.open(kind, job).unwrap();
     assert!(opened.run_unit(unit).is_ok(), "kind {kind}");
@@ -446,7 +452,9 @@ fn sweep_job(kind: u16, job: &[u8], unit: &[u8]) {
             let mut bad = job.to_vec();
             bad[i] ^= flip;
             if let Ok(mut flipped) = registry.open(kind, &bad) {
-                let _ = flipped.run_unit(unit);
+                if runnable(&bad) {
+                    let _ = flipped.run_unit(unit);
+                }
             }
         }
     }
@@ -493,6 +501,54 @@ fn fault_jobs_are_total_under_truncation_and_byte_flips() {
     sweep_fault_jobs::<Fault>(&m, &pins, &vectors);
     sweep_fault_jobs::<TransitionFault>(&m, &pins, &vectors);
     sweep_fault_jobs::<BridgingFault>(&m, &pins, &vectors);
+}
+
+/// The March job (kind 3) is total too: a MATS+ job over a 16 x 2 SRAM
+/// and a one-walk unit holding one fault of each of the eight classes.
+/// A changed geometry word can declare up to 2^22 cells, which the job
+/// accepts but a walk would take long over, so a changed job over more
+/// than 4,096 cells is opened and not run.
+#[test]
+fn march_jobs_are_total_under_truncation_and_byte_flips() {
+    use steac_membist::wire::{decode_march_job, encode_fault_unit, encode_march_job, WIRE_KIND};
+    use steac_membist::MemFault;
+    let cfg = SramConfig::single_port(16, 2);
+    let job = encode_march_job(&MarchAlgorithm::mats_plus(), &cfg);
+    let unit = encode_fault_unit(&[
+        MemFault::stuck_at(3, 0, true),
+        MemFault::Transition {
+            addr: 5,
+            bit: 1,
+            rising: false,
+        },
+        MemFault::CouplingInversion {
+            aggressor: (1, 0),
+            victim: (2, 1),
+            rising: true,
+        },
+        MemFault::CouplingIdempotent {
+            aggressor: (4, 1),
+            victim: (4, 0),
+            rising: false,
+            forced: true,
+        },
+        MemFault::CouplingState {
+            aggressor: (7, 0),
+            victim: (9, 1),
+            state: true,
+            forced: false,
+        },
+        MemFault::AfNoAccess { addr: 6 },
+        MemFault::AfMultiAccess { addr: 10, also: 11 },
+        MemFault::AfOtherAccess {
+            addr: 12,
+            other: 13,
+        },
+    ]);
+    let small = |job: &[u8]| {
+        decode_march_job(job).is_ok_and(|(_, geometry)| geometry.words * geometry.width <= 4_096)
+    };
+    sweep_job_where(WIRE_KIND, &job, &unit, small);
 }
 
 /// A one-host transport that records every request and serves it
@@ -582,7 +638,7 @@ fn playback_and_diagnose_jobs_are_total_under_truncation_and_byte_flips() {
 }
 
 /// The streaming JPEG pipeline ships both of its dispatches: one
-/// host receives generation blocks (kind 7) and playback chunks
+/// host receives generation blocks (kind 7) and playback blocks
 /// (kind 2), and the report is the serial one, with no fallback.
 #[test]
 fn jpeg_stream_ships_generation_and_playback() {

@@ -945,3 +945,56 @@ proptest! {
         let _ = remote::read_envelope(&mut cursor);
     }
 }
+
+// ---------- pattern blocks ----------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random pattern sets — 1–130 patterns of 1–4 cycles over 1–5 pins,
+    /// every one of the seven pin states — go to 64-pattern blocks, to
+    /// playback-unit bytes and back without losing a state. A pin pulses
+    /// in a cycle on every pattern or none, as a block requires.
+    #[test]
+    fn pattern_blocks_round_trip_losslessly(
+        count in 1usize..131,
+        cycles in 1usize..5,
+        pins in 1usize..6,
+        pulsed in prop::collection::vec(0u8..4, 20..21),
+        states in prop::collection::vec(0u8..6, 130 * 20..130 * 20 + 1),
+    ) {
+        use steac_pattern::{CyclePattern, PatternBlock, PinState};
+        const UNPULSED: [PinState; 6] = [
+            PinState::Drive0,
+            PinState::Drive1,
+            PinState::DriveZ,
+            PinState::DontCare,
+            PinState::ExpectL,
+            PinState::ExpectH,
+        ];
+        let table: std::sync::Arc<[String]> =
+            (0..pins).map(|p| format!("p{p}")).collect::<Vec<_>>().into();
+        let set: Vec<CyclePattern> = (0..count)
+            .map(|k| CyclePattern {
+                pins: table.clone(),
+                cycles: (0..cycles)
+                    .map(|c| {
+                        (0..pins)
+                            .map(|p| match pulsed[c * 5 + p] {
+                                0 => PinState::Pulse,
+                                _ => UNPULSED[usize::from(states[k * 20 + c * 5 + p])],
+                            })
+                            .collect()
+                    })
+                    .collect(),
+            })
+            .collect();
+        for chunk in set.chunks(64) {
+            let block = PatternBlock::from_patterns(chunk).unwrap();
+            let unit = block.encode();
+            let decoded = PatternBlock::decode(&unit, pins).unwrap();
+            prop_assert_eq!(&decoded, &block);
+            prop_assert_eq!(&decoded.to_patterns(&table).unwrap()[..], chunk);
+        }
+    }
+}
