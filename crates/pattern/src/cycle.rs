@@ -1055,9 +1055,10 @@ impl<I: Iterator<Item = P>, P: Borrow<CyclePattern>> Iterator for Chunker<'_, I,
             let Some(p) = self.patterns.next() else {
                 break;
             };
-            // `Arc` equality tries the pointer first, so for the patterns
-            // of one set this compares no names.
-            let checked = if p.borrow().pins == *self.pins {
+            // The patterns of one set share one table, so this compares
+            // no names for them.
+            let pins = &p.borrow().pins;
+            let checked = if Arc::ptr_eq(pins, self.pins) || pins == self.pins {
                 check_shape(p.borrow(), self.pins.len(), self.cycles)
             } else {
                 Err(PatternError::Shape {
@@ -2014,6 +2015,45 @@ mod tests {
         let none = std::iter::empty::<CyclePattern>();
         let run = stream_cycle_patterns(&Exec::serial(), &sim, none, |_| {}).unwrap();
         assert_eq!(run, StreamPlayback::default());
+    }
+
+    /// Patterns whose pin tables are equal but not shared play exactly
+    /// like the shared-table set; a table of the same width with one pin
+    /// renamed ends the stream with a typed error after the reports of
+    /// the patterns before it.
+    #[test]
+    fn pin_tables_compare_by_pointer_then_by_name() {
+        let m = flop_module();
+        let sim: Simulator = Simulator::new(&m).unwrap();
+        let distinct = flop_set(&[7, 70]);
+        assert!(!Arc::ptr_eq(&distinct[0].pins, &distinct[1].pins));
+        let mut shared = distinct.clone();
+        for p in &mut shared {
+            p.pins = Arc::clone(&distinct[0].pins);
+        }
+        let play = |exec: &Exec, patterns: &[CyclePattern]| {
+            let mut reports = Vec::new();
+            let run = stream_cycle_patterns(exec, &sim, patterns.iter(), |r| reports.push(r));
+            (run.map(|run| run.patterns), reports)
+        };
+        let (run, reports) = play(&Exec::serial(), &shared);
+        assert_eq!(run, Ok(150));
+        assert!(!reports[7].passed() && !reports[70].passed());
+        for exec in [Exec::serial(), Exec::threads(steac_sim::Threads::exact(2))] {
+            assert_eq!(play(&exec, &distinct), (Ok(150), reports.clone()), "{exec}");
+        }
+        let mut renamed = shared.clone();
+        renamed[100].pins = vec!["d".to_string(), "ck".to_string(), "Q".to_string()].into();
+        let (run, prefix) = play(&Exec::serial(), &renamed);
+        assert_eq!(
+            run,
+            Err(PatternError::Shape {
+                context: "batch pin list",
+                expected: 3,
+                got: 3,
+            })
+        );
+        assert_eq!(prefix, reports[..100]);
     }
 
     #[test]

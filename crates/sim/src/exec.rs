@@ -89,7 +89,7 @@
 //! grammar; a malformed spec panics), and is [`Exec::auto`] without it.
 
 use crate::remote::{ProcessTransport, RemoteFleet, Shipper, Transport};
-use crate::shard::{self, PoolError, Threads};
+use crate::shard::{self, Threads};
 use crate::SimError;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -166,7 +166,7 @@ impl std::error::Error for SpecError {}
 #[derive(Debug)]
 pub struct Exec {
     backend: Backend,
-    on_process_failure: Fallback,
+    policy: Fallback,
     fallbacks: AtomicUsize,
 }
 
@@ -261,7 +261,7 @@ struct Gate {
 }
 
 /// Runs its closure when dropped.
-struct OnDrop<F: Fn()>(F);
+pub(crate) struct OnDrop<F: Fn()>(pub(crate) F);
 
 impl<F: Fn()> Drop for OnDrop<F> {
     fn drop(&mut self) {
@@ -426,7 +426,7 @@ impl Exec {
     fn with_backend(backend: Backend) -> Self {
         Exec {
             backend,
-            on_process_failure: Fallback::default(),
+            policy: Fallback::default(),
             fallbacks: AtomicUsize::new(0),
         }
     }
@@ -435,7 +435,7 @@ impl Exec {
     /// [`Fallback::InThread`]).
     #[must_use]
     pub fn with_fallback(mut self, policy: Fallback) -> Self {
-        self.on_process_failure = policy;
+        self.policy = policy;
         self
     }
 
@@ -443,23 +443,6 @@ impl Exec {
     #[must_use]
     pub fn backend(&self) -> &Backend {
         &self.backend
-    }
-
-    /// The configured process-failure policy.
-    #[must_use]
-    pub fn on_process_failure(&self) -> Fallback {
-        self.on_process_failure
-    }
-
-    /// Configured fan-out width: 1 for serial, the thread count, or the
-    /// fleet's host count — worker children or remote hosts.
-    #[must_use]
-    pub fn width(&self) -> usize {
-        match &self.backend {
-            Backend::Serial => 1,
-            Backend::Threads(t) => t.get(),
-            Backend::Processes(fleet) | Backend::Remote(fleet) => fleet.hosts(),
-        }
     }
 
     /// How many shipped batches on this `Exec` have fallen back to an
@@ -623,32 +606,26 @@ impl Exec {
         let encoded: Vec<Vec<u8>> = batch.iter().map(|u| work.encode_unit(u)).collect();
         let job = job.get_or_init(|| work.encode_job());
         let failure = 'failed: {
-            match shipper.ship(home, work.kind(), job, &encoded) {
-                Ok(results) => {
-                    let mut outputs = Vec::with_capacity(batch.len());
-                    for (offset, (unit, bytes)) in batch.iter().zip(&results).enumerate() {
-                        match work.decode_result(unit, bytes) {
-                            Ok(output) => outputs.push(Ok(output)),
-                            Err(diagnostic) => {
-                                break 'failed PoolError::Unit {
-                                    unit: start + offset,
-                                    diagnostic,
-                                }
-                            }
+            let results = match shipper.ship(home, start, work.kind(), job, &encoded) {
+                Ok(results) => results,
+                Err(e) => break 'failed e,
+            };
+            let mut outputs = Vec::with_capacity(batch.len());
+            for (offset, (unit, bytes)) in batch.iter().zip(&results).enumerate() {
+                match work.decode_result(unit, bytes) {
+                    Ok(output) => outputs.push(Ok(output)),
+                    Err(diagnostic) => {
+                        break 'failed SimError::Worker {
+                            unit: start + offset,
+                            diagnostic,
                         }
                     }
-                    return (outputs, false);
                 }
-                // Re-key from batch-local to input indices so
-                // diagnostics name the true unit.
-                Err(PoolError::Unit { unit, diagnostic }) => PoolError::Unit {
-                    unit: start + unit,
-                    diagnostic,
-                },
             }
+            return (outputs, false);
         };
-        match self.on_process_failure {
-            Fallback::Fail => (vec![Err(SimError::from(failure).into())], false),
+        match self.policy {
+            Fallback::Fail => (vec![Err(failure.into())], false),
             Fallback::InThread => {
                 self.fallbacks.fetch_add(1, Ordering::Relaxed);
                 eprintln!(
@@ -707,7 +684,10 @@ mod tests {
             "remote:127.0.0.1:7601,127.0.0.1:7602",
             "display round-trips the spec grammar"
         );
-        assert_eq!(Exec::parse("remote:jpeg-farm-01:9000").unwrap().width(), 1);
+        assert!(matches!(
+            Exec::parse("remote:jpeg-farm-01:9000").unwrap().backend(),
+            Backend::Remote(f) if f.hosts() == 1
+        ));
     }
 
     /// Every malformed spec is a typed `SpecError` naming the offending
@@ -743,12 +723,9 @@ mod tests {
     }
 
     #[test]
-    fn widths_follow_the_backend() {
-        assert_eq!(Exec::serial().width(), 1);
-        assert_eq!(Exec::threads(Threads::exact(5)).width(), 5);
-        let procs = bogus(3);
-        assert_eq!(procs.width(), 3);
-        assert_eq!(procs.to_string(), "processes:3");
+    fn display_names_the_width() {
+        assert_eq!(Exec::threads(Threads::exact(5)).to_string(), "threads:5");
+        assert_eq!(bogus(3).to_string(), "processes:3");
     }
 
     /// A minimal work over `usize` units: squares them in-process, and

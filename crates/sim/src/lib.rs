@@ -75,14 +75,15 @@
 //!    `Exec::remote(RemoteFleet)` ships the *same* bytes over a
 //!    pluggable [`remote::Transport`]. [`remote::TcpTransport`] keeps
 //!    **one persistent, pipelined session** per `steac-worker --serve
-//!    <addr>` host: the address is resolved once per session, requests
-//!    are framed by a versioned envelope (v2) carrying a request id,
-//!    several ride in flight under a bounded window, and responses are
-//!    matched back by id. The worker keeps a content-addressed
-//!    **program cache** (FNV-1a 64 over the job bytes), so the fleet
-//!    ships the serialized program once per host and references it by
-//!    hash after that — a worker that restarted answers "need program"
-//!    and the bytes are re-shipped transparently. The concurrent
+//!    <addr>` host: the address is resolved when the session opens,
+//!    requests are framed by a versioned envelope (v2) carrying a
+//!    request id, several ride in flight under a bounded window, and
+//!    responses are matched back by id. The worker keeps a
+//!    content-addressed **program cache** (FNV-1a 64 over the job
+//!    bytes), so the fleet ships the serialized program once per host
+//!    and references it by hash after that — a worker that restarted
+//!    answers "need program" and the bytes are re-shipped
+//!    transparently. The concurrent
 //!    batches [`Exec::dispatch`] ships under one job are serialized
 //!    through a per-host prime gate on the same ledger, so the program
 //!    still crosses the wire exactly once per host no matter how many
@@ -221,8 +222,10 @@ pub enum SimError {
         got: usize,
     },
     /// A shipped work unit failed (the worker reported an error, died,
-    /// or returned malformed results). Deterministic: always the
-    /// lowest-indexed failing unit.
+    /// or returned malformed results): what the fleet returns
+    /// ([`remote::RemoteFleet::run`]), and what a failed shipped batch
+    /// becomes under [`exec::Fallback::Fail`]. Deterministic: always
+    /// the lowest-indexed failing unit, numbered in input order.
     Worker {
         /// Lowest-indexed failing unit.
         unit: usize,
@@ -261,15 +264,6 @@ impl std::error::Error for SimError {
 impl From<steac_netlist::NetlistError> for SimError {
     fn from(e: steac_netlist::NetlistError) -> Self {
         SimError::Netlist(e)
-    }
-}
-
-impl From<shard::PoolError> for SimError {
-    /// The one shipped-failure mapping every workload shares: the
-    /// failing unit keeps its index.
-    fn from(e: shard::PoolError) -> Self {
-        let shard::PoolError::Unit { unit, diagnostic } = e;
-        SimError::Worker { unit, diagnostic }
     }
 }
 

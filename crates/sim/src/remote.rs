@@ -16,9 +16,10 @@
 //!   loss, and multiple requests are **pipelined** in flight on it under
 //!   a bounded window — a dedicated reader thread routes responses back
 //!   to callers by the envelope's request id, so responses may return in
-//!   any order. The session runs over any byte pipe:
+//!   any order. A response that takes longer than a fixed 120 s kills
+//!   its session. The session runs over any byte pipe:
 //!   [`TcpTransport`] over a socket to a `steac-worker --serve <addr>`
-//!   listener (its address resolved once per session), and
+//!   listener (its address resolved whenever a session opens), and
 //!   [`ProcessTransport`] over the stdin/stdout of one long-lived local
 //!   `steac-worker` child — the host behind each slot of `processes:N`,
 //!   which also makes the whole fleet testable in-repo with zero
@@ -75,11 +76,12 @@
 //! the worker's uptime and cache/traffic counters
 //! ([`crate::shard::WorkerStatus`]) for fleet observability.
 //! [`serve_session`] is the one worker-side frame loop: it serves each
-//! request on its own thread so pipelined requests complete out of
-//! order. [`serve_tcp`] runs it per connection with one `WorkerState`
-//! per listener, shared by every connection; the worker's stdio mode
-//! runs it once over stdin/stdout with one `WorkerState` for the
-//! child's whole life.
+//! request on its own thread, at most four at once, so pipelined
+//! requests complete out of order. [`serve_tcp_with_state`], the one
+//! serving loop, runs it per connection with one `WorkerState` per
+//! listener, shared by every connection; the worker's stdio mode runs
+//! it once over stdin/stdout with one `WorkerState` for the child's
+//! whole life.
 //!
 //! # Failure model
 //!
@@ -93,7 +95,8 @@
 //!   did resolve, the host takes a strike, and the unresolved units go
 //!   to the next live host the batch has not failed on — or to any live
 //!   host, once every live host has failed it. The batch fails, as
-//!   [`PoolError::Unit`] on its **lowest-indexed** unresolved unit, when
+//!   [`SimError::Worker`] on its **lowest-indexed** unresolved unit
+//!   (numbered in the dispatch input's order), when
 //!   it has failed more than [`RemoteFleet::with_max_retries`] times
 //!   and every live host has failed it, or when no live host remains.
 //! * **Workload-level unit errors** (the worker ran the unit and
@@ -118,15 +121,17 @@
 //! injected failures — including a worker restarted mid-run (cache
 //! wiped) and a corrupted inline program.
 
-use crate::shard::{self, PoolError, Reply, WireJob, WorkerState, WorkerStatus};
+use crate::exec::OnDrop;
+use crate::shard::{self, Reply, WireJob, WorkerState, WorkerStatus};
 use crate::wire::{fnv1a64, WireError, WireReader, WireWriter};
+use crate::SimError;
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -187,16 +192,18 @@ pub fn decode_envelope(bytes: &[u8]) -> Result<(u64, Vec<u8>), WireError> {
 /// magic, version mismatch), [`TransportError::Io`] for read failures.
 pub fn read_envelope<R: Read>(input: &mut R) -> Result<(u64, Vec<u8>), TransportError> {
     let mut header = [0u8; ENVELOPE_HEADER_LEN];
-    input.read_exact(&mut header).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            TransportError::Envelope {
-                diagnostic: "truncated envelope header".to_string(),
-            }
-        } else {
-            TransportError::Io {
-                diagnostic: format!("reading envelope header: {e}"),
-            }
-        }
+    input.read_exact(&mut header).map_err(|e| match e.kind() {
+        ErrorKind::UnexpectedEof => TransportError::Envelope {
+            diagnostic: "truncated envelope header".to_string(),
+        },
+        // How a socket read timeout surfaces: `WouldBlock` on Unix,
+        // `TimedOut` on Windows.
+        ErrorKind::WouldBlock | ErrorKind::TimedOut => TransportError::Io {
+            diagnostic: "reading envelope header: timed out".to_string(),
+        },
+        _ => TransportError::Io {
+            diagnostic: format!("reading envelope header: {e}"),
+        },
     })?;
     let mut r = WireReader::new(&header);
     let (request_id, len) = r
@@ -309,8 +316,15 @@ pub const DEFAULT_TCP_STREAMS: usize = 2;
 
 /// Bounded in-flight window of every session: requests written but not
 /// yet answered. A caller needing a slot past the window blocks until
-/// one frees — backpressure, not an unbounded queue.
+/// one frees — backpressure, not an unbounded queue. A served session
+/// ([`serve_session`]) runs at most this many requests at once.
 const SESSION_WINDOW: usize = 4;
+
+/// How long a session waits to connect, to write a request and for each
+/// response before it gives up on the exchange and dies, so a hung or
+/// blackholed host surfaces as a typed error instead of blocking a
+/// dispatcher forever.
+const SESSION_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// The channel a caller waits on for its routed response.
 type ResponseSender = mpsc::Sender<Result<Vec<u8>, TransportError>>;
@@ -420,27 +434,21 @@ impl Drop for SlotGuard<'_> {
 struct SessionSlot {
     /// The transport's endpoint, named in diagnostics.
     endpoint: String,
-    timeout: Option<Duration>,
+    /// [`SESSION_TIMEOUT`], except in tests.
+    timeout: Duration,
     live: Mutex<Option<Arc<Session>>>,
     next_id: AtomicU64,
 }
 
 impl SessionSlot {
-    /// A slot with no session yet and the default 120 s timeout.
+    /// A slot with no session yet.
     fn new(endpoint: String) -> Self {
         SessionSlot {
             endpoint,
-            timeout: Some(Duration::from_secs(120)),
+            timeout: SESSION_TIMEOUT,
             live: Mutex::new(None),
             next_id: AtomicU64::new(0),
         }
-    }
-
-    /// A slot with this one's configuration and no session.
-    fn fresh(&self) -> Self {
-        let mut slot = SessionSlot::new(self.endpoint.clone());
-        slot.timeout = self.timeout;
-        slot
     }
 
     /// Ships one request through the live session, opening one with
@@ -537,30 +545,25 @@ impl SessionSlot {
             session.die(&error);
             return Err((error, never_sent));
         }
-        let response = match self.timeout {
-            Some(timeout) => rx.recv_timeout(timeout).map_err(|e| match e {
-                mpsc::RecvTimeoutError::Timeout => {
-                    // Give up on this exchange and the whole session: a
-                    // stalled pipe must not absorb further requests.
-                    let _ = session
-                        .pending
-                        .lock()
-                        .expect("no panics hold the lock")
-                        .remove(&id);
-                    let error = TransportError::Io {
-                        diagnostic: format!("response from {} timed out", self.endpoint),
-                    };
-                    session.die(&error);
-                    error
-                }
-                mpsc::RecvTimeoutError::Disconnected => TransportError::Io {
-                    diagnostic: format!("session to {} closed", self.endpoint),
-                },
-            }),
-            None => rx.recv().map_err(|_| TransportError::Io {
+        let response = rx.recv_timeout(self.timeout).map_err(|e| match e {
+            mpsc::RecvTimeoutError::Timeout => {
+                // Give up on this exchange and the whole session: a
+                // stalled pipe must not absorb further requests.
+                let _ = session
+                    .pending
+                    .lock()
+                    .expect("no panics hold the lock")
+                    .remove(&id);
+                let error = TransportError::Io {
+                    diagnostic: format!("response from {} timed out", self.endpoint),
+                };
+                session.die(&error);
+                error
+            }
+            mpsc::RecvTimeoutError::Disconnected => TransportError::Io {
                 diagnostic: format!("session to {} closed", self.endpoint),
-            }),
-        };
+            },
+        });
         match response {
             Ok(Ok(payload)) => Ok(payload),
             Ok(Err(e)) | Err(e) => Err((e, false)),
@@ -584,20 +587,13 @@ impl Drop for SessionSlot {
 }
 
 /// Ships requests to a `steac-worker --serve <addr>` listening loop
-/// over **one persistent TCP session**: the address is resolved once
-/// per session, the connection is established lazily (and
+/// over **one persistent TCP session**: the address is resolved each
+/// time a session opens, the connection is established lazily (and
 /// re-established lazily after a loss — every failure stays a typed
 /// [`TransportError`]), and up to four requests are pipelined in flight
 /// at a time, matched to their responses by the envelope request id.
 pub struct TcpTransport {
     streams: usize,
-    /// Socket addresses resolved for the current session; dropped when
-    /// every one of them fails to connect, so a DNS change can heal a
-    /// moved host.
-    resolved: Mutex<Option<Vec<SocketAddr>>>,
-    /// How many times the address was actually resolved (unit-tested:
-    /// a session resolves once, not once per request).
-    resolutions: AtomicUsize,
     /// The session half; its endpoint is the `host:port` target.
     session: SessionSlot,
 }
@@ -606,43 +602,26 @@ impl fmt::Debug for TcpTransport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TcpTransport")
             .field("addr", &self.session.endpoint)
-            .field("timeout", &self.session.timeout)
             .field("streams", &self.streams)
             .finish_non_exhaustive()
     }
 }
 
-impl Clone for TcpTransport {
-    /// Clones the configuration; the clone starts with a fresh (lazy)
-    /// session of its own.
-    fn clone(&self) -> Self {
-        TcpTransport {
-            streams: self.streams,
-            resolved: Mutex::new(None),
-            resolutions: AtomicUsize::new(0),
-            session: self.session.fresh(),
-        }
-    }
-}
-
 impl TcpTransport {
-    /// A transport to `addr` (`host:port`), with the default 120 s
-    /// connect/read/write timeout so a hung or blackholed host surfaces
-    /// as a typed error instead of blocking a dispatcher forever, and
-    /// the default pipelining width ([`DEFAULT_TCP_STREAMS`]).
+    /// A transport to `addr` (`host:port`), with the 120 s session
+    /// timeout and the default pipelining width
+    /// ([`DEFAULT_TCP_STREAMS`]).
     #[must_use]
     pub fn new(addr: impl Into<String>) -> Self {
         TcpTransport {
             streams: DEFAULT_TCP_STREAMS,
-            resolved: Mutex::new(None),
-            resolutions: AtomicUsize::new(0),
             session: SessionSlot::new(addr.into()),
         }
     }
 
-    /// Overrides the connect/read/write timeout (`None` disables it).
-    #[must_use]
-    pub fn with_timeout(mut self, timeout: Option<Duration>) -> Self {
+    /// Shortens the session timeout, so tests can reach it.
+    #[cfg(test)]
+    fn with_timeout(mut self, timeout: Duration) -> Self {
         self.session.timeout = timeout;
         self
     }
@@ -655,13 +634,6 @@ impl TcpTransport {
         self
     }
 
-    /// How many times the target address has been resolved so far —
-    /// one per session, not one per request.
-    #[must_use]
-    pub fn resolutions(&self) -> usize {
-        self.resolutions.load(Ordering::Relaxed)
-    }
-
     fn unreachable(&self, diagnostic: String) -> TransportError {
         TransportError::Unreachable {
             endpoint: self.session.endpoint.clone(),
@@ -669,47 +641,23 @@ impl TcpTransport {
         }
     }
 
-    /// The session's resolved addresses, resolving (and caching) on
-    /// first use.
-    fn resolve(&self) -> Result<Vec<SocketAddr>, TransportError> {
-        let mut cached = self.resolved.lock().expect("no panics hold the lock");
-        if let Some(addrs) = cached.as_ref() {
-            return Ok(addrs.clone());
-        }
-        self.resolutions.fetch_add(1, Ordering::Relaxed);
-        let addrs: Vec<SocketAddr> = self
+    /// Resolves the target and connects to the first address that
+    /// answers within the session timeout — a blackholed host must
+    /// surface as a typed error on our schedule, not the kernel's.
+    fn connect(&self) -> Result<TcpStream, TransportError> {
+        let addrs = self
             .session
             .endpoint
             .to_socket_addrs()
-            .map_err(|e| self.unreachable(e.to_string()))?
-            .collect();
-        if addrs.is_empty() {
-            return Err(self.unreachable("address resolved to nothing".to_string()));
-        }
-        *cached = Some(addrs.clone());
-        Ok(addrs)
-    }
-
-    /// Connects within the configured timeout (a plain blocking connect
-    /// when the timeout is disabled) — a blackholed host must surface
-    /// as a typed error on our schedule, not the kernel's.
-    fn connect(&self) -> Result<TcpStream, TransportError> {
-        let addrs = self.resolve()?;
+            .map_err(|e| self.unreachable(e.to_string()))?;
         let mut last = None;
-        for addr in &addrs {
-            let attempt = match self.session.timeout {
-                Some(timeout) => TcpStream::connect_timeout(addr, timeout),
-                None => TcpStream::connect(addr),
-            };
-            match attempt {
+        for addr in addrs {
+            match TcpStream::connect_timeout(&addr, self.session.timeout) {
                 Ok(stream) => return Ok(stream),
                 Err(e) => last = Some(e.to_string()),
             }
         }
-        // Every resolved address refused: forget them so the next
-        // attempt re-resolves (the host may have moved).
-        *self.resolved.lock().expect("no panics hold the lock") = None;
-        Err(self.unreachable(last.unwrap_or_else(|| "no address to try".to_string())))
+        Err(self.unreachable(last.unwrap_or_else(|| "address resolved to nothing".to_string())))
     }
 
     /// Connects and starts a session over the socket: reader and writer
@@ -717,8 +665,8 @@ impl TcpTransport {
     fn open(&self) -> Result<Arc<Session>, TransportError> {
         let stream = self.connect()?;
         let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(self.session.timeout);
-        let _ = stream.set_write_timeout(self.session.timeout);
+        let _ = stream.set_read_timeout(Some(self.session.timeout));
+        let _ = stream.set_write_timeout(Some(self.session.timeout));
         let clone = || {
             stream
                 .try_clone()
@@ -1040,12 +988,6 @@ impl RemoteFleet {
         self.hosts.len()
     }
 
-    /// The configured retry budget per batch.
-    #[must_use]
-    pub fn max_retries(&self) -> usize {
-        self.max_retries
-    }
-
     /// The host endpoints, in fleet order.
     #[must_use]
     pub fn endpoints(&self) -> Vec<String> {
@@ -1090,11 +1032,12 @@ impl RemoteFleet {
     ///
     /// # Errors
     ///
-    /// [`PoolError::Unit`] for the lowest-indexed unit that could not be
-    /// resolved: a workload-level unit error (never retried), exhausted
-    /// retries after transport-level losses, or no live host left.
-    pub fn run(&self, kind: u16, job: &[u8], units: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, PoolError> {
-        self.shipper().ship(0, kind, job, units)
+    /// [`SimError::Worker`] for the lowest-indexed unit that could not
+    /// be resolved: a workload-level unit error (never retried),
+    /// exhausted retries after transport-level losses, or no live host
+    /// left.
+    pub fn run(&self, kind: u16, job: &[u8], units: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, SimError> {
+        self.shipper().ship(0, 0, kind, job, units)
     }
 }
 
@@ -1125,15 +1068,18 @@ impl Shipper<'_> {
     ///
     /// # Errors
     ///
-    /// [`PoolError::Unit`] for the lowest-indexed unit that could not be
-    /// resolved: its workload error, or why the fleet gave up on it.
+    /// [`SimError::Worker`] for the lowest-indexed unit that could not
+    /// be resolved: its workload error, or why the fleet gave up on it.
+    /// The batch's units are numbered from `first`, their position in
+    /// the dispatch input.
     pub(crate) fn ship(
         &self,
         home: usize,
+        first: usize,
         kind: u16,
         job: &[u8],
         units: &[Vec<u8>],
-    ) -> Result<Vec<Vec<u8>>, PoolError> {
+    ) -> Result<Vec<Vec<u8>>, SimError> {
         let batch = Batch {
             kind,
             job,
@@ -1194,7 +1140,10 @@ impl Shipper<'_> {
             .map(|(unit, result)| {
                 result
                     .unwrap_or_else(|| Err(unresolved.clone()))
-                    .map_err(|diagnostic| PoolError::Unit { unit, diagnostic })
+                    .map_err(|diagnostic| SimError::Worker {
+                        unit: first + unit,
+                        diagnostic,
+                    })
             })
             .collect()
     }
@@ -1358,37 +1307,19 @@ pub fn query_status(transport: &dyn Transport) -> Result<WorkerStatus, String> {
     }
 }
 
-/// The TCP serving loop behind `steac-worker --serve <addr>`: accepts
-/// connections forever and serves each on its own thread as one
+/// The one TCP serving loop, behind `steac-worker --serve <addr>`:
+/// accepts connections forever and serves each on its own thread as one
 /// [`serve_session`] (with `open` routing the job kind — the worker
 /// binary passes its [`crate::shard::JobRegistry`]).
 ///
-/// One [`WorkerState`] is shared by every connection the listener ever
-/// accepts, so the program cache survives reconnects and its counters
-/// describe the whole process lifetime — exactly what the status
-/// request reports.
+/// `state` is shared by every connection the listener ever accepts, so
+/// the program cache survives reconnects and its counters describe the
+/// whole process lifetime — exactly what the status request reports.
 ///
 /// Connection-level trouble (damaged envelope, unreadable request, dead
 /// peer) is logged to stderr and closes only that connection — a
 /// misbehaving client can never take the server down, which
 /// `tests/remote_chaos.rs` relies on.
-///
-/// # Errors
-///
-/// Only a broken listener (accept failure) ends the loop.
-pub fn serve_tcp<F>(listener: TcpListener, open: F) -> Result<(), String>
-where
-    F: Fn(u16, &[u8]) -> Result<Box<dyn WireJob>, String> + Send + Sync + 'static,
-{
-    serve_tcp_with_state(listener, open, Arc::new(WorkerState::new()))
-}
-
-/// [`serve_tcp`] over an explicit [`WorkerState`] — the hook behind
-/// `steac-worker --serve --cache-cap N` / `STEAC_CACHE_CAP`, which
-/// builds the state with [`WorkerState::with_cache_capacity`] so an
-/// interleaved streaming workload mix (grading + playback + March
-/// against one fleet) stops thrashing the default 8-entry program
-/// cache.
 ///
 /// # Errors
 ///
@@ -1441,17 +1372,22 @@ where
 /// its response envelope is written to `output` as it finishes —
 /// possibly out of request order, which is what the request id is for;
 /// the writer lock keeps concurrently finishing responses from
-/// interleaving mid-frame. A request that cannot be answered calls
-/// `close`, which must tear the pipe down: an unanswered request would
-/// otherwise strand the peer's pending call until its timeout. The loop
-/// returns once every request thread has finished.
+/// interleaving mid-frame. At most four requests run at once: the next
+/// frame is read only once one of them has finished, so a peer that
+/// writes without reading the replies cannot grow the thread count. A
+/// request that cannot be answered calls `close`, which must tear the
+/// pipe down: an unanswered request would otherwise strand the peer's
+/// pending call until its timeout. The loop returns once every request
+/// thread has finished.
 ///
-/// [`serve_tcp`] runs it per connection; `steac-worker` with no
-/// arguments runs it once over its stdin/stdout and closes by exiting.
+/// [`serve_tcp_with_state`] runs it per connection; `steac-worker` with
+/// no arguments runs it once over its stdin/stdout and closes by
+/// exiting.
 ///
 /// # Errors
 ///
-/// A diagnostic when reading fails or a frame is unreadable.
+/// A diagnostic when reading fails, a frame is unreadable or the OS
+/// refuses a request thread.
 pub fn serve_session<F>(
     mut input: impl Read,
     output: impl Write + Send,
@@ -1463,7 +1399,19 @@ where
     F: Fn(u16, &[u8]) -> Result<Box<dyn WireJob>, String> + Sync,
 {
     let output = Mutex::new(output);
+    let (running, finished) = (Mutex::new(0usize), Condvar::new());
     std::thread::scope(|scope| loop {
+        {
+            let mut running = running.lock().expect("no panics hold the lock");
+            while *running >= SESSION_WINDOW {
+                running = finished.wait(running).expect("no panics hold the lock");
+            }
+            *running += 1;
+        }
+        let release = OnDrop(|| {
+            *running.lock().expect("no panics hold the lock") -= 1;
+            finished.notify_one();
+        });
         // Peek the first byte by hand so a close between frames reads
         // as a clean end-of-session rather than a truncated envelope.
         let mut first = [0u8; 1];
@@ -1475,7 +1423,8 @@ where
         let (request_id, request) = read_envelope(&mut (&first[..]).chain(&mut input))
             .map_err(|e| format!("request frame: {e}"))?;
         let output = &output;
-        scope.spawn(move || {
+        let request_thread = std::thread::Builder::new().spawn_scoped(scope, move || {
+            let _release = release;
             let outcome = shard::process_request_with(&request, open, state).and_then(|response| {
                 let frame = encode_envelope(request_id, &response);
                 let mut output = output.lock().expect("no panics hold the lock");
@@ -1489,12 +1438,13 @@ where
                 close();
             }
         });
+        request_thread.map_err(|e| format!("starting request {request_id}: {e}"))?;
     })
 }
 
 /// A locally spawned `steac-worker --serve` process: the child plus the
 /// address it announced. Killed (and reaped) on drop. The launch-side
-/// counterpart of [`serve_tcp`], shared by the test batteries and the
+/// counterpart of [`serve_tcp_with_state`], shared by the test batteries and the
 /// scaling harness so the announce-line scraping lives in one place.
 #[derive(Debug)]
 pub struct ServeHandle {
@@ -1571,6 +1521,7 @@ pub fn spawn_serve_process_at(binary: &std::path::Path, bind: &str) -> Result<Se
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
 
     // ---------- envelope codec ----------
 
@@ -1820,7 +1771,7 @@ mod tests {
         for round in 1..=2 {
             let shipper = fleet.shipper();
             for batch in expected.chunks(2) {
-                assert_eq!(shipper.ship(0, 7, b"job", batch).unwrap(), batch);
+                assert_eq!(shipper.ship(0, 0, 7, b"job", batch).unwrap(), batch);
             }
             assert_eq!(
                 calls.load(Ordering::Relaxed),
@@ -1832,7 +1783,9 @@ mod tests {
     #[test]
     fn all_hosts_dead_is_a_lowest_indexed_unit_error() {
         let fleet = RemoteFleet::new(vec![dead(), dead()]);
-        let PoolError::Unit { unit, diagnostic } = fleet.run(7, b"job", &units(20)).unwrap_err();
+        let Err(SimError::Worker { unit, diagnostic }) = fleet.run(7, b"job", &units(20)) else {
+            panic!("expected a unit error");
+        };
         assert_eq!(unit, 0, "lowest-indexed unit wins");
         assert!(diagnostic.contains("retries exhausted"), "{diagnostic}");
     }
@@ -1848,7 +1801,9 @@ mod tests {
         let fleet = RemoteFleet::new(vec![host]);
         let mut work = units(5);
         work[3] = b"poison".to_vec();
-        let PoolError::Unit { unit, diagnostic } = fleet.run(7, b"job", &work).unwrap_err();
+        let Err(SimError::Worker { unit, diagnostic }) = fleet.run(7, b"job", &work) else {
+            panic!("expected a unit error");
+        };
         assert_eq!(unit, 3);
         assert!(diagnostic.contains("poisoned unit"), "{diagnostic}");
         assert_eq!(calls.load(Ordering::Relaxed), 1, "no retry of a unit error");
@@ -1874,6 +1829,28 @@ mod tests {
     }
 
     // ---------- TCP transport negative paths ----------
+
+    /// Serves a localhost listener with the echo job, counting the
+    /// connections it accepts; returns the port and the count.
+    fn echo_server() -> (u16, Arc<AtomicUsize>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let port = listener.local_addr().unwrap().port();
+        let accepts = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&accepts);
+        std::thread::spawn(move || {
+            let open = |_: u16, _: &[u8]| Ok(Box::new(EchoJob) as Box<dyn WireJob>);
+            let state = Arc::new(WorkerState::new());
+            for stream in listener.incoming() {
+                let Ok(stream) = stream else { break };
+                seen.fetch_add(1, Ordering::SeqCst);
+                let state = Arc::clone(&state);
+                std::thread::spawn(move || {
+                    let _ = serve_connection(stream, &open, &state);
+                });
+            }
+        });
+        (port, accepts)
+    }
 
     #[test]
     fn tcp_connect_refused_is_unreachable() {
@@ -1905,7 +1882,7 @@ mod tests {
                 // i == 1: drop the connection without reading or replying.
             }
         });
-        let t = TcpTransport::new(addr).with_timeout(Some(Duration::from_secs(10)));
+        let t = TcpTransport::new(addr).with_timeout(Duration::from_secs(10));
         assert!(matches!(
             t.call(b"request"),
             Err(TransportError::Envelope { .. })
@@ -1925,17 +1902,106 @@ mod tests {
         server.join().unwrap();
     }
 
+    /// A host that accepts and never answers: each call gives up at the
+    /// session timeout with a typed I/O error and kills its session, so
+    /// the next call opens a session of its own.
     #[test]
-    fn serve_tcp_round_trips_through_the_echo_job() {
+    fn a_silent_host_times_out_each_call_on_its_own_session() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let accepts = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&accepts);
+        std::thread::spawn(move || {
+            let mut silent = Vec::new();
+            for stream in listener.incoming() {
+                seen.fetch_add(1, Ordering::SeqCst);
+                silent.push(stream);
+            }
+        });
+        let t = TcpTransport::new(addr).with_timeout(Duration::from_millis(200));
+        for call in 1..=2 {
+            let started = std::time::Instant::now();
+            let err = t.call(b"request").unwrap_err();
+            let took = started.elapsed();
+            assert!(took < Duration::from_secs(2), "call {call} took {took:?}");
+            assert!(
+                matches!(&err, TransportError::Io { diagnostic } if diagnostic.contains("timed out")),
+                "call {call}: {err}"
+            );
+            while accepts.load(Ordering::SeqCst) < call
+                && started.elapsed() < Duration::from_secs(5)
+            {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            assert_eq!(accepts.load(Ordering::SeqCst), call, "one session per call");
+        }
+    }
+
+    #[test]
+    fn tcp_serving_round_trips_through_the_echo_job() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         std::thread::spawn(move || {
-            let _ = serve_tcp(listener, |_, _| Ok(Box::new(EchoJob)));
+            let open = |_: u16, _: &[u8]| Ok(Box::new(EchoJob) as Box<dyn WireJob>);
+            let _ = serve_tcp_with_state(listener, open, Arc::new(WorkerState::new()));
         });
         let fleet = RemoteFleet::tcp([addr]).unwrap();
         let expected = units(12);
         let got = fleet.run(7, b"job", &expected).unwrap();
         assert_eq!(got, expected);
+        let status = fleet.statuses().remove(0).1.expect("status reply");
+        assert_eq!(status.units_served, 12, "{status:?}");
+        assert_eq!(status.cache_entries, 1, "{status:?}");
+        assert!(status.requests_served >= 1, "{status:?}");
+        assert!(status.bytes_received > 0, "{status:?}");
+    }
+
+    /// A job that sleeps 50 ms per unit and records how many units ran
+    /// at once.
+    struct Sleeper {
+        running: Arc<AtomicUsize>,
+        peak: Arc<AtomicUsize>,
+    }
+
+    impl WireJob for Sleeper {
+        fn run_unit(&mut self, unit: &[u8]) -> Result<Vec<u8>, String> {
+            let now = self.running.fetch_add(1, Ordering::SeqCst) + 1;
+            self.peak.fetch_max(now, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(50));
+            self.running.fetch_sub(1, Ordering::SeqCst);
+            Ok(unit.to_vec())
+        }
+    }
+
+    /// A peer that writes 16 frames without reading a reply gets all 16
+    /// replies, and the session runs at most `SESSION_WINDOW` of them at
+    /// once.
+    #[test]
+    fn a_served_session_runs_at_most_a_window_of_requests() {
+        let request = shard::encode_request(7, Some(b"job"), fnv1a64(b"job"), &[0], &units(1));
+        let input: Vec<u8> = (0..16)
+            .flat_map(|id| encode_envelope(id, &request))
+            .collect();
+        let (running, peak) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let open = |_: u16, _: &[u8]| {
+            let (running, peak) = (Arc::clone(&running), Arc::clone(&peak));
+            Ok(Box::new(Sleeper { running, peak }) as Box<dyn WireJob>)
+        };
+        let mut output = Vec::new();
+        serve_session(&input[..], &mut output, &|| {}, &open, &WorkerState::new()).unwrap();
+        let (mut replies, mut ids) = (&output[..], Vec::new());
+        while !replies.is_empty() {
+            let (id, response) = read_envelope(&mut replies).unwrap();
+            let Reply::Results(items, None) = shard::parse_reply(&response, 1) else {
+                panic!("reply {id} is damaged");
+            };
+            assert_eq!(items, [(0, Ok(units(1).remove(0)))], "reply {id}");
+            ids.push(id);
+        }
+        ids.sort_unstable();
+        assert_eq!(ids, (0..16).collect::<Vec<u64>>());
+        let peak = peak.load(Ordering::SeqCst);
+        assert!(peak <= SESSION_WINDOW, "{peak} requests ran at once");
     }
 
     // ---------- program cache + session semantics ----------
@@ -2008,23 +2074,8 @@ mod tests {
     /// 2-stream TCP transport share exactly one connection.
     #[test]
     fn tcp_fleet_run_uses_one_connection_per_transport() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let accepts = Arc::new(AtomicUsize::new(0));
-        let seen = Arc::clone(&accepts);
-        std::thread::spawn(move || {
-            let open = |_: u16, _: &[u8]| Ok(Box::new(EchoJob) as Box<dyn WireJob>);
-            let state = Arc::new(WorkerState::new());
-            for stream in listener.incoming() {
-                let Ok(stream) = stream else { break };
-                seen.fetch_add(1, Ordering::Relaxed);
-                let state = Arc::clone(&state);
-                std::thread::spawn(move || {
-                    let _ = serve_connection(stream, &open, &state);
-                });
-            }
-        });
-        let fleet = Arc::new(RemoteFleet::tcp([addr]).unwrap());
+        let (port, accepts) = echo_server();
+        let fleet = Arc::new(RemoteFleet::tcp([format!("127.0.0.1:{port}")]).unwrap());
         let racers: Vec<_> = (0..4)
             .map(|_| {
                 let fleet = Arc::clone(&fleet);
@@ -2039,7 +2090,7 @@ mod tests {
         for racer in racers {
             racer.join().unwrap();
         }
-        assert_eq!(accepts.load(Ordering::Relaxed), 1);
+        assert_eq!(accepts.load(Ordering::SeqCst), 1);
         let stats = fleet.stats();
         assert_eq!(stats.programs_shipped, 1, "{stats:?}");
     }
@@ -2076,7 +2127,7 @@ mod tests {
                 }
             }
         });
-        let t = TcpTransport::new(addr).with_timeout(Some(Duration::from_secs(10)));
+        let t = TcpTransport::new(addr).with_timeout(Duration::from_secs(10));
         let request = shard::encode_request(7, Some(b"job"), fnv1a64(b"job"), &[0], &units(1));
         assert!(t.call(&request).is_ok(), "first session works");
         // Give the reader thread a moment to notice the server-side
@@ -2086,41 +2137,27 @@ mod tests {
         assert!(t.call(&request).is_ok(), "reconnected session works");
     }
 
+    /// A hostname target is resolved when its session opens: nothing
+    /// connects before the first call, and three calls share one
+    /// connection.
     #[test]
-    fn hostname_targets_resolve_once_per_session() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let port = listener.local_addr().unwrap().port();
-        std::thread::spawn(move || {
-            let _ = serve_tcp(listener, |_, _| Ok(Box::new(EchoJob)));
-        });
-        // A *hostname* target (not a literal IP), so `to_socket_addrs`
-        // does real resolution work worth caching.
+    fn hostname_target_opens_one_session_for_three_calls() {
+        let (port, accepts) = echo_server();
         let t = TcpTransport::new(format!("localhost:{port}"));
-        assert_eq!(t.resolutions(), 0, "resolution is lazy");
+        assert_eq!(
+            accepts.load(Ordering::SeqCst),
+            0,
+            "the session opens lazily"
+        );
         let request = shard::encode_request(7, Some(b"job"), fnv1a64(b"job"), &[0], &units(1));
         for _ in 0..3 {
             t.call(&request).unwrap();
         }
-        assert_eq!(t.resolutions(), 1, "one session, one resolution");
-    }
-
-    #[test]
-    fn status_round_trips_over_tcp_and_counts_the_cache() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        std::thread::spawn(move || {
-            let _ = serve_tcp(listener, |_, _| Ok(Box::new(EchoJob)));
-        });
-        let fleet = RemoteFleet::tcp([addr]).unwrap();
-        let expected = units(12);
-        assert_eq!(fleet.run(7, b"job", &expected).unwrap(), expected);
-        let statuses = fleet.statuses();
-        assert_eq!(statuses.len(), 1);
-        let status = statuses[0].1.as_ref().expect("status reply");
-        assert_eq!(status.units_served, 12, "{status:?}");
-        assert_eq!(status.cache_entries, 1, "{status:?}");
-        assert!(status.requests_served >= 1, "{status:?}");
-        assert!(status.bytes_received > 0, "{status:?}");
+        assert_eq!(
+            accepts.load(Ordering::SeqCst),
+            1,
+            "one session, one connection"
+        );
     }
 
     // ---------- process transport lifecycle ----------

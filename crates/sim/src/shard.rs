@@ -67,8 +67,8 @@
 //! executes its units in order. Protocol errors — truncated or
 //! version-mismatched requests — surface as a typed diagnostic; the
 //! dispatcher reports any worker failure as the **lowest-indexed**
-//! affected unit's error, so failure reporting is as deterministic as
-//! success merging.
+//! affected unit's [`crate::SimError::Worker`], so failure reporting is
+//! as deterministic as success merging.
 //!
 //! No dependencies beyond `std`.
 
@@ -202,28 +202,12 @@ const REPLY_STATUS: u8 = 2;
 pub const RUN_REQUEST_JOB_OFFSET: usize = 26;
 
 /// Default number of programs a persistent worker keeps decoded-job
-/// *bytes* for, most recently used last. Small on purpose: a fleet
-/// serves one or a handful of distinct programs at a time, and a stale
-/// entry costs one extra round trip, not a wrong answer. Interleaved
-/// streaming workloads (grading + playback + March against one fleet)
-/// can outgrow it — `steac-worker --serve` takes `--cache-cap N` /
-/// `STEAC_CACHE_CAP` to widen the cache, and the status exchange
-/// reports capacity next to the eviction counter so thrash is visible.
+/// *bytes* for, most recently used last — what every `steac-worker`
+/// runs with. Small on purpose: a fleet serves one or a handful of
+/// distinct programs at a time, and a stale entry costs one extra round
+/// trip, not a wrong answer. The status exchange reports capacity next
+/// to the eviction counter so thrash is visible.
 pub const DEFAULT_PROGRAM_CACHE_CAPACITY: usize = 8;
-
-/// The program-cache capacity requested via the `STEAC_CACHE_CAP`
-/// environment variable (`None` unless set to a positive integer).
-/// Consulted by `steac-worker --serve` when no `--cache-cap` flag is
-/// given.
-#[must_use]
-pub fn env_cache_capacity() -> Option<usize> {
-    std::env::var("STEAC_CACHE_CAP")
-        .ok()?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&n| n > 0)
-}
 
 /// The content-addressed LRU of job blocks a persistent worker serves
 /// by-hash requests from. Caches the wire *bytes*, not opened jobs:
@@ -236,12 +220,6 @@ struct ProgramCache {
     entries: Vec<(u64, Vec<u8>)>,
     /// Entries kept before the LRU victim is dropped (≥ 1).
     capacity: usize,
-}
-
-impl Default for ProgramCache {
-    fn default() -> Self {
-        ProgramCache::with_capacity(DEFAULT_PROGRAM_CACHE_CAPACITY)
-    }
 }
 
 impl ProgramCache {
@@ -312,8 +290,7 @@ impl WorkerState {
     }
 
     /// A fresh state whose program cache holds at most `capacity`
-    /// programs (clamped to ≥ 1). `steac-worker --serve --cache-cap N`
-    /// builds its shared state through this.
+    /// programs (clamped to ≥ 1).
     #[must_use]
     pub fn with_cache_capacity(capacity: usize) -> Self {
         WorkerState {
@@ -390,7 +367,7 @@ impl fmt::Display for WorkerStatus {
             // A full cache that has already evicted is thrashing:
             // every additional distinct program costs a round trip.
             if self.cache_evictions > 0 && self.cache_entries == self.cache_capacity {
-                " — cache under pressure, consider --cache-cap"
+                " — cache under pressure"
             } else {
                 ""
             },
@@ -502,29 +479,6 @@ pub fn default_worker_binary() -> Option<PathBuf> {
     }
     candidates.into_iter().find(|c| c.is_file())
 }
-
-/// Failure of a shipped run ([`crate::remote::RemoteFleet::run`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PoolError {
-    /// A work unit failed — the unit itself reported an error, or its
-    /// worker died/misbehaved past the retry budget. Deterministic:
-    /// always the lowest-indexed affected unit.
-    Unit {
-        /// Lowest-indexed failing unit.
-        unit: usize,
-        /// Worker-provided (or dispatcher-derived) diagnostic.
-        diagnostic: String,
-    },
-}
-
-impl std::fmt::Display for PoolError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let PoolError::Unit { unit, diagnostic } = self;
-        write!(f, "work unit {unit} failed: {diagnostic}")
-    }
-}
-
-impl std::error::Error for PoolError {}
 
 /// Encodes one run request. `job` is `Some(bytes)` to ship the program
 /// inline (its FNV-1a hash must be `job_hash`) or `None` to reference

@@ -28,27 +28,26 @@
 //!   It exits 0 when stdin closes at a frame boundary, so a dead parent
 //!   leaves no orphan, and nonzero, with a diagnostic on stderr, on a
 //!   damaged frame or a request it cannot answer.
-//! * **`--serve <host:port> [--cache-cap N]`**: binds a TCP listener
-//!   and serves the same sessions forever
-//!   (`steac_sim::remote::serve_tcp_with_state`): each connection is a
-//!   framed request loop, each request runs on its own thread, and one
-//!   shared worker state carries the program cache and status counters
-//!   across every connection the process ever accepts.
-//!   This is the remote half of `STEAC_EXEC=remote:host:port,…` — start
-//!   one per host of the fleet. The bound address is printed to stdout
-//!   (bind to port 0 for an ephemeral port and scrape it from that
-//!   line). The program cache holds 8 entries by default — enough for a
-//!   single campaign, but interleaved streaming workloads (grading +
-//!   playback + March) cycle more distinct jobs than that and thrash;
-//!   size it with `--cache-cap N` (or `STEAC_CACHE_CAP=N`, flag wins)
-//!   when a fleet serves mixed campaigns. A stdio session reads
-//!   `STEAC_CACHE_CAP` too.
+//! * **`--serve <host:port>`**: binds a TCP listener and serves the
+//!   same sessions forever (`steac_sim::remote::serve_tcp_with_state`,
+//!   the one serving loop): each connection is a framed request loop,
+//!   each request runs on its own thread (at most four per connection
+//!   at once), and one shared worker state carries the program cache
+//!   and status counters across every connection the process ever
+//!   accepts. This is the remote half of
+//!   `STEAC_EXEC=remote:host:port,…` — start one per host of the fleet.
+//!   The bound address is printed to stdout (bind to port 0 for an
+//!   ephemeral port and scrape it from that line).
 //! * **`--status <host:port>`**: queries a serving worker's status
 //!   counters (uptime, program-cache entries/capacity/hits/misses/
 //!   evictions, requests and units served, bytes received) and prints
 //!   them — the observability half of the protocol's status request.
-//!   Evictions while the cache sits full are flagged as pressure, the
-//!   signal to raise `--cache-cap`.
+//!   Evictions while the cache sits full are flagged as pressure.
+//!
+//! Every mode's program cache holds
+//! `steac_sim::shard::DEFAULT_PROGRAM_CACHE_CAPACITY` (8) programs;
+//! there is no flag or variable to size it, and any other argument is a
+//! usage error (exit 2, before anything is bound).
 //!
 //! Protocol errors end the session with a diagnostic on stderr: the
 //! stdio worker exits nonzero, a serve connection closes (a misbehaving
@@ -79,23 +78,9 @@ use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::Arc;
 use steac_sim::remote::{query_status, serve_session, serve_tcp_with_state, TcpTransport};
-use steac_sim::shard::{env_cache_capacity, WorkerState, DEFAULT_PROGRAM_CACHE_CAPACITY};
+use steac_sim::shard::WorkerState;
 
-const USAGE: &str =
-    "usage: steac-worker [--serve <host:port> [--cache-cap N] | --status <host:port>]";
-
-/// Program-cache capacity for `--serve`: the `--cache-cap` flag when
-/// given, else `STEAC_CACHE_CAP`, else the built-in default.
-fn serve_cache_capacity(rest: &[String]) -> Result<usize, String> {
-    match rest {
-        [] => Ok(env_cache_capacity().unwrap_or(DEFAULT_PROGRAM_CACHE_CAPACITY)),
-        [flag, n] if flag == "--cache-cap" => match n.parse::<usize>() {
-            Ok(cap) if cap > 0 => Ok(cap),
-            _ => Err(format!("--cache-cap must be a positive integer, got `{n}`")),
-        },
-        _ => Err(USAGE.to_string()),
-    }
-}
+const USAGE: &str = "usage: steac-worker [--serve <host:port> | --status <host:port>]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -108,27 +93,22 @@ fn main() -> ExitCode {
             // ends it, so the dispatcher fails over without waiting.
             &|| std::process::exit(2),
             &|kind, job| registry.open(kind, job),
-            &WorkerState::with_cache_capacity(
-                env_cache_capacity().unwrap_or(DEFAULT_PROGRAM_CACHE_CAPACITY),
-            ),
+            &WorkerState::new(),
         ),
-        [flag, addr, rest @ ..] if flag == "--serve" => match serve_cache_capacity(rest) {
-            Ok(capacity) => match TcpListener::bind(addr) {
-                Ok(listener) => {
-                    match listener.local_addr() {
-                        Ok(bound) => println!("steac-worker: serving on {bound}"),
-                        Err(_) => println!("steac-worker: serving on {addr}"),
-                    }
-                    let _ = stdout().flush();
-                    serve_tcp_with_state(
-                        listener,
-                        move |kind, job| registry.open(kind, job),
-                        Arc::new(WorkerState::with_cache_capacity(capacity)),
-                    )
+        [flag, addr] if flag == "--serve" => match TcpListener::bind(addr) {
+            Ok(listener) => {
+                match listener.local_addr() {
+                    Ok(bound) => println!("steac-worker: serving on {bound}"),
+                    Err(_) => println!("steac-worker: serving on {addr}"),
                 }
-                Err(e) => Err(format!("binding {addr}: {e}")),
-            },
-            Err(e) => Err(e),
+                let _ = stdout().flush();
+                serve_tcp_with_state(
+                    listener,
+                    move |kind, job| registry.open(kind, job),
+                    Arc::new(WorkerState::new()),
+                )
+            }
+            Err(e) => Err(format!("binding {addr}: {e}")),
         },
         [flag, addr] if flag == "--status" => {
             let transport = TcpTransport::new(addr.clone());

@@ -10,14 +10,16 @@
 //! — between in-thread recomputation and a typed error.
 
 use std::collections::BTreeSet;
+use std::io::Read as _;
 use std::path::{Path, PathBuf};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use steac_membist::{faultsim, MarchAlgorithm, SramConfig};
 use steac_netlist::{GateKind, Module, NetId, NetlistBuilder};
 use steac_pattern::{apply_cycle_patterns_batch, CyclePattern, PinState};
 use steac_sim::models::{encode_chunk, encode_job, fault_dictionary, FaultModel, Mode};
-use steac_sim::shard::{self, PoolError};
+use steac_sim::shard;
 use steac_sim::wire::WireReader;
 use steac_sim::{
     diagnose, fault, Backend, BridgingFault, Exec, Fallback, Fault, Logic, RemoteFleet, SimError,
@@ -152,9 +154,11 @@ fn process_fleet_keeps_its_program_and_its_session() {
     };
     let after_replays = served(Some(1));
 
-    let PoolError::Unit { unit, diagnostic } = fleet
-        .run(999, b"whatever", &[vec![1], vec![2], vec![3]])
-        .unwrap_err();
+    let Err(SimError::Worker { unit, diagnostic }) =
+        fleet.run(999, b"whatever", &[vec![1], vec![2], vec![3]])
+    else {
+        panic!("expected a unit error");
+    };
     assert_eq!(unit, 0);
     assert!(
         diagnostic.contains("unknown work-unit kind"),
@@ -184,6 +188,39 @@ fn process_fleet_keeps_its_program_and_its_session() {
     assert_eq!(exec.process_fallbacks(), 0);
 }
 
+/// The worker binary with `args`, its stdio piped.
+fn worker_with_args(args: &[&str]) -> Child {
+    Command::new(worker_binary())
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("worker spawns")
+}
+
+/// Waits (polling, so a hang fails instead of blocking) for a worker to
+/// exit on its own; returns its status, stdout and stderr.
+fn finish(mut child: Child) -> (ExitStatus, String, String) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("the worker did not exit on its own");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let (mut stdout, mut stderr) = (String::new(), String::new());
+    let _ = child.stdout.take().unwrap().read_to_string(&mut stdout);
+    let _ = child.stderr.take().unwrap().read_to_string(&mut stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    (status, stdout, stderr)
+}
+
 /// The stdio session every `processes:N` child runs is total: a status
 /// request answers and closing stdin then ends the session with exit 0,
 /// so a dead dispatcher leaves no orphan. A non-envelope frame, a
@@ -192,38 +229,10 @@ fn process_fleet_keeps_its_program_and_its_session() {
 /// diagnostic — never a hang, never a panic.
 #[test]
 fn stdio_worker_session_is_total() {
-    use std::io::{Read as _, Write as _};
-    use std::process::{Child, Command, ExitStatus, Stdio};
+    use std::io::Write as _;
     use steac_sim::remote::{encode_envelope, read_envelope};
 
-    let spawn = || {
-        Command::new(worker_binary())
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("worker spawns")
-    };
-    // Waits (polling, so a hang fails instead of blocking) for the child
-    // to exit on its own; returns its status and stderr.
-    let finish = |mut child: Child| -> (ExitStatus, String) {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let status = loop {
-            if let Some(status) = child.try_wait().unwrap() {
-                break status;
-            }
-            if Instant::now() > deadline {
-                let _ = child.kill();
-                let _ = child.wait();
-                panic!("the worker did not exit on its own");
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        };
-        let mut stderr = String::new();
-        let _ = child.stderr.take().unwrap().read_to_string(&mut stderr);
-        assert!(!stderr.contains("panicked"), "{stderr}");
-        (status, stderr)
-    };
+    let spawn = || worker_with_args(&[]);
 
     // Protocol v3 status request: magic, version, tag 1.
     let mut status_request = b"STWQ".to_vec();
@@ -239,7 +248,7 @@ fn stdio_worker_session_is_total() {
     assert!(reply.starts_with(b"STWR"), "{reply:?}");
     assert_eq!(reply[6], 2, "a status reply");
     drop(stdin);
-    let (status, stderr) = finish(child);
+    let (status, _, stderr) = finish(child);
     assert!(status.success(), "{status}: {stderr}");
 
     let header = &encode_envelope(1, b"payload")[..10];
@@ -262,10 +271,24 @@ fn stdio_worker_session_is_total() {
         if close {
             drop(stdin);
         }
-        let (status, stderr) = finish(child);
+        let (status, _, stderr) = finish(child);
         assert!(!status.success(), "{case}: {status}");
         assert!(stderr.contains("steac-worker"), "{case}: {stderr}");
     }
+}
+
+/// The worker has no cache-size flag: `--serve` with one is a usage
+/// error that exits 2 before binding, so no address is announced.
+#[test]
+fn cache_cap_flag_is_a_usage_error() {
+    let child = worker_with_args(&["--serve", "127.0.0.1:0", "--cache-cap", "4"]);
+    let (status, stdout, stderr) = finish(child);
+    assert_eq!(status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("usage: steac-worker [--serve <host:port> | --status <host:port>]"),
+        "{stderr}"
+    );
+    assert!(stdout.is_empty(), "announced an address: {stdout}");
 }
 
 /// The default-discovery path (`shard::default_worker_binary`) must find
@@ -394,9 +417,11 @@ fn dying_worker_follows_the_policy() {
 #[test]
 fn unknown_job_kind_is_a_lowest_indexed_unit_error() {
     let exec = processes(2);
-    let PoolError::Unit { unit, diagnostic } = fleet(&exec)
-        .run(999, b"whatever", &[vec![1], vec![2], vec![3]])
-        .unwrap_err();
+    let Err(SimError::Worker { unit, diagnostic }) =
+        fleet(&exec).run(999, b"whatever", &[vec![1], vec![2], vec![3]])
+    else {
+        panic!("expected a unit error");
+    };
     assert_eq!(unit, 0);
     assert!(
         diagnostic.contains("unknown work-unit kind"),
@@ -412,9 +437,11 @@ fn unknown_job_kind_is_a_lowest_indexed_unit_error() {
 fn corrupt_job_bytes_are_typed_unit_errors() {
     let exec = processes(1);
     for (kind, _) in steac_suite::worker_registry().kinds() {
-        let PoolError::Unit { unit, diagnostic } = fleet(&exec)
-            .run(kind, &[0xDE, 0xAD, 0xBE, 0xEF], &[vec![0; 4]])
-            .unwrap_err();
+        let Err(SimError::Worker { unit, diagnostic }) =
+            fleet(&exec).run(kind, &[0xDE, 0xAD, 0xBE, 0xEF], &[vec![0; 4]])
+        else {
+            panic!("kind {kind}: expected a unit error");
+        };
         assert_eq!(unit, 0, "kind {kind}");
         assert!(!diagnostic.is_empty(), "kind {kind}");
     }
@@ -677,13 +704,13 @@ fn corrupt_unit_bytes_fail_only_that_unit() {
         steac_membist::wire::encode_fault_unit(&[steac_membist::MemFault::stuck_at(3, 0, true)]);
     let corrupt = vec![0xFF; 3];
     let exec = processes(1);
-    let PoolError::Unit { unit, diagnostic } = fleet(&exec)
-        .run(
-            steac_membist::wire::WIRE_KIND,
-            &job,
-            &[good.clone(), corrupt, good],
-        )
-        .unwrap_err();
+    let Err(SimError::Worker { unit, diagnostic }) = fleet(&exec).run(
+        steac_membist::wire::WIRE_KIND,
+        &job,
+        &[good.clone(), corrupt, good],
+    ) else {
+        panic!("expected a unit error");
+    };
     assert_eq!(unit, 1, "only the corrupt unit fails: {diagnostic}");
 }
 
