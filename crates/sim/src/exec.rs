@@ -4,10 +4,10 @@
 //! `steac-worker` hosts — while the workload code stays identical.
 //!
 //! Every batched workload in the platform (PPSFP fault grading, fault
-//! dictionaries and diagnosis, ATE playback, March fault simulation,
-//! JPEG pattern generation and playback) decomposes into independent
-//! work units over shared immutable state. Each exposes exactly one
-//! entry point taking [`&Exec`](Exec):
+//! dictionaries, ATE playback, March fault simulation, JPEG pattern
+//! generation and playback) decomposes into independent work units
+//! over shared immutable state. Each exposes exactly one entry point
+//! taking [`&Exec`](Exec):
 //!
 //! ```text
 //! fault::grade_vectors(&exec, …)
@@ -43,10 +43,12 @@
 //!   threads per host stream — `2 × Σ streams` in all, summing
 //!   [`crate::remote::Transport::streams`] over the [`RemoteFleet`]'s
 //!   hosts — with [`STREAM_BATCH_UNITS`] units per batch. Each
-//!   dispatcher is homed on one host (in fleet order, each host
-//!   repeated `2 × streams` times) and ships every batch it pulls as
-//!   **one** run request, to its home host while that is live, failing
-//!   over otherwise. The hosts are persistent local `steac-worker`
+//!   dispatcher is homed on one host (each host repeated
+//!   `2 × streams` times, in fleet order from a first host that moves
+//!   one host along on each dispatch call, so calls of one batch spread
+//!   over the fleet) and ships every batch it pulls as **one** run
+//!   request, to its home host while that is live, failing over
+//!   otherwise. The hosts are persistent local `steac-worker`
 //!   children, or TCP to `steac-worker --serve` listeners. This is the
 //!   only scheduler of shipped work: the fleet chooses hosts, primes
 //!   their program caches and retries, but never re-cuts a batch. The
@@ -482,10 +484,7 @@ impl Exec {
         // One home host per dispatcher (unused in-process).
         let (homes, batch_units, shipper) = match &self.backend {
             Backend::Processes(fleet) | Backend::Remote(fleet) => {
-                let homes = (0..fleet.hosts())
-                    .flat_map(|host| vec![host; 2 * fleet.streams(host)])
-                    .collect();
-                (homes, STREAM_BATCH_UNITS, Some(fleet.shipper()))
+                (fleet.homes(), STREAM_BATCH_UNITS, Some(fleet.shipper()))
             }
             Backend::Threads(t) if t.get() > 1 => (vec![0; t.get()], 1, None),
             Backend::Serial | Backend::Threads(_) => {
@@ -1005,6 +1004,27 @@ mod tests {
             .map(|request| request[present] == 1)
             .collect();
         assert_eq!(inline, [true, false, false, false]);
+    }
+
+    /// Dispatch calls of one batch spread over the fleet: each call homes
+    /// its first dispatchers one host further along, so 32 five-unit
+    /// calls over two hosts give each host at least a quarter of them.
+    #[test]
+    fn one_batch_dispatches_rotate_over_the_fleet() {
+        let hosts = [EchoHost::new(|_| Ok(())), EchoHost::new(|_| Ok(()))];
+        let fleet = RemoteFleet::new(
+            hosts
+                .iter()
+                .map(|h| Box::new(Arc::clone(h)) as Box<dyn Transport>)
+                .collect(),
+        );
+        let exec = Exec::remote(fleet).with_fallback(Fallback::Fail);
+        for _ in 0..32 {
+            squares(&exec, &Squares::default(), 5);
+        }
+        let calls: Vec<usize> = hosts.iter().map(|h| h.calls()).collect();
+        assert_eq!(calls.iter().sum::<usize>(), 32, "{calls:?}");
+        assert!(calls.iter().all(|&c| c >= 8), "{calls:?}");
     }
 
     /// A host that refuses every call, slowly, is lost after

@@ -47,9 +47,9 @@
 //!    grading, fault dictionaries and March walks at
 //!    [`packed::DEFAULT_LANE_GROUPS`] (256 lanes). No caller, job or
 //!    setting picks a width at run time.
-//! 4. **Dispatch** ([`exec`]): independent passes (fault-grading
-//!    chunks, 64-pattern playback blocks, March walks, JPEG generation
-//!    blocks) are *work units* of one [`ExecWork`] behind one
+//! 4. **Dispatch** ([`exec`]): independent passes (fault-grading and
+//!    dictionary chunks, 64-pattern playback blocks, March walks, JPEG
+//!    generation blocks) are *work units* of one [`ExecWork`] behind one
 //!    execution-backend value, [`Exec`]: `Exec::serial()` runs them
 //!    inline, `Exec::threads(..)` fans them across scoped dispatcher
 //!    threads, and `Exec::processes(..)` serializes them ([`wire`]) to a
@@ -128,11 +128,11 @@
 //! coupling rides `steac-membist`'s March walks (kind 3). Kinds 1, 4 and
 //! 5 each grade or build a dictionary (per-fault detecting-pattern/output
 //! signatures, [`models::dictionary`]), and
-//! [`models::dictionary::diagnose`] (kind 6) consumes a dictionary plus
-//! an observed failure signature to rank candidate fault sites —
-//! localization dispatched through the same `Exec` seam as grading.
-//! Flows that grade "with the configured model" select it via
-//! `STEAC_MODEL` ([`models::ModelKind::from_env`]).
+//! [`models::dictionary::diagnose`] ranks a dictionary's candidate
+//! fault sites against an observed failure signature, in place: one
+//! XOR and popcount per signature word is cheaper than any trip to a
+//! worker. Flows that grade with a chosen model take it as a
+//! [`models::ModelKind`].
 //!
 //! # Example
 //!

@@ -1,4 +1,4 @@
-//! Fault dictionaries and the `Exec`-dispatched `diagnose` workload.
+//! Fault dictionaries and the `diagnose` lookup that ranks them.
 //!
 //! A **fault dictionary** is the localization artifact a dictionary-
 //! producing grading run emits: per candidate fault, the first
@@ -26,14 +26,10 @@
 //! signature of a failing device (the tester's failure log compacted
 //! the same way), it ranks every candidate by Hamming distance between
 //! signatures — the classic dictionary lookup, distance 0 meaning the
-//! candidate explains the observation exactly. Scoring is fanned out
-//! through [`Exec`] as work-unit chunks of candidates (kind
-//! [`WIRE_KIND`]), so a large dictionary diagnoses across the same
-//! five backends as grading, with the same byte-identical-results
-//! contract.
+//! candidate explains the observation exactly. It ranks in place, on
+//! the calling thread: one XOR and popcount per signature word costs
+//! far less than shipping the dictionary to a worker would.
 
-use crate::exec::{Exec, ExecWork};
-use crate::shard;
 use crate::wire;
 use crate::SimError;
 
@@ -190,23 +186,14 @@ pub(crate) fn decode_dict_entries(bytes: &[u8], words: usize) -> Result<Vec<Dict
     Ok(entries)
 }
 
-// ---------- the diagnose workload ----------
-
-/// Work-unit kind the worker-side job registry routes to
-/// [`open_wire_job`]: signature-distance scoring of a candidate chunk.
-pub const WIRE_KIND: u16 = 6;
-
-/// Candidates scored per work unit. Small enough to shard a zoo-sized
-/// dictionary across a fleet, large enough that the unit payload
-/// dominates the envelope.
-const DIAG_CHUNK: usize = 512;
+// ---------- diagnosis ----------
 
 /// A ranked diagnosis: candidate indexes into the dictionary's entry
 /// list, most plausible first.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnosis {
     /// `(entry index, Hamming distance)` sorted by distance, ties by
-    /// index — deterministic on every backend.
+    /// index.
     pub ranked: Vec<(usize, u32)>,
 }
 
@@ -230,79 +217,14 @@ fn distance(a: &[u64], b: &[u64]) -> u32 {
     a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones()).sum()
 }
 
-/// The [`ExecWork`] description of diagnosis: the observed signature as
-/// the job block, candidate-signature chunks as units, per-candidate
-/// distances as unit results.
-struct DiagnoseWork<'a> {
-    words: usize,
-    observed: &'a [u64],
-}
-
-impl<'a> ExecWork for DiagnoseWork<'a> {
-    type Unit = &'a [DictEntry];
-    type Output = Vec<u32>;
-    type Error = SimError;
-
-    fn kind(&self) -> u16 {
-        WIRE_KIND
-    }
-
-    fn encode_job(&self) -> Vec<u8> {
-        let mut w = wire::WireWriter::new();
-        w.put_usize(self.words);
-        for &word in self.observed {
-            w.put_u64(word);
-        }
-        w.finish()
-    }
-
-    fn encode_unit(&self, unit: &&'a [DictEntry]) -> Vec<u8> {
-        encode_dict_entries(unit)
-    }
-
-    fn run_unit_local(&self, unit: &&'a [DictEntry]) -> Result<Vec<u32>, SimError> {
-        Ok(unit
-            .iter()
-            .map(|e| distance(&e.signature, self.observed))
-            .collect())
-    }
-
-    /// Distances are flattened into entry order, so a reply with a
-    /// wrong count would rank the wrong candidates: it is rejected.
-    fn decode_result(&self, unit: &&'a [DictEntry], bytes: &[u8]) -> Result<Vec<u32>, String> {
-        let mut r = wire::WireReader::new(bytes);
-        let fail = |e: wire::WireError| format!("diagnose unit result: {e}");
-        let count = r.get_count("diagnose distance count", 4).map_err(fail)?;
-        if count != unit.len() {
-            return Err(format!(
-                "diagnose unit result has {count} distances, the unit has {} candidates",
-                unit.len()
-            ));
-        }
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(r.get_u32("diagnose distance").map_err(fail)?);
-        }
-        r.finish().map_err(fail)?;
-        Ok(out)
-    }
-}
-
 /// Ranks every dictionary candidate against an observed failure
-/// signature by Hamming distance (ties broken by entry index), fanned
-/// out through `exec` in 512-candidate units — localization
-/// as a first-class `Exec` workload, byte-identical on every backend.
+/// signature by Hamming distance, ties broken by entry index.
 ///
 /// # Errors
 ///
 /// [`SimError::VectorLength`] if `observed` does not match the
-/// dictionary's signature width; worker/dispatch failures as
-/// [`SimError::Worker`].
-pub fn diagnose(
-    exec: &Exec,
-    dict: &FaultDictionary,
-    observed: &[u64],
-) -> Result<Diagnosis, SimError> {
+/// dictionary's signature width.
+pub fn diagnose(dict: &FaultDictionary, observed: &[u64]) -> Result<Diagnosis, SimError> {
     let words = dict.words_per_signature();
     if observed.len() != words {
         return Err(SimError::VectorLength {
@@ -310,53 +232,14 @@ pub fn diagnose(
             got: observed.len(),
         });
     }
-    let mut distances = Vec::with_capacity(dict.entries.len());
-    exec.dispatch(
-        &DiagnoseWork { words, observed },
-        dict.entries.chunks(DIAG_CHUNK),
-        |unit| distances.extend(unit),
-    )?;
-    let mut ranked: Vec<(usize, u32)> = distances.into_iter().enumerate().collect();
+    let mut ranked: Vec<(usize, u32)> = dict
+        .entries
+        .iter()
+        .map(|e| distance(&e.signature, observed))
+        .enumerate()
+        .collect();
     ranked.sort_by_key(|&(i, d)| (d, i));
     Ok(Diagnosis { ranked })
-}
-
-// ---------- worker-side wire job ----------
-
-/// An opened diagnose job inside a worker process.
-struct DiagnoseJob {
-    observed: Vec<u64>,
-}
-
-impl shard::WireJob for DiagnoseJob {
-    fn run_unit(&mut self, unit: &[u8]) -> Result<Vec<u8>, String> {
-        let entries = decode_dict_entries(unit, self.observed.len())?;
-        let mut w = wire::WireWriter::new();
-        w.put_usize(entries.len());
-        for e in &entries {
-            w.put_u32(distance(&e.signature, &self.observed));
-        }
-        Ok(w.finish())
-    }
-}
-
-/// Decodes a [`WIRE_KIND`] job block (signature width + observed
-/// signature) into the executable job the worker loop drives — the
-/// `steac-worker` side of [`diagnose`].
-///
-/// # Errors
-///
-/// A diagnostic on corrupt job bytes.
-pub fn open_wire_job(job: &[u8]) -> Result<Box<dyn shard::WireJob>, String> {
-    let mut r = wire::WireReader::new(job);
-    let fail = |e: wire::WireError| format!("diagnose job: {e}");
-    let words = r.get_count("diagnose job words", 8).map_err(fail)?;
-    let mut observed = Vec::with_capacity(words);
-    for _ in 0..words {
-        observed.push(r.get_u64("diagnose job observed word").map_err(fail)?);
-    }
-    r.finish().map_err(fail)?;
-    Ok(Box::new(DiagnoseJob { observed }))
 }
 
 #[cfg(test)]
@@ -404,50 +287,23 @@ mod tests {
         assert!(decode_dict_entries(&bytes, 2).is_err());
     }
 
-    /// A diagnose reply is checked against the unit it answers: a short,
-    /// long or ragged reply is an error, never a shifted ranking.
-    #[test]
-    fn diagnose_replies_must_match_their_unit() {
-        let d = dict();
-        let observed = [0b101, 0, 1];
-        let work = DiagnoseWork {
-            words: 3,
-            observed: &observed,
-        };
-        let unit = &d.entries[..];
-        let reply = |distances: &[u32]| {
-            let mut w = wire::WireWriter::new();
-            w.put_usize(distances.len());
-            for &x in distances {
-                w.put_u32(x);
-            }
-            w.finish()
-        };
-        assert_eq!(
-            work.decode_result(&unit, &reply(&[3, 0, 2])).unwrap(),
-            work.run_unit_local(&unit).unwrap()
-        );
-        assert!(work.decode_result(&unit, &reply(&[3, 0])).is_err());
-        assert!(work.decode_result(&unit, &reply(&[3, 0, 2, 1])).is_err());
-        let mut ragged = reply(&[3, 0, 2]);
-        ragged.pop();
-        assert!(work.decode_result(&unit, &ragged).is_err());
-    }
-
+    /// The exact match ranks first, and of two candidates at one
+    /// distance the lower index ranks first.
     #[test]
     fn exact_match_ranks_first() {
-        let d = dict();
-        let diag = diagnose(&Exec::serial(), &d, &[0b101, 0, 1]).unwrap();
-        assert_eq!(diag.ranked[0], (1, 0));
-        assert_eq!(diag.rank_of(1), Some(0));
-        assert_eq!(diag.top(2).len(), 2);
+        let mut d = dict();
+        d.entries.insert(0, entry(Some(1), vec![0b001, 0, 0]));
+        let diag = diagnose(&d, &[0b101, 0, 1]).unwrap();
+        assert_eq!(diag.ranked, [(2, 0), (0, 2), (3, 2), (1, 3)]);
+        assert_eq!(diag.rank_of(2), Some(0));
+        assert_eq!(diag.top(2), [(2, 0), (0, 2)]);
     }
 
     #[test]
     fn wrong_signature_width_is_rejected() {
         let d = dict();
         assert!(matches!(
-            diagnose(&Exec::serial(), &d, &[0]),
+            diagnose(&d, &[0]),
             Err(SimError::VectorLength { .. })
         ));
     }

@@ -23,7 +23,6 @@
 //! | stuck-at | [`crate::fault`] | 1 | net stuck at 0/1 |
 //! | transition/delay | [`transition`] | 4 | net slow-to-rise/fall |
 //! | bridging | [`bridging`] | 5 | AND/OR short between adjacent nets |
-//! | dictionary diagnosis | [`dictionary`] | 6 | — (consumes dictionaries) |
 //!
 //! (Inter-cell memory coupling is the fourth model; its faults are
 //! `steac-membist` [`MemFault`]s and ride that crate's March walk
@@ -31,11 +30,10 @@
 //!
 //! Kinds 1, 4 and 5 each grade ([`grade_vectors`]) or build a **fault
 //! dictionary** ([`fault_dictionary`]): per fault, the first detecting
-//! pattern and a packed per-(pattern, output) detection signature. The
-//! [`dictionary::diagnose`] workload consumes a dictionary plus an
-//! observed failure signature and ranks candidate fault sites by
-//! signature distance — localization as an `Exec`-dispatched workload
-//! rather than a post-processing script.
+//! pattern and a packed per-(pattern, output) detection signature.
+//! [`dictionary::diagnose`] ranks a dictionary's candidate fault sites
+//! against an observed failure signature by signature distance, in
+//! place on the calling thread.
 //!
 //! # Wire layout (kinds 1, 4 and 5)
 //!
@@ -54,10 +52,8 @@
 //!
 //! # Model selection
 //!
-//! Flows that grade "with the configured model" (the zoo corpus, the
-//! scaling bench) select it via [`ModelKind`]: `STEAC_MODEL=stuck-at`
-//! (default) / `transition` / `bridging`, parsed by
-//! [`ModelKind::from_env`].
+//! Flows that grade with a chosen model (the zoo corpus) take it as a
+//! [`ModelKind`] value, stuck-at by default.
 //!
 //! [`MemFault`]: https://docs.rs/steac-membist
 
@@ -692,35 +688,6 @@ impl ModelKind {
         ModelKind::Transition,
         ModelKind::Bridging,
     ];
-
-    /// Parses a `STEAC_MODEL` value. Accepts the canonical names
-    /// `stuck-at`, `transition` and `bridging` (plus the common
-    /// `stuckat`/`sa` spellings).
-    #[must_use]
-    pub fn parse(spec: &str) -> Option<ModelKind> {
-        match spec.trim().to_ascii_lowercase().as_str() {
-            "stuck-at" | "stuckat" | "sa" => Some(ModelKind::StuckAt),
-            "transition" | "delay" => Some(ModelKind::Transition),
-            "bridging" | "bridge" => Some(ModelKind::Bridging),
-            _ => None,
-        }
-    }
-
-    /// Resolves the model from `STEAC_MODEL`, defaulting to stuck-at.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognised `STEAC_MODEL` value — a misspelled
-    /// model silently grading stuck-at would invalidate whatever the
-    /// caller thought it measured.
-    #[must_use]
-    pub fn from_env() -> ModelKind {
-        match std::env::var("STEAC_MODEL") {
-            Ok(spec) => ModelKind::parse(&spec)
-                .unwrap_or_else(|| panic!("STEAC_MODEL={spec}: unknown fault model")),
-            Err(_) => ModelKind::StuckAt,
-        }
-    }
 }
 
 impl fmt::Display for ModelKind {
@@ -764,15 +731,6 @@ mod tests {
              exceeds 1048576 bits per fault"
         );
         assert!(open_wire_job::<Fault>(&job(Mode::Grade)).is_ok());
-    }
-
-    #[test]
-    fn model_names_round_trip_through_parse() {
-        for kind in ModelKind::ALL {
-            assert_eq!(ModelKind::parse(&kind.to_string()), Some(kind));
-        }
-        assert_eq!(ModelKind::parse("delay"), Some(ModelKind::Transition));
-        assert_eq!(ModelKind::parse("qqq"), None);
     }
 
     fn and2() -> Module {

@@ -26,8 +26,9 @@
 //!   network.
 //! * [`RemoteFleet`] ships batches to N transports. It does not schedule:
 //!   [`crate::exec::Exec::dispatch`] cuts the work into batches and runs
-//!   two dispatchers per host stream, each homed on one host, and every
-//!   batch a dispatcher pulls is **one** run request. The fleet chooses
+//!   two dispatchers per host stream, each homed on one host (the first
+//!   home moves one host along per dispatch call), and every batch a
+//!   dispatcher pulls is **one** run request. The fleet chooses
 //!   the host (the home one while it is live, failing over in fleet
 //!   order), retries what a lost or damaged response left unresolved,
 //!   and keeps the merge-by-unit-index determinism contract: unit `i`'s
@@ -131,7 +132,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -924,6 +925,9 @@ pub struct RemoteFleet {
     hosts: Vec<HostSlot>,
     max_retries: usize,
     stats: FleetStats,
+    /// Dispatch calls so far; each call's first home host is this count
+    /// modulo the host count.
+    calls: AtomicUsize,
 }
 
 impl fmt::Debug for RemoteFleet {
@@ -950,6 +954,7 @@ impl RemoteFleet {
             hosts: hosts.into_iter().map(HostSlot::new).collect(),
             max_retries: DEFAULT_MAX_RETRIES,
             stats: FleetStats::default(),
+            calls: AtomicUsize::new(0),
         }
     }
 
@@ -1011,10 +1016,17 @@ impl RemoteFleet {
             .collect()
     }
 
-    /// The streams host `host` declares ([`Transport::streams`], at
-    /// least 1).
-    pub(crate) fn streams(&self, host: usize) -> usize {
-        self.hosts[host].transport.streams().max(1)
+    /// The home host of each dispatcher of one dispatch call: each host
+    /// `2 × streams` times ([`Transport::streams`], at least 1), in
+    /// fleet order from a first host that moves one host along on each
+    /// call, so one-batch calls spread over the fleet.
+    pub(crate) fn homes(&self) -> Vec<usize> {
+        let n = self.hosts.len();
+        let first = self.calls.fetch_add(1, Ordering::Relaxed) % n;
+        (0..n)
+            .map(|i| (first + i) % n)
+            .flat_map(|host| vec![host; 2 * self.hosts[host].transport.streams().max(1)])
+            .collect()
     }
 
     /// A shipper for one dispatch call, with every host live.

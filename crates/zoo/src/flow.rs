@@ -32,8 +32,7 @@ pub struct RunOptions {
     pub grade: bool,
     /// Pseudo-random vectors per grading run.
     pub vectors: usize,
-    /// Fault model the grading stage runs
-    /// ([`ModelKind::from_env`] — `STEAC_MODEL` — by default).
+    /// Fault model the grading stage runs (stuck-at by default).
     pub model: ModelKind,
     /// Run the invariant checks and record violations.
     pub check: bool,
@@ -44,7 +43,7 @@ impl Default for RunOptions {
         RunOptions {
             grade: true,
             vectors: 96,
-            model: ModelKind::from_env(),
+            model: ModelKind::StuckAt,
             check: true,
         }
     }

@@ -35,9 +35,8 @@
 //! headroom, pressing schedules toward single-wire TAM grants.
 //!
 //! The grading stage is model-parameterized: [`RunOptions::model`]
-//! selects the gate-level fault model (stuck-at, transition or
-//! bridging — `STEAC_MODEL` by default, see
-//! [`steac_sim::models::ModelKind`]), and the per-SOC
+//! selects the gate-level fault model (stuck-at by default, transition
+//! or bridging; see [`steac_sim::models::ModelKind`]), and the per-SOC
 //! [`GradeSummary`] records which model produced the coverage figure.
 //!
 //! ## Invariants checked

@@ -11,7 +11,6 @@
 //! | 1, 4, 5 | stuck-at, transition or bridging grading / dictionary chunk |
 //! | 2 | ATE playback of one bit-plane pattern block (up to 64 patterns) |
 //! | 3 | March walk over a memory-fault chunk |
-//! | 6 | fault-dictionary diagnosis chunk |
 //! | 7 | one 64-pattern block of the JPEG functional set, generated as a bit-plane pattern block |
 //!
 //! A `jpeg_playback_stream` run ships both its generation (kind 7) and
@@ -59,19 +58,17 @@
 //!
 //! The gate-level fault models (`steac_sim::models`) each register
 //! their own kind — 1 (stuck-at), 4 (transition/delay), 5 (bridging) —
-//! plus kind 6 (dictionary diagnosis), so a fleet worker needs no flag
-//! to serve a mixed-model campaign: the dispatcher picks the model, this
-//! binary just routes kinds. Flows that read the model from the
-//! environment (`steac_zoo`, the scaling bench) select it with
-//! `STEAC_MODEL=stuck-at|transition|bridging` — set on the
-//! *dispatching* side, never on the worker. Kinds 1, 4 and 5 share one
-//! job layout (`steac_sim::models::open_wire_job`, opened per model)
-//! whose mode byte chooses between coverage grading (lane-mask results)
-//! and fault-dictionary building, whose unit results are per-fault
-//! `(first detecting pattern, pattern x output signature bitmap)`
-//! entries; a full dictionary serializes as an `SDCT` block (magic,
-//! wire version, pattern/output counts, entries) — the persistent
-//! artifact kind 6 diagnoses observed failure signatures against.
+//! so a fleet worker needs no flag to serve a mixed-model campaign: the
+//! dispatcher picks the model, this binary just routes kinds. Kinds 1,
+//! 4 and 5 share one job layout (`steac_sim::models::open_wire_job`,
+//! opened per model) whose mode byte chooses between coverage grading
+//! (lane-mask results) and fault-dictionary building, whose unit
+//! results are per-fault `(first detecting pattern, pattern x output
+//! signature bitmap)` entries; a full dictionary serializes as an
+//! `SDCT` block (magic, wire version, pattern/output counts, entries).
+//! Diagnosing an observed failure signature against a dictionary
+//! (`steac_sim::models::dictionary::diagnose`) runs in the caller's
+//! process; no kind ships it.
 
 use std::io::{stdin, stdout, Write as _};
 use std::net::TcpListener;

@@ -47,11 +47,12 @@ use steac_sim::{BridgingFault, Fault, TransitionFault};
 /// | 3 | packed March walk over a memory-fault chunk | `steac_membist::wire` |
 /// | 4 | transition-fault grading / dictionary chunk | `steac_sim::models::transition` |
 /// | 5 | bridging-fault grading / dictionary chunk | `steac_sim::models::bridging` |
-/// | 6 | fault-dictionary diagnosis chunk | `steac_sim::models::dictionary` |
 /// | 7 | 64-pattern JPEG functional-pattern generation block, answered as a pattern block | `steac_dsc::verify` |
 ///
 /// Kinds 1, 4 and 5 are one generic job, [`open_wire_job`], opened for
-/// each [`FaultModel`].
+/// each [`FaultModel`]. Kind 6 is retired: fault-dictionary diagnosis
+/// (`steac_sim::models::dictionary::diagnose`) ranks in place, and a
+/// worker answers a kind-6 request with its unknown-kind error.
 #[must_use]
 pub fn worker_registry() -> JobRegistry {
     let mut registry = JobRegistry::new();
@@ -81,11 +82,6 @@ pub fn worker_registry() -> JobRegistry {
         open_wire_job::<BridgingFault>,
     );
     registry.register(
-        steac_sim::models::dictionary::WIRE_KIND,
-        "dictionary-diagnose",
-        steac_sim::models::dictionary::open_wire_job,
-    );
-    registry.register(
         steac_dsc::verify::WIRE_KIND,
         "jpeg-generation",
         steac_dsc::verify::open_wire_job,
@@ -97,7 +93,8 @@ pub fn worker_registry() -> JobRegistry {
 mod tests {
     use super::*;
 
-    /// Every workload registers exactly once, under its own kind.
+    /// Every workload registers exactly once, under its own kind, and
+    /// the retired kind 6 opens nothing.
     #[test]
     fn registry_covers_every_distributable_workload() {
         let kinds: Vec<(u16, &str)> = worker_registry().kinds().collect();
@@ -109,10 +106,17 @@ mod tests {
                 (3, "march-walk"),
                 (4, "transition-grading"),
                 (5, "bridging-grading"),
-                (6, "dictionary-diagnose"),
                 (7, "jpeg-generation"),
             ]
         );
-        assert!(worker_registry().open(999, b"").is_err());
+        for kind in [6, 999] {
+            let Err(err) = worker_registry().open(kind, b"") else {
+                panic!("kind {kind} must not open");
+            };
+            assert!(
+                err.starts_with(&format!("unknown work-unit kind {kind} ")),
+                "{err}"
+            );
+        }
     }
 }

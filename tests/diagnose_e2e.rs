@@ -1,12 +1,12 @@
-//! End-to-end fault-dictionary diagnosis on a seeded zoo instance:
-//! build a glue netlist, produce a fault dictionary through the
-//! `Exec::from_env` backend, observe the failure signature of one
-//! injected fault, and diagnose it back — the true site must land in
-//! the top-3 ranked candidates. `STEAC_MODEL` picks the model: the
-//! stuck-at (default) and transition legs observe the injected fault
-//! with an independent scalar simulation, the bridging leg with the
-//! dictionary's own row. The CI dictionary leg runs it once per model
-//! (and the matrix re-runs it per backend).
+//! End-to-end fault-dictionary diagnosis on a seeded zoo instance, for
+//! every gate-level fault model: build a glue netlist, produce a fault
+//! dictionary through the `Exec::from_env` backend, observe the failure
+//! signature of one injected fault, and diagnose it back — the true
+//! site must land in the top-3 ranked candidates. The stuck-at and
+//! transition models observe the injected fault with an independent
+//! scalar simulation, the bridging model with the dictionary's own row.
+//! CI runs it on the process backend too (and the matrix re-runs it per
+//! backend).
 
 use steac_suite::steac_netlist::{Module, NetId};
 use steac_suite::steac_sim::models::{
@@ -76,23 +76,27 @@ fn stuck_at_signature(
     sig
 }
 
-#[test]
-fn dictionary_diagnosis_ranks_the_injected_fault_top3() {
-    let (m, pins, vectors) = glue_case();
-    let exec = Exec::from_env();
-    let (dict, observed, truth) = match ModelKind::from_env() {
+/// Builds `model`'s dictionary of the glue case on `exec` and returns
+/// it with the observed signature of one injected fault and that
+/// fault's entry index.
+fn dictionary_case(
+    model: ModelKind,
+    exec: &Exec,
+    m: &Module,
+    pins: &[NetId],
+    vectors: &[Vec<Logic>],
+) -> (dictionary::FaultDictionary, Vec<u64>, usize) {
+    match model {
         ModelKind::StuckAt => {
-            let faults = fault::enumerate_faults(&m);
-            let dict =
-                fault_dictionary(&exec, &m, &faults, &pins, &vectors).expect("dictionary build");
+            let faults = fault::enumerate_faults(m);
+            let dict = fault_dictionary(exec, m, &faults, pins, vectors).expect("dictionary build");
             let truth = unique_detected_entry(&dict);
-            let observed = stuck_at_signature(&m, faults[truth], &pins, &vectors);
+            let observed = stuck_at_signature(m, faults[truth], pins, vectors);
             (dict, observed, truth)
         }
         ModelKind::Bridging => {
-            let faults = bridging::enumerate_bridges(&m).expect("glue compiles");
-            let dict =
-                fault_dictionary(&exec, &m, &faults, &pins, &vectors).expect("dictionary build");
+            let faults = bridging::enumerate_bridges(m).expect("glue compiles");
+            let dict = fault_dictionary(exec, m, &faults, pins, vectors).expect("dictionary build");
             let truth = unique_detected_entry(&dict);
             // The "silicon" observation: the dictionary's own simulation
             // of the injected bridge.
@@ -100,33 +104,44 @@ fn dictionary_diagnosis_ranks_the_injected_fault_top3() {
             (dict, observed, truth)
         }
         ModelKind::Transition => {
-            let faults = transition::enumerate_transition_faults(&m);
-            let dict =
-                fault_dictionary(&exec, &m, &faults, &pins, &vectors).expect("dictionary build");
+            let faults = transition::enumerate_transition_faults(m);
+            let dict = fault_dictionary(exec, m, &faults, pins, vectors).expect("dictionary build");
             let truth = unique_detected_entry(&dict);
             // The "silicon" observation: an independent scalar
             // simulation of the injected fault, not the dictionary row.
             let observed =
-                transition::observed_transition_signature(&m, faults[truth], &pins, &vectors)
+                transition::observed_transition_signature(m, faults[truth], pins, vectors)
                     .expect("observation");
             (dict, observed, truth)
         }
-    };
-    assert!(dict.detected_count() > 0, "dictionary must detect faults");
-    let diagnosis = dictionary::diagnose(&exec, &dict, &observed).expect("diagnose");
-    let rank = diagnosis.rank_of(truth).expect("candidate present");
-    assert!(
-        rank < 3,
-        "injected fault ranked #{} (distance {}), top-3 required",
-        rank + 1,
-        diagnosis.ranked[rank].1
-    );
-    assert_eq!(
-        diagnosis.ranked[rank].1, 0,
-        "the injected fault's observation must match its own signature"
-    );
-    // The dictionary round-trips through its persistent SDCT form.
-    let bytes = dictionary::encode_dictionary(&dict);
-    let back = dictionary::decode_dictionary(&bytes).expect("SDCT decode");
-    assert_eq!(back, dict);
+    }
+}
+
+#[test]
+fn dictionary_diagnosis_ranks_the_injected_fault_top3() {
+    let (m, pins, vectors) = glue_case();
+    let exec = Exec::from_env();
+    for model in ModelKind::ALL {
+        let (dict, observed, truth) = dictionary_case(model, &exec, &m, &pins, &vectors);
+        assert!(
+            dict.detected_count() > 0,
+            "{model} dictionary must detect faults"
+        );
+        let diagnosis = dictionary::diagnose(&dict, &observed).expect("diagnose");
+        let rank = diagnosis.rank_of(truth).expect("candidate present");
+        assert!(
+            rank < 3,
+            "{model}: injected fault ranked #{} (distance {}), top-3 required",
+            rank + 1,
+            diagnosis.ranked[rank].1
+        );
+        assert_eq!(
+            diagnosis.ranked[rank].1, 0,
+            "{model}: the injected fault's observation must match its own signature"
+        );
+        // The dictionary round-trips through its persistent SDCT form.
+        let bytes = dictionary::encode_dictionary(&dict);
+        let back = dictionary::decode_dictionary(&bytes).expect("SDCT decode");
+        assert_eq!(back, dict, "{model} SDCT round-trip");
+    }
 }

@@ -4,9 +4,9 @@
 //! `Remote(TcpTransport@localhost)` — driven through the **same**
 //! unified entry points for every workload
 //! (gate-level vector grading and dictionary building under the
-//! stuck-at, transition and bridging fault models, diagnosis, batched
-//! ATE playback, March fault simulation including inter-cell
-//! couplings, JPEG playback), asserting the reports are
+//! stuck-at, transition and bridging fault models, batched ATE
+//! playback, March fault simulation including inter-cell couplings,
+//! JPEG playback), asserting the reports are
 //! **byte-identical** to the serial baseline: counts, escape lists and
 //! mismatch logs *including their order*. This is the determinism
 //! contract behind `steac_sim::Exec::dispatch`, the one seam every
@@ -290,8 +290,9 @@ fn check_model<F: FaultModel>(
 /// transition/delay and bridging grading and dictionaries (through
 /// [`check_model`]) report byte-identical to the serial baseline on
 /// every backend at the one 256-lane width, each over several passes;
-/// inter-cell memory-coupling grading (256-lane walks) and dictionary
-/// diagnosis report byte-identical on every backend.
+/// inter-cell memory-coupling grading (256-lane walks) reports
+/// byte-identical on every backend, and diagnosis against the
+/// transition dictionary ranks a real signature's fault at distance 0.
 #[test]
 fn fault_models_report_byte_identical_on_every_backend_and_width() {
     use steac_sim::models::{bridging, dictionary, transition};
@@ -323,21 +324,22 @@ fn fault_models_report_byte_identical_on_every_backend_and_width() {
     check_model(&matrix, &m, &bfaults, &pins, &vectors);
     let c_base = faultsim::fault_coverage(serial, &alg, &cfg, &cfaults).unwrap();
     assert!(c_base.detected < c_base.total, "need coupling escapes");
-    // Diagnose an observed failure that is a real dictionary signature.
+    // Diagnose an observed failure that is a real dictionary signature;
+    // the dictionary is byte-identical on every backend, so one ranking
+    // covers them all.
     let truth = dict_base
         .entries
         .iter()
         .position(|e| e.first_pattern.is_some())
         .unwrap();
     let observed = dict_base.entries[truth].signature.clone();
-    let diag_base = dictionary::diagnose(serial, &dict_base, &observed).unwrap();
-    assert_eq!(diag_base.ranked[0].1, 0, "true fault matches itself");
+    let diag = dictionary::diagnose(&dict_base, &observed).unwrap();
+    let rank = diag.rank_of(truth).unwrap();
+    assert_eq!(diag.ranked[rank].1, 0, "true fault matches itself");
 
     for (name, exec) in &matrix[1..] {
         let c = faultsim::fault_coverage(exec, &alg, &cfg, &cfaults).unwrap();
         assert_eq!(c, c_base, "coupling grading diverged on {name}");
-        let diag = dictionary::diagnose(exec, &dict_base, &observed).unwrap();
-        assert_eq!(diag, diag_base, "diagnosis diverged on {name}");
         assert_eq!(exec.process_fallbacks(), 0, "{name} must not fall back");
     }
 }

@@ -18,12 +18,12 @@ use std::time::{Duration, Instant};
 use steac_membist::{faultsim, MarchAlgorithm, SramConfig};
 use steac_netlist::{GateKind, Module, NetId, NetlistBuilder};
 use steac_pattern::{apply_cycle_patterns_batch, CyclePattern, PinState};
-use steac_sim::models::{encode_chunk, encode_job, fault_dictionary, FaultModel, Mode};
+use steac_sim::models::{encode_chunk, encode_job, FaultModel, Mode};
 use steac_sim::shard;
 use steac_sim::wire::WireReader;
 use steac_sim::{
-    diagnose, fault, Backend, BridgingFault, Exec, Fallback, Fault, Logic, RemoteFleet, SimError,
-    SimProgram, Simulator, TransitionFault, Transport, TransportError, STREAM_BATCH_UNITS,
+    fault, Backend, BridgingFault, Exec, Fallback, Fault, Logic, RemoteFleet, SimError, SimProgram,
+    Simulator, TransitionFault, Transport, TransportError, STREAM_BATCH_UNITS,
 };
 
 /// The worker binary built alongside this test suite.
@@ -627,10 +627,10 @@ fn first_request(workload: impl FnOnce(&Exec)) -> (u16, Vec<u8>, Vec<u8>) {
 }
 
 /// The sweep over the private encoders' bytes: a real playback request
-/// (kind 2, with a force in its job) and a real diagnose request
-/// (kind 6), captured on the wire, and a generation job (kind 7) over
-/// the same flop — the JPEG program is far too large to flip every
-/// byte of.
+/// (kind 2, with a force in its job), captured on the wire, and a
+/// generation job (kind 7) over the same flop — the JPEG program is far
+/// too large to flip every byte of. Diagnosis, which the name still
+/// mentions, ranks in place and has no wire job to sweep.
 #[test]
 fn playback_and_diagnose_jobs_are_total_under_truncation_and_byte_flips() {
     use Logic::{One, Zero};
@@ -652,16 +652,6 @@ fn playback_and_diagnose_jobs_are_total_under_truncation_and_byte_flips() {
     let program = SimProgram::compile(&flop).unwrap();
     let job = steac_dsc::verify::encode_generate_job(&program, &[d], ck, &[q], 3);
     sweep_job(steac_dsc::verify::WIRE_KIND, &job, &0u64.to_le_bytes());
-
-    let (m, pins, vectors) = nand_xor();
-    let faults = fault::enumerate_faults(&m);
-    let dict = fault_dictionary(&Exec::serial(), &m, &faults, &pins, &vectors).unwrap();
-    let observed = dict.entries[1].signature.clone();
-    let (kind, job, unit) = first_request(|exec| {
-        diagnose(exec, &dict, &observed).unwrap();
-    });
-    assert_eq!(kind, steac_sim::models::dictionary::WIRE_KIND);
-    sweep_job(kind, &job, &unit);
 }
 
 /// The streaming JPEG pipeline ships both of its dispatches: one
