@@ -6,7 +6,7 @@
 //! localhost (override the pattern count with
 //! `STEAC_SCALING_PATTERNS` for quick runs).
 //!
-//! Every row of every table runs the **same** unified entry point
+//! Every row of the backend tables runs the **same** unified entry point
 //! ([`steac_sim::fault::grade_vectors`],
 //! [`steac_pattern::apply_cycle_patterns_batch`]) — only the [`Exec`]
 //! backend changes: serial, threads 1/2/4/8, worker processes 1/2/4
@@ -22,11 +22,15 @@
 //! workloads, each at its one lane width — grading at 256 lanes
 //! ([`steac_sim::DEFAULT_LANE_GROUPS`]), playback at 64
 //! ([`steac_pattern::PLAYBACK_LANE_GROUPS`]), widths this binary
-//! asserts — again requiring byte-identical reports in every cell. Its
-//! headline is optimized vs unoptimized grading at 256 lanes; each
-//! grading cell is the best of five passes, since one pass takes a few
-//! milliseconds and a single timing of it reads scheduler noise. A
-//! sustained-load table closes the remote story: fixed-rate
+//! asserts — again requiring byte-identical results in every cell. Each
+//! cell builds its program explicitly
+//! ([`SimProgram::compile_unoptimized`], then [`opt::optimize`] for the
+//! optimized one); the grading cells run every pass of the stuck-at job
+//! (kind 1) opened on that program, in-process. Its headline is
+//! optimized vs unoptimized grading at 256 lanes; each grading cell is
+//! the best of five runs, since one run takes a few milliseconds and a
+//! single timing of it reads scheduler noise. A sustained-load table
+//! closes the remote story: fixed-rate
 //! pattern injection (the SAIBERSOC-style drill — validate the
 //! pipeline under the load you claim it takes, not just at
 //! saturation) against the TCP fleet, with the fleet's bytes-shipped
@@ -61,7 +65,7 @@ use steac_bench::{header, splitmix_vectors};
 use steac_dsc::{jpeg_core, jpeg_functional_patterns, jpeg_playback_stream};
 use steac_membist::{enumerate_inter_cell_couplings, fault_coverage, MarchAlgorithm, SramConfig};
 use steac_pattern::{apply_cycle_patterns_batch, CyclePattern, PLAYBACK_LANE_GROUPS};
-use steac_sim::models::{bridging, transition};
+use steac_sim::models::{self, bridging, transition};
 use steac_sim::remote::{spawn_serve_process, FleetStatsSnapshot, ServeHandle};
 use steac_sim::{
     enumerate_faults, fault, opt, shard, Backend, Exec, Fallback, RemoteFleet, SimProgram,
@@ -630,23 +634,31 @@ fn main() {
         "{:>12} {:>6} {:>10} {:<12} {:>8}",
         "program", "lanes", "rate", "", "speedup"
     );
-    // `grade_vectors` compiles through the STEAC_OPT-gated entry point,
-    // so the env var is the honest way to pin each cell's optimizer
-    // setting — exactly what a deployment would set.
-    let mut grade_cell_base: Option<(f64, fault::CoverageReport)> = None;
+    // Each cell opens the kind-1 grading job on its own program and
+    // times every pass through the job's `run_unit`: the same
+    // `grade_pass` kernel `grade_vectors` runs, with the program chosen
+    // here instead of by `SimProgram::compile`.
+    let units: Vec<Vec<u8>> = faults
+        .chunks(fault::FAULTS_PER_PASS)
+        .map(models::encode_chunk)
+        .collect();
+    let mut grade_cell_base: Option<(f64, Vec<Vec<u8>>)> = None;
     let mut speedup = 1.0;
-    for is_opt in [false, true] {
-        std::env::set_var("STEAC_OPT", if is_opt { "1" } else { "0" });
+    for (is_opt, program) in [(false, &raw), (true, &optimized)] {
         let label = if is_opt { "optimized" } else { "unoptimized" };
-        let (secs, rep) = best_of(5, || {
-            fault::grade_vectors(&serial_exec, &module, &faults, &pins, &vectors)
-                .expect("grading runs")
+        let job = models::encode_job(program, models::Mode::Grade, &pins, &vectors);
+        let mut job = models::open_wire_job::<fault::Fault>(&job).expect("grading job opens");
+        let (secs, masks) = best_of(5, || {
+            units
+                .iter()
+                .map(|unit| job.run_unit(unit).expect("grading pass runs"))
+                .collect::<Vec<_>>()
         });
-        let base = if let Some((base, base_rep)) = &grade_cell_base {
-            assert_eq!(&rep, base_rep, "coverage diverged at opt={is_opt}");
+        let base = if let Some((base, base_masks)) = &grade_cell_base {
+            assert_eq!(&masks, base_masks, "grading masks diverged at opt={is_opt}");
             *base
         } else {
-            grade_cell_base = Some((secs, rep));
+            grade_cell_base = Some((secs, masks));
             secs
         };
         speedup = base / secs.max(1e-12);
@@ -668,7 +680,6 @@ fn main() {
             peak_rss_kib: peak_rss_kib(),
         });
     }
-    std::env::remove_var("STEAC_OPT");
     println!(
         "single-core grading speedup, optimized vs unoptimized at {default_lanes} lanes: \
          {speedup:.2}x"

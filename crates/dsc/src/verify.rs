@@ -690,20 +690,26 @@ mod tests {
         );
     }
 
-    /// Generation over a one-flop module: PI `d`, clock `ck`, PO `q`.
-    fn flop(count: usize) -> GenerateWork {
+    /// A one-flop module: PI `d`, clock `ck`, PO `q`.
+    fn flop_module() -> Module {
         let mut b = steac_netlist::NetlistBuilder::new("m");
         let d = b.input("d");
         let ck = b.input("ck");
         let q = b.gate(steac_netlist::GateKind::Dff, &[d, ck]);
         b.output("q", q);
-        let program = SimProgram::compile(&b.finish().unwrap()).unwrap();
+        b.finish().unwrap()
+    }
+
+    /// Generation over [`flop_module`].
+    fn flop(count: usize) -> GenerateWork {
+        let m = flop_module();
+        let net = |name| m.port(name).unwrap().net;
         GenerateWork {
-            program: Arc::new(program),
+            program: Arc::new(SimProgram::compile(&m).unwrap()),
             pins: ["d", "ck", "q"].map(String::from).into(),
-            pi: vec![d],
-            clock: ck,
-            po: vec![q],
+            pi: vec![net("d")],
+            clock: net("ck"),
+            po: vec![net("q")],
             count,
         }
     }
@@ -713,12 +719,22 @@ mod tests {
     }
 
     /// Packed generation builds exactly the patterns the scalar oracle
-    /// builds, on every block of `work`'s set.
-    fn packed_equals_scalar(work: &GenerateWork) {
+    /// builds, on every block of `work`'s set. The oracle runs a copy of
+    /// `work` on `m`'s raw program, so it settles through the
+    /// change-detecting path while `work` takes the single sweep.
+    fn packed_equals_scalar(m: &Module, work: &GenerateWork) {
+        let raw = GenerateWork {
+            program: Arc::new(SimProgram::compile_unoptimized(m).unwrap()),
+            pins: Arc::clone(&work.pins),
+            pi: work.pi.clone(),
+            po: work.po.clone(),
+            ..*work
+        };
+        assert!(!raw.program.opt.scheduled && work.program.opt.scheduled);
         for bi in work.blocks() {
             let patterns = work.patterns(bi);
             let packed = work.block(patterns.clone()).unwrap();
-            let scalar = work.build(patterns.start, work.expected(patterns.clone()).unwrap());
+            let scalar = raw.build(patterns.start, raw.expected(patterns.clone()).unwrap());
             assert_eq!(packed.to_patterns(&work.pins), scalar, "block {bi}");
         }
     }
@@ -727,8 +743,9 @@ mod tests {
     /// one of 40) and of a 70-pattern one-flop set (a last block of 6).
     #[test]
     fn packed_generation_matches_the_scalar_oracle() {
-        packed_equals_scalar(&GenerateWork::jpeg(1_000).unwrap().1);
-        packed_equals_scalar(&flop(70));
+        let (jpeg, work) = GenerateWork::jpeg(1_000).unwrap();
+        packed_equals_scalar(&jpeg, &work);
+        packed_equals_scalar(&flop_module(), &flop(70));
     }
 
     /// A block shipped through the worker job decodes to the block the

@@ -15,14 +15,16 @@
 //! [`crate::Exec::dispatch`] runs passes in parallel.
 //!
 //! When the program's instruction stream is verified topologically
-//! scheduled ([`crate::opt::OptStats::scheduled`], the optimizer-on
-//! default), [`Simulator::settle`] takes a fast path: one unconditional
-//! pass over the combinational stream reaches the combinational fixpoint
-//! for the current sequential outputs, so stability is decided by the
-//! much smaller sequential pass instead of per-write change detection on
-//! every gate. `STEAC_OPT=0` compiles unscheduled programs, which settle
-//! through full sweeps with change detection — correct for any
-//! instruction order, and the reference the fast path is tested against.
+//! scheduled ([`crate::opt::OptStats::scheduled`], true for every
+//! [`SimProgram::compile`] output), [`Simulator::settle`] takes a fast
+//! path: one unconditional pass over the combinational stream reaches
+//! the combinational fixpoint for the current sequential outputs, so
+//! stability is decided by the much smaller sequential pass instead of
+//! per-write change detection on every gate.
+//! [`SimProgram::compile_unoptimized`] returns unscheduled programs,
+//! which settle through full sweeps with change detection — correct for
+//! any instruction order, and the reference the fast path is tested
+//! against.
 //!
 //! The original scalar API (`set`/`get`/`settle`/`force`, clock-edge
 //! capture, latches, async resets) is preserved: scalar writes broadcast
@@ -242,7 +244,7 @@ impl<const N: usize> Simulator<N> {
     /// simulator's fault injection (values are meaningful on the masked
     /// lanes only). Used by the process-dispatch paths to carry forces
     /// across the wire. Slot renumbering is translated back to net ids,
-    /// so snapshots are portable across optimizer settings.
+    /// so snapshots are portable between raw and optimized programs.
     #[must_use]
     pub fn export_forces(&self) -> Vec<(NetId, LaneMask<N>, PackedLogic<N>)> {
         self.force_mask
@@ -406,8 +408,8 @@ impl<const N: usize> Simulator<N> {
     }
 
     /// Inner fixpoint via full sweeps with per-write change detection —
-    /// correct for any instruction order (the `STEAC_OPT=0` path, and the
-    /// reference the fast path is tested against).
+    /// correct for any instruction order (the path of unoptimized
+    /// programs, and the reference the fast path is tested against).
     fn comb_fixpoint_checked(&mut self) -> Result<(), SimError> {
         for _ in 0..MAX_SETTLE_ITERS {
             if !self.sweep() {

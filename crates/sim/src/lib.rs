@@ -26,13 +26,12 @@
 //!    every net stays computed and forceable, and the optimizer may only
 //!    change speed, never a verdict: optimized and unoptimized programs
 //!    produce byte-identical reports on every backend (proven by
-//!    `tests/exec_matrix.rs` and the proptests). [`opt::OptStats`]
-//!    records the outcome (surfaced by [`program::SimProgram::stats`]
-//!    and carried on the wire). [`program::SimProgram::compile`]
-//!    optimizes by default; `STEAC_OPT=0` ships the raw program, whose
-//!    engine takes the change-detecting settle, and
-//!    [`program::SimProgram::compile_unoptimized`] (plus
-//!    [`opt::optimize`] when wanted) pins the choice in code.
+//!    `tests/exec_matrix.rs`, the proptests and the models' unit
+//!    tests). [`opt::OptStats`] records the outcome and is carried on
+//!    the wire. [`program::SimProgram::compile`] always optimizes;
+//!    [`program::SimProgram::compile_unoptimized`] returns the raw
+//!    program, whose engine takes the change-detecting settle, for the
+//!    code that checks or measures the optimizer against it.
 //! 3. **Execute** ([`engine`]): a [`Simulator`] is an owned, `Send`
 //!    executor over a shared `Arc<SimProgram>`
 //!    ([`Simulator::from_program`]; [`Simulator::new`] is the
@@ -65,8 +64,7 @@
 //!    backend** — and the bounded-memory promise live in exactly one
 //!    place, proven bit-for-bit by `tests/exec_matrix.rs`.
 //!    [`Exec::from_env`] resolves the one backend knob, `STEAC_EXEC`
-//!    (`STEAC_OPT` gates stage 2 independently and, like `STEAC_EXEC`,
-//!    panics on a value it does not know), and [`exec::Fallback`]
+//!    (it panics on a value it does not know), and [`exec::Fallback`]
 //!    makes the shipped-batch failure policy explicit (recompute
 //!    in-thread and record it, or fail on the lowest-indexed unit).
 //! 5. **Distribute across machines** ([`remote`]): the wire format and
@@ -187,7 +185,7 @@ pub use models::transition::{
 pub use models::{fault_dictionary, grade_vectors, FaultModel, ModelKind, Report};
 pub use opt::OptStats;
 pub use packed::{PackedLogic, DEFAULT_LANE_GROUPS, LANES};
-pub use program::{ProgramStats, SimProgram};
+pub use program::SimProgram;
 pub use remote::{
     query_status, FleetStatsSnapshot, ProcessTransport, RemoteFleet, ServeHandle, TcpTransport,
     Transport, TransportError, DEFAULT_TCP_STREAMS,

@@ -8,7 +8,8 @@
 //! standard netlist proxy for physical proximity when no layout exists
 //! (nets converging on a gate are routed to the same place). Adjacency
 //! is derived from the **unoptimized** stream, whose slots are net ids,
-//! so the candidate list is the same whatever `STEAC_OPT` says.
+//! so the candidate list does not depend on how the optimizer renumbers
+//! slots.
 //!
 //! The packed pass evaluates each vector twice: an unforced settle
 //! yields the fault-free values of every bridged net pair on lane 0,

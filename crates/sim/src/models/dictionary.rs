@@ -9,16 +9,15 @@
 //! signature of a transition fault indexes launch–capture *pairs*; a
 //! bridging or stuck-at signature indexes vectors.
 //!
-//! # Wire format (`SDCT` block)
+//! # Wire format
 //!
-//! [`encode_dictionary`] / [`decode_dictionary`] persist a dictionary
-//! as: magic `SDCT`, [`wire::WIRE_VERSION`] (`u16`), `patterns` (u32),
-//! `outputs` (u32), entry count (u64), then per entry the first
-//! detecting pattern (`u32`, `u32::MAX` = never detected) and the
-//! signature words (`u64` each, count implied by patterns × outputs).
-//! The same per-entry layout (with an explicit count) is the unit
-//! *result* payload of dictionary-mode grading jobs, so a remote worker
-//! ships signatures back in exactly the bytes the dictionary stores.
+//! A dictionary travels only as the unit *results* of dictionary-mode
+//! fault jobs (kinds 1, 4 and 5): per unit, the entry count (`u64`),
+//! then per entry the first detecting pattern (`u32`, `u32::MAX` =
+//! never detected), the signature's word count (`u64`) and its words
+//! (`u64` each). The dispatcher checks every width against the job's
+//! patterns × outputs and concatenates the units' entries in fault-list
+//! order.
 //!
 //! # Diagnosis
 //!
@@ -82,64 +81,6 @@ pub fn signature_words(patterns: usize, outputs: usize) -> usize {
 
 /// Sentinel encoding [`DictEntry::first_pattern`] `== None`.
 const NO_PATTERN: u32 = u32::MAX;
-
-/// Serializes a dictionary as an `SDCT` block (see the module docs).
-#[must_use]
-pub fn encode_dictionary(dict: &FaultDictionary) -> Vec<u8> {
-    let words = dict.words_per_signature();
-    let mut w = wire::WireWriter::new();
-    w.put_bytes(b"SDCT");
-    w.put_u16(wire::WIRE_VERSION);
-    w.put_u32(dict.patterns);
-    w.put_u32(dict.outputs);
-    w.put_usize(dict.entries.len());
-    for e in &dict.entries {
-        debug_assert_eq!(e.signature.len(), words, "signature width mismatch");
-        w.put_u32(e.first_pattern.unwrap_or(NO_PATTERN));
-        for &word in &e.signature {
-            w.put_u64(word);
-        }
-    }
-    w.finish()
-}
-
-/// Deserializes an `SDCT` block.
-///
-/// # Errors
-///
-/// [`wire::WireError`] on bad magic, wrong version, truncation, or a
-/// signature that does not match the header's pattern × output shape.
-pub fn decode_dictionary(bytes: &[u8]) -> Result<FaultDictionary, wire::WireError> {
-    let mut r = wire::WireReader::new(bytes);
-    r.expect_magic(b"SDCT", "dictionary magic")?;
-    r.expect_version(wire::WIRE_VERSION, "dictionary version")?;
-    let patterns = r.get_u32("dictionary patterns")?;
-    let outputs = r.get_u32("dictionary outputs")?;
-    let words = signature_words(patterns as usize, outputs as usize);
-    let count = r.get_count("dictionary entries", 4 + words * 8)?;
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        entries.push(read_entry(&mut r, words)?);
-    }
-    r.finish()?;
-    Ok(FaultDictionary {
-        patterns,
-        outputs,
-        entries,
-    })
-}
-
-fn read_entry(r: &mut wire::WireReader<'_>, words: usize) -> Result<DictEntry, wire::WireError> {
-    let first = r.get_u32("dictionary first pattern")?;
-    let mut signature = Vec::with_capacity(words);
-    for _ in 0..words {
-        signature.push(r.get_u64("dictionary signature word")?);
-    }
-    Ok(DictEntry {
-        first_pattern: (first != NO_PATTERN).then_some(first),
-        signature,
-    })
-}
 
 /// Serializes a dictionary-mode unit result: entry count, then each
 /// entry as first pattern + explicit word count + signature words.
@@ -263,20 +204,6 @@ mod tests {
                 entry(Some(2), vec![0b100, 0, 0]),
             ],
         }
-    }
-
-    #[test]
-    fn dictionary_block_round_trips() {
-        let d = dict();
-        let bytes = encode_dictionary(&d);
-        assert_eq!(decode_dictionary(&bytes).unwrap(), d);
-        assert!(decode_dictionary(&bytes[..bytes.len() - 1]).is_err());
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert!(matches!(
-            decode_dictionary(&bad),
-            Err(wire::WireError::BadMagic { .. })
-        ));
     }
 
     #[test]

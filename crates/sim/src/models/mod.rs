@@ -813,6 +813,79 @@ mod tests {
         check_dictionary::<BridgingFault>(&m, &vectors);
     }
 
+    /// A 300-gate chain of inverters, NANDs with `b`, latches enabled by
+    /// `b` and XORs with `a`: every model lists more than one pass of
+    /// faults here, and the latches make a settle iterate.
+    fn chain() -> Module {
+        let mut b = NetlistBuilder::new("chain");
+        let a = b.input("a");
+        let en = b.input("b");
+        let mut cur = a;
+        for i in 0..300 {
+            cur = match i % 4 {
+                0 => b.gate(GateKind::Inv, &[cur]),
+                1 => b.gate(GateKind::Nand2, &[cur, en]),
+                2 => b.gate(GateKind::Latch, &[cur, en]),
+                _ => b.gate(GateKind::Xor2, &[cur, a]),
+            };
+        }
+        b.output("y", cur);
+        b.finish().unwrap()
+    }
+
+    /// Grades and builds the dictionary of every pass of `F`'s fault
+    /// list on both programs, which must agree pass for pass.
+    fn check_settles_agree<F: FaultModel>(
+        m: &Module,
+        [raw, opt]: [&Arc<SimProgram>; 2],
+        vectors: &[Vec<Logic>],
+    ) {
+        let noun = F::NOUN;
+        let faults = F::enumerate(m).unwrap();
+        assert!(
+            faults.len() > FAULTS_PER_PASS,
+            "{noun}: need several passes"
+        );
+        let pins = [m.port("a").unwrap().net, m.port("b").unwrap().net];
+        let mut detected = 0;
+        for (pass, chunk) in faults.chunks(FAULTS_PER_PASS).enumerate() {
+            let mask = grade_pass(raw, &pins, vectors, chunk).unwrap();
+            let fast = grade_pass(opt, &pins, vectors, chunk).unwrap();
+            assert_eq!(fast, mask, "{noun} pass {pass}: grading masks differ");
+            let entries = dict_pass(raw, &pins, vectors, chunk).unwrap();
+            let fast = dict_pass(opt, &pins, vectors, chunk).unwrap();
+            assert_eq!(
+                fast, entries,
+                "{noun} pass {pass}: dictionary entries differ"
+            );
+            detected += entries.iter().filter(|e| e.first_pattern.is_some()).count();
+        }
+        assert!(detected > 0, "{noun}: need detections");
+    }
+
+    /// The single-sweep settle of the optimized program grades and
+    /// builds dictionaries exactly like the raw program's
+    /// change-detecting settle, for every gate-level model.
+    #[test]
+    fn optimized_program_passes_equal_the_raw_programs() {
+        use Logic::{One, Zero};
+        let m = chain();
+        let raw = Arc::new(SimProgram::compile_unoptimized(&m).unwrap());
+        let opt = Arc::new(SimProgram::compile(&m).unwrap());
+        assert!(!raw.opt.scheduled && opt.opt.scheduled);
+        let vectors = [
+            [Zero, One],
+            [One, One],
+            [One, Zero],
+            [Zero, One],
+            [Zero, Zero],
+        ]
+        .map(Vec::from);
+        check_settles_agree::<Fault>(&m, [&raw, &opt], &vectors);
+        check_settles_agree::<TransitionFault>(&m, [&raw, &opt], &vectors);
+        check_settles_agree::<BridgingFault>(&m, [&raw, &opt], &vectors);
+    }
+
     /// A dictionary reply is checked against the unit it answers: a
     /// short, long or ragged reply is an error, never a shifted
     /// dictionary.

@@ -15,19 +15,20 @@
 //! An optimized program is the raw compiler output under a slot
 //! permutation: the same instructions in the same order, every net still
 //! computed, so a force or fault on any net means what it meant before.
-//! [`SimProgram::compile`] runs both steps unless `STEAC_OPT=0`, which
-//! ships the raw output ([`SimProgram::compile_unoptimized`]: identity
-//! slots, never marked scheduled, so the engine takes its
-//! change-detecting settle). That settle is the reference the fast path
-//! is tested against and the baseline its speed is measured against.
+//! [`SimProgram::compile`] always runs both steps. The raw output,
+//! [`SimProgram::compile_unoptimized`], keeps identity slots and is never
+//! marked scheduled, so the engine takes its change-detecting settle.
+//! That settle is the reference the fast path is tested against and the
+//! baseline its speed is measured against.
 
 use crate::program::{SimProgram, NO_SLOT};
 
 /// What the optimizer did to one program (carried in
-/// [`SimProgram::opt`], surfaced by [`SimProgram::stats`]).
+/// [`SimProgram::opt`] and on the wire).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OptStats {
-    /// Whether the optimizer ran (`false` under `STEAC_OPT=0`).
+    /// Whether the optimizer ran (`false` for
+    /// [`SimProgram::compile_unoptimized`] output).
     pub enabled: bool,
     /// Instructions in the stream, on either compile path (the wire
     /// carries no copy; decoding re-derives it).
@@ -150,12 +151,21 @@ mod tests {
         b.finish().unwrap()
     }
 
-    /// Optimized whatever `STEAC_OPT` says (CI also runs the suite with
-    /// `STEAC_OPT=0`).
+    /// The raw program, optimized in place.
     fn optimized(m: &Module) -> SimProgram {
         let mut p = SimProgram::compile_unoptimized(m).unwrap();
         optimize(&mut p);
         p
+    }
+
+    /// `compile` is the raw compile, optimized: the same program, field
+    /// for field, on a module renumbering moves.
+    #[test]
+    fn compile_is_the_raw_compile_optimized() {
+        let m = tie_module();
+        let p = SimProgram::compile(&m).unwrap();
+        assert_eq!(p, optimized(&m));
+        assert!(p.opt.enabled && p.opt.scheduled);
     }
 
     #[test]

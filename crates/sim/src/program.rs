@@ -26,34 +26,7 @@
 use crate::opt::OptStats;
 use crate::SimError;
 use std::collections::HashMap;
-use std::fmt;
 use steac_netlist::{combinational_order, CellContents, GateKind, Module, NetId, PortDir};
-
-/// Whether [`SimProgram::compile`] optimizes: `STEAC_OPT`, on when unset
-/// or blank.
-///
-/// # Panics
-///
-/// When `STEAC_OPT` is set to anything `parse_opt` rejects, rather
-/// than silently keeping the optimizer on.
-fn opt_enabled_from_env() -> bool {
-    match std::env::var("STEAC_OPT") {
-        Ok(v) if !v.trim().is_empty() => parse_opt(&v).unwrap_or_else(|| {
-            panic!("steac sim: STEAC_OPT={v:?}: expected 0/1, off/on or false/true")
-        }),
-        _ => true,
-    }
-}
-
-/// A `STEAC_OPT` value, in any case: `0`/`off`/`false` disable the
-/// optimizer, `1`/`on`/`true` enable it, anything else is `None`.
-fn parse_opt(v: &str) -> Option<bool> {
-    match v.trim().to_ascii_lowercase().as_str() {
-        "1" | "on" | "true" => Some(true),
-        "0" | "off" | "false" => Some(false),
-        _ => None,
-    }
-}
 
 /// Sentinel for an absent operand slot (e.g. `rstn` on a plain `Dff`).
 pub const NO_SLOT: u32 = u32::MAX;
@@ -250,32 +223,25 @@ pub struct SimProgram {
 impl SimProgram {
     /// Compiles a flat module (no hierarchical instances — flatten first)
     /// and optimizes it ([`crate::opt`]: slot renumbering plus the
-    /// schedule proof), unless `STEAC_OPT=0` is set. Either way the
-    /// program computes every net, so any net may be forced or faulted.
+    /// schedule proof). The program computes every net, so any net may
+    /// be forced or faulted.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Netlist`] if the module has multiple drivers or
     /// a combinational loop.
-    ///
-    /// # Panics
-    ///
-    /// When `STEAC_OPT` holds a value other than `0`/`1`, `off`/`on` or
-    /// `false`/`true` (any case).
     pub fn compile(m: &Module) -> Result<Self, SimError> {
         let mut p = Self::compile_unoptimized(m)?;
-        if opt_enabled_from_env() {
-            crate::opt::optimize(&mut p);
-        }
+        crate::opt::optimize(&mut p);
         Ok(p)
     }
 
     /// Compiles without optimizing: the raw levelized stream, an identity
     /// slot permutation, and `opt.scheduled = false` (so the engine takes
-    /// its change-detecting settle). This is the `STEAC_OPT=0` path and
-    /// the baseline for benchmarks; [`crate::opt::optimize`] turns it
-    /// into what [`SimProgram::compile`] returns by default, whatever
-    /// the environment says.
+    /// its change-detecting settle). It is the reference that tests
+    /// check the optimized program against, and the baseline for
+    /// benchmarks; [`crate::opt::optimize`] turns it into what
+    /// [`SimProgram::compile`] returns.
     ///
     /// # Errors
     ///
@@ -528,45 +494,6 @@ impl SimProgram {
         &self.output_slots
     }
 
-    /// Structural statistics: instruction mix, logic depth, buffer size,
-    /// unknown-gate count, and what the optimizer did.
-    #[must_use]
-    pub fn stats(&self) -> ProgramStats {
-        let mut per_op = Vec::new();
-        for op in SimOp::ALL {
-            let count = self.comb.iter().filter(|i| i.op == op).count();
-            if count > 0 {
-                per_op.push((op, count));
-            }
-        }
-        let unknown_gates = self.comb.iter().filter(|i| i.op == SimOp::Unknown).count();
-        // Longest combinational path, in gates: depth(out) =
-        // 1 + max(depth(ins)). One forward pass suffices on the
-        // topological stream.
-        let mut depth = vec![0u32; self.slot_count];
-        let mut levels = 0;
-        for i in &self.comb {
-            let d = 1
-                + (0..i.op.arity())
-                    .map(|k| depth[i.ins[k] as usize])
-                    .max()
-                    .unwrap_or(0);
-            depth[i.out as usize] = d;
-            levels = levels.max(d as usize);
-        }
-        ProgramStats {
-            name: self.name.clone(),
-            per_op,
-            levels,
-            net_count: self.net_count,
-            slot_count: self.slot_count,
-            flops: self.flops.len(),
-            latches: self.latches.len(),
-            unknown_gates,
-            opt: self.opt,
-        }
-    }
-
     /// Looks up a port by name.
     #[must_use]
     pub fn port(&self, name: &str) -> Option<&PortInfo> {
@@ -577,68 +504,6 @@ impl SimProgram {
     #[must_use]
     pub fn port_net(&self, name: &str) -> Option<NetId> {
         self.port(name).map(|p| p.net)
-    }
-}
-
-/// Structural statistics for one compiled program (see
-/// [`SimProgram::stats`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProgramStats {
-    /// Source module name.
-    pub name: String,
-    /// Non-zero instruction counts per opcode, in wire order.
-    pub per_op: Vec<(SimOp, usize)>,
-    /// Longest combinational path, in gates.
-    pub levels: usize,
-    /// Net count (leading buffer slots).
-    pub net_count: usize,
-    /// Total value-buffer slots (nets + sequential state).
-    pub slot_count: usize,
-    /// Flip-flop count.
-    pub flops: usize,
-    /// Latch count.
-    pub latches: usize,
-    /// Instructions that evaluate to all-X because their gate kind was
-    /// not recognised at compile time.
-    pub unknown_gates: usize,
-    /// What the optimizer did.
-    pub opt: OptStats,
-}
-
-impl fmt::Display for ProgramStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "program `{}`: {} instrs, {} levels, {} nets, {} slots, {} flops, {} latches",
-            self.name,
-            self.per_op.iter().map(|(_, c)| c).sum::<usize>(),
-            self.levels,
-            self.net_count,
-            self.slot_count,
-            self.flops,
-            self.latches,
-        )?;
-        write!(f, "  ops:")?;
-        for (op, count) in &self.per_op {
-            write!(f, " {op:?}={count}")?;
-        }
-        writeln!(f)?;
-        if self.unknown_gates > 0 {
-            writeln!(
-                f,
-                "  WARNING: {} unknown gate(s) evaluate to all-X",
-                self.unknown_gates
-            )?;
-        }
-        if self.opt.enabled {
-            write!(
-                f,
-                "  opt: slots renumbered, scheduled={}",
-                self.opt.scheduled
-            )
-        } else {
-            write!(f, "  opt: disabled (STEAC_OPT=0)")
-        }
     }
 }
 
@@ -670,19 +535,6 @@ mod tests {
         assert_eq!(p.comb[1].op, SimOp::And2);
         // Sequential order follows cell order: flop before latch here.
         assert_eq!(p.seq_order, vec![SeqInstr::Flop(0), SeqInstr::Latch(0)]);
-    }
-
-    #[test]
-    fn steac_opt_parses_in_any_case_and_rejects_the_rest() {
-        for v in ["0", "off", "OFF", "False", " false "] {
-            assert_eq!(parse_opt(v), Some(false), "{v:?}");
-        }
-        for v in ["1", "on", "On", "TRUE"] {
-            assert_eq!(parse_opt(v), Some(true), "{v:?}");
-        }
-        for v in ["no", "yes", "2", "disabled"] {
-            assert_eq!(parse_opt(v), None, "{v:?}");
-        }
     }
 
     #[test]

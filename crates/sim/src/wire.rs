@@ -902,13 +902,6 @@ mod tests {
         }
     }
 
-    /// Compiled and optimized whatever `STEAC_OPT` says.
-    fn optimized(m: &steac_netlist::Module) -> SimProgram {
-        let mut p = SimProgram::compile_unoptimized(m).unwrap();
-        crate::opt::optimize(&mut p);
-        p
-    }
-
     /// An optimized program with a non-identity slot permutation
     /// round-trips field-for-field, including the stats record.
     #[test]
@@ -923,7 +916,7 @@ mod tests {
         b.gate_into(GateKind::And2, &[a, t1], x);
         b.gate_into(GateKind::Inv, &[x], y);
         b.output("y", y);
-        let p = optimized(&b.finish().unwrap());
+        let p = SimProgram::compile(&b.finish().unwrap()).unwrap();
         assert!(
             p.net_slot.iter().enumerate().any(|(n, &s)| n as u32 != s),
             "test premise: slots renumbered"
@@ -943,7 +936,7 @@ mod tests {
             let x = b.gate(GateKind::Inv, &[a]);
             let y = b.gate(GateKind::Inv, &[x]);
             b.output("y", y);
-            optimized(&b.finish().unwrap())
+            SimProgram::compile(&b.finish().unwrap()).unwrap()
         };
         assert!(p.opt.scheduled);
         p.comb.reverse(); // y's instruction now reads x before it is written

@@ -64,8 +64,8 @@
 //! opened per model) whose mode byte chooses between coverage grading
 //! (lane-mask results) and fault-dictionary building, whose unit
 //! results are per-fault `(first detecting pattern, pattern x output
-//! signature bitmap)` entries; a full dictionary serializes as an
-//! `SDCT` block (magic, wire version, pattern/output counts, entries).
+//! signature bitmap)` entries; the dispatcher concatenates them into
+//! the dictionary, which has no other serialized form.
 //! Diagnosing an observed failure signature against a dictionary
 //! (`steac_sim::models::dictionary::diagnose`) runs in the caller's
 //! process; no kind ships it.

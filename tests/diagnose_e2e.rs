@@ -139,9 +139,5 @@ fn dictionary_diagnosis_ranks_the_injected_fault_top3() {
             diagnosis.ranked[rank].1, 0,
             "{model}: the injected fault's observation must match its own signature"
         );
-        // The dictionary round-trips through its persistent SDCT form.
-        let bytes = dictionary::encode_dictionary(&dict);
-        let back = dictionary::decode_dictionary(&bytes).expect("SDCT decode");
-        assert_eq!(back, dict, "{model} SDCT round-trip");
     }
 }

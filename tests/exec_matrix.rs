@@ -228,8 +228,7 @@ fn streaming_playback_reports_byte_identical_at_every_chunk_size() {
 /// renumbered slots and single-sweep settle (and the program's wire
 /// image, on the process and remote legs) may only change speed, never
 /// a verdict. Both programs come from `compile_unoptimized`, one run
-/// through `opt::optimize`, so the assertion holds at any `STEAC_OPT`
-/// setting.
+/// through `opt::optimize`.
 #[test]
 fn optimized_program_reports_byte_identical_on_every_backend() {
     use std::sync::Arc;
