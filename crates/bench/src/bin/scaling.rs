@@ -327,7 +327,7 @@ fn main() {
         "{}",
         header("Streaming pipeline: generate->play, bounded queues, nothing materialized")
     );
-    let sim_opt = sim.program().opt.enabled;
+    let sim_opt = sim.program().opt.scheduled;
     let stream_exec = Exec::threads(Threads::exact(4));
     for (workload, n) in [
         ("jpeg_streaming_playback", full_count),

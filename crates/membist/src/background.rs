@@ -10,7 +10,8 @@
 //! polarities. `log2(width) + 1` backgrounds suffice for pairwise
 //! coverage.
 
-use crate::march::{Direction, MarchAlgorithm, MarchOp};
+use crate::faultsim::failing_reads;
+use crate::march::MarchAlgorithm;
 use crate::memory::{MemFault, Sram, SramConfig};
 use std::fmt;
 
@@ -35,76 +36,45 @@ impl fmt::Display for DataBackground {
 /// solid plus stripes of period 2, 4, 8, ... (`log2(width) + 1` entries).
 #[must_use]
 pub fn standard_backgrounds(width: usize) -> Vec<DataBackground> {
-    let mask = if width >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
+    // Alternating blocks of `half` ones and zeros from bit 0 up
+    // (...11001100 for `half` = 2); one 64-bit block is the solid word.
+    let stripes = |half: usize| {
+        (0..width.min(64))
+            .filter(|bit| (bit / half).is_multiple_of(2))
+            .fold(0u64, |p, bit| p | 1 << bit)
     };
     let mut out = vec![DataBackground {
-        pattern: mask,
+        pattern: stripes(64),
         name: "solid",
     }];
     let names = [
         "stripe2", "stripe4", "stripe8", "stripe16", "stripe32", "stripe64",
     ];
-    let mut period = 2usize;
-    let mut ni = 0;
-    while period <= width.max(2) && ni < names.len() {
-        // Alternating blocks of period/2 ones and zeros: ...11001100.
-        let mut p = 0u64;
-        for bit in 0..width.min(64) {
-            if (bit / (period / 2)).is_multiple_of(2) {
-                p |= 1 << bit;
-            }
+    for (k, name) in names.into_iter().enumerate() {
+        let half = 1 << k;
+        if 2 * half > width.max(2) {
+            break;
         }
         out.push(DataBackground {
-            pattern: p & mask,
-            name: names[ni],
+            pattern: stripes(half),
+            name,
         });
-        period *= 2;
-        ni += 1;
     }
     out
 }
 
 /// Runs `alg` once per background; a read mismatch under any background
-/// detects the fault. Total cycles = `backgrounds.len() × kN`.
+/// detects the fault, and the walk stops at the first one. Total cycles
+/// = `backgrounds.len() × kN`.
 #[must_use]
 pub fn run_march_with_backgrounds(
     alg: &MarchAlgorithm,
     mem: &mut Sram,
     backgrounds: &[DataBackground],
 ) -> bool {
-    let mask = crate::faultsim::word_mask(&mem.config());
-    for bg in backgrounds {
-        let one = bg.pattern & mask;
-        let zero = !bg.pattern & mask;
-        for element in &alg.elements {
-            let addrs: Box<dyn Iterator<Item = usize>> = match element.dir {
-                Direction::Up | Direction::Any => Box::new(0..mem.config().words),
-                Direction::Down => Box::new((0..mem.config().words).rev()),
-            };
-            for addr in addrs {
-                for &op in &element.ops {
-                    match op {
-                        MarchOp::W0 => mem.write(addr, zero),
-                        MarchOp::W1 => mem.write(addr, one),
-                        MarchOp::R0 => {
-                            if mem.read(addr) != zero {
-                                return true;
-                            }
-                        }
-                        MarchOp::R1 => {
-                            if mem.read(addr) != one {
-                                return true;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    false
+    backgrounds
+        .iter()
+        .any(|bg| failing_reads(alg, mem, bg.pattern).next().is_some())
 }
 
 /// Coverage of the multi-background test over a fault list.

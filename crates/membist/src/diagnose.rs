@@ -18,7 +18,8 @@
 //! best-match-first order.
 
 use crate::brains::{BistDesign, PerMemory};
-use crate::march::{Direction, MarchAlgorithm, MarchOp};
+use crate::faultsim::failing_reads;
+use crate::march::{MarchAlgorithm, MarchOp};
 use crate::memory::{MemFault, Sram, SramConfig};
 use std::fmt;
 
@@ -62,10 +63,11 @@ impl fmt::Display for FailureSite {
     }
 }
 
-/// Runs `alg` on `mem` and returns the first failing read, if any.
+/// Runs `alg` on `mem` up to its first failing read and returns it, if
+/// any. The walk stops there, so `mem` keeps the state of that read.
 #[must_use]
 pub fn first_failure(alg: &MarchAlgorithm, mem: &mut Sram) -> Option<FailureSite> {
-    failure_log(alg, mem).into_iter().next()
+    failing_reads(alg, mem, u64::MAX).next()
 }
 
 /// Runs `alg` on `mem` to completion and returns *every* failing read
@@ -75,41 +77,7 @@ pub fn first_failure(alg: &MarchAlgorithm, mem: &mut Sram) -> Option<FailureSite
 /// distinguishable dictionary signature.
 #[must_use]
 pub fn failure_log(alg: &MarchAlgorithm, mem: &mut Sram) -> Vec<FailureSite> {
-    let words = mem.config().words;
-    let mask = if mem.config().width == 64 {
-        u64::MAX
-    } else {
-        (1u64 << mem.config().width) - 1
-    };
-    let mut log = Vec::new();
-    for (ei, element) in alg.elements.iter().enumerate() {
-        let addrs: Box<dyn Iterator<Item = usize>> = match element.dir {
-            Direction::Up | Direction::Any => Box::new(0..words),
-            Direction::Down => Box::new((0..words).rev()),
-        };
-        for addr in addrs {
-            for &op in &element.ops {
-                match op {
-                    MarchOp::W0 => mem.write(addr, 0),
-                    MarchOp::W1 => mem.write(addr, mask),
-                    MarchOp::R0 | MarchOp::R1 => {
-                        let expected = if op.value() { mask } else { 0 };
-                        let observed = mem.read(addr);
-                        if observed != expected {
-                            log.push(FailureSite {
-                                element: ei,
-                                addr,
-                                op,
-                                observed,
-                                expected,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-    log
+    failing_reads(alg, mem, u64::MAX).collect()
 }
 
 /// The March failure signature of one candidate fault: every failing
@@ -121,8 +89,7 @@ pub fn march_signature(
     config: &SramConfig,
     fault: MemFault,
 ) -> Vec<FailureSite> {
-    let mut mem = Sram::with_fault(*config, fault);
-    failure_log(alg, &mut mem)
+    failure_log(alg, &mut Sram::with_fault(*config, fault))
 }
 
 /// A memory fault dictionary: candidate faults paired with their March
@@ -229,33 +196,15 @@ pub fn rank_candidates(dict: &MemDictionary, observed: &[FailureSite]) -> Vec<(u
 /// order) to the memories they implicate.
 #[must_use]
 pub fn implicated_memories<'d>(design: &'d BistDesign, seq_fail: &[bool]) -> Vec<&'d PerMemory> {
-    // Group order in the design follows the sorted group keys used at
-    // compile time; sequencer_cycles and per_memory share that order via
-    // insertion sequence. Reconstruct group boundaries by walking
-    // per_memory in order and changing groups when the sequencer index
-    // advances.
-    // per_memory was pushed group by group, so chunk it by the group
-    // sizes implied by the sequencer count.
-    let groups = design.sequencer_cycles.len();
-    if groups == 0 {
-        return Vec::new();
-    }
-    // Count memories per group by re-deriving the grouping from the
-    // per-memory records: records were appended per group in order.
-    // Without explicit markers we approximate by even association: walk
-    // memories and assign to groups in contiguous runs recorded at
-    // compile time via `group_sizes`.
-    let sizes = design.group_sizes();
+    // `per_memory` lists each group's memories as one contiguous run,
+    // in group order; `group_sizes` holds the run lengths.
     let mut out = Vec::new();
-    let mut idx = 0usize;
-    for (g, &size) in sizes.iter().enumerate() {
-        let failing = seq_fail.get(g).copied().unwrap_or(false);
-        for m in &design.per_memory[idx..idx + size] {
-            if failing {
-                out.push(m);
-            }
+    let mut start = 0;
+    for (g, &size) in design.group_sizes().iter().enumerate() {
+        if seq_fail.get(g) == Some(&true) {
+            out.extend(&design.per_memory[start..start + size]);
         }
-        idx += size;
+        start += size;
     }
     out
 }

@@ -25,8 +25,10 @@
 //! logged and counted in [`MemCoverageReport::process_fallbacks`]
 //! instead of happening silently.
 
-use crate::march::{Direction, MarchAlgorithm, MarchOp};
+use crate::diagnose::FailureSite;
+use crate::march::MarchAlgorithm;
 use crate::memory::{MemFault, Sram, SramConfig};
+use crate::sequencer::Sequencer;
 use rand::Rng;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -46,68 +48,43 @@ pub const FAULTS_PER_WALK: usize = LANES * DEFAULT_LANE_GROUPS;
 type WalkMask = LaneMask<DEFAULT_LANE_GROUPS>;
 
 /// Runs `alg` on `mem`; returns `true` if any read mismatches its
-/// expected background value (fault detected). Scalar single-machine
-/// walk, used by the BIST sequencer models and as the packed kernel's
-/// reference.
+/// expected background value (fault detected). The scalar
+/// single-machine walk stops at the first failing read; it is the
+/// reference the packed kernel is tested against
+/// ([`fault_coverage_serial`]).
 #[must_use]
 pub fn run_march(alg: &MarchAlgorithm, mem: &mut Sram) -> bool {
-    let words = mem.config().words;
-    let mask = word_mask(&mem.config());
-    for element in &alg.elements {
-        let addrs: Box<dyn Iterator<Item = usize>> = match element.dir {
-            Direction::Up | Direction::Any => Box::new(0..words),
-            Direction::Down => Box::new((0..words).rev()),
-        };
-        for addr in addrs {
-            for &op in &element.ops {
-                match op {
-                    MarchOp::W0 => mem.write(addr, 0),
-                    MarchOp::W1 => mem.write(addr, mask),
-                    MarchOp::R0 => {
-                        if mem.read(addr) != 0 {
-                            return true;
-                        }
-                    }
-                    MarchOp::R1 => {
-                        if mem.read(addr) != mask {
-                            return true;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    false
+    failing_reads(alg, mem, u64::MAX).next().is_some()
 }
 
-/// Non-panicking bounds check mirroring [`Sram::with_fault`]'s contract:
-/// `true` when every cell the fault references exists on `config` and
-/// address/cell pairs are distinct. The wire layer uses this to turn
-/// out-of-range faults in decoded work units into typed errors instead
-/// of panics.
-pub(crate) fn fault_fits(config: &SramConfig, fault: &MemFault) -> bool {
-    let cell_ok = |(a, b): (usize, usize)| -> bool { a < config.words && b < config.width };
-    match *fault {
-        MemFault::StuckAt { addr, bit, .. } | MemFault::Transition { addr, bit, .. } => {
-            cell_ok((addr, bit))
+/// The scalar March walk: runs `alg` on `mem` in [`Sequencer`] order
+/// under the data background `background` (what `w1` writes and `r1`
+/// expects; `w0` and `r0` use its complement, both within the word
+/// mask) and yields each failing read as the walk reaches it. The walk
+/// goes only as far as its caller pulls; `u64::MAX` is the solid
+/// background.
+pub(crate) fn failing_reads<'a>(
+    alg: &'a MarchAlgorithm,
+    mem: &'a mut Sram,
+    background: u64,
+) -> impl Iterator<Item = FailureSite> + 'a {
+    let mask = mem.config().word_mask();
+    let (one, zero) = (background & mask, !background & mask);
+    Sequencer::new(alg, mem.config().words).filter_map(move |cmd| {
+        let expected = if cmd.op.value() { one } else { zero };
+        if !cmd.op.is_read() {
+            mem.write(cmd.addr, expected);
+            return None;
         }
-        MemFault::CouplingInversion {
-            aggressor, victim, ..
-        }
-        | MemFault::CouplingIdempotent {
-            aggressor, victim, ..
-        }
-        | MemFault::CouplingState {
-            aggressor, victim, ..
-        } => cell_ok(aggressor) && cell_ok(victim) && aggressor != victim,
-        MemFault::AfNoAccess { addr } => addr < config.words,
-        MemFault::AfMultiAccess { addr, also } => {
-            addr < config.words && also < config.words && addr != also
-        }
-        MemFault::AfOtherAccess { addr, other } => {
-            addr < config.words && other < config.words && addr != other
-        }
-    }
+        let observed = mem.read(cmd.addr);
+        (observed != expected).then_some(FailureSite {
+            element: cmd.element,
+            addr: cmd.addr,
+            op: cmd.op,
+            observed,
+            expected,
+        })
+    })
 }
 
 /// One packed March walk over a (pre-validated) fault chunk — the walk
@@ -119,14 +96,6 @@ pub(crate) fn run_packed_march(
     chunk: &[MemFault],
 ) -> WalkMask {
     PackedFaultSim::new(*config, chunk).run_march(alg)
-}
-
-pub(crate) fn word_mask(config: &SramConfig) -> u64 {
-    if config.width == 64 {
-        u64::MAX
-    } else {
-        (1u64 << config.width) - 1
-    }
 }
 
 /// [`FAULTS_PER_WALK`] faulty memories packed into lane planes:
@@ -170,8 +139,10 @@ impl PackedFaultSim {
             active: mask_range(0, chunk.len()),
         };
         for (i, &(lane, fault)) in sim.faults.clone().iter().enumerate() {
-            // Bounds contract mirrors Sram::with_fault.
-            Self::validate(&config, &fault);
+            assert!(
+                config.fits(&fault),
+                "fault {fault:?} out of range for {config}"
+            );
             let hi = i as u32;
             match fault {
                 MemFault::StuckAt { addr, .. } => {
@@ -208,13 +179,6 @@ impl PackedFaultSim {
         sim
     }
 
-    fn validate(config: &SramConfig, fault: &MemFault) {
-        assert!(
-            fault_fits(config, fault),
-            "fault {fault:?} out of range for {config}"
-        );
-    }
-
     #[inline]
     fn plane(&self, addr: usize, bit: usize) -> WalkMask {
         self.planes[addr * self.config.width + bit]
@@ -235,10 +199,10 @@ impl PackedFaultSim {
         }
     }
 
-    /// Writes `value` into every lane's copy of `addr`, then applies each
-    /// lane's fault perturbation (matching `Sram::write` semantics).
+    /// Writes `value` (within the word mask) into every lane's copy of
+    /// `addr`, then applies each lane's fault perturbation (matching
+    /// `Sram::write` semantics).
     fn write(&mut self, addr: usize, value: u64) {
-        let value = value & word_mask(&self.config);
         // Capture the pre-write state the perturbations need.
         let hooks = self.write_hooks[addr].clone();
         let mut olds = Vec::with_capacity(hooks.len());
@@ -339,9 +303,9 @@ impl PackedFaultSim {
     }
 
     /// Reads `addr` in every lane and returns the mask of lanes whose
-    /// value differs from `expected` (matching `Sram::read` semantics).
+    /// value differs from `expected`, a word within the word mask
+    /// (matching `Sram::read` semantics).
     fn read_mismatch(&self, addr: usize, expected: u64) -> WalkMask {
-        let expected = expected & word_mask(&self.config);
         let mut diff: WalkMask = mask_none();
         for bit in 0..self.config.width {
             let exp = if expected >> bit & 1 == 1 { !0u64 } else { 0 };
@@ -390,34 +354,21 @@ impl PackedFaultSim {
         w
     }
 
-    /// Runs the March walk over all lanes at once; returns the detected
-    /// lane mask. Stops early once every active lane is detected (fault
-    /// dropping).
+    /// Runs the March walk over all lanes at once, in [`Sequencer`]
+    /// order; returns the detected lane mask. Stops early once every
+    /// active lane is detected (fault dropping).
     fn run_march(&mut self, alg: &MarchAlgorithm) -> WalkMask {
-        let words = self.config.words;
-        let mask = word_mask(&self.config);
+        let mask = self.config.word_mask();
         let mut detected: WalkMask = mask_none();
-        for element in &alg.elements {
-            let addrs: Box<dyn Iterator<Item = usize>> = match element.dir {
-                Direction::Up | Direction::Any => Box::new(0..words),
-                Direction::Down => Box::new((0..words).rev()),
-            };
-            for addr in addrs {
-                for &op in &element.ops {
-                    match op {
-                        MarchOp::W0 => self.write(addr, 0),
-                        MarchOp::W1 => self.write(addr, mask),
-                        MarchOp::R0 => {
-                            detected = mask_or(detected, self.read_mismatch(addr, 0));
-                        }
-                        MarchOp::R1 => {
-                            detected = mask_or(detected, self.read_mismatch(addr, mask));
-                        }
-                    }
-                    if detected == self.active {
-                        return detected; // every fault of this walk dropped
-                    }
-                }
+        for cmd in Sequencer::new(alg, self.config.words) {
+            let value = if cmd.op.value() { mask } else { 0 };
+            if cmd.op.is_read() {
+                detected = mask_or(detected, self.read_mismatch(cmd.addr, value));
+            } else {
+                self.write(cmd.addr, value);
+            }
+            if detected == self.active {
+                return detected; // every fault of this walk dropped
             }
         }
         detected
@@ -668,7 +619,9 @@ pub fn enumerate_inter_cell_couplings(config: &SramConfig) -> Vec<MemFault> {
 
 /// Generates a random fault list over all classes with `per_class`
 /// faults each (deduplicated cells are not required — the single-fault
-/// assumption means every entry is simulated independently).
+/// assumption means every entry is simulated independently). The
+/// coupling and address-decoder classes pair two words, so a one-word
+/// memory gets only its SAF and TF faults.
 pub fn random_fault_list<R: Rng>(
     config: &SramConfig,
     per_class: usize,
@@ -696,6 +649,9 @@ pub fn random_fault_list<R: Rng>(
             bit: b,
             rising: rng.gen(),
         });
+    }
+    if config.words < 2 {
+        return out;
     }
     // Inter-word pairs only: intra-word coupling faults are not
     // guaranteed detectable with the solid data backgrounds March tests
@@ -737,19 +693,17 @@ pub fn random_fault_list<R: Rng>(
             forced: rng.gen(),
         });
     }
-    if config.words >= 2 {
-        for _ in 0..per_class {
-            let a = rng.gen_range(0..config.words);
-            let mut b = rng.gen_range(0..config.words);
-            while b == a {
-                b = rng.gen_range(0..config.words);
-            }
-            out.push(match rng.gen_range(0..3) {
-                0 => MemFault::AfNoAccess { addr: a },
-                1 => MemFault::AfMultiAccess { addr: a, also: b },
-                _ => MemFault::AfOtherAccess { addr: a, other: b },
-            });
+    for _ in 0..per_class {
+        let a = rng.gen_range(0..config.words);
+        let mut b = rng.gen_range(0..config.words);
+        while b == a {
+            b = rng.gen_range(0..config.words);
         }
+        out.push(match rng.gen_range(0..3) {
+            0 => MemFault::AfNoAccess { addr: a },
+            1 => MemFault::AfMultiAccess { addr: a, also: b },
+            _ => MemFault::AfOtherAccess { addr: a, other: b },
+        });
     }
     out
 }
@@ -928,6 +882,24 @@ mod tests {
             let sharded = fault_coverage(&threaded, &alg, &CFG, &faults).unwrap();
             assert_eq!(sharded, baseline, "{t} threads");
         }
+    }
+
+    /// A one-word memory has no second word to pair, so its list holds
+    /// only SAF and TF faults. The list is drawn on a helper thread, so
+    /// a generator that keeps redrawing for a second word fails the
+    /// receive timeout instead of hanging the suite.
+    #[test]
+    fn one_word_fault_list_holds_only_cell_faults() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let cfg = SramConfig::single_port(1, 8);
+            let _ = tx.send(random_fault_list(&cfg, 5, &mut StdRng::seed_from_u64(1)));
+        });
+        let faults = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the one-word fault list never came back");
+        let classes: Vec<&str> = faults.iter().map(MemFault::class).collect();
+        assert_eq!(classes, [["SAF"; 5], ["TF"; 5]].concat());
     }
 
     #[test]

@@ -16,10 +16,16 @@
 //!   March C−, March X/Y/A/B, March LR, March SS),
 //! * [`memory`] — behavioural single-port and two-port synchronous SRAM
 //!   models with injectable functional faults (SAF, TF, CFin, CFid,
-//!   CFst, AF),
-//! * [`faultsim`] — March fault simulation and coverage grading,
+//!   CFst, AF); [`SramConfig`] owns the word mask and the rule for
+//!   which faults fit a geometry,
 //! * [`sequencer`], [`tpg`], [`controller`] — the Fig. 2 hardware, both
-//!   as behavioural command streams and as generated gate netlists,
+//!   as behavioural command streams and as generated gate netlists; the
+//!   [`Sequencer`] command stream is the one March order every walk
+//!   follows,
+//! * [`faultsim`] — March fault simulation over that stream: the packed
+//!   grading kernel behind [`fault_coverage`] and the scalar walk over
+//!   an [`Sram`] behind [`run_march`], the failure logs of [`diagnose`]
+//!   and the data backgrounds of [`background`],
 //! * [`brains`] — the compiler: memory list + policy → BIST design with
 //!   area, test time and measured coverage,
 //! * [`shell`] — the BRAINS command-shell front end.

@@ -23,6 +23,9 @@ pub enum MarchOp {
 }
 
 impl MarchOp {
+    /// Every op, each at the index that is its wire code (`op as u8`).
+    pub const ALL: [MarchOp; 4] = [MarchOp::R0, MarchOp::R1, MarchOp::W0, MarchOp::W1];
+
     /// `true` for reads.
     #[must_use]
     pub fn is_read(self) -> bool {
@@ -56,6 +59,12 @@ pub enum Direction {
     Down,
     /// Either order is allowed (⇕); simulated ascending.
     Any,
+}
+
+impl Direction {
+    /// Every direction, each at the index that is its wire code
+    /// (`dir as u8`).
+    pub const ALL: [Direction; 3] = [Direction::Up, Direction::Down, Direction::Any];
 }
 
 impl fmt::Display for Direction {
@@ -344,6 +353,23 @@ mod tests {
             let reparsed = MarchAlgorithm::parse(&alg.name, notation).unwrap();
             assert_eq!(reparsed, alg, "{shown}");
         }
+    }
+
+    /// Ops and directions keep the wire codes March jobs have always
+    /// carried: their declaration order, which `ALL` lists.
+    #[test]
+    fn wire_codes_are_pinned() {
+        for (code, op) in MarchOp::ALL.into_iter().enumerate() {
+            assert_eq!(op as usize, code, "{op}");
+        }
+        assert_eq!(
+            MarchOp::ALL.map(|op| op.to_string()),
+            ["r0", "r1", "w0", "w1"]
+        );
+        for (code, dir) in Direction::ALL.into_iter().enumerate() {
+            assert_eq!(dir as usize, code, "{dir}");
+        }
+        assert_eq!(Direction::ALL.map(|d| d.to_string()), ["up", "down", "any"]);
     }
 
     #[test]

@@ -79,6 +79,45 @@ impl SramConfig {
     pub fn addr_bits(&self) -> usize {
         (usize::BITS - (self.words.max(2) - 1).leading_zeros()) as usize
     }
+
+    /// The word with every one of the `width` bits set (all 64 bits
+    /// from a width of 64 up).
+    #[must_use]
+    pub fn word_mask(&self) -> u64 {
+        if self.width >= 64 {
+            u64::MAX
+        } else {
+            (1u64 << self.width) - 1
+        }
+    }
+
+    /// `true` when every cell and address `fault` names exists in this
+    /// geometry and the two cells or addresses it pairs differ: the
+    /// faults [`Sram::with_fault`] and the packed walk accept, and the
+    /// ones a decoded March work unit may carry.
+    #[must_use]
+    pub fn fits(&self, fault: &MemFault) -> bool {
+        let cell = |(a, b): (usize, usize)| a < self.words && b < self.width;
+        match *fault {
+            MemFault::StuckAt { addr, bit, .. } | MemFault::Transition { addr, bit, .. } => {
+                cell((addr, bit))
+            }
+            MemFault::CouplingInversion {
+                aggressor, victim, ..
+            }
+            | MemFault::CouplingIdempotent {
+                aggressor, victim, ..
+            }
+            | MemFault::CouplingState {
+                aggressor, victim, ..
+            } => cell(aggressor) && cell(victim) && aggressor != victim,
+            MemFault::AfNoAccess { addr } => addr < self.words,
+            MemFault::AfMultiAccess { addr, also: other }
+            | MemFault::AfOtherAccess { addr, other } => {
+                addr < self.words && other < self.words && addr != other
+            }
+        }
+    }
 }
 
 impl fmt::Display for SramConfig {
@@ -232,63 +271,24 @@ impl Sram {
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range fault coordinates (programming error in the
-    /// fault-list generator) or unsupported geometry.
+    /// Panics when `config` does not [fit](SramConfig::fits) the fault
+    /// (programming error in the fault-list generator) or on unsupported
+    /// geometry.
     #[must_use]
     pub fn with_fault(config: SramConfig, fault: MemFault) -> Self {
         let mut m = Self::new(config);
-        m.check_fault(&fault);
+        assert!(
+            config.fits(&fault),
+            "fault {fault:?} out of range for {config}"
+        );
         m.fault = Some(fault);
         m
-    }
-
-    fn check_fault(&self, fault: &MemFault) {
-        let cell_ok = |(a, b): (usize, usize)| {
-            assert!(
-                a < self.config.words && b < self.config.width,
-                "fault cell ({a},{b}) out of range for {}",
-                self.config
-            );
-        };
-        match *fault {
-            MemFault::StuckAt { addr, bit, .. } | MemFault::Transition { addr, bit, .. } => {
-                cell_ok((addr, bit));
-            }
-            MemFault::CouplingInversion {
-                aggressor, victim, ..
-            }
-            | MemFault::CouplingIdempotent {
-                aggressor, victim, ..
-            }
-            | MemFault::CouplingState {
-                aggressor, victim, ..
-            } => {
-                cell_ok(aggressor);
-                cell_ok(victim);
-                assert!(aggressor != victim, "aggressor and victim must differ");
-            }
-            MemFault::AfNoAccess { addr } => assert!(addr < self.config.words),
-            MemFault::AfMultiAccess { addr, also } => {
-                assert!(addr < self.config.words && also < self.config.words && addr != also);
-            }
-            MemFault::AfOtherAccess { addr, other } => {
-                assert!(addr < self.config.words && other < self.config.words && addr != other);
-            }
-        }
     }
 
     /// The geometry.
     #[must_use]
     pub fn config(&self) -> SramConfig {
         self.config
-    }
-
-    fn mask(&self) -> u64 {
-        if self.config.width == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.config.width) - 1
-        }
     }
 
     fn get_bit(&self, addr: usize, bit: usize) -> bool {
@@ -389,7 +389,7 @@ impl Sram {
     /// Panics if `addr` is out of range.
     pub fn write(&mut self, addr: usize, value: u64) {
         assert!(addr < self.config.words, "address {addr} out of range");
-        let value = value & self.mask();
+        let value = value & self.config.word_mask();
         match self.fault {
             Some(MemFault::AfNoAccess { addr: fa }) if fa == addr => { /* write lost */ }
             Some(MemFault::AfMultiAccess { addr: fa, also }) if fa == addr => {
@@ -421,7 +421,7 @@ impl Sram {
             }
             _ => self.data[addr],
         };
-        let mut value = raw & self.mask();
+        let mut value = raw & self.config.word_mask();
         // A stuck cell reads stuck regardless of the array content.
         if let Some(MemFault::StuckAt {
             addr: fa,
@@ -601,6 +601,36 @@ mod tests {
     fn single_port_rejects_read_write() {
         let mut m = Sram::new(SramConfig::single_port(8, 8));
         let _ = m.read_write(0, 1, 0);
+    }
+
+    #[test]
+    fn fits_checks_every_named_cell_and_pair() {
+        let cfg = SramConfig::single_port(4, 2);
+        assert!(cfg.fits(&MemFault::stuck_at(3, 1, true)));
+        assert!(!cfg.fits(&MemFault::stuck_at(4, 0, true)));
+        assert!(!cfg.fits(&MemFault::transition_up(0, 2)));
+        let cfst = |aggressor, victim| MemFault::CouplingState {
+            aggressor,
+            victim,
+            state: true,
+            forced: false,
+        };
+        assert!(cfg.fits(&cfst((0, 0), (0, 1))));
+        assert!(!cfg.fits(&cfst((1, 1), (1, 1))));
+        assert!(!cfg.fits(&cfst((0, 0), (4, 0))));
+        assert!(!cfg.fits(&MemFault::AfNoAccess { addr: 4 }));
+        assert!(!cfg.fits(&MemFault::AfMultiAccess { addr: 2, also: 2 }));
+        assert!(cfg.fits(&MemFault::AfOtherAccess { addr: 2, other: 3 }));
+        assert!(!cfg.fits(&MemFault::AfOtherAccess { addr: 2, other: 4 }));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range for 4x2 SP")]
+    fn with_fault_rejects_a_fault_that_does_not_fit() {
+        let _ = Sram::with_fault(
+            SramConfig::single_port(4, 2),
+            MemFault::stuck_at(0, 2, true),
+        );
     }
 
     #[test]

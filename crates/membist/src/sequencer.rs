@@ -1,8 +1,14 @@
 //! The BIST Sequencer: walks a March algorithm over the address space,
 //! emitting one [`BistCommand`] per cycle (Fig. 2's "Sequencer" boxes).
 //!
-//! The behavioural iterator is the functional reference used by fault
-//! simulation and scheduling; [`sequencer_netlist`] generates the
+//! The behavioural iterator is the only code that orders a March walk:
+//! each element in turn, ⇑ and ⇕ elements at ascending addresses, ⇓
+//! elements at descending ones, and at each address the element's ops
+//! in order. Fault simulation walks it, both the packed grading kernel
+//! and the scalar walk over a [`crate::memory::Sram`] behind
+//! [`crate::faultsim::run_march`], the failure logs and the
+//! data-background extension. Scheduling needs only the command count,
+//! [`MarchAlgorithm::cycles`]. [`sequencer_netlist`] generates the
 //! corresponding hardware (address up/down counter, element and op
 //! counters, done flag) for area accounting and structural checks.
 
@@ -12,6 +18,9 @@ use steac_netlist::{GateKind, Module, NetlistBuilder, NetlistError};
 /// One cycle of BIST activity: apply `op` at `addr`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BistCommand {
+    /// Index of the March element issuing the command (the netlist's
+    /// `elem_index`).
+    pub element: usize,
     /// March operation.
     pub op: MarchOp,
     /// Word address.
@@ -21,18 +30,18 @@ pub struct BistCommand {
 /// Behavioural sequencer: an iterator over the command stream of one
 /// algorithm on one address space.
 #[derive(Debug, Clone)]
-pub struct Sequencer {
-    alg: MarchAlgorithm,
+pub struct Sequencer<'a> {
+    alg: &'a MarchAlgorithm,
     words: usize,
     element: usize,
     addr_step: usize,
     op: usize,
 }
 
-impl Sequencer {
+impl<'a> Sequencer<'a> {
     /// Creates a sequencer for `alg` over `words` addresses.
     #[must_use]
-    pub fn new(alg: MarchAlgorithm, words: usize) -> Self {
+    pub fn new(alg: &'a MarchAlgorithm, words: usize) -> Self {
         Sequencer {
             alg,
             words,
@@ -49,11 +58,12 @@ impl Sequencer {
     }
 }
 
-impl Iterator for Sequencer {
+impl Iterator for Sequencer<'_> {
     type Item = BistCommand;
 
     fn next(&mut self) -> Option<BistCommand> {
-        let element = self.alg.elements.get(self.element)?;
+        let index = self.element;
+        let element = self.alg.elements.get(index).filter(|_| self.words > 0)?;
         let addr = match element.dir {
             Direction::Up | Direction::Any => self.addr_step,
             Direction::Down => self.words - 1 - self.addr_step,
@@ -69,7 +79,11 @@ impl Iterator for Sequencer {
                 self.element += 1;
             }
         }
-        Some(BistCommand { op, addr })
+        Some(BistCommand {
+            element: index,
+            op,
+            addr,
+        })
     }
 }
 
@@ -168,7 +182,7 @@ mod tests {
     #[test]
     fn command_stream_length_matches_kn() {
         let alg = MarchAlgorithm::march_c_minus();
-        let seq = Sequencer::new(alg.clone(), 32);
+        let seq = Sequencer::new(&alg, 32);
         assert_eq!(seq.clone().count() as u64, alg.cycles(32));
         assert_eq!(seq.total_cycles(), 320);
     }
@@ -176,7 +190,7 @@ mod tests {
     #[test]
     fn first_element_initialises_background() {
         let alg = MarchAlgorithm::march_c_minus();
-        let mut seq = Sequencer::new(alg, 4);
+        let mut seq = Sequencer::new(&alg, 4);
         // ⇕(w0): first 4 commands write 0 at ascending addresses.
         for i in 0..4 {
             let c = seq.next().unwrap();
@@ -189,10 +203,36 @@ mod tests {
         assert_eq!(c.addr, 0);
     }
 
+    /// MATS+ on two words, command by command: ⇕ ascends, ⇓ descends,
+    /// ops run in order at each address, and every command names its
+    /// element. An empty address space issues nothing.
+    #[test]
+    fn commands_follow_the_march_order() {
+        use MarchOp::{R0, R1, W0, W1};
+        let alg = MarchAlgorithm::mats_plus();
+        let walk: Vec<(usize, MarchOp, usize)> = Sequencer::new(&alg, 2)
+            .map(|c| (c.element, c.op, c.addr))
+            .collect();
+        let expected = [
+            (0, W0, 0),
+            (0, W0, 1),
+            (1, R0, 0),
+            (1, W1, 0),
+            (1, R0, 1),
+            (1, W1, 1),
+            (2, R1, 1),
+            (2, W0, 1),
+            (2, R1, 0),
+            (2, W0, 0),
+        ];
+        assert_eq!(walk, expected);
+        assert_eq!(Sequencer::new(&alg, 0).count(), 0);
+    }
+
     #[test]
     fn down_elements_descend() {
         let alg = MarchAlgorithm::parse("d", "{down(r0)}").unwrap();
-        let addrs: Vec<usize> = Sequencer::new(alg, 3).map(|c| c.addr).collect();
+        let addrs: Vec<usize> = Sequencer::new(&alg, 3).map(|c| c.addr).collect();
         assert_eq!(addrs, vec![2, 1, 0]);
     }
 

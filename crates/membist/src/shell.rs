@@ -71,6 +71,10 @@ impl Shell {
                 .to_string()),
             "add_memory" => {
                 let name = args.first().ok_or_else(|| bad("memory name missing"))?;
+                let positive = |v: &str, what: &str| {
+                    let n = v.parse::<usize>().ok().filter(|&n| n > 0);
+                    n.ok_or_else(|| bad(&format!("{what} must be a positive integer")))
+                };
                 let mut words = None;
                 let mut width = None;
                 let mut ports = PortKind::SinglePort;
@@ -80,8 +84,8 @@ impl Shell {
                         .split_once('=')
                         .ok_or_else(|| bad("expected key=value"))?;
                     match k {
-                        "words" => words = Some(v.parse().map_err(|_| bad("bad words"))?),
-                        "width" => width = Some(v.parse().map_err(|_| bad("bad width"))?),
+                        "words" => words = Some(positive(v, "words")?),
+                        "width" => width = Some(positive(v, "width")?),
                         "ports" => {
                             ports = match v {
                                 "sp" => PortKind::SinglePort,
@@ -264,6 +268,36 @@ mod tests {
         let out = sh.exec("coverage 5").unwrap();
         assert!(out.contains("March C-"), "{out}");
         assert!(out.contains("100.00%"), "{out}");
+    }
+
+    /// A memory needs a word and a bit: zero counts are shell errors,
+    /// and a one-word memory grades its cell faults (on a helper thread,
+    /// so a coverage run that never returns fails the receive timeout).
+    #[test]
+    fn degenerate_geometries_are_rejected_or_graded() {
+        let mut sh = Shell::new();
+        for line in [
+            "add_memory r words=0 width=8 ports=sp group=0",
+            "add_memory r words=8 width=0 ports=sp group=0",
+        ] {
+            assert!(
+                matches!(sh.exec(line), Err(BistError::Shell { .. })),
+                "{line}"
+            );
+        }
+        assert!(sh.brains().memories().is_empty());
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut sh = Shell::new();
+            sh.exec("add_memory r words=1 width=8 ports=sp group=0")
+                .unwrap();
+            let _ = tx.send(sh.exec("coverage 1"));
+        });
+        let out = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("one-word coverage never returned")
+            .unwrap();
+        assert!(out.contains("on 1x8 SP: 2/2 detected (100.00%)"), "{out}");
     }
 
     #[test]

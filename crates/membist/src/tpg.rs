@@ -24,12 +24,7 @@ pub struct RamSignals {
 /// Translates one March command into RAM signals for `config`.
 #[must_use]
 pub fn translate(op: MarchOp, addr: usize, config: &SramConfig) -> RamSignals {
-    let mask = if config.width == 64 {
-        u64::MAX
-    } else {
-        (1u64 << config.width) - 1
-    };
-    let bg = if op.value() { mask } else { 0 };
+    let bg = if op.value() { config.word_mask() } else { 0 };
     RamSignals {
         addr,
         data: bg,

@@ -11,7 +11,7 @@
 //! grading pass returns too) per walk, merged in fault-list order by
 //! the dispatcher exactly like the thread-sharded path.
 
-use crate::faultsim::{fault_fits, run_packed_march, FAULTS_PER_WALK};
+use crate::faultsim::{run_packed_march, FAULTS_PER_WALK};
 use crate::march::{Direction, MarchAlgorithm, MarchElement, MarchOp};
 use crate::memory::{MemFault, PortKind, SramConfig};
 use steac_sim::shard::{self, WireJob};
@@ -36,29 +36,30 @@ pub fn encode_march_job(alg: &MarchAlgorithm, config: &SramConfig) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.put_usize(config.words);
     w.put_usize(config.width);
-    w.put_u8(match config.ports {
-        PortKind::SinglePort => 0,
-        PortKind::TwoPort => 1,
-    });
+    w.put_u8(config.ports as u8);
     w.put_str(&alg.name);
     w.put_usize(alg.elements.len());
     for e in &alg.elements {
-        w.put_u8(match e.dir {
-            Direction::Up => 0,
-            Direction::Down => 1,
-            Direction::Any => 2,
-        });
+        w.put_u8(e.dir as u8);
         w.put_usize(e.ops.len());
-        for op in &e.ops {
-            w.put_u8(match op {
-                MarchOp::R0 => 0,
-                MarchOp::R1 => 1,
-                MarchOp::W0 => 2,
-                MarchOp::W1 => 3,
-            });
+        for &op in &e.ops {
+            w.put_u8(op as u8);
         }
     }
     w.finish()
+}
+
+/// Reads a one-byte code naming the entry of `table` at that index.
+fn get_code<T: Copy>(
+    r: &mut WireReader<'_>,
+    table: &[T],
+    context: &'static str,
+) -> Result<T, WireError> {
+    let code = r.get_u8(context)?;
+    table
+        .get(usize::from(code))
+        .copied()
+        .ok_or(WireError::Corrupt { context })
 }
 
 /// Most memory cells (`words × width`) a wire job may declare: twice
@@ -84,15 +85,11 @@ pub fn decode_march_job(bytes: &[u8]) -> Result<(MarchAlgorithm, SramConfig), Wi
             context: "memory geometry",
         });
     }
-    let ports = match r.get_u8("memory ports")? {
-        0 => PortKind::SinglePort,
-        1 => PortKind::TwoPort,
-        _ => {
-            return Err(WireError::Corrupt {
-                context: "memory ports",
-            })
-        }
-    };
+    let ports = get_code(
+        &mut r,
+        &[PortKind::SinglePort, PortKind::TwoPort],
+        "memory ports",
+    )?;
     let config = SramConfig {
         words,
         width,
@@ -102,30 +99,11 @@ pub fn decode_march_job(bytes: &[u8]) -> Result<(MarchAlgorithm, SramConfig), Wi
     let element_count = r.get_count("element count", 9)?;
     let mut elements = Vec::with_capacity(element_count);
     for _ in 0..element_count {
-        let dir = match r.get_u8("element direction")? {
-            0 => Direction::Up,
-            1 => Direction::Down,
-            2 => Direction::Any,
-            _ => {
-                return Err(WireError::Corrupt {
-                    context: "element direction",
-                })
-            }
-        };
+        let dir = get_code(&mut r, &Direction::ALL, "element direction")?;
         let op_count = r.get_count("op count", 1)?;
         let mut ops = Vec::with_capacity(op_count);
         for _ in 0..op_count {
-            ops.push(match r.get_u8("march op")? {
-                0 => MarchOp::R0,
-                1 => MarchOp::R1,
-                2 => MarchOp::W0,
-                3 => MarchOp::W1,
-                _ => {
-                    return Err(WireError::Corrupt {
-                        context: "march op",
-                    })
-                }
-            });
+            ops.push(get_code(&mut r, &MarchOp::ALL, "march op")?);
         }
         elements.push(MarchElement { dir, ops });
     }
@@ -286,7 +264,7 @@ impl WireJob for MarchWireJob {
             ));
         }
         for f in &chunk {
-            if !fault_fits(&self.config, f) {
+            if !self.config.fits(f) {
                 return Err(format!("fault {f:?} out of range for {}", self.config));
             }
         }

@@ -27,14 +27,12 @@ use crate::program::{SimProgram, NO_SLOT};
 /// [`SimProgram::opt`] and on the wire).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OptStats {
-    /// Whether the optimizer ran (`false` for
-    /// [`SimProgram::compile_unoptimized`] output).
-    pub enabled: bool,
     /// Instructions in the stream, on either compile path (the wire
     /// carries no copy; decoding re-derives it).
     pub instrs_after: u32,
     /// The stream is verified topologically ordered, licensing the
-    /// engine's single-sweep settle.
+    /// engine's single-sweep settle: set by [`optimize`], never for
+    /// [`SimProgram::compile_unoptimized`] output.
     pub scheduled: bool,
 }
 
@@ -42,7 +40,6 @@ pub struct OptStats {
 pub fn optimize(p: &mut SimProgram) {
     renumber_slots(p);
     p.opt = OptStats {
-        enabled: true,
         instrs_after: p.comb.len() as u32,
         scheduled: stream_is_scheduled(p),
     };
@@ -165,7 +162,7 @@ mod tests {
         let m = tie_module();
         let p = SimProgram::compile(&m).unwrap();
         assert_eq!(p, optimized(&m));
-        assert!(p.opt.enabled && p.opt.scheduled);
+        assert!(p.opt.scheduled);
     }
 
     #[test]
@@ -176,7 +173,7 @@ mod tests {
         // Ties and the unobserved gate all stay computed.
         assert_eq!(p.comb.len(), raw.comb.len());
         assert_eq!(p.opt.instrs_after as usize, raw.comb.len());
-        assert!(p.opt.enabled && p.opt.scheduled);
+        assert!(p.opt.scheduled);
         let ops = |q: &SimProgram| q.comb.iter().map(|i| i.op).collect::<Vec<_>>();
         assert_eq!(ops(&p), ops(&raw));
         // Renumbering happened and is a permutation.
@@ -219,7 +216,7 @@ mod tests {
     #[test]
     fn unoptimized_compile_is_identity_permutation_and_unscheduled() {
         let p = SimProgram::compile_unoptimized(&tie_module()).unwrap();
-        assert!(!p.opt.enabled && !p.opt.scheduled);
+        assert!(!p.opt.scheduled);
         assert_eq!(p.opt.instrs_after as usize, p.comb.len());
         assert!(p.net_slot.iter().enumerate().all(|(n, &s)| n as u32 == s));
     }

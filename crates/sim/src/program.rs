@@ -390,7 +390,6 @@ impl SimProgram {
         }
 
         let opt = OptStats {
-            enabled: false,
             instrs_after: comb.len() as u32,
             scheduled: false,
         };

@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! magic   b"SPRG"                        (4 bytes)
-//! version u16                            (currently 8)
+//! version u16                            (currently 9)
 //! name    str
 //! net_count, slot_count                  (u64 each)
 //! comb    u64 count, then per instr:     op u8, ins 4 x u32, out u32
@@ -22,7 +22,7 @@
 //! ports   u64 count, then per port:      name str, net u32, dir u8 (0 = in, 1 = out)
 //! outputs u64 count, then per net:       u32
 //! slots   u64 count (= net_count), then per net: slot u32 (a permutation)
-//! opt     enabled u8, scheduled u8
+//! opt     scheduled u8
 //! ```
 //!
 //! Version 2 added the optimizer metadata (the `slots` permutation and
@@ -52,7 +52,9 @@
 //! cycle counts, then per (cycle, pin) a presence byte and only the
 //! non-zero plane words. A kind-2 unit used to carry one state
 //! character per (pattern, cycle, pin), and a kind-7 result each
-//! pattern's expected PO values.
+//! pattern's expected PO values. Version 9 cut the `opt` record to the
+//! `scheduled` byte: its `enabled` byte equalled `scheduled` on every
+//! program either compile path returns.
 //!
 //! Work-unit payloads (fault chunks in [`crate::models`], pattern blocks
 //! in `steac-pattern`, March chunks in `steac-membist`) carry no magic of
@@ -109,7 +111,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Current wire-format version (see the module docs for the bump rule).
-pub const WIRE_VERSION: u16 = 8;
+pub const WIRE_VERSION: u16 = 9;
 
 /// Typed decode failure. Encoding cannot fail.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -520,7 +522,6 @@ pub fn encode_program(p: &SimProgram) -> Vec<u8> {
     for &s in &p.net_slot {
         w.put_u32(s);
     }
-    w.put_bool(p.opt.enabled);
     w.put_bool(p.opt.scheduled);
     w.finish()
 }
@@ -714,7 +715,6 @@ pub fn decode_program(bytes: &[u8]) -> Result<SimProgram, WireError> {
     }
 
     let opt = OptStats {
-        enabled: r.get_bool("opt enabled")?,
         instrs_after: comb.len() as u32,
         scheduled: r.get_bool("opt scheduled")?,
     };
@@ -851,9 +851,9 @@ mod tests {
 
     /// Older blobs — version 1 (pre-optimizer, no slot table) through
     /// version 4 (a six-counter `opt` record), version 5 (kind-2 and
-    /// kind-3 jobs with a lane-group byte) and version 6 (fault jobs of
-    /// kinds 1, 4 and 5 with one) — are rejected with a typed error
-    /// rather than misparsed.
+    /// kind-3 jobs with a lane-group byte), version 6 (fault jobs of
+    /// kinds 1, 4 and 5 with one) and version 8 (a two-flag `opt`
+    /// record) — are rejected with a typed error rather than misparsed.
     #[test]
     fn old_version_is_rejected() {
         for old in 1..WIRE_VERSION {

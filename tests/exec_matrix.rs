@@ -241,7 +241,7 @@ fn optimized_program_reports_byte_identical_on_every_backend() {
     steac_sim::opt::optimize(&mut opt_program);
     let raw: Simulator = Simulator::from_program(Arc::new(raw_program));
     let opt: Simulator = Simulator::from_program(Arc::new(opt_program));
-    assert!(opt.program().opt.enabled, "optimizer must have run");
+    assert!(opt.program().opt.scheduled, "optimizer must have run");
 
     let servers = spawn_serve_workers(1);
     let matrix = backend_matrix(&servers);

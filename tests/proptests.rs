@@ -491,7 +491,7 @@ proptest! {
         let raw = SimProgram::compile_unoptimized(&m).unwrap();
         let mut opt = raw.clone();
         steac_sim::opt::optimize(&mut opt);
-        prop_assert!(opt.opt.enabled && opt.opt.scheduled);
+        prop_assert!(opt.opt.scheduled);
 
         // Raw slots are net ids; map the optimized slots back to nets.
         let net = |s: u32| if s == NO_SLOT { s } else { opt.net_of_slot(s).0 };
