@@ -365,6 +365,17 @@ mod tests {
         assert!(m.flop_count() > 0);
     }
 
+    /// The compiled USB core keeps one previous-value slot per clock
+    /// domain, not one per flop: nets, 2,045 flop states, no latch and
+    /// four clocks.
+    #[test]
+    fn usb_program_has_one_previous_clock_slot_per_domain() {
+        let (m, _) = usb_core().unwrap();
+        let p = steac_sim::SimProgram::compile(&m).unwrap();
+        assert_eq!(p.slot_count, m.nets.len() + 2045 + 4);
+        assert_eq!(p.slot_count, 6482);
+    }
+
     #[test]
     fn usb_scan_chain_shifts() {
         use steac_sim::{scan, Logic, ScanPorts, Simulator};

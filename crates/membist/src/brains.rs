@@ -123,10 +123,26 @@ impl Brains {
         self.overrides.get(&mem.name).unwrap_or(&self.default_alg)
     }
 
+    /// Refuses a memory with zero words or zero width.
+    fn check_geometry(&self) -> Result<(), BistError> {
+        match self
+            .memories
+            .iter()
+            .find(|m| m.config.words == 0 || m.config.width == 0)
+        {
+            Some(m) => Err(BistError::EmptyMemory {
+                name: m.name.clone(),
+                config: m.config,
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// The memories of each sequencer under the policy, in sequencer
     /// order: one per memory in insertion order, one per
     /// [`MemorySpec::group`] in group order, or all in one.
     fn sequencer_groups(&self) -> Result<Vec<Vec<&MemorySpec>>, BistError> {
+        self.check_geometry()?;
         if let Some(name) = self
             .overrides
             .keys()
@@ -169,8 +185,9 @@ impl Brains {
     ///
     /// # Errors
     ///
-    /// Returns [`BistError::Unknown`] when an override references a
-    /// missing memory.
+    /// Returns [`BistError::EmptyMemory`] for a memory with zero words or
+    /// zero width, and [`BistError::Unknown`] when an override
+    /// references a missing memory.
     pub fn sequencer_cycles(&self) -> Result<Vec<u64>, BistError> {
         let groups = self.sequencer_groups()?;
         Ok(groups.iter().map(|g| self.group_cycles(g)).collect())
@@ -183,7 +200,8 @@ impl Brains {
     ///
     /// # Errors
     ///
-    /// Returns [`BistError::Unknown`] when an override references a
+    /// Returns [`BistError::EmptyMemory`] for a memory with zero words or
+    /// zero width, [`BistError::Unknown`] when an override references a
     /// missing memory, or netlist errors.
     pub fn compile(&self) -> Result<BistDesign, BistError> {
         let groups = self.sequencer_groups()?;
@@ -257,14 +275,17 @@ impl Brains {
     ///
     /// # Errors
     ///
-    /// Only under [`steac_sim::Fallback::Fail`] on a process backend
-    /// (see [`fault_coverage`]).
+    /// Returns [`BistError::EmptyMemory`] for a memory with zero words or
+    /// zero width, and [`BistError::Sim`] only under
+    /// [`steac_sim::Fallback::Fail`] on a process backend (see
+    /// [`fault_coverage`]).
     pub fn evaluate_coverage(
         &self,
         exec: &steac_sim::Exec,
         per_class: usize,
         seed: u64,
-    ) -> Result<Vec<MemCoverageReport>, steac_sim::SimError> {
+    ) -> Result<Vec<MemCoverageReport>, BistError> {
+        self.check_geometry()?;
         let mut rng = StdRng::seed_from_u64(seed);
         let mut seen: BTreeMap<(usize, usize, String), ()> = BTreeMap::new();
         let mut out = Vec::new();
@@ -282,7 +303,7 @@ impl Brains {
                 ports: m.config.ports,
             };
             let faults = random_fault_list(&sim_cfg, per_class, &mut rng);
-            out.push(fault_coverage(exec, alg, &sim_cfg, &faults)?);
+            out.push(fault_coverage(exec, alg, &sim_cfg, &faults).map_err(BistError::Sim)?);
         }
         Ok(out)
     }
@@ -504,6 +525,32 @@ mod tests {
         assert_eq!(reports.len(), 2); // two distinct geometries
         for r in &reports {
             assert_eq!(r.coverage_percent(), 100.0, "{r}");
+        }
+    }
+
+    /// A memory with no words or no bits is a typed error from `compile`,
+    /// `sequencer_cycles` and `evaluate_coverage`, not a panic in the
+    /// fault draw.
+    #[test]
+    fn empty_geometry_is_a_typed_error() {
+        for config in [SramConfig::single_port(0, 8), SramConfig::single_port(8, 0)] {
+            let mut b = Brains::new();
+            for m in small_inventory() {
+                b.add_memory(m);
+            }
+            b.add_memory(MemorySpec::new("empty", config, 0));
+            let want = BistError::EmptyMemory {
+                name: "empty".to_string(),
+                config,
+            };
+            assert_eq!(b.compile().unwrap_err(), want, "{config}");
+            assert_eq!(b.sequencer_cycles().unwrap_err(), want, "{config}");
+            assert_eq!(
+                b.evaluate_coverage(&steac_sim::Exec::serial(), 4, 99)
+                    .unwrap_err(),
+                want,
+                "{config}"
+            );
         }
     }
 

@@ -111,6 +111,16 @@ pub enum BistError {
     },
     /// Netlist generation failed.
     Netlist(steac_netlist::NetlistError),
+    /// A memory has no words or no bits per word, so there is nothing
+    /// to test and no fault to draw.
+    EmptyMemory {
+        /// Instance name.
+        name: String,
+        /// Its geometry.
+        config: SramConfig,
+    },
+    /// Coverage fault simulation failed to dispatch.
+    Sim(steac_sim::SimError),
 }
 
 impl fmt::Display for BistError {
@@ -124,6 +134,10 @@ impl fmt::Display for BistError {
             }
             BistError::Unknown { what, name } => write!(f, "unknown {what} `{name}`"),
             BistError::Netlist(e) => write!(f, "netlist generation: {e}"),
+            BistError::EmptyMemory { name, config } => {
+                write!(f, "memory `{name}` has an empty geometry ({config})")
+            }
+            BistError::Sim(e) => write!(f, "coverage simulation: {e}"),
         }
     }
 }
@@ -132,6 +146,7 @@ impl std::error::Error for BistError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             BistError::Netlist(e) => Some(e),
+            BistError::Sim(e) => Some(e),
             _ => None,
         }
     }

@@ -14,17 +14,29 @@
 //! worker thread — one executor per dispatcher thread is how
 //! [`crate::Exec::dispatch`] runs passes in parallel.
 //!
+//! A settle alternates a combinational fixpoint with a clock-edge
+//! check. The edge check runs once per distinct flop clock, not once
+//! per flop: a clock with no edge on any lane skips its flops, and the
+//! flops of a clock with one sample D (or SI) before any of them changes
+//! its Q, so a scan chain shifts one flop per edge.
+//!
 //! When the program's instruction stream is verified topologically
 //! scheduled ([`crate::opt::OptStats::scheduled`], true for every
 //! [`SimProgram::compile`] output), [`Simulator::settle`] takes a fast
-//! path: one unconditional pass over the combinational stream reaches
-//! the combinational fixpoint for the current sequential outputs, so
-//! stability is decided by the much smaller sequential pass instead of
-//! per-write change detection on every gate.
+//! path. One unconditional pass over the combinational stream reaches
+//! the combinational fixpoint for the current sequential outputs, and
+//! stability is decided by a sequential pass over the live elements
+//! only: flops with an async reset, latches, and any reset-free flop
+//! whose Q one of those reads before the flop's place in cell order. The
+//! Q of every other flop moves only when the flop captures, so the
+//! capture drives it there; one full sequential pass is due only after
+//! something else may have moved such a Q (a new executor,
+//! [`Simulator::reset_to_x`], removing a force, or writing the Q net).
 //! [`SimProgram::compile_unoptimized`] returns unscheduled programs,
-//! which settle through full sweeps with change detection — correct for
-//! any instruction order, and the reference the fast path is tested
-//! against.
+//! which settle through full sweeps with change detection and a full
+//! sequential pass on every sweep — correct for any instruction order,
+//! and the reference the fast path is tested against. The two share
+//! only the edge check.
 //!
 //! The original scalar API (`set`/`get`/`settle`/`force`, clock-edge
 //! capture, latches, async resets) is preserved: scalar writes broadcast
@@ -53,10 +65,9 @@ const MAX_SETTLE_ITERS: usize = 1024;
 /// lane groups of [`LANES`](crate::LANES) lanes each per pass (`N`×64 lanes total).
 ///
 /// Clocks are just nets: after every [`settle`](Simulator::settle) the
-/// engine compares each flop's clock-net lanes against the previous
-/// settled lanes and captures on rising edges, so gated clocks, divided
-/// clocks and ripple counters simulate correctly — independently per
-/// lane.
+/// engine compares each flop clock's lanes against the previous settled
+/// lanes and captures on rising edges, so gated clocks, divided clocks
+/// and ripple counters simulate correctly — independently per lane.
 ///
 /// The executor owns its value buffers and shares the immutable program,
 /// so it is `Send + Sync`: clone it (or call
@@ -65,7 +76,8 @@ const MAX_SETTLE_ITERS: usize = 1024;
 #[derive(Debug, Clone)]
 pub struct Simulator<const N: usize = 1> {
     program: Arc<SimProgram>,
-    /// Flat value buffer: net slots, then flop/latch state slots.
+    /// Flat value buffer: net slots, flop/latch state slots, then each
+    /// flop clock's previous value.
     buf: Vec<PackedLogic<N>>,
     /// Per-slot lane mask of forced lanes (net slots only).
     force_mask: Vec<LaneMask<N>>,
@@ -74,6 +86,12 @@ pub struct Simulator<const N: usize = 1> {
     /// Per-slot "has any forced lane" fast check for the hot write path.
     forced: Vec<bool>,
     initialized: bool,
+    /// The scheduled settle's next sequential pass must visit every
+    /// element, not only the live ones: some reset-free flop's Q may
+    /// differ from its forced state.
+    full_pass_due: bool,
+    /// Flops whose state the last edge check changed.
+    captured: Vec<u32>,
 }
 
 impl<const N: usize> Simulator<N> {
@@ -108,6 +126,8 @@ impl<const N: usize> Simulator<N> {
             force_val: vec![PackedLogic::ALL_X; nets],
             forced: vec![false; nets],
             initialized: false,
+            full_pass_due: true,
+            captured: Vec::new(),
         }
     }
 
@@ -159,6 +179,7 @@ impl<const N: usize> Simulator<N> {
     pub fn set_packed(&mut self, net: NetId, v: PackedLogic<N>) {
         let slot = self.slot(net);
         self.buf[slot] = self.apply_force(slot, v);
+        self.full_pass_due |= self.program.capture_drives[slot];
     }
 
     /// Sets a net per lane: lane `l` takes `values[l]`; when fewer than
@@ -278,12 +299,14 @@ impl<const N: usize> Simulator<N> {
         let slot = self.slot(net);
         self.force_mask[slot] = mask_none();
         self.forced[slot] = false;
+        self.full_pass_due = true;
     }
 
     /// Removes every force on every net.
     pub fn clear_forces(&mut self) {
         self.force_mask.fill(mask_none());
         self.forced.fill(false);
+        self.full_pass_due = true;
     }
 
     /// Reads all output-port values on lane 0, in port order.
@@ -338,14 +361,15 @@ impl<const N: usize> Simulator<N> {
     }
 
     /// Sequential-element pass (async resets, state-to-output drive,
-    /// latch transparency), in original cell order; returns whether any
-    /// lane changed.
-    fn seq_pass(&mut self) -> bool {
+    /// latch transparency) in original cell order, over every element
+    /// or only the live ones; returns whether any lane changed.
+    fn seq_pass(&mut self, full: bool) -> bool {
+        let p = Arc::clone(&self.program);
         let mut changed = false;
-        for k in 0..self.program.seq_order.len() {
-            match self.program.seq_order[k] {
+        for &element in if full { &p.seq_order } else { &p.live } {
+            match element {
                 SeqInstr::Flop(fi) => {
-                    let f = self.program.flops[fi as usize];
+                    let f = p.flops[fi as usize];
                     let mut state = self.buf[f.state as usize];
                     if f.rstn != NO_SLOT {
                         let rstn = self.buf[f.rstn as usize];
@@ -360,7 +384,7 @@ impl<const N: usize> Simulator<N> {
                     changed |= self.write_net(f.q as usize, state);
                 }
                 SeqInstr::Latch(li) => {
-                    let l = self.program.latches[li as usize];
+                    let l = p.latches[li as usize];
                     let d = self.buf[l.d as usize];
                     let en = self.buf[l.en as usize];
                     let mut state = self.buf[l.state as usize];
@@ -379,7 +403,7 @@ impl<const N: usize> Simulator<N> {
 
     /// One evaluation sweep; returns whether any net changed on any lane.
     fn sweep(&mut self) -> bool {
-        let mut changed = self.seq_pass();
+        let mut changed = self.seq_pass(true);
         // Compiled combinational stream in topological order.
         for k in 0..self.program.comb.len() {
             let i = self.program.comb[k];
@@ -425,12 +449,14 @@ impl<const N: usize> Simulator<N> {
     /// unconditional combinational pass; repeat until the sequential pass
     /// stops changing. Because the combinational stream is topological,
     /// a single pass fully propagates any sequential change, so stability
-    /// is decided by the (much smaller) sequential pass alone — the
-    /// per-gate change-detection compare/branch of the checked path
-    /// disappears from the hot loop.
+    /// is decided by the sequential pass alone — the per-gate
+    /// change-detection compare/branch of the checked path disappears
+    /// from the hot loop. The pass visits only the live elements unless
+    /// a full one is due; captures drive the other flops' Qs.
     fn comb_fixpoint_fast(&mut self) -> Result<(), SimError> {
         for iter in 0..MAX_SETTLE_ITERS {
-            let changed = self.seq_pass();
+            let full = std::mem::take(&mut self.full_pass_due);
+            let changed = self.seq_pass(full);
             if iter > 0 && !changed {
                 return Ok(());
             }
@@ -441,9 +467,87 @@ impl<const N: usize> Simulator<N> {
         })
     }
 
+    /// Per-clock edge check and capture. Each distinct flop clock is
+    /// compared with its value at the previous check; on a clock with an
+    /// event on any lane, each of its flops samples D (or SI under scan)
+    /// into its state. Only state slots are written, so every flop
+    /// samples the nets as they settled. Flops whose state changed are
+    /// left in `captured`; returns whether there are any. The first check
+    /// after a reset only records the clocks.
+    fn capture(&mut self) -> bool {
+        let program = Arc::clone(&self.program);
+        self.captured.clear();
+        for clock in &program.clocks {
+            let now = self.buf[clock.ck as usize];
+            let prev = std::mem::replace(&mut self.buf[clock.prev as usize], now);
+            if !self.initialized {
+                continue;
+            }
+            // True rising edges sample D (or SI under scan); an edge
+            // into or out of an unknown clock value captures X.
+            let rising = mask_and(prev.is_zero(), now.is_one());
+            let semi = mask_or(
+                mask_and(prev.is_zero(), now.unknowns),
+                mask_and(prev.unknowns, now.is_one()),
+            );
+            let events = mask_or(rising, semi);
+            if !mask_any(&events) {
+                continue;
+            }
+            for &fi in &clock.flops {
+                let f = program.flops[fi as usize];
+                let d = self.buf[f.d as usize];
+                let next = if f.si != NO_SLOT {
+                    PackedLogic::mux(d, self.buf[f.si as usize], self.buf[f.se as usize])
+                } else {
+                    d
+                };
+                let state = self.buf[f.state as usize];
+                let cand = next.select(PackedLogic::ALL_X.select(state, semi), rising);
+                // Async reset dominates the clock.
+                let reset_active = if f.rstn != NO_SLOT {
+                    self.buf[f.rstn as usize].is_zero()
+                } else {
+                    mask_none()
+                };
+                let new_state = cand.select(state, mask_andnot(events, reset_active));
+                if new_state != state {
+                    self.buf[f.state as usize] = new_state;
+                    self.captured.push(fi);
+                }
+            }
+        }
+        !self.captured.is_empty()
+    }
+
+    /// The scheduled settle's second capture phase: each captured flop
+    /// outside the live list drives its Q. (The sequential pass drives
+    /// the live flops' Qs in cell order, as the checked settle's full
+    /// pass drives every Q.)
+    fn drive_captured(&mut self) {
+        let program = Arc::clone(&self.program);
+        for &fi in &self.captured {
+            let f = program.flops[fi as usize];
+            let q = f.q as usize;
+            if program.capture_drives[q] {
+                let v = self.apply_force(q, self.buf[f.state as usize]);
+                self.buf[q] = v;
+            }
+        }
+    }
+
     /// Evaluates the netlist to a fixpoint, then performs rising-edge
     /// captures on flip-flops (per lane), repeating until globally stable
-    /// on every lane.
+    /// on every lane. Edges are checked once per distinct flop clock, and
+    /// every flop on a clock with an edge samples its inputs before any
+    /// Q changes. On a scheduled program a capture drives the Qs of
+    /// reset-free flops itself, and the sequential pass of each fixpoint
+    /// visits only the live elements — flops with an async reset,
+    /// latches, and a reset-free flop one of those reads before its own
+    /// place in cell order — except once after a new executor,
+    /// [`reset_to_x`](Self::reset_to_x), a removed force or a write to a
+    /// flop's Q, when it visits all. An unscheduled program runs the
+    /// full pass on every sweep. Both reach the same values.
     ///
     /// # Errors
     ///
@@ -458,57 +562,20 @@ impl<const N: usize> Simulator<N> {
             } else {
                 self.comb_fixpoint_checked()?;
             }
-            // Per-lane edge detection.
-            let mut any_capture = false;
-            for fi in 0..self.program.flops.len() {
-                let f = self.program.flops[fi];
-                let now = self.buf[f.ck as usize];
-                let prev = self.buf[f.prev_ck as usize];
-                self.buf[f.prev_ck as usize] = now;
-                if !self.initialized {
-                    continue;
-                }
-                // True rising edges sample D (or SI under scan); an edge
-                // into or out of an unknown clock value captures X.
-                let rising = mask_and(prev.is_zero(), now.is_one());
-                let semi = mask_or(
-                    mask_and(prev.is_zero(), now.unknowns),
-                    mask_and(prev.unknowns, now.is_one()),
-                );
-                let events = mask_or(rising, semi);
-                if !mask_any(&events) {
-                    continue;
-                }
-                let d = self.buf[f.d as usize];
-                let next = if f.si != NO_SLOT {
-                    PackedLogic::mux(d, self.buf[f.si as usize], self.buf[f.se as usize])
-                } else {
-                    d
-                };
-                let state = self.buf[f.state as usize];
-                let mut cand = state;
-                cand = PackedLogic::ALL_X.select(cand, semi);
-                cand = next.select(cand, rising);
-                // Async reset dominates the clock.
-                let reset_active = if f.rstn != NO_SLOT {
-                    self.buf[f.rstn as usize].is_zero()
-                } else {
-                    mask_none()
-                };
-                let new_state = cand.select(state, mask_andnot(events, reset_active));
-                if new_state != state {
-                    self.buf[f.state as usize] = new_state;
-                    any_capture = true;
-                }
-            }
+            let any_capture = self.capture();
             if !self.initialized {
                 self.initialized = true;
-                // Seed prev_ck with the settled values so the first real
-                // clock pulse is a clean 0->1 edge.
-                continue;
+                // The check seeded every clock's previous value with the
+                // settled one, so the first real pulse is a clean 0->1
+                // edge. Nothing moved since the fixpoint, so the settle
+                // is done.
+                return Ok(());
             }
             if !any_capture {
                 return Ok(());
+            }
+            if fast {
+                self.drive_captured();
             }
         }
         Err(SimError::Unstable {
@@ -568,6 +635,7 @@ impl<const N: usize> Simulator<N> {
     /// historical behaviour; use [`clear_forces`](Simulator::clear_forces)
     /// to drop them too.
     pub fn reset_to_x(&mut self) {
+        self.full_pass_due = true;
         for (i, slot) in self.buf.iter_mut().enumerate() {
             *slot = if i < self.program.net_count && self.forced[i] {
                 self.force_val[i].select(PackedLogic::ALL_X, self.force_mask[i])

@@ -45,7 +45,12 @@
 //!    64 lanes (`steac_pattern::PLAYBACK_LANE_GROUPS`), and gate-level
 //!    grading, fault dictionaries and March walks at
 //!    [`packed::DEFAULT_LANE_GROUPS`] (256 lanes). No caller, job or
-//!    setting picks a width at run time.
+//!    setting picks a width at run time. A settle checks each distinct
+//!    flop clock once per iteration, and only a clock with an edge
+//!    visits its flops. On a scheduled program a capture drives the Q
+//!    of each reset-free flop it changed, so the sequential pass that
+//!    decides stability visits only flops with an async reset and
+//!    latches.
 //! 4. **Dispatch** ([`exec`]): independent passes (fault-grading and
 //!    dictionary chunks, 64-pattern playback blocks, March walks, JPEG
 //!    generation blocks) are *work units* of one [`ExecWork`] behind one

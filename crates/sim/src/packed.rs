@@ -41,9 +41,9 @@ pub const LANES: usize = 64;
 /// `BENCH_10.json` grades the JPEG core's 668 stuck-at faults at
 /// 646,933 faults/s at 256 lanes against 344,706 at 64 (optimized,
 /// serial). A serial probe grading the USB core under the stuck-at,
-/// transition and bridging models over 512 seeded vectors took 27.4 s
-/// at 64 lanes, 13.7 s at 128, 10.3 s at 256 and 10.2 s at 512 (best
-/// of two runs per width on a 2-core box).
+/// transition and bridging models over 512 vectors at seed 7 took
+/// 10.76 s at 64 lanes, 3.41 s at 128, 2.42 s at 256 and 2.35 s at 512
+/// (best of two runs per width on a 2-core box).
 pub const DEFAULT_LANE_GROUPS: usize = 4;
 
 /// A lane mask over `N` lane groups: bit `l % 64` of word `l / 64`

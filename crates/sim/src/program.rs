@@ -8,15 +8,21 @@
 //! [`steac_netlist::combinational_order`] and lowered to [`Instr`]s whose
 //! operands are *slot offsets* into one buffer of
 //! [`PackedLogic`](crate::packed::PackedLogic) words. Sequential cells
-//! (flip-flops and latches) become side tables with their own state and
-//! previous-clock slots appended to the same buffer, in original cell
-//! order so evaluation order matches the interpreter it replaced.
+//! (flip-flops and latches) become side tables whose state slots are
+//! appended to the same buffer, in original cell order so evaluation
+//! order matches the interpreter it replaced. Every distinct flop clock
+//! net gets one previous-value slot after them: all flops on one clock
+//! see the same edges, so the engine checks each clock once.
 //!
 //! Buffer layout:
 //!
 //! ```text
-//! [ net 0 .. net N-1 | flop states | latch states | flop prev-clocks ]
+//! [ net 0 .. net N-1 | flop states | latch states | clock prev-values ]
 //! ```
+//!
+//! Tables the engine derives from these (the clock table, the live
+//! sequential list, the output slots) are rebuilt once per program, on
+//! compile, optimize and decode, never per executor.
 //!
 //! The program also carries the module's port tables (name → net, plus
 //! the output-port net list), so an executor built from it never needs
@@ -137,8 +143,6 @@ pub struct FlopInstr {
     pub q: u32,
     /// State slot in the flat buffer.
     pub state: u32,
-    /// Previous-clock slot in the flat buffer.
-    pub prev_ck: u32,
 }
 
 /// Transparent-latch record.
@@ -168,6 +172,18 @@ pub enum SeqInstr {
     Latch(u32),
 }
 
+/// One distinct flop clock net (derived): its flops share one
+/// previous-value slot and one edge check per settle iteration.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct ClockDomain {
+    /// Clock net slot.
+    pub(crate) ck: u32,
+    /// Slot of the clock's value at the last edge check.
+    pub(crate) prev: u32,
+    /// The flops it clocks, as indices into [`SimProgram::flops`].
+    pub(crate) flops: Vec<u32>,
+}
+
 /// A module port carried into the compiled program (name → net binding).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortInfo {
@@ -191,8 +207,8 @@ pub struct SimProgram {
     pub name: String,
     /// Number of nets (the leading slots of the buffer).
     pub net_count: usize,
-    /// Total buffer length (nets + flop states + latch states +
-    /// flop previous-clocks).
+    /// Total buffer length (nets + flop states + latch states + one
+    /// previous-value slot per distinct flop clock).
     pub slot_count: usize,
     /// Combinational instructions in evaluation (topological) order.
     pub comb: Vec<Instr>,
@@ -218,6 +234,18 @@ pub struct SimProgram {
     slot_net: Vec<u32>,
     /// `output_nets` pre-translated to slots (derived).
     output_slots: Vec<u32>,
+    /// Distinct flop clocks in first-use flop order (derived); clock `k`
+    /// keeps its previous value in slot `net_count + flops + latches + k`.
+    pub(crate) clocks: Vec<ClockDomain>,
+    /// The sequential elements the scheduled settle visits on every pass,
+    /// in `seq_order` (derived): flops with an async reset, latches, and
+    /// any reset-free flop whose Q one of those reads directly before the
+    /// flop's own place in the order.
+    pub(crate) live: Vec<SeqInstr>,
+    /// Per net slot (derived): the Q of a flop outside `live`. The
+    /// scheduled settle drives such a Q when its flop captures, and a
+    /// write to it calls for one full sequential pass.
+    pub(crate) capture_drives: Vec<bool>,
 }
 
 impl SimProgram {
@@ -281,8 +309,7 @@ impl SimProgram {
                         ck,
                         rstn,
                         q: output.index() as u32,
-                        state: 0,   // patched below
-                        prev_ck: 0, // patched below
+                        state: 0, // patched below
                     });
                 } else if *kind == GateKind::Latch {
                     seq_order.push(SeqInstr::Latch(latches.len() as u32));
@@ -302,10 +329,6 @@ impl SimProgram {
         }
         for l in &mut latches {
             l.state = next_slot;
-            next_slot += 1;
-        }
-        for f in &mut flops {
-            f.prev_ck = next_slot;
             next_slot += 1;
         }
 
@@ -371,11 +394,6 @@ impl SimProgram {
             .filter(|p| p.dir == PortDir::Output)
             .map(|p| p.net)
             .collect();
-        let port_index = ports
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.name.clone(), i as u32))
-            .collect();
 
         if !unknown_kinds.is_empty() {
             // Once per compile, not per gate: the affected gates evaluate
@@ -393,29 +411,26 @@ impl SimProgram {
             instrs_after: comb.len() as u32,
             scheduled: false,
         };
-        let mut p = SimProgram {
-            name: m.name.clone(),
+        let mut p = Self::assemble(
+            m.name.clone(),
             net_count,
-            slot_count: next_slot as usize,
+            0, // set from the clock table below
             comb,
             flops,
             latches,
             seq_order,
             ports,
             output_nets,
-            net_slot: (0..net_count as u32).collect(),
+            (0..net_count as u32).collect(),
             opt,
-            port_index,
-            slot_net: Vec::new(),
-            output_slots: Vec::new(),
-        };
-        p.rebuild_derived();
+        );
+        p.slot_count = p.layout_slot_count();
         Ok(p)
     }
 
-    /// Reassembles a program from decoded parts (the wire decoder's
-    /// constructor), rebuilding the port-name index and the derived slot
-    /// tables.
+    /// Assembles a program from its parts (the compiler's and the wire
+    /// decoder's constructor), building the port-name index and the
+    /// derived tables.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         name: String,
@@ -450,14 +465,18 @@ impl SimProgram {
             port_index,
             slot_net: Vec::new(),
             output_slots: Vec::new(),
+            clocks: Vec::new(),
+            live: Vec::new(),
+            capture_drives: Vec::new(),
         };
         p.rebuild_derived();
         p
     }
 
-    /// Rebuilds the derived slot tables (`slot_net`, `output_slots`)
-    /// from `net_slot` — deterministic, so decoded and freshly-compiled
-    /// programs compare equal field-for-field.
+    /// Rebuilds the derived tables (`slot_net`, `output_slots`, the
+    /// clock table and the live sequential list) from the program's own
+    /// fields — deterministic, so decoded and freshly-compiled programs
+    /// compare equal field-for-field.
     pub(crate) fn rebuild_derived(&mut self) {
         let mut slot_net = vec![0u32; self.net_count];
         for (n, &s) in self.net_slot.iter().enumerate() {
@@ -469,6 +488,59 @@ impl SimProgram {
             .iter()
             .map(|n| self.net_slot[n.index()])
             .collect();
+
+        let base = self.net_count + self.flops.len() + self.latches.len();
+        let mut index: HashMap<u32, usize> = HashMap::new();
+        let mut clocks: Vec<ClockDomain> = Vec::new();
+        for (fi, f) in self.flops.iter().enumerate() {
+            let k = *index.entry(f.ck).or_insert_with(|| {
+                clocks.push(ClockDomain {
+                    ck: f.ck,
+                    prev: (base + clocks.len()) as u32,
+                    flops: Vec::new(),
+                });
+                clocks.len() - 1
+            });
+            clocks[k].flops.push(fi as u32);
+        }
+        self.clocks = clocks;
+
+        // A reset-free flop's Q changes only when it captures, so the
+        // scheduled settle drives it right then instead of on every
+        // sequential pass. That is exact unless an element the pass
+        // still visits reads that Q before the flop's place in
+        // `seq_order`: such a flop stays on the pass.
+        let mut read = vec![false; self.net_count];
+        self.capture_drives = vec![false; self.net_count];
+        self.live.clear();
+        for &s in &self.seq_order {
+            let reads = match s {
+                SeqInstr::Latch(li) => {
+                    let l = self.latches[li as usize];
+                    [l.d, l.en]
+                }
+                SeqInstr::Flop(fi) => {
+                    let f = self.flops[fi as usize];
+                    if f.rstn == NO_SLOT && !read[f.q as usize] {
+                        self.capture_drives[f.q as usize] = true;
+                        continue;
+                    }
+                    [f.rstn, NO_SLOT]
+                }
+            };
+            for slot in reads {
+                if let Some(r) = read.get_mut(slot as usize) {
+                    *r = true;
+                }
+            }
+            self.live.push(s);
+        }
+    }
+
+    /// The buffer length the side tables imply: nets, flop states, latch
+    /// states, then one previous-value slot per distinct flop clock.
+    pub(crate) fn layout_slot_count(&self) -> usize {
+        self.net_count + self.flops.len() + self.latches.len() + self.clocks.len()
     }
 
     /// The value-buffer slot holding `net` (optimized programs permute
@@ -527,7 +599,7 @@ mod tests {
         assert_eq!(p.comb.len(), 2);
         assert_eq!(p.flops.len(), 1);
         assert_eq!(p.latches.len(), 1);
-        // nets + 1 flop state + 1 latch state + 1 prev_ck
+        // nets + 1 flop state + 1 latch state + 1 clock prev-value
         assert_eq!(p.slot_count, m.nets.len() + 3);
         // Inv feeds And2, so it must be scheduled first.
         assert_eq!(p.comb[0].op, SimOp::Inv);
@@ -565,6 +637,45 @@ mod tests {
         assert_ne!(f.se, NO_SLOT);
         assert_ne!(f.rstn, NO_SLOT);
         assert!(f.state as usize >= p.net_count);
-        assert!(f.prev_ck as usize >= p.net_count);
+        assert_eq!(p.clocks.len(), 1);
+        assert_eq!(p.clocks[0].ck, f.ck);
+        assert_eq!(p.clocks[0].prev as usize, p.net_count + 1);
+        // A reset flop's Q stays on the sequential pass.
+        assert_eq!(p.live, vec![SeqInstr::Flop(0)]);
+        assert!(!p.capture_drives[f.q as usize]);
+    }
+
+    /// Flops share their clock's previous-value slot: three flops on two
+    /// clocks take two slots after the state slots, in first-use order.
+    /// A reset-free flop leaves the sequential pass unless a latch before
+    /// it in cell order reads its Q.
+    #[test]
+    fn flops_share_one_slot_per_clock() {
+        let mut b = NetlistBuilder::new("m");
+        let ck0 = b.input("ck0");
+        let ck1 = b.input("ck1");
+        let d = b.input("d");
+        let late_q = b.net("late_q");
+        let l = b.gate(GateKind::Latch, &[late_q, d]);
+        let q0 = b.gate(GateKind::Dff, &[d, ck0]);
+        let q1 = b.gate(GateKind::Dff, &[l, ck1]);
+        b.gate_into(GateKind::Dff, &[q1, ck0], late_q);
+        b.output("q0", q0);
+        let m = b.finish().unwrap();
+        let p = SimProgram::compile_unoptimized(&m).unwrap();
+        assert_eq!(p.slot_count, m.nets.len() + 3 + 1 + 2);
+        let base = (m.nets.len() + 4) as u32;
+        let table: Vec<(u32, u32, Vec<u32>)> = p
+            .clocks
+            .iter()
+            .map(|c| (c.ck, c.prev, c.flops.clone()))
+            .collect();
+        assert_eq!(
+            table,
+            vec![(ck0.0, base, vec![0, 2]), (ck1.0, base + 1, vec![1])]
+        );
+        assert_eq!(p.live, vec![SeqInstr::Latch(0), SeqInstr::Flop(2)]);
+        assert!(p.capture_drives[q0.index()] && p.capture_drives[q1.index()]);
+        assert!(!p.capture_drives[late_q.index()]);
     }
 }

@@ -12,11 +12,11 @@
 //!
 //! ```text
 //! magic   b"SPRG"                        (4 bytes)
-//! version u16                            (currently 9)
+//! version u16                            (currently 10)
 //! name    str
 //! net_count, slot_count                  (u64 each)
 //! comb    u64 count, then per instr:     op u8, ins 4 x u32, out u32
-//! flops   u64 count, then per flop:      cell,d,si,se,ck,rstn,q,state,prev_ck (9 x u32)
+//! flops   u64 count, then per flop:      cell,d,si,se,ck,rstn,q,state (8 x u32)
 //! latches u64 count, then per latch:     cell,d,en,q,state (5 x u32)
 //! seq     u64 count, then per element:   tag u8 (0 = flop, 1 = latch), index u32
 //! ports   u64 count, then per port:      name str, net u32, dir u8 (0 = in, 1 = out)
@@ -54,7 +54,11 @@
 //! character per (pattern, cycle, pin), and a kind-7 result each
 //! pattern's expected PO values. Version 9 cut the `opt` record to the
 //! `scheduled` byte: its `enabled` byte equalled `scheduled` on every
-//! program either compile path returns.
+//! program either compile path returns. Version 10 took the
+//! previous-clock slot out of the flop record: the engine keeps one per
+//! distinct flop clock, after the latch states, so the slot count is
+//! nets + flops + latches + distinct clocks, and the decoder rejects any
+//! other.
 //!
 //! Work-unit payloads (fault chunks in [`crate::models`], pattern blocks
 //! in `steac-pattern`, March chunks in `steac-membist`) carry no magic of
@@ -111,7 +115,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Current wire-format version (see the module docs for the bump rule).
-pub const WIRE_VERSION: u16 = 9;
+pub const WIRE_VERSION: u16 = 10;
 
 /// Typed decode failure. Encoding cannot fail.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -480,9 +484,7 @@ pub fn encode_program(p: &SimProgram) -> Vec<u8> {
     }
     w.put_usize(p.flops.len());
     for f in &p.flops {
-        for v in [
-            f.cell, f.d, f.si, f.se, f.ck, f.rstn, f.q, f.state, f.prev_ck,
-        ] {
+        for v in [f.cell, f.d, f.si, f.se, f.ck, f.rstn, f.q, f.state] {
             w.put_u32(v);
         }
     }
@@ -586,10 +588,10 @@ pub fn decode_program(bytes: &[u8]) -> Result<SimProgram, WireError> {
         comb.push(Instr { op, ins, out });
     }
 
-    let flop_count = r.get_count("flop count", 36)?;
+    let flop_count = r.get_count("flop count", 32)?;
     let mut flops = Vec::with_capacity(flop_count);
     for _ in 0..flop_count {
-        let mut v = [0u32; 9];
+        let mut v = [0u32; 8];
         for field in &mut v {
             *field = r.get_u32("flop record")?;
         }
@@ -602,7 +604,6 @@ pub fn decode_program(bytes: &[u8]) -> Result<SimProgram, WireError> {
             rstn: v[5],
             q: v[6],
             state: v[7],
-            prev_ck: v[8],
         };
         check_slot(f.d, slot_count, "flop d slot")?;
         check_opt_slot(f.si, slot_count, "flop si slot")?;
@@ -611,7 +612,6 @@ pub fn decode_program(bytes: &[u8]) -> Result<SimProgram, WireError> {
         check_opt_slot(f.rstn, slot_count, "flop rstn slot")?;
         check_slot(f.q, net_count, "flop q net")?;
         check_slot(f.state, slot_count, "flop state slot")?;
-        check_slot(f.prev_ck, slot_count, "flop prev-ck slot")?;
         flops.push(f);
     }
 
@@ -634,16 +634,6 @@ pub fn decode_program(bytes: &[u8]) -> Result<SimProgram, WireError> {
         check_slot(l.q, net_count, "latch q net")?;
         check_slot(l.state, slot_count, "latch state slot")?;
         latches.push(l);
-    }
-
-    // The compiler lays out slots as nets, then one state slot per
-    // latch, plus state + prev-ck per flop; slot renumbering only ever
-    // shrinks that. A larger claim would make every slot-sized buffer
-    // (engine state, schedule verification) allocate unbounded memory.
-    if slot_count > net_count + 2 * flop_count + latch_count {
-        return Err(WireError::Corrupt {
-            context: "slot count",
-        });
     }
 
     let seq_count = r.get_count("sequential count", 5)?;
@@ -733,6 +723,16 @@ pub fn decode_program(bytes: &[u8]) -> Result<SimProgram, WireError> {
         net_slot,
         opt,
     );
+    // The side tables fix the layout: nets, one state slot per flop and
+    // per latch, then one previous-value slot per distinct flop clock
+    // (slot renumbering never changes the count). Any other claim is
+    // corrupt, and refusing it keeps every slot-sized buffer (engine
+    // state, schedule verification) bounded by the bytes decoded.
+    if p.slot_count != p.layout_slot_count() {
+        return Err(WireError::Corrupt {
+            context: "slot count",
+        });
+    }
     // A claimed schedule licenses the engine's single-sweep settle fast
     // path; re-verify it so hostile bytes cannot make the fast path
     // produce wrong values.
@@ -852,8 +852,9 @@ mod tests {
     /// Older blobs — version 1 (pre-optimizer, no slot table) through
     /// version 4 (a six-counter `opt` record), version 5 (kind-2 and
     /// kind-3 jobs with a lane-group byte), version 6 (fault jobs of
-    /// kinds 1, 4 and 5 with one) and version 8 (a two-flag `opt`
-    /// record) — are rejected with a typed error rather than misparsed.
+    /// kinds 1, 4 and 5 with one), version 8 (a two-flag `opt` record)
+    /// and version 9 (a previous-clock slot in every flop record) — are
+    /// rejected with a typed error rather than misparsed.
     #[test]
     fn old_version_is_rejected() {
         for old in 1..WIRE_VERSION {
@@ -946,6 +947,24 @@ mod tests {
                 context: "opt scheduled"
             })
         );
+    }
+
+    /// The slot count must be the one the side tables imply; one more
+    /// or one fewer slot is corrupt.
+    #[test]
+    fn slot_count_must_match_the_layout() {
+        let p = sample_program();
+        assert_eq!(p.slot_count, p.net_count + 1 + 1 + 1);
+        for slot_count in [p.slot_count - 1, p.slot_count + 1] {
+            let mut bad = p.clone();
+            bad.slot_count = slot_count;
+            assert_eq!(
+                decode_program(&encode_program(&bad)),
+                Err(WireError::Corrupt {
+                    context: "slot count"
+                })
+            );
+        }
     }
 
     /// The net-slot table must be a permutation: duplicate slots are

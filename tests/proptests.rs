@@ -557,6 +557,202 @@ proptest! {
     }
 }
 
+// ---------- fast vs checked settle on sequential designs ----------
+
+/// Builds a random sequential module from seed tuples: two input clocks
+/// (`ck0`, `ck1`) and one derived clock (`derived` picks a flop's Q or
+/// an AND of `ck1` with a data input), four data inputs, a reset input
+/// `rst` and a scan enable `se`. Each seed adds a gate, a `Dff`, a
+/// `DffR` or `SdffR` (reset from `rst`, from an OR of `rst` with another
+/// net, or from another net directly), an `Sdff`, or a `Latch`; each
+/// flop takes one of the three clocks, and the scan flops form one
+/// chain (scan-in = the previous scan flop's Q). Two feedback nets join
+/// the pool up front and are driven last by `Dff`s, so an element can
+/// read the Q of a flop that comes after it in cell order. Returns the
+/// module and every flop's Q net.
+fn random_sequential_module(
+    derived: u8,
+    seeds: &[(u8, u8, u8, u8)],
+) -> (steac_netlist::Module, Vec<NetId>) {
+    let mut b = NetlistBuilder::new("rand_seq");
+    let ck0 = b.input("ck0");
+    let ck1 = b.input("ck1");
+    let rst = b.input("rst");
+    let se = b.input("se");
+    let mut pool: Vec<NetId> = (0..4).map(|i| b.input(&format!("in{i}"))).collect();
+    let feedback = [b.net("fb0"), b.net("fb1")];
+    pool.extend(feedback);
+    let mut qs = Vec::new();
+    let data = pool[usize::from(derived / 2) % 4];
+    let derived_ck = if derived.is_multiple_of(2) {
+        let q = b.gate(GateKind::Dff, &[data, ck0]);
+        qs.push(q);
+        q
+    } else {
+        b.gate(GateKind::And2, &[ck1, data])
+    };
+    let clocks = [ck0, ck1, derived_ck];
+    let mut chain = None;
+    for &(kind, s1, s2, s3) in seeds {
+        let pick = |s: u8| pool[usize::from(s) % pool.len()];
+        let (a, c, d) = (pick(s1), pick(s2), pick(s3));
+        let ck = clocks[usize::from(s3) % 3];
+        let reset = |b: &mut NetlistBuilder| match s2 % 3 {
+            0 => rst,
+            1 => b.gate(GateKind::Or2, &[rst, c]),
+            _ => c,
+        };
+        let out = match kind % 10 {
+            0 => b.gate(GateKind::Inv, &[a]),
+            1 => b.gate(GateKind::And2, &[a, c]),
+            2 => b.gate(GateKind::Xor2, &[a, c]),
+            3 => b.gate(GateKind::Nand2, &[a, c]),
+            4 => b.gate(GateKind::Mux2, &[a, c, d]),
+            5 => b.gate(GateKind::Dff, &[a, ck]),
+            6 => {
+                let rstn = reset(&mut b);
+                b.gate(GateKind::DffR, &[a, ck, rstn])
+            }
+            7 => b.gate(GateKind::Sdff, &[a, chain.unwrap_or(d), se, ck]),
+            8 => {
+                let rstn = reset(&mut b);
+                b.gate(GateKind::SdffR, &[a, chain.unwrap_or(d), se, ck, rstn])
+            }
+            _ => b.gate(GateKind::Latch, &[a, c]),
+        };
+        if (5..=8).contains(&(kind % 10)) {
+            qs.push(out);
+        }
+        if (7..=8).contains(&(kind % 10)) {
+            chain = Some(out);
+        }
+        pool.push(out);
+    }
+    for (i, &fb) in feedback.iter().enumerate() {
+        b.gate_into(GateKind::Dff, &[pool[pool.len() - 1 - i], clocks[i]], fb);
+        qs.push(fb);
+    }
+    let outs: Vec<NetId> = pool.iter().rev().take(3).copied().collect();
+    for (i, &n) in outs.iter().enumerate() {
+        b.output(&format!("out{i}"), n);
+    }
+    let m = b
+        .finish()
+        .expect("random sequential module is structurally valid");
+    (m, qs)
+}
+
+/// 64 lane values: mostly 0 and 1, with an X or a Z on one lane in eight.
+fn random_lanes(rng: &mut rand::rngs::StdRng) -> Vec<Logic> {
+    use rand::Rng;
+    (0..LANES)
+        .map(|_| match rng.gen_range(0u8..8) {
+            0..=2 => Logic::Zero,
+            3..=5 => Logic::One,
+            6 => Logic::X,
+            _ => Logic::Z,
+        })
+        .collect()
+}
+
+/// Drives `cycles` clock cycles of seeded stimulus through `program` and
+/// logs every settle: all lanes of every output and flop Q (`qs`), or
+/// the error that ended the run. Each cycle sets the data inputs, forces
+/// a random mask of lanes of a random flop Q, pulses both input clocks
+/// (some lanes go to X instead of 1, or stay 0), then clears the forces,
+/// unforces that Q or sets it, and settles once more.
+fn sequential_trace(
+    program: &std::sync::Arc<SimProgram>,
+    m: &steac_netlist::Module,
+    qs: &[NetId],
+    cycles: usize,
+    seed: u64,
+) -> Vec<Result<Vec<PackedLogic>, steac_sim::SimError>> {
+    use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let port = |name: &str| m.port(name).expect("port exists").net;
+    let clocks = [port("ck0"), port("ck1")];
+    let data = ["in0", "in1", "in2", "in3", "rst", "se"].map(port);
+    let observed: Vec<NetId> = m
+        .ports_with_dir(steac_netlist::PortDir::Output)
+        .map(|p| p.net)
+        .chain(qs.iter().copied())
+        .collect();
+    let mut sim: Simulator = Simulator::from_program(std::sync::Arc::clone(program));
+    let mut log = Vec::new();
+    let mut settle = |sim: &mut Simulator| {
+        let r = sim
+            .settle()
+            .map(|()| observed.iter().map(|&n| sim.get_packed(n)).collect());
+        let ok = r.is_ok();
+        log.push(r);
+        ok
+    };
+    for _ in 0..cycles {
+        for pin in data {
+            sim.set_lanes(pin, &random_lanes(&mut rng));
+        }
+        let q = qs[rng.gen_range(0..qs.len())];
+        let v = Logic::from(rng.gen_bool(0.5));
+        let mask = rng.next_u64();
+        for lane in (0..LANES).filter(|l| mask >> l & 1 == 1) {
+            sim.force_lane(q, lane, v);
+        }
+        for high in [false, true, false] {
+            for ck in clocks {
+                let lanes: Vec<Logic> = (0..LANES)
+                    .map(|_| match (high, rng.gen_range(0u8..8)) {
+                        (false, _) | (true, 0) => Logic::Zero,
+                        (true, 1) => Logic::X,
+                        _ => Logic::One,
+                    })
+                    .collect();
+                sim.set_lanes(ck, &lanes);
+            }
+            if !settle(&mut sim) {
+                return log;
+            }
+        }
+        match rng.gen_range(0u8..3) {
+            0 => sim.clear_forces(),
+            1 => sim.unforce(q),
+            _ => sim.set_lanes(q, &random_lanes(&mut rng)),
+        }
+        if !settle(&mut sim) {
+            return log;
+        }
+    }
+    log
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The scheduled settle of the optimized program leaves every lane
+    /// of every output and flop Q where the checked settle of the
+    /// unoptimized program does, settle after settle, on random designs
+    /// with async resets, a scan chain, latches and three clocks (one
+    /// derived), under per-lane forces on flop Qs that are then
+    /// cleared, removed or overwritten; a settle that fails must fail
+    /// the same way on both.
+    #[test]
+    fn fast_settle_equals_checked_on_sequential_designs(
+        derived in 0u8..8,
+        seeds in prop::collection::vec((0u8..10, 0u8..32, 0u8..32, 0u8..32), 4..24),
+        cycles in 3usize..6,
+        stim in 0u64..u64::MAX,
+    ) {
+        use std::sync::Arc;
+        let (m, qs) = random_sequential_module(derived, &seeds);
+        let raw = Arc::new(SimProgram::compile_unoptimized(&m).unwrap());
+        let opt = Arc::new(SimProgram::compile(&m).unwrap());
+        prop_assert!(!raw.opt.scheduled && opt.opt.scheduled);
+        let checked = sequential_trace(&raw, &m, &qs, cycles, stim);
+        let fast = sequential_trace(&opt, &m, &qs, cycles, stim);
+        prop_assert_eq!(fast, checked);
+    }
+}
+
 // ---------- lane-width invariance ----------
 
 proptest! {
